@@ -231,4 +231,13 @@ for scheme in '"FTL"' '"MRSM"' '"Across-FTL"'; do
     grep -q "$scheme" "$bench_smoke" || { echo "bench manifest missing scheme $scheme"; exit 1; }
 done
 
+say "benchmark smoke + tests (benchmark/ is its own workspace)"
+# Nothing above compiles benchmark/: it stands outside the root workspace
+# and path-depends on crates/*, so an API change there could break the PR
+# pipeline's benchmark unnoticed. --smoke runs all five workloads at 1/100
+# length through the timed and the traced path (schema, sim_digest
+# agreement, verify pass); --test runs the package's own tests.
+bash benchmark/run.sh --smoke >/dev/null
+bash benchmark/run.sh --test -q
+
 say "CI gate passed"

@@ -25,10 +25,24 @@
 //!   budgeted background slices proactively, above the foreground
 //!   threshold.
 //!
-//! With preemption disabled and the greedy policy (the defaults), the
-//! episode machine replays the historic atomic collector *bit for bit*:
-//! same candidate ordering, same flash-op sequence, same report — the
-//! fig8 golden-digest parity tests pin this down.
+//! Victim order is defined, not inherited from a sort: greedy takes the
+//! most-invalid block first and, among equals, the one that entered the
+//! [`aftl_flash::VictimIndex`] earliest (`(invalid desc, stamp asc)`;
+//! stamps are unique, so the order is total and the same on any
+//! toolchain). The fig8 golden digests pin the simulated results that
+//! order produces.
+//!
+//! Greedy selection costs what it collects. An episode starts in O(1) with
+//! a bucket cursor at the index's top level; only when its victim list
+//! runs dry does it read the next non-empty bucket below the cursor, drop
+//! allocator-active blocks, order that one bucket by stamp and continue.
+//! The cursor only descends, so an episode sees each bucket at most once
+//! and its victim list is finite however the index changes under it. A
+//! bucket holds what is in it *when the cursor reaches it*: a block that
+//! becomes a candidate above the cursor mid-episode (a translation-page
+//! flush during migration can do that) waits for the next episode.
+//! Cost-benefit and windowed need global ranks, so they enumerate the
+//! index once at episode start and sort.
 
 use crate::recover::{lost_stamps_of, program_relocating, read_with_retry};
 use aftl_flash::{
@@ -313,6 +327,16 @@ pub struct VictimCand {
 
 impl VictimCand {
     #[inline]
+    fn new(invalid: u32, addr: BlockAddr, stamp: u64) -> Self {
+        VictimCand {
+            invalid,
+            plane_idx: addr.plane_idx,
+            block: addr.block,
+            stamp,
+        }
+    }
+
+    #[inline]
     fn addr(&self) -> BlockAddr {
         BlockAddr {
             plane_idx: self.plane_idx,
@@ -321,13 +345,15 @@ impl VictimCand {
     }
 }
 
-/// Order `cands` into episode victim order under `policy`. Exposed (and
-/// pure) so the property tests can exercise the policies directly.
+/// Order `cands` into episode victim order under `policy`: the reference
+/// definition of each policy's order. Cost-benefit and windowed episodes
+/// run it over the whole candidate set; greedy episodes never sort the
+/// set (see the module docs) and must collect in this order all the same —
+/// the debug oracle and the property tests compare against it.
 ///
-/// Input contract: `cands` is pre-sorted plane-major / block-ascending —
-/// the historic full-scan order — so the greedy arm reproduces the
-/// pre-refactor collector's `sort_unstable_by_key(Reverse(invalid))`
-/// permutation bit for bit.
+/// Every key is total given unique stamps and unique `(plane, block)`
+/// addresses — which the victim index guarantees — so the result does not
+/// depend on the order `cands` arrives in.
 pub fn order_victims(
     policy: GcPolicy,
     window: u32,
@@ -336,7 +362,8 @@ pub fn order_victims(
 ) {
     match policy {
         GcPolicy::Greedy => {
-            cands.sort_unstable_by_key(|c| std::cmp::Reverse(c.invalid));
+            // Greediest first, coldest among equals.
+            cands.sort_unstable_by_key(|c| (std::cmp::Reverse(c.invalid), c.stamp));
         }
         GcPolicy::CostBenefit => {
             // Benefit/cost × age with integer arithmetic: score =
@@ -372,21 +399,24 @@ pub fn order_victims(
     }
 }
 
-/// A resumable collection episode: the victim list chosen at episode
-/// start, a cursor over the current victim's valid pages, and the blocks
-/// erased so far. Paused and resumed by [`GcState`]; holds no borrows, so
-/// it lives inside a scheme across invocations.
+/// The cursors of a resumable collection episode over [`GcState`]'s victim
+/// and page buffers: which bucket to pull next, which victim is being
+/// drained and how far, and the blocks erased so far. Paused and resumed by
+/// [`GcState`]; holds no borrows, so it lives inside a scheme across
+/// invocations.
 #[derive(Debug)]
 pub struct GcEpisode {
-    /// Policy-ordered victims, fixed at episode start.
-    victims: Vec<VictimCand>,
+    /// Greedy only: the victim-index bucket (= invalid count) to pull when
+    /// the victim list next runs dry. Strictly descending, so the episode's
+    /// victim list is finite; 0 = nothing left to pull, which is where
+    /// cost-benefit and windowed episodes start.
+    cursor: u32,
     /// Next victim to (re)load.
     next_victim: usize,
-    /// Valid pages of the current victim, captured at victim start.
-    pages: Vec<(Ppn, PageInfo)>,
-    /// Cursor into `pages`.
+    /// Cursor into the current victim's captured valid pages.
     next_page: usize,
-    /// Whether `pages`/`next_page` refer to `victims[next_victim]`.
+    /// Whether the captured pages and `next_page` refer to
+    /// `victims[next_victim]`.
     loaded: bool,
     /// Blocks erased by this episode so far (feeds the historic
     /// nothing-reclaimable [`FlashError::NoFreeBlocks`] check).
@@ -402,20 +432,32 @@ enum SliceEnd {
     Paused,
 }
 
-/// The per-scheme GC driver: configuration plus the (at most one) parked
-/// [`GcEpisode`]. Foreground collection ([`GcState::maybe_collect`]) runs
-/// after host writes; idle collection ([`GcState::idle_collect`]) runs in
-/// host arrival gaps when enabled.
+/// The per-scheme GC driver: configuration, the (at most one) parked
+/// [`GcEpisode`] and the buffers it runs over. Foreground collection
+/// ([`GcState::maybe_collect`]) runs after host writes; idle collection
+/// ([`GcState::idle_collect`]) runs in host arrival gaps when enabled.
 #[derive(Debug)]
 pub struct GcState {
     cfg: GcConfig,
     episode: Option<GcEpisode>,
+    /// Victims of the episode in flight, in collection order: the bucket
+    /// being drained for greedy, the whole ranked candidate set for
+    /// cost-benefit and windowed. Kept between episodes, like `pages`, so
+    /// steady-state collection allocates nothing.
+    victims: Vec<VictimCand>,
+    /// Valid pages of the current victim, captured at victim start.
+    pages: Vec<(Ppn, PageInfo)>,
 }
 
 impl GcState {
     /// A driver with no episode in flight.
     pub fn new(cfg: GcConfig) -> Self {
-        GcState { cfg, episode: None }
+        GcState {
+            cfg,
+            episode: None,
+            victims: Vec::new(),
+            pages: Vec::new(),
+        }
     }
 
     /// The configuration this driver runs.
@@ -433,8 +475,6 @@ impl GcState {
     /// Foreground collection: trigger below the threshold, resume a parked
     /// episode, and run up to the preemption budget of page copies
     /// (unbounded when `preempt_pages` is 0 or free space is urgent-low).
-    /// Mirrors the historic atomic collector exactly when preemption is
-    /// off and the policy is greedy.
     pub fn maybe_collect(
         &mut self,
         array: &mut FlashArray,
@@ -512,74 +552,55 @@ impl GcState {
         }
     }
 
-    /// Select this episode's victims. Candidate enumeration and ordering
-    /// keep the historic full-scan order as the pre-sort so the greedy
-    /// policy stays bit-identical to the pre-refactor collector.
-    fn start_episode(&mut self, array: &FlashArray, alloc: &Allocator, report: &mut GcReport) {
-        // The victim list for the whole episode comes from the
-        // incrementally maintained index (full blocks with reclaimable
-        // pages, retired blocks already excluded), so episode startup is
-        // O(candidates), not O(total blocks). Active blocks are excluded
-        // here (they are still being programmed).
-        let vi = array.victim_index();
-        let mut cands: Vec<VictimCand> = Vec::with_capacity(vi.len());
-        vi.for_each(|invalid, addr| {
-            if !alloc.is_active(addr) {
-                cands.push(VictimCand {
-                    invalid,
-                    plane_idx: addr.plane_idx,
-                    block: addr.block,
-                    stamp: vi.stamp_of(addr).unwrap_or(0),
-                });
-            }
-        });
-        cands.sort_unstable_by_key(|c| (c.plane_idx, c.block));
-
-        // Debug oracle: the retired full scan must agree with the index.
+    /// Open an episode. Greedy selects nothing yet — it notes the index's
+    /// top level and [`pull_bucket`] materialises victims as the episode
+    /// needs them, so this is O(1); cost-benefit and windowed rank the whole
+    /// candidate set here, in one pass over the index. Allocator-active
+    /// blocks are never victims (they are still being programmed).
+    fn start_episode(&mut self, array: &mut FlashArray, alloc: &Allocator, report: &mut GcReport) {
         #[cfg(debug_assertions)]
-        {
-            array
-                .check_victim_index()
-                .expect("victim index consistent with block summaries");
-            let mut scan: Vec<(u32, u64, u32)> = Vec::new();
-            for plane in 0..array.geometry().total_planes() {
-                for s in array.block_summaries(plane) {
-                    if s.full && s.invalid > 0 && !s.retired && !alloc.is_active(s.addr) {
-                        scan.push((s.invalid, s.addr.plane_idx, s.addr.block));
-                    }
-                }
-            }
-            let from_index: Vec<(u32, u64, u32)> = cands
-                .iter()
-                .map(|c| (c.invalid, c.plane_idx, c.block))
-                .collect();
-            assert_eq!(from_index, scan, "victim index diverged from full scan");
-        }
+        array
+            .check_victim_index()
+            .expect("victim index consistent with block summaries");
 
         let t = self.cfg.tuning;
-        order_victims(
-            t.policy,
-            t.window,
-            array.geometry().pages_per_block,
-            &mut cands,
-        );
+        self.victims.clear();
+        let cursor = match t.policy {
+            GcPolicy::Greedy => array.top_victim_level(),
+            GcPolicy::CostBenefit | GcPolicy::Windowed => {
+                let pages_per_block = array.geometry().pages_per_block;
+                array.victim_index().for_each(|invalid, addr, stamp| {
+                    if !alloc.is_active(addr) {
+                        self.victims.push(VictimCand::new(invalid, addr, stamp));
+                    }
+                });
+                order_victims(t.policy, t.window, pages_per_block, &mut self.victims);
+                #[cfg(debug_assertions)]
+                assert_matches_scan(
+                    array,
+                    alloc,
+                    t.policy,
+                    t.window,
+                    1..=pages_per_block,
+                    &self.victims,
+                );
+                0
+            }
+        };
         report.episodes += 1;
         self.episode = Some(GcEpisode {
-            victims: cands,
+            cursor,
             next_victim: 0,
-            pages: Vec::new(),
             next_page: 0,
             loaded: false,
             erased: 0,
         });
     }
 
-    /// Run one slice of the parked episode: copy up to `budget` valid
-    /// pages, erasing victims as they drain, until the stop mark, victim
-    /// exhaustion, or the budget. Always flushes the migrator before
-    /// returning (migrators are rebuilt per invocation). On `Done` the
-    /// episode is dropped; on error it is dropped too — the scheme
-    /// surfaces the error and a later trigger starts fresh.
+    /// Run one slice of the parked episode (see [`GcState::slice`]). The
+    /// episode stays parked only when the slice paused; when it finished
+    /// or failed it is dropped — the scheme surfaces an error and a later
+    /// trigger starts fresh.
     #[allow(clippy::too_many_arguments)]
     fn run_slice(
         &mut self,
@@ -591,13 +612,44 @@ impl GcState {
         migrator: &mut dyn PageMigrator,
         report: &mut GcReport,
     ) -> Result<SliceEnd> {
+        let end = self.slice(array, alloc, now, stop_at, budget, migrator, report);
+        if !matches!(end, Ok(SliceEnd::Paused)) {
+            self.episode = None;
+        }
+        end
+    }
+
+    /// Copy up to `budget` valid pages, erasing victims as they drain,
+    /// until the stop mark, victim exhaustion, or the budget. Always
+    /// flushes the migrator before returning `Ok` (migrators are rebuilt
+    /// per invocation).
+    #[allow(clippy::too_many_arguments)]
+    fn slice(
+        &mut self,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+        now: Nanos,
+        stop_at: f64,
+        budget: u64,
+        migrator: &mut dyn PageMigrator,
+        report: &mut GcReport,
+    ) -> Result<SliceEnd> {
+        let GcState {
+            episode,
+            victims,
+            pages,
+            ..
+        } = self;
+        let ep = episode.as_mut().expect("slice runs with an episode");
         let mut copied: u64 = 0;
         let end = loop {
-            let ep = self.episode.as_mut().expect("slice runs with an episode");
             if !ep.loaded {
                 // Victim boundary: the stop mark is only checked here,
-                // matching the historic per-victim (not per-page) check.
-                if ep.next_victim >= ep.victims.len() || alloc.free_fraction() >= stop_at {
+                // matching the historic per-victim (not per-page) check —
+                // and before any bucket is read for a victim not needed.
+                if alloc.free_fraction() >= stop_at
+                    || (ep.next_victim >= victims.len() && !pull_bucket(ep, victims, array, alloc))
+                {
                     break SliceEnd::Done {
                         episode_erased: ep.erased,
                     };
@@ -605,43 +657,30 @@ impl GcState {
                 if copied >= budget {
                     break SliceEnd::Paused;
                 }
-                let victim = ep.victims[ep.next_victim].addr();
-                array.valid_pages_into(victim, &mut ep.pages);
+                array.valid_pages_into(victims[ep.next_victim].addr(), pages);
                 ep.next_page = 0;
                 ep.loaded = true;
             }
 
-            while ep.next_page < ep.pages.len() {
+            while ep.next_page < pages.len() {
                 if copied >= budget {
                     break;
                 }
-                let (old_ppn, info) = ep.pages[ep.next_page];
+                let (old_ppn, info) = pages[ep.next_page];
                 ep.next_page += 1;
                 // Host writes between slices may have invalidated pages
                 // captured at victim start; skip them — their mapping
                 // already points at the newer copy. (With atomic episodes
                 // nothing interleaves, so nothing is ever skipped.)
-                let still_valid = match array.page_info(old_ppn) {
-                    Ok(cur) => cur.is_valid(),
-                    Err(e) => {
-                        self.episode = None;
-                        return Err(e);
-                    }
-                };
-                if !still_valid {
+                if !array.page_info(old_ppn)?.is_valid() {
                     continue;
                 }
-                match migrator.migrate(array, alloc, now, old_ppn, &info, report) {
-                    Ok(programs) => report.migrated_pages += programs,
-                    Err(e) => {
-                        self.episode = None;
-                        return Err(e);
-                    }
-                }
+                let programs = migrator.migrate(array, alloc, now, old_ppn, &info, report)?;
+                report.migrated_pages += programs;
                 array.note_gc_migration();
                 copied += 1;
             }
-            if ep.next_page < ep.pages.len() {
+            if ep.next_page < pages.len() {
                 break SliceEnd::Paused;
             }
 
@@ -656,15 +695,10 @@ impl GcState {
             // instead of reclaiming it — its valid data already moved, so
             // only capacity shrinks.
             if array.crash_armed() {
-                match migrator.finish(array, alloc, now, report) {
-                    Ok(programs) => report.migrated_pages += programs,
-                    Err(e) => {
-                        self.episode = None;
-                        return Err(e);
-                    }
-                }
+                let programs = migrator.finish(array, alloc, now, report)?;
+                report.migrated_pages += programs;
             }
-            let victim = ep.victims[ep.next_victim].addr();
+            let victim = victims[ep.next_victim].addr();
             match array.erase(victim, now) {
                 Ok(_) => {
                     alloc.release_block(victim);
@@ -674,27 +708,76 @@ impl GcState {
                 Err(FlashError::EraseFailed { .. }) | Err(FlashError::WornOut { .. }) => {
                     report.retired_blocks += 1;
                 }
-                Err(e) => {
-                    self.episode = None;
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
             ep.next_victim += 1;
             ep.loaded = false;
         };
 
-        match migrator.finish(array, alloc, now, report) {
-            Ok(programs) => report.migrated_pages += programs,
-            Err(e) => {
-                self.episode = None;
-                return Err(e);
-            }
-        }
-        if matches!(end, SliceEnd::Done { .. }) {
-            self.episode = None;
-        }
+        let programs = migrator.finish(array, alloc, now, report)?;
+        report.migrated_pages += programs;
         Ok(end)
     }
+}
+
+/// Greedy selection proper: refill the drained victim list with the next
+/// non-empty bucket at or below the episode's cursor — its blocks that are
+/// not allocator-active, coldest first — and leave the cursor under it.
+/// Returns whether there is a victim to take: `false` only when no bucket
+/// is left. Costs the buckets it reads, not the candidate set.
+fn pull_bucket(
+    ep: &mut GcEpisode,
+    victims: &mut Vec<VictimCand>,
+    array: &FlashArray,
+    alloc: &Allocator,
+) -> bool {
+    victims.clear();
+    ep.next_victim = 0;
+    while victims.is_empty() && ep.cursor > 0 {
+        let level = ep.cursor;
+        ep.cursor -= 1;
+        victims.extend(
+            array
+                .victim_index()
+                .bucket(level)
+                .filter(|&(addr, _)| !alloc.is_active(addr))
+                .map(|(addr, stamp)| VictimCand::new(level, addr, stamp)),
+        );
+        victims.sort_unstable_by_key(|c| c.stamp);
+        #[cfg(debug_assertions)]
+        assert_matches_scan(array, alloc, GcPolicy::Greedy, 0, level..=level, victims);
+    }
+    !victims.is_empty()
+}
+
+/// Debug oracle: victims just taken from the index at invalid counts
+/// `levels` must be exactly what a full scan of the block summaries finds
+/// there — full, that many invalid pages, not retired, not
+/// allocator-active — in `policy`'s reference order.
+#[cfg(debug_assertions)]
+fn assert_matches_scan(
+    array: &FlashArray,
+    alloc: &Allocator,
+    policy: GcPolicy,
+    window: u32,
+    levels: std::ops::RangeInclusive<u32>,
+    got: &[VictimCand],
+) {
+    let vi = array.victim_index();
+    let mut scan = Vec::new();
+    for plane in 0..array.geometry().total_planes() {
+        for s in array.block_summaries(plane) {
+            if s.full && levels.contains(&s.invalid) && !s.retired && !alloc.is_active(s.addr) {
+                let stamp = vi.stamp_of(s.addr).expect("a candidate block is indexed");
+                scan.push(VictimCand::new(s.invalid, s.addr, stamp));
+            }
+        }
+    }
+    order_victims(policy, window, array.geometry().pages_per_block, &mut scan);
+    assert_eq!(
+        got, scan,
+        "victims taken from the index diverged from a full scan"
+    );
 }
 
 /// Run a GC episode to completion if needed. `remap(array, old, new,
@@ -1069,6 +1152,129 @@ mod tests {
         assert!(alloc.free_fraction() >= free, "idle GC reclaimed space");
     }
 
+    /// Program every page of `addr` (fresh LPNs from `next_lpn`) and
+    /// invalidate the first `invalid` of them.
+    fn fill_block(array: &mut FlashArray, addr: BlockAddr, invalid: u32, next_lpn: &mut u64) {
+        let g = *array.geometry();
+        for page in 0..g.pages_per_block {
+            let ppn = array.ppn_in_block(addr, page);
+            array
+                .program(ppn, PageKind::Data, *next_lpn, g.page_bytes, 0, 0)
+                .unwrap();
+            *next_lpn += 1;
+            if page < invalid {
+                array.invalidate(ppn).unwrap();
+            }
+        }
+    }
+
+    /// Selection costs what it collects: with thousands of candidates in
+    /// the low buckets, a greedy episode that has only started on the top
+    /// bucket has materialised the top bucket and nothing else.
+    #[test]
+    fn greedy_episode_materialises_only_the_buckets_it_reaches() {
+        let g = Geometry {
+            blocks_per_plane: 1024,
+            ..Geometry::tiny()
+        };
+        let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+        let mut next_lpn = 0u64;
+        for plane_idx in 0..g.total_planes() {
+            for block in 0..750 {
+                let addr = BlockAddr { plane_idx, block };
+                fill_block(&mut array, addr, 1 + block % 2, &mut next_lpn);
+            }
+        }
+        for plane_idx in 0..3 {
+            let addr = BlockAddr {
+                plane_idx,
+                block: 1000,
+            };
+            fill_block(&mut array, addr, 6, &mut next_lpn);
+        }
+        assert_eq!(array.victim_index().len(), 3003);
+        let mut alloc = Allocator::rebuild(&array);
+
+        let mut state = GcState::new(GcConfig {
+            threshold: 0.5,
+            hysteresis: 0.1,
+            tuning: GcTuning {
+                preempt_pages: 1,
+                urgent_ratio: 0.0,
+                ..GcTuning::default()
+            },
+        });
+        let mut copy = CopyMigrator(|_: &mut FlashArray, _, _, _: &PageInfo| {});
+        let r = state
+            .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
+            .unwrap();
+        assert_eq!((r.episodes, r.preemptions, r.migrated_pages), (1, 1, 1));
+        assert!(state.in_episode(), "one page of budget parks the episode");
+        assert_eq!(state.victims.len(), 3, "the top bucket and nothing else");
+        assert!(state.victims.iter().all(|c| c.invalid == 6));
+
+        // The low buckets are reached only after the top one is drained:
+        // three victims of two valid pages each, one page per slice.
+        let mut erased = 0;
+        while erased < 3 {
+            assert!(state.victims.iter().all(|c| c.invalid == 6));
+            erased += state
+                .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
+                .unwrap()
+                .erased_blocks;
+        }
+        let r = state
+            .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
+            .unwrap();
+        assert_eq!(r.migrated_pages, 1);
+        assert_eq!(state.victims.len(), 1500, "then the 2-invalid bucket");
+        assert!(state.victims.iter().all(|c| c.invalid == 2));
+    }
+
+    /// A device whose only candidates are 1-invalid-page blocks, under a
+    /// stop mark it can never reach: the episode collects every candidate
+    /// once and ends; the next trigger finds nothing and reports a full
+    /// device. Neither call spins.
+    #[test]
+    fn unreachable_stop_mark_ends_the_episode() {
+        let g = Geometry::tiny();
+        let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+        let mut next_lpn = 0u64;
+        for plane_idx in 0..g.total_planes() {
+            for block in 0..10 {
+                let addr = BlockAddr { plane_idx, block };
+                fill_block(&mut array, addr, 1, &mut next_lpn);
+            }
+        }
+        let mut alloc = Allocator::rebuild(&array);
+        let mut state = GcState::new(GcConfig {
+            threshold: 0.9,
+            hysteresis: 0.0,
+            ..GcConfig::default()
+        });
+        let mut copy = CopyMigrator(|_: &mut FlashArray, _, _, _: &PageInfo| {});
+
+        let r = state
+            .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
+            .unwrap();
+        assert!(!state.in_episode());
+        assert_eq!(
+            (r.episodes, r.erased_blocks, r.migrated_pages),
+            (1, 40, 280)
+        );
+        assert!(
+            alloc.free_fraction() < 0.9,
+            "the stop mark was never reached"
+        );
+        assert!(array.victim_index().is_empty(), "every copy is fully valid");
+
+        let err = state
+            .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
+            .unwrap_err();
+        assert_eq!(err, FlashError::NoFreeBlocks);
+        assert!(!state.in_episode());
+    }
+
     #[test]
     fn policies_order_deterministically_and_skip_nothing() {
         let mk = |invalid, plane_idx, block, stamp| VictimCand {
@@ -1086,20 +1292,40 @@ mod tests {
         ];
         for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::Windowed] {
             let mut a = base.clone();
-            let mut b = base.clone();
             order_victims(policy, 2, 8, &mut a);
-            order_victims(policy, 2, 8, &mut b);
-            assert_eq!(a, b, "{policy:?} is deterministic");
+            // The order is a function of the candidate set, not of how it
+            // was enumerated: every rotation, forwards and reversed, of
+            // the input gives the same output.
+            for rot in 0..base.len() {
+                for reversed in [false, true] {
+                    let mut b = base.clone();
+                    b.rotate_left(rot);
+                    if reversed {
+                        b.reverse();
+                    }
+                    order_victims(policy, 2, 8, &mut b);
+                    assert_eq!(a, b, "{policy:?} depends on the input order");
+                }
+            }
             let mut sorted_a = a.clone();
             sorted_a.sort_unstable_by_key(|c| (c.plane_idx, c.block));
             let mut sorted_base = base.clone();
             sorted_base.sort_unstable_by_key(|c| (c.plane_idx, c.block));
             assert_eq!(sorted_a, sorted_base, "{policy:?} permutes, never drops");
         }
-        // Greedy: most-invalid first.
+        // Greedy: most-invalid first, oldest among equals.
         let mut g = base.clone();
         order_victims(GcPolicy::Greedy, 2, 8, &mut g);
-        assert!(g.windows(2).all(|w| w[0].invalid >= w[1].invalid));
+        assert_eq!(
+            g,
+            vec![
+                mk(7, 0, 4, 2),
+                mk(7, 1, 0, 5),
+                mk(5, 2, 2, 7),
+                mk(3, 0, 1, 10),
+                mk(1, 1, 3, 0),
+            ]
+        );
         // Windowed: first pick is the greediest of the 2 oldest.
         let mut w = base.clone();
         order_victims(GcPolicy::Windowed, 2, 8, &mut w);

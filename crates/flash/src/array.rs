@@ -926,17 +926,18 @@ impl FlashArray {
     // ---- GC victim index ---------------------------------------------------
 
     /// The incrementally maintained erase-candidate index (full blocks with
-    /// invalid pages, not retired). GC enumerates this instead of scanning
-    /// every block summary.
+    /// invalid pages, not retired). GC selects victims from this instead of
+    /// scanning every block summary.
     #[inline]
     pub fn victim_index(&self) -> &VictimIndex {
         &self.victims
     }
 
-    /// The greedy victim — a block in the highest non-empty invalid-count
-    /// bucket — with its invalid count. Amortised O(1).
-    pub fn best_victim(&mut self) -> Option<(BlockAddr, u32)> {
-        self.victims.peek_best()
+    /// Invalid-page count of the greediest erase candidate — the highest
+    /// non-empty bucket of the index, where a greedy GC episode starts
+    /// pulling — or 0 when no block is a candidate. Amortised O(1).
+    pub fn top_victim_level(&mut self) -> u32 {
+        self.victims.peek_best().map_or(0, |(_, invalid)| invalid)
     }
 
     /// Debug oracle: rebuild the candidate set with the historic full scan

@@ -14,9 +14,11 @@
 //! The structure is a classic bucket index: `buckets[i]` holds the global
 //! ids of indexed blocks with exactly `i` invalid pages, and two dense
 //! per-block arrays record where each block sits so every maintenance event
-//! is O(1) (`swap_remove` + push). The greedy victim is any block in the
-//! highest non-empty bucket ([`VictimIndex::peek_best`]); full enumeration
-//! ([`VictimIndex::for_each`]) is O(candidates), not O(blocks).
+//! is O(1) (`swap_remove` + push). The greediest candidates are the highest
+//! non-empty bucket ([`VictimIndex::peek_best`] names its level); a greedy
+//! collector reads one bucket at a time ([`VictimIndex::bucket`], O(that
+//! bucket)), and full enumeration ([`VictimIndex::for_each`]) is
+//! O(candidates), not O(blocks).
 
 use crate::block::BlockAddr;
 
@@ -179,11 +181,20 @@ impl VictimIndex {
         Some((self.addr_of(gid), self.top as u32))
     }
 
-    /// Visit every candidate as `(invalid, addr)`, unordered. O(candidates).
-    pub fn for_each(&self, mut f: impl FnMut(u32, BlockAddr)) {
-        for (invalid, bucket) in self.buckets.iter().enumerate().skip(1) {
-            for &gid in bucket {
-                f(invalid as u32, self.addr_of(gid));
+    /// The candidates holding exactly `invalid` invalid pages (at most
+    /// `pages_per_block`), each with its age stamp, unordered. O(bucket).
+    pub fn bucket(&self, invalid: u32) -> impl Iterator<Item = (BlockAddr, u64)> + '_ {
+        self.buckets[invalid as usize]
+            .iter()
+            .map(|&gid| (self.addr_of(gid), self.stamp[gid as usize]))
+    }
+
+    /// Visit every candidate as `(invalid, addr, stamp)`, unordered.
+    /// O(candidates).
+    pub fn for_each(&self, mut f: impl FnMut(u32, BlockAddr, u64)) {
+        for invalid in 1..self.buckets.len() as u32 {
+            for (addr, stamp) in self.bucket(invalid) {
+                f(invalid, addr, stamp);
             }
         }
     }
@@ -261,8 +272,14 @@ mod tests {
         v.upsert(addr(1, 2), 4);
         v.upsert(addr(1, 5), 4);
         let mut seen = Vec::new();
-        v.for_each(|inv, a| seen.push((inv, a.plane_idx, a.block)));
+        v.for_each(|inv, a, stamp| seen.push((inv, a.plane_idx, a.block, stamp)));
         seen.sort_unstable();
-        assert_eq!(seen, vec![(1, 0, 3), (4, 1, 2), (4, 1, 5)]);
+        assert_eq!(seen, vec![(1, 0, 3, 0), (4, 1, 2, 1), (4, 1, 5, 2)]);
+        // One level at a time: the same entries, and nothing at the others.
+        let mut level4: Vec<_> = v.bucket(4).collect();
+        level4.sort_unstable_by_key(|&(_, stamp)| stamp);
+        assert_eq!(level4, vec![(addr(1, 2), 1), (addr(1, 5), 2)]);
+        assert_eq!(v.bucket(1).collect::<Vec<_>>(), vec![(addr(0, 3), 0)]);
+        assert_eq!(v.bucket(8).count(), 0);
     }
 }

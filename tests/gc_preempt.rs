@@ -4,7 +4,9 @@
 //!   candidate population, `order_victims` places every zero-invalid
 //!   candidate after every reclaimable one, for all three policies —
 //!   erasing a fully-valid block would copy a whole block to free
-//!   nothing.
+//!   nothing. The same property pins that each policy's order is a
+//!   function of the candidate *set*: any permutation of the input
+//!   orders identically.
 //! * **Preemption is invisible at episode end**: an episode interrupted
 //!   by an arbitrary page budget and resumed to completion leaves the
 //!   device in exactly the state the atomic collector produces — same
@@ -92,15 +94,33 @@ proptest! {
 
     #[test]
     fn policies_never_order_a_fully_valid_block_first(
-        (mut cands, window) in (proptest::collection::vec(cand_strategy(8), 1..80), 1u32..12)
+        (mut cands, shuffle_keys, window) in (
+            proptest::collection::vec(cand_strategy(8), 1..80),
+            proptest::collection::vec(any::<u64>(), 80..81),
+            1u32..12,
+        )
     ) {
-        // The episode builder hands order_victims a plane-major,
-        // block-ascending scan with unique (plane, block) keys.
+        // All the victim index promises of a candidate set: unique
+        // (plane, block) addresses and unique stamps — in no particular
+        // order.
         cands.sort_unstable_by_key(|c| (c.plane_idx, c.block));
         cands.dedup_by_key(|c| (c.plane_idx, c.block));
+        cands.sort_unstable_by_key(|c| c.stamp);
+        cands.dedup_by_key(|c| c.stamp);
+        let mut shuffled: Vec<(u64, VictimCand)> =
+            shuffle_keys.iter().copied().zip(cands.iter().copied()).collect();
+        shuffled.sort_unstable_by_key(|&(key, _)| key);
+        let shuffled: Vec<VictimCand> = shuffled.into_iter().map(|(_, c)| c).collect();
         for policy in POLICIES {
             let mut ordered = cands.clone();
             order_victims(policy, window, 8, &mut ordered);
+            let mut reordered = shuffled.clone();
+            order_victims(policy, window, 8, &mut reordered);
+            prop_assert!(
+                ordered == reordered,
+                "{:?}: order depends on the input permutation",
+                policy
+            );
             let first_full = ordered.iter().position(|c| c.invalid == 0);
             let last_reclaimable = ordered.iter().rposition(|c| c.invalid > 0);
             if let (Some(full), Some(reclaim)) = (first_full, last_reclaimable) {

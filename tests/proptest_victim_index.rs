@@ -2,12 +2,19 @@
 //! program/invalidate/erase/retire sequences — both raw flash-array ops and
 //! full scheme workloads with fault injection — the index must always agree
 //! with a from-scratch scan of every block summary
-//! ([`FlashArray::check_victim_index`]).
+//! ([`FlashArray::check_victim_index`]) — and a greedy GC episode selecting
+//! from it bucket by bucket must erase blocks in the reference order
+//! ([`order_victims`]) over the candidates a full scan finds at its start.
 
+use aftl_core::gc::{order_victims, CopyMigrator, GcConfig, GcState, VictimCand};
 use aftl_core::oracle::Oracle;
 use aftl_core::request::HostRequest;
 use aftl_core::scheme::SchemeKind;
-use aftl_flash::{BlockAddr, FaultConfig, FlashArray, Geometry, PageKind, TimingSpec};
+use aftl_core::GcPolicy;
+use aftl_flash::{
+    Allocator, BlockAddr, FaultConfig, FlashArray, FlashError, Geometry, PageInfo, PageKind,
+    TimingSpec,
+};
 use aftl_integration::small_ssd_with_faults;
 use proptest::prelude::*;
 
@@ -35,19 +42,25 @@ fn raw_op_strategy() -> impl Strategy<Value = RawOp> {
     })
 }
 
-/// Replay raw ops against a tiny array, asserting index/scan agreement
-/// after every mutation.
-fn run_raw_ops(ops: &[RawOp]) -> Result<(), TestCaseError> {
-    let g = Geometry::tiny();
-    let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
-    let blocks: Vec<BlockAddr> = (0..g.total_planes())
+/// Every block address of `g`, plane-major.
+fn all_blocks(g: &Geometry) -> Vec<BlockAddr> {
+    let blocks_per_plane = g.blocks_per_plane;
+    (0..g.total_planes())
         .flat_map(|plane| {
-            (0..g.blocks_per_plane).map(move |block| BlockAddr {
+            (0..blocks_per_plane).map(move |block| BlockAddr {
                 plane_idx: plane,
                 block,
             })
         })
-        .collect();
+        .collect()
+}
+
+/// Replay raw ops against a tiny array, asserting index/scan agreement
+/// after every mutation. Returns the array as the ops left it.
+fn run_raw_ops(ops: &[RawOp]) -> Result<FlashArray, TestCaseError> {
+    let g = Geometry::tiny();
+    let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+    let blocks = all_blocks(&g);
     let mut valid: Vec<aftl_flash::Ppn> = Vec::new();
 
     for (i, op) in ops.iter().enumerate() {
@@ -93,6 +106,116 @@ fn run_raw_ops(ops: &[RawOp]) -> Result<(), TestCaseError> {
         }
         if let Err(msg) = array.check_victim_index() {
             return Err(TestCaseError::fail(format!("after op {i} {op:?}: {msg}")));
+        }
+    }
+    Ok(array)
+}
+
+/// After `ops`, run one atomic greedy episode (plain [`CopyMigrator`], data
+/// pages only) that stops `hysteresis` above the trigger, and check that
+/// the blocks it erased, in order, are a prefix of `order_victims(Greedy)`
+/// over the full-scan candidate set taken at episode start.
+///
+/// Erases are not individually observable from outside, so the sequence is
+/// reconstructed: the per-block erase counts give the erased *set*, and
+/// the migrator's remap callback gives each victim that still had valid
+/// pages its exact *position* (the array's erase counter at its first
+/// copy). Only the order among fully-invalid victims — all in the top
+/// bucket, at the head of the sequence — is beyond its reach.
+fn check_greedy_erase_order(ops: &[RawOp], hysteresis: f64) -> Result<(), TestCaseError> {
+    let mut array = run_raw_ops(ops)?;
+    let g = *array.geometry();
+    let blocks = all_blocks(&g);
+
+    // Close every open block with valid filler. The rebuilt allocator then
+    // has no active block, GC copies land in erased blocks only, and no
+    // block can *become* a candidate while the episode runs: what it
+    // selects lazily must be what a snapshot at its start would select.
+    let mut filler = 1u64 << 32;
+    for &addr in &blocks {
+        if array.next_free_page(addr) == Some(0) {
+            continue;
+        }
+        while let Some(page) = array.next_free_page(addr) {
+            let ppn = array.ppn_in_block(addr, page);
+            array
+                .program(ppn, PageKind::Data, filler, g.page_bytes, 0, 0)
+                .unwrap();
+            filler += 1;
+        }
+    }
+    let mut alloc = Allocator::rebuild(&array);
+
+    let mut reference: Vec<VictimCand> = Vec::new();
+    let mut holds_valid_pages = std::collections::HashSet::new();
+    for &addr in &blocks {
+        let s = array.block_summary(addr);
+        if s.full && s.invalid > 0 && !s.retired {
+            reference.push(VictimCand {
+                invalid: s.invalid,
+                plane_idx: addr.plane_idx,
+                block: addr.block,
+                stamp: array.victim_index().stamp_of(addr).expect("indexed"),
+            });
+            if s.valid > 0 {
+                holds_valid_pages.insert(addr);
+            }
+        }
+    }
+    order_victims(GcPolicy::Greedy, 0, g.pages_per_block, &mut reference);
+    let reference: Vec<BlockAddr> = reference
+        .iter()
+        .map(|c| BlockAddr {
+            plane_idx: c.plane_idx,
+            block: c.block,
+        })
+        .collect();
+
+    let erase_counts_before: Vec<u64> = array.erase_counts().collect();
+    let erases_before = array.stats().erases;
+    let mut migrated_from: Vec<(BlockAddr, usize)> = Vec::new();
+    let mut state = GcState::new(GcConfig {
+        threshold: alloc.free_fraction() + 0.5 / g.total_blocks() as f64,
+        hysteresis,
+        ..GcConfig::default()
+    });
+    let outcome = state.maybe_collect(
+        &mut array,
+        &mut alloc,
+        0,
+        &mut CopyMigrator(|array: &mut FlashArray, old, _new, _info: &PageInfo| {
+            let source = array.block_addr_of(old);
+            if migrated_from.last().map(|&(addr, _)| addr) != Some(source) {
+                let position = (array.stats().erases - erases_before) as usize;
+                migrated_from.push((source, position));
+            }
+        }),
+    );
+    // Nothing reclaimable, or the copies ran the device out of blocks
+    // mid-episode: the order of what *was* erased must hold regardless.
+    prop_assert!(matches!(outcome, Ok(_) | Err(FlashError::NoFreeBlocks)));
+    prop_assert!(!state.in_episode());
+
+    let erased = (array.stats().erases - erases_before) as usize;
+    prop_assert!(erased <= reference.len());
+    let prefix = &reference[..erased];
+    for ((&addr, before), after) in blocks
+        .iter()
+        .zip(&erase_counts_before)
+        .zip(array.erase_counts())
+    {
+        prop_assert_eq!(after - before, u64::from(prefix.contains(&addr)));
+    }
+    for &(source, position) in &migrated_from {
+        prop_assert!(
+            reference.get(position) == Some(&source),
+            "victim #{position} was {source:?}, reference order says {:?}",
+            reference.get(position)
+        );
+    }
+    for addr in prefix {
+        if holds_valid_pages.contains(addr) {
+            prop_assert!(migrated_from.iter().any(|(source, _)| source == addr));
         }
     }
     Ok(())
@@ -148,6 +271,13 @@ proptest! {
     #[test]
     fn raw_ops_keep_index_consistent(ops in proptest::collection::vec(raw_op_strategy(), 1..600)) {
         run_raw_ops(&ops)?;
+    }
+
+    #[test]
+    fn greedy_episode_erases_a_prefix_of_the_reference_order(
+        (ops, stop_blocks) in (proptest::collection::vec(raw_op_strategy(), 1..600), 0u32..32)
+    ) {
+        check_greedy_erase_order(&ops, f64::from(stop_blocks) / 64.0)?;
     }
 
     #[test]
