@@ -146,9 +146,10 @@ cargo test --release -q -p aftl-integration --test fig8_parity \
 
 say "learned smoke (predict-then-verify replay)"
 # A learned-scheme replay with a DRAM-constrained mapping cache (two
-# resident translation pages) must complete, emit a schema-v8 manifest,
-# and actually serve reads from verified predictions — zero predict hits
-# would mean the model path is dead weight.
+# resident translation pages) must complete, emit a schema-v9 manifest
+# (the `learned` section arrived in v8), and actually serve reads from
+# verified predictions — zero predict hits would mean the model path is
+# dead weight.
 learned_smoke=target/ci_learned_smoke.json
 cargo run --release -q -p aftl-bench --bin sim_cli -- \
     --scheme learned --preset lun1 --scale 0.01 \
@@ -176,6 +177,18 @@ for scheme in '"FTL"' '"MRSM"' '"Across-FTL"' '"Learned-FTL"'; do
 done
 grep -q '"mismatches": 0' "$learned_bench" || { echo "learned bench parity found mismatches"; exit 1; }
 grep -q '"oracle_violations": 0' "$learned_bench" || { echo "learned bench parity violated the oracle"; exit 1; }
+
+say "learned bench freshness (committed BENCH_learned.json == a fresh run)"
+# BENCH_learned.json holds simulated values only, so it is a pure function
+# of the code: a change to any scheme, GC order or aging moves it, and the
+# committed copy must move in the same PR. Full mode, well under a second
+# once built.
+learned_fresh=$PWD/target/ci_learned_fresh.json
+rm -f "$learned_fresh"
+cargo bench -q -p aftl-bench --bench learned_traffic -- \
+    --json "$learned_fresh" >/dev/null
+cmp "$learned_fresh" BENCH_learned.json \
+    || { echo "BENCH_learned.json is stale: regenerate it (README, Learned mapping)"; exit 1; }
 
 say "recovery smoke (seeded power cut -> rebuild -> oracle)"
 # A crash-armed run must cut mid-workload, power-cycle, rebuild the

@@ -13,7 +13,20 @@
 //!   `SegmentStore` as a `Segment` — an exact linear model
 //!   `ppn = base + (lpn − start) / stride` with integer arithmetic only.
 //!   Sequential host writes and the GC migrator's sorted repack are the
-//!   two big run producers.
+//!   two big run producers. A segment carries its `stride` — plane
+//!   striping makes stride = #planes the common case, and a 2-member run
+//!   takes whatever gap its two LPNs had — so segments interleave and
+//!   overlap in LPN range, and no ordering of them finds an LPN's model.
+//! * One **membership index** does: a dense per-LPN table (4 B per
+//!   logical page) whose entry names the single model — installed segment
+//!   or open run — that holds the LPN as a live member. "Does the model
+//!   cover this LPN", the question every read *and every program* asks, is
+//!   one probe plus one divide (LearnedFTL's per-model bitmap filter plays
+//!   the same role), and "at most one model holds an LPN" is structural:
+//!   an entry has room for one owner. Segments live in a slab so the
+//!   entries stay valid while other segments come and go; the start-LPN
+//!   order is kept only as a list of slab ids, because the clock eviction
+//!   is defined over it.
 //! * The read path is **predict-then-verify**: the model predicts a PPN
 //!   window ([`LearnedConfig::max_error`] wide, default exact), the
 //!   candidate page's on-flash OOB LPN tag verifies the prediction, and
@@ -151,6 +164,78 @@ impl LearnedStats {
 }
 
 // ---------------------------------------------------------------------------
+// Membership index
+// ---------------------------------------------------------------------------
+
+/// The one model that holds an LPN as a live member, as the
+/// [`MemberIndex`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    /// An installed segment, by [`SegmentStore`] slab id.
+    Segment(u32),
+    /// An open run, by [`RunTracker`] slot.
+    Run(u32),
+}
+
+impl Owner {
+    /// Index entries are `0` for "unmodelled", `id + 1` for a segment and
+    /// `RUN_BIT | slot` for a run.
+    const RUN_BIT: u32 = 1 << 31;
+
+    #[inline]
+    fn encode(owner: Option<Owner>) -> u32 {
+        match owner {
+            None => 0,
+            Some(Owner::Segment(id)) => id + 1,
+            Some(Owner::Run(slot)) => Owner::RUN_BIT | slot,
+        }
+    }
+
+    #[inline]
+    fn decode(entry: u32) -> Option<Owner> {
+        match entry {
+            0 => None,
+            e if e & Owner::RUN_BIT != 0 => Some(Owner::Run(e & !Owner::RUN_BIT)),
+            e => Some(Owner::Segment(e - 1)),
+        }
+    }
+}
+
+/// Dense per-LPN table of [`Owner`]s: 4 B per logical page, grown to the
+/// highest LPN any model has held. It makes "which model predicts this
+/// LPN" one probe, and the single-owner invariant structural — an entry
+/// has room for one owner, and every write to it states the owner it
+/// expects to replace.
+#[derive(Debug, Default)]
+struct MemberIndex {
+    entries: Vec<u32>,
+}
+
+impl MemberIndex {
+    #[inline]
+    fn get(&self, lpn: u64) -> Option<Owner> {
+        self.entries
+            .get(lpn as usize)
+            .and_then(|&e| Owner::decode(e))
+    }
+
+    /// Pass `lpn` from owner `from` to owner `to` (`None` = unmodelled).
+    #[inline]
+    fn hand_over(&mut self, lpn: u64, from: Option<Owner>, to: Option<Owner>) {
+        debug_assert_eq!(
+            self.get(lpn),
+            from,
+            "lpn {lpn} is not held by the model giving it up"
+        );
+        let i = lpn as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, 0);
+        }
+        self.entries[i] = Owner::encode(to);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Segment store
 // ---------------------------------------------------------------------------
 
@@ -158,12 +243,13 @@ impl LearnedStats {
 /// `i < len` map to `base_ppn + i`. `holes` lists punched member indices
 /// (overwritten or relocated since the run was observed); a hole is not a
 /// member and never predicted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Segment {
     start_lpn: u64,
     /// LPN distance between consecutive members (≥ 1; the plane-striping
     /// allocator makes stride = #planes the common case for sequential
-    /// host writes, stride 1 for the GC repack).
+    /// host writes, stride 1 for the GC repack, and a 2-member run takes
+    /// whatever gap its two LPNs had).
     stride: u64,
     base_ppn: u64,
     len: u32,
@@ -174,7 +260,9 @@ struct Segment {
 }
 
 impl Segment {
-    /// Member index of `lpn`, if it is an unpunched member.
+    /// Member index of `lpn`, if it is an unpunched member. This is the
+    /// definition of membership; the hot paths take the [`MemberIndex`]'s
+    /// word for it and use [`Segment::member`].
     fn index_of(&self, lpn: u64) -> Option<u32> {
         if lpn < self.start_lpn {
             return None;
@@ -194,172 +282,216 @@ impl Segment {
         Some(i)
     }
 
+    /// Member index of `lpn`, which the index says this segment holds.
+    #[inline]
+    fn member(&self, lpn: u64) -> u32 {
+        let m = ((lpn - self.start_lpn) / self.stride) as u32;
+        debug_assert_eq!(self.index_of(lpn), Some(m), "index names a non-member");
+        m
+    }
+
     /// Members not punched out.
     #[inline]
     fn live(&self) -> u32 {
         self.len - self.holes.len() as u32
     }
 
-    /// LPN span covered: `(len − 1) × stride`.
-    #[inline]
-    fn span(&self) -> u64 {
-        u64::from(self.len - 1) * self.stride
+    /// LPNs of the members not punched out, ascending.
+    fn live_lpns(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut holes = self.holes.iter().copied().peekable();
+        (0..self.len)
+            .filter(move |m| holes.next_if_eq(m).is_none())
+            .map(|m| self.start_lpn + u64::from(m) * self.stride)
     }
 }
 
-/// The installed piecewise-linear models, sorted by `start_lpn`.
+/// The installed piecewise-linear models.
 ///
-/// Invariant (maintained by punch-on-program): at most one segment holds
-/// any LPN as a live member, and that member's prediction is current — a
-/// program always punches the LPN's old membership before the new pair can
-/// be observed. Predictions can still go stale through capacity eviction
-/// races only in the sense of *disappearing*, never of being wrong, so the
-/// verify path is a safety net rather than the common case.
+/// Segments interleave and overlap in LPN range (two plane-striped runs
+/// cover the same span on different residues; a 2-member outlier can span
+/// the whole device), so no ordering of them answers "who holds this LPN".
+/// The [`MemberIndex`] does: a segment's live members point at its slab
+/// slot, which never moves while the segment is installed. The start-LPN
+/// order survives only as `order`, a list of slab ids, because the clock
+/// eviction is defined over positions in it.
+///
+/// Costs: a probe is O(1); install and evict are O(log n) compares plus a
+/// shift of at most 4 B × n in `order` plus one index write per live
+/// member.
+///
+/// Invariant (maintained by punch-on-program, asserted in debug builds at
+/// every index write): at most one model — installed segment or open run —
+/// holds any LPN as a live member, and that member's prediction is
+/// current: a program always punches the LPN's old membership before the
+/// new pair can be observed. Predictions go stale through capacity
+/// eviction only in the sense of *disappearing*, never of being wrong, so
+/// the verify path is a safety net rather than the common case.
 #[derive(Debug)]
 struct SegmentStore {
-    segs: Vec<Segment>,
-    /// Upper bound on any segment's span — bounds the backward scan in
-    /// [`SegmentStore::locate`]. Monotone (never shrinks on eviction);
-    /// spans are ≤ 64 pages × stride, so the bound stays tight.
-    max_span: u64,
+    /// Segment slab; `free` lists the vacant slots (each holding an empty
+    /// default segment).
+    slab: Vec<Segment>,
+    free: Vec<u32>,
+    /// Slab ids of the installed segments by `start_lpn`, equal starts in
+    /// install order.
+    order: Vec<u32>,
+    /// Owners of every LPN some segment *or open run* holds; the
+    /// [`RunTracker`] enters its runs here too.
+    index: MemberIndex,
     cfg: LearnedConfig,
-    /// Clock hand for capacity eviction.
+    /// Clock hand for capacity eviction, a position in `order`.
     evict_cursor: usize,
 }
 
 impl SegmentStore {
     fn new(cfg: LearnedConfig) -> Self {
         SegmentStore {
-            segs: Vec::new(),
-            max_span: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
+            order: Vec::new(),
+            index: MemberIndex::default(),
             cfg,
             evict_cursor: 0,
         }
     }
 
-    /// Index of the segment holding `lpn` as a live member, plus the
-    /// member index.
-    fn locate(&self, lpn: u64) -> Option<(usize, u32)> {
-        // First segment with start_lpn > lpn; scan backward while a
-        // segment starting there could still span lpn.
-        let mut i = self.segs.partition_point(|s| s.start_lpn <= lpn);
-        while i > 0 {
-            i -= 1;
-            let s = &self.segs[i];
-            if s.start_lpn + self.max_span < lpn {
-                break;
-            }
-            if let Some(m) = s.index_of(lpn) {
-                return Some((i, m));
-            }
-        }
-        None
+    /// The installed segments, in `order`.
+    fn installed(&self) -> impl Iterator<Item = &Segment> + '_ {
+        self.order.iter().map(|&id| &self.slab[id as usize])
     }
 
-    /// Model prediction for `lpn`.
-    fn predict(&self, lpn: u64) -> Option<Ppn> {
-        self.locate(lpn)
-            .map(|(i, m)| Ppn(self.segs[i].base_ppn + u64::from(m)))
+    /// Prediction for `lpn`, which the index says segment `id` holds.
+    #[inline]
+    fn member_ppn(&self, id: u32, lpn: u64) -> Ppn {
+        let seg = &self.slab[id as usize];
+        Ppn(seg.base_ppn + u64::from(seg.member(lpn)))
     }
 
-    /// Punch `lpn` out of its segment (the LPN moved or died). Splits the
-    /// segment into hole-free subruns once it carries
-    /// [`LearnedConfig::retrain_threshold`] holes.
-    fn punch(&mut self, lpn: u64, stats: &mut LearnedStats) {
-        let Some((i, m)) = self.locate(lpn) else {
-            return;
-        };
-        let seg = &mut self.segs[i];
+    /// Punch `lpn` out of segment `id`, which the index says holds it (the
+    /// LPN moved or died). Splits the segment into hole-free subruns once
+    /// it carries [`LearnedConfig::retrain_threshold`] holes.
+    fn punch_member(&mut self, id: u32, lpn: u64, stats: &mut LearnedStats) {
+        let seg = &mut self.slab[id as usize];
+        let m = seg.member(lpn);
         let pos = seg.holes.partition_point(|&h| h < m);
         seg.holes.insert(pos, m);
+        self.index.hand_over(lpn, Some(Owner::Segment(id)), None);
         if seg.holes.len() as u32 >= self.cfg.retrain_threshold || seg.live() < self.cfg.min_run {
-            self.rebuild(i);
+            self.rebuild(id);
             stats.segment_rebuilds += 1;
         }
     }
 
-    /// Replace segment `i` by its maximal hole-free subruns of at least
+    /// Replace segment `id` by its maximal hole-free subruns of at least
     /// `min_run` members.
-    fn rebuild(&mut self, i: usize) {
-        let seg = self.segs.remove(i);
-        let mut run_start: u32 = 0;
-        let mut holes = seg.holes.iter().copied().peekable();
-        let mut subruns: Vec<Segment> = Vec::new();
-        let flush = |from: u32, to: u32, subruns: &mut Vec<Segment>| {
+    fn rebuild(&mut self, id: u32) {
+        let start = self.slab[id as usize].start_lpn;
+        let first = self
+            .order
+            .partition_point(|&i| self.slab[i as usize].start_lpn < start);
+        let pos = first
+            + self.order[first..]
+                .iter()
+                .position(|&i| i == id)
+                .expect("an installed segment is in the order");
+        let seg = self.remove_at(pos);
+        let old = Some(Owner::Segment(id));
+        let mut from = 0;
+        for to in seg.holes.iter().copied().chain([seg.len]) {
             // Members [from, to) with no holes.
-            if to - from >= self.cfg.min_run {
-                subruns.push(Segment {
-                    start_lpn: seg.start_lpn + u64::from(from) * seg.stride,
-                    stride: seg.stride,
-                    base_ppn: seg.base_ppn + u64::from(from),
-                    len: to - from,
-                    holes: Vec::new(),
-                    from_gc: seg.from_gc,
-                });
+            let sub = Segment {
+                start_lpn: seg.start_lpn + u64::from(from) * seg.stride,
+                stride: seg.stride,
+                base_ppn: seg.base_ppn + u64::from(from),
+                len: to - from,
+                holes: Vec::new(),
+                from_gc: seg.from_gc,
+            };
+            if sub.len >= self.cfg.min_run {
+                self.install_sorted(sub, old);
+            } else {
+                for lpn in sub.live_lpns() {
+                    self.index.hand_over(lpn, old, None);
+                }
             }
-        };
-        for m in 0..seg.len {
-            if holes.peek() == Some(&m) {
-                holes.next();
-                flush(run_start, m, &mut subruns);
-                run_start = m + 1;
-            }
-        }
-        flush(run_start, seg.len, &mut subruns);
-        for s in subruns {
-            self.install_sorted(s);
+            from = to + 1;
         }
     }
 
     /// Install a closed run as a segment (callers filtered by `min_run`).
-    fn install(&mut self, seg: Segment) {
+    /// `from` is the model whose members these were until now: the run
+    /// being closed, or `None` for members nobody held.
+    fn install(&mut self, seg: Segment, from: Option<Owner>) {
         debug_assert!(seg.stride >= 1 && seg.len >= 1);
-        self.install_sorted(seg);
+        self.install_sorted(seg, from);
         self.enforce_capacity();
     }
 
-    fn install_sorted(&mut self, seg: Segment) {
-        self.max_span = self.max_span.max(seg.span());
-        let at = self.segs.partition_point(|s| s.start_lpn <= seg.start_lpn);
-        self.segs.insert(at, seg);
+    fn install_sorted(&mut self, seg: Segment, from: Option<Owner>) {
+        let at = self
+            .order
+            .partition_point(|&i| self.slab[i as usize].start_lpn <= seg.start_lpn);
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Segment::default());
+            (self.slab.len() - 1) as u32
+        });
+        debug_assert!(id + 1 < Owner::RUN_BIT);
+        for lpn in seg.live_lpns() {
+            self.index.hand_over(lpn, from, Some(Owner::Segment(id)));
+        }
+        self.slab[id as usize] = seg;
+        self.order.insert(at, id);
+    }
+
+    /// Take the segment at `order` position `pos` out of the store. Its
+    /// live members still point at the vacated slot; the caller hands them
+    /// over.
+    fn remove_at(&mut self, pos: usize) -> Segment {
+        let id = self.order.remove(pos);
+        self.free.push(id);
+        std::mem::take(&mut self.slab[id as usize])
     }
 
     /// Evict low-coverage segments while over capacity: an 8-probe clock
-    /// scan picks the victim with the fewest live members.
+    /// scan over `order` picks the victim with the fewest live members.
     fn enforce_capacity(&mut self) {
-        while self.segs.len() > self.cfg.max_segments as usize {
-            let n = self.segs.len();
+        while self.order.len() > self.cfg.max_segments as usize {
+            let n = self.order.len();
+            let live_at = |pos: usize| self.slab[self.order[pos] as usize].live();
             let mut victim = self.evict_cursor % n;
-            let mut best = self.segs[victim].live();
+            let mut best = live_at(victim);
             for k in 1..8.min(n) {
                 let i = (self.evict_cursor + k) % n;
-                let l = self.segs[i].live();
+                let l = live_at(i);
                 if l < best {
                     best = l;
                     victim = i;
                 }
             }
             self.evict_cursor = victim;
-            self.segs.remove(victim);
+            let id = self.order[victim];
+            let seg = self.remove_at(victim);
+            for lpn in seg.live_lpns() {
+                self.index.hand_over(lpn, Some(Owner::Segment(id)), None);
+            }
         }
     }
 
     /// Installed segments.
     #[inline]
     fn len(&self) -> usize {
-        self.segs.len()
+        self.order.len()
     }
 
     /// Segments created by the GC repack.
     fn gc_trained_count(&self) -> usize {
-        self.segs.iter().filter(|s| s.from_gc).count()
+        self.installed().filter(|s| s.from_gc).count()
     }
 
     /// Modelled DRAM footprint: 16 B per segment (start/stride/base/len
     /// packed) plus 4 B per hole.
     fn model_bytes(&self) -> u64 {
-        self.segs
-            .iter()
+        self.installed()
             .map(|s| 16 + 4 * s.holes.len() as u64)
             .sum()
     }
@@ -382,9 +514,13 @@ struct PendingRun {
     from_gc: bool,
     /// Last-update tick, for LRU eviction.
     tick: u64,
+    /// The [`RunTracker`] slot the index knows this run by.
+    slot: u32,
 }
 
 impl PendingRun {
+    /// Member index of `lpn`, if it is a member (the definition; see
+    /// [`Segment::index_of`]).
     fn index_of(&self, lpn: u64) -> Option<u32> {
         if self.stride == 0 {
             return (lpn == self.start_lpn).then_some(0);
@@ -400,19 +536,26 @@ impl PendingRun {
         (i < u64::from(self.len)).then_some(i as u32)
     }
 
-    fn into_segment(self, min_run: u32, hole: Option<u32>) -> Option<Segment> {
-        let holes: Vec<u32> = hole.into_iter().collect();
-        if self.len - holes.len() as u32 >= min_run {
-            Some(Segment {
-                start_lpn: self.start_lpn,
-                stride: self.stride.max(1),
-                base_ppn: self.base_ppn,
-                len: self.len,
-                holes,
-                from_gc: self.from_gc,
-            })
-        } else {
-            None
+    /// Member index of `lpn`, which the index says this run holds.
+    #[inline]
+    fn member(&self, lpn: u64) -> u32 {
+        let m = match self.stride {
+            0 => 0,
+            stride => ((lpn - self.start_lpn) / stride) as u32,
+        };
+        debug_assert_eq!(self.index_of(lpn), Some(m), "index names a non-member");
+        m
+    }
+
+    /// The run as a segment, with member `hole` punched out.
+    fn into_segment(self, hole: Option<u32>) -> Segment {
+        Segment {
+            start_lpn: self.start_lpn,
+            stride: self.stride.max(1),
+            base_ppn: self.base_ppn,
+            len: self.len,
+            holes: hole.into_iter().collect(),
+            from_gc: self.from_gc,
         }
     }
 }
@@ -420,25 +563,34 @@ impl PendingRun {
 /// Tracks open LPN→PPN runs at program time and installs closed ones into
 /// the [`SegmentStore`]. Keyed by physical adjacency: a program at
 /// `base + len` whose LPN continues the progression extends the run;
-/// anything else closes it. Pending runs are exact mappings too, so the
-/// read path consults them alongside installed segments.
+/// anything else closes it. Pending runs are exact mappings too, so their
+/// members are entered in the store's [`MemberIndex`] and predicted like
+/// any segment's.
 #[derive(Debug)]
 struct RunTracker {
     pending: Vec<PendingRun>,
+    /// `pending` position of the run in each slot. The index names a run
+    /// by slot because positions move under `swap_remove`.
+    slot_pos: Vec<usize>,
+    free_slots: Vec<u32>,
     capacity: usize,
     tick: u64,
 }
 
 impl RunTracker {
     fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         RunTracker {
-            pending: Vec::new(),
-            capacity: capacity.max(1),
+            pending: Vec::with_capacity(capacity),
+            slot_pos: vec![0; capacity],
+            free_slots: (0..capacity as u32).collect(),
+            capacity,
             tick: 0,
         }
     }
 
-    /// Observe a data-page program of `lpn` at `ppn`.
+    /// Observe a data-page program of `lpn` at `ppn`. The caller has
+    /// punched `lpn`'s old membership: nobody holds it now.
     fn note_program(&mut self, lpn: u64, ppn: Ppn, from_gc: bool, store: &mut SegmentStore) {
         self.tick += 1;
         let p = ppn.0;
@@ -460,11 +612,12 @@ impl RunTracker {
                 r.len += 1;
                 r.last_lpn = lpn;
                 r.tick = self.tick;
+                store.index.hand_over(lpn, None, Some(Owner::Run(r.slot)));
                 return;
             }
             // Physically adjacent but the LPN progression broke: close.
-            let closed = self.pending.swap_remove(i);
-            self.close(closed, None, store);
+            let closed = self.take(i);
+            Self::close(closed, None, store);
         }
         self.open(lpn, p, from_gc, store);
     }
@@ -478,9 +631,15 @@ impl RunTracker {
                 .enumerate()
                 .min_by_key(|(_, r)| r.tick)
                 .expect("capacity ≥ 1 ⇒ nonempty");
-            let closed = self.pending.swap_remove(i);
-            self.close(closed, None, store);
+            let closed = self.take(i);
+            Self::close(closed, None, store);
         }
+        let slot = self
+            .free_slots
+            .pop()
+            .expect("as many slots as the tracker holds runs");
+        self.slot_pos[slot as usize] = self.pending.len();
+        store.index.hand_over(lpn, None, Some(Owner::Run(slot)));
         self.pending.push(PendingRun {
             start_lpn: lpn,
             stride: 0,
@@ -489,36 +648,58 @@ impl RunTracker {
             last_lpn: lpn,
             from_gc,
             tick: self.tick,
+            slot,
         });
     }
 
-    fn close(&mut self, run: PendingRun, hole: Option<u32>, store: &mut SegmentStore) {
-        if let Some(seg) = run.into_segment(store.cfg.min_run, hole) {
-            store.install(seg);
+    /// Take the run at `pending` position `pos` out of the tracker and
+    /// free its slot. Its members still point at the slot; [`Self::close`]
+    /// hands them over before the slot can be reused.
+    fn take(&mut self, pos: usize) -> PendingRun {
+        let run = self.pending.swap_remove(pos);
+        self.free_slots.push(run.slot);
+        if let Some(moved) = self.pending.get(pos) {
+            self.slot_pos[moved.slot as usize] = pos;
+        }
+        run
+    }
+
+    /// Install a run taken out of the tracker as a segment — or drop it if
+    /// fewer than `min_run` members are left. `hole` is a member the caller
+    /// has already punched out of the index.
+    fn close(run: PendingRun, hole: Option<u32>, store: &mut SegmentStore) {
+        let from = Some(Owner::Run(run.slot));
+        let seg = run.into_segment(hole);
+        if seg.live() >= store.cfg.min_run {
+            store.install(seg, from);
+        } else {
+            for lpn in seg.live_lpns() {
+                store.index.hand_over(lpn, from, None);
+            }
         }
     }
 
-    /// `lpn` was overwritten or relocated: if it is a member of a pending
-    /// run, close that run with the member punched out (its mapping just
-    /// went stale).
-    fn punch(&mut self, lpn: u64, store: &mut SegmentStore) {
-        if let Some(i) = self.pending.iter().position(|r| r.index_of(lpn).is_some()) {
-            let run = self.pending.swap_remove(i);
-            let hole = run.index_of(lpn);
-            self.close(run, hole, store);
-        }
+    /// `lpn`, which the index says the run in `slot` holds, was
+    /// overwritten or relocated: close that run with the member punched
+    /// out (its mapping just went stale).
+    fn punch_member(&mut self, slot: u32, lpn: u64, store: &mut SegmentStore) {
+        let run = self.take(self.slot_pos[slot as usize]);
+        let hole = run.member(lpn);
+        store.index.hand_over(lpn, Some(Owner::Run(slot)), None);
+        Self::close(run, Some(hole), store);
     }
 
-    /// Exact prediction from a pending run.
-    fn predict(&self, lpn: u64) -> Option<Ppn> {
-        self.pending
-            .iter()
-            .find_map(|r| r.index_of(lpn).map(|m| Ppn(r.base_ppn + u64::from(m))))
+    /// Exact prediction for `lpn`, which the index says the run in `slot`
+    /// holds.
+    #[inline]
+    fn member_ppn(&self, slot: u32, lpn: u64) -> Ppn {
+        let run = &self.pending[self.slot_pos[slot as usize]];
+        Ppn(run.base_ppn + u64::from(run.member(lpn)))
     }
 }
 
 // ---------------------------------------------------------------------------
-// The learned FTL scheme
+// The model: segments + open runs behind one index
 // ---------------------------------------------------------------------------
 
 /// How many runs the tracker keeps open at once — comfortably above the
@@ -526,8 +707,103 @@ impl RunTracker {
 /// GC repack never thrash each other out.
 const TRACKER_CAPACITY: usize = 32;
 
-/// The learned-mapping FTL: baseline page mapping plus the segment store
-/// and predict-then-verify read path described in the module docs.
+/// Everything that predicts: the installed segments and the open runs,
+/// looked up through the store's one [`MemberIndex`].
+#[derive(Debug)]
+struct LearnedModel {
+    store: SegmentStore,
+    tracker: RunTracker,
+}
+
+impl LearnedModel {
+    /// A model whose tracker keeps up to `runs` runs open.
+    fn new(cfg: LearnedConfig, runs: usize) -> Self {
+        LearnedModel {
+            store: SegmentStore::new(cfg),
+            tracker: RunTracker::new(runs),
+        }
+    }
+
+    /// Model prediction for `lpn`: one index probe, one divide.
+    #[inline]
+    fn predict(&self, lpn: u64) -> Option<Ppn> {
+        Some(match self.store.index.get(lpn)? {
+            Owner::Segment(id) => self.store.member_ppn(id, lpn),
+            Owner::Run(slot) => self.tracker.member_ppn(slot, lpn),
+        })
+    }
+
+    /// `lpn` moved or died: punch it out of whichever model holds it.
+    fn punch(&mut self, lpn: u64, stats: &mut LearnedStats) {
+        match self.store.index.get(lpn) {
+            None => {}
+            Some(Owner::Segment(id)) => self.store.punch_member(id, lpn, stats),
+            Some(Owner::Run(slot)) => self.tracker.punch_member(slot, lpn, &mut self.store),
+        }
+    }
+
+    /// Retrain after a data-page program: punch the LPN's old membership,
+    /// then feed the new pair to the tracker.
+    fn note_program(&mut self, lpn: u64, ppn: Ppn, from_gc: bool, stats: &mut LearnedStats) {
+        self.punch(lpn, stats);
+        self.tracker
+            .note_program(lpn, ppn, from_gc, &mut self.store);
+    }
+
+    /// Debug oracle: every index entry names a model in which that LPN is
+    /// a live member, and every live member of every model has its entry.
+    /// Returns a description of the first divergence, if any.
+    #[cfg(any(test, debug_assertions))]
+    fn check_index(&self) -> std::result::Result<(), String> {
+        let (store, tracker) = (&self.store, &self.tracker);
+        for (lpn, &entry) in store.index.entries.iter().enumerate() {
+            let lpn = lpn as u64;
+            let held = match Owner::decode(entry) {
+                None => continue,
+                // A vacant slab slot holds an empty segment: no members.
+                Some(Owner::Segment(id)) => store
+                    .slab
+                    .get(id as usize)
+                    .is_some_and(|s| s.len > 0 && s.index_of(lpn).is_some()),
+                Some(Owner::Run(slot)) => tracker
+                    .slot_pos
+                    .get(slot as usize)
+                    .and_then(|&pos| tracker.pending.get(pos))
+                    .is_some_and(|r| r.slot == slot && r.index_of(lpn).is_some()),
+            };
+            if !held {
+                return Err(format!(
+                    "lpn {lpn}: entry {:?} names a model that does not hold it",
+                    Owner::decode(entry)
+                ));
+            }
+        }
+        let segment_members = store.order.iter().flat_map(|&id| {
+            let lpns = store.slab[id as usize].live_lpns();
+            lpns.map(move |lpn| (lpn, Owner::Segment(id)))
+        });
+        let run_members = tracker.pending.iter().flat_map(|r| {
+            let lpns = (0..u64::from(r.len)).map(|m| r.start_lpn + m * r.stride);
+            lpns.map(|lpn| (lpn, Owner::Run(r.slot)))
+        });
+        for (lpn, owner) in segment_members.chain(run_members) {
+            if store.index.get(lpn) != Some(owner) {
+                return Err(format!(
+                    "lpn {lpn}: live member of {owner:?}, entry says {:?}",
+                    store.index.get(lpn)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The learned FTL scheme
+// ---------------------------------------------------------------------------
+
+/// The learned-mapping FTL: baseline page mapping plus the model and
+/// predict-then-verify read path described in the module docs.
 pub struct LearnedFtl {
     cfg: SchemeConfig,
     gc: GcState,
@@ -537,12 +813,14 @@ pub struct LearnedFtl {
     touched_tpages: TouchedSet,
     entries_per_tpage: u64,
     page_bytes: u32,
-    store: SegmentStore,
-    tracker: RunTracker,
+    model: LearnedModel,
     stats: LearnedStats,
     /// Round-robin plane for the GC repack (each flush fills one plane so
     /// its programs are physically consecutive).
     gc_plane_cursor: u64,
+    /// The repack buffer, lent to each [`LearnedMigrator`] and kept
+    /// between collections so steady-state GC allocates nothing.
+    gc_buf: Vec<BufferedPage>,
 }
 
 impl LearnedFtl {
@@ -557,8 +835,7 @@ impl LearnedFtl {
                 hysteresis: cfg.gc_hysteresis,
                 tuning: cfg.gc,
             }),
-            store: SegmentStore::new(cfg.learned),
-            tracker: RunTracker::new(TRACKER_CAPACITY),
+            model: LearnedModel::new(cfg.learned, TRACKER_CAPACITY),
             cfg,
             pmt: PageMapTable::new(0),
             engine,
@@ -568,6 +845,7 @@ impl LearnedFtl {
             page_bytes,
             stats: LearnedStats::default(),
             gc_plane_cursor: 0,
+            gc_buf: Vec::new(),
         }
     }
 
@@ -608,43 +886,29 @@ impl LearnedFtl {
             .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
     }
 
-    /// Model prediction: installed segments first, then open runs.
-    fn predict(&self, lpn: u64) -> Option<Ppn> {
-        self.store
-            .predict(lpn)
-            .or_else(|| self.tracker.predict(lpn))
-    }
-
-    /// Retrain after a data-page program: punch the LPN's old membership
-    /// everywhere, then feed the new pair to the tracker.
-    fn note_program(&mut self, lpn: u64, ppn: Ppn, from_gc: bool) {
-        self.store.punch(lpn, &mut self.stats);
-        self.tracker.punch(lpn, &mut self.store);
-        self.tracker
-            .note_program(lpn, ppn, from_gc, &mut self.store);
-    }
-
     /// Installed segments (tests / diagnostics).
     pub fn segments(&self) -> usize {
-        self.store.len()
+        self.model.store.len()
     }
 
     /// Installed segments created by the GC repack.
     pub fn gc_segments(&self) -> usize {
-        self.store.gc_trained_count()
+        self.model.store.gc_trained_count()
     }
 
     fn run_gc(&mut self, env: &mut FtlEnv<'_>, idle_budget: Option<u64>) -> Result<GcReport> {
         self.ensure_pmt();
+        // A slice that failed before its `finish` left its pages behind;
+        // the next collection starts, as a new migrator always has, empty.
+        self.gc_buf.clear();
         let mut migrator = LearnedMigrator {
             pmt: &mut self.pmt,
             engine: &mut self.engine,
             counters: &mut self.counters,
-            store: &mut self.store,
-            tracker: &mut self.tracker,
+            model: &mut self.model,
             stats: &mut self.stats,
             plane_cursor: &mut self.gc_plane_cursor,
-            buf: Vec::new(),
+            buf: &mut self.gc_buf,
         };
         match idle_budget {
             None => self
@@ -685,7 +949,8 @@ impl FtlScheme for LearnedFtl {
             )?;
             outcome.merge_time(done);
             let new_ppn = self.pmt.get(extent.lpn).ppn;
-            self.note_program(extent.lpn, new_ppn, false);
+            self.model
+                .note_program(extent.lpn, new_ppn, false, &mut self.stats);
         }
         Ok(outcome)
     }
@@ -712,26 +977,15 @@ impl FtlScheme for LearnedFtl {
             self.counters.dram_accesses += 1;
             let consult_ready = env.now_ns + env.array.timing().cache_access_ns;
             let mut served = false;
-            if let Some(pred) = self.predict(extent.lpn).filter(|_| would_load) {
+            if let Some(pred) = self.model.predict(extent.lpn).filter(|_| would_load) {
                 let mut ready = consult_ready;
-                // Probe the window center-out: pred, pred+1, pred−1, …
-                let probe = |delta: i64| -> Option<u64> {
-                    let p = pred.0 as i64 + delta;
-                    (p >= 0 && (p as u64) < total_pages).then_some(p as u64)
-                };
-                let mut candidates: Vec<u64> = Vec::with_capacity(1 + 2 * max_error as usize);
-                if let Some(p) = probe(0) {
-                    candidates.push(p);
-                }
-                for d in 1..=i64::from(max_error) {
-                    if let Some(p) = probe(d) {
-                        candidates.push(p);
-                    }
-                    if let Some(p) = probe(-d) {
-                        candidates.push(p);
-                    }
-                }
-                for cand in candidates {
+                // Probe the window centre-out — pred, pred+1, pred−1, … —
+                // clipped to the device.
+                let window = std::iter::once(0)
+                    .chain((1..=i64::from(max_error)).flat_map(|d| [d, -d]))
+                    .map(|delta| pred.0 as i64 + delta)
+                    .filter(|&p| p >= 0 && (p as u64) < total_pages);
+                for cand in window.map(|p| p as u64) {
                     let Ok(info) = env.array.page_info(Ppn(cand)) else {
                         continue;
                     };
@@ -800,8 +1054,7 @@ impl FtlScheme for LearnedFtl {
                 }
                 if !served {
                     self.stats.mispredicts += 1;
-                    self.store.punch(extent.lpn, &mut self.stats);
-                    self.tracker.punch(extent.lpn, &mut self.store);
+                    self.model.punch(extent.lpn, &mut self.stats);
                     outcome.merge_time(ready);
                 }
             }
@@ -875,7 +1128,7 @@ impl FtlScheme for LearnedFtl {
     fn mapping_table_bytes(&self) -> u64 {
         // PMT tpage footprint (the fallback is still a full DFTL table)
         // plus the modelled segment-store bytes.
-        self.touched_tpages.len() * u64::from(self.page_bytes) + self.store.model_bytes()
+        self.touched_tpages.len() * u64::from(self.page_bytes) + self.model.store.model_bytes()
     }
 
     fn logical_pages(&self) -> u64 {
@@ -918,11 +1171,10 @@ struct LearnedMigrator<'a> {
     pmt: &'a mut PageMapTable,
     engine: &'a mut MapEngine,
     counters: &'a mut SchemeCounters,
-    store: &'a mut SegmentStore,
-    tracker: &'a mut RunTracker,
+    model: &'a mut LearnedModel,
     stats: &'a mut LearnedStats,
     plane_cursor: &'a mut u64,
-    buf: Vec<BufferedPage>,
+    buf: &'a mut Vec<BufferedPage>,
 }
 
 impl PageMigrator for LearnedMigrator<'_> {
@@ -997,7 +1249,7 @@ impl PageMigrator for LearnedMigrator<'_> {
         *self.plane_cursor += 1;
         let page_bytes = array.geometry().page_bytes;
         let mut programmed = 0u64;
-        for page in std::mem::take(&mut self.buf) {
+        for page in self.buf.drain(..) {
             let (new_ppn, _) = program_relocating_in_plane(
                 array,
                 alloc,
@@ -1018,36 +1270,46 @@ impl PageMigrator for LearnedMigrator<'_> {
             let prev = self.pmt.set_ppn(page.lpn, new_ppn);
             // `prev` was invalidated in `migrate`; only the mapping moves.
             debug_assert!(prev.is_valid(), "GC migrated an unmapped data page");
-            self.store.punch(page.lpn, self.stats);
-            self.tracker.punch(page.lpn, self.store);
-            self.tracker
-                .note_program(page.lpn, new_ppn, true, self.store);
+            self.model.note_program(page.lpn, new_ppn, true, self.stats);
             programmed += 1;
         }
+        #[cfg(debug_assertions)]
+        self.model
+            .check_index()
+            .expect("membership index consistent with the segments and open runs");
         Ok(programmed)
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::RefModel;
     use super::*;
     use aftl_flash::{Allocator, FlashArray, Geometry, TimingSpec};
+    use proptest::prelude::*;
 
-    fn store(cfg: LearnedConfig) -> (SegmentStore, LearnedStats) {
-        (SegmentStore::new(cfg), LearnedStats::default())
+    fn model(cfg: LearnedConfig, runs: usize) -> (LearnedModel, LearnedStats) {
+        (LearnedModel::new(cfg, runs), LearnedStats::default())
+    }
+
+    fn seg(start_lpn: u64, stride: u64, base_ppn: u64, len: u32) -> Segment {
+        Segment {
+            start_lpn,
+            stride,
+            base_ppn,
+            len,
+            holes: vec![],
+            from_gc: false,
+        }
     }
 
     #[test]
     fn segment_predicts_members_only() {
-        let (mut s, _) = store(LearnedConfig::default());
-        s.install(Segment {
-            start_lpn: 100,
-            stride: 4,
-            base_ppn: 1000,
-            len: 8,
-            holes: vec![],
-            from_gc: false,
-        });
+        let (mut s, _) = model(LearnedConfig::default(), 4);
+        s.store.install(seg(100, 4, 1000, 8), None);
         assert_eq!(s.predict(100), Some(Ppn(1000)));
         assert_eq!(s.predict(112), Some(Ppn(1003)));
         assert_eq!(s.predict(128), Some(Ppn(1007)));
@@ -1062,15 +1324,8 @@ mod tests {
             retrain_threshold: 2,
             ..LearnedConfig::default()
         };
-        let (mut s, mut st) = store(cfg);
-        s.install(Segment {
-            start_lpn: 0,
-            stride: 1,
-            base_ppn: 500,
-            len: 10,
-            holes: vec![],
-            from_gc: false,
-        });
+        let (mut s, mut st) = model(cfg, 4);
+        s.store.install(seg(0, 1, 500, 10), None);
         s.punch(3, &mut st);
         assert_eq!(s.predict(3), None, "punched member no longer predicted");
         assert_eq!(s.predict(4), Some(Ppn(504)), "neighbours still predicted");
@@ -1085,6 +1340,7 @@ mod tests {
         assert_eq!(s.predict(5), Some(Ppn(505)));
         assert_eq!(s.predict(3), None);
         assert_eq!(s.predict(7), None);
+        s.check_index().unwrap();
     }
 
     #[test]
@@ -1093,49 +1349,279 @@ mod tests {
             max_segments: 4,
             ..LearnedConfig::default()
         };
-        let (mut s, _) = store(cfg);
+        let (mut s, _) = model(cfg, 4);
         for i in 0..10u64 {
-            s.install(Segment {
-                start_lpn: i * 100,
-                stride: 1,
-                base_ppn: i * 1000,
-                len: 2 + i as u32,
-                holes: vec![],
-                from_gc: false,
-            });
+            s.store
+                .install(seg(i * 100, 1, i * 1000, 2 + i as u32), None);
         }
-        assert!(s.len() <= 4);
+        assert!(s.store.len() <= 4);
+        s.check_index().unwrap();
     }
 
     #[test]
     fn tracker_builds_runs_from_adjacent_programs() {
-        let (mut s, _) = store(LearnedConfig::default());
-        let mut t = RunTracker::new(4);
+        let (mut s, mut st) = model(LearnedConfig::default(), 4);
         // Stride-2 LPNs at consecutive PPNs: one pending run.
         for i in 0..5u64 {
-            t.note_program(10 + 2 * i, Ppn(700 + i), false, &mut s);
+            s.note_program(10 + 2 * i, Ppn(700 + i), false, &mut st);
         }
-        assert_eq!(t.predict(14), Some(Ppn(702)), "pending runs predict");
-        assert_eq!(s.len(), 0, "run still open");
+        assert_eq!(s.predict(14), Some(Ppn(702)), "pending runs predict");
+        assert_eq!(s.store.len(), 0, "run still open");
         // A non-adjacent program (different block) closes nothing but the
         // evicted pending run once capacity is hit; force a close by
         // breaking the progression at the adjacent PPN.
-        t.note_program(9999, Ppn(705), false, &mut s);
-        assert_eq!(s.len(), 1, "broken progression installs the run");
+        s.note_program(9999, Ppn(705), false, &mut st);
+        assert_eq!(s.store.len(), 1, "broken progression installs the run");
         assert_eq!(s.predict(18), Some(Ppn(704)));
+        s.check_index().unwrap();
     }
 
     #[test]
     fn tracker_punch_closes_with_hole() {
-        let (mut s, _) = store(LearnedConfig::default());
-        let mut t = RunTracker::new(4);
+        let (mut s, mut st) = model(LearnedConfig::default(), 4);
         for i in 0..6u64 {
-            t.note_program(i, Ppn(100 + i), false, &mut s);
+            s.note_program(i, Ppn(100 + i), false, &mut st);
         }
-        t.punch(2, &mut s);
-        assert_eq!(t.predict(3), None, "punched run left the tracker");
+        s.punch(2, &mut st);
+        assert!(s.tracker.pending.is_empty(), "punched run left the tracker");
         assert_eq!(s.predict(2), None, "hole not predicted");
         assert_eq!(s.predict(4), Some(Ppn(104)), "other members installed");
+        s.check_index().unwrap();
+    }
+
+    /// The indexed model and the reference, fed the same calls; [`Twins::agree`]
+    /// compares everything either can be asked.
+    struct Twins {
+        new: LearnedModel,
+        new_stats: LearnedStats,
+        old: RefModel,
+        old_stats: LearnedStats,
+    }
+
+    impl Twins {
+        fn new(cfg: LearnedConfig, runs: usize) -> Self {
+            let (new, new_stats) = model(cfg, runs);
+            Twins {
+                new,
+                new_stats,
+                old: RefModel::new(cfg, runs),
+                old_stats: LearnedStats::default(),
+            }
+        }
+
+        fn install(&mut self, seg: Segment) {
+            self.new.store.install(seg.clone(), None);
+            self.old.store.install(seg);
+        }
+
+        fn note_program(&mut self, lpn: u64, ppn: u64, from_gc: bool) {
+            self.new
+                .note_program(lpn, Ppn(ppn), from_gc, &mut self.new_stats);
+            self.old
+                .note_program(lpn, Ppn(ppn), from_gc, &mut self.old_stats);
+        }
+
+        fn punch(&mut self, lpn: u64) {
+            self.new.punch(lpn, &mut self.new_stats);
+            self.old.punch(lpn, &mut self.old_stats);
+        }
+
+        /// Equal predictions over `lpns`, equal counters, and the same
+        /// segments in the same start order — which pins every install
+        /// position and every eviction victim so far.
+        fn agree(&self, lpns: impl Iterator<Item = u64>) -> std::result::Result<(), String> {
+            self.new.check_index()?;
+            for lpn in lpns {
+                let (new, old) = (self.new.predict(lpn), self.old.predict(lpn));
+                if new != old {
+                    return Err(format!("lpn {lpn}: predicts {new:?}, reference {old:?}"));
+                }
+            }
+            let (new, old) = (&self.new.store, &self.old.store);
+            if !new.installed().eq(old.segs.iter()) {
+                return Err(format!(
+                    "segments differ:\n{:?}\nreference:\n{:?}",
+                    new.installed().collect::<Vec<_>>(),
+                    old.segs
+                ));
+            }
+            let new = (
+                new.len(),
+                new.model_bytes(),
+                new.gc_trained_count(),
+                self.new_stats.segment_rebuilds,
+            );
+            let old = (
+                old.segs.len(),
+                old.segs.iter().map(|s| 16 + 4 * s.holes.len() as u64).sum(),
+                old.segs.iter().filter(|s| s.from_gc).count(),
+                self.old_stats.segment_rebuilds,
+            );
+            if new != old {
+                return Err(format!(
+                    "(len, model_bytes, gc_trained, rebuilds) {new:?}, reference {old:?}"
+                ));
+            }
+            Ok(())
+        }
+    }
+
+    /// The store shape that made the backward scan degenerate: a full store
+    /// of plane-striped segments, four to a 16-LPN span, plus one 2-member
+    /// run whose stride is the gap between two unrelated LPNs — enough to
+    /// push the reference's span bound past the device, so every lookup of
+    /// it walks to the front of the store.
+    #[test]
+    fn outlier_stride_does_not_change_any_prediction() {
+        let segments = 4096;
+        let cfg = LearnedConfig {
+            max_segments: segments as u32 + 1,
+            ..LearnedConfig::default()
+        };
+        let mut t = Twins::new(cfg, 4);
+        for k in 0..segments {
+            t.install(seg(k / 4 * 16 + k % 4, 4, 100_000 + 4 * k, 4));
+        }
+        let lpns = segments * 4;
+        // LPN 3 leaves its striped segment for an outlier reaching far past
+        // every other model; the third program breaks the progression and
+        // closes it into the store.
+        t.note_program(3, 900_000, false);
+        t.note_program(25_003, 900_001, false);
+        t.note_program(lpns + 7, 900_002, false);
+        assert_eq!(t.new.store.len() as u64, segments + 1);
+
+        assert_eq!(t.new.predict(3), Some(Ppn(900_000)));
+        assert_eq!(t.new.predict(25_003), Some(Ppn(900_001)));
+        assert_eq!(t.new.predict(lpns + 7), Some(Ppn(900_002)), "open run");
+        assert_eq!(t.new.predict(7), Some(Ppn(100_000 + 4 * 3 + 1)));
+        assert_eq!(
+            t.new.predict(20_003),
+            None,
+            "inside the outlier's span, not a member"
+        );
+        t.agree((0..lpns + 8).chain([25_003])).unwrap();
+    }
+
+    /// One step of a program stream over a few planes. Each plane hands out
+    /// consecutive PPNs and follows an LPN progression, so runs open, extend
+    /// and break the way host streams and the GC repack make them.
+    #[derive(Debug, Clone, Copy)]
+    enum ModelOp {
+        /// Program the plane's next `count` LPNs at its next PPNs: extends
+        /// its run.
+        Extend { plane: usize, count: u64 },
+        /// Start the plane on a new progression: closes its run.
+        Restart {
+            plane: usize,
+            start: u64,
+            stride: u64,
+        },
+        /// Leave a physical gap: the plane's run stays open, unextendable,
+        /// until the LRU or a punch closes it.
+        Skip { plane: usize },
+        /// An LPN went stale with no program behind it (a mis-predict).
+        Punch { lpn: u64 },
+        /// Two adjacent programs of far-apart LPNs: a 2-member run whose
+        /// stride is their gap.
+        Outlier { plane: usize, start: u64, gap: u64 },
+    }
+
+    /// A plane's write point and the LPN progression it is following.
+    struct Plane {
+        next_ppn: u64,
+        next_lpn: u64,
+        stride: u64,
+    }
+
+    impl Plane {
+        /// Program `lpn` at the plane's next PPN; the progression continues
+        /// from it. Odd planes stand in for the GC repack.
+        fn program(&mut self, t: &mut Twins, plane: usize, lpn: u64) {
+            t.note_program(lpn, self.next_ppn, plane % 2 == 1);
+            self.next_ppn += 1;
+            self.next_lpn = (lpn + self.stride) % LPN_RANGE;
+        }
+    }
+
+    const PLANES: usize = 6;
+    /// LPNs the strided progressions live in (outliers reach beyond).
+    const LPN_RANGE: u64 = 256;
+
+    fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
+        (
+            0u8..=15,
+            0..PLANES,
+            0..LPN_RANGE,
+            1u64..=8,
+            10_000u64..=30_000,
+        )
+            .prop_map(|(kind, plane, start, stride, gap)| match kind {
+                0..=7 => ModelOp::Extend {
+                    plane,
+                    count: 1 + start % 12,
+                },
+                8..=10 => ModelOp::Restart {
+                    plane,
+                    start,
+                    stride,
+                },
+                11 => ModelOp::Skip { plane },
+                12..=14 => ModelOp::Punch { lpn: start },
+                _ => ModelOp::Outlier { plane, start, gap },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Whatever the program stream, the indexed model and the scanning
+        /// reference stay indistinguishable — with stores this small and
+        /// thresholds this low, eviction and rebuild fire constantly.
+        #[test]
+        fn indexed_model_equals_scanning_reference(
+            (knobs, ops) in (
+                (8u32..=64, 2u32..=16, 1u32..=3, 2usize..=5),
+                collection::vec(model_op_strategy(), 100..500),
+            )
+        ) {
+            let (max_segments, retrain_threshold, min_run, runs) = knobs;
+            let cfg = LearnedConfig {
+                max_segments,
+                retrain_threshold,
+                min_run,
+                ..LearnedConfig::default()
+            };
+            let mut t = Twins::new(cfg, runs);
+            let mut planes: Vec<Plane> = (0..PLANES as u64)
+                .map(|p| Plane { next_ppn: p << 32, next_lpn: p, stride: PLANES as u64 })
+                .collect();
+            let mut far_lpns: Vec<u64> = Vec::new();
+            for (step, &op) in ops.iter().enumerate() {
+                match op {
+                    ModelOp::Extend { plane, count } => {
+                        for _ in 0..count {
+                            let lpn = planes[plane].next_lpn;
+                            planes[plane].program(&mut t, plane, lpn);
+                        }
+                    }
+                    ModelOp::Restart { plane, start, stride } => {
+                        planes[plane].stride = stride;
+                        planes[plane].program(&mut t, plane, start);
+                    }
+                    ModelOp::Skip { plane } => planes[plane].next_ppn += 2,
+                    ModelOp::Punch { lpn } => t.punch(lpn),
+                    ModelOp::Outlier { plane, start, gap } => {
+                        planes[plane].program(&mut t, plane, start);
+                        planes[plane].program(&mut t, plane, start + gap);
+                        far_lpns.push(start + gap);
+                    }
+                }
+                if let Err(e) = t.agree((0..LPN_RANGE).chain(far_lpns.iter().copied())) {
+                    return Err(TestCaseError::fail(format!("after step {step} ({op:?}): {e}")));
+                }
+            }
+        }
     }
 
     fn setup() -> (FlashArray, Allocator, LearnedFtl) {
@@ -1369,14 +1855,16 @@ mod tests {
         // covers live LPNs, and every prediction it makes agrees with the
         // PMT (the punch-on-program invariant — a wrong prediction would
         // cost a wasted verify read in a pressured cache).
-        let predicted: Vec<u64> = (0..420u64).filter(|&l| ftl.predict(l).is_some()).collect();
+        let predicted: Vec<u64> = (0..420u64)
+            .filter(|&l| ftl.model.predict(l).is_some())
+            .collect();
         assert!(
             !predicted.is_empty(),
             "relocated cold data must stay predictable"
         );
         for &lpn in &predicted {
             assert_eq!(
-                ftl.predict(lpn),
+                ftl.model.predict(lpn),
                 Some(ftl.pmt.get(lpn).ppn),
                 "lpn {lpn}: model disagrees with the PMT"
             );

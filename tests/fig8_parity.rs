@@ -9,6 +9,11 @@
 //! not depend on a sort implementation or the toolchain: any build of this
 //! code must reproduce them.
 //!
+//! `tests/golden/fig8_small_learned.json` does the same for the fourth
+//! scheme where its model actually decides something: Learned-FTL on the
+//! same workload with a two-translation-page mapping cache (at the stock
+//! cache the whole PMT is resident and no prediction ever fires).
+//!
 //! To re-bless after an *intentional* behaviour change (e.g. a scheme or
 //! policy change, never a data-structure swap):
 //!
@@ -16,14 +21,19 @@
 //! AFTL_BLESS=1 cargo test --release -p aftl-integration --test fig8_parity
 //! ```
 
+use aftl_bench::learnedbench::learned_traffic_config;
 use aftl_bench::replay::{self, ReplayDigest};
 use aftl_core::scheme::SchemeKind;
+use aftl_core::LearnedStats;
 use aftl_host::{Arbitration, HostConfig, IssueModel};
+use aftl_sim::experiment::run_single_with;
 use aftl_sim::fleet::{run_fleet, FleetSpec};
 use aftl_sim::hosted::{run_hosted, tenants_from_trace};
+use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 const GOLDEN_PATH: &str = "../../tests/golden/fig8_small_digest.json";
+const LEARNED_GOLDEN_PATH: &str = "../../tests/golden/fig8_small_learned.json";
 
 fn run_digests() -> Vec<ReplayDigest> {
     let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
@@ -33,22 +43,70 @@ fn run_digests() -> Vec<ReplayDigest> {
         .collect()
 }
 
-/// The golden digests every test here compares against. With `AFTL_BLESS`
-/// set, the first caller rewrites the file from a fresh serial replay
-/// before anyone reads it — the tests run on parallel threads, and all of
-/// them come through this one initialisation.
+/// The JSON of the golden file at `path`. With `AFTL_BLESS` set, the file
+/// is first rewritten from `fresh()` — a serial replay on the code under
+/// test.
+fn golden_json<T: Serialize>(path: &str, fresh: impl FnOnce() -> T) -> String {
+    if std::env::var_os("AFTL_BLESS").is_some() {
+        let json = serde_json::to_string_pretty(&fresh()).expect("golden serializes");
+        std::fs::write(path, json).expect("write golden");
+        eprintln!("blessed {path}");
+    }
+    std::fs::read_to_string(path)
+        .expect("golden present (bless with AFTL_BLESS=1 after intentional changes)")
+}
+
+/// The golden digests every paper-scheme test here compares against. Under
+/// `AFTL_BLESS` the first caller rewrites the file before anyone reads it —
+/// the tests run on parallel threads, and all of them come through this one
+/// initialisation.
 fn golden() -> &'static [ReplayDigest] {
     static GOLDEN: OnceLock<Vec<ReplayDigest>> = OnceLock::new();
     GOLDEN.get_or_init(|| {
-        if std::env::var_os("AFTL_BLESS").is_some() {
-            let json = serde_json::to_string_pretty(&run_digests()).expect("digests serialize");
-            std::fs::write(GOLDEN_PATH, json).expect("write golden digest");
-            eprintln!("blessed {GOLDEN_PATH}");
-        }
-        let text = std::fs::read_to_string(GOLDEN_PATH)
-            .expect("golden digest present (bless with AFTL_BLESS=1 after intentional changes)");
-        serde_json::from_str(&text).expect("golden digest parses")
+        serde_json::from_str(&golden_json(GOLDEN_PATH, run_digests)).expect("golden digest parses")
     })
+}
+
+/// Everything a Learned-FTL replay reports that its model decides: the
+/// flash-visible digest, the whole `learned` counter section, and the
+/// mapping footprint (16 B per installed segment + 4 B per hole on top of
+/// the touched translation pages, so it pins the store's final shape).
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct LearnedGolden {
+    digest: ReplayDigest,
+    learned: LearnedStats,
+    mapping_table_bytes: u64,
+}
+
+fn run_learned() -> LearnedGolden {
+    let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
+    let report = run_single_with(learned_traffic_config(SchemeKind::Learned), &trace)
+        .expect("starved learned fig8-small replay succeeds");
+    LearnedGolden {
+        digest: ReplayDigest::of(&report),
+        learned: report.learned,
+        mapping_table_bytes: report.mapping_table_bytes,
+    }
+}
+
+/// Which LPN is predictable, which segment is rebuilt and which one the
+/// clock evicts are model decisions; the structure that looks them up is
+/// not. A swap of the latter must reproduce this file unchanged.
+#[test]
+fn starved_learned_replay_matches_golden() {
+    let golden: LearnedGolden =
+        serde_json::from_str(&golden_json(LEARNED_GOLDEN_PATH, run_learned))
+            .expect("learned golden parses");
+    let got = run_learned();
+    assert!(
+        got.learned.predict_hits > 0 && got.learned.segment_rebuilds > 0,
+        "the golden must exercise the model: {:?}",
+        got.learned
+    );
+    assert_eq!(
+        golden, got,
+        "Learned-FTL: simulated results drifted from the golden"
+    );
 }
 
 #[test]
