@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// Counters every scheme maintains. Flash-level counts (reads/programs/
 /// erases by page kind) live in `aftl_flash::FlashStats`; these cover the
 /// FTL-internal events the evaluation reports.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchemeCounters {
     /// Host write requests serviced.
     pub host_writes: u64,

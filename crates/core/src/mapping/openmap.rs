@@ -4,8 +4,11 @@
 //! `HashMap`'s SipHash plus per-entry boxing is measurable there. This map
 //! is specialised for the cache's access pattern: dense `u64` keys
 //! (translation-page ids), power-of-two tables, Fibonacci (multiplicative)
-//! hashing, linear probing, tombstone deletion with full rehash on growth.
-//! All operations are amortised O(1) with a single flat allocation.
+//! hashing, linear probing, tombstone deletion with a full rehash when live
+//! entries plus tombstones fill the table — into a table twice the size
+//! only if live entries are what filled it, so a map that churns keys at a
+//! constant size stays that size. All operations are amortised O(1) with a
+//! single flat allocation.
 
 /// Slot states of the control array.
 const EMPTY: u8 = 0;
@@ -87,7 +90,7 @@ impl OpenMap {
     pub fn insert(&mut self, key: u64, val: u64) -> Option<u64> {
         // Keep FULL+TOMB below 3/4 so probes terminate quickly.
         if (self.used + 1) * 4 >= self.ctrl.len() * 3 {
-            self.grow();
+            self.rehash();
         }
         let mask = self.mask();
         let mut i = self.start(key);
@@ -134,9 +137,15 @@ impl OpenMap {
         }
     }
 
-    /// Double the table and rehash all live entries (tombstones drop out).
-    fn grow(&mut self) {
-        let new_shift = self.shift + 1;
+    /// Rehash all live entries (tombstones drop out) into a fresh table:
+    /// twice the size if live entries fill half of this one, the same size
+    /// if it was mostly tombstones that brought it to the load limit.
+    fn rehash(&mut self) {
+        let new_shift = if self.len * 2 < self.ctrl.len() {
+            self.shift
+        } else {
+            self.shift + 1
+        };
         let new_cap = 1usize << new_shift;
         let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; new_cap]);
         let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
@@ -187,6 +196,25 @@ mod tests {
         assert_eq!(m.len(), 10_000);
         for k in 0..10_000u64 {
             assert_eq!(m.get(k * 31), Some(k), "key {k}");
+        }
+    }
+
+    /// The mapping cache removes one key and inserts another per miss: the
+    /// table must follow the resident set, not the miss count.
+    #[test]
+    fn churn_at_constant_size_does_not_grow_the_table() {
+        let mut m = OpenMap::new();
+        for k in 0..16u64 {
+            m.insert(k, k);
+        }
+        for k in 16..100_016u64 {
+            assert_eq!(m.remove(k - 16), Some(k - 16));
+            assert_eq!(m.insert(k, k), None);
+            assert_eq!(m.len(), 16);
+        }
+        assert!(m.ctrl.len() <= 64, "{} slots for 16 keys", m.ctrl.len());
+        for k in 100_000..100_016u64 {
+            assert_eq!(m.get(k), Some(k));
         }
     }
 

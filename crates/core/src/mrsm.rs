@@ -20,7 +20,6 @@ use crate::counters::SchemeCounters;
 use crate::gc::{self, GcConfig, GcReport, GcState};
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::{MapEngine, MapEngineStats};
-use crate::mapping::openmap::OpenMap;
 use crate::mapping::touched::TouchedSet;
 use crate::recover::{lost_stamps_of, program_relocating, read_with_retry, PageRead, LOST_VERSION};
 use crate::request::{HostRequest, ReqKind};
@@ -108,210 +107,251 @@ struct Piece {
     ready: Nanos,
 }
 
-/// LPN → mapping-node table. MRSM never unmaps an LPN (nodes only convert
-/// between page- and sub-mapped forms), so the node slab is append-only
-/// and `len()` is the mapped-LPN count driving [`MrsmFtl::tree_depth`].
-/// The open-addressed index replaces a std `HashMap` whose SipHash probe
-/// sat on every mapping consultation.
+/// Pages — logical or physical — a packed table word can number: 30 bits
+/// of page above a 2-bit slot or sub-region index, less the all-ones word,
+/// which is [`NO_LOC`]. 8 TiB of 8 KiB pages; [`MrsmFtl::new`] checks the
+/// device against it once, so the tables only debug-assert.
+const MAX_PAGES: u64 = (1 << 30) - 1;
+
+/// The packed word of a sub-region that has no location.
+const NO_LOC: u32 = u32::MAX;
+
+/// `page << 2 | idx`: a flash page and a slot in it, or a logical page and
+/// one of its sub-regions.
+#[inline]
+fn pack(page: u64, idx: u32) -> u32 {
+    debug_assert!(page < MAX_PAGES && idx < SUBS_PER_PAGE);
+    (page as u32) << 2 | idx
+}
+
+#[inline]
+fn unpack(word: u32) -> (u64, u32) {
+    (u64::from(word >> 2), word & 3)
+}
+
+impl SubLoc {
+    #[inline]
+    fn packed(self) -> u32 {
+        if self.is_some() {
+            pack(self.ppn.0, u32::from(self.slot))
+        } else {
+            NO_LOC
+        }
+    }
+
+    #[inline]
+    fn from_packed(word: u32) -> Option<SubLoc> {
+        (word != NO_LOC).then(|| {
+            let (ppn, slot) = unpack(word);
+            SubLoc {
+                ppn: Ppn(ppn),
+                slot: slot as u8,
+            }
+        })
+    }
+}
+
+/// Form of an LPN's mapping node ([`LpnTable::forms`]).
+const ABSENT: u8 = 0;
+const PAGE: u8 = 1;
+const SUB: u8 = 2;
+
+/// LPN → mapping node, as two flat arrays indexed by LPN and grown to the
+/// highest LPN written: a lookup is one indexed load, with no hash, no
+/// probe sequence and no slab behind an index. MRSM never unmaps an LPN
+/// (nodes only convert between page- and sub-mapped forms), so `len()`,
+/// the mapped-LPN count driving [`MrsmFtl::tree_depth`], only rises.
 #[derive(Debug, Default)]
 struct LpnTable {
-    index: OpenMap,
-    lpns: Vec<u64>,
-    nodes: Vec<LpnMap>,
+    /// `ABSENT`, `PAGE` or `SUB` per LPN.
+    forms: Vec<u8>,
+    /// Per LPN, each sub-region's packed location ([`NO_LOC`] = never
+    /// written). A page-mapped node on `p` holds `(p, 0) … (p, 3)` — where
+    /// its sub-regions are, and what they stay at when a partial write
+    /// splits the page — so [`LpnTable::loc`] never reads the form and
+    /// splitting a page rewrites one word.
+    words: Vec<[u32; SUBS_PER_PAGE as usize]>,
+    mapped: usize,
 }
 
 impl LpnTable {
-    fn new() -> Self {
-        Self::default()
-    }
-
+    /// Mapped LPNs.
     #[inline]
     fn len(&self) -> usize {
-        self.nodes.len()
+        self.mapped
     }
 
+    /// Current location of a sub-region.
     #[inline]
-    fn get(&self, lpn: u64) -> Option<&LpnMap> {
-        self.index.get(lpn).map(|s| &self.nodes[s as usize])
+    fn loc(&self, lpn: u64, sub: u32) -> Option<SubLoc> {
+        let words = self.words.get(lpn as usize)?;
+        SubLoc::from_packed(words[sub as usize])
+    }
+
+    /// The flash page `lpn` is page-mapped on, if it is.
+    #[inline]
+    fn page_of(&self, lpn: u64) -> Option<Ppn> {
+        let i = lpn as usize;
+        (*self.forms.get(i)? == PAGE).then(|| Ppn(unpack(self.words[i][0]).0))
+    }
+
+    /// `lpn`'s node, decoded.
+    fn get(&self, lpn: u64) -> Option<LpnMap> {
+        let i = lpn as usize;
+        match *self.forms.get(i)? {
+            ABSENT => None,
+            PAGE => Some(LpnMap::Page(Ppn(unpack(self.words[i][0]).0))),
+            _ => Some(LpnMap::Sub(
+                self.words[i].map(|w| SubLoc::from_packed(w).unwrap_or(SubLoc::NONE)),
+            )),
+        }
+    }
+
+    /// `lpn`'s index, grown into and counted as mapped; the caller sets
+    /// the form.
+    #[inline]
+    fn entry(&mut self, lpn: u64) -> usize {
+        let i = lpn as usize;
+        if i >= self.forms.len() {
+            self.forms.resize(i + 1, ABSENT);
+            self.words.resize(i + 1, [NO_LOC; SUBS_PER_PAGE as usize]);
+        }
+        if self.forms[i] == ABSENT {
+            self.mapped += 1;
+        }
+        i
     }
 
     /// Insert or overwrite `lpn`'s node.
     fn set(&mut self, lpn: u64, node: LpnMap) {
-        match self.index.get(lpn) {
-            Some(s) => self.nodes[s as usize] = node,
-            None => {
-                self.index.insert(lpn, self.nodes.len() as u64);
-                self.lpns.push(lpn);
-                self.nodes.push(node);
-            }
-        }
-    }
-
-    /// Slot-addressed access for the pipelined fast paths: `entry_of`
-    /// resolves `lpn` to its slab slot once, and [`LpnTable::set_at`]
-    /// rewrites that slot without a second index probe. Slots are stable —
-    /// the slab is append-only.
-    #[inline]
-    fn entry_of(&self, lpn: u64) -> Option<(u32, &LpnMap)> {
-        self.index
-            .get(lpn)
-            .map(|s| (s as u32, &self.nodes[s as usize]))
-    }
-
-    #[inline]
-    fn set_at(&mut self, slot: u32, node: LpnMap) {
-        self.nodes[slot as usize] = node;
-    }
-
-    /// Insert `lpn`, which the caller has already established is absent
-    /// (via [`LpnTable::entry_of`]) — skips [`LpnTable::set`]'s membership
-    /// probe.
-    fn insert_absent(&mut self, lpn: u64, node: LpnMap) {
-        debug_assert!(self.index.get(lpn).is_none());
-        self.index.insert(lpn, self.nodes.len() as u64);
-        self.lpns.push(lpn);
-        self.nodes.push(node);
-    }
-
-    /// Mutable node for `lpn`, creating an empty sub-mapped node if absent.
-    fn get_or_insert(&mut self, lpn: u64) -> &mut LpnMap {
-        let slot = match self.index.get(lpn) {
-            Some(s) => s as usize,
-            None => {
-                let s = self.nodes.len();
-                self.index.insert(lpn, s as u64);
-                self.lpns.push(lpn);
-                self.nodes.push(LpnMap::Sub([SubLoc::NONE; 4]));
-                s
-            }
+        let i = self.entry(lpn);
+        (self.forms[i], self.words[i]) = match node {
+            LpnMap::Page(p) => (PAGE, std::array::from_fn(|s| pack(p.0, s as u32))),
+            LpnMap::Sub(locs) => (SUB, locs.map(SubLoc::packed)),
         };
-        &mut self.nodes[slot]
     }
 
-    /// All `(lpn, node)` pairs (insertion order). Used by the invariant
-    /// checks and by crash-checkpoint capture.
-    fn iter(&self) -> impl Iterator<Item = (u64, &LpnMap)> {
-        self.lpns.iter().copied().zip(self.nodes.iter())
+    /// Point `lpn/sub` at `loc`; the node becomes (or stays) sub-mapped,
+    /// its other sub-regions where they were.
+    #[inline]
+    fn set_sub(&mut self, lpn: u64, sub: u32, loc: SubLoc) {
+        let i = self.entry(lpn);
+        self.forms[i] = SUB;
+        self.words[i][sub as usize] = loc.packed();
+    }
+
+    /// All `(lpn, node)` pairs in LPN order. Used by the invariant checks
+    /// and by crash-checkpoint capture.
+    fn iter(&self) -> impl Iterator<Item = (u64, LpnMap)> + '_ {
+        (0..self.forms.len() as u64).filter_map(|lpn| self.get(lpn).map(|n| (lpn, n)))
     }
 }
 
-/// Live sub-regions resident on one flash page — at most one per slot, so
-/// the set fits inline with no heap allocation.
-#[derive(Debug, Clone, Copy)]
+/// Live sub-regions resident on one flash page, as packed
+/// `lpn << 2 | sub` words — at most one per slot. Entry order is the
+/// order of pushes, with the last entry moved into the place of one
+/// removed: GC repack slot assignment depends on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ResidentSet {
-    ppn: Ppn,
+    items: [u32; SUBS_PER_PAGE as usize],
     len: u8,
-    items: [(u64, u32); SUBS_PER_PAGE as usize],
 }
 
 impl ResidentSet {
-    fn new(ppn: Ppn) -> Self {
+    /// The set of a page-mapped `lpn`'s page: `(lpn, 0) … (lpn, 3)`.
+    fn of_page(lpn: u64) -> Self {
         ResidentSet {
-            ppn,
-            len: 0,
-            items: [(0, 0); SUBS_PER_PAGE as usize],
+            items: std::array::from_fn(|s| pack(lpn, s as u32)),
+            len: SUBS_PER_PAGE as u8,
         }
     }
 
     #[inline]
-    fn as_slice(&self) -> &[(u64, u32)] {
-        &self.items[..self.len as usize]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// The `(lpn, sub)` entries, in entry order.
+    #[inline]
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.items[..self.len()].iter().map(|&w| unpack(w))
     }
 
     #[inline]
     fn push(&mut self, lpn: u64, sub: u32) {
-        self.items[self.len as usize] = (lpn, sub);
+        self.items[self.len()] = pack(lpn, sub);
         self.len += 1;
-    }
-}
-
-/// Reverse map `Ppn` → [`ResidentSet`]: an open-addressed index over a
-/// slab with a free list (region pages empty out and are erased by GC, so
-/// slots recycle). Entry order within a set preserves the former `Vec`
-/// push/swap-remove order — GC repack slot assignment depends on it.
-#[derive(Debug, Default)]
-struct ResidentTable {
-    index: OpenMap,
-    slots: Vec<ResidentSet>,
-    free: Vec<u32>,
-}
-
-impl ResidentTable {
-    fn new() -> Self {
-        Self::default()
     }
 
     #[inline]
-    fn get(&self, ppn: Ppn) -> Option<&ResidentSet> {
-        self.index.get(ppn.0).map(|s| &self.slots[s as usize])
+    fn position(&self, lpn: u64, sub: u32) -> Option<usize> {
+        let word = pack(lpn, sub);
+        self.items[..self.len()].iter().position(|&w| w == word)
     }
 
-    fn alloc_slot(&mut self, ppn: Ppn) -> usize {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = ResidentSet::new(ppn);
-                s as usize
-            }
-            None => {
-                self.slots.push(ResidentSet::new(ppn));
-                self.slots.len() - 1
-            }
-        };
-        self.index.insert(ppn.0, slot as u64);
-        slot
+    /// Drop the entry at `pos`, moving the last entry into its place.
+    #[inline]
+    fn swap_remove(&mut self, pos: usize) {
+        self.len -= 1;
+        self.items[pos] = self.items[self.len()];
+    }
+}
+
+/// Reverse map `Ppn` → [`ResidentSet`], a flat array indexed by PPN and
+/// grown to the highest PPN holding a set; an empty set is no set.
+#[derive(Debug, Default)]
+struct ResidentTable {
+    sets: Vec<ResidentSet>,
+}
+
+impl ResidentTable {
+    #[inline]
+    fn get(&self, ppn: Ppn) -> Option<&ResidentSet> {
+        self.sets.get(ppn.0 as usize).filter(|s| s.len > 0)
+    }
+
+    #[inline]
+    fn entry(&mut self, ppn: Ppn) -> &mut ResidentSet {
+        debug_assert!(ppn.0 < MAX_PAGES);
+        let i = ppn.0 as usize;
+        if i >= self.sets.len() {
+            self.sets.resize(i + 1, ResidentSet::default());
+        }
+        &mut self.sets[i]
     }
 
     /// Append `(lpn, sub)` to `ppn`'s set, creating the set if absent.
+    #[inline]
     fn push(&mut self, ppn: Ppn, lpn: u64, sub: u32) {
-        let slot = match self.index.get(ppn.0) {
-            Some(s) => s as usize,
-            None => self.alloc_slot(ppn),
-        };
-        self.slots[slot].push(lpn, sub);
+        self.entry(ppn).push(lpn, sub);
     }
 
     /// Install a whole set under `ppn` (which must have none yet).
-    fn insert_set(&mut self, ppn: Ppn, mut set: ResidentSet) {
-        debug_assert!(self.index.get(ppn.0).is_none());
-        set.ppn = ppn;
-        let slot = self.alloc_slot(ppn);
-        self.slots[slot] = set;
+    fn insert_set(&mut self, ppn: Ppn, set: ResidentSet) {
+        debug_assert!(self.get(ppn).is_none());
+        *self.entry(ppn) = set;
     }
 
     /// Drop one `(lpn, sub)` entry (swap-remove). Returns whether the set
-    /// emptied (and was removed); `None` if there is no such entry.
+    /// emptied (and so is gone); `None` if there is no such entry.
+    #[inline]
     fn swap_remove_entry(&mut self, ppn: Ppn, lpn: u64, sub: u32) -> Option<bool> {
-        let slot = self.index.get(ppn.0)? as usize;
-        let set = &mut self.slots[slot];
-        let pos = set
-            .as_slice()
-            .iter()
-            .position(|&(l, s)| l == lpn && s == sub)?;
-        set.items[pos] = set.items[set.len as usize - 1];
-        set.len -= 1;
-        if set.len == 0 {
-            set.ppn = Ppn::INVALID;
-            self.index.remove(ppn.0);
-            self.free.push(slot as u32);
-            Some(true)
-        } else {
-            Some(false)
-        }
+        let set = self.sets.get_mut(ppn.0 as usize)?;
+        let pos = set.position(lpn, sub)?;
+        set.swap_remove(pos);
+        Some(set.len == 0)
     }
 
     /// Remove and return the whole set for `ppn`.
     fn remove(&mut self, ppn: Ppn) -> Option<ResidentSet> {
-        let slot = self.index.remove(ppn.0)? as usize;
-        let set = self.slots[slot];
-        self.slots[slot].ppn = Ppn::INVALID;
-        self.free.push(slot as u32);
-        Some(set)
+        let set = self.sets.get_mut(ppn.0 as usize)?;
+        (set.len > 0).then(|| std::mem::take(set))
     }
 
-    /// All live sets (test-only; slab order).
-    #[cfg(test)]
-    fn iter(&self) -> impl Iterator<Item = &ResidentSet> {
-        self.slots.iter().filter(|s| s.ppn.is_valid())
+    /// All live sets in PPN order (invariant checks).
+    #[cfg(any(test, debug_assertions))]
+    fn iter(&self) -> impl Iterator<Item = (Ppn, &ResidentSet)> {
+        (0u64..).map(Ppn).zip(&self.sets).filter(|(_, s)| s.len > 0)
     }
 }
 
@@ -335,11 +375,20 @@ pub struct MrsmFtl {
     scratch_pieces: Vec<Piece>,
     scratch_read_pages: Vec<(Ppn, Nanos)>,
     scratch_lost: Vec<Ppn>,
+    /// The repack buffer, lent to each [`MrsmMigrator`] and kept between
+    /// collections so steady-state GC allocates nothing.
+    gc_pending: Vec<PendingSub>,
 }
 
 impl MrsmFtl {
     /// Construct an MRSM FTL for the given device geometry.
     pub fn new(geometry: &aftl_flash::Geometry, cfg: SchemeConfig) -> Self {
+        assert!(
+            geometry.total_pages() <= MAX_PAGES && cfg.logical_pages <= MAX_PAGES,
+            "MRSM packs page numbers into 30 bits: {} physical / {} logical pages is too many",
+            geometry.total_pages(),
+            cfg.logical_pages
+        );
         let page_bytes = geometry.page_bytes;
         let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);
         MrsmFtl {
@@ -349,8 +398,8 @@ impl MrsmFtl {
                 tuning: cfg.gc,
             }),
             cfg,
-            map: LpnTable::new(),
-            residents: ResidentTable::new(),
+            map: LpnTable::default(),
+            residents: ResidentTable::default(),
             engine,
             counters: SchemeCounters::default(),
             touched_tpages: TouchedSet::new(),
@@ -361,6 +410,7 @@ impl MrsmFtl {
             scratch_pieces: Vec::new(),
             scratch_read_pages: Vec::new(),
             scratch_lost: Vec::new(),
+            gc_pending: Vec::new(),
         }
     }
 
@@ -376,22 +426,28 @@ impl MrsmFtl {
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
         let pipelined = ftl.engine.pipelined();
+        let in_range = |ppn: Ppn| ppn.0 < geometry.total_pages();
         for &(lpn, node) in nodes {
+            assert!(
+                lpn < cfg.logical_pages,
+                "image maps lpn {lpn}, off the device"
+            );
             match node {
                 crate::recovery::MrsmNodeImage::Page(p) => {
+                    assert!(in_range(p), "image maps lpn {lpn} to {p:?}, off the device");
                     ftl.map.set(lpn, LpnMap::Page(p));
                     if !pipelined {
-                        let mut set = ResidentSet::new(p);
-                        for s in 0..SUBS_PER_PAGE {
-                            set.push(lpn, s);
-                        }
-                        ftl.residents.insert_set(p, set);
+                        ftl.residents.insert_set(p, ResidentSet::of_page(lpn));
                     }
                 }
                 crate::recovery::MrsmNodeImage::Subs(slots) => {
                     let mut locs = [SubLoc::NONE; SUBS_PER_PAGE as usize];
                     for (sub, loc) in slots.iter().enumerate() {
                         if let Some((ppn, slot)) = *loc {
+                            assert!(
+                                in_range(ppn),
+                                "image maps lpn {lpn} to {ppn:?}, off the device"
+                            );
                             locs[sub] = SubLoc { ppn, slot };
                             ftl.residents.push(ppn, lpn, sub as u32);
                         }
@@ -416,12 +472,16 @@ impl MrsmFtl {
     /// so a preempted episode never strands sub-regions in DRAM.
     fn run_gc(&mut self, env: &mut FtlEnv<'_>, idle_budget: Option<u64>) -> Result<GcReport> {
         let spp = env.geometry().sectors_per_page();
+        // A slice that failed before its `finish` left its sub-regions
+        // behind; the next collection starts, as a new migrator always
+        // has, empty.
+        self.gc_pending.clear();
         let mut migrator = MrsmMigrator {
             map: &mut self.map,
             residents: &mut self.residents,
             engine: &mut self.engine,
             counters: &mut self.counters,
-            pending: Vec::new(),
+            pending: &mut self.gc_pending,
             spp,
         };
         match idle_budget {
@@ -452,8 +512,9 @@ impl MrsmFtl {
     }
 
     /// Current location of a sub-region.
+    #[inline]
     fn loc_of(&self, lpn: u64, sub: u32) -> Option<SubLoc> {
-        node_sub_loc(self.map.get(lpn), sub)
+        self.map.loc(lpn, sub)
     }
 
     /// Remove a sub-region from its current page's residents, invalidating
@@ -487,15 +548,11 @@ impl MrsmFtl {
                 // the evicted slot.
                 debug_assert!(self.engine.pipelined());
                 debug_assert!(
-                    matches!(self.map.get(lpn), Some(&LpnMap::Page(p)) if p == loc.ppn),
+                    self.map.page_of(lpn) == Some(loc.ppn),
                     "missing resident record for sub-mapped ({lpn},{sub})"
                 );
-                let mut set = ResidentSet::new(loc.ppn);
-                for s in 0..SUBS_PER_PAGE {
-                    set.push(lpn, s);
-                }
-                set.items[sub as usize] = set.items[SUBS_PER_PAGE as usize - 1];
-                set.len = (SUBS_PER_PAGE - 1) as u8;
+                let mut set = ResidentSet::of_page(lpn);
+                set.swap_remove(sub as usize);
                 self.residents.insert_set(loc.ppn, set);
             }
         }
@@ -520,33 +577,22 @@ impl MrsmFtl {
         // Evict all old sub-region locations. Pipelined mode keeps
         // page-mapped resident sets *implicit*: a `Page` node always owns
         // all four resident slots of its page, so no set is stored at all —
-        // retiring one is a single map probe plus the same invalidate the
-        // serial path's fourth swap-remove issues, and the remembered map
-        // slab slot makes the final remap a probe-free `set_at`. The set
-        // only materializes if a later partial write splits the page
+        // retiring one is a single map lookup plus the same invalidate the
+        // serial path's fourth swap-remove issues. The set only
+        // materializes if a later partial write splits the page
         // ([`MrsmFtl::evict_sub_at`]); GC recognizes implicit pages by
         // their owner-LPN program tag. Flash-op sequence and all observable
         // counters stay identical to the serial path.
-        let mut known_slot: Option<u32> = None;
         let pipelined = self.engine.pipelined();
-        if pipelined {
-            match self.map.entry_of(lpn).map(|(s, n)| (s, *n)) {
-                None => {}
-                Some((slot, LpnMap::Page(p))) => {
-                    known_slot = Some(slot);
-                    debug_assert!(self.residents.get(p).is_none());
-                    env.array.invalidate(p)?;
-                }
-                Some((slot, LpnMap::Sub(_))) => {
-                    known_slot = Some(slot);
-                    for sub in 0..SUBS_PER_PAGE {
-                        self.evict_sub(env, lpn, sub)?;
-                    }
-                }
+        match self.map.page_of(lpn) {
+            Some(p) if pipelined => {
+                debug_assert!(self.residents.get(p).is_none());
+                env.array.invalidate(p)?;
             }
-        } else {
-            for sub in 0..SUBS_PER_PAGE {
-                self.evict_sub(env, lpn, sub)?;
+            _ => {
+                for sub in 0..SUBS_PER_PAGE {
+                    self.evict_sub(env, lpn, sub)?;
+                }
             }
         }
         let ready = self.engine.note_issue(ready);
@@ -572,64 +618,60 @@ impl MrsmFtl {
                 .collect();
             env.array.record_content(new_ppn, stamps.into_boxed_slice());
         }
-        match known_slot {
-            Some(s) => self.map.set_at(s, LpnMap::Page(new_ppn)),
-            None if pipelined => self.map.insert_absent(lpn, LpnMap::Page(new_ppn)),
-            None => self.map.set(lpn, LpnMap::Page(new_ppn)),
-        }
+        self.map.set(lpn, LpnMap::Page(new_ppn));
         if !pipelined {
-            let mut set = ResidentSet::new(new_ppn);
-            for s in 0..SUBS_PER_PAGE {
-                set.push(lpn, s);
-            }
-            self.residents.insert_set(new_ppn, set);
+            self.residents
+                .insert_set(new_ppn, ResidentSet::of_page(lpn));
         }
         Ok(w.complete_ns)
     }
 
-    /// Test-only consistency check: `residents` must be exactly the
-    /// reverse of `map` (no duplicates, no dangling references). O(map),
-    /// so call it from tests, not per request.
+    /// [`check_tables`] on this FTL's tables.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
-        use std::collections::HashSet as Set;
-        let mut seen: Set<(u64, u32)> = Set::new();
-        for set in self.residents.iter() {
-            let ppn = set.ppn;
-            for &(lpn, sub) in set.as_slice() {
-                assert!(
-                    seen.insert((lpn, sub)),
-                    "duplicate resident ({lpn},{sub}) on {ppn:?}"
-                );
-                let loc = self
-                    .loc_of(lpn, sub)
-                    .unwrap_or_else(|| panic!("resident ({lpn},{sub}) on {ppn:?} has no mapping"));
-                assert_eq!(loc.ppn, ppn, "resident ({lpn},{sub}) maps elsewhere");
-            }
+        check_tables(&self.map, &self.residents, self.engine.pipelined());
+    }
+}
+
+/// `residents` must be exactly the reverse of `map`, checked in both
+/// directions: every resident entry is where the map says that sub-region
+/// is (so none is duplicated or dangling), and every mapped sub-region has
+/// its resident entry — except on page-mapped pages in pipelined mode,
+/// which must have *no* set (it is implicit; GC reconstructs it from the
+/// program tag), where serial mode requires one. O(device), so it runs
+/// per GC slice and from tests, not per request, and not in release builds.
+#[cfg(any(test, debug_assertions))]
+fn check_tables(map: &LpnTable, residents: &ResidentTable, pipelined: bool) {
+    for (ppn, set) in residents.iter() {
+        for (i, (lpn, sub)) in set.entries().enumerate() {
+            assert!(
+                set.entries().skip(i + 1).all(|e| e != (lpn, sub)),
+                "duplicate resident ({lpn},{sub}) on {ppn:?}"
+            );
+            let loc = map
+                .loc(lpn, sub)
+                .unwrap_or_else(|| panic!("resident ({lpn},{sub}) on {ppn:?} has no mapping"));
+            assert_eq!(loc.ppn, ppn, "resident ({lpn},{sub}) maps elsewhere");
         }
-        for (lpn, node) in self.map.iter() {
-            // Pipelined mode keeps page-mapped resident sets implicit: a
-            // `Page` node must have NO explicit set (GC reconstructs it
-            // from the program tag), while serial mode requires one.
-            if self.engine.pipelined() {
-                if let LpnMap::Page(p) = node {
-                    assert!(
-                        self.residents.get(*p).is_none(),
-                        "pipelined page-mapped ({lpn}) → {p:?} has an explicit resident set"
-                    );
-                    continue;
-                }
+    }
+    for (lpn, node) in map.iter() {
+        if let (true, LpnMap::Page(p)) = (pipelined, node) {
+            assert!(
+                residents.get(p).is_none(),
+                "pipelined page-mapped ({lpn}) → {p:?} has an explicit resident set"
+            );
+            continue;
+        }
+        for sub in 0..SUBS_PER_PAGE {
+            if let Some(loc) = map.loc(lpn, sub) {
+                assert!(
+                    residents
+                        .get(loc.ppn)
+                        .is_some_and(|set| set.position(lpn, sub).is_some()),
+                    "mapping ({lpn},{sub}) → {:?} lacks a resident entry",
+                    loc.ppn
+                );
             }
-            for sub in 0..SUBS_PER_PAGE {
-                if let Some(loc) = self.loc_of(lpn, sub) {
-                    assert!(
-                        seen.contains(&(lpn, sub)),
-                        "mapping ({lpn},{sub}) → {:?} lacks a resident entry",
-                        loc.ppn
-                    );
-                }
-            }
-            let _ = node;
         }
     }
 }
@@ -659,12 +701,9 @@ impl FtlScheme for MrsmFtl {
                 outcome.merge_time(w);
                 continue;
             }
-            // Stage the touched sub-regions. Pipelined: fetch the extent's
-            // mapping node once (as the read path does) and stage each
-            // sub-write's old location with it — the partial-check,
-            // old-read, pack and evict steps below reuse it instead of
-            // re-probing the table.
-            let node = pipelined.then(|| self.map.get(extent.lpn).copied());
+            // Stage the touched sub-regions — pipelined, each with its old
+            // location, which the partial-check, old-read, pack and evict
+            // steps below reuse instead of looking it up again.
             let es = extent.start_sector(spp);
             let ee = extent.end_sector(spp);
             let page_start = extent.lpn * u64::from(spp);
@@ -679,9 +718,9 @@ impl FtlScheme for MrsmFtl {
                     ws: es.max(sub_start),
                     we: ee.min(sub_end),
                     ready: t,
-                    loc: node
-                        .as_ref()
-                        .and_then(|n| node_sub_loc(n.as_ref(), sub as u32)),
+                    loc: pipelined
+                        .then(|| self.loc_of(extent.lpn, sub as u32))
+                        .flatten(),
                 });
             }
         }
@@ -864,10 +903,6 @@ impl FtlScheme for MrsmFtl {
         for extent in req.extents(spp) {
             let t = self.map_access(env, extent.lpn, false)?;
             ready = ready.max(t);
-            // Pipelined: fetch the extent's mapping node once instead of
-            // probing the table per sub-region (pure lookup — identical
-            // locations either way).
-            let node = pipelined.then(|| self.map.get(extent.lpn).copied());
             let es = extent.start_sector(spp);
             let ee = extent.end_sector(spp);
             let page_start = extent.lpn * u64::from(spp);
@@ -877,11 +912,7 @@ impl FtlScheme for MrsmFtl {
                 let sub_start = page_start + sub * sub_sectors;
                 let rs = es.max(sub_start);
                 let re = ee.min(sub_start + sub_sectors);
-                let loc = match &node {
-                    Some(n) => node_sub_loc(n.as_ref(), sub as u32),
-                    None => self.loc_of(extent.lpn, sub as u32),
-                };
-                match loc {
+                match self.loc_of(extent.lpn, sub as u32) {
                     Some(loc) => pieces.push(Piece {
                         ppn: loc.ppn,
                         page_offset: (u64::from(loc.slot) * sub_sectors + (rs - sub_start)) as u32,
@@ -988,10 +1019,11 @@ impl FtlScheme for MrsmFtl {
     }
 
     fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
+        // The image lists nodes by ascending LPN, which is the table's order.
         let mut nodes = Vec::with_capacity(self.map.len());
         for (lpn, node) in self.map.iter() {
             let img = match node {
-                LpnMap::Page(p) => crate::recovery::MrsmNodeImage::Page(*p),
+                LpnMap::Page(p) => crate::recovery::MrsmNodeImage::Page(p),
                 LpnMap::Sub(locs) => {
                     let mut slots = [None; SUBS_PER_PAGE as usize];
                     for (sub, loc) in locs.iter().enumerate() {
@@ -1004,31 +1036,13 @@ impl FtlScheme for MrsmFtl {
             };
             nodes.push((lpn, img));
         }
-        nodes.sort_unstable_by_key(|&(l, _)| l);
         Some(crate::recovery::SchemeImage::Mrsm(nodes))
-    }
-}
-
-/// Sub-region location within an already-fetched mapping node (the
-/// pipelined read gather fetches each extent's node once instead of
-/// probing the table per sub-region; [`MrsmFtl::loc_of`] delegates here).
-#[inline]
-fn node_sub_loc(node: Option<&LpnMap>, sub: u32) -> Option<SubLoc> {
-    match node {
-        None => None,
-        Some(LpnMap::Page(p)) => Some(SubLoc {
-            ppn: *p,
-            slot: sub as u8,
-        }),
-        Some(LpnMap::Sub(locs)) => {
-            let l = locs[sub as usize];
-            l.is_some().then_some(l)
-        }
     }
 }
 
 /// Shared by [`MrsmFtl::set_sub_loc`] and the GC migrator (which borrows
 /// the tables piecewise).
+#[inline]
 fn set_sub_loc_parts(
     map: &mut LpnTable,
     residents: &mut ResidentTable,
@@ -1036,26 +1050,7 @@ fn set_sub_loc_parts(
     sub: u32,
     loc: SubLoc,
 ) {
-    let node = map.get_or_insert(lpn);
-    let locs = match node {
-        LpnMap::Page(p) => {
-            let p = *p;
-            let mut locs = [SubLoc::NONE; 4];
-            for (j, l) in locs.iter_mut().enumerate() {
-                *l = SubLoc {
-                    ppn: p,
-                    slot: j as u8,
-                };
-            }
-            *node = LpnMap::Sub(locs);
-            match node {
-                LpnMap::Sub(l) => l,
-                _ => unreachable!(),
-            }
-        }
-        LpnMap::Sub(l) => l,
-    };
-    locs[sub as usize] = loc;
+    map.set_sub(lpn, sub, loc);
     residents.push(loc.ppn, lpn, sub);
 }
 
@@ -1077,7 +1072,8 @@ struct MrsmMigrator<'a> {
     residents: &'a mut ResidentTable,
     engine: &'a mut MapEngine,
     counters: &'a mut SchemeCounters,
-    pending: Vec<PendingSub>,
+    /// Lifted sub-regions not yet repacked ([`MrsmFtl::gc_pending`]).
+    pending: &'a mut Vec<PendingSub>,
     spp: u32,
 }
 
@@ -1092,7 +1088,7 @@ impl MrsmMigrator<'_> {
         if n == 0 {
             return Ok(0);
         }
-        let chunk: Vec<PendingSub> = self.pending.drain(..n).collect();
+        let chunk = &self.pending[..n];
         let sub_sectors = u64::from(self.spp / SUBS_PER_PAGE);
         let sector_bytes = array.geometry().sector_bytes;
         let ready = chunk.iter().map(|p| p.ready).max().unwrap_or(now);
@@ -1140,6 +1136,7 @@ impl MrsmMigrator<'_> {
                 },
             );
         }
+        self.pending.drain(..n);
         Ok(1)
     }
 }
@@ -1185,18 +1182,15 @@ impl gc::PageMigrator for MrsmMigrator<'_> {
         // explicit four-entry set identifies them.
         let res = self.residents.get(old).copied();
         let page_mapped_owner = match &res {
-            Some(r)
-                if r.len as u32 == SUBS_PER_PAGE
-                    && matches!(self.map.get(r.items[0].0),
-                                Some(LpnMap::Page(p)) if *p == old) =>
-            {
-                Some(r.items[0].0)
+            Some(r) => {
+                let (lpn, _) = r.entries().next().expect("a stored set is never empty");
+                (r.len() == SUBS_PER_PAGE as usize && self.map.page_of(lpn) == Some(old))
+                    .then_some(lpn)
             }
-            Some(_) => None,
             None => {
                 debug_assert!(self.engine.pipelined());
                 debug_assert!(
-                    matches!(self.map.get(info.tag), Some(LpnMap::Page(p)) if *p == old),
+                    self.map.page_of(info.tag) == Some(old),
                     "valid user page has neither residents nor a page-mapped owner"
                 );
                 Some(info.tag)
@@ -1245,18 +1239,10 @@ impl gc::PageMigrator for MrsmMigrator<'_> {
             array.content_of(old).map(|c| c.to_vec())
         };
         self.residents.remove(old);
-        for &(lpn, sub) in res.as_slice() {
-            let slot = match self.map.get(lpn) {
-                Some(LpnMap::Sub(locs)) => {
-                    debug_assert_eq!(locs[sub as usize].ppn, old);
-                    locs[sub as usize].slot as usize
-                }
-                Some(LpnMap::Page(p)) => {
-                    debug_assert_eq!(*p, old);
-                    sub as usize
-                }
-                None => unreachable!("resident implies mapped"),
-            };
+        for (lpn, sub) in res.entries() {
+            let loc = self.map.loc(lpn, sub).expect("resident implies mapped");
+            debug_assert_eq!(loc.ppn, old);
+            let slot = loc.slot as usize;
             let stamps = content
                 .as_ref()
                 .map(|c| c[slot * sub_sectors..(slot + 1) * sub_sectors].to_vec());
@@ -1287,14 +1273,21 @@ impl gc::PageMigrator for MrsmMigrator<'_> {
         while !self.pending.is_empty() {
             programs += self.flush_chunk(array, alloc, now)?;
         }
+        #[cfg(any(test, debug_assertions))]
+        check_tables(self.map, self.residents, self.engine.pipelined());
         Ok(programs)
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{RefLpnTable, RefResidentSet, RefResidentTable};
     use super::*;
     use aftl_flash::{Allocator, FlashArray, Geometry, TimingSpec};
+    use proptest::prelude::*;
 
     fn setup() -> (FlashArray, Allocator, MrsmFtl) {
         let g = Geometry::tiny(); // spp = 8, sub-region = 2 sectors
@@ -1540,5 +1533,203 @@ mod tests {
         let d2 = ftl.counters().dram_accesses - d1;
         assert!(d2 >= 1, "tree lookups cost multiple DRAM accesses");
         assert!(ftl.tree_depth() >= 1);
+    }
+
+    /// The dense tables and the hashed reference, fed the same calls;
+    /// [`Twins::agree`] compares everything either can be asked.
+    #[derive(Default)]
+    struct Twins {
+        map: LpnTable,
+        residents: ResidentTable,
+        ref_map: RefLpnTable,
+        ref_residents: RefResidentTable,
+    }
+
+    /// Keys the random operations draw from; the dense arrays end a little
+    /// past it, pushed one index at a time by the boundary operations.
+    const KEYS: u64 = 300;
+
+    /// One table call, as the scheme makes them: `kind` picks the call,
+    /// `bits` its small arguments and whether a key is replaced by index 0
+    /// or by the first index past the dense array (the growth boundary).
+    #[derive(Debug, Clone, Copy)]
+    struct TableOp {
+        kind: u8,
+        lpn: u64,
+        ppn: u64,
+        bits: u32,
+    }
+
+    fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+        (0u8..12, 0..KEYS, 0..KEYS, any::<u32>()).prop_map(|(kind, lpn, ppn, bits)| TableOp {
+            kind,
+            lpn,
+            ppn,
+            bits,
+        })
+    }
+
+    impl Twins {
+        fn apply(&mut self, op: TableOp) {
+            let edge = |key: u64, sel: u32, boundary: usize| match sel % 8 {
+                0 => 0,
+                1 => boundary as u64,
+                _ => key,
+            };
+            let lpn = edge(op.lpn, op.bits >> 16, self.map.forms.len());
+            let ppn = Ppn(edge(op.ppn, op.bits >> 19, self.residents.sets.len()));
+            let sub = op.bits & 3;
+            let slot = (op.bits >> 2 & 3) as u8;
+            match op.kind {
+                0 => {
+                    self.map.set(lpn, LpnMap::Page(ppn));
+                    self.ref_map.set(lpn, LpnMap::Page(ppn));
+                }
+                1 => {
+                    let locs = std::array::from_fn(|s| {
+                        if op.bits >> (8 + s) & 1 == 1 {
+                            SubLoc {
+                                ppn: Ppn((ppn.0 + 7 * s as u64) % KEYS),
+                                slot: (op.bits >> (2 * s) & 3) as u8,
+                            }
+                        } else {
+                            SubLoc::NONE
+                        }
+                    });
+                    self.map.set(lpn, LpnMap::Sub(locs));
+                    self.ref_map.set(lpn, LpnMap::Sub(locs));
+                }
+                2 | 3 => {
+                    self.map.set_sub(lpn, sub, SubLoc { ppn, slot });
+                    self.ref_map.set_sub(lpn, sub, SubLoc { ppn, slot });
+                }
+                // A flash page has four slots: the scheme never pushes a fifth.
+                4..=6
+                    if self
+                        .ref_residents
+                        .get(ppn)
+                        .map_or(0, |s| s.as_slice().len())
+                        < 4 =>
+                {
+                    self.residents.push(ppn, lpn, sub);
+                    self.ref_residents.push(ppn, lpn, sub);
+                }
+                7 if self.ref_residents.get(ppn).is_none() => {
+                    self.residents.insert_set(ppn, ResidentSet::of_page(lpn));
+                    let mut set = RefResidentSet::new(ppn);
+                    for s in 0..SUBS_PER_PAGE {
+                        set.push(lpn, s);
+                    }
+                    self.ref_residents.insert_set(ppn, set);
+                }
+                8..=10 => {
+                    // Mostly an entry the set holds, sometimes one it may not.
+                    let (lpn, sub) = match self.ref_residents.get(ppn) {
+                        Some(set) if op.bits >> 4 & 3 != 0 => {
+                            set.as_slice()[(op.bits >> 6) as usize % set.as_slice().len()]
+                        }
+                        _ => (lpn, sub),
+                    };
+                    assert_eq!(
+                        self.residents.swap_remove_entry(ppn, lpn, sub),
+                        self.ref_residents.swap_remove_entry(ppn, lpn, sub)
+                    );
+                }
+                11 => {
+                    let new = self.residents.remove(ppn);
+                    let old = self.ref_residents.remove(ppn);
+                    assert_eq!(
+                        new.map(|s| s.entries().collect::<Vec<_>>()),
+                        old.map(|s| s.as_slice().to_vec())
+                    );
+                }
+                _ => {}
+            }
+        }
+
+        /// Equal nodes, locations and mapped count over every LPN, equal
+        /// sets in equal entry order over every PPN, and the LPN-ordered
+        /// walk `capture_image` takes equal to the reference's, sorted.
+        fn agree(&self) -> std::result::Result<(), String> {
+            for lpn in 0..self.map.forms.len() as u64 + 2 {
+                let (new, old) = (self.map.get(lpn), self.ref_map.get(lpn).copied());
+                if new != old {
+                    return Err(format!("lpn {lpn}: node {new:?}, reference {old:?}"));
+                }
+                let page = match old {
+                    Some(LpnMap::Page(p)) => Some(p),
+                    _ => None,
+                };
+                if self.map.page_of(lpn) != page {
+                    return Err(format!("lpn {lpn}: page_of disagrees with {old:?}"));
+                }
+                for sub in 0..SUBS_PER_PAGE {
+                    let old = match old {
+                        None => None,
+                        Some(LpnMap::Page(ppn)) => Some(SubLoc {
+                            ppn,
+                            slot: sub as u8,
+                        }),
+                        Some(LpnMap::Sub(locs)) => Some(locs[sub as usize]).filter(|l| l.is_some()),
+                    };
+                    let new = self.map.loc(lpn, sub);
+                    if new != old {
+                        return Err(format!("({lpn},{sub}): at {new:?}, reference {old:?}"));
+                    }
+                }
+            }
+            if self.map.len() != self.ref_map.len() {
+                return Err(format!(
+                    "{} mapped LPNs, reference {}",
+                    self.map.len(),
+                    self.ref_map.len()
+                ));
+            }
+            let mut sorted: Vec<(u64, LpnMap)> =
+                self.ref_map.iter().map(|(l, n)| (l, *n)).collect();
+            sorted.sort_unstable_by_key(|&(l, _)| l);
+            if !self.map.iter().eq(sorted) {
+                return Err("LPN-ordered walk differs from the sorted reference".into());
+            }
+            for ppn in (0..self.residents.sets.len() as u64 + 2).map(Ppn) {
+                let new = self
+                    .residents
+                    .get(ppn)
+                    .map(|s| s.entries().collect::<Vec<_>>());
+                let old = self.ref_residents.get(ppn).map(|s| s.as_slice().to_vec());
+                if new != old {
+                    return Err(format!("{ppn:?}: holds {new:?}, reference {old:?}"));
+                }
+            }
+            let sets = self.residents.iter().count();
+            if sets != self.ref_residents.len() {
+                return Err(format!(
+                    "{sets} resident sets, reference {}",
+                    self.ref_residents.len()
+                ));
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Whatever the call sequence, the dense tables and the hashed
+        /// reference stay indistinguishable — nodes, mapped count, and the
+        /// entry order within every resident set, which GC repack turns
+        /// into flash slot assignments.
+        #[test]
+        fn dense_tables_equal_hashed_reference(
+            ops in collection::vec(table_op_strategy(), 100..600)
+        ) {
+            let mut t = Twins::default();
+            for (step, &op) in ops.iter().enumerate() {
+                t.apply(op);
+                if let Err(e) = t.agree() {
+                    return Err(TestCaseError::fail(format!("after step {step} ({op:?}): {e}")));
+                }
+            }
+        }
     }
 }

@@ -14,6 +14,12 @@
 //! same workload with a two-translation-page mapping cache (at the stock
 //! cache the whole PMT is resident and no prediction ever fires).
 //!
+//! `tests/golden/mrsm_gc_repack.json` takes MRSM where the fig8-small row
+//! never goes (`gc_migrations: 0` there): a fuller device and a wider lun,
+//! so GC moves page-mapped pages one-to-one *and* repacks sparse region
+//! pages — the paths whose slot assignment depends on the order entries
+//! sit in a page's resident set.
+//!
 //! To re-bless after an *intentional* behaviour change (e.g. a scheme or
 //! policy change, never a data-structure swap):
 //!
@@ -24,7 +30,7 @@
 use aftl_bench::learnedbench::learned_traffic_config;
 use aftl_bench::replay::{self, ReplayDigest};
 use aftl_core::scheme::SchemeKind;
-use aftl_core::LearnedStats;
+use aftl_core::{LearnedStats, SchemeCounters};
 use aftl_host::{Arbitration, HostConfig, IssueModel};
 use aftl_sim::experiment::run_single_with;
 use aftl_sim::fleet::{run_fleet, FleetSpec};
@@ -34,6 +40,7 @@ use std::sync::OnceLock;
 
 const GOLDEN_PATH: &str = "../../tests/golden/fig8_small_digest.json";
 const LEARNED_GOLDEN_PATH: &str = "../../tests/golden/fig8_small_learned.json";
+const MRSM_GC_GOLDEN_PATH: &str = "../../tests/golden/mrsm_gc_repack.json";
 
 fn run_digests() -> Vec<ReplayDigest> {
     let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
@@ -106,6 +113,75 @@ fn starved_learned_replay_matches_golden() {
     assert_eq!(
         golden, got,
         "Learned-FTL: simulated results drifted from the golden"
+    );
+}
+
+/// What an MRSM replay reports that its GC decides: the flash-visible
+/// digest, the scheme counters and the mapping footprint.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct MrsmGcRun {
+    digest: ReplayDigest,
+    counters: SchemeCounters,
+    mapping_table_bytes: u64,
+}
+
+/// Both map-engine modes: they keep page-mapped resident sets differently
+/// (explicit / implicit), so GC reaches different table code in each.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct MrsmGcGolden {
+    serial: MrsmGcRun,
+    pipelined: MrsmGcRun,
+}
+
+/// MRSM on the fig8-small device aged to 70 % valid, replaying lun1's
+/// sub-page write mix over a 384 MiB lun: victims still hold live pages
+/// when GC takes them, region pages among them.
+fn run_mrsm_gc() -> MrsmGcGolden {
+    let mut spec = aftl_trace::LunPreset::Lun1.spec(replay::FIG8_SMALL_SCALE);
+    spec.lun_bytes = 384 << 20;
+    let trace = aftl_trace::VdiWorkload::new(spec).generate();
+    let run = |pipelined: bool| {
+        let mut config = replay::fig8_small_config_with(SchemeKind::Mrsm, pipelined);
+        config.warmup.valid_fraction = 0.70;
+        let report = run_single_with(config, &trace).expect("GC-heavy MRSM replay succeeds");
+        MrsmGcRun {
+            digest: ReplayDigest::of(&report),
+            counters: report.counters,
+            mapping_table_bytes: report.mapping_table_bytes,
+        }
+    };
+    MrsmGcGolden {
+        serial: run(false),
+        pipelined: run(true),
+    }
+}
+
+/// One-to-one moves, sparse-page repack and the chunked flush assign flash
+/// slots in resident-set entry order; a table swap that reorders a set
+/// moves programs and every count downstream of them.
+#[test]
+fn mrsm_gc_repack_matches_golden() {
+    let golden: MrsmGcGolden = serde_json::from_str(&golden_json(MRSM_GC_GOLDEN_PATH, run_mrsm_gc))
+        .expect("MRSM GC golden parses");
+    let got = run_mrsm_gc();
+    for run in [&got.serial, &got.pipelined] {
+        let d = &run.digest;
+        // A migrated source page costs one program unless it was sparse:
+        // its live sub-regions then share repack programs, flushed at the
+        // latest when the slice finishes. Fewer programs than source pages
+        // is therefore repacking, observed.
+        assert!(
+            d.gc_migrated_pages > 0 && d.gc_migrated_pages < d.gc_migrations,
+            "the golden must exercise one-to-one moves and repack: {d:?}"
+        );
+    }
+    assert_eq!(
+        got.serial.digest.flash_side(),
+        got.pipelined.digest.flash_side()
+    );
+    assert_eq!(
+        golden, got,
+        "MRSM: simulated results drifted from the golden"
     );
 }
 
