@@ -94,6 +94,7 @@ impl AcrossFtl {
         cfg: SchemeConfig,
         options: AcrossOptions,
     ) -> Self {
+        crate::mapping::pmt::assert_ppns_fit(geometry);
         let page_bytes = geometry.page_bytes;
         let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);
         AcrossFtl {

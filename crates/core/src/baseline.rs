@@ -41,6 +41,7 @@ pub struct BaselineFtl {
 impl BaselineFtl {
     /// Construct a baseline FTL for the given device geometry.
     pub fn new(env_geometry: &aftl_flash::Geometry, cfg: SchemeConfig) -> Self {
+        crate::mapping::pmt::assert_ppns_fit(env_geometry);
         let page_bytes = env_geometry.page_bytes;
         let entries_per_tpage = u64::from(page_bytes) / ENTRY_BYTES;
         let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);

@@ -826,6 +826,7 @@ pub struct LearnedFtl {
 impl LearnedFtl {
     /// Construct a learned FTL for the given device geometry.
     pub fn new(env_geometry: &aftl_flash::Geometry, cfg: SchemeConfig) -> Self {
+        crate::mapping::pmt::assert_ppns_fit(env_geometry);
         let page_bytes = env_geometry.page_bytes;
         let entries_per_tpage = u64::from(page_bytes) / crate::baseline::ENTRY_BYTES;
         let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);

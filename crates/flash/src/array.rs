@@ -2,12 +2,12 @@
 //! advances per-chip / per-channel timelines, and keeps the statistics the
 //! evaluation harness reports.
 
-use crate::block::{Block, BlockAddr, BlockSummary};
+use crate::block::{BlockAddr, BlockMeta, BlockSummary};
 use crate::error::FlashError;
 use crate::faults::{FaultConfig, FaultInjector};
 use crate::geometry::{Geometry, PageAddr, Ppn};
 use crate::oob::{OobDesc, OobExtra, OobStore};
-use crate::page::{PageInfo, PageKind, SectorStamp};
+use crate::page::{PageInfo, PageKind, PageState, PageStore, SectorStamp};
 use crate::stats::FlashStats;
 use crate::timing::TimingSpec;
 use crate::victims::VictimIndex;
@@ -58,14 +58,6 @@ pub struct FlashOpRecord {
     /// Whether the operation failed (fault injection). Failed operations
     /// still occupy the chip for their full duration.
     pub failed: bool,
-}
-
-/// Per-plane state: the plane's blocks plus a free-block counter used by
-/// allocation and GC triggering.
-#[derive(Debug, Clone)]
-struct Plane {
-    blocks: Vec<Block>,
-    free_blocks: u32,
 }
 
 /// Precomputed address arithmetic. PPN decomposition sits on the hot path
@@ -130,7 +122,16 @@ struct CrashState {
 pub struct FlashArray {
     geometry: Geometry,
     timing: TimingSpec,
-    planes: Vec<Plane>,
+    /// Per-page state, indexed by PPN (see [`PageStore`]).
+    pages: PageStore,
+    /// Per-block bookkeeping, indexed by global block id
+    /// (`ppn / pages_per_block`, the id [`VictimIndex`] uses).
+    blocks: Vec<BlockMeta>,
+    /// Free (fully erased, not retired) blocks per plane, used by
+    /// allocation and GC triggering.
+    free_in_plane: Vec<u32>,
+    /// Sum of `free_in_plane`.
+    free_blocks: u64,
     chip_busy: Vec<Nanos>,
     channel_busy: Vec<Nanos>,
     stats: FlashStats,
@@ -165,18 +166,13 @@ impl FlashArray {
     /// Build an array for `geometry` with all pages erased.
     pub fn new(geometry: Geometry, timing: TimingSpec) -> Result<Self> {
         geometry.validate()?;
-        let planes = (0..geometry.total_planes())
-            .map(|_| Plane {
-                blocks: (0..geometry.blocks_per_plane)
-                    .map(|_| Block::new(geometry.pages_per_block))
-                    .collect(),
-                free_blocks: geometry.blocks_per_plane,
-            })
-            .collect();
         Ok(FlashArray {
             geometry,
             timing,
-            planes,
+            pages: PageStore::new(geometry.total_pages()),
+            blocks: vec![BlockMeta::default(); geometry.total_blocks() as usize],
+            free_in_plane: vec![geometry.blocks_per_plane; geometry.total_planes() as usize],
+            free_blocks: geometry.total_blocks(),
             chip_busy: vec![0; geometry.total_chips() as usize],
             channel_busy: vec![0; geometry.channels as usize],
             stats: FlashStats::default(),
@@ -313,7 +309,8 @@ impl FlashArray {
     }
 
     /// Enable sector-stamp content tracking (test/oracle use; costs one
-    /// pointer-sized slot per physical page plus the live stamp boxes).
+    /// 16-byte slot — a fat `Option<Box<[_]>>` — per physical page plus the
+    /// live stamp boxes).
     pub fn enable_content_tracking(&mut self) {
         if self.content.is_none() {
             self.content = Some(vec![None; self.geometry.total_pages() as usize]);
@@ -406,19 +403,13 @@ impl FlashArray {
 
     /// Block containing `ppn`.
     pub fn block_addr_of(&self, ppn: Ppn) -> BlockAddr {
-        let (plane, block, _) = self.split(ppn).expect("block_addr_of: ppn out of range");
-        BlockAddr {
-            plane_idx: plane as u64,
-            block: block as u32,
-        }
+        let (gid, _) = self.split(ppn).expect("block_addr_of: ppn out of range");
+        self.addr_of(gid)
     }
 
     /// First PPN of a block (its pages are contiguous in PPN space).
     pub fn first_ppn_of(&self, block: BlockAddr) -> Ppn {
-        Ppn(
-            (block.plane_idx * u64::from(self.geometry.blocks_per_plane) + u64::from(block.block))
-                * u64::from(self.geometry.pages_per_block),
-        )
+        Ppn(self.gid_of(block) as u64 * u64::from(self.geometry.pages_per_block))
     }
 
     /// PPN of page `page` inside `block`.
@@ -426,35 +417,64 @@ impl FlashArray {
         Ppn(self.first_ppn_of(block).0 + u64::from(page))
     }
 
+    /// Global block id and in-block page index of `ppn`.
     #[inline]
-    fn split(&self, ppn: Ppn) -> Result<(usize, usize, u32)> {
+    fn split(&self, ppn: Ppn) -> Result<(usize, u32)> {
         if ppn.0 >= self.lut.total_pages {
             return Err(FlashError::OutOfRange(ppn));
         }
-        let (page, linear_block) = match self.lut.page_shift {
-            Some(s) => ((ppn.0 & ((1 << s) - 1)) as u32, ppn.0 >> s),
+        Ok(match self.lut.page_shift {
+            Some(s) => ((ppn.0 >> s) as usize, (ppn.0 & ((1 << s) - 1)) as u32),
             None => (
+                (ppn.0 / u64::from(self.geometry.pages_per_block)) as usize,
                 (ppn.0 % u64::from(self.geometry.pages_per_block)) as u32,
-                ppn.0 / u64::from(self.geometry.pages_per_block),
             ),
-        };
-        let (block, plane) = match self.lut.block_shift {
-            Some(s) => (
-                (linear_block & ((1 << s) - 1)) as usize,
-                (linear_block >> s) as usize,
-            ),
-            None => (
-                (linear_block % u64::from(self.geometry.blocks_per_plane)) as usize,
-                (linear_block / u64::from(self.geometry.blocks_per_plane)) as usize,
-            ),
-        };
-        Ok((plane, block, page))
+        })
+    }
+
+    /// Plane of global block `gid`.
+    #[inline]
+    fn plane_of(&self, gid: usize) -> usize {
+        match self.lut.block_shift {
+            Some(s) => gid >> s,
+            None => gid / self.geometry.blocks_per_plane as usize,
+        }
+    }
+
+    #[inline]
+    fn addr_of(&self, gid: usize) -> BlockAddr {
+        let plane = self.plane_of(gid);
+        BlockAddr {
+            plane_idx: plane as u64,
+            block: (gid - plane * self.geometry.blocks_per_plane as usize) as u32,
+        }
+    }
+
+    /// Global id of the block at `addr` (index into `blocks`).
+    #[inline]
+    fn gid_of(&self, addr: BlockAddr) -> usize {
+        debug_assert!(addr.block < self.geometry.blocks_per_plane);
+        (addr.plane_idx * u64::from(self.geometry.blocks_per_plane) + u64::from(addr.block))
+            as usize
+    }
+
+    fn summary_of(&self, gid: usize) -> BlockSummary {
+        let b = &self.blocks[gid];
+        BlockSummary {
+            addr: self.addr_of(gid),
+            first_ppn: Ppn(gid as u64 * u64::from(self.geometry.pages_per_block)),
+            valid: b.valid_count,
+            invalid: b.invalid_count,
+            erases: b.erase_count,
+            full: b.is_full(self.geometry.pages_per_block),
+            retired: b.retired,
+        }
     }
 
     /// Inspect a page's state/OOB.
     pub fn page_info(&self, ppn: Ppn) -> Result<PageInfo> {
-        let (plane, block, page) = self.split(ppn)?;
-        Ok(*self.planes[plane].blocks[block].page(page))
+        self.split(ppn)?;
+        Ok(self.pages.info(ppn.0 as usize))
     }
 
     /// The structured address of a PPN.
@@ -466,96 +486,78 @@ impl FlashArray {
 
     /// Free (fully erased) blocks in one plane.
     pub fn free_blocks_in_plane(&self, plane_idx: u64) -> u32 {
-        self.planes[plane_idx as usize].free_blocks
+        self.free_in_plane[plane_idx as usize]
     }
 
     /// Fraction of blocks that are fully erased, across the device.
     pub fn free_block_fraction(&self) -> f64 {
-        let free: u64 = self.planes.iter().map(|p| u64::from(p.free_blocks)).sum();
-        free as f64 / self.geometry.total_blocks() as f64
+        self.free_blocks as f64 / self.geometry.total_blocks() as f64
     }
 
     /// Fraction of pages currently valid.
     pub fn valid_page_fraction(&self) -> f64 {
-        let valid: u64 = self
-            .planes
-            .iter()
-            .flat_map(|p| p.blocks.iter())
-            .map(|b| u64::from(b.valid_count()))
-            .sum();
+        let valid: u64 = self.blocks.iter().map(|b| u64::from(b.valid_count)).sum();
         valid as f64 / self.geometry.total_pages() as f64
     }
 
     /// Summaries of every block in a plane (GC victim scan).
     pub fn block_summaries(&self, plane_idx: u64) -> impl Iterator<Item = BlockSummary> + '_ {
-        let plane = &self.planes[plane_idx as usize];
-        plane.blocks.iter().enumerate().map(move |(i, b)| {
-            let addr = BlockAddr {
-                plane_idx,
-                block: i as u32,
-            };
-            BlockSummary {
-                addr,
-                first_ppn: self.first_ppn_of(addr),
-                valid: b.valid_count(),
-                invalid: b.invalid_count(),
-                erases: b.erase_count(),
-                full: b.is_full(),
-                retired: b.is_retired(),
-            }
-        })
+        let bpp = self.geometry.blocks_per_plane as usize;
+        let first = plane_idx as usize * bpp;
+        (first..first + bpp).map(|gid| self.summary_of(gid))
     }
 
     /// Summary of one block.
     pub fn block_summary(&self, addr: BlockAddr) -> BlockSummary {
-        let b = &self.planes[addr.plane_idx as usize].blocks[addr.block as usize];
-        BlockSummary {
-            addr,
-            first_ppn: self.first_ppn_of(addr),
-            valid: b.valid_count(),
-            invalid: b.invalid_count(),
-            erases: b.erase_count(),
-            full: b.is_full(),
-            retired: b.is_retired(),
-        }
+        self.summary_of(self.gid_of(addr))
     }
 
     /// Next programmable page of a block, if any (`None` for retired
     /// blocks).
     pub fn next_free_page(&self, addr: BlockAddr) -> Option<u32> {
-        self.planes[addr.plane_idx as usize].blocks[addr.block as usize].next_free_page()
+        self.blocks[self.gid_of(addr)].next_free_page(self.geometry.pages_per_block)
     }
 
     // ---- bad-block management ---------------------------------------------
 
     /// Whether a block has been retired by the bad-block manager.
     pub fn is_retired(&self, addr: BlockAddr) -> bool {
-        self.planes[addr.plane_idx as usize].blocks[addr.block as usize].is_retired()
+        self.blocks[self.gid_of(addr)].retired
     }
 
     /// Retire a block: it stops accepting programs and never rejoins the
     /// free pool. Idempotent; adjusts the plane's free-block count when a
     /// still-erased block is retired.
     pub fn retire_block(&mut self, addr: BlockAddr) {
-        self.retire_at(addr.plane_idx as usize, addr.block as usize)
+        self.retire_at(self.gid_of(addr))
     }
 
-    fn retire_at(&mut self, plane: usize, block: usize) {
-        let blk = &mut self.planes[plane].blocks[block];
-        if blk.is_retired() {
+    fn retire_at(&mut self, gid: usize) {
+        let blk = &mut self.blocks[gid];
+        if blk.retired {
             return;
         }
-        let was_free = blk.is_free();
-        blk.retire();
-        if was_free {
-            self.planes[plane].free_blocks -= 1;
+        blk.retired = true;
+        if blk.is_free() {
+            self.note_free_block(gid, false);
         }
         // A retired block can never be erased, so it stops being a victim.
-        self.victims.remove(BlockAddr {
-            plane_idx: plane as u64,
-            block: block as u32,
-        });
+        self.victims.remove(self.addr_of(gid));
         self.stats.retired_blocks += 1;
+    }
+
+    /// Count block `gid` into (`joined`) or out of its plane's free pool
+    /// and the device-wide total.
+    #[inline]
+    fn note_free_block(&mut self, gid: usize, joined: bool) {
+        let plane = self.plane_of(gid);
+        if joined {
+            self.free_in_plane[plane] += 1;
+            self.free_blocks += 1;
+        } else {
+            self.free_in_plane[plane] -= 1;
+            self.free_blocks -= 1;
+        }
     }
 
     /// Valid pages of a block with their OOB info (GC migration source).
@@ -570,19 +572,19 @@ impl FlashArray {
     /// vector keeps the episode allocation-free).
     pub fn valid_pages_into(&self, addr: BlockAddr, out: &mut Vec<(Ppn, PageInfo)>) {
         out.clear();
-        let b = &self.planes[addr.plane_idx as usize].blocks[addr.block as usize];
+        let gid = self.gid_of(addr);
+        let first = gid as u64 * u64::from(self.geometry.pages_per_block);
+        let programmed = u64::from(self.blocks[gid].write_ptr);
         out.extend(
-            b.valid_pages()
-                .map(|(i, info)| (self.ppn_in_block(addr, i), *info)),
+            (first..first + programmed)
+                .filter(|&p| self.pages.state(p as usize) == PageState::Valid)
+                .map(|p| (Ppn(p), self.pages.info(p as usize))),
         );
     }
 
     /// Per-block erase counts (wear histogram input).
     pub fn erase_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.planes
-            .iter()
-            .flat_map(|p| p.blocks.iter())
-            .map(|b| b.erase_count())
+        self.blocks.iter().map(|b| b.erase_count)
     }
 
     // ---- timed operations -------------------------------------------------
@@ -634,12 +636,12 @@ impl FlashArray {
         ready_ns: Nanos,
     ) -> Result<OpOutcome> {
         self.power_check()?;
-        let (plane, block, page) = self.split(ppn)?;
-        let info = *self.planes[plane].blocks[block].page(page);
-        match info.state {
-            crate::page::PageState::Valid => {}
-            _ => return Err(FlashError::ReadUnwritten(ppn)),
+        let (gid, _) = self.split(ppn)?;
+        if self.pages.state(ppn.0 as usize) != PageState::Valid {
+            return Err(FlashError::ReadUnwritten(ppn));
         }
+        let kind = self.pages.kind(ppn.0 as usize);
+        let plane = self.plane_of(gid);
         let chip = self.lut.chip_of_plane[plane] as usize;
         let channel = self.lut.channel_of_plane[plane] as usize;
         let xfer = self.timing.transfer_ns(
@@ -659,11 +661,11 @@ impl FlashArray {
             // a retry re-queues behind it, which is exactly the retry
             // ladder's timing penalty.
             self.stats.read_faults += 1;
-            self.log_op_outcome(FlashOp::Read, info.kind, arrive_ns, out, true);
+            self.log_op_outcome(FlashOp::Read, kind, arrive_ns, out, true);
             return Err(FlashError::ReadFailed(ppn));
         }
-        self.stats.reads.bump(info.kind);
-        self.log_op(FlashOp::Read, info.kind, arrive_ns, out);
+        self.stats.reads.bump(kind);
+        self.log_op(FlashOp::Read, kind, arrive_ns, out);
         Ok(out)
     }
 
@@ -682,38 +684,37 @@ impl FlashArray {
         ready_ns: Nanos,
     ) -> Result<OpOutcome> {
         self.power_check()?;
-        let (plane, block, page) = self.split(ppn)?;
-        let seq = self.next_seq;
-        let filled_with_invalid = {
-            let blk = &mut self.planes[plane].blocks[block];
-            if blk.is_retired() {
-                return Err(FlashError::ProgramNonFree(ppn));
-            }
-            if !blk.page(page).is_free() {
-                return Err(FlashError::ProgramNonFree(ppn));
-            }
-            let was_free = blk.is_free();
-            blk.program(page, kind, tag, seq)
-                .map_err(|expected_page| FlashError::NonSequentialProgram { ppn, expected_page })?;
-            self.next_seq += 1;
-            // A block enters the victim index the moment it closes with
-            // reclaimable pages (invalidated while it was still filling).
-            let filled = (blk.is_full() && blk.invalid_count() > 0).then(|| blk.invalid_count());
-            if was_free {
-                self.planes[plane].free_blocks -= 1;
-            }
-            filled
-        };
-        if let Some(invalid) = filled_with_invalid {
-            self.victims.upsert(
-                BlockAddr {
-                    plane_idx: plane as u64,
-                    block: block as u32,
-                },
-                invalid,
-            );
+        let (gid, page) = self.split(ppn)?;
+        let ppb = self.geometry.pages_per_block;
+        let blk = &mut self.blocks[gid];
+        if blk.retired {
+            return Err(FlashError::ProgramNonFree(ppn));
+        }
+        if self.pages.state(ppn.0 as usize) != PageState::Free {
+            return Err(FlashError::ProgramNonFree(ppn));
+        }
+        if page != blk.write_ptr {
+            return Err(FlashError::NonSequentialProgram {
+                ppn,
+                expected_page: blk.write_ptr,
+            });
+        }
+        let was_free = blk.is_free();
+        self.pages.program(ppn.0 as usize, kind, tag, self.next_seq);
+        self.next_seq += 1;
+        blk.write_ptr += 1;
+        blk.valid_count += 1;
+        // A block enters the victim index the moment it closes with
+        // reclaimable pages (invalidated while it was still filling).
+        if blk.is_full(ppb) && blk.invalid_count > 0 {
+            let invalid = blk.invalid_count;
+            self.victims.upsert(self.addr_of(gid), invalid);
+        }
+        if was_free {
+            self.note_free_block(gid, false);
         }
 
+        let plane = self.plane_of(gid);
         let chip = self.lut.chip_of_plane[plane] as usize;
         let channel = self.lut.channel_of_plane[plane] as usize;
         let xfer = self.timing.transfer_ns(
@@ -733,9 +734,11 @@ impl FlashArray {
             // already advanced, keeping in-block sequencing consistent) and
             // the whole block is retired — NAND program failures are a
             // block-level symptom. The FTL re-programs elsewhere.
-            let blk = &mut self.planes[plane].blocks[block];
-            blk.invalidate(page);
-            self.retire_at(plane, block);
+            self.pages.set_state(ppn.0 as usize, PageState::Invalid);
+            let blk = &mut self.blocks[gid];
+            blk.valid_count -= 1;
+            blk.invalid_count += 1;
+            self.retire_at(gid);
             self.stats.program_faults += 1;
             if let Some(c) = &mut self.crash {
                 c.oob.note_program_failed(ppn);
@@ -763,17 +766,10 @@ impl FlashArray {
         self.power_check()?;
         let first = self.first_ppn_of(addr);
         let chip = self.lut.chip_of_plane[addr.plane_idx as usize] as usize;
-        let (plane, block) = (addr.plane_idx as usize, addr.block as usize);
-        let (retired, valid, erases, was_free) = {
-            let blk = &self.planes[plane].blocks[block];
-            (
-                blk.is_retired(),
-                blk.valid_count(),
-                blk.erase_count(),
-                blk.is_free(),
-            )
-        };
-        if retired {
+        let gid = self.gid_of(addr);
+        let blk = &self.blocks[gid];
+        let (valid, erases, was_free) = (blk.valid_count, blk.erase_count, blk.is_free());
+        if blk.retired {
             return Err(FlashError::EraseFailed {
                 block_first_ppn: first,
             });
@@ -788,7 +784,7 @@ impl FlashArray {
             // Worn out: the budget is device-resident knowledge, so the
             // cycle is not attempted and no timing is charged.
             self.stats.worn_out_blocks += 1;
-            self.retire_at(plane, block);
+            self.retire_at(gid);
             return Err(FlashError::WornOut {
                 block_first_ppn: first,
                 erases,
@@ -798,7 +794,7 @@ impl FlashArray {
             // A failed erase still occupies the chip; the block is retired
             // with its (all-invalid) pages in place.
             self.stats.erase_faults += 1;
-            self.retire_at(plane, block);
+            self.retire_at(gid);
             let start = at_ns.max(self.chip_busy[chip]);
             let complete = start + self.timing.erase_ns;
             self.stats.chip_busy_ns += complete - start;
@@ -812,10 +808,15 @@ impl FlashArray {
                 block_first_ppn: first,
             });
         }
-        self.planes[plane].blocks[block].erase();
+        let ppb = self.geometry.pages_per_block as usize;
+        self.pages.erase(first.0 as usize, ppb);
+        self.blocks[gid] = BlockMeta {
+            erase_count: erases + 1,
+            ..BlockMeta::default()
+        };
         self.victims.remove(addr);
         if !was_free {
-            self.planes[plane].free_blocks += 1;
+            self.note_free_block(gid, true);
         }
         if let Some(content) = &mut self.content {
             for p in 0..self.geometry.pages_per_block {
@@ -843,22 +844,17 @@ impl FlashArray {
     /// in-DRAM bookkeeping, so it neither counts against an armed crash
     /// budget nor is blocked by a power cut.
     pub fn invalidate(&mut self, ppn: Ppn) -> Result<()> {
-        let (plane, block, page) = self.split(ppn)?;
-        let closed_candidate = {
-            let blk = &mut self.planes[plane].blocks[block];
-            if !blk.invalidate(page) {
-                return Err(FlashError::InvalidateNonValid(ppn));
-            }
-            (blk.is_full() && !blk.is_retired()).then(|| blk.invalid_count())
-        };
-        if let Some(invalid) = closed_candidate {
-            self.victims.upsert(
-                BlockAddr {
-                    plane_idx: plane as u64,
-                    block: block as u32,
-                },
-                invalid,
-            );
+        let (gid, _) = self.split(ppn)?;
+        if self.pages.state(ppn.0 as usize) != PageState::Valid {
+            return Err(FlashError::InvalidateNonValid(ppn));
+        }
+        self.pages.set_state(ppn.0 as usize, PageState::Invalid);
+        let blk = &mut self.blocks[gid];
+        blk.valid_count -= 1;
+        blk.invalid_count += 1;
+        if blk.is_full(self.geometry.pages_per_block) && !blk.retired {
+            let invalid = blk.invalid_count;
+            self.victims.upsert(self.addr_of(gid), invalid);
         }
         // With a crash armed, an invalidated page's physical contents are
         // retained (only an erase destroys them): if the superseding copy
@@ -883,44 +879,42 @@ impl FlashArray {
     /// and rebuild the GC victim index from scratch. Losing pages' tracked
     /// content is dropped (their data is superseded for good now).
     pub fn rebuild_page_states(&mut self, mut live: impl FnMut(Ppn) -> bool) {
-        let ppb = u64::from(self.geometry.pages_per_block);
-        let bpp = u64::from(self.geometry.blocks_per_plane);
-        let mut victims = VictimIndex::new(
+        let ppb = self.geometry.pages_per_block;
+        self.victims = VictimIndex::new(
             self.geometry.total_blocks(),
             self.geometry.blocks_per_plane,
-            self.geometry.pages_per_block,
+            ppb,
         );
-        let content = &mut self.content;
-        for (plane_idx, plane) in self.planes.iter_mut().enumerate() {
-            let mut free_blocks = 0u32;
-            for (block_idx, blk) in plane.blocks.iter_mut().enumerate() {
-                let first = (plane_idx as u64 * bpp + block_idx as u64) * ppb;
-                blk.rebuild_states(|idx| {
-                    let ppn = Ppn(first + u64::from(idx));
-                    let alive = live(ppn);
-                    if !alive {
-                        if let Some(content) = content.as_mut() {
-                            content[ppn.0 as usize] = None;
-                        }
+        self.free_in_plane.fill(0);
+        self.free_blocks = 0;
+        for gid in 0..self.blocks.len() {
+            let first = gid as u64 * u64::from(ppb);
+            let (mut valid, mut invalid) = (0u32, 0u32);
+            // Pages past the write pointer stay free. Unlike
+            // [`Self::invalidate`] this may also resurrect an invalid page
+            // to valid — after a power cut an in-DRAM invalidation of a
+            // page whose replacement never committed is simply forgotten.
+            for ppn in first..first + u64::from(self.blocks[gid].write_ptr) {
+                if live(Ppn(ppn)) {
+                    self.pages.set_state(ppn as usize, PageState::Valid);
+                    valid += 1;
+                } else {
+                    self.pages.set_state(ppn as usize, PageState::Invalid);
+                    invalid += 1;
+                    if let Some(content) = &mut self.content {
+                        content[ppn as usize] = None;
                     }
-                    alive
-                });
-                if blk.is_free() && !blk.is_retired() {
-                    free_blocks += 1;
-                }
-                if blk.is_full() && !blk.is_retired() && blk.invalid_count() > 0 {
-                    victims.upsert(
-                        BlockAddr {
-                            plane_idx: plane_idx as u64,
-                            block: block_idx as u32,
-                        },
-                        blk.invalid_count(),
-                    );
                 }
             }
-            plane.free_blocks = free_blocks;
+            let blk = &mut self.blocks[gid];
+            blk.valid_count = valid;
+            blk.invalid_count = invalid;
+            if blk.is_free() && !blk.retired {
+                self.note_free_block(gid, true);
+            } else if blk.is_full(ppb) && !blk.retired && invalid > 0 {
+                self.victims.upsert(self.addr_of(gid), invalid);
+            }
         }
-        self.victims = victims;
     }
 
     // ---- GC victim index ---------------------------------------------------
@@ -941,7 +935,8 @@ impl FlashArray {
     }
 
     /// Debug oracle: rebuild the candidate set with the historic full scan
-    /// and compare it to the incremental index. Returns a description of
+    /// and compare it to the incremental index, and the device-wide
+    /// free-block total to the per-plane counts. Returns a description of
     /// the first divergence, if any.
     pub fn check_victim_index(&self) -> std::result::Result<(), String> {
         let mut scanned = 0usize;
@@ -963,6 +958,13 @@ impl FlashArray {
             return Err(format!(
                 "index holds {} blocks, scan found {scanned}",
                 self.victims.len()
+            ));
+        }
+        let by_plane: u64 = self.free_in_plane.iter().map(|&n| u64::from(n)).sum();
+        if by_plane != self.free_blocks {
+            return Err(format!(
+                "free-block total is {}, the planes sum to {by_plane}",
+                self.free_blocks
             ));
         }
         Ok(())
@@ -1310,5 +1312,420 @@ mod tests {
         assert_eq!(v[0].0, Ppn(1));
         assert_eq!(v[0].1.kind, PageKind::Map);
         assert_eq!(v[0].1.tag, 22);
+    }
+
+    #[test]
+    fn map_page_tags_keep_all_64_bits() {
+        // Translation-page tags are hashes (MRSM) or sit above `1 << 40`
+        // (Across-FTL's AMT pages): the store must not narrow them.
+        let mut a = tiny_array();
+        let tags = [u64::MAX - 1, (1 << 40) + 7];
+        for (i, &tag) in tags.iter().enumerate() {
+            a.program(Ppn(i as u64), PageKind::Map, tag, 512, 0, 0)
+                .unwrap();
+            let info = a.page_info(Ppn(i as u64)).unwrap();
+            assert_eq!((info.kind, info.tag), (PageKind::Map, tag));
+        }
+        let valid = a.valid_pages_of(a.block_addr_of(Ppn(0)));
+        assert_eq!(
+            valid.iter().map(|(_, info)| info.tag).collect::<Vec<_>>(),
+            tags
+        );
+    }
+
+    // ---- the flat store against the block model it replaced ----------------
+
+    use crate::block::reference::Block;
+    use proptest::prelude::*;
+
+    /// Erase-endurance budget of the equivalence runs, low enough that hot
+    /// blocks wear out.
+    const ENDURANCE: u64 = 2;
+
+    /// The device the flat store replaced: planes of blocks that each own
+    /// their pages, driven by the operation bodies `FlashArray` had before
+    /// (timing, statistics and OOB journaling left out). Addresses are
+    /// decomposed by plain division, so the comparison also covers the
+    /// array's shift tables.
+    struct BlockDevice {
+        g: Geometry,
+        /// Per plane: its blocks and its free-block count.
+        planes: Vec<(Vec<Block>, u32)>,
+        next_seq: u64,
+    }
+
+    impl BlockDevice {
+        fn new(g: Geometry) -> Self {
+            let plane = (
+                vec![Block::new(g.pages_per_block); g.blocks_per_plane as usize],
+                g.blocks_per_plane,
+            );
+            BlockDevice {
+                g,
+                planes: vec![plane; g.total_planes() as usize],
+                next_seq: 1,
+            }
+        }
+
+        fn split(&self, ppn: Ppn) -> Result<(usize, usize, u32)> {
+            if ppn.0 >= self.g.total_pages() {
+                return Err(FlashError::OutOfRange(ppn));
+            }
+            let ppb = u64::from(self.g.pages_per_block);
+            let bpp = u64::from(self.g.blocks_per_plane);
+            let linear_block = ppn.0 / ppb;
+            Ok((
+                (linear_block / bpp) as usize,
+                (linear_block % bpp) as usize,
+                (ppn.0 % ppb) as u32,
+            ))
+        }
+
+        fn first_ppn_of(&self, addr: BlockAddr) -> Ppn {
+            Ppn(
+                (addr.plane_idx * u64::from(self.g.blocks_per_plane) + u64::from(addr.block))
+                    * u64::from(self.g.pages_per_block),
+            )
+        }
+
+        fn block(&self, addr: BlockAddr) -> &Block {
+            &self.planes[addr.plane_idx as usize].0[addr.block as usize]
+        }
+
+        fn retire_at(&mut self, plane: usize, block: usize) {
+            let blk = &mut self.planes[plane].0[block];
+            if blk.is_retired() {
+                return;
+            }
+            let was_free = blk.is_free();
+            blk.retire();
+            if was_free {
+                self.planes[plane].1 -= 1;
+            }
+        }
+
+        fn program(&mut self, ppn: Ppn, kind: PageKind, tag: u64, fail: bool) -> Result<()> {
+            let (plane, block, page) = self.split(ppn)?;
+            let seq = self.next_seq;
+            let blk = &mut self.planes[plane].0[block];
+            if blk.is_retired() {
+                return Err(FlashError::ProgramNonFree(ppn));
+            }
+            if !blk.page(page).is_free() {
+                return Err(FlashError::ProgramNonFree(ppn));
+            }
+            let was_free = blk.is_free();
+            blk.program(page, kind, tag, seq)
+                .map_err(|expected_page| FlashError::NonSequentialProgram { ppn, expected_page })?;
+            self.next_seq += 1;
+            if was_free {
+                self.planes[plane].1 -= 1;
+            }
+            if fail {
+                self.planes[plane].0[block].invalidate(page);
+                self.retire_at(plane, block);
+                return Err(FlashError::ProgramFailed(ppn));
+            }
+            Ok(())
+        }
+
+        fn invalidate(&mut self, ppn: Ppn) -> Result<()> {
+            let (plane, block, page) = self.split(ppn)?;
+            if !self.planes[plane].0[block].invalidate(page) {
+                return Err(FlashError::InvalidateNonValid(ppn));
+            }
+            Ok(())
+        }
+
+        fn erase(&mut self, addr: BlockAddr, fail: bool) -> Result<()> {
+            let first = self.first_ppn_of(addr);
+            let (plane, block) = (addr.plane_idx as usize, addr.block as usize);
+            let blk = &self.planes[plane].0[block];
+            let (valid, erases, was_free) = (blk.valid_count(), blk.erase_count(), blk.is_free());
+            if blk.is_retired() {
+                return Err(FlashError::EraseFailed {
+                    block_first_ppn: first,
+                });
+            }
+            if valid > 0 {
+                return Err(FlashError::EraseWithValidPages {
+                    block_first_ppn: first,
+                    valid,
+                });
+            }
+            if erases >= ENDURANCE {
+                self.retire_at(plane, block);
+                return Err(FlashError::WornOut {
+                    block_first_ppn: first,
+                    erases,
+                });
+            }
+            if fail {
+                self.retire_at(plane, block);
+                return Err(FlashError::EraseFailed {
+                    block_first_ppn: first,
+                });
+            }
+            self.planes[plane].0[block].erase();
+            if !was_free {
+                self.planes[plane].1 += 1;
+            }
+            Ok(())
+        }
+
+        fn rebuild_page_states(&mut self, mut live: impl FnMut(Ppn) -> bool) {
+            let ppb = u64::from(self.g.pages_per_block);
+            let bpp = u64::from(self.g.blocks_per_plane);
+            for (plane_idx, (blocks, free_blocks)) in self.planes.iter_mut().enumerate() {
+                *free_blocks = 0;
+                for (block_idx, blk) in blocks.iter_mut().enumerate() {
+                    let first = (plane_idx as u64 * bpp + block_idx as u64) * ppb;
+                    blk.rebuild_states(|idx| live(Ppn(first + u64::from(idx))));
+                    if blk.is_free() && !blk.is_retired() {
+                        *free_blocks += 1;
+                    }
+                }
+            }
+        }
+
+        fn block_summary(&self, addr: BlockAddr) -> BlockSummary {
+            let b = self.block(addr);
+            BlockSummary {
+                addr,
+                first_ppn: self.first_ppn_of(addr),
+                valid: b.valid_count(),
+                invalid: b.invalid_count(),
+                erases: b.erase_count(),
+                full: b.is_full(),
+                retired: b.is_retired(),
+            }
+        }
+
+        fn valid_pages_of(&self, addr: BlockAddr) -> Vec<(Ppn, PageInfo)> {
+            let first = self.first_ppn_of(addr).0;
+            self.block(addr)
+                .valid_pages()
+                .map(|(i, info)| (Ppn(first + u64::from(i)), *info))
+                .collect()
+        }
+
+        fn free_block_fraction(&self) -> f64 {
+            let free: u64 = self.planes.iter().map(|p| u64::from(p.1)).sum();
+            free as f64 / self.g.total_blocks() as f64
+        }
+    }
+
+    /// One step of an equivalence run; the picks are reduced modulo the
+    /// geometry when the step is applied.
+    #[derive(Debug, Clone, Copy)]
+    enum StoreOp {
+        /// Program a page of block `block`: its next free page, or page
+        /// `page` when `out_of_order` or when the block has none (full or
+        /// retired). `fail` injects a program failure.
+        Program {
+            block: u64,
+            page: u32,
+            out_of_order: bool,
+            kind: u8,
+            tag: u64,
+            fail: bool,
+        },
+        /// Invalidate page `page` of block `block`, whatever its state.
+        Invalidate { block: u64, page: u32 },
+        /// Erase block `block`, valid pages or not. `fail` injects an
+        /// erase failure.
+        Erase { block: u64, fail: bool },
+        /// Retire block `block`.
+        Retire { block: u64 },
+    }
+
+    fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
+        // Retirement and injected failures are rare, so the hot blocks
+        // survive long enough to cycle and wear out.
+        (0u8..200, any::<u64>(), any::<u32>(), any::<u64>(), 0u8..100).prop_map(
+            |(op, block, page, tag, dice)| match op {
+                0..=69 => StoreOp::Program {
+                    block,
+                    page,
+                    out_of_order: dice < 8,
+                    kind: (tag % 3) as u8,
+                    // Tags span the whole width: LPNs, Across-FTL's
+                    // translation-page ids above 1 << 40, hashes.
+                    tag: tag >> (page % 64),
+                    fail: dice == 99,
+                },
+                70..=169 => StoreOp::Invalidate { block, page },
+                170..=198 => StoreOp::Erase {
+                    block,
+                    fail: dice < 3,
+                },
+                _ => StoreOp::Retire { block },
+            },
+        )
+    }
+
+    /// A geometry with no power of two among its block dimensions, so the
+    /// array takes its division fallbacks.
+    fn odd_geometry() -> Geometry {
+        Geometry {
+            channels: 1,
+            chips_per_channel: 3,
+            dies_per_chip: 1,
+            planes_per_die: 1,
+            blocks_per_plane: 5,
+            pages_per_block: 6,
+            page_bytes: 4096,
+            sector_bytes: 512,
+        }
+    }
+
+    /// Every observable of the page store and the block bookkeeping,
+    /// compared between the array and the block model.
+    fn agree(a: &FlashArray, r: &BlockDevice) -> std::result::Result<(), String> {
+        let g = r.g;
+        for p in 0..g.total_pages() {
+            let (plane, block, page) = r.split(Ppn(p)).unwrap();
+            let want = *r.planes[plane].0[block].page(page);
+            let got = a.page_info(Ppn(p)).unwrap();
+            if got != want {
+                return Err(format!("page {p}: array {got:?}, blocks {want:?}"));
+            }
+        }
+        for plane_idx in 0..g.total_planes() {
+            if a.free_blocks_in_plane(plane_idx) != r.planes[plane_idx as usize].1 {
+                return Err(format!("free blocks of plane {plane_idx} differ"));
+            }
+            for block in 0..g.blocks_per_plane {
+                let addr = BlockAddr { plane_idx, block };
+                if a.block_summary(addr) != r.block_summary(addr) {
+                    return Err(format!("summary of {addr:?} differs"));
+                }
+                if a.valid_pages_of(addr) != r.valid_pages_of(addr) {
+                    return Err(format!("valid pages of {addr:?} differ"));
+                }
+                if a.next_free_page(addr) != r.block(addr).next_free_page() {
+                    return Err(format!("next free page of {addr:?} differs"));
+                }
+            }
+        }
+        if a.free_block_fraction().to_bits() != r.free_block_fraction().to_bits() {
+            return Err("free-block fraction differs".into());
+        }
+        a.check_victim_index()
+    }
+
+    /// Run `ops` on an array and on the block model side by side, with one
+    /// crash-recovery rebuild (`live` = a hash of the PPN and `live_seed`)
+    /// before step `rebuild_at`.
+    fn run_store_ops(
+        g: Geometry,
+        ops: &[StoreOp],
+        rebuild_at: usize,
+        live_seed: u64,
+    ) -> std::result::Result<(), TestCaseError> {
+        let quiet = FaultConfig {
+            erase_endurance: ENDURANCE,
+            ..FaultConfig::disabled()
+        };
+        let mut a = FlashArray::new(g, TimingSpec::unit()).unwrap();
+        a.configure_faults(&quiet);
+        let mut r = BlockDevice::new(g);
+        // A few hot blocks, spread over the planes, so they fill, collect
+        // invalid pages, get erased and wear out within one run.
+        let hot = |pick: u64| {
+            let gid = (pick % 10) * (g.total_blocks() / 10);
+            BlockAddr {
+                plane_idx: gid / u64::from(g.blocks_per_plane),
+                block: (gid % u64::from(g.blocks_per_plane)) as u32,
+            }
+        };
+        for (step, &op) in ops.iter().enumerate() {
+            if step == rebuild_at % ops.len() {
+                let live =
+                    |ppn: Ppn| (ppn.0 ^ live_seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 0;
+                a.rebuild_page_states(live);
+                r.rebuild_page_states(live);
+                if let Err(e) = agree(&a, &r) {
+                    return Err(TestCaseError::fail(format!(
+                        "rebuild before step {step}: {e}"
+                    )));
+                }
+            }
+            let (got, want) = match op {
+                StoreOp::Program {
+                    block,
+                    page,
+                    out_of_order,
+                    kind,
+                    tag,
+                    fail,
+                } => {
+                    let addr = hot(block);
+                    let page = match a.next_free_page(addr) {
+                        Some(next) if !out_of_order => next,
+                        _ => page % g.pages_per_block,
+                    };
+                    let ppn = a.ppn_in_block(addr, page);
+                    let kind = [PageKind::Data, PageKind::AcrossData, PageKind::Map][kind as usize];
+                    a.configure_faults(&FaultConfig {
+                        program_fail_rate: if fail { 1.0 } else { 0.0 },
+                        ..quiet
+                    });
+                    (
+                        a.program(ppn, kind, tag, g.page_bytes, 0, 0).map(drop),
+                        r.program(ppn, kind, tag, fail),
+                    )
+                }
+                StoreOp::Invalidate { block, page } => {
+                    let ppn = a.ppn_in_block(hot(block), page % g.pages_per_block);
+                    (a.invalidate(ppn), r.invalidate(ppn))
+                }
+                StoreOp::Erase { block, fail } => {
+                    let addr = hot(block);
+                    a.configure_faults(&FaultConfig {
+                        erase_fail_rate: if fail { 1.0 } else { 0.0 },
+                        ..quiet
+                    });
+                    (a.erase(addr, 0).map(drop), r.erase(addr, fail))
+                }
+                StoreOp::Retire { block } => {
+                    let addr = hot(block);
+                    a.retire_block(addr);
+                    r.retire_at(addr.plane_idx as usize, addr.block as usize);
+                    (Ok(()), Ok(()))
+                }
+            };
+            if got != want {
+                return Err(TestCaseError::fail(format!(
+                    "step {step} ({op:?}): array returned {got:?}, blocks {want:?}"
+                )));
+            }
+            if let Err(e) = agree(&a, &r) {
+                return Err(TestCaseError::fail(format!(
+                    "after step {step} ({op:?}): {e}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Whatever the operation sequence — legal or not, faults and one
+        /// recovery rebuild included — the flat page store and the block
+        /// model it replaced return the same results and stay
+        /// indistinguishable through every query.
+        #[test]
+        fn flat_store_equals_block_reference(
+            (ops, rebuild_at, live_seed) in (
+                collection::vec(store_op_strategy(), 200..700),
+                any::<u32>(),
+                any::<u64>(),
+            )
+        ) {
+            run_store_ops(Geometry::tiny(), &ops, rebuild_at as usize, live_seed)?;
+            run_store_ops(odd_geometry(), &ops, rebuild_at as usize, live_seed)?;
+        }
     }
 }

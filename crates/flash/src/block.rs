@@ -1,10 +1,14 @@
-//! Physical blocks: the erase unit, with sequential-program enforcement and
-//! valid/invalid accounting consumed by garbage collection.
+//! Physical blocks: the erase unit's address, its bookkeeping record
+//! (sequential-program pointer, valid/invalid accounting, wear) and the
+//! summary garbage collection consumes. Per-page state lives in the
+//! array's flat page store, not here.
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::Ppn;
-use crate::page::{PageInfo, PageKind, PageState};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Address of a block: the plane it lives in plus its in-plane index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -15,176 +19,44 @@ pub struct BlockAddr {
     pub block: u32,
 }
 
-/// A NAND block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Block {
-    pages: Vec<PageInfo>,
+/// Per-block bookkeeping. The array keeps one per block in a flat `Vec`
+/// indexed by global block id (`plane_idx * blocks_per_plane + block`, the
+/// id [`crate::VictimIndex`] uses); the block's pages are the PPN range
+/// `id * pages_per_block..` of the page store.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockMeta {
     /// Next programmable page index (NAND requires in-order programming).
-    write_ptr: u32,
-    valid_count: u32,
-    invalid_count: u32,
-    erase_count: u64,
+    pub(crate) write_ptr: u32,
+    /// Pages currently holding valid data.
+    pub(crate) valid_count: u32,
+    /// Pages whose data has been superseded (GC reclaims these).
+    pub(crate) invalid_count: u32,
     /// Bad-block flag: a retired block never accepts programs again and
     /// never returns to the allocator's free pool.
-    #[serde(default)]
-    retired: bool,
+    pub(crate) retired: bool,
+    /// How many times the block has been erased (wear).
+    pub(crate) erase_count: u64,
 }
 
-impl Block {
-    /// A fully erased block of `pages_per_block` pages.
-    pub fn new(pages_per_block: u32) -> Self {
-        Block {
-            pages: vec![PageInfo::free(); pages_per_block as usize],
-            write_ptr: 0,
-            valid_count: 0,
-            invalid_count: 0,
-            erase_count: 0,
-            retired: false,
-        }
+impl BlockMeta {
+    /// Whether the block is entirely erased.
+    #[inline]
+    pub(crate) fn is_free(&self) -> bool {
+        self.write_ptr == 0
     }
 
-    /// Number of pages in the block.
+    /// Whether every one of its `pages_per_block` pages has been programmed.
     #[inline]
-    pub fn pages_per_block(&self) -> u32 {
-        self.pages.len() as u32
-    }
-
-    /// Per-page state at in-block index `idx`.
-    #[inline]
-    pub fn page(&self, idx: u32) -> &PageInfo {
-        &self.pages[idx as usize]
+    pub(crate) fn is_full(&self, pages_per_block: u32) -> bool {
+        self.write_ptr == pages_per_block
     }
 
     /// Next page index the block can program, or `None` when full or
     /// retired (a retired active block thereby drains out of the
     /// allocator's rotation through the normal "block filled up" path).
     #[inline]
-    pub fn next_free_page(&self) -> Option<u32> {
-        (!self.retired && self.write_ptr < self.pages_per_block()).then_some(self.write_ptr)
-    }
-
-    /// Whether every page has been programmed.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.write_ptr == self.pages_per_block()
-    }
-
-    /// Whether the block is entirely erased.
-    #[inline]
-    pub fn is_free(&self) -> bool {
-        self.write_ptr == 0
-    }
-
-    /// Pages currently holding valid data.
-    #[inline]
-    pub fn valid_count(&self) -> u32 {
-        self.valid_count
-    }
-
-    /// Pages whose data has been superseded (GC reclaims these).
-    #[inline]
-    pub fn invalid_count(&self) -> u32 {
-        self.invalid_count
-    }
-
-    /// How many times the block has been erased (wear).
-    #[inline]
-    pub fn erase_count(&self) -> u64 {
-        self.erase_count
-    }
-
-    /// Whether the block has been retired by the bad-block manager.
-    #[inline]
-    pub fn is_retired(&self) -> bool {
-        self.retired
-    }
-
-    /// Retire the block (program/erase failure or worn out). Idempotent.
-    pub(crate) fn retire(&mut self) {
-        self.retired = true;
-    }
-
-    /// Mark page `idx` programmed with the given kind/tag/sequence stamp.
-    /// Enforces the sequential-program constraint; returns the previous
-    /// write pointer on success.
-    pub(crate) fn program(
-        &mut self,
-        idx: u32,
-        kind: PageKind,
-        tag: u64,
-        seq: u64,
-    ) -> Result<(), u32> {
-        if idx != self.write_ptr {
-            return Err(self.write_ptr);
-        }
-        let p = &mut self.pages[idx as usize];
-        debug_assert!(p.is_free());
-        p.state = PageState::Valid;
-        p.kind = kind;
-        p.tag = tag;
-        p.seq = seq;
-        self.write_ptr += 1;
-        self.valid_count += 1;
-        Ok(())
-    }
-
-    /// Invalidate a previously valid page.
-    pub(crate) fn invalidate(&mut self, idx: u32) -> bool {
-        let p = &mut self.pages[idx as usize];
-        if p.state != PageState::Valid {
-            return false;
-        }
-        p.state = PageState::Invalid;
-        self.valid_count -= 1;
-        self.invalid_count += 1;
-        true
-    }
-
-    /// Erase the block, resetting all pages. Returns the number of pages
-    /// that were still valid (callers treat nonzero as a protocol error).
-    pub(crate) fn erase(&mut self) -> u32 {
-        let valid = self.valid_count;
-        for p in &mut self.pages {
-            *p = PageInfo::free();
-        }
-        self.write_ptr = 0;
-        self.valid_count = 0;
-        self.invalid_count = 0;
-        self.erase_count += 1;
-        valid
-    }
-
-    /// Crash-recovery rebuild: re-derive every programmed page's state from
-    /// the `live` predicate (true = the page holds the winning copy of its
-    /// logical content). Pages past the write pointer stay free; the
-    /// valid/invalid counters are recomputed. Unlike [`Self::invalidate`]
-    /// this may also resurrect an invalid page to valid — after a power cut
-    /// an in-DRAM invalidation of a page whose replacement never committed
-    /// is simply forgotten.
-    pub(crate) fn rebuild_states(&mut self, mut live: impl FnMut(u32) -> bool) {
-        let mut valid = 0u32;
-        let mut invalid = 0u32;
-        for idx in 0..self.write_ptr {
-            let p = &mut self.pages[idx as usize];
-            if live(idx) {
-                p.state = PageState::Valid;
-                valid += 1;
-            } else {
-                p.state = PageState::Invalid;
-                invalid += 1;
-            }
-        }
-        self.valid_count = valid;
-        self.invalid_count = invalid;
-    }
-
-    /// Iterate the indices of valid pages (used by GC migration).
-    pub fn valid_pages(&self) -> impl Iterator<Item = (u32, &PageInfo)> + '_ {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_valid())
-            .map(|(i, p)| (i as u32, p))
+    pub(crate) fn next_free_page(&self, pages_per_block: u32) -> Option<u32> {
+        (!self.retired && self.write_ptr < pages_per_block).then_some(self.write_ptr)
     }
 }
 
@@ -210,7 +82,8 @@ pub struct BlockSummary {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::reference::Block;
+    use crate::page::PageKind;
 
     #[test]
     fn sequential_program_enforced() {

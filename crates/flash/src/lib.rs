@@ -37,7 +37,7 @@ pub mod victims;
 
 pub use allocator::{Allocator, StreamId};
 pub use array::{FlashArray, FlashOp, FlashOpRecord, OpOutcome};
-pub use block::{Block, BlockAddr};
+pub use block::BlockAddr;
 pub use error::FlashError;
 pub use faults::{FaultConfig, FaultInjector};
 pub use geometry::{Geometry, GeometryBuilder, PageAddr, Ppn};
