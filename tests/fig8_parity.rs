@@ -20,6 +20,13 @@
 //! pages — the paths whose slot assignment depends on the order entries
 //! sit in a page's resident set.
 //!
+//! `tests/golden/fig8_small_pipelined.json` pins the *other* engine mode in
+//! full, for all four schemes: the digest with its two timing fields, the
+//! `map_engine` counters and the scheme counters. The pipelined flash-side
+//! test below deliberately ignores issue times; this file is what notices
+//! a data op issued at a different simulated time, or an issue counted as
+//! out-of-order that was not before.
+//!
 //! To re-bless after an *intentional* behaviour change (e.g. a scheme or
 //! policy change, never a data-structure swap):
 //!
@@ -30,7 +37,7 @@
 use aftl_bench::learnedbench::learned_traffic_config;
 use aftl_bench::replay::{self, ReplayDigest};
 use aftl_core::scheme::SchemeKind;
-use aftl_core::{LearnedStats, SchemeCounters};
+use aftl_core::{LearnedStats, MapEngineStats, SchemeCounters};
 use aftl_host::{Arbitration, HostConfig, IssueModel};
 use aftl_sim::experiment::run_single_with;
 use aftl_sim::fleet::{run_fleet, FleetSpec};
@@ -41,6 +48,7 @@ use std::sync::OnceLock;
 const GOLDEN_PATH: &str = "../../tests/golden/fig8_small_digest.json";
 const LEARNED_GOLDEN_PATH: &str = "../../tests/golden/fig8_small_learned.json";
 const MRSM_GC_GOLDEN_PATH: &str = "../../tests/golden/mrsm_gc_repack.json";
+const PIPELINED_GOLDEN_PATH: &str = "../../tests/golden/fig8_small_pipelined.json";
 
 fn run_digests() -> Vec<ReplayDigest> {
     let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
@@ -229,6 +237,56 @@ fn pipelined_replay_matches_golden_flash_side() {
             scheme.name()
         );
     }
+}
+
+/// Everything a pipelined replay reports that the engine's issue rule
+/// decides: the whole digest (latency sum and simulated span included),
+/// the map-engine counters and the scheme counters.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct PipelinedRun {
+    digest: ReplayDigest,
+    map_engine: MapEngineStats,
+    counters: SchemeCounters,
+}
+
+fn run_pipelined() -> Vec<PipelinedRun> {
+    let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
+    SchemeKind::WITH_LEARNED
+        .iter()
+        .map(|&scheme| {
+            let report = replay::run_fig8_small_with(scheme, &trace, true);
+            PipelinedRun {
+                digest: ReplayDigest::of(&report),
+                map_engine: report.map_engine,
+                counters: report.counters,
+            }
+        })
+        .collect()
+}
+
+/// Pipelined mode is a model of *when* data ops issue. Baseline and
+/// Learned-FTL never open a batch or report an issue to the engine; MRSM
+/// and Across-FTL do, per data op, at that op's own mapping-ready time. A
+/// refactor that moves either habit changes latencies or
+/// `ooo_completions` and nothing on the flash side.
+#[test]
+fn pipelined_replay_matches_full_golden() {
+    let golden: Vec<PipelinedRun> =
+        serde_json::from_str(&golden_json(PIPELINED_GOLDEN_PATH, run_pipelined))
+            .expect("pipelined golden parses");
+    let got = run_pipelined();
+    assert_eq!(golden.len(), got.len(), "scheme count changed");
+    for (want, got) in golden.iter().zip(&got) {
+        assert_eq!(
+            want, got,
+            "{}: pipelined results drifted from the golden",
+            got.digest.scheme
+        );
+    }
+    assert!(
+        got.iter().any(|r| r.map_engine.ooo_completions > 0),
+        "the golden must exercise out-of-order issue"
+    );
 }
 
 /// A single closed-loop tenant behind the multi-queue host front end
