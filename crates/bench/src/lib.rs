@@ -83,11 +83,6 @@ pub fn luns(scale: f64) -> Vec<Trace> {
         .collect()
 }
 
-/// Short label ("lun1") from a trace name.
-pub fn lun_label(trace: &Trace) -> String {
-    trace.name.clone()
-}
-
 /// Run the full 6-LUN × 3-scheme grid at `page_bytes`.
 pub fn grid(traces: &[Trace], page_bytes: u32) -> Vec<ComparisonReport> {
     aftl_sim::experiment::run_grid(traces, page_bytes).expect("simulation runs to completion")

@@ -31,16 +31,6 @@ use serde::{Deserialize, Serialize};
 /// medians forward as the trajectory anchor.
 pub const BENCH_SCHEMA_VERSION: u32 = 2;
 
-/// The CI floor on the MRSM pipeline speedup, recorded in
-/// `BENCH_replay.json` or freshly measured by the bench's `--test` smoke:
-/// the pipelined map engine must not replay the fig8-small workload slower
-/// than serial mode. [`validate_manifest`] fails the manifest below it.
-/// (It was 1.15x while every sub-region touch in serial MRSM walked two
-/// hashed indexes and two slabs; a floor that needs the serial path to
-/// stay slow gates the wrong thing, so it only asks that the pipeline
-/// costs nothing.)
-pub const MIN_MRSM_PIPELINE_SPEEDUP: f64 = 1.0;
-
 /// Trace-length scale of the full fig8-small workload (~7.5 k requests).
 pub const FIG8_SMALL_SCALE: f64 = 0.01;
 
@@ -251,14 +241,6 @@ impl BenchReplayManifest {
             None
         }
     }
-
-    /// The recorded pipeline-on-over-off speedup for `scheme`.
-    pub fn pipeline_speedup(&self, scheme: &str) -> Option<f64> {
-        self.results
-            .iter()
-            .find(|r| r.scheme == scheme)
-            .map(|r| r.speedup)
-    }
 }
 
 /// Replay the fig8-small workload once on `scheme` and return the manifest
@@ -352,11 +334,11 @@ pub fn time_fig8_small_with(
     }
 }
 
-/// Structural + performance validation of a parsed `BENCH_replay.json`
-/// (CI gate): the schema version matches, every scheme appears in every
-/// section with sane numbers, each recorded speedup agrees with its own
-/// timing pair, and the MRSM pipeline speedup clears
-/// [`MIN_MRSM_PIPELINE_SPEEDUP`].
+/// Structural validation of a parsed `BENCH_replay.json` (CI gate): the
+/// schema version matches, every scheme appears in every section with sane
+/// numbers, and each recorded speedup agrees with its own timing pair. The
+/// speedup itself has no floor: the engine mode decides simulated issue
+/// times, not host work, so the ratio is recorded, not gated.
 pub fn validate_manifest(m: &BenchReplayManifest) -> std::result::Result<(), String> {
     fn check_row(section: &str, scheme: &str, row: &SchemeTiming) -> Result<(), String> {
         if row.requests == 0 || row.ns_per_req == 0 || row.req_per_sec <= 0.0 {
@@ -394,14 +376,6 @@ pub fn validate_manifest(m: &BenchReplayManifest) -> std::result::Result<(), Str
             .find(|r| r.scheme == scheme.name())
             .ok_or_else(|| format!("baseline is missing scheme {}", scheme.name()))
             .and_then(|row| check_row("baseline", scheme.name(), row))?;
-    }
-    let mrsm = m
-        .pipeline_speedup(SchemeKind::Mrsm.name())
-        .expect("MRSM row checked above");
-    if mrsm < MIN_MRSM_PIPELINE_SPEEDUP {
-        return Err(format!(
-            "MRSM pipeline speedup {mrsm:.3}x is below the {MIN_MRSM_PIPELINE_SPEEDUP}x gate"
-        ));
     }
     Ok(())
 }
@@ -476,7 +450,8 @@ mod tests {
         };
         validate_manifest(&m).unwrap();
 
-        // Degrade the MRSM pipelined row below the gate: CI must fail.
+        // A pipelined row slower than its serial one is a reading, not a
+        // failure: the ratio is recorded and must only agree with its rows.
         let mrsm = m
             .results
             .iter_mut()
@@ -484,10 +459,9 @@ mod tests {
             .unwrap();
         *mrsm =
             PipelineComparison::pair(timing(&mrsm.scheme, 2000.0), timing(&mrsm.scheme, 1900.0));
-        let err = validate_manifest(&m).unwrap_err();
-        assert!(err.contains("below the"), "{err}");
+        validate_manifest(&m).unwrap();
 
-        // A speedup field that disagrees with its own rows is also caught.
+        // A speedup field that disagrees with its own rows is caught.
         let mrsm = m
             .results
             .iter_mut()
@@ -498,9 +472,8 @@ mod tests {
         assert!(err.contains("disagrees"), "{err}");
     }
 
-    /// The committed manifest at the repo root must stay schema-valid and
-    /// clear the MRSM pipeline-speedup gate — deterministically, on the
-    /// recorded numbers, so CI never depends on re-measuring a loaded box.
+    /// The committed manifest at the repo root must stay schema-valid, with
+    /// every recorded speedup agreeing with its rows.
     #[test]
     fn committed_manifest_clears_the_pipeline_gate() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replay.json");
@@ -527,7 +500,12 @@ mod tests {
         validate_manifest(&back).unwrap();
         let s = back.speedup("FTL").unwrap();
         assert!((s - 1.5).abs() < 1e-9, "serial speedup vs baseline {s}");
-        let p = back.pipeline_speedup("MRSM").unwrap();
+        let p = back
+            .results
+            .iter()
+            .find(|r| r.scheme == "MRSM")
+            .unwrap()
+            .speedup;
         assert!((p - 1.5).abs() < 1e-9, "pipeline speedup {p}");
     }
 

@@ -18,22 +18,22 @@
 //! two); reads exceeding an area are **merged** (area + normal pages).
 
 use aftl_flash::{
-    FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
+    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
 };
 
 use crate::counters::SchemeCounters;
-use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState};
+use crate::gc::{CopyMigrator, GcReport, PageMigrator};
 use crate::mapping::amt::{AcrossMapTable, AmtEntry};
 use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::{MapEngine, MapEngineStats};
-use crate::mapping::pmt::{PageMapTable, NO_AIDX};
-use crate::mapping::touched::TouchedSet;
+use crate::mapping::engine::MapEngineStats;
+use crate::mapping::pmt::NO_AIDX;
 use crate::obs::{SchemeEvent, SchemeEventKind};
-use crate::recover::{program_relocating, read_with_retry, PageRead, LOST_VERSION};
+use crate::pagemap::{CoreMigrator, PageMapCore};
+use crate::recover::{program_relocating, read_with_retry, LOST_VERSION};
 use crate::request::{split_extents, HostRequest, ReqKind};
 use crate::scheme::{
-    program_normal_extent, served_from_page, served_lost, served_unwritten, FtlEnv, FtlScheme,
-    SchemeConfig, SchemeKind, ServiceOutcome,
+    served_after_read, served_unwritten, FtlEnv, FtlScheme, SchemeConfig, SchemeKind,
+    ServiceOutcome,
 };
 
 /// Modelled bytes per PMT entry (32-bit PPN + 16-bit AIdx reference):
@@ -60,21 +60,14 @@ impl Default for AcrossOptions {
     }
 }
 
-/// The proposed scheme.
+/// The proposed scheme: the page-mapped core plus the AMT overlay.
 pub struct AcrossFtl {
-    cfg: SchemeConfig,
+    core: PageMapCore,
     options: AcrossOptions,
-    gc: GcState,
-    pmt: PageMapTable,
     amt: AcrossMapTable,
-    engine: MapEngine,
-    counters: SchemeCounters,
     /// Composite-operation log for the observability layer (`None` = off).
     event_log: Option<Vec<SchemeEvent>>,
-    touched_tpages: TouchedSet,
-    pmt_entries_per_tpage: u64,
     amt_entries_per_tpage: u64,
-    page_bytes: u32,
     // Reusable read-path scratch (gap subtraction runs per extent; its
     // capacity persists across requests so steady-state reads do not
     // allocate).
@@ -94,34 +87,14 @@ impl AcrossFtl {
         cfg: SchemeConfig,
         options: AcrossOptions,
     ) -> Self {
-        crate::mapping::pmt::assert_ppns_fit(geometry);
-        let page_bytes = geometry.page_bytes;
-        let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);
         AcrossFtl {
-            gc: GcState::new(GcConfig {
-                threshold: cfg.gc_threshold,
-                hysteresis: cfg.gc_hysteresis,
-                tuning: cfg.gc,
-            }),
-            cfg,
+            core: PageMapCore::new(geometry, cfg, PMT_ENTRY_BYTES),
             options,
-            pmt: PageMapTable::new(0),
             amt: AcrossMapTable::new(),
-            engine,
-            counters: SchemeCounters::default(),
             event_log: None,
-            touched_tpages: TouchedSet::new(),
-            pmt_entries_per_tpage: u64::from(page_bytes) / PMT_ENTRY_BYTES,
-            amt_entries_per_tpage: u64::from(page_bytes) / AMT_ENTRY_BYTES,
-            page_bytes,
+            amt_entries_per_tpage: u64::from(geometry.page_bytes) / AMT_ENTRY_BYTES,
             scratch_gaps: Vec::new(),
             scratch_gaps_next: Vec::new(),
-        }
-    }
-
-    fn ensure_pmt(&mut self) {
-        if self.pmt.logical_pages() == 0 {
-            self.pmt = PageMapTable::new(self.cfg.logical_pages);
         }
     }
 
@@ -138,10 +111,7 @@ impl AcrossFtl {
     ) -> Self {
         let spp = geometry.page_bytes / geometry.sector_bytes;
         let mut ftl = Self::new(geometry, cfg);
-        ftl.ensure_pmt();
-        for &(lpn, ppn) in pages {
-            ftl.pmt.set_ppn(lpn, ppn);
-        }
+        ftl.core.load_pages(geometry, pages);
         for a in areas {
             let entry = AmtEntry {
                 start_sector: a.start_sector,
@@ -153,8 +123,8 @@ impl AcrossFtl {
             // against the rebuilt table.
             ftl.amt.insert_at(a.aidx, entry);
             for lpn in entry.first_lpn(spp)..=entry.last_lpn(spp) {
-                if ftl.pmt.in_range(lpn) {
-                    ftl.pmt.set_aidx(lpn, a.aidx);
+                if ftl.core.pmt.in_range(lpn) {
+                    ftl.core.pmt.set_aidx(lpn, a.aidx);
                 }
             }
         }
@@ -165,69 +135,29 @@ impl AcrossFtl {
     /// Shared GC driver for the foreground (`idle_budget` = `None`) and
     /// idle (`Some(max_pages)`) paths.
     fn run_gc(&mut self, env: &mut FtlEnv<'_>, idle_budget: Option<u64>) -> Result<GcReport> {
-        self.ensure_pmt();
-        let pmt = &mut self.pmt;
-        let amt = &mut self.amt;
-        let engine = &mut self.engine;
-        let counters = &mut self.counters;
-        let mut migrator = CopyMigrator(
-            move |array: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
-                counters.dram_accesses += 1;
-                match info.kind {
-                    PageKind::Data => {
-                        let prev = pmt.set_ppn(info.tag, new);
-                        debug_assert_eq!(prev, old, "GC migrated a stale data page");
-                    }
-                    PageKind::AcrossData => {
-                        let aidx = info.tag as u32;
-                        let mut e = amt.get(aidx).expect("GC migrated a dead area page");
-                        debug_assert_eq!(e.appn, old);
-                        e.appn = new;
-                        amt.update(aidx, e);
-                        array.annotate_oob(
-                            new,
-                            OobDesc::Area {
-                                start_sector: e.start_sector,
-                                size_sectors: e.size_sectors,
-                            },
-                        );
-                    }
-                    PageKind::Map => engine.note_migrated(info.tag, new),
-                }
-            },
-        );
-        match idle_budget {
-            None => self
-                .gc
-                .maybe_collect(env.array, env.alloc, env.now_ns, &mut migrator),
-            Some(n) => self
-                .gc
-                .idle_collect(env.array, env.alloc, env.now_ns, n, &mut migrator),
-        }
+        let (gc, core) = self.core.gc_parts();
+        let mut migrator = AreaMigrator {
+            core,
+            amt: &mut self.amt,
+        };
+        gc.collect(env.array, env.alloc, env.now_ns, idle_budget, &mut migrator)
     }
 
     // --- mapping-cache plumbing -------------------------------------------
-
-    fn pmt_access(&mut self, env: &mut FtlEnv<'_>, lpn: u64, dirty: bool) -> Result<Nanos> {
-        let tpid = lpn / self.pmt_entries_per_tpage;
-        self.touched_tpages.insert(tpid);
-        self.counters.dram_accesses += 1;
-        self.engine
-            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
-    }
 
     fn amt_access(&mut self, env: &mut FtlEnv<'_>, aidx: u32, dirty: bool) -> Result<Nanos> {
         // AMT pages live in their own tpid namespace; their footprint is
         // reported from the AMT's slot storage, not the touched set.
         let tpid = AMT_TPID_BASE + u64::from(aidx) / self.amt_entries_per_tpage;
-        self.counters.dram_accesses += 1;
-        self.engine
+        self.core.counters.dram_accesses += 1;
+        self.core
+            .engine
             .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
     }
 
     fn sync_area_gauges(&mut self) {
-        self.counters.live_across_areas = self.amt.live();
-        self.counters.total_across_areas = self.amt.created_total();
+        self.core.counters.live_across_areas = self.amt.live();
+        self.core.counters.total_across_areas = self.amt.created_total();
     }
 
     #[inline]
@@ -244,10 +174,10 @@ impl AcrossFtl {
     fn areas_touching(&self, first_lpn: u64, last_lpn: u64) -> Vec<u32> {
         let mut out = Vec::new();
         for lpn in first_lpn..=last_lpn {
-            if !self.pmt.in_range(lpn) {
+            if !self.core.pmt.in_range(lpn) {
                 continue;
             }
-            let aidx = self.pmt.get(lpn).aidx;
+            let aidx = self.core.pmt.get(lpn).aidx;
             if aidx != NO_AIDX && !out.contains(&aidx) {
                 out.push(aidx);
             }
@@ -258,8 +188,8 @@ impl AcrossFtl {
     /// Clear the `AIdx` links of an area on the LPNs it spans.
     fn clear_links(&mut self, aidx: u32, entry: &AmtEntry, spp: u32) {
         for lpn in entry.first_lpn(spp)..=entry.last_lpn(spp) {
-            if self.pmt.in_range(lpn) && self.pmt.get(lpn).aidx == aidx {
-                self.pmt.set_aidx(lpn, NO_AIDX);
+            if self.core.pmt.in_range(lpn) && self.core.pmt.get(lpn).aidx == aidx {
+                self.core.pmt.set_aidx(lpn, NO_AIDX);
             }
         }
     }
@@ -329,9 +259,9 @@ impl AcrossFtl {
         let first = req.first_lpn(spp);
         let last = req.last_lpn(spp);
         debug_assert_eq!(last, first + 1);
-        self.pmt.set_aidx(first, aidx);
-        self.pmt.set_aidx(last, aidx);
-        self.counters.across_direct_writes += 1;
+        self.core.pmt.set_aidx(first, aidx);
+        self.core.pmt.set_aidx(last, aidx);
+        self.core.counters.across_direct_writes += 1;
         self.sync_area_gauges();
         Ok(w.complete_ns)
     }
@@ -371,7 +301,7 @@ impl AcrossFtl {
             )?;
             if r.is_lost() {
                 lost_old = true;
-                self.counters.lost_pages += 1;
+                self.core.counters.lost_pages += 1;
             }
             r.complete_ns()
         } else {
@@ -438,12 +368,12 @@ impl AcrossFtl {
         // page boundary and fits in one page).
         let first = union_start / u64::from(spp);
         let last = (union_end - 1) / u64::from(spp);
-        self.pmt.set_aidx(first, aidx);
-        self.pmt.set_aidx(last, aidx);
+        self.core.pmt.set_aidx(first, aidx);
+        self.core.pmt.set_aidx(last, aidx);
         if profitable {
-            self.counters.profitable_amerge += 1;
+            self.core.counters.profitable_amerge += 1;
         } else {
-            self.counters.unprofitable_amerge += 1;
+            self.core.counters.unprofitable_amerge += 1;
         }
         self.log_event(SchemeEventKind::AMerge, env.now_ns, w.complete_ns);
         self.sync_area_gauges();
@@ -474,7 +404,7 @@ impl AcrossFtl {
             ready,
         )?;
         if r.is_lost() {
-            self.counters.lost_pages += 1;
+            self.core.counters.lost_pages += 1;
         }
         let area_ready = r.complete_ns();
         let mut done = area_ready;
@@ -501,17 +431,17 @@ impl AcrossFtl {
             None => (a.start_sector, a.end_sector()),
         };
 
-        // Unlink the area *before* programming so program_normal_extent's
+        // Unlink the area *before* programming so the extent program's
         // RMW path sees consistent state; the physical page stays readable
         // until invalidated below.
         self.clear_links(aidx, &a, spp);
 
         for extent in split_extents(fold_start, fold_end, spp) {
-            let ext_ready = self.pmt_access(env, extent.lpn, true)?.max(area_ready);
+            let ext_ready = self.core.map_access(env, extent.lpn, true)?.max(area_ready);
             // Merge stamps: old normal content (if RMW), then area data,
             // then the update — newest last.
             let stamps_override = if env.array.tracks_content() {
-                let old_ppn = self.pmt.get(extent.lpn).ppn;
+                let old_ppn = self.core.pmt.get(extent.lpn).ppn;
                 let mut stamps: Vec<Option<SectorStamp>> = match old_ppn.is_valid() {
                     true => env
                         .array
@@ -550,17 +480,10 @@ impl AcrossFtl {
             } else {
                 None
             };
-            let w = program_normal_extent(
-                env.array,
-                env.alloc,
-                &mut self.pmt,
-                &mut self.counters,
-                &extent,
-                update.map_or(0, |u| u.version),
-                env.now_ns,
-                ext_ready,
-                stamps_override,
-            )?;
+            let version = update.map_or(0, |u| u.version);
+            let w = self
+                .core
+                .program_extent(env, &extent, version, ext_ready, stamps_override)?;
             done = done.max(w);
         }
 
@@ -571,7 +494,7 @@ impl AcrossFtl {
         env.array.oob_group_kill(u64::from(aidx), killed_seq);
         env.array.invalidate(a.appn)?;
         self.amt.remove(aidx);
-        self.counters.arollbacks += 1;
+        self.core.counters.arollbacks += 1;
         self.log_event(SchemeEventKind::ARollback, env.now_ns, done);
         self.sync_area_gauges();
         Ok(done)
@@ -596,8 +519,8 @@ impl AcrossFtl {
     fn across_write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<Nanos> {
         let spp = env.spp();
         let (lpn1, lpn2) = (req.first_lpn(spp), req.last_lpn(spp));
-        let mut ready = self.pmt_access(env, lpn1, true)?;
-        ready = ready.max(self.pmt_access(env, lpn2, true)?);
+        let mut ready = self.core.map_access(env, lpn1, true)?;
+        ready = ready.max(self.core.map_access(env, lpn2, true)?);
 
         let areas = self.areas_touching(lpn1, lpn2);
         match areas.as_slice() {
@@ -618,7 +541,7 @@ impl AcrossFtl {
                 } else {
                     // Shares an LPN but not a mergeable range: the single
                     // AIdx slot forces the old area out first.
-                    self.counters.area_conflicts += 1;
+                    self.core.counters.area_conflicts += 1;
                     let t = self.arollback(env, aidx, None, ready)?;
                     self.direct_write(env, req, t)
                 }
@@ -630,7 +553,7 @@ impl AcrossFtl {
                 // larger than one page. Roll both back and re-align fresh.
                 let t1 = self.arollback(env, areas[0], None, ready)?;
                 let t2 = self.arollback(env, areas[1], None, t1)?;
-                self.counters.area_conflicts += 1;
+                self.core.counters.area_conflicts += 1;
                 self.direct_write(env, req, t2)
             }
         }
@@ -674,24 +597,59 @@ impl AcrossFtl {
         let mut done = reconcile_done;
         for extent in req.extents(spp) {
             // Each extent programs at its own mapping-ready time (maxed
-            // with area reconciliation); the engine tallies issues that
-            // land below the batch's serial watermark as out-of-order.
-            let ready = self.pmt_access(env, extent.lpn, true)?;
-            let at = self.engine.note_issue(ready.max(reconcile_done));
-            let w = program_normal_extent(
-                env.array,
-                env.alloc,
-                &mut self.pmt,
-                &mut self.counters,
-                &extent,
-                req.version,
-                env.now_ns,
-                at,
-                None,
-            )?;
+            // with area reconciliation) in both engine modes, like the
+            // baseline's; the engine tallies issues that land below the
+            // batch's serial watermark as out-of-order.
+            let ready = self.core.map_access(env, extent.lpn, true)?;
+            let own = ready.max(reconcile_done);
+            let at = self.core.engine.issue_at(own, own);
+            let w = self
+                .core
+                .program_extent(env, &extent, req.version, at, None)?;
             done = done.max(w);
         }
         Ok(done)
+    }
+}
+
+/// Across-FTL's [`PageMigrator`]: `Data` and `Map` pages are the core's;
+/// an area page is copied one-to-one like them and its AMT entry follows.
+struct AreaMigrator<'a> {
+    core: CoreMigrator<'a>,
+    amt: &'a mut AcrossMapTable,
+}
+
+impl PageMigrator for AreaMigrator<'_> {
+    fn migrate(
+        &mut self,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+        now: Nanos,
+        old: Ppn,
+        info: &PageInfo,
+        report: &mut GcReport,
+    ) -> Result<u64> {
+        if info.kind != PageKind::AcrossData {
+            return self.core.migrate(array, alloc, now, old, info, report);
+        }
+        let mut copy = CopyMigrator(
+            |array: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
+                self.core.counters.dram_accesses += 1;
+                let aidx = info.tag as u32;
+                let mut e = self.amt.get(aidx).expect("GC migrated a dead area page");
+                debug_assert_eq!(e.appn, old);
+                e.appn = new;
+                self.amt.update(aidx, e);
+                array.annotate_oob(
+                    new,
+                    OobDesc::Area {
+                        start_sector: e.start_sector,
+                        size_sectors: e.size_sectors,
+                    },
+                );
+            },
+        );
+        copy.migrate(array, alloc, now, old, info, report)
     }
 }
 
@@ -702,9 +660,9 @@ impl FtlScheme for AcrossFtl {
 
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
-        self.ensure_pmt();
-        self.counters.host_writes += 1;
-        self.engine.begin_batch(env.now_ns);
+        self.core.ensure_pmt();
+        self.core.counters.host_writes += 1;
+        self.core.engine.begin_batch(env.now_ns);
         let spp = env.spp();
         let done = if req.is_across_page(spp) {
             self.across_write(env, req)?
@@ -716,23 +674,22 @@ impl FtlScheme for AcrossFtl {
 
     fn read(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Read);
-        self.ensure_pmt();
-        self.counters.host_reads += 1;
-        self.engine.begin_batch(env.now_ns);
-        let pipelined = self.engine.pipelined();
+        self.core.ensure_pmt();
+        self.core.counters.host_reads += 1;
+        self.core.engine.begin_batch(env.now_ns);
         let spp = env.spp();
         let track = env.array.tracks_content();
         let (s, e) = (req.sector, req.end_sector());
         let (lpn1, lpn2) = (req.first_lpn(spp), req.last_lpn(spp));
         let mut outcome = ServiceOutcome::default();
 
-        // Mapping lookups. Per-LPN ready times are kept so the pipelined
-        // data stage can issue each page read at its own resolution time
-        // rather than the request-wide maximum.
+        // Mapping lookups. Per-LPN ready times are kept so the engine can
+        // issue each page read at its own resolution time rather than the
+        // request-wide maximum.
         let mut ready = env.now_ns;
         let mut lpn_ready: Vec<Nanos> = Vec::with_capacity((lpn2 - lpn1 + 1) as usize);
         for lpn in lpn1..=lpn2 {
-            let t = self.pmt_access(env, lpn, false)?;
+            let t = self.core.map_access(env, lpn, false)?;
             lpn_ready.push(t);
             ready = ready.max(t);
         }
@@ -756,46 +713,23 @@ impl FtlScheme for AcrossFtl {
         for (i, (_, a)) in areas.iter().enumerate() {
             let ov_start = a.start_sector.max(s);
             let ov_end = a.end_sector().min(e);
-            // Pipelined: the area read depends on its AMT resolution and
-            // the PMT lookups of the LPNs it bridges — not on resolutions
-            // for unrelated parts of the request.
-            let at = if pipelined {
-                let mut t = area_ready[i];
-                for lpn in a.first_lpn(spp).max(lpn1)..=a.last_lpn(spp).min(lpn2) {
-                    t = t.max(lpn_ready[(lpn - lpn1) as usize]);
-                }
-                self.engine.note_issue(t)
-            } else {
-                ready
-            };
-            let r = read_with_retry(
-                env.array,
-                a.appn,
-                env.sectors_to_bytes((ov_end - ov_start) as u32),
-                env.now_ns,
-                at,
-            )?;
+            let len = (ov_end - ov_start) as u32;
+            // The area read depends on its AMT resolution and the PMT
+            // lookups of the LPNs it bridges — not on resolutions for
+            // unrelated parts of the request.
+            let mut own = area_ready[i];
+            for lpn in a.first_lpn(spp).max(lpn1)..=a.last_lpn(spp).min(lpn2) {
+                own = own.max(lpn_ready[(lpn - lpn1) as usize]);
+            }
+            let at = self.core.engine.issue_at(own, ready);
+            let bytes = env.sectors_to_bytes(len);
+            let r = read_with_retry(env.array, a.appn, bytes, env.now_ns, at)?;
             flash_reads += 1;
             outcome.merge_time(r.complete_ns());
-            match r {
-                PageRead::Ok(_) => {
-                    if track {
-                        served_from_page(
-                            env.array,
-                            a.appn,
-                            (ov_start - a.start_sector) as u32,
-                            ov_start,
-                            (ov_end - ov_start) as u32,
-                            &mut outcome.served,
-                        );
-                    }
-                }
-                PageRead::Lost { .. } => {
-                    any_lost = true;
-                    if track {
-                        served_lost(ov_start, (ov_end - ov_start) as u32, &mut outcome.served);
-                    }
-                }
+            any_lost |= r.is_lost();
+            if track {
+                let range = ((ov_start - a.start_sector) as u32, ov_start, len);
+                served_after_read(env.array, &r, a.appn, [range], &mut outcome.served);
             }
         }
 
@@ -808,9 +742,9 @@ impl FtlScheme for AcrossFtl {
             let ext_e = extent.end_sector(spp);
             gaps.clear();
             gaps.push((ext_s, ext_e));
-            // Pipelined dependency: this extent's own PMT resolution, plus
-            // the AMT resolutions of any areas clipping its range (the gap
-            // boundaries come from those entries).
+            // What the read depends on: this extent's own PMT resolution,
+            // plus the AMT resolutions of any areas clipping its range (the
+            // gap boundaries come from those entries).
             let mut dep = lpn_ready[(extent.lpn - lpn1) as usize];
             for (i, (_, a)) in areas.iter().enumerate() {
                 if a.overlaps(ext_s, ext_e) {
@@ -834,47 +768,21 @@ impl FtlScheme for AcrossFtl {
             if gaps.is_empty() {
                 continue;
             }
-            let entry = self.pmt.get(extent.lpn);
+            let entry = self.core.pmt.get(extent.lpn);
             if entry.has_ppn() {
                 let covered: u64 = gaps.iter().map(|(gs, ge)| ge - gs).sum();
-                let at = if pipelined {
-                    self.engine.note_issue(dep)
-                } else {
-                    ready
-                };
-                let r = read_with_retry(
-                    env.array,
-                    entry.ppn,
-                    env.sectors_to_bytes(covered as u32),
-                    env.now_ns,
-                    at,
-                )?;
+                let at = self.core.engine.issue_at(dep, ready);
+                let bytes = env.sectors_to_bytes(covered as u32);
+                let r = read_with_retry(env.array, entry.ppn, bytes, env.now_ns, at)?;
                 flash_reads += 1;
                 outcome.merge_time(r.complete_ns());
-                match r {
-                    PageRead::Ok(_) => {
-                        if track {
-                            let page_start = extent.lpn * u64::from(spp);
-                            for (gs, ge) in &gaps {
-                                served_from_page(
-                                    env.array,
-                                    entry.ppn,
-                                    (gs - page_start) as u32,
-                                    *gs,
-                                    (ge - gs) as u32,
-                                    &mut outcome.served,
-                                );
-                            }
-                        }
-                    }
-                    PageRead::Lost { .. } => {
-                        any_lost = true;
-                        if track {
-                            for (gs, ge) in &gaps {
-                                served_lost(*gs, (ge - gs) as u32, &mut outcome.served);
-                            }
-                        }
-                    }
+                any_lost |= r.is_lost();
+                if track {
+                    let page_start = extent.lpn * u64::from(spp);
+                    let ranges = gaps
+                        .iter()
+                        .map(|&(gs, ge)| ((gs - page_start) as u32, gs, (ge - gs) as u32));
+                    served_after_read(env.array, &r, entry.ppn, ranges, &mut outcome.served);
                 }
             } else if track {
                 for (gs, ge) in &gaps {
@@ -886,18 +794,18 @@ impl FtlScheme for AcrossFtl {
         self.scratch_gaps_next = next;
 
         if any_lost {
-            self.counters.host_unrecoverable_reads += 1;
+            self.core.counters.host_unrecoverable_reads += 1;
         }
 
         // Classification (§3.3.2 / §4.2.1).
         if !areas.is_empty() {
             let sole_area_covers = areas.len() == 1 && areas[0].1.contains(s, e);
             if sole_area_covers {
-                self.counters.across_direct_reads += 1;
+                self.core.counters.across_direct_reads += 1;
             } else {
-                self.counters.merged_reads += 1;
+                self.core.counters.merged_reads += 1;
                 let conventional = lpn2 - lpn1 + 1;
-                self.counters.merged_read_extra_flash_reads +=
+                self.core.counters.merged_read_extra_flash_reads +=
                     flash_reads.saturating_sub(conventional);
             }
         }
@@ -913,28 +821,27 @@ impl FtlScheme for AcrossFtl {
     }
 
     fn counters(&self) -> &SchemeCounters {
-        &self.counters
+        &self.core.counters
     }
 
     fn cache_stats(&self) -> CacheStats {
-        *self.engine.cache_stats()
+        *self.core.engine.cache_stats()
     }
 
     fn map_engine_stats(&self) -> MapEngineStats {
-        *self.engine.stats()
+        *self.core.engine.stats()
     }
 
     fn mapping_table_bytes(&self) -> u64 {
         // PMT translation pages touched + the AMT slot storage (allocated in
         // page units).
-        let amt_bytes = (self.amt.capacity_slots() as u64 * AMT_ENTRY_BYTES)
-            .div_ceil(u64::from(self.page_bytes))
-            * u64::from(self.page_bytes);
-        self.touched_tpages.len() * u64::from(self.page_bytes) + amt_bytes
+        let page_bytes = u64::from(self.core.page_bytes);
+        let amt_bytes = self.amt.capacity_slots() as u64 * AMT_ENTRY_BYTES;
+        self.core.table_bytes() + amt_bytes.div_ceil(page_bytes) * page_bytes
     }
 
     fn logical_pages(&self) -> u64 {
-        self.cfg.logical_pages
+        self.core.cfg.logical_pages
     }
 
     fn set_event_log(&mut self, enabled: bool) {
@@ -948,13 +855,7 @@ impl FtlScheme for AcrossFtl {
     }
 
     fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        let mut pages = Vec::new();
-        for lpn in 0..self.pmt.logical_pages() {
-            let entry = self.pmt.get(lpn);
-            if entry.has_ppn() {
-                pages.push((lpn, entry.ppn));
-            }
-        }
+        let pages = self.core.pages();
         let areas = self
             .amt
             .iter_live()

@@ -4,66 +4,32 @@
 //! Requests are split into page-level sub-requests. Partial-page updates
 //! pay read-modify-write; an across-page request therefore costs two page
 //! programs (plus up to two RMW reads) — the overhead Figure 4 quantifies
-//! and Across-FTL removes.
+//! and Across-FTL removes. All of it is `pagemap::PageMapCore`; this file
+//! is the [`FtlScheme`] face of the core with no policy added.
 
-use aftl_flash::{FlashArray, PageInfo, PageKind, Ppn, Result};
+use aftl_flash::{Ppn, Result};
 
 use crate::counters::SchemeCounters;
-use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState};
+use crate::gc::GcReport;
 use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::{MapEngine, MapEngineStats};
-use crate::mapping::pmt::PageMapTable;
-use crate::mapping::touched::TouchedSet;
-use crate::recover::{read_with_retry, PageRead};
+use crate::mapping::engine::MapEngineStats;
+use crate::pagemap::PageMapCore;
 use crate::request::{HostRequest, ReqKind};
-use crate::scheme::{
-    program_normal_extent, served_from_page, served_lost, served_unwritten, FtlEnv, FtlScheme,
-    SchemeConfig, SchemeKind, ServiceOutcome,
-};
+use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
 
 /// Modelled bytes per PMT entry (a 32-bit PPN).
 pub const ENTRY_BYTES: u64 = 4;
 
 /// The baseline page-mapping FTL.
 pub struct BaselineFtl {
-    cfg: SchemeConfig,
-    gc: GcState,
-    pmt: PageMapTable,
-    engine: MapEngine,
-    counters: SchemeCounters,
-    /// Translation pages ever touched — the dynamically allocated table
-    /// footprint reported in Figure 12(a).
-    touched_tpages: TouchedSet,
-    entries_per_tpage: u64,
-    page_bytes: u32,
+    core: PageMapCore,
 }
 
 impl BaselineFtl {
     /// Construct a baseline FTL for the given device geometry.
     pub fn new(env_geometry: &aftl_flash::Geometry, cfg: SchemeConfig) -> Self {
-        crate::mapping::pmt::assert_ppns_fit(env_geometry);
-        let page_bytes = env_geometry.page_bytes;
-        let entries_per_tpage = u64::from(page_bytes) / ENTRY_BYTES;
-        let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);
         BaselineFtl {
-            gc: GcState::new(GcConfig {
-                threshold: cfg.gc_threshold,
-                hysteresis: cfg.gc_hysteresis,
-                tuning: cfg.gc,
-            }),
-            cfg,
-            pmt: PageMapTable::new(0),
-            engine,
-            counters: SchemeCounters::default(),
-            touched_tpages: TouchedSet::new(),
-            entries_per_tpage,
-            page_bytes,
-        }
-    }
-
-    fn ensure_pmt(&mut self) {
-        if self.pmt.logical_pages() == 0 {
-            self.pmt = PageMapTable::new(self.cfg.logical_pages);
+            core: PageMapCore::new(env_geometry, cfg, ENTRY_BYTES),
         }
     }
 
@@ -75,59 +41,8 @@ impl BaselineFtl {
         pages: &[(u64, Ppn)],
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        ftl.ensure_pmt();
-        for &(lpn, ppn) in pages {
-            ftl.pmt.set_ppn(lpn, ppn);
-        }
+        ftl.core.load_pages(geometry, pages);
         ftl
-    }
-
-    #[inline]
-    fn tpid(&self, lpn: u64) -> u64 {
-        lpn / self.entries_per_tpage
-    }
-
-    /// One mapping consultation: a cache probe (possibly loading/flushing a
-    /// translation page) plus the DRAM access accounting.
-    fn map_access(&mut self, env: &mut FtlEnv<'_>, lpn: u64, dirty: bool) -> Result<u64> {
-        let tpid = self.tpid(lpn);
-        self.touched_tpages.insert(tpid);
-        self.counters.dram_accesses += 1;
-        self.engine
-            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
-    }
-
-    /// Shared GC driver for the foreground (`idle_budget` = `None`) and
-    /// idle (`Some(max_pages)`) paths: same remap migrator, different
-    /// trigger and budget semantics in [`GcState`].
-    fn run_gc(&mut self, env: &mut FtlEnv<'_>, idle_budget: Option<u64>) -> Result<GcReport> {
-        self.ensure_pmt();
-        let pmt = &mut self.pmt;
-        let engine = &mut self.engine;
-        let counters = &mut self.counters;
-        let mut migrator = CopyMigrator(
-            move |_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
-                counters.dram_accesses += 1;
-                match info.kind {
-                    PageKind::Data => {
-                        let prev = pmt.set_ppn(info.tag, new);
-                        debug_assert_eq!(prev, old, "GC migrated a stale data page");
-                    }
-                    PageKind::Map => engine.note_migrated(info.tag, new),
-                    PageKind::AcrossData => {
-                        unreachable!("baseline FTL never writes across-data pages")
-                    }
-                }
-            },
-        );
-        match idle_budget {
-            None => self
-                .gc
-                .maybe_collect(env.array, env.alloc, env.now_ns, &mut migrator),
-            Some(n) => self
-                .gc
-                .idle_collect(env.array, env.alloc, env.now_ns, n, &mut migrator),
-        }
     }
 }
 
@@ -138,23 +53,14 @@ impl FtlScheme for BaselineFtl {
 
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
-        self.ensure_pmt();
-        self.counters.host_writes += 1;
-        let spp = env.spp();
+        self.core.ensure_pmt();
+        self.core.counters.host_writes += 1;
         let mut outcome = ServiceOutcome::default();
-        for extent in req.extents(spp) {
-            let ready = self.map_access(env, extent.lpn, true)?;
-            let done = program_normal_extent(
-                env.array,
-                env.alloc,
-                &mut self.pmt,
-                &mut self.counters,
-                &extent,
-                req.version,
-                env.now_ns,
-                ready,
-                None,
-            )?;
+        for extent in req.extents(env.spp()) {
+            let ready = self.core.map_access(env, extent.lpn, true)?;
+            let done = self
+                .core
+                .program_extent(env, &extent, req.version, ready, None)?;
             outcome.merge_time(done);
         }
         Ok(outcome)
@@ -162,88 +68,49 @@ impl FtlScheme for BaselineFtl {
 
     fn read(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Read);
-        self.ensure_pmt();
-        self.counters.host_reads += 1;
-        let spp = env.spp();
-        let track = env.array.tracks_content();
+        self.core.ensure_pmt();
+        self.core.counters.host_reads += 1;
         let mut outcome = ServiceOutcome::default();
-        for extent in req.extents(spp) {
-            let ready = self.map_access(env, extent.lpn, false)?;
+        for extent in req.extents(env.spp()) {
+            let ready = self.core.map_access(env, extent.lpn, false)?;
             outcome.merge_time(ready);
-            let entry = self.pmt.get(extent.lpn);
-            if entry.has_ppn() {
-                let r = read_with_retry(
-                    env.array,
-                    entry.ppn,
-                    env.sectors_to_bytes(extent.len),
-                    env.now_ns,
-                    ready,
-                )?;
-                outcome.merge_time(r.complete_ns());
-                match r {
-                    PageRead::Ok(_) => {
-                        if track {
-                            served_from_page(
-                                env.array,
-                                entry.ppn,
-                                extent.offset,
-                                extent.start_sector(spp),
-                                extent.len,
-                                &mut outcome.served,
-                            );
-                        }
-                    }
-                    PageRead::Lost { .. } => {
-                        self.counters.host_unrecoverable_reads += 1;
-                        if track {
-                            served_lost(extent.start_sector(spp), extent.len, &mut outcome.served);
-                        }
-                    }
-                }
-            } else if track {
-                served_unwritten(extent.start_sector(spp), extent.len, &mut outcome.served);
-            }
+            let ppn = self.core.pmt.get(extent.lpn).ppn;
+            self.core
+                .serve_extent(env, ppn, &extent, ready, &mut outcome)?;
         }
         Ok(outcome)
     }
 
     fn maybe_gc(&mut self, env: &mut FtlEnv<'_>) -> Result<GcReport> {
-        self.run_gc(env, None)
+        self.core.collect(env, None)
     }
 
     fn idle_gc(&mut self, env: &mut FtlEnv<'_>, max_pages: u64) -> Result<GcReport> {
-        self.run_gc(env, Some(max_pages))
+        self.core.collect(env, Some(max_pages))
     }
 
     fn counters(&self) -> &SchemeCounters {
-        &self.counters
+        &self.core.counters
     }
 
     fn cache_stats(&self) -> CacheStats {
-        *self.engine.cache_stats()
+        *self.core.engine.cache_stats()
     }
 
     fn map_engine_stats(&self) -> MapEngineStats {
-        *self.engine.stats()
+        *self.core.engine.stats()
     }
 
     fn mapping_table_bytes(&self) -> u64 {
-        self.touched_tpages.len() * u64::from(self.page_bytes)
+        self.core.table_bytes()
     }
 
     fn logical_pages(&self) -> u64 {
-        self.cfg.logical_pages
+        self.core.cfg.logical_pages
     }
 
     fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        let mut pages = Vec::new();
-        for lpn in 0..self.pmt.logical_pages() {
-            let entry = self.pmt.get(lpn);
-            if entry.has_ppn() {
-                pages.push((lpn, entry.ppn));
-            }
-        }
-        Some(crate::recovery::SchemeImage::Baseline(pages))
+        Some(crate::recovery::SchemeImage::Baseline(self.core.pages()))
     }
 }
 

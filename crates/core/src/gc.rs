@@ -472,6 +472,23 @@ impl GcState {
         self.episode.is_some()
     }
 
+    /// What a scheme's `maybe_gc` (`idle_budget` = `None`) and `idle_gc`
+    /// (`Some(max_pages)`) both come to: the same migrator, under the
+    /// foreground or the idle trigger and budget.
+    pub fn collect(
+        &mut self,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+        now: Nanos,
+        idle_budget: Option<u64>,
+        migrator: &mut dyn PageMigrator,
+    ) -> Result<GcReport> {
+        match idle_budget {
+            None => self.maybe_collect(array, alloc, now, migrator),
+            Some(max_pages) => self.idle_collect(array, alloc, now, max_pages, migrator),
+        }
+    }
+
     /// Foreground collection: trigger below the threshold, resume a parked
     /// episode, and run up to the preemption budget of page copies
     /// (unbounded when `preempt_pages` is 0 or free space is urgent-low).
@@ -780,51 +797,37 @@ fn assert_matches_scan(
     );
 }
 
-/// Run a GC episode to completion if needed. `remap(array, old, new,
-/// info)` must update the scheme's mapping state for a page migrated from
-/// `old` to `new` (identified by its OOB `info.kind`/`info.tag`).
-///
-/// Convenience wrapper over [`GcState`] for callers without a persistent
-/// driver (tests, one-shot tools): the episode always runs to completion
-/// within the call, looping over slices if `cfg` enables preemption.
-pub fn maybe_collect<F>(
-    array: &mut FlashArray,
-    alloc: &mut Allocator,
-    now: Nanos,
-    cfg: &GcConfig,
-    remap: F,
-) -> Result<GcReport>
-where
-    F: FnMut(&mut FlashArray, Ppn, Ppn, &PageInfo),
-{
-    maybe_collect_with(array, alloc, now, cfg, &mut CopyMigrator(remap))
-}
-
-/// Run a GC episode to completion with a scheme-provided [`PageMigrator`].
-/// See [`maybe_collect`].
-pub fn maybe_collect_with(
-    array: &mut FlashArray,
-    alloc: &mut Allocator,
-    now: Nanos,
-    cfg: &GcConfig,
-    migrator: &mut dyn PageMigrator,
-) -> Result<GcReport> {
-    let mut state = GcState::new(*cfg);
-    let mut total = GcReport::default();
-    loop {
-        let r = state.maybe_collect(array, alloc, now, migrator)?;
-        total.merge(&r);
-        if !state.in_episode() {
-            return Ok(total);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aftl_flash::{Geometry, PageKind, TimingSpec};
     use std::collections::HashMap;
+
+    /// Run a GC episode to completion if needed, copying pages one-to-one
+    /// and calling `remap(array, old, new, info)` for each: a fresh
+    /// [`GcState`] driven over as many slices as `cfg`'s preemption budget
+    /// cuts the episode into.
+    fn maybe_collect<F>(
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+        now: Nanos,
+        cfg: &GcConfig,
+        remap: F,
+    ) -> Result<GcReport>
+    where
+        F: FnMut(&mut FlashArray, Ppn, Ppn, &PageInfo),
+    {
+        let mut state = GcState::new(*cfg);
+        let mut migrator = CopyMigrator(remap);
+        let mut total = GcReport::default();
+        loop {
+            let r = state.maybe_collect(array, alloc, now, &mut migrator)?;
+            total.merge(&r);
+            if !state.in_episode() {
+                return Ok(total);
+            }
+        }
+    }
 
     /// Fill the device with single-LPN pages, overwriting to create
     /// invalid pages, then check GC reclaims space and remaps correctly.

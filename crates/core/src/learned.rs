@@ -32,7 +32,7 @@
 //!   candidate page's on-flash OOB LPN tag verifies the prediction, and
 //!   the verifying read *is* the data read — no translation-page access
 //!   at all. A mis-predict punches the stale member out of its segment
-//!   and falls back to the PMT via the shared [`MapEngine`], so serial
+//!   and falls back to the PMT via the shared [`crate::MapEngine`], so serial
 //!   mode stays deterministic and pipelined mode batches fallback
 //!   map-ins exactly like the baseline.
 //! * Writes and GC relocation **retrain**: every program punches the
@@ -57,19 +57,13 @@ use aftl_flash::{
 use serde::{Deserialize, Serialize};
 
 use crate::counters::SchemeCounters;
-use crate::gc::{GcConfig, GcReport, GcState, PageMigrator};
+use crate::gc::{GcReport, PageMigrator};
 use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::{MapEngine, MapEngineStats};
-use crate::mapping::pmt::PageMapTable;
-use crate::mapping::touched::TouchedSet;
-use crate::recover::{
-    lost_stamps_of, program_relocating, program_relocating_in_plane, read_with_retry, PageRead,
-};
+use crate::mapping::engine::MapEngineStats;
+use crate::pagemap::{CoreMigrator, PageMapCore};
+use crate::recover::{lost_stamps_of, program_relocating_in_plane, read_with_retry};
 use crate::request::{HostRequest, ReqKind};
-use crate::scheme::{
-    program_normal_extent, served_from_page, served_lost, served_unwritten, FtlEnv, FtlScheme,
-    SchemeConfig, SchemeKind, ServiceOutcome,
-};
+use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
 
 fn default_retrain_threshold() -> u32 {
     16
@@ -802,17 +796,10 @@ impl LearnedModel {
 // The learned FTL scheme
 // ---------------------------------------------------------------------------
 
-/// The learned-mapping FTL: baseline page mapping plus the model and
+/// The learned-mapping FTL: the page-mapped core plus the model and
 /// predict-then-verify read path described in the module docs.
 pub struct LearnedFtl {
-    cfg: SchemeConfig,
-    gc: GcState,
-    pmt: PageMapTable,
-    engine: MapEngine,
-    counters: SchemeCounters,
-    touched_tpages: TouchedSet,
-    entries_per_tpage: u64,
-    page_bytes: u32,
+    core: PageMapCore,
     model: LearnedModel,
     stats: LearnedStats,
     /// Round-robin plane for the GC repack (each flush fills one plane so
@@ -826,33 +813,12 @@ pub struct LearnedFtl {
 impl LearnedFtl {
     /// Construct a learned FTL for the given device geometry.
     pub fn new(env_geometry: &aftl_flash::Geometry, cfg: SchemeConfig) -> Self {
-        crate::mapping::pmt::assert_ppns_fit(env_geometry);
-        let page_bytes = env_geometry.page_bytes;
-        let entries_per_tpage = u64::from(page_bytes) / crate::baseline::ENTRY_BYTES;
-        let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);
         LearnedFtl {
-            gc: GcState::new(GcConfig {
-                threshold: cfg.gc_threshold,
-                hysteresis: cfg.gc_hysteresis,
-                tuning: cfg.gc,
-            }),
+            core: PageMapCore::new(env_geometry, cfg, crate::baseline::ENTRY_BYTES),
             model: LearnedModel::new(cfg.learned, TRACKER_CAPACITY),
-            cfg,
-            pmt: PageMapTable::new(0),
-            engine,
-            counters: SchemeCounters::default(),
-            touched_tpages: TouchedSet::new(),
-            entries_per_tpage,
-            page_bytes,
             stats: LearnedStats::default(),
             gc_plane_cursor: 0,
             gc_buf: Vec::new(),
-        }
-    }
-
-    fn ensure_pmt(&mut self) {
-        if self.pmt.logical_pages() == 0 {
-            self.pmt = PageMapTable::new(self.cfg.logical_pages);
         }
     }
 
@@ -865,26 +831,8 @@ impl LearnedFtl {
         pages: &[(u64, Ppn)],
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        ftl.ensure_pmt();
-        for &(lpn, ppn) in pages {
-            ftl.pmt.set_ppn(lpn, ppn);
-        }
+        ftl.core.load_pages(geometry, pages);
         ftl
-    }
-
-    #[inline]
-    fn tpid(&self, lpn: u64) -> u64 {
-        lpn / self.entries_per_tpage
-    }
-
-    /// One PMT consultation through the shared map engine (identical to
-    /// the baseline's — this is the fallback path).
-    fn map_access(&mut self, env: &mut FtlEnv<'_>, lpn: u64, dirty: bool) -> Result<u64> {
-        let tpid = self.tpid(lpn);
-        self.touched_tpages.insert(tpid);
-        self.counters.dram_accesses += 1;
-        self.engine
-            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
     }
 
     /// Installed segments (tests / diagnostics).
@@ -898,27 +846,18 @@ impl LearnedFtl {
     }
 
     fn run_gc(&mut self, env: &mut FtlEnv<'_>, idle_budget: Option<u64>) -> Result<GcReport> {
-        self.ensure_pmt();
         // A slice that failed before its `finish` left its pages behind;
         // the next collection starts, as a new migrator always has, empty.
         self.gc_buf.clear();
+        let (gc, core) = self.core.gc_parts();
         let mut migrator = LearnedMigrator {
-            pmt: &mut self.pmt,
-            engine: &mut self.engine,
-            counters: &mut self.counters,
+            core,
             model: &mut self.model,
             stats: &mut self.stats,
             plane_cursor: &mut self.gc_plane_cursor,
             buf: &mut self.gc_buf,
         };
-        match idle_budget {
-            None => self
-                .gc
-                .maybe_collect(env.array, env.alloc, env.now_ns, &mut migrator),
-            Some(n) => self
-                .gc
-                .idle_collect(env.array, env.alloc, env.now_ns, n, &mut migrator),
-        }
+        gc.collect(env.array, env.alloc, env.now_ns, idle_budget, &mut migrator)
     }
 }
 
@@ -929,27 +868,18 @@ impl FtlScheme for LearnedFtl {
 
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
-        self.ensure_pmt();
-        self.counters.host_writes += 1;
-        let spp = env.spp();
+        self.core.ensure_pmt();
+        self.core.counters.host_writes += 1;
         let mut outcome = ServiceOutcome::default();
-        for extent in req.extents(spp) {
+        for extent in req.extents(env.spp()) {
             // The write path is the baseline's, bit for bit: the PMT stays
             // the source of truth and the model only ever shadows it.
-            let ready = self.map_access(env, extent.lpn, true)?;
-            let done = program_normal_extent(
-                env.array,
-                env.alloc,
-                &mut self.pmt,
-                &mut self.counters,
-                &extent,
-                req.version,
-                env.now_ns,
-                ready,
-                None,
-            )?;
+            let ready = self.core.map_access(env, extent.lpn, true)?;
+            let done = self
+                .core
+                .program_extent(env, &extent, req.version, ready, None)?;
             outcome.merge_time(done);
-            let new_ppn = self.pmt.get(extent.lpn).ppn;
+            let new_ppn = self.core.pmt.get(extent.lpn).ppn;
             self.model
                 .note_program(extent.lpn, new_ppn, false, &mut self.stats);
         }
@@ -958,14 +888,12 @@ impl FtlScheme for LearnedFtl {
 
     fn read(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Read);
-        self.ensure_pmt();
-        self.counters.host_reads += 1;
-        let spp = env.spp();
-        let track = env.array.tracks_content();
-        let max_error = self.cfg.learned.max_error;
+        self.core.ensure_pmt();
+        self.core.counters.host_reads += 1;
+        let max_error = self.core.cfg.learned.max_error;
         let total_pages = env.geometry().total_pages();
         let mut outcome = ServiceOutcome::default();
-        for extent in req.extents(spp) {
+        for extent in req.extents(env.spp()) {
             // CMT first, model second (the LearnedFTL lookup order): when
             // the translation page is resident — or has never been flushed
             // to flash — the PMT consultation is free of flash reads, and
@@ -973,9 +901,9 @@ impl FtlScheme for LearnedFtl {
             // baseline's. The model is only deployed when the consultation
             // would charge a map-in flash read, so every verified
             // prediction below avoids a real double read.
-            let would_load = self.engine.would_load(self.tpid(extent.lpn));
+            let would_load = self.core.engine.would_load(self.core.tpid(extent.lpn));
             // Model consultation: one DRAM access, like a cache hit.
-            self.counters.dram_accesses += 1;
+            self.core.counters.dram_accesses += 1;
             let consult_ready = env.now_ns + env.array.timing().cache_access_ns;
             let mut served = false;
             if let Some(pred) = self.model.predict(extent.lpn).filter(|_| would_load) {
@@ -986,67 +914,36 @@ impl FtlScheme for LearnedFtl {
                     .chain((1..=i64::from(max_error)).flat_map(|d| [d, -d]))
                     .map(|delta| pred.0 as i64 + delta)
                     .filter(|&p| p >= 0 && (p as u64) < total_pages);
-                for cand in window.map(|p| p as u64) {
-                    let Ok(info) = env.array.page_info(Ppn(cand)) else {
+                for cand in window.map(|p| Ppn(p as u64)) {
+                    let Ok(info) = env.array.page_info(cand) else {
                         continue;
                     };
                     if !info.is_valid() || info.kind != PageKind::Data {
                         continue;
                     }
+                    self.stats.verify_reads += 1;
                     if info.tag == extent.lpn {
                         // Verified: this read is the data read. The PMT
                         // invariant (exactly one valid data page per LPN)
                         // makes it the same page the fallback would read.
                         debug_assert_eq!(
-                            Ppn(cand),
-                            self.pmt.get(extent.lpn).ppn,
+                            cand,
+                            self.core.pmt.get(extent.lpn).ppn,
                             "verified prediction disagrees with the PMT"
                         );
-                        self.stats.verify_reads += 1;
                         // `would_load` held above, so the fallback would
                         // have charged a map-in: this verify avoided it.
                         self.stats.map_ins_saved += 1;
-                        let r = read_with_retry(
-                            env.array,
-                            Ppn(cand),
-                            env.sectors_to_bytes(extent.len),
-                            env.now_ns,
-                            ready,
-                        )?;
-                        outcome.merge_time(r.complete_ns());
-                        match r {
-                            PageRead::Ok(_) => {
-                                if track {
-                                    served_from_page(
-                                        env.array,
-                                        Ppn(cand),
-                                        extent.offset,
-                                        extent.start_sector(spp),
-                                        extent.len,
-                                        &mut outcome.served,
-                                    );
-                                }
-                            }
-                            PageRead::Lost { .. } => {
-                                self.counters.host_unrecoverable_reads += 1;
-                                if track {
-                                    served_lost(
-                                        extent.start_sector(spp),
-                                        extent.len,
-                                        &mut outcome.served,
-                                    );
-                                }
-                            }
-                        }
+                        self.core
+                            .serve_extent(env, cand, &extent, ready, &mut outcome)?;
                         self.stats.predict_hits += 1;
                         served = true;
                         break;
                     }
                     // Valid page, wrong LPN: a wasted verify read, charged.
-                    self.stats.verify_reads += 1;
                     let r = read_with_retry(
                         env.array,
-                        Ppn(cand),
+                        cand,
                         env.geometry().sector_bytes,
                         env.now_ns,
                         ready,
@@ -1063,41 +960,11 @@ impl FtlScheme for LearnedFtl {
                 continue;
             }
             // Fallback: the baseline PMT path through the shared engine.
-            let ready = self.map_access(env, extent.lpn, false)?;
+            let ready = self.core.map_access(env, extent.lpn, false)?;
             outcome.merge_time(ready);
-            let entry = self.pmt.get(extent.lpn);
-            if entry.has_ppn() {
-                let r = read_with_retry(
-                    env.array,
-                    entry.ppn,
-                    env.sectors_to_bytes(extent.len),
-                    env.now_ns,
-                    ready,
-                )?;
-                outcome.merge_time(r.complete_ns());
-                match r {
-                    PageRead::Ok(_) => {
-                        if track {
-                            served_from_page(
-                                env.array,
-                                entry.ppn,
-                                extent.offset,
-                                extent.start_sector(spp),
-                                extent.len,
-                                &mut outcome.served,
-                            );
-                        }
-                    }
-                    PageRead::Lost { .. } => {
-                        self.counters.host_unrecoverable_reads += 1;
-                        if track {
-                            served_lost(extent.start_sector(spp), extent.len, &mut outcome.served);
-                        }
-                    }
-                }
-            } else if track {
-                served_unwritten(extent.start_sector(spp), extent.len, &mut outcome.served);
-            }
+            let ppn = self.core.pmt.get(extent.lpn).ppn;
+            self.core
+                .serve_extent(env, ppn, &extent, ready, &mut outcome)?;
         }
         Ok(outcome)
     }
@@ -1111,15 +978,15 @@ impl FtlScheme for LearnedFtl {
     }
 
     fn counters(&self) -> &SchemeCounters {
-        &self.counters
+        &self.core.counters
     }
 
     fn cache_stats(&self) -> CacheStats {
-        *self.engine.cache_stats()
+        *self.core.engine.cache_stats()
     }
 
     fn map_engine_stats(&self) -> MapEngineStats {
-        *self.engine.stats()
+        *self.core.engine.stats()
     }
 
     fn learned_stats(&self) -> LearnedStats {
@@ -1129,22 +996,15 @@ impl FtlScheme for LearnedFtl {
     fn mapping_table_bytes(&self) -> u64 {
         // PMT tpage footprint (the fallback is still a full DFTL table)
         // plus the modelled segment-store bytes.
-        self.touched_tpages.len() * u64::from(self.page_bytes) + self.model.store.model_bytes()
+        self.core.table_bytes() + self.model.store.model_bytes()
     }
 
     fn logical_pages(&self) -> u64 {
-        self.cfg.logical_pages
+        self.core.cfg.logical_pages
     }
 
     fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        let mut pages = Vec::new();
-        for lpn in 0..self.pmt.logical_pages() {
-            let entry = self.pmt.get(lpn);
-            if entry.has_ppn() {
-                pages.push((lpn, entry.ppn));
-            }
-        }
-        Some(crate::recovery::SchemeImage::Learned(pages))
+        Some(crate::recovery::SchemeImage::Learned(self.core.pages()))
     }
 }
 
@@ -1161,17 +1021,15 @@ struct BufferedPage {
     read_done: Nanos,
 }
 
-/// The learned scheme's [`PageMigrator`]: map pages copy one-to-one (like
-/// [`crate::gc::CopyMigrator`]), data pages are buffered — read and
-/// invalidated immediately, so the episode machine's re-validation and
+/// The learned scheme's [`PageMigrator`]: map pages copy one-to-one (the
+/// core's migrator), data pages are buffered — read and invalidated
+/// immediately, so the episode machine's re-validation and
 /// erase-before-flush stay sound — then sorted by LPN and programmed into
 /// a single plane at `finish`. Consecutive programs of LPN-sorted pages in
 /// one plane are physically adjacent, so relocation *recreates* runs for
 /// the tracker instead of shredding the victims' old ones.
 struct LearnedMigrator<'a> {
-    pmt: &'a mut PageMapTable,
-    engine: &'a mut MapEngine,
-    counters: &'a mut SchemeCounters,
+    core: CoreMigrator<'a>,
     model: &'a mut LearnedModel,
     stats: &'a mut LearnedStats,
     plane_cursor: &'a mut u64,
@@ -1188,51 +1046,32 @@ impl PageMigrator for LearnedMigrator<'_> {
         info: &PageInfo,
         report: &mut GcReport,
     ) -> Result<u64> {
+        if info.kind != PageKind::Data {
+            // The core copies stamps along with the page; a translation
+            // page has none, so that step does nothing here.
+            debug_assert!(array.content_of(old).is_none(), "{old:?}: stamped map page");
+            return self.core.migrate(array, alloc, now, old, info, report);
+        }
         let page_bytes = array.geometry().page_bytes;
         let r = read_with_retry(array, old, page_bytes, now, now)?;
         if r.is_lost() {
             report.lost_pages += 1;
         }
-        match info.kind {
-            PageKind::Map => {
-                let (new_ppn, _) = program_relocating(
-                    array,
-                    alloc,
-                    StreamId::Gc,
-                    PageKind::Map,
-                    info.tag,
-                    page_bytes,
-                    now,
-                    r.complete_ns(),
-                )?;
-                array.invalidate(old)?;
-                self.counters.dram_accesses += 1;
-                self.engine.note_migrated(info.tag, new_ppn);
-                Ok(1)
-            }
-            PageKind::Data => {
-                let stamps = if array.tracks_content() {
-                    if r.is_lost() {
-                        lost_stamps_of(array, old)
-                    } else {
-                        array.content_of(old).map(|s| s.to_vec().into_boxed_slice())
-                    }
-                } else {
-                    None
-                };
-                array.invalidate(old)?;
-                self.buf.push(BufferedPage {
-                    lpn: info.tag,
-                    stamps,
-                    read_done: r.complete_ns(),
-                });
-                // Programs are counted when `finish` flushes the buffer.
-                Ok(0)
-            }
-            PageKind::AcrossData => {
-                unreachable!("learned FTL never writes across-data pages")
-            }
-        }
+        let stamps = if !array.tracks_content() {
+            None
+        } else if r.is_lost() {
+            lost_stamps_of(array, old)
+        } else {
+            array.content_of(old).map(|s| s.to_vec().into_boxed_slice())
+        };
+        array.invalidate(old)?;
+        self.buf.push(BufferedPage {
+            lpn: info.tag,
+            stamps,
+            read_done: r.complete_ns(),
+        });
+        // Programs are counted when `finish` flushes the buffer.
+        Ok(0)
     }
 
     fn finish(
@@ -1267,8 +1106,8 @@ impl PageMigrator for LearnedMigrator<'_> {
                     array.record_content(new_ppn, stamps);
                 }
             }
-            self.counters.dram_accesses += 1;
-            let prev = self.pmt.set_ppn(page.lpn, new_ppn);
+            self.core.counters.dram_accesses += 1;
+            let prev = self.core.pmt.set_ppn(page.lpn, new_ppn);
             // `prev` was invalidated in `migrate`; only the mapping moves.
             debug_assert!(prev.is_valid(), "GC migrated an unmapped data page");
             self.model.note_program(page.lpn, new_ppn, true, self.stats);
@@ -1866,7 +1705,7 @@ mod tests {
         for &lpn in &predicted {
             assert_eq!(
                 ftl.model.predict(lpn),
-                Some(ftl.pmt.get(lpn).ppn),
+                Some(ftl.core.pmt.get(lpn).ppn),
                 "lpn {lpn}: model disagrees with the PMT"
             );
         }

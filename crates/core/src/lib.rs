@@ -43,6 +43,7 @@ pub mod mapping;
 pub mod mrsm;
 pub mod obs;
 pub mod oracle;
+mod pagemap;
 pub mod recover;
 pub mod recovery;
 pub mod request;

@@ -1,7 +1,10 @@
-//! The pipelined map engine (ROADMAP item 2, FMMU-style).
+//! The map engine (FMMU-style): map management — batching and
+//! out-of-order issue — in one unit the FTL logic does not look inside.
 //!
 //! Every scheme's mapping consultations route through a [`MapEngine`]
-//! wrapping the DFTL-style [`MapCache`]. The engine has two modes:
+//! wrapping the DFTL-style [`MapCache`], and every data op whose issue
+//! time the mode decides asks [`MapEngine::issue_at`]; no scheme reads the
+//! mode. The engine has two modes:
 //!
 //! * **Serial** (`PipelineConfig::enabled = false`, the default): every
 //!   call forwards verbatim to [`MapCache::access`]. This is the exact
@@ -18,8 +21,8 @@
 //!   on independent chips overlap with map misses still in flight
 //!   (**out-of-order completion** against the per-chip busy timelines).
 //!
-//! The pipeline is a wall-clock optimisation of the simulator, not a new
-//! device behaviour: with it enabled the flash op *sequence* (and hence
+//! The mode models *when* data ops issue, nothing else: the schemes do
+//! the same host work in both, and the flash op *sequence* (and hence
 //! every flash-side counter: op counts, cache loads/flushes, DRAM
 //! accesses, chip-busy accounting) is unchanged — only request-visible
 //! completion times (`latency_sum_ns`, `sim_span_ns`) may move, because
@@ -142,12 +145,6 @@ impl MapEngine {
         }
     }
 
-    /// Whether the two-stage pipeline is active.
-    #[inline]
-    pub fn pipelined(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// Pipeline event counters.
     #[inline]
     pub fn stats(&self) -> &MapEngineStats {
@@ -158,18 +155,6 @@ impl MapEngine {
     #[inline]
     pub fn cache_stats(&self) -> &CacheStats {
         self.cache.stats()
-    }
-
-    /// The wrapped cache (GC map-page migration, drain-at-shutdown).
-    #[inline]
-    pub fn cache_mut(&mut self) -> &mut MapCache {
-        &mut self.cache
-    }
-
-    /// Read-only view of the wrapped cache.
-    #[inline]
-    pub fn cache(&self) -> &MapCache {
-        &self.cache
     }
 
     /// GC migrated the flash copy of translation page `tpid`.
@@ -265,23 +250,22 @@ impl MapEngine {
         Ok(ready)
     }
 
-    /// Data-stage issue hook: a pipelined data op issues at its own
-    /// mapping-ready time `ready`. Counts it as an out-of-order completion
-    /// when an earlier resolution of this batch finished later — on the
-    /// serial path the op would have queued behind that resolution.
+    /// The one place the mode decides when a data op issues. `own_ready`
+    /// is when the resolutions this op depends on finished, `request_ready`
+    /// when every resolution of its request did. Serial: the op waits for
+    /// the whole request, `request_ready`. Pipelined: it issues at
+    /// `own_ready`, counted as an out-of-order completion when an earlier
+    /// resolution of the batch finished later — on the serial path the op
+    /// would have queued behind that resolution.
     #[inline]
-    pub fn note_issue(&mut self, ready: Nanos) -> Nanos {
-        if self.cfg.enabled && ready < self.serial_ready {
+    pub fn issue_at(&mut self, own_ready: Nanos, request_ready: Nanos) -> Nanos {
+        if !self.cfg.enabled {
+            return request_ready;
+        }
+        if own_ready < self.serial_ready {
             self.stats.ooo_completions += 1;
         }
-        ready
-    }
-
-    /// The completion a serial execution would have accumulated over the
-    /// resolutions of the current batch.
-    #[inline]
-    pub fn serial_ready(&self) -> Nanos {
-        self.serial_ready
+        own_ready
     }
 }
 
@@ -370,14 +354,42 @@ mod tests {
         e.begin_batch(10);
         let r1 = e.resolve(&mut array, &mut alloc, 10, 1, true).unwrap();
         assert!(r1 >= 10);
-        assert_eq!(e.note_issue(r1), r1);
+        assert_eq!(e.issue_at(r1, r1), r1);
         assert_eq!(e.stats().ooo_completions, 0, "at serial_ready is in-order");
         // Issuing below the batch's running serial max is out-of-order.
-        e.note_issue(r1 - 1);
+        e.issue_at(r1 - 1, r1);
         assert_eq!(e.stats().ooo_completions, 1);
         // A new batch resets the watermark.
         e.begin_batch(20);
-        e.note_issue(0);
+        e.issue_at(0, 0);
         assert_eq!(e.stats().ooo_completions, 1);
+    }
+
+    #[test]
+    fn issue_at_serial_waits_for_the_request_and_counts_nothing() {
+        let (mut array, mut alloc) = setup();
+        let mut e = MapEngine::new(4, PipelineConfig::default());
+        e.begin_batch(10);
+        let r1 = e.resolve(&mut array, &mut alloc, 10, 1, true).unwrap();
+        assert_eq!(e.issue_at(r1 - 1, r1 + 5), r1 + 5);
+        assert_eq!(e.issue_at(0, r1), r1);
+        assert_eq!(*e.stats(), MapEngineStats::default());
+    }
+
+    #[test]
+    fn issue_at_pipelined_issues_at_own_ready_and_counts_ooo_below_the_watermark() {
+        let (mut array, mut alloc) = setup();
+        let mut e = MapEngine::new(4, PipelineConfig::on());
+        e.begin_batch(10);
+        let watermark = e.resolve(&mut array, &mut alloc, 10, 1, true).unwrap();
+        for (own, ooo) in [
+            (watermark + 1, 0),
+            (watermark, 0),
+            (watermark - 1, 1),
+            (0, 2),
+        ] {
+            assert_eq!(e.issue_at(own, watermark + 100), own, "own_ready, always");
+            assert_eq!(e.stats().ooo_completions, ooo, "issue at {own}");
+        }
     }
 }

@@ -14,10 +14,12 @@
 
 use std::collections::HashMap;
 
-use aftl_flash::{Nanos, OobDesc, PageKind, Ppn, Result, SectorStamp, StreamId};
+use aftl_flash::{
+    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
+};
 
 use crate::counters::SchemeCounters;
-use crate::gc::{self, GcConfig, GcReport, GcState};
+use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState, PageMigrator};
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::{MapEngine, MapEngineStats};
 use crate::mapping::touched::TouchedSet;
@@ -87,11 +89,11 @@ struct SubWrite {
     /// When this sub-write's mapping resolution completed. The pipelined
     /// data stage issues against it instead of the request-wide maximum.
     ready: Nanos,
-    /// Old location captured at staging time (pipelined mode only; always
-    /// `None` in serial mode, where every consumer re-probes the table).
-    /// Distinct `(lpn, sub)` pairs within one request never alias, and a
-    /// page→sub node conversion keeps untouched subs at their old
-    /// `(ppn, slot)`, so the staged location stays valid until this
+    /// Old location captured at staging time, so the partial check, the
+    /// old-copy read, the pack and the eviction do not each probe the
+    /// table again. Distinct `(lpn, sub)` pairs within one request never
+    /// alias, and a page→sub node conversion keeps untouched subs at their
+    /// old `(ppn, slot)`, so the staged location stays valid until this
     /// sub-write's own pack group evicts it.
     loc: Option<SubLoc>,
 }
@@ -248,7 +250,10 @@ impl LpnTable {
 }
 
 /// Live sub-regions resident on one flash page, as packed
-/// `lpn << 2 | sub` words — at most one per slot. Entry order is the
+/// `lpn << 2 | sub` words — at most one per slot. A page-mapped LPN's page
+/// stores none: it holds exactly that LPN's four sub-regions, its program
+/// tag names the LPN, and the set is written out only when a partial
+/// write splits the page ([`MrsmFtl::evict_sub_at`]). Entry order is the
 /// order of pushes, with the last entry moved into the place of one
 /// removed: GC repack slot assignment depends on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -305,6 +310,17 @@ struct ResidentTable {
 }
 
 impl ResidentTable {
+    /// A table with room reserved for every page of the device. It still
+    /// grows (zero-filled) to the highest PPN holding a set, but inside one
+    /// allocation made here: page-mapped pages store no set, so the table
+    /// is first written mid-replay, and growing it by reallocation then
+    /// put a copy of itself on top of the run's peak memory.
+    fn for_device(total_pages: u64) -> Self {
+        ResidentTable {
+            sets: Vec::with_capacity(total_pages as usize),
+        }
+    }
+
     #[inline]
     fn get(&self, ppn: Ppn) -> Option<&ResidentSet> {
         self.sets.get(ppn.0 as usize).filter(|s| s.len > 0)
@@ -399,7 +415,7 @@ impl MrsmFtl {
             }),
             cfg,
             map: LpnTable::default(),
-            residents: ResidentTable::default(),
+            residents: ResidentTable::for_device(geometry.total_pages()),
             engine,
             counters: SchemeCounters::default(),
             touched_tpages: TouchedSet::new(),
@@ -415,9 +431,8 @@ impl MrsmFtl {
     }
 
     /// Construct an MRSM FTL preloaded with a recovered mapping (see
-    /// [`crate::recovery`]). Page-mapped nodes get the explicit resident
-    /// set serial mode maintains (pipelined mode keeps them implicit, as
-    /// `MrsmFtl::page_write` would); sub-mapped nodes register each
+    /// [`crate::recovery`]). Page-mapped nodes store no resident set, as
+    /// `MrsmFtl::page_write` leaves them; sub-mapped nodes register each
     /// present sub with its resident page. The map cache starts cold.
     pub fn from_image(
         geometry: &aftl_flash::Geometry,
@@ -425,7 +440,6 @@ impl MrsmFtl {
         nodes: &[(u64, crate::recovery::MrsmNodeImage)],
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        let pipelined = ftl.engine.pipelined();
         let in_range = |ppn: Ppn| ppn.0 < geometry.total_pages();
         for &(lpn, node) in nodes {
             assert!(
@@ -436,9 +450,6 @@ impl MrsmFtl {
                 crate::recovery::MrsmNodeImage::Page(p) => {
                     assert!(in_range(p), "image maps lpn {lpn} to {p:?}, off the device");
                     ftl.map.set(lpn, LpnMap::Page(p));
-                    if !pipelined {
-                        ftl.residents.insert_set(p, ResidentSet::of_page(lpn));
-                    }
                 }
                 crate::recovery::MrsmNodeImage::Subs(slots) => {
                     let mut locs = [SubLoc::NONE; SUBS_PER_PAGE as usize];
@@ -484,14 +495,8 @@ impl MrsmFtl {
             pending: &mut self.gc_pending,
             spp,
         };
-        match idle_budget {
-            None => self
-                .gc
-                .maybe_collect(env.array, env.alloc, env.now_ns, &mut migrator),
-            Some(n) => self
-                .gc
-                .idle_collect(env.array, env.alloc, env.now_ns, n, &mut migrator),
-        }
+        self.gc
+            .collect(env.array, env.alloc, env.now_ns, idle_budget, &mut migrator)
     }
 
     /// Tree-lookup cost in DRAM accesses: one probe per level.
@@ -517,15 +522,9 @@ impl MrsmFtl {
         self.map.loc(lpn, sub)
     }
 
-    /// Remove a sub-region from its current page's residents, invalidating
-    /// the page when its last live sub-region leaves.
-    fn evict_sub(&mut self, env: &mut FtlEnv<'_>, lpn: u64, sub: u32) -> Result<()> {
-        let loc = self.loc_of(lpn, sub);
-        self.evict_sub_at(env, lpn, sub, loc)
-    }
-
-    /// [`MrsmFtl::evict_sub`] with the location already known (pipelined
-    /// pack path — staged at [`SubWrite`] creation, saving the re-probe).
+    /// Remove a sub-region from the residents of the page it is at (`loc`,
+    /// staged at [`SubWrite`] creation on the pack path), invalidating the
+    /// page when its last live sub-region leaves.
     fn evict_sub_at(
         &mut self,
         env: &mut FtlEnv<'_>,
@@ -540,13 +539,11 @@ impl MrsmFtl {
             Some(true) => env.array.invalidate(loc.ppn)?,
             Some(false) => {}
             None => {
-                // Pipelined: page-mapped resident sets are implicit (see
-                // [`MrsmFtl::page_write`]). This eviction splits the page,
-                // so materialize the three surviving entries — in exactly
-                // the permutation the serial swap-remove round leaves:
-                // canonical `(lpn, 0..4)` with the last entry swapped into
-                // the evicted slot.
-                debug_assert!(self.engine.pipelined());
+                // A page-mapped page stores no set ([`ResidentSet`]). This
+                // eviction splits the page, so write out the three
+                // surviving entries — in the permutation a swap-remove
+                // from the full set leaves: canonical `(lpn, 0..4)` with
+                // the last entry moved into the evicted slot.
                 debug_assert!(
                     self.map.page_of(lpn) == Some(loc.ppn),
                     "missing resident record for sub-mapped ({lpn},{sub})"
@@ -574,28 +571,25 @@ impl MrsmFtl {
         ready: Nanos,
     ) -> Result<Nanos> {
         let spp = env.spp();
-        // Evict all old sub-region locations. Pipelined mode keeps
-        // page-mapped resident sets *implicit*: a `Page` node always owns
-        // all four resident slots of its page, so no set is stored at all —
-        // retiring one is a single map lookup plus the same invalidate the
-        // serial path's fourth swap-remove issues. The set only
-        // materializes if a later partial write splits the page
-        // ([`MrsmFtl::evict_sub_at`]); GC recognizes implicit pages by
-        // their owner-LPN program tag. Flash-op sequence and all observable
-        // counters stay identical to the serial path.
-        let pipelined = self.engine.pipelined();
+        // Evict all old sub-region locations. A `Page` node owns all four
+        // resident slots of its page and stores no set ([`ResidentSet`]),
+        // so retiring it is the one invalidate the last of four evictions
+        // would issue.
         match self.map.page_of(lpn) {
-            Some(p) if pipelined => {
+            Some(p) => {
                 debug_assert!(self.residents.get(p).is_none());
                 env.array.invalidate(p)?;
             }
-            _ => {
+            None => {
                 for sub in 0..SUBS_PER_PAGE {
-                    self.evict_sub(env, lpn, sub)?;
+                    let loc = self.loc_of(lpn, sub);
+                    self.evict_sub_at(env, lpn, sub, loc)?;
                 }
             }
         }
-        let ready = self.engine.note_issue(ready);
+        // A full page depends on its own extent's resolution only, in
+        // both engine modes.
+        let ready = self.engine.issue_at(ready, ready);
         let (new_ppn, w) = program_relocating(
             env.array,
             env.alloc,
@@ -619,29 +613,24 @@ impl MrsmFtl {
             env.array.record_content(new_ppn, stamps.into_boxed_slice());
         }
         self.map.set(lpn, LpnMap::Page(new_ppn));
-        if !pipelined {
-            self.residents
-                .insert_set(new_ppn, ResidentSet::of_page(lpn));
-        }
         Ok(w.complete_ns)
     }
 
     /// [`check_tables`] on this FTL's tables.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
-        check_tables(&self.map, &self.residents, self.engine.pipelined());
+        check_tables(&self.map, &self.residents);
     }
 }
 
 /// `residents` must be exactly the reverse of `map`, checked in both
 /// directions: every resident entry is where the map says that sub-region
 /// is (so none is duplicated or dangling), and every mapped sub-region has
-/// its resident entry — except on page-mapped pages in pipelined mode,
-/// which must have *no* set (it is implicit; GC reconstructs it from the
-/// program tag), where serial mode requires one. O(device), so it runs
+/// its resident entry — except on page-mapped pages, which must have *no*
+/// set (GC reconstructs it from the program tag). O(device), so it runs
 /// per GC slice and from tests, not per request, and not in release builds.
 #[cfg(any(test, debug_assertions))]
-fn check_tables(map: &LpnTable, residents: &ResidentTable, pipelined: bool) {
+fn check_tables(map: &LpnTable, residents: &ResidentTable) {
     for (ppn, set) in residents.iter() {
         for (i, (lpn, sub)) in set.entries().enumerate() {
             assert!(
@@ -655,10 +644,10 @@ fn check_tables(map: &LpnTable, residents: &ResidentTable, pipelined: bool) {
         }
     }
     for (lpn, node) in map.iter() {
-        if let (true, LpnMap::Page(p)) = (pipelined, node) {
+        if let LpnMap::Page(p) = node {
             assert!(
                 residents.get(p).is_none(),
-                "pipelined page-mapped ({lpn}) → {p:?} has an explicit resident set"
+                "page-mapped ({lpn}) → {p:?} has an explicit resident set"
             );
             continue;
         }
@@ -691,7 +680,6 @@ impl FtlScheme for MrsmFtl {
         let mut ready = env.now_ns;
         let mut pending = std::mem::take(&mut self.scratch_pending);
         pending.clear();
-        let pipelined = self.engine.pipelined();
 
         for extent in req.extents(spp) {
             let t = self.map_access(env, extent.lpn, true)?;
@@ -701,9 +689,7 @@ impl FtlScheme for MrsmFtl {
                 outcome.merge_time(w);
                 continue;
             }
-            // Stage the touched sub-regions — pipelined, each with its old
-            // location, which the partial-check, old-read, pack and evict
-            // steps below reuse instead of looking it up again.
+            // Stage the touched sub-regions, each with its old location.
             let es = extent.start_sector(spp);
             let ee = extent.end_sector(spp);
             let page_start = extent.lpn * u64::from(spp);
@@ -718,9 +704,7 @@ impl FtlScheme for MrsmFtl {
                     ws: es.max(sub_start),
                     we: ee.min(sub_end),
                     ready: t,
-                    loc: pipelined
-                        .then(|| self.loc_of(extent.lpn, sub as u32))
-                        .flatten(),
+                    loc: self.loc_of(extent.lpn, sub as u32),
                 });
             }
         }
@@ -746,23 +730,14 @@ impl FtlScheme for MrsmFtl {
             if !partial {
                 continue;
             }
-            let loc = if pipelined {
-                sw.loc
-            } else {
-                self.loc_of(sw.lpn, sw.sub)
-            };
-            if let Some(loc) = loc {
+            if let Some(loc) = sw.loc {
                 if old_reads.iter().any(|&(p, _)| p == loc.ppn) {
                     continue;
                 }
-                // Pipelined: the old-copy read waits only on the mapping
-                // resolution of the sub-write that needs it, not on the
-                // request's slowest resolution.
-                let at = if self.engine.pipelined() {
-                    self.engine.note_issue(sw.ready)
-                } else {
-                    ready
-                };
+                // The old-copy read depends only on the mapping resolution
+                // of the sub-write that needs it, not on the request's
+                // slowest resolution.
+                let at = self.engine.issue_at(sw.ready, ready);
                 let r = read_with_retry(
                     env.array,
                     loc.ppn,
@@ -791,23 +766,16 @@ impl FtlScheme for MrsmFtl {
 
         // Pack staged sub-regions into region pages, up to four per page.
         for group in pending.chunks(SUBS_PER_PAGE as usize) {
-            // Pipelined: the pack program depends on its own group's
-            // resolutions (and their old-copy reads below), not the
-            // request-wide resolution maximum.
-            let mut at = if pipelined {
-                group.iter().map(|sw| sw.ready).fold(env.now_ns, Nanos::max)
-            } else {
-                ready
-            };
+            // The pack program depends on its own group's resolutions (not
+            // the request-wide maximum) and, in either engine mode, on the
+            // group's old-copy reads.
+            let mut own = env.now_ns;
+            let mut old_read_done = 0;
             for sw in group {
-                let loc = if pipelined {
-                    sw.loc
-                } else {
-                    self.loc_of(sw.lpn, sw.sub)
-                };
-                if let Some(loc) = loc {
+                own = own.max(sw.ready);
+                if let Some(loc) = sw.loc {
                     if let Some(&(_, t)) = old_reads.iter().find(|&&(p, _)| p == loc.ppn) {
-                        at = at.max(t);
+                        old_read_done = old_read_done.max(t);
                     }
                 }
             }
@@ -826,7 +794,7 @@ impl FtlScheme for MrsmFtl {
                                 sector,
                                 version: req.version,
                             });
-                        } else if let Some(loc) = self.loc_of(sw.lpn, sw.sub) {
+                        } else if let Some(loc) = sw.loc {
                             // Preserved from the old location.
                             let src = u64::from(loc.slot) * sub_sectors + i;
                             stamps[dst] = old_stamps
@@ -839,7 +807,9 @@ impl FtlScheme for MrsmFtl {
             } else {
                 None
             };
-            let at = self.engine.note_issue(at);
+            let at = self
+                .engine
+                .issue_at(own.max(old_read_done), ready.max(old_read_done));
             let (new_ppn, w) = program_relocating(
                 env.array,
                 env.alloc,
@@ -866,11 +836,7 @@ impl FtlScheme for MrsmFtl {
             }
             outcome.merge_time(w.complete_ns);
             for (slot, sw) in group.iter().enumerate() {
-                if pipelined {
-                    self.evict_sub_at(env, sw.lpn, sw.sub, sw.loc)?;
-                } else {
-                    self.evict_sub(env, sw.lpn, sw.sub)?;
-                }
+                self.evict_sub_at(env, sw.lpn, sw.sub, sw.loc)?;
                 self.set_sub_loc(
                     sw.lpn,
                     sw.sub,
@@ -890,7 +856,6 @@ impl FtlScheme for MrsmFtl {
         debug_assert_eq!(req.kind, ReqKind::Read);
         self.counters.host_reads += 1;
         self.engine.begin_batch(env.now_ns);
-        let pipelined = self.engine.pipelined();
         let spp = env.spp();
         let sub_sectors = u64::from(spp / SUBS_PER_PAGE);
         let track = env.array.tracks_content();
@@ -944,14 +909,10 @@ impl FtlScheme for MrsmFtl {
                 .iter()
                 .filter(|q| q.ppn == p.ppn)
                 .fold((0u32, env.now_ns), |(t, a), q| (t + q.len, a.max(q.ready)));
-            // Pipelined: each page read waits only on the resolutions of
-            // the pieces it serves, overlapping with map misses still in
+            // Each page read depends only on the resolutions of the pieces
+            // it serves; issued then, it overlaps with map misses still in
             // flight on other chips.
-            let at = if pipelined {
-                self.engine.note_issue(page_ready)
-            } else {
-                ready
-            };
+            let at = self.engine.issue_at(page_ready, ready);
             let r = read_with_retry(
                 env.array,
                 p.ppn,
@@ -1080,8 +1041,8 @@ struct MrsmMigrator<'a> {
 impl MrsmMigrator<'_> {
     fn flush_chunk(
         &mut self,
-        array: &mut aftl_flash::FlashArray,
-        alloc: &mut aftl_flash::Allocator,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
         now: Nanos,
     ) -> Result<u64> {
         let n = self.pending.len().min(SUBS_PER_PAGE as usize);
@@ -1141,98 +1102,45 @@ impl MrsmMigrator<'_> {
     }
 }
 
-impl gc::PageMigrator for MrsmMigrator<'_> {
+impl PageMigrator for MrsmMigrator<'_> {
     fn migrate(
         &mut self,
-        array: &mut aftl_flash::FlashArray,
-        alloc: &mut aftl_flash::Allocator,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
         now: Nanos,
         old: Ppn,
-        info: &aftl_flash::PageInfo,
+        info: &PageInfo,
         report: &mut GcReport,
     ) -> Result<u64> {
         self.counters.dram_accesses += 1;
         let page_bytes = array.geometry().page_bytes;
         let sub_sectors = (self.spp / SUBS_PER_PAGE) as usize;
 
-        if info.kind == PageKind::Map {
-            let r = read_with_retry(array, old, page_bytes, now, now)?;
-            if r.is_lost() {
-                report.lost_pages += 1;
-            }
-            let (new, _) = program_relocating(
-                array,
-                alloc,
-                StreamId::Gc,
-                PageKind::Map,
-                info.tag,
-                page_bytes,
-                now,
-                r.complete_ns(),
-            )?;
-            array.invalidate(old)?;
-            self.engine.note_migrated(info.tag, new);
-            return Ok(1);
-        }
-
-        // Fully live page-mapped pages move one-to-one. In pipelined mode
-        // their resident sets are implicit — no entry at all — and the
-        // owner LPN is the page's program tag ([`MrsmFtl::page_write`]
-        // always tags data pages with their LPN); in serial mode the
-        // explicit four-entry set identifies them.
-        let res = self.residents.get(old).copied();
-        let page_mapped_owner = match &res {
-            Some(r) => {
-                let (lpn, _) = r.entries().next().expect("a stored set is never empty");
-                (r.len() == SUBS_PER_PAGE as usize && self.map.page_of(lpn) == Some(old))
-                    .then_some(lpn)
-            }
-            None => {
-                debug_assert!(self.engine.pipelined());
-                debug_assert!(
-                    self.map.page_of(info.tag) == Some(old),
-                    "valid user page has neither residents nor a page-mapped owner"
-                );
-                Some(info.tag)
-            }
+        // A translation page, or a page-mapped data page — the valid user
+        // page with no resident set, owned by the LPN in its program tag
+        // ([`MrsmFtl::page_write`]) — moves one-to-one.
+        let Some(res) = self.residents.get(old).copied() else {
+            let MrsmMigrator { map, engine, .. } = self;
+            let mut copy =
+                CopyMigrator(|_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
+                    if info.kind == PageKind::Map {
+                        engine.note_migrated(info.tag, new);
+                    } else {
+                        debug_assert!(
+                            map.page_of(info.tag) == Some(old),
+                            "valid user page has neither residents nor a page-mapped owner"
+                        );
+                        map.set(info.tag, LpnMap::Page(new));
+                    }
+                });
+            return copy.migrate(array, alloc, now, old, info, report);
         };
+
         let r = read_with_retry(array, old, page_bytes, now, now)?;
         if r.is_lost() {
             report.lost_pages += 1;
         }
-        if let Some(owner_lpn) = page_mapped_owner {
-            let (new, _) = program_relocating(
-                array,
-                alloc,
-                StreamId::Gc,
-                info.kind,
-                info.tag,
-                page_bytes,
-                now,
-                r.complete_ns(),
-            )?;
-            if array.tracks_content() {
-                let stamps = if r.is_lost() {
-                    lost_stamps_of(array, old)
-                } else {
-                    array.content_of(old).map(|s| s.to_vec().into_boxed_slice())
-                };
-                if let Some(s) = stamps {
-                    array.record_content(new, s);
-                }
-            }
-            // Serial mode carries the explicit set across the move;
-            // pipelined mode keeps the page implicit at `new` too.
-            if let Some(set) = self.residents.remove(old) {
-                self.residents.insert_set(new, set);
-            }
-            self.map.set(owner_lpn, LpnMap::Page(new));
-            array.invalidate(old)?;
-            return Ok(1);
-        }
-
         // Sparse page: lift the live sub-regions into the repack buffer.
-        let res = res.expect("sub-mapped page has residents");
         let content = if r.is_lost() {
             lost_stamps_of(array, old).map(|c| c.to_vec())
         } else {
@@ -1264,8 +1172,8 @@ impl gc::PageMigrator for MrsmMigrator<'_> {
 
     fn finish(
         &mut self,
-        array: &mut aftl_flash::FlashArray,
-        alloc: &mut aftl_flash::Allocator,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
         now: Nanos,
         _report: &mut GcReport,
     ) -> Result<u64> {
@@ -1274,7 +1182,7 @@ impl gc::PageMigrator for MrsmMigrator<'_> {
             programs += self.flush_chunk(array, alloc, now)?;
         }
         #[cfg(any(test, debug_assertions))]
-        check_tables(self.map, self.residents, self.engine.pipelined());
+        check_tables(self.map, self.residents);
         Ok(programs)
     }
 }
@@ -1489,39 +1397,41 @@ mod tests {
         );
     }
 
-    /// Pipelined mode keeps page-mapped resident sets implicit across the
-    /// whole lifecycle: full-page writes, partial splits (which materialise
-    /// the serial permutation), and GC migrations of both kinds of page.
+    /// Both engine modes keep page-mapped resident sets implicit across
+    /// the whole lifecycle: full-page writes, partial splits (which write
+    /// the set out in the swap-remove permutation), and GC migrations of
+    /// both kinds of page.
     #[test]
     fn pipelined_gc_keeps_page_sets_implicit() {
-        let (mut array, mut alloc, mut ftl) = setup_pipelined();
-        // A region page shared by two LPNs, plus sustained overwrite churn
-        // alternating full-page and split writes so GC migrates both
-        // implicit page-mapped and sub-mapped pages.
-        w(&mut ftl, &mut array, &mut alloc, 6, 4, 42);
-        for round in 0..1200u64 {
-            let lpn = 4 + (round % 16);
-            if round % 4 == 3 {
-                w(&mut ftl, &mut array, &mut alloc, lpn * 8 + 2, 2, round); // split
-            } else {
-                w(&mut ftl, &mut array, &mut alloc, lpn * 8, 8, round);
+        for (mut array, mut alloc, mut ftl) in [setup(), setup_pipelined()] {
+            // A region page shared by two LPNs, plus sustained overwrite churn
+            // alternating full-page and split writes so GC migrates both
+            // implicit page-mapped and sub-mapped pages.
+            w(&mut ftl, &mut array, &mut alloc, 6, 4, 42);
+            for round in 0..1200u64 {
+                let lpn = 4 + (round % 16);
+                if round % 4 == 3 {
+                    w(&mut ftl, &mut array, &mut alloc, lpn * 8 + 2, 2, round); // split
+                } else {
+                    w(&mut ftl, &mut array, &mut alloc, lpn * 8, 8, round);
+                }
+                let mut e = FtlEnv {
+                    array: &mut array,
+                    alloc: &mut alloc,
+                    now_ns: 0,
+                };
+                ftl.maybe_gc(&mut e).unwrap();
+                if round % 100 == 0 {
+                    ftl.check_invariants();
+                }
             }
-            let mut e = FtlEnv {
-                array: &mut array,
-                alloc: &mut alloc,
-                now_ns: 0,
-            };
-            ftl.maybe_gc(&mut e).unwrap();
-            if round % 100 == 0 {
-                ftl.check_invariants();
-            }
+            assert!(array.stats().erases > 0);
+            ftl.check_invariants();
+            assert_eq!(
+                read_versions(&mut ftl, &mut array, &mut alloc, 6, 4),
+                vec![42; 4]
+            );
         }
-        assert!(array.stats().erases > 0);
-        ftl.check_invariants();
-        assert_eq!(
-            read_versions(&mut ftl, &mut array, &mut alloc, 6, 4),
-            vec![42; 4]
-        );
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! The FTL scheme interface shared by baseline FTL, MRSM and Across-FTL,
-//! plus helpers common to every page-mapping scheme (read-modify-write
-//! normal page programming, oracle stamp assembly).
+//! The FTL scheme interface all four schemes implement, plus the oracle
+//! stamp assembly they share (the page-mapped write/read/GC skeleton
+//! itself is the crate-private `pagemap` module).
 
-use aftl_flash::{
-    Allocator, FlashArray, Geometry, Nanos, PageKind, Ppn, Result, SectorStamp, StreamId,
-};
+use aftl_flash::{Allocator, FlashArray, Geometry, Nanos, Ppn, Result, SectorStamp};
 use serde::{Deserialize, Serialize};
 
 use crate::counters::SchemeCounters;
@@ -12,9 +10,8 @@ use crate::gc::{GcReport, GcTuning};
 use crate::learned::{LearnedConfig, LearnedStats};
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::{MapEngineStats, PipelineConfig};
-use crate::mapping::pmt::PageMapTable;
 use crate::obs::SchemeEvent;
-use crate::recover::{lost_stamps_of, program_relocating, read_with_retry, PageRead, LOST_VERSION};
+use crate::recover::{PageRead, LOST_VERSION};
 use crate::request::{HostRequest, PageExtent};
 
 /// Which scheme a trait object implements (for reports).
@@ -264,7 +261,7 @@ pub trait FtlScheme {
 }
 
 // ---------------------------------------------------------------------------
-// Shared helpers for page-mapping schemes
+// Shared oracle-stamp helpers
 // ---------------------------------------------------------------------------
 
 /// Content stamps for programming a page that holds `extent`'s new data at
@@ -289,82 +286,6 @@ pub(crate) fn extent_stamps(
         });
     }
     stamps.into_boxed_slice()
-}
-
-/// Program a normally-mapped page for `extent`, with read-modify-write when
-/// the extent is partial and the LPN already has data (the conventional-FTL
-/// behaviour whose cost Across-FTL avoids for across-page requests).
-///
-/// Returns the program completion time. `ready_ns` is when the mapping
-/// lookup finished.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn program_normal_extent(
-    array: &mut FlashArray,
-    alloc: &mut Allocator,
-    pmt: &mut PageMapTable,
-    counters: &mut SchemeCounters,
-    extent: &PageExtent,
-    version: u64,
-    arrive_ns: Nanos,
-    ready_ns: Nanos,
-    stamps_override: Option<Box<[Option<SectorStamp>]>>,
-) -> Result<Nanos> {
-    let spp = array.geometry().sectors_per_page();
-    let page_bytes = array.geometry().page_bytes;
-    let sector_bytes = array.geometry().sector_bytes;
-    let old = pmt.get(extent.lpn).ppn;
-
-    let mut ready = ready_ns;
-    let mut base_stamps: Option<Box<[Option<SectorStamp>]>> = None;
-    let rmw = !extent.is_full_page(spp) && old.is_valid();
-    if rmw {
-        // Read the old copy to preserve the sectors the extent misses.
-        match read_with_retry(array, old, page_bytes, arrive_ns, ready)? {
-            PageRead::Ok(r) => {
-                ready = r.complete_ns;
-                if array.tracks_content() {
-                    base_stamps = array.content_of(old).map(|s| s.to_vec().into_boxed_slice());
-                }
-            }
-            PageRead::Lost { complete_ns } => {
-                // The sectors the extent misses are gone; the merged page
-                // carries LOST_VERSION stamps for them so later reads
-                // report the acknowledged loss instead of stale data.
-                ready = complete_ns;
-                counters.lost_pages += 1;
-                if array.tracks_content() {
-                    base_stamps = lost_stamps_of(array, old);
-                }
-            }
-        }
-        counters.rmw_reads += 1;
-    }
-
-    let bytes = if rmw {
-        page_bytes
-    } else {
-        extent.len * sector_bytes
-    };
-    let (new_ppn, w) = program_relocating(
-        array,
-        alloc,
-        StreamId::Data,
-        PageKind::Data,
-        extent.lpn,
-        bytes,
-        arrive_ns,
-        ready,
-    )?;
-    if array.tracks_content() {
-        let stamps = stamps_override
-            .unwrap_or_else(|| extent_stamps(spp, extent, version, base_stamps.as_deref()));
-        array.record_content(new_ppn, stamps);
-    }
-    let prev = pmt.set_ppn(extent.lpn, new_ppn);
-    if prev.is_valid() {
-        array.invalidate(prev)?;
-    }
-    Ok(w.complete_ns)
 }
 
 /// Assemble served-sector provenance for `count` sectors starting at
@@ -411,10 +332,29 @@ pub(crate) fn served_lost(first_sector: u64, count: u32, out: &mut Vec<ServedSec
     }
 }
 
+/// Provenance of `ranges` — `(in-page sector offset, first sector,
+/// count)` each — of page `ppn` once reading it gave `read`: the page's
+/// stamps, or the acknowledged loss when the retry ladder was exhausted.
+pub(crate) fn served_after_read(
+    array: &FlashArray,
+    read: &PageRead,
+    ppn: Ppn,
+    ranges: impl IntoIterator<Item = (u32, u64, u32)>,
+    out: &mut Vec<ServedSector>,
+) {
+    for (page_offset, first_sector, count) in ranges {
+        match read {
+            PageRead::Ok(_) => served_from_page(array, ppn, page_offset, first_sector, count, out),
+            PageRead::Lost { .. } => served_lost(first_sector, count, out),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aftl_flash::TimingSpec;
+    use crate::pagemap::PageMapCore;
+    use aftl_flash::{PageKind, TimingSpec};
 
     #[test]
     fn scheme_config_defaults() {
@@ -477,8 +417,17 @@ mod tests {
         let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
         array.enable_content_tracking();
         let mut alloc = Allocator::new(&array);
-        let mut pmt = PageMapTable::new(64);
-        let mut counters = SchemeCounters::default();
+        let cfg = SchemeConfig {
+            logical_pages: 64,
+            ..SchemeConfig::for_geometry(&g)
+        };
+        let mut core = PageMapCore::new(&g, cfg, crate::baseline::ENTRY_BYTES);
+        core.ensure_pmt();
+        let mut env = FtlEnv {
+            array: &mut array,
+            alloc: &mut alloc,
+            now_ns: 0,
+        };
 
         // Full-page write: no RMW.
         let full = PageExtent {
@@ -486,20 +435,9 @@ mod tests {
             offset: 0,
             len: 8,
         };
-        program_normal_extent(
-            &mut array,
-            &mut alloc,
-            &mut pmt,
-            &mut counters,
-            &full,
-            1,
-            0,
-            0,
-            None,
-        )
-        .unwrap();
-        assert_eq!(counters.rmw_reads, 0);
-        let first_ppn = pmt.get(1).ppn;
+        core.program_extent(&mut env, &full, 1, 0, None).unwrap();
+        assert_eq!(core.counters.rmw_reads, 0);
+        let first_ppn = core.pmt.get(1).ppn;
         assert!(first_ppn.is_valid());
 
         // Partial update of the same LPN: RMW read + merge.
@@ -508,25 +446,14 @@ mod tests {
             offset: 2,
             len: 2,
         };
-        program_normal_extent(
-            &mut array,
-            &mut alloc,
-            &mut pmt,
-            &mut counters,
-            &part,
-            2,
-            0,
-            0,
-            None,
-        )
-        .unwrap();
-        assert_eq!(counters.rmw_reads, 1);
-        let new_ppn = pmt.get(1).ppn;
+        core.program_extent(&mut env, &part, 2, 0, None).unwrap();
+        assert_eq!(core.counters.rmw_reads, 1);
+        let new_ppn = core.pmt.get(1).ppn;
         assert_ne!(new_ppn, first_ppn);
         // Old page invalidated.
-        assert!(array.page_info(first_ppn).unwrap().is_invalid());
+        assert!(env.array.page_info(first_ppn).unwrap().is_invalid());
         // Merged stamps: sector 8+2 at v2, sector 8+5 still v1.
-        let c = array.content_of(new_ppn).unwrap();
+        let c = env.array.content_of(new_ppn).unwrap();
         assert_eq!(c[2].unwrap().version, 2);
         assert_eq!(c[5].unwrap().version, 1);
 
@@ -536,20 +463,9 @@ mod tests {
             offset: 0,
             len: 4,
         };
-        program_normal_extent(
-            &mut array,
-            &mut alloc,
-            &mut pmt,
-            &mut counters,
-            &fresh,
-            3,
-            0,
-            0,
-            None,
-        )
-        .unwrap();
-        assert_eq!(counters.rmw_reads, 1, "no RMW for unmapped LPN");
-        let c = array.content_of(pmt.get(2).ppn).unwrap();
+        core.program_extent(&mut env, &fresh, 3, 0, None).unwrap();
+        assert_eq!(core.counters.rmw_reads, 1, "no RMW for unmapped LPN");
+        let c = env.array.content_of(core.pmt.get(2).ppn).unwrap();
         assert!(c[6].is_none());
     }
 

@@ -133,8 +133,8 @@ struct MrsmGcRun {
     mapping_table_bytes: u64,
 }
 
-/// Both map-engine modes: they keep page-mapped resident sets differently
-/// (explicit / implicit), so GC reaches different table code in each.
+/// Both map-engine modes: the flash side must not depend on the mode, and
+/// the latency side is pinned per mode.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct MrsmGcGolden {
     serial: MrsmGcRun,
