@@ -50,6 +50,19 @@ printf 'crates/core/src non-test lines: '
 find crates/core/src -name '*.rs' ! -name reference.rs \
     -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +
 
+say "bench structure (one figure binary, no subprocesses)"
+# Every table and figure is an entry of crates/bench/src/figures.rs rendered
+# in-process by repro_all; a per-figure binary or a spawned one creeping
+# back fails here rather than in review.
+[ "$(ls crates/bench/src/bin | tr '\n' ' ')" = "repro_all.rs sim_cli.rs " ] \
+    || { echo "crates/bench/src/bin holds more than repro_all.rs and sim_cli.rs"; exit 1; }
+[ "$(grep -c 'Command::new' crates/bench/src/bin/repro_all.rs)" -eq 0 ] \
+    || { echo "repro_all spawns a subprocess (render through figures::FIGURES)"; exit 1; }
+# Non-test lines of the figure harness (821 when it was twelve binaries).
+printf 'figure harness non-test lines: '
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
+    crates/bench/src/lib.rs crates/bench/src/figures.rs crates/bench/src/bin/repro_all.rs
+
 say "cargo build --release"
 cargo build --release
 
@@ -60,6 +73,23 @@ say "cargo doc -D warnings"
 # Every public item in every crate is documented (#![warn(missing_docs)]
 # workspace-wide); broken intra-doc links or rustdoc warnings fail here.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+say "figures smoke (one pass: selected figures, one grid, no per-figure dumps)"
+# Two trace-statistics figures and one grid figure at 1/500 length: the
+# pass must render exactly the four selected, in paper order, simulate the
+# 8 KB grid once (6 LUNs x 3 schemes) and write no per-figure grid copy.
+fig_dir=target/ci_figures_smoke
+rm -rf "$fig_dir"
+AFTL_RESULTS_DIR=$fig_dir cargo run --release -q -p aftl-bench --bin repro_all -- \
+    table1 table2 fig9 fig13 --scale 0.002 >/dev/null
+grep '^== ' "$fig_dir/all_figures.txt" | cut -c1-12 | tr '\n' '|' \
+    | grep -q '^== Table 1: |== Table 2: |== Figure 9(|== Figure 9(|== Figure 9(|== Figure 13|$' \
+    || { echo "figures smoke: wrong figures or order in all_figures.txt"; exit 1; }
+[ "$(grep -c '"runs": \[' "$fig_dir/grid_8k.json")" -eq 6 ] \
+    || { echo "figures smoke: grid_8k.json does not hold 6 LUNs"; exit 1; }
+[ "$(grep -c '"schema_version"' "$fig_dir/grid_8k.json")" -eq 18 ] \
+    || { echo "figures smoke: grid_8k.json does not hold 6 x 3 runs"; exit 1; }
+[ ! -e "$fig_dir/fig9.json" ] || { echo "figures smoke: fig9 dumped its own grid copy"; exit 1; }
 
 say "fault-injection smoke"
 # A short replay with nonzero fault rates must complete cleanly, actually

@@ -1,120 +1,65 @@
-//! Regenerate every table and figure in one pass; writes text output to
-//! stdout and machine-readable JSON grids to `results/`.
-//!
-//! The figure binaries are independent of each other, so they run in
-//! parallel (rayon worker per binary) while their outputs are printed
-//! and archived in the canonical paper order. A failing binary no longer
-//! aborts the pass: every failure is collected, reported with the
-//! binary's stderr at the end, and turned into a nonzero exit code.
+//! Regenerate the paper's tables and figures in one in-process pass over
+//! [`figures::FIGURES`]: all of them, or the ones named (`repro_all fig9
+//! fig14 --scale 0.3`). Text goes to stdout and `all_figures.txt`, each
+//! simulated grid to `grid_<n>k.json`, the other numbers to `<name>.json`,
+//! under `$AFTL_RESULTS_DIR` (default `results/`). A failed simulation
+//! costs the figures that read it (one stderr line each) and exit code 1.
 
-use aftl_core::scheme::SchemeKind;
-use rayon::prelude::*;
-use std::fmt::Write as _;
-
-/// The figure/table binaries of the reproduction, in paper order.
-const BINS: [&str; 11] = [
-    "table1", "table2", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-];
-
-/// One figure binary's run: captured stdout on success, the failure
-/// reason (spawn error or stderr) otherwise. Wall time is kept either
-/// way — a slow failure is still worth seeing.
-struct BinRun {
-    bin: &'static str,
-    wall_s: f64,
-    outcome: Result<String, String>,
-}
-
-fn run_bin(bin: &'static str, scale: f64, page_bytes: u32) -> BinRun {
-    let started = std::time::Instant::now();
-    let exe = std::env::current_exe().expect("current exe path");
-    let dir = exe.parent().expect("exe has a parent dir");
-    let outcome = match std::process::Command::new(dir.join(bin))
-        .args([
-            "--scale",
-            &scale.to_string(),
-            "--page",
-            &page_bytes.to_string(),
-        ])
-        .output()
-    {
-        Err(e) => Err(format!("failed to spawn: {e}")),
-        Ok(out) if !out.status.success() => Err(format!(
-            "exited with {}: {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr).trim_end()
-        )),
-        Ok(out) => Ok(String::from_utf8_lossy(&out.stdout).into_owned()),
-    };
-    BinRun {
-        bin,
-        wall_s: started.elapsed().as_secs_f64(),
-        outcome,
-    }
-}
+use aftl_bench::figures::{self, Eval};
+use aftl_bench::Args;
 
 fn main() {
-    let args = aftl_bench::Args::parse();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", figures::usage());
+        return;
+    }
+    let parsed = Args::parse(argv).and_then(|(args, names)| Ok((args, figures::select(&names)?)));
+    let (args, selected) = parsed.unwrap_or_else(|reason| {
+        eprintln!("repro_all: {reason}; {}", figures::usage());
+        std::process::exit(2);
+    });
+
     let started = std::time::Instant::now();
-    let results_dir = aftl_bench::results_dir();
-    std::fs::create_dir_all(&results_dir).expect("create results dir");
+    let dir = aftl_bench::results_dir();
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let write = |file: String, contents: &str| {
+        let path = dir.join(file);
+        std::fs::write(&path, contents).expect("write results");
+        eprintln!("[repro_all] wrote {}", path.display());
+    };
 
-    eprintln!(
-        "[repro_all] running {} figure binaries in parallel (scale {}, page {})…",
-        BINS.len(),
-        args.scale,
-        args.page_bytes
-    );
-    let runs: Vec<BinRun> = BINS
-        .par_iter()
-        .map(|&bin| run_bin(bin, args.scale, args.page_bytes))
-        .collect();
-
-    // Print and archive in paper order regardless of completion order.
-    let mut all = String::new();
-    let mut failures: Vec<&BinRun> = Vec::new();
-    for run in &runs {
-        match &run.outcome {
-            Ok(text) => {
-                eprintln!("[repro_all] {} ok in {:.1}s", run.bin, run.wall_s);
-                println!("{text}");
-                writeln!(all, "{text}").unwrap();
+    let eval = Eval::new(args);
+    let (mut all, mut failed) = (String::new(), false);
+    for &(name, render) in selected {
+        match render(&eval) {
+            Ok((text, json)) => {
+                // A blank line between figures, none after the last: one
+                // figure's stdout is exactly its text.
+                print!("{}{}", if all.is_empty() { "" } else { "\n" }, text);
+                all += &text;
+                all.push('\n');
+                if let Some(json) = json {
+                    write(format!("{name}.json"), &json);
+                }
             }
-            Err(_) => {
-                eprintln!("[repro_all] {} FAILED after {:.1}s", run.bin, run.wall_s);
-                failures.push(run);
+            Err(reason) => {
+                eprintln!("[repro_all] {name} not rendered: {reason}");
+                failed = true;
             }
         }
     }
-    std::fs::write(results_dir.join("all_figures.txt"), &all).expect("write results");
-
-    // Machine-readable grid at the default page size.
-    let traces = aftl_bench::luns(args.scale);
-    let grid = aftl_bench::grid(&traces, args.page_bytes);
-    aftl_bench::emit_json("grid_8k", &grid);
-
-    let io_red = aftl_bench::mean_reduction_vs(&grid, SchemeKind::Baseline, |r| r.io_time_s());
-    let er_red = aftl_bench::mean_reduction_vs(&grid, SchemeKind::Baseline, |r| r.erases() as f64);
+    write("all_figures.txt".into(), &all);
+    for (page, grid) in eval.grids() {
+        let json = serde_json::to_string_pretty(grid).expect("results serialize");
+        write(format!("grid_{}k.json", page / 1024), &json);
+    }
+    let wall = started.elapsed().as_secs_f64();
     eprintln!(
-        "[repro_all] done in {:.0}s — Across-FTL vs FTL: I/O time -{:.1}%, erases -{:.1}%. Results in results/.",
-        started.elapsed().as_secs_f64(),
-        io_red * 100.0,
-        er_red * 100.0
+        "[repro_all] done in {wall:.0}s. Results in {}/.",
+        dir.display()
     );
-
-    if !failures.is_empty() {
-        eprintln!(
-            "[repro_all] {} of {} binaries failed:",
-            failures.len(),
-            BINS.len()
-        );
-        for run in &failures {
-            eprintln!(
-                "[repro_all]   {}: {}",
-                run.bin,
-                run.outcome.as_ref().unwrap_err()
-            );
-        }
+    if failed {
         std::process::exit(1);
     }
 }

@@ -1,11 +1,15 @@
 //! # aftl-bench — the evaluation harness
 //!
-//! One binary per table/figure of the paper (`cargo run --release -p
-//! aftl-bench --bin fig9`), plus `repro_all` which regenerates everything
-//! in one pass and writes machine-readable results. Criterion micro-benches
-//! live under `benches/`.
+//! The paper's evaluation is one experiment — six LUNs × three schemes × a
+//! page size — seen through different columns, so [`figures`] computes it
+//! in one pass and renders every table and figure as a projection of it.
+//! `repro_all` is the one binary over that registry (`cargo run --release
+//! -p aftl-bench --bin repro_all -- fig9 fig14 --scale 0.3`; no names =
+//! every figure); `sim_cli` is the general-purpose single run. Criterion
+//! micro-benches live under `benches/`.
 //!
 //! Common conventions:
+//! * figure names are positional arguments, in any order,
 //! * `--scale <f>` scales trace lengths (1.0 = the paper's request counts),
 //! * `--page <bytes>` selects the flash page size where applicable,
 //! * figures print the paper's normalized-to-FTL convention with baseline
@@ -15,11 +19,12 @@
 
 use aftl_core::scheme::SchemeKind;
 use aftl_sim::experiment::ComparisonReport;
-use aftl_sim::tables::Row;
+use aftl_sim::tables::{normalized_table, Row};
 use aftl_trace::{LunPreset, Trace};
 use rayon::prelude::*;
 use std::path::PathBuf;
 
+pub mod figures;
 pub mod fleetbench;
 pub mod gctail;
 pub mod hostbench;
@@ -27,7 +32,11 @@ pub mod learnedbench;
 pub mod recoverybench;
 pub mod replay;
 
-/// Command-line options shared by the figure binaries.
+/// The flash page sizes the experiment geometry is defined for (the sweep
+/// of Figs. 13 and 14).
+pub const PAGE_SIZES: [u32; 3] = [4096, 8192, 16384];
+
+/// Command-line options of `repro_all`, shared by every figure.
 #[derive(Debug, Clone, Copy)]
 pub struct Args {
     /// Trace-length scale; 1.0 reproduces Table 2's request counts.
@@ -46,32 +55,34 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parse `--scale` / `--page` from the process arguments.
-    pub fn parse() -> Args {
+    /// Parse a command line (program name already skipped): `--scale` and
+    /// `--page` wherever they stand, every other word a figure name for
+    /// [`figures::select`]. Values are checked here, once: a page size the
+    /// geometry does not define or a scale the trace generators would
+    /// divide by is an `Err` with the reason, never a panic in a worker.
+    pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<String>), String> {
         let mut args = Args::default();
-        let mut it = std::env::args().skip(1);
+        let mut names = Vec::new();
+        let mut it = argv.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--scale" => {
-                    args.scale = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale needs a float");
+                    let v = it.next().unwrap_or_default();
+                    args.scale = (v.parse().ok())
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .ok_or_else(|| format!("--scale needs a finite float > 0, got {v:?}"))?;
                 }
                 "--page" => {
-                    args.page_bytes = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--page needs 4096|8192|16384");
+                    let v = it.next().unwrap_or_default();
+                    args.page_bytes = (v.parse().ok())
+                        .filter(|p| PAGE_SIZES.contains(p))
+                        .ok_or_else(|| format!("--page needs 4096|8192|16384, got {v:?}"))?;
                 }
-                "--help" | "-h" => {
-                    eprintln!("options: --scale <f=1.0> --page <4096|8192|16384>");
-                    std::process::exit(0);
-                }
-                other => panic!("unknown argument {other:?}"),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                _ => names.push(a),
             }
         }
-        args
+        Ok((args, names))
     }
 }
 
@@ -83,43 +94,35 @@ pub fn luns(scale: f64) -> Vec<Trace> {
         .collect()
 }
 
-/// Run the full 6-LUN × 3-scheme grid at `page_bytes`.
-pub fn grid(traces: &[Trace], page_bytes: u32) -> Vec<ComparisonReport> {
-    aftl_sim::experiment::run_grid(traces, page_bytes).expect("simulation runs to completion")
-}
-
-/// Build normalized-figure rows from a grid: one row per LUN with the three
+/// A normalized figure panel over a grid: one row per LUN with the three
 /// schemes' values of `metric` (FTL first = the normalization baseline).
-pub fn rows_from_grid(
-    reports: &[ComparisonReport],
+pub fn normalized(
+    title: &str,
+    unit: &str,
+    grid: &[ComparisonReport],
     metric: impl Fn(&aftl_sim::RunReport) -> f64,
-) -> Vec<Row> {
-    reports
-        .iter()
+) -> String {
+    let rows: Vec<Row> = (grid.iter())
         .map(|c| {
-            Row::new(
-                c.trace.clone(),
-                SchemeKind::ALL
-                    .iter()
-                    .map(|&s| (s.name().to_string(), metric(c.get(s))))
-                    .collect(),
-            )
+            let values = SchemeKind::ALL.map(|s| (s.name().to_string(), metric(c.get(s))));
+            Row::new(c.trace.clone(), values.to_vec())
         })
-        .collect()
+        .collect();
+    normalized_table(title, unit, &rows)
 }
 
-/// Mean Across-FTL/baseline ratio over the grid for `metric` (the "average
-/// X % reduction" numbers quoted in the paper's prose).
-pub fn mean_reduction_vs(
-    reports: &[ComparisonReport],
+/// Percent by which Across-FTL undercuts `baseline` on `metric`, from the
+/// geometric mean of the per-LUN ratios (the "average X % reduction"
+/// numbers quoted in the paper's prose).
+pub fn reduction_pct(
+    grid: &[ComparisonReport],
     baseline: SchemeKind,
     metric: impl Fn(&aftl_sim::RunReport) -> f64,
 ) -> f64 {
-    let pairs: Vec<(f64, f64)> = reports
-        .iter()
+    let pairs: Vec<(f64, f64)> = (grid.iter())
         .map(|c| (metric(c.get(baseline)), metric(c.get(SchemeKind::Across))))
         .collect();
-    1.0 - aftl_sim::tables::mean_ratio(&pairs)
+    100.0 * (1.0 - aftl_sim::tables::mean_ratio(&pairs))
 }
 
 /// Directory machine-readable results are written to: `$AFTL_RESULTS_DIR`
@@ -130,22 +133,10 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Write `value` as pretty-printed JSON to `<results_dir>/<name>.json` and
-/// return the path. Every figure binary emits its machine-readable results
-/// through this, next to the human-readable table it prints.
-pub fn emit_json<T: serde::Serialize + ?Sized>(name: &str, value: &T) -> PathBuf {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("results serialize");
-    std::fs::write(&path, json).expect("write results json");
-    eprintln!("wrote {}", path.display());
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aftl_sim::experiment::run_grid;
 
     #[test]
     fn args_default() {
@@ -154,17 +145,56 @@ mod tests {
         assert!((a.scale - 1.0).abs() < 1e-12);
     }
 
+    fn parse(line: &str) -> Result<(Args, Vec<String>), String> {
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn args_parse_flags_and_positional_names_in_any_order() {
+        let (a, names) = parse("fig9 --scale 0.3 fig14 --page 16384").unwrap();
+        assert_eq!((a.scale, a.page_bytes), (0.3, 16384));
+        assert_eq!(names, ["fig9", "fig14"]);
+        let (a, names) = parse("").unwrap();
+        assert_eq!((a.scale, a.page_bytes), (1.0, 8192));
+        assert!(names.is_empty());
+    }
+
+    #[test]
+    fn args_reject_a_page_size_the_geometry_does_not_define() {
+        for bad in ["--page 5000", "--page 0", "--page 8k", "--page"] {
+            assert!(parse(bad).unwrap_err().contains("--page"), "{bad}");
+        }
+        for page in PAGE_SIZES {
+            assert_eq!(parse(&format!("--page {page}")).unwrap().0.page_bytes, page);
+        }
+    }
+
+    #[test]
+    fn args_reject_a_scale_the_generators_cannot_take() {
+        for bad in ["0", "-0.5", "NaN", "inf", "fast", ""] {
+            let err = parse(&format!("--scale {bad}")).unwrap_err();
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn args_reject_an_unknown_flag() {
+        assert!(parse("fig9 --only fig9").unwrap_err().contains("--only"));
+        assert!(parse("-x").unwrap_err().contains("-x"));
+    }
+
     #[test]
     fn tiny_grid_round_trips() {
         let traces = luns(0.002);
         assert_eq!(traces.len(), 6);
-        let g = grid(&traces[..1], 8192);
+        let g = run_grid(&traces[..1], 8192).unwrap();
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].runs.len(), 3);
-        let rows = rows_from_grid(&g, |r| r.erases() as f64);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].values.len(), 3);
-        let red = mean_reduction_vs(&g, SchemeKind::Baseline, |r| {
+        let panel = normalized("erase count", "erases", &g, |r| r.erases() as f64);
+        assert_eq!(panel.lines().count(), 3, "title, header, one LUN:\n{panel}");
+        let lun1 = panel.lines().last().unwrap();
+        assert_eq!(lun1.split_whitespace().count(), 5, "name, 3 schemes, abs");
+        let red = reduction_pct(&g, SchemeKind::Baseline, |r| {
             r.flash_writes().total() as f64
         });
         assert!(red.is_finite());

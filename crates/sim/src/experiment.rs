@@ -112,19 +112,6 @@ impl ComparisonReport {
     }
 }
 
-/// Run all three schemes on one trace, in parallel.
-pub fn run_comparison(trace: &Trace, page_bytes: u32) -> Result<ComparisonReport> {
-    let runs: Vec<RunReport> = SchemeKind::ALL
-        .par_iter()
-        .map(|&scheme| run_single(trace, scheme, page_bytes))
-        .collect::<Result<_>>()?;
-    Ok(ComparisonReport {
-        trace: trace.name.clone(),
-        page_bytes,
-        runs,
-    })
-}
-
 /// Run the full (trace × scheme) grid, in parallel over every combination.
 pub fn run_grid(traces: &[Trace], page_bytes: u32) -> Result<Vec<ComparisonReport>> {
     let combos: Vec<(usize, SchemeKind)> = traces
@@ -144,16 +131,9 @@ pub fn run_grid(traces: &[Trace], page_bytes: u32) -> Result<Vec<ComparisonRepor
             runs: Vec::new(),
         })
         .collect();
+    // Collected in combo order, so each `runs` fills in `SchemeKind::ALL` order.
     for (i, r) in runs {
         out[i].runs.push(r);
-    }
-    for c in &mut out {
-        c.runs.sort_by_key(|r| match r.scheme {
-            SchemeKind::Baseline => 0,
-            SchemeKind::Mrsm => 1,
-            SchemeKind::Across => 2,
-            SchemeKind::Learned => 3,
-        });
     }
     Ok(out)
 }

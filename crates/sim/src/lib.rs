@@ -47,7 +47,7 @@ pub mod warmup;
 
 pub use config::{CrashConfig, ObserveConfig, SimConfig};
 pub use crash::{run_crash_point, CrashOutcome};
-pub use experiment::{run_comparison, run_single, ComparisonReport};
+pub use experiment::{run_single, ComparisonReport};
 pub use fleet::{run_fleet, FleetSpec};
 pub use hosted::{run_hosted, tenants_from_trace};
 pub use metrics::ClassMetrics;
