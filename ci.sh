@@ -50,18 +50,31 @@ printf 'crates/core/src non-test lines: '
 find crates/core/src -name '*.rs' ! -name reference.rs \
     -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +
 
-say "bench structure (one figure binary, no subprocesses)"
+say "bench structure (one figure binary, one tracked bench, no host clock in BENCH files)"
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered
-# in-process by repro_all; a per-figure binary or a spawned one creeping
-# back fails here rather than in review.
+# in-process by repro_all, and every committed BENCH_*.json an entry of
+# crates/bench/src/tracked.rs; a per-figure binary, a spawned one or a
+# per-file bench main creeping back fails here rather than in review.
 [ "$(ls crates/bench/src/bin | tr '\n' ' ')" = "repro_all.rs sim_cli.rs " ] \
     || { echo "crates/bench/src/bin holds more than repro_all.rs and sim_cli.rs"; exit 1; }
 [ "$(grep -c 'Command::new' crates/bench/src/bin/repro_all.rs)" -eq 0 ] \
     || { echo "repro_all spawns a subprocess (render through figures::FIGURES)"; exit 1; }
+[ "$(ls crates/bench/benches | tr '\n' ' ')" = "ftl_ops.rs mapping.rs tracked.rs " ] \
+    || { echo "crates/bench/benches holds more than ftl_ops.rs, mapping.rs and tracked.rs"; exit 1; }
+# Committed files hold simulated results only: host time is benchmark/'s.
+if grep -lE '"(ns_per_req|req_per_sec|wall_ns|samples|baseline)"' BENCH_*.json; then
+    echo "a committed BENCH file carries a host-clock or baseline field"; exit 1
+fi
 # Non-test lines of the figure harness (821 when it was twelve binaries).
 printf 'figure harness non-test lines: '
 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
     crates/bench/src/lib.rs crates/bench/src/figures.rs crates/bench/src/bin/repro_all.rs
+# Non-test lines of the tracked-bench harness (2 575 when it was six mains).
+printf 'tracked harness non-test lines: '
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
+    crates/bench/src/replay.rs crates/bench/src/hostbench.rs crates/bench/src/fleetbench.rs \
+    crates/bench/src/gctail.rs crates/bench/src/learnedbench.rs crates/bench/src/recoverybench.rs \
+    crates/bench/src/tracked.rs crates/bench/benches/tracked.rs
 
 say "cargo build --release"
 cargo build --release
@@ -121,17 +134,6 @@ for tenant in '"tenant0"' '"tenant1"'; do
     grep -q "$tenant" "$host_smoke" || { echo "hosted manifest missing QoS for $tenant"; exit 1; }
 done
 
-say "host bench smoke (BENCH_host manifest)"
-host_bench=$PWD/target/ci_host_bench.json
-rm -f "$host_bench"
-cargo bench -q -p aftl-bench --bench host_throughput -- \
-    --test --json "$host_bench" >/dev/null
-[ -s "$host_bench" ] || { echo "host bench smoke wrote no manifest"; exit 1; }
-grep -q '"schema_version": 1' "$host_bench" || { echo "host bench manifest has wrong schema_version"; exit 1; }
-for scheme in '"FTL"' '"MRSM"' '"Across-FTL"'; do
-    grep -q "$scheme" "$host_bench" || { echo "host bench manifest missing scheme $scheme"; exit 1; }
-done
-
 say "fleet smoke (2-device sharded run + N=1 parity)"
 # A 2-device fleet run must complete, emit a schema-v7 manifest whose
 # fleet section carries both devices, and the 1-device fleet must stay
@@ -146,33 +148,6 @@ grep -q '"d0/tenant0"' "$fleet_smoke" || { echo "fleet manifest missing per-devi
 cargo test --release -q -p aftl-integration --test fig8_parity \
     fleet_single_device_matches_hosted_run_bit_for_bit >/dev/null \
     || { echo "1-device fleet diverged from the hosted run"; exit 1; }
-
-say "fleet bench smoke (BENCH_fleet manifest)"
-fleet_bench=$PWD/target/ci_fleet_bench.json
-rm -f "$fleet_bench"
-cargo bench -q -p aftl-bench --bench fleet_scaling -- \
-    --test --json "$fleet_bench" >/dev/null
-[ -s "$fleet_bench" ] || { echo "fleet bench smoke wrote no manifest"; exit 1; }
-grep -q '"schema_version": 1' "$fleet_bench" || { echo "fleet bench manifest has wrong schema_version"; exit 1; }
-for scheme in '"FTL"' '"MRSM"' '"Across-FTL"'; do
-    grep -q "$scheme" "$fleet_bench" || { echo "fleet bench manifest missing scheme $scheme"; exit 1; }
-done
-
-say "gc tail bench smoke (BENCH_gc manifest)"
-# The preemptible-vs-atomic GC tail bench must run end to end at smoke
-# scale and emit a schema-valid BENCH_gc manifest. The p99.9 gate itself
-# only applies at full scale; the smoke asserts the preemptible arm
-# actually preempted and both arms ran GC episodes.
-gc_bench=$PWD/target/ci_gc_bench.json
-rm -f "$gc_bench"
-cargo bench -q -p aftl-bench --bench gc_tail -- \
-    --test --json "$gc_bench" >/dev/null
-[ -s "$gc_bench" ] || { echo "gc tail bench smoke wrote no manifest"; exit 1; }
-grep -q '"schema_version": 1' "$gc_bench" || { echo "gc bench manifest has wrong schema_version"; exit 1; }
-for scheme in '"FTL"' '"MRSM"' '"Across-FTL"'; do
-    grep -q "$scheme" "$gc_bench" || { echo "gc bench manifest missing scheme $scheme"; exit 1; }
-done
-grep -q '"preempt_episodes"' "$gc_bench" || { echo "gc bench manifest missing episode counters"; exit 1; }
 
 say "pipeline smoke (pipelined replay manifest + parity)"
 # A pipelined replay run must complete, emit a current-schema manifest
@@ -208,36 +183,6 @@ if grep -q '"predict_hits": 0,' "$learned_smoke"; then
     echo "learned run served no predicted reads"; exit 1
 fi
 
-say "learned bench smoke (BENCH_learned manifest)"
-# The tracked map-read-traffic bench must run end to end at smoke scale
-# (reduction gate off — a short trace barely misses the cache) and emit a
-# schema-valid BENCH_learned manifest with all four schemes and a clean
-# embedded read-parity section. The full-scale >= 20 % gate runs against
-# the committed BENCH_learned.json in the bench lib tests.
-learned_bench=$PWD/target/ci_learned_bench.json
-rm -f "$learned_bench"
-cargo bench -q -p aftl-bench --bench learned_traffic -- \
-    --test --json "$learned_bench" >/dev/null
-[ -s "$learned_bench" ] || { echo "learned bench smoke wrote no manifest"; exit 1; }
-grep -q '"schema_version": 1' "$learned_bench" || { echo "learned bench manifest has wrong schema_version"; exit 1; }
-for scheme in '"FTL"' '"MRSM"' '"Across-FTL"' '"Learned-FTL"'; do
-    grep -q "$scheme" "$learned_bench" || { echo "learned bench manifest missing scheme $scheme"; exit 1; }
-done
-grep -q '"mismatches": 0' "$learned_bench" || { echo "learned bench parity found mismatches"; exit 1; }
-grep -q '"oracle_violations": 0' "$learned_bench" || { echo "learned bench parity violated the oracle"; exit 1; }
-
-say "learned bench freshness (committed BENCH_learned.json == a fresh run)"
-# BENCH_learned.json holds simulated values only, so it is a pure function
-# of the code: a change to any scheme, GC order or aging moves it, and the
-# committed copy must move in the same PR. Full mode, well under a second
-# once built.
-learned_fresh=$PWD/target/ci_learned_fresh.json
-rm -f "$learned_fresh"
-cargo bench -q -p aftl-bench --bench learned_traffic -- \
-    --json "$learned_fresh" >/dev/null
-cmp "$learned_fresh" BENCH_learned.json \
-    || { echo "BENCH_learned.json is stale: regenerate it (README, Learned mapping)"; exit 1; }
-
 say "recovery smoke (seeded power cut -> rebuild -> oracle)"
 # A crash-armed run must cut mid-workload, power-cycle, rebuild the
 # mapping from the OOB journal (checkpoint + delta here), and pass the
@@ -254,42 +199,15 @@ grep -q '"mode": "checkpoint"' "$rec_smoke" || { echo "crash run did not rebuild
 grep -q '"lost_sectors": 0' "$rec_smoke" || { echo "recovery lost acknowledged sectors"; exit 1; }
 grep -q '"torn_exposed": false' "$rec_smoke" || { echo "recovery exposed a torn request"; exit 1; }
 
-say "recovery bench smoke (BENCH_recovery manifest)"
-# The scan-vs-checkpoint rebuild bench must run end to end at smoke
-# scale and emit a schema-valid BENCH_recovery manifest with clean
-# oracle verdicts on every arm. The >= 2x rebuild-read gate itself runs
-# against the committed BENCH_recovery.json in the bench lib tests.
-rec_bench=$PWD/target/ci_recovery_bench.json
-rm -f "$rec_bench"
-cargo bench -q -p aftl-bench --bench recovery_time -- \
-    --test --json "$rec_bench" >/dev/null
-[ -s "$rec_bench" ] || { echo "recovery bench smoke wrote no manifest"; exit 1; }
-grep -q '"schema_version": 1' "$rec_bench" || { echo "recovery bench manifest has wrong schema_version"; exit 1; }
-for scheme in '"FTL"' '"MRSM"' '"Across-FTL"' '"Learned-FTL"'; do
-    grep -q "$scheme" "$rec_bench" || { echo "recovery bench manifest missing scheme $scheme"; exit 1; }
-done
-if grep -q '"lost_sectors": [^0]' "$rec_bench"; then
-    echo "recovery bench lost acknowledged sectors"; exit 1
-fi
-grep -q '"torn_exposed": true' "$rec_bench" && { echo "recovery bench exposed a torn request"; exit 1; }
-
-say "bench smoke (replay manifest, serial + pipelined pairs)"
-# The tracked replay bench must run end to end at smoke scale and emit a
-# schema-valid BENCH_replay manifest (the binary refuses to write an
-# invalid one; here we assert the file landed and looks like schema v2
-# with a serial/pipelined pair per scheme). The pair's ratio is recorded,
-# not gated: the engine mode decides simulated issue times and both modes
-# do the same host work.
-bench_smoke=$PWD/target/ci_bench_smoke.json
-rm -f "$bench_smoke"
-cargo bench -q -p aftl-bench --bench sim_throughput -- \
-    --test --json "$bench_smoke" >/dev/null
-[ -s "$bench_smoke" ] || { echo "bench smoke wrote no manifest"; exit 1; }
-grep -q '"schema_version": 2' "$bench_smoke" || { echo "bench manifest has wrong schema_version"; exit 1; }
-grep -q '"pipelined"' "$bench_smoke" || { echo "bench manifest missing pipelined timings"; exit 1; }
-for scheme in '"FTL"' '"MRSM"' '"Across-FTL"'; do
-    grep -q "$scheme" "$bench_smoke" || { echo "bench manifest missing scheme $scheme"; exit 1; }
-done
+say "tracked freshness (every committed BENCH_*.json == a fresh run)"
+# The five tracked files hold simulated values only, so each is a pure
+# function of the code: a change to any scheme, GC order, aging or host
+# model moves them, and the committed copies must move in the same PR.
+# The bench rewrites them in place (gates on; a few seconds once built)
+# and git must see no change.
+cargo bench -q -p aftl-bench --bench tracked
+git diff --exit-code --stat -- 'BENCH_*.json' \
+    || { echo "a BENCH_*.json is stale: commit the regenerated file (README, Benchmarks)"; exit 1; }
 
 say "benchmark smoke + tests (benchmark/ is its own workspace)"
 # Nothing above compiles benchmark/: it stands outside the root workspace

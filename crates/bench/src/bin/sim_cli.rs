@@ -53,6 +53,9 @@ enum CliError {
     Sim(FlashError),
     /// An output file (JSON manifest / JSONL trace) could not be written.
     WriteOut { path: String, err: std::io::Error },
+    /// A flag `sim_cli` does not know (printed before the usage block,
+    /// exit code 2).
+    UnknownFlag(String),
     /// A flag parsed but its value is outside the meaningful range.
     Invalid {
         flag: &'static str,
@@ -69,6 +72,7 @@ impl std::fmt::Display for CliError {
             CliError::Device(e) => write!(f, "cannot build device: {e}"),
             CliError::Sim(e) => write!(f, "simulation failed: {e}"),
             CliError::WriteOut { path, err } => write!(f, "cannot write {path}: {err}"),
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
             CliError::Invalid { flag, got, why } => {
                 write!(f, "invalid {flag} {got}: {why}")
             }
@@ -118,7 +122,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_cli() -> Result<Cli, CliError> {
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
     let mut cli = Cli {
         scheme: SchemeKind::Across,
         page: 8192,
@@ -153,7 +157,7 @@ fn parse_cli() -> Result<Cli, CliError> {
         recover: false,
         checkpoint_every: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scheme" => {
@@ -429,7 +433,7 @@ fn parse_cli() -> Result<Cli, CliError> {
                 }
             }
             "--help" | "-h" => usage(),
-            _ => usage(),
+            _ => return Err(CliError::UnknownFlag(a)),
         }
     }
     Ok(cli)
@@ -446,6 +450,23 @@ fn validate(cli: &Cli) -> Result<(), CliError> {
             got: got.to_string(),
             why,
         }
+    }
+    if !aftl_bench::PAGE_SIZES.contains(&cli.page) {
+        return Err(invalid(
+            "--page",
+            cli.page,
+            "the experiment geometry is defined for 4096, 8192 and 16384",
+        ));
+    }
+    if !(cli.scale.is_finite() && cli.scale > 0.0) {
+        return Err(invalid("--scale", cli.scale, "must be a finite number > 0"));
+    }
+    if cli.outstanding == 0 {
+        return Err(invalid(
+            "--outstanding",
+            cli.outstanding,
+            "a closed loop needs at least 1 request in flight",
+        ));
     }
     if let Some(t) = cli.gc_threshold {
         if !(t > 0.0 && t < 1.0) {
@@ -610,9 +631,16 @@ fn load_trace(cli: &Cli) -> Result<Trace, CliError> {
 }
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("sim_cli: {e}");
-        std::process::exit(1);
+    match run() {
+        Ok(()) => {}
+        Err(e @ CliError::UnknownFlag(_)) => {
+            eprintln!("sim_cli: {e}");
+            usage()
+        }
+        Err(e) => {
+            eprintln!("sim_cli: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -685,7 +713,7 @@ fn run_crash(cli: &Cli, mut config: SimConfig, crash_at: u64, writes: u64) -> Re
 }
 
 fn run() -> Result<(), CliError> {
-    let cli = parse_cli()?;
+    let cli = parse_cli(std::env::args().skip(1))?;
     validate(&cli)?;
     let mut trace = load_trace(&cli)?;
     let mut config = SimConfig::experiment(cli.scheme, cli.page);
@@ -983,4 +1011,59 @@ fn run() -> Result<(), CliError> {
         eprintln!("wrote {} ({} events)", path.display(), ring.len());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parse and validate one command line, as `run` does.
+    fn check(line: &str) -> Result<Cli, CliError> {
+        let cli = parse_cli(line.split_whitespace().map(String::from))?;
+        validate(&cli).map(|()| cli)
+    }
+
+    fn rejected_flag(line: &str) -> &'static str {
+        match check(line) {
+            Err(CliError::Invalid { flag, .. }) => flag,
+            Err(e) => panic!("{line}: wrong error {e}"),
+            Ok(_) => panic!("{line}: accepted"),
+        }
+    }
+
+    #[test]
+    fn defaults_and_every_page_size_validate() {
+        check("").unwrap();
+        for page in aftl_bench::PAGE_SIZES {
+            assert_eq!(check(&format!("--page {page}")).unwrap().page, page);
+        }
+    }
+
+    #[test]
+    fn a_page_size_without_a_geometry_is_invalid() {
+        for page in ["5000", "0", "2048", "32768"] {
+            assert_eq!(rejected_flag(&format!("--page {page}")), "--page");
+        }
+    }
+
+    #[test]
+    fn a_nonpositive_or_nonfinite_scale_is_invalid() {
+        for scale in ["-1", "0", "NaN", "inf"] {
+            assert_eq!(rejected_flag(&format!("--scale {scale}")), "--scale");
+        }
+    }
+
+    #[test]
+    fn a_closed_loop_of_zero_is_invalid() {
+        assert_eq!(rejected_flag("--outstanding 0"), "--outstanding");
+        assert_eq!(check("--outstanding 1").unwrap().outstanding, 1);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_named() {
+        match check("--scheme ftl --only fig9") {
+            Err(e @ CliError::UnknownFlag(_)) => assert_eq!(e.to_string(), "unknown flag --only"),
+            other => panic!("wrong outcome {:?}", other.map(|_| ())),
+        }
+    }
 }

@@ -3,21 +3,18 @@
 //! one tenant per device) and the `BENCH_fleet.json` manifest recording
 //! how aggregate throughput scales with device count.
 //!
-//! Two throughputs appear per point and they answer different questions:
+//! Two throughputs answer different questions:
 //!
 //! * **Simulated IOPS** (`sim_iops` = total requests / fleet simulated
 //!   makespan): how much I/O the *modeled fleet* serves per simulated
 //!   second. Devices run concurrently in simulated time — each serves
-//!   ~1/N of the workload over a ~1/N span — so this scales near-linearly
-//!   with N and is the scaling number the manifest gates on. It is a
+//!   ~1/N of the workload over a ~1/N span — so this scales with N and is
+//!   the scaling number the manifest records and gates on. It is a
 //!   simulation *result*: bit-reproducible for a fixed seed.
-//! * **Wall req/s** (`req_per_sec`): how fast this machine executes the
-//!   whole fleet simulation. It scales with available host cores, which
-//!   a CI container may not have — so it is recorded transparently but
-//!   never gated on.
-//!
-//! Mirrors [`crate::replay`] / [`crate::hostbench`]: medians over
-//! [`FLEET_SAMPLES`] timed runs, current-vs-baseline manifest shape.
+//! * **Wall time**: how fast this machine executes the fleet simulation.
+//!   It scales with host cores and is no simulated result, so it stays
+//!   out of the committed file (`benchmark/`'s `fleet2-ftl` workload
+//!   measures it).
 
 use aftl_core::scheme::SchemeKind;
 use aftl_sim::fleet::{run_fleet, FleetSpec};
@@ -25,16 +22,16 @@ use aftl_sim::report::RunReport;
 use aftl_trace::Trace;
 use serde::{Deserialize, Serialize};
 
-use crate::replay::fig8_small_config;
+use crate::replay::{fig8_small_config, fig8_small_trace, FIG8_SMALL_SCALE};
 
 /// Schema version of `BENCH_fleet.json`. Bump on any field change.
-pub const FLEET_BENCH_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: the host-clock fields (`wall_ns`, `req_per_sec`, `samples`) and the
+/// carried `baseline` section are gone.
+pub const FLEET_BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// Device counts the scaling curve is measured at.
 pub const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
-
-/// Timed samples per (scheme, device-count) point; medians are reported.
-pub const FLEET_SAMPLES: u32 = 7;
 
 /// The canonical fleet front end: one closed-loop tenant per device,
 /// matching the single-device replay benchmark's issue discipline.
@@ -53,21 +50,14 @@ pub fn run_fig8_small_fleet(scheme: SchemeKind, trace: &Trace, devices: usize) -
 pub struct FleetPoint {
     /// Number of sharded devices.
     pub devices: u64,
-    /// Total requests served across the fleet per sample.
+    /// Total requests served across the fleet.
     pub requests: u64,
     /// Fleet simulated makespan in nanoseconds (max over devices —
-    /// they run concurrently in simulated time). Simulation result:
-    /// identical across samples for a fixed seed.
+    /// they run concurrently in simulated time).
     pub sim_span_ns: u128,
     /// Aggregate simulated IOPS: `requests / sim_span`. The scaling
     /// metric.
     pub sim_iops: f64,
-    /// Median wall nanoseconds for the whole fleet run.
-    pub wall_ns: u64,
-    /// Median requests per wall second (host-machine speed; not gated).
-    pub req_per_sec: f64,
-    /// Timed samples the medians were taken over.
-    pub samples: u32,
 }
 
 /// One scheme's scaling curve over [`FLEET_SIZES`].
@@ -97,60 +87,52 @@ impl FleetSchemeResult {
     }
 }
 
-/// The `BENCH_fleet.json` manifest: current scaling curves plus the
-/// recorded baseline, same shape conventions as the other tracked
-/// benchmark manifests.
+/// The `BENCH_fleet.json` manifest: simulated scaling curves only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchFleetManifest {
     /// Manifest schema version ([`FLEET_BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Workload identifier.
     pub workload: String,
-    /// Trace-length scale the numbers were measured at.
+    /// Trace-length scale of the workload.
     pub scale: f64,
     /// Device counts measured.
     pub fleet_sizes: Vec<u64>,
-    /// Current per-scheme scaling curves.
+    /// Per-scheme scaling curves.
     pub results: Vec<FleetSchemeResult>,
-    /// Which commit/state produced the baseline numbers.
-    pub baseline_label: String,
-    /// Baseline per-scheme scaling curves.
-    pub baseline: Vec<FleetSchemeResult>,
 }
 
-/// Time [`FLEET_SAMPLES`]-worth of fleet runs at every [`FLEET_SIZES`]
-/// point for `scheme`. Wall numbers are medians; simulated numbers come
-/// from the last sample (identical across samples — seeded simulation).
-pub fn time_fig8_small_fleet(scheme: SchemeKind, trace: &Trace, samples: u32) -> FleetSchemeResult {
-    assert!(samples >= 1);
+/// `scheme`'s scaling curve: one fleet run of `trace` per [`FLEET_SIZES`]
+/// point.
+pub fn fleet_result(scheme: SchemeKind, trace: &Trace) -> FleetSchemeResult {
     let points = FLEET_SIZES
         .iter()
         .map(|&devices| {
-            // Warm-up run for steady allocator state; also provides the
-            // simulated numbers.
-            let mut last = run_fig8_small_fleet(scheme, trace, devices);
-            let mut wall_ns: Vec<u128> = Vec::with_capacity(samples as usize);
-            for _ in 0..samples {
-                let t0 = std::time::Instant::now();
-                last = run_fig8_small_fleet(scheme, trace, devices);
-                wall_ns.push(t0.elapsed().as_nanos());
-            }
-            wall_ns.sort_unstable();
-            let med = wall_ns[wall_ns.len() / 2];
+            let report = run_fig8_small_fleet(scheme, trace, devices);
             FleetPoint {
                 devices: devices as u64,
-                requests: last.requests,
-                sim_span_ns: last.sim_span_ns,
-                sim_iops: last.requests as f64 / (last.sim_span_ns as f64 / 1e9),
-                wall_ns: med as u64,
-                req_per_sec: last.requests as f64 / (med as f64 / 1e9),
-                samples,
+                requests: report.requests,
+                sim_span_ns: report.sim_span_ns,
+                sim_iops: report.requests as f64 / (report.sim_span_ns as f64 / 1e9),
             }
         })
         .collect();
     FleetSchemeResult {
         scheme: scheme.name().to_string(),
         points,
+    }
+}
+
+/// The canonical `BENCH_fleet.json`: the fig8-small trace at
+/// [`FIG8_SMALL_SCALE`] over every [`FLEET_SIZES`] point, on every scheme.
+pub fn fleet_manifest() -> BenchFleetManifest {
+    let trace = fig8_small_trace(FIG8_SMALL_SCALE);
+    BenchFleetManifest {
+        schema_version: FLEET_BENCH_SCHEMA_VERSION,
+        workload: "fig8-small-fleet".to_string(),
+        scale: FIG8_SMALL_SCALE,
+        fleet_sizes: FLEET_SIZES.iter().map(|&n| n as u64).collect(),
+        results: SchemeKind::ALL.map(|s| fleet_result(s, &trace)).into(),
     }
 }
 
@@ -170,45 +152,38 @@ pub fn validate_fleet_manifest(m: &BenchFleetManifest) -> std::result::Result<()
     if m.fleet_sizes.is_empty() || m.fleet_sizes[0] != 1 {
         return Err("fleet_sizes must start at 1 (the scaling baseline)".into());
     }
-    for (section, rows) in [("results", &m.results), ("baseline", &m.baseline)] {
-        for scheme in SchemeKind::ALL {
-            let row = rows
-                .iter()
-                .find(|r| r.scheme == scheme.name())
-                .ok_or_else(|| format!("{section} is missing scheme {}", scheme.name()))?;
-            if row.points.len() != m.fleet_sizes.len() {
+    let top = *m.fleet_sizes.last().unwrap();
+    for scheme in SchemeKind::ALL {
+        let row = (m.results.iter())
+            .find(|r| r.scheme == scheme.name())
+            .ok_or_else(|| format!("results is missing scheme {}", scheme.name()))?;
+        if row.points.len() != m.fleet_sizes.len() {
+            return Err(format!(
+                "{}: {} points for {} fleet sizes",
+                scheme.name(),
+                row.points.len(),
+                m.fleet_sizes.len()
+            ));
+        }
+        for (p, &n) in row.points.iter().zip(&m.fleet_sizes) {
+            if p.devices != n {
                 return Err(format!(
-                    "{section}/{}: {} points for {} fleet sizes",
+                    "{}: point order mismatch ({} != {n})",
                     scheme.name(),
-                    row.points.len(),
-                    m.fleet_sizes.len()
+                    p.devices
                 ));
             }
-            for (p, &n) in row.points.iter().zip(&m.fleet_sizes) {
-                if p.devices != n {
-                    return Err(format!(
-                        "{section}/{}: point order mismatch ({} != {n})",
-                        scheme.name(),
-                        p.devices
-                    ));
-                }
-                if p.requests == 0 || p.sim_span_ns == 0 || p.sim_iops <= 0.0 {
-                    return Err(format!(
-                        "{section}/{}/{n} devices: degenerate point",
-                        scheme.name()
-                    ));
-                }
+            if p.requests == 0 || p.sim_span_ns == 0 || p.sim_iops <= 0.0 {
+                return Err(format!("{}/{n} devices: degenerate point", scheme.name()));
             }
-            let top = *m.fleet_sizes.last().unwrap();
-            let scaling = row
-                .sim_scaling(top)
-                .ok_or_else(|| format!("{section}/{}: no scaling ratio", scheme.name()))?;
-            if scaling < 1.5 {
-                return Err(format!(
-                    "{section}/{}: simulated throughput scales only {scaling:.2}x at {top} devices (need >= 1.5x)",
-                    scheme.name()
-                ));
-            }
+        }
+        let scaling =
+            (row.sim_scaling(top)).ok_or_else(|| format!("{}: no scaling ratio", scheme.name()))?;
+        if scaling < 1.5 {
+            return Err(format!(
+                "{}: simulated throughput scales only {scaling:.2}x at {top} devices (need >= 1.5x)",
+                scheme.name()
+            ));
         }
     }
     Ok(())
@@ -217,7 +192,6 @@ pub fn validate_fleet_manifest(m: &BenchFleetManifest) -> std::result::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::fig8_small_trace;
 
     #[test]
     fn fleet_simulated_results_are_deterministic() {
@@ -234,16 +208,14 @@ mod tests {
         let trace = fig8_small_trace(0.002);
         let results: Vec<FleetSchemeResult> = SchemeKind::ALL
             .iter()
-            .map(|&s| time_fig8_small_fleet(s, &trace, 1))
+            .map(|&s| fleet_result(s, &trace))
             .collect();
         let m = BenchFleetManifest {
             schema_version: FLEET_BENCH_SCHEMA_VERSION,
             workload: "fig8-small-fleet".into(),
             scale: 0.002,
             fleet_sizes: FLEET_SIZES.iter().map(|&n| n as u64).collect(),
-            results: results.clone(),
-            baseline_label: "self".into(),
-            baseline: results,
+            results,
         };
         validate_fleet_manifest(&m).unwrap();
         let back: BenchFleetManifest =
@@ -261,7 +233,7 @@ mod tests {
         let trace = fig8_small_trace(0.001);
         let mut results: Vec<FleetSchemeResult> = SchemeKind::ALL
             .iter()
-            .map(|&s| time_fig8_small_fleet(s, &trace, 1))
+            .map(|&s| fleet_result(s, &trace))
             .collect();
         // Fake a fleet that stops scaling: copy the 1-device point's
         // simulated numbers into every other point.
@@ -274,9 +246,7 @@ mod tests {
             workload: "fig8-small-fleet".into(),
             scale: 0.001,
             fleet_sizes: FLEET_SIZES.iter().map(|&n| n as u64).collect(),
-            results: results.clone(),
-            baseline_label: "self".into(),
-            baseline: results,
+            results,
         };
         let err = validate_fleet_manifest(&m).unwrap_err();
         assert!(err.contains("scales only"), "{err}");

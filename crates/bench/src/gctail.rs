@@ -213,13 +213,28 @@ pub fn compare_gc_tail(scheme: SchemeKind, trace: &Trace) -> GcTailRow {
     }
 }
 
+/// The canonical `BENCH_gc.json`: the full-scale bursty trace, atomic vs.
+/// preemptible GC on every scheme.
+pub fn gc_manifest() -> BenchGcManifest {
+    let trace = gc_tail_trace(1.0);
+    BenchGcManifest {
+        schema_version: GC_TAIL_SCHEMA_VERSION,
+        workload: "gc-tail-burst".to_string(),
+        scale: 1.0,
+        burst: GC_TAIL_BURST,
+        period_ns: GC_TAIL_PERIOD_NS,
+        spacing_ns: GC_TAIL_SPACING_NS,
+        preempt_pages: GC_TAIL_PREEMPT_PAGES,
+        used_fraction: GC_TAIL_USED_FRACTION,
+        valid_fraction: GC_TAIL_VALID_FRACTION,
+        gate_ratio: GC_TAIL_GATE_RATIO,
+        gated: GC_TAIL_GATED.iter().map(|s| s.name().to_string()).collect(),
+        results: SchemeKind::ALL.map(|s| compare_gc_tail(s, &trace)).into(),
+    }
+}
+
 /// Structural + gate validation of a parsed `BENCH_gc.json` (CI gate).
-/// `enforce_gate` is off for smoke runs: a tiny trace still proves the
-/// pipeline but carries too few samples for a stable p99.9.
-pub fn validate_gc_manifest(
-    m: &BenchGcManifest,
-    enforce_gate: bool,
-) -> std::result::Result<(), String> {
+pub fn validate_gc_manifest(m: &BenchGcManifest) -> std::result::Result<(), String> {
     if m.schema_version != GC_TAIL_SCHEMA_VERSION {
         return Err(format!(
             "schema_version {} != expected {GC_TAIL_SCHEMA_VERSION}",
@@ -247,7 +262,7 @@ pub fn validate_gc_manifest(
         if gated && row.preemptions == 0 {
             return Err(format!("{}: preemption budget never bound", row.scheme));
         }
-        if enforce_gate && gated && row.tail_ratio < m.gate_ratio {
+        if gated && row.tail_ratio < m.gate_ratio {
             return Err(format!(
                 "{}: tail_ratio {:.2} below the {:.1}x gate (atomic p99.9 {} ns, preemptible {} ns)",
                 row.scheme, row.tail_ratio, m.gate_ratio, row.atomic_p999_ns, row.preempt_p999_ns
@@ -324,7 +339,7 @@ mod tests {
             gated: vec!["FTL".into()],
             results,
         };
-        let err = validate_gc_manifest(&m, false).unwrap_err();
+        let err = validate_gc_manifest(&m).unwrap_err();
         assert!(err.contains("preemption budget"), "{err}");
     }
 }

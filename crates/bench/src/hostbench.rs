@@ -1,14 +1,12 @@
-//! The tracked hosted-throughput benchmark: the fig8-small workload
-//! sharded across **four WRR tenants** (weights 4:2:1:1, closed-loop),
-//! run through the multi-queue host front end on all three schemes, and
-//! the `BENCH_host.json` manifest recording wall-clock throughput plus
-//! per-tenant QoS (p50/p99 end-to-end latency, stall counters).
+//! The tracked hosted-QoS benchmark: the fig8-small workload sharded
+//! across **four WRR tenants** (weights 4:2:1:1, closed-loop), run through
+//! the multi-queue host front end on all three schemes, and the
+//! `BENCH_host.json` manifest recording per-tenant QoS (p50/p99 end-to-end
+//! latency, stall counters).
 //!
-//! Mirrors [`crate::replay`]: same workload family, same
-//! current-vs-baseline manifest shape, so the two tracked files read the
-//! same way. The QoS rows double as a determinism check — they are
-//! simulated results, so reruns at the same scale must reproduce them
-//! bit-for-bit.
+//! Every field is a simulated result, so the file is a pure function of
+//! the code: a rerun reproduces it byte for byte. Host time is measured
+//! by `benchmark/`, not here.
 
 use aftl_core::scheme::SchemeKind;
 use aftl_host::{Arbitration, HostConfig, IssueModel, TenantConfig};
@@ -17,10 +15,13 @@ use aftl_sim::report::RunReport;
 use aftl_trace::Trace;
 use serde::{Deserialize, Serialize};
 
-use crate::replay::fig8_small_config;
+use crate::replay::{fig8_small_config, fig8_small_trace, FIG8_SMALL_SCALE};
 
 /// Schema version of `BENCH_host.json`. Bump on any field change.
-pub const HOST_BENCH_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: the host-clock fields (`ns_per_req`, `req_per_sec`, `samples`) and
+/// the carried `baseline` section are gone.
+pub const HOST_BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// The canonical contended-tenant setup: four closed-loop tenants with
 /// 4:2:1:1 WRR weights.
@@ -92,56 +93,32 @@ pub struct TenantRow {
     pub stalled_ns: u64,
 }
 
-/// One scheme's hosted timing + QoS results.
+/// One scheme's hosted QoS results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HostSchemeResult {
     /// Scheme name (`FTL` / `MRSM` / `Across-FTL`).
     pub scheme: String,
-    /// Total requests across all tenants per sample.
+    /// Total requests across all tenants.
     pub requests: u64,
-    /// Median wall nanoseconds per request (full hosted run / requests).
-    pub ns_per_req: u64,
-    /// Median requests per wall second.
-    pub req_per_sec: f64,
-    /// Timed samples the median was taken over.
-    pub samples: u32,
-    /// Per-tenant QoS rows (simulated — reproducible bit-for-bit).
+    /// Per-tenant QoS rows.
     pub tenants: Vec<TenantRow>,
 }
 
-/// The `BENCH_host.json` manifest: current numbers plus the recorded
-/// baseline, same shape conventions as `BENCH_replay.json`.
+/// The `BENCH_host.json` manifest: simulated results only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchHostManifest {
     /// Manifest schema version ([`HOST_BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Workload identifier.
     pub workload: String,
-    /// Trace-length scale the numbers were measured at.
+    /// Trace-length scale of the workload.
     pub scale: f64,
     /// Arbitration policy of the canonical setup (`wrr`).
     pub arbitration: String,
     /// WRR weights of the canonical setup.
     pub weights: Vec<u32>,
-    /// Current per-scheme results.
+    /// Per-scheme results.
     pub results: Vec<HostSchemeResult>,
-    /// Which commit/state produced the baseline numbers.
-    pub baseline_label: String,
-    /// Baseline per-scheme results.
-    pub baseline: Vec<HostSchemeResult>,
-}
-
-impl BenchHostManifest {
-    /// Speedup of `results` over `baseline` for `scheme` (req/s ratio).
-    pub fn speedup(&self, scheme: &str) -> Option<f64> {
-        let cur = self.results.iter().find(|r| r.scheme == scheme)?;
-        let base = self.baseline.iter().find(|r| r.scheme == scheme)?;
-        if base.req_per_sec > 0.0 {
-            Some(cur.req_per_sec / base.req_per_sec)
-        } else {
-            None
-        }
-    }
 }
 
 /// Extract the per-tenant QoS rows from a hosted run manifest.
@@ -163,29 +140,27 @@ pub fn tenant_rows(report: &RunReport) -> Vec<TenantRow> {
         .collect()
 }
 
-/// Time `samples` hosted runs of `trace` on `scheme`; the QoS rows come
-/// from the last sample (they are identical across samples by
-/// construction — seeded simulation).
-pub fn time_fig8_small_hosted(scheme: SchemeKind, trace: &Trace, samples: u32) -> HostSchemeResult {
-    assert!(samples >= 1);
-    let mut wall_ns: Vec<u128> = Vec::with_capacity(samples as usize);
-    // Warm-up run for steady allocator state; also provides the QoS rows.
-    let mut last = run_fig8_small_hosted(scheme, trace);
-    for _ in 0..samples {
-        let t0 = std::time::Instant::now();
-        last = run_fig8_small_hosted(scheme, trace);
-        wall_ns.push(t0.elapsed().as_nanos());
-    }
-    wall_ns.sort_unstable();
-    let med = wall_ns[wall_ns.len() / 2];
-    let requests = last.requests;
+/// One hosted run of `trace` on `scheme`, reduced to its manifest row.
+pub fn host_result(scheme: SchemeKind, trace: &Trace) -> HostSchemeResult {
+    let report = run_fig8_small_hosted(scheme, trace);
     HostSchemeResult {
         scheme: scheme.name().to_string(),
-        requests,
-        ns_per_req: (med / u128::from(requests.max(1))) as u64,
-        req_per_sec: requests as f64 / (med as f64 / 1e9),
-        samples,
-        tenants: tenant_rows(&last),
+        requests: report.requests,
+        tenants: tenant_rows(&report),
+    }
+}
+
+/// The canonical `BENCH_host.json`: the fig8-small trace at
+/// [`FIG8_SMALL_SCALE`] over the four WRR tenants, on every scheme.
+pub fn host_manifest() -> BenchHostManifest {
+    let trace = fig8_small_trace(FIG8_SMALL_SCALE);
+    BenchHostManifest {
+        schema_version: HOST_BENCH_SCHEMA_VERSION,
+        workload: "fig8-small-hosted".to_string(),
+        scale: FIG8_SMALL_SCALE,
+        arbitration: "wrr".to_string(),
+        weights: HOST_WEIGHTS.to_vec(),
+        results: SchemeKind::ALL.map(|s| host_result(s, &trace)).into(),
     }
 }
 
@@ -203,41 +178,31 @@ pub fn validate_host_manifest(m: &BenchHostManifest) -> std::result::Result<(), 
     if m.arbitration != "wrr" && m.arbitration != "rr" {
         return Err(format!("unknown arbitration {:?}", m.arbitration));
     }
-    for (section, rows) in [("results", &m.results), ("baseline", &m.baseline)] {
-        for scheme in SchemeKind::ALL {
-            let row = rows
-                .iter()
-                .find(|r| r.scheme == scheme.name())
-                .ok_or_else(|| format!("{section} is missing scheme {}", scheme.name()))?;
-            if row.requests == 0 || row.ns_per_req == 0 || row.req_per_sec <= 0.0 {
+    for scheme in SchemeKind::ALL {
+        let row = (m.results.iter())
+            .find(|r| r.scheme == scheme.name())
+            .ok_or_else(|| format!("results is missing scheme {}", scheme.name()))?;
+        if row.requests == 0 {
+            return Err(format!("{}: degenerate row (0 requests)", scheme.name()));
+        }
+        if row.tenants.len() != m.weights.len() {
+            return Err(format!(
+                "{}: {} tenant rows for {} weights",
+                scheme.name(),
+                row.tenants.len(),
+                m.weights.len()
+            ));
+        }
+        for t in &row.tenants {
+            if t.requests == 0 {
                 return Err(format!(
-                    "{section}/{}: degenerate timing row",
-                    scheme.name()
-                ));
-            }
-            if row.tenants.len() != m.weights.len() {
-                return Err(format!(
-                    "{section}/{}: {} tenant rows for {} weights",
+                    "{}/{}: tenant issued no requests",
                     scheme.name(),
-                    row.tenants.len(),
-                    m.weights.len()
+                    t.tenant
                 ));
             }
-            for t in &row.tenants {
-                if t.requests == 0 {
-                    return Err(format!(
-                        "{section}/{}/{}: tenant issued no requests",
-                        scheme.name(),
-                        t.tenant
-                    ));
-                }
-                if t.write_p99_ns < t.write_p50_ns || t.read_p99_ns < t.read_p50_ns {
-                    return Err(format!(
-                        "{section}/{}/{}: p99 below p50",
-                        scheme.name(),
-                        t.tenant
-                    ));
-                }
+            if t.write_p99_ns < t.write_p50_ns || t.read_p99_ns < t.read_p50_ns {
+                return Err(format!("{}/{}: p99 below p50", scheme.name(), t.tenant));
             }
         }
     }
@@ -247,7 +212,6 @@ pub fn validate_host_manifest(m: &BenchHostManifest) -> std::result::Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::fig8_small_trace;
 
     #[test]
     fn hosted_qos_rows_are_deterministic() {
@@ -266,7 +230,7 @@ mod tests {
         let trace = fig8_small_trace(0.001);
         let results: Vec<HostSchemeResult> = SchemeKind::ALL
             .iter()
-            .map(|&s| time_fig8_small_hosted(s, &trace, 1))
+            .map(|&s| host_result(s, &trace))
             .collect();
         let m = BenchHostManifest {
             schema_version: HOST_BENCH_SCHEMA_VERSION,
@@ -274,15 +238,12 @@ mod tests {
             scale: 0.001,
             arbitration: "wrr".into(),
             weights: HOST_WEIGHTS.to_vec(),
-            results: results.clone(),
-            baseline_label: "self".into(),
-            baseline: results,
+            results,
         };
         validate_host_manifest(&m).unwrap();
         let back: BenchHostManifest =
             serde_json::from_str(&serde_json::to_string_pretty(&m).unwrap()).unwrap();
         validate_host_manifest(&back).unwrap();
-        assert!((back.speedup("FTL").unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -290,7 +251,7 @@ mod tests {
         let trace = fig8_small_trace(0.001);
         let mut results: Vec<HostSchemeResult> = SchemeKind::ALL
             .iter()
-            .map(|&s| time_fig8_small_hosted(s, &trace, 1))
+            .map(|&s| host_result(s, &trace))
             .collect();
         results[0].tenants.pop();
         let m = BenchHostManifest {
@@ -299,9 +260,7 @@ mod tests {
             scale: 0.001,
             arbitration: "wrr".into(),
             weights: HOST_WEIGHTS.to_vec(),
-            results: results.clone(),
-            baseline_label: "self".into(),
-            baseline: results,
+            results,
         };
         let err = validate_host_manifest(&m).unwrap_err();
         assert!(err.contains("tenant rows"), "{err}");

@@ -27,7 +27,7 @@ use aftl_sim::Ssd;
 use aftl_trace::{IoOp, Trace};
 use serde::{Deserialize, Serialize};
 
-use crate::replay::fig8_small_config;
+use crate::replay::{fig8_small_config, fig8_small_trace, FIG8_SMALL_SCALE};
 
 /// Schema version of `BENCH_learned.json`. Bump on any field change.
 pub const LEARNED_SCHEMA_VERSION: u32 = 1;
@@ -187,8 +187,7 @@ pub fn measure_map_traffic(trace: &Trace) -> Vec<MapTrafficRow> {
 /// learned device: identical aging, identical stamped requests, every
 /// read's served sector versions compared for equality and checked
 /// against the oracle. Panics only on simulation errors; mismatches are
-/// *counted* so the caller (bench main / validation) decides how loudly
-/// to fail.
+/// *counted* so validation decides how loudly to fail.
 pub fn read_parity(trace: &Trace, scale: f64) -> ReadParity {
     let build = |scheme: SchemeKind| -> Ssd {
         let mut config = learned_traffic_config(scheme);
@@ -241,17 +240,28 @@ pub fn read_parity(trace: &Trace, scale: f64) -> ReadParity {
     }
 }
 
+/// The canonical `BENCH_learned.json`: map-read traffic of every scheme on
+/// the fig8-small trace at [`FIG8_SMALL_SCALE`], plus the read-parity
+/// replay at [`PARITY_SCALE`].
+pub fn learned_manifest() -> BenchLearnedManifest {
+    let results = measure_map_traffic(&fig8_small_trace(FIG8_SMALL_SCALE));
+    BenchLearnedManifest {
+        schema_version: LEARNED_SCHEMA_VERSION,
+        workload: "fig8-small".to_string(),
+        scale: FIG8_SMALL_SCALE,
+        gate: MIN_MAP_READ_REDUCTION,
+        map_read_reduction: map_read_reduction(&results),
+        results,
+        parity: read_parity(&fig8_small_trace(PARITY_SCALE), PARITY_SCALE),
+    }
+}
+
 /// Structural + gate validation of a parsed `BENCH_learned.json` (CI
 /// gate): the schema version matches, every scheme has a sane row, the
 /// learned scheme actually predicted (nonzero hits and savings), the
-/// recorded reduction agrees with its own rows, parity is clean — and,
-/// when `enforce_gate` is set, the reduction clears
-/// [`MIN_MAP_READ_REDUCTION`]. Smoke runs (tiny scale) keep the gate off:
-/// a short trace barely misses the cache, so the ratio is noise.
-pub fn validate_learned_manifest(
-    m: &BenchLearnedManifest,
-    enforce_gate: bool,
-) -> std::result::Result<(), String> {
+/// recorded reduction agrees with its own rows, parity is clean, and the
+/// reduction clears [`MIN_MAP_READ_REDUCTION`].
+pub fn validate_learned_manifest(m: &BenchLearnedManifest) -> std::result::Result<(), String> {
     if m.schema_version != LEARNED_SCHEMA_VERSION {
         return Err(format!(
             "schema_version {} != expected {LEARNED_SCHEMA_VERSION}",
@@ -304,7 +314,7 @@ pub fn validate_learned_manifest(
             m.parity.oracle_violations
         ));
     }
-    if enforce_gate && m.map_read_reduction < MIN_MAP_READ_REDUCTION {
+    if m.map_read_reduction < MIN_MAP_READ_REDUCTION {
         return Err(format!(
             "map-read reduction {:.3} is below the {MIN_MAP_READ_REDUCTION} gate",
             m.map_read_reduction
@@ -316,7 +326,6 @@ pub fn validate_learned_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::fig8_small_trace;
 
     fn row(scheme: &str, map_reads: u64, learned: bool) -> MapTrafficRow {
         MapTrafficRow {
@@ -361,38 +370,36 @@ mod tests {
 
     #[test]
     fn validation_accepts_a_clean_manifest() {
-        validate_learned_manifest(&manifest(1000, 600), true).unwrap();
+        validate_learned_manifest(&manifest(1000, 600)).unwrap();
     }
 
     #[test]
     fn validation_gates_the_reduction() {
         let m = manifest(1000, 900); // only 10 % fewer map-ins
-        let err = validate_learned_manifest(&m, true).unwrap_err();
+        let err = validate_learned_manifest(&m).unwrap_err();
         assert!(err.contains("below the"), "{err}");
-        // Smoke mode keeps the gate off for the same file.
-        validate_learned_manifest(&m, false).unwrap();
     }
 
     #[test]
     fn validation_catches_parity_and_counter_problems() {
         let mut m = manifest(1000, 500);
         m.parity.mismatches = 3;
-        let err = validate_learned_manifest(&m, true).unwrap_err();
+        let err = validate_learned_manifest(&m).unwrap_err();
         assert!(err.contains("diverged"), "{err}");
 
         let mut m = manifest(1000, 500);
         m.results.retain(|r| r.scheme != "MRSM");
-        let err = validate_learned_manifest(&m, true).unwrap_err();
+        let err = validate_learned_manifest(&m).unwrap_err();
         assert!(err.contains("missing scheme"), "{err}");
 
         let mut m = manifest(1000, 500);
         m.results[3].predict_hits = 0;
-        let err = validate_learned_manifest(&m, true).unwrap_err();
+        let err = validate_learned_manifest(&m).unwrap_err();
         assert!(err.contains("zero predict hits"), "{err}");
 
         let mut m = manifest(1000, 500);
         m.map_read_reduction = 0.9;
-        let err = validate_learned_manifest(&m, true).unwrap_err();
+        let err = validate_learned_manifest(&m).unwrap_err();
         assert!(err.contains("disagrees"), "{err}");
     }
 
@@ -417,7 +424,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("read committed BENCH_learned.json: {e}"));
         let m: BenchLearnedManifest = serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("parse committed BENCH_learned.json: {e}"));
-        validate_learned_manifest(&m, true)
+        validate_learned_manifest(&m)
             .unwrap_or_else(|e| panic!("committed BENCH_learned.json: {e}"));
     }
 }

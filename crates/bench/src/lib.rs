@@ -5,8 +5,10 @@
 //! in one pass and renders every table and figure as a projection of it.
 //! `repro_all` is the one binary over that registry (`cargo run --release
 //! -p aftl-bench --bin repro_all -- fig9 fig14 --scale 0.3`; no names =
-//! every figure); `sim_cli` is the general-purpose single run. Criterion
-//! micro-benches live under `benches/`.
+//! every figure); `sim_cli` is the general-purpose single run. The
+//! committed `BENCH_*.json` files are entries of [`tracked`], rewritten in
+//! place by `cargo bench -p aftl-bench --bench tracked [-- names…]`;
+//! Criterion micro-benches live next to it under `benches/`.
 //!
 //! Common conventions:
 //! * figure names are positional arguments, in any order,
@@ -31,6 +33,7 @@ pub mod hostbench;
 pub mod learnedbench;
 pub mod recoverybench;
 pub mod replay;
+pub mod tracked;
 
 /// The flash page sizes the experiment geometry is defined for (the sweep
 /// of Figs. 13 and 14).

@@ -162,19 +162,20 @@ pub fn min_ratio(pairs: &[RecoveryPair]) -> f64 {
         .min(f64::MAX) // keep the JSON finite even for an empty slice
 }
 
-/// Run the scan and checkpoint arms for every scheme at the given
-/// workload size and collect the pairs, in [`SchemeKind::WITH_LEARNED`]
+/// Run the scan and checkpoint arms of the canonical crash workload for
+/// every scheme and collect the pairs, in [`SchemeKind::WITH_LEARNED`]
 /// order.
-pub fn measure_recovery(writes: u64, crash_at: u64, checkpoint_every: u64) -> Vec<RecoveryPair> {
+pub fn measure_recovery() -> Vec<RecoveryPair> {
     SchemeKind::WITH_LEARNED
         .iter()
         .map(|&scheme| {
-            let scan_cfg = recovery_config(scheme, crash_at, None);
-            let scan = run_crash_point(&scan_cfg, writes, RECOVERY_SEED)
+            let scan_cfg = recovery_config(scheme, RECOVERY_CRASH_AT, None);
+            let scan = run_crash_point(&scan_cfg, RECOVERY_WRITES, RECOVERY_SEED)
                 .unwrap_or_else(|e| panic!("{}: scan arm failed: {e:?}", scheme.name()));
 
-            let ck_cfg = recovery_config(scheme, crash_at, Some(checkpoint_every));
-            let ck = run_crash_point(&ck_cfg, writes, RECOVERY_SEED)
+            let every = Some(RECOVERY_CHECKPOINT_EVERY);
+            let ck_cfg = recovery_config(scheme, RECOVERY_CRASH_AT, every);
+            let ck = run_crash_point(&ck_cfg, RECOVERY_WRITES, RECOVERY_SEED)
                 .unwrap_or_else(|e| panic!("{}: checkpoint arm failed: {e:?}", scheme.name()));
 
             let scan = RecoveryRow::of(&scan);
@@ -194,18 +195,29 @@ pub fn measure_recovery(writes: u64, crash_at: u64, checkpoint_every: u64) -> Ve
         .collect()
 }
 
+/// The canonical `BENCH_recovery.json`: [`measure_recovery`] with its
+/// workload echoed.
+pub fn recovery_manifest() -> BenchRecoveryManifest {
+    let results = measure_recovery();
+    BenchRecoveryManifest {
+        schema_version: RECOVERY_SCHEMA_VERSION,
+        writes: RECOVERY_WRITES,
+        crash_at: RECOVERY_CRASH_AT,
+        checkpoint_every: RECOVERY_CHECKPOINT_EVERY,
+        seed: RECOVERY_SEED,
+        gate: MIN_SCAN_TO_CHECKPOINT_RATIO,
+        min_ratio: min_ratio(&results),
+        results,
+    }
+}
+
 /// Structural + gate validation of a parsed `BENCH_recovery.json` (CI
 /// gate): the schema version matches, every scheme has both arms with the
-/// right modes, every arm fired, acknowledged writes, and passed the
-/// oracle (zero lost sectors, no torn exposure), each recorded ratio
-/// agrees with its own rows — and, when `enforce_gate` is set, the
-/// smallest ratio clears [`MIN_SCAN_TO_CHECKPOINT_RATIO`]. Smoke runs
-/// (tiny workloads) keep the gate off: with only a handful of journal
-/// entries the scan is barely bigger than the delta.
-pub fn validate_recovery_manifest(
-    m: &BenchRecoveryManifest,
-    enforce_gate: bool,
-) -> std::result::Result<(), String> {
+/// right modes, every arm fired mid-workload, acknowledged writes, and
+/// passed the oracle (zero lost sectors, no torn exposure), each recorded
+/// ratio agrees with its own rows, and the smallest ratio clears
+/// [`MIN_SCAN_TO_CHECKPOINT_RATIO`].
+pub fn validate_recovery_manifest(m: &BenchRecoveryManifest) -> std::result::Result<(), String> {
     if m.schema_version != RECOVERY_SCHEMA_VERSION {
         return Err(format!(
             "schema_version {} != expected {RECOVERY_SCHEMA_VERSION}",
@@ -226,9 +238,7 @@ pub fn validate_recovery_manifest(
                     pair.scheme, row.mode
                 ));
             }
-            if enforce_gate && !row.fired {
-                // Smoke workloads may finish before the budget; a full-
-                // scale file must record an actual mid-workload cut.
+            if !row.fired {
                 return Err(format!(
                     "{}/{want_mode}: the power cut never fired",
                     pair.scheme
@@ -275,7 +285,7 @@ pub fn validate_recovery_manifest(
             m.min_ratio
         ));
     }
-    if enforce_gate && m.min_ratio < MIN_SCAN_TO_CHECKPOINT_RATIO {
+    if m.min_ratio < MIN_SCAN_TO_CHECKPOINT_RATIO {
         return Err(format!(
             "scan/checkpoint ratio {:.3} is below the {MIN_SCAN_TO_CHECKPOINT_RATIO} gate",
             m.min_ratio
@@ -328,51 +338,47 @@ mod tests {
 
     #[test]
     fn validation_accepts_a_clean_manifest() {
-        validate_recovery_manifest(&manifest(6000, 500), true).unwrap();
+        validate_recovery_manifest(&manifest(6000, 500)).unwrap();
     }
 
     #[test]
     fn validation_gates_the_ratio() {
         let m = manifest(6000, 4000); // only 1.5x cheaper
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("below the"), "{err}");
-        // Smoke mode keeps the gate off for the same file.
-        validate_recovery_manifest(&m, false).unwrap();
     }
 
     #[test]
     fn validation_catches_oracle_and_counter_problems() {
         let mut m = manifest(6000, 500);
         m.results[1].scan.lost_sectors = 2;
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("oracle failed"), "{err}");
 
         let mut m = manifest(6000, 500);
         m.results[2].checkpoint.torn_exposed = true;
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("oracle failed"), "{err}");
 
         let mut m = manifest(6000, 500);
         m.results.retain(|p| p.scheme != "MRSM");
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("missing scheme"), "{err}");
 
         let mut m = manifest(6000, 500);
         m.results[0].ratio = 99.0;
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("disagrees"), "{err}");
 
         let mut m = manifest(6000, 500);
         m.results[3].checkpoint.journal_replays = 0;
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("replayed no journal"), "{err}");
 
         let mut m = manifest(6000, 500);
         m.results[0].scan.fired = false;
-        let err = validate_recovery_manifest(&m, true).unwrap_err();
+        let err = validate_recovery_manifest(&m).unwrap_err();
         assert!(err.contains("never fired"), "{err}");
-        // ... but a smoke file may finish before the budget.
-        validate_recovery_manifest(&m, false).unwrap();
     }
 
     /// A miniature end-to-end pair on one scheme: both arms clean, the
@@ -415,7 +421,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("read committed BENCH_recovery.json: {e}"));
         let m: BenchRecoveryManifest = serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("parse committed BENCH_recovery.json: {e}"));
-        validate_recovery_manifest(&m, true)
+        validate_recovery_manifest(&m)
             .unwrap_or_else(|e| panic!("committed BENCH_recovery.json: {e}"));
     }
 }

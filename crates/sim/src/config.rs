@@ -163,12 +163,6 @@ impl SimConfig {
             .expect("experiment geometry is valid")
     }
 
-    /// The same configuration with the pipelined map engine toggled.
-    pub fn with_pipeline(mut self, enabled: bool) -> Self {
-        self.scheme_cfg.pipeline.enabled = enabled;
-        self
-    }
-
     /// A small configuration for tests: tiny geometry, unit timing, oracle
     /// tracking on, no aging by default.
     pub fn test_tiny(scheme: SchemeKind) -> Self {

@@ -299,17 +299,9 @@ pub fn run_crash_single(config: &SimConfig, writes: u64, seed: u64) -> Result<Ru
     })
 }
 
-/// [`run_crash_point`] wrapped for manifest consumers: runs the crash
-/// point and returns the v9 [`RecoverySection`]. Panics (via the
-/// embedded oracle fields) are left to the caller — CI's smoke step
-/// checks `lost_sectors`/`torn_exposed` from the JSON instead.
-pub fn run_crash_section(config: &SimConfig, writes: u64, seed: u64) -> Result<RecoverySection> {
-    run_crash_point(config, writes, seed).map(|o| o.to_section())
-}
-
 /// Expected recovery mode for a config: checkpointing implies delta
 /// replay, otherwise a full OOB scan.
-pub fn expected_mode(config: &SimConfig) -> RecoveryMode {
+fn expected_mode(config: &SimConfig) -> RecoveryMode {
     if config.crash.checkpoint_every.is_some() {
         RecoveryMode::Checkpoint
     } else {
