@@ -76,6 +76,20 @@ awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
     crates/bench/src/gctail.rs crates/bench/src/learnedbench.rs crates/bench/src/recoverybench.rs \
     crates/bench/src/tracked.rs crates/bench/benches/tracked.rs
 
+say "sim structure (one measured window, one report assembler)"
+# Replay, hosted, fleet and crash runs all fill metrics::Window and hand it
+# to report::assemble, the one RunReport literal outside tests; a second
+# copy creeping back fails here rather than in review.
+literals=$(find crates/sim/src crates/bench/src -name '*.rs' -exec awk \
+    'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /(^ *|[=(] *)RunReport [{]/ {print FILENAME":"FNR}' {} +)
+[ "$(printf '%s\n' "$literals" | grep -c .)" -eq 1 ] \
+    || { echo "RunReport is built in more than one place:"; echo "$literals"; exit 1; }
+# Non-test lines of the simulator and its CLI (4 274 with four run loops
+# and a hand-rolled flag parser).
+printf 'crates/sim/src + sim_cli.rs non-test lines: '
+{ find crates/sim/src -name '*.rs'; echo crates/bench/src/bin/sim_cli.rs; } \
+    | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+
 say "cargo build --release"
 cargo build --release
 
@@ -104,100 +118,46 @@ grep '^== ' "$fig_dir/all_figures.txt" | cut -c1-12 | tr '\n' '|' \
     || { echo "figures smoke: grid_8k.json does not hold 6 x 3 runs"; exit 1; }
 [ ! -e "$fig_dir/fig9.json" ] || { echo "figures smoke: fig9 dumped its own grid copy"; exit 1; }
 
-say "fault-injection smoke"
-# A short replay with nonzero fault rates must complete cleanly, actually
-# inject faults, and lose no host data (retry ladder + relocation cover
-# every injected failure at these rates).
-smoke=target/ci_fault_smoke.json
-cargo run --release -q -p aftl-bench --bin sim_cli -- \
-    --scheme across --preset lun1 --scale 0.01 \
-    --fault-seed 7 --read-fail-rate 0.01 \
-    --program-fail-rate 0.002 --erase-fail-rate 0.002 \
-    --json "$smoke" >/dev/null
-grep -q '"read_fail_rate": 0.01' "$smoke" || { echo "fault config missing from manifest"; exit 1; }
-if grep -q '"read_faults": 0$\|"read_faults": 0,' "$smoke"; then
-    echo "smoke run injected no faults"; exit 1
-fi
-grep -q '"host_unrecoverable_reads": 0' "$smoke" || { echo "smoke run lost host data"; exit 1; }
-
-say "host smoke (multi-tenant hosted run)"
-# A 2-tenant WRR hosted run (~1k IOs) must complete, emit a current-schema
-# manifest, and carry the per-tenant QoS section for both tenants.
-host_smoke=target/ci_host_smoke.json
-cargo run --release -q -p aftl-bench --bin sim_cli -- \
-    --scheme across --preset lun1 --scale 0.0014 \
-    --queues 2 --queue-depth 16 --arbitration wrr --tenant-weights 3,1 \
-    --json "$host_smoke" >/dev/null
-grep -q '"schema_version": 9' "$host_smoke" || { echo "hosted manifest is not schema v9"; exit 1; }
-grep -q '"arbitration": "wrr"' "$host_smoke" || { echo "hosted manifest lost arbitration"; exit 1; }
-for tenant in '"tenant0"' '"tenant1"'; do
-    grep -q "$tenant" "$host_smoke" || { echo "hosted manifest missing QoS for $tenant"; exit 1; }
-done
-
-say "fleet smoke (2-device sharded run + N=1 parity)"
-# A 2-device fleet run must complete, emit a schema-v7 manifest whose
-# fleet section carries both devices, and the 1-device fleet must stay
-# bit-identical to the hosted run (golden-digest parity test).
-fleet_smoke=target/ci_fleet_smoke.json
-cargo run --release -q -p aftl-bench --bin sim_cli -- \
-    --scheme across --preset lun1 --scale 0.0014 \
-    --devices 2 --json "$fleet_smoke" >/dev/null
-grep -q '"schema_version": 9' "$fleet_smoke" || { echo "fleet manifest is not schema v9"; exit 1; }
-grep -q '"devices": 2' "$fleet_smoke" || { echo "fleet manifest lost its topology section"; exit 1; }
-grep -q '"d0/tenant0"' "$fleet_smoke" || { echo "fleet manifest missing per-device QoS rows"; exit 1; }
-cargo test --release -q -p aftl-integration --test fig8_parity \
-    fleet_single_device_matches_hosted_run_bit_for_bit >/dev/null \
-    || { echo "1-device fleet diverged from the hosted run"; exit 1; }
-
-say "pipeline smoke (pipelined replay manifest + parity)"
-# A pipelined replay run must complete, emit a current-schema manifest
-# with the map-engine counters actually ticking (the coalescing window
-# must fire on a real trace), and the pipelined fig8 replay must stay
-# flash-side bit-identical to the serial golden digest.
-pipe_smoke=target/ci_pipe_smoke.json
-cargo run --release -q -p aftl-bench --bin sim_cli -- \
-    --scheme mrsm --preset lun1 --scale 0.01 \
-    --pipeline --map-batch 8 --json "$pipe_smoke" >/dev/null
-grep -q '"schema_version": 9' "$pipe_smoke" || { echo "pipelined manifest is not schema v9"; exit 1; }
-grep -q '"pipeline"' "$pipe_smoke" || { echo "pipelined manifest lost its pipeline config"; exit 1; }
-if grep -q '"coalesced_lookups": 0,' "$pipe_smoke"; then
-    echo "pipelined run coalesced no lookups"; exit 1
-fi
-cargo test --release -q -p aftl-integration --test fig8_parity \
-    pipelined >/dev/null \
-    || { echo "pipelined replay diverged from the serial golden digest"; exit 1; }
-
-say "learned smoke (predict-then-verify replay)"
-# A learned-scheme replay with a DRAM-constrained mapping cache (two
-# resident translation pages) must complete, emit a schema-v9 manifest
-# (the `learned` section arrived in v8), and actually serve reads from
-# verified predictions — zero predict hits would mean the model path is
-# dead weight.
-learned_smoke=target/ci_learned_smoke.json
-cargo run --release -q -p aftl-bench --bin sim_cli -- \
-    --scheme learned --preset lun1 --scale 0.01 \
-    --cache-bytes 16384 --json "$learned_smoke" >/dev/null
-grep -q '"schema_version": 9' "$learned_smoke" || { echo "learned manifest is not schema v9"; exit 1; }
-grep -q '"learned"' "$learned_smoke" || { echo "learned manifest lost its learned counters section"; exit 1; }
-if grep -q '"predict_hits": 0,' "$learned_smoke"; then
-    echo "learned run served no predicted reads"; exit 1
-fi
-
-say "recovery smoke (seeded power cut -> rebuild -> oracle)"
-# A crash-armed run must cut mid-workload, power-cycle, rebuild the
-# mapping from the OOB journal (checkpoint + delta here), and pass the
-# acknowledged-write oracle: a schema-v9 manifest whose recovery section
-# reports zero lost sectors and no torn exposure.
-rec_smoke=target/ci_recovery_smoke.json
-cargo run --release -q -p aftl-bench --bin sim_cli -- \
-    --scheme across --preset lun1 --scale 0.01 \
-    --crash-at 2000 --recover --checkpoint-every 100 \
-    --json "$rec_smoke" >/dev/null
-grep -q '"schema_version": 9' "$rec_smoke" || { echo "crash manifest is not schema v9"; exit 1; }
-grep -q '"recovery"' "$rec_smoke" || { echo "crash manifest lost its recovery section"; exit 1; }
-grep -q '"mode": "checkpoint"' "$rec_smoke" || { echo "crash run did not rebuild from the checkpoint"; exit 1; }
-grep -q '"lost_sectors": 0' "$rec_smoke" || { echo "recovery lost acknowledged sectors"; exit 1; }
-grep -q '"torn_exposed": false' "$rec_smoke" || { echo "recovery exposed a torn request"; exit 1; }
+say "sim_cli smokes (one row per run mode: name | flags | must match | must not match)"
+# Each row runs sim_cli on lun1 and greps the manifest it writes: every
+# ';'-separated pattern of the third field must match, none of the fourth.
+#   fault    — faults injected, retried and relocated, no host data lost;
+#   host     — 2 WRR tenants with QoS rows, and the event trace as JSONL;
+#   fleet    — 2 devices with the topology section and per-device rows;
+#   pipeline — the coalescing window fires on a real trace;
+#   learned  — a DRAM-starved learned replay serves predicted reads;
+#   recovery — cut, checkpoint + delta rebuild, oracle clean.
+check_patterns() { # FILE MUST(1)|MUST-NOT(0) PATTERNS
+    old_ifs=$IFS; IFS=';'; set -f
+    for pat in $3; do
+        if grep -q -- "$pat" "$1"; then found=1; else found=0; fi
+        [ "$found" = "$2" ] || { IFS=$old_ifs; set +f; echo "$1: pattern $pat (want $2)"; return 1; }
+    done
+    IFS=$old_ifs; set +f
+}
+while IFS='|' read -r name flags want deny; do
+    out=target/ci_smoke_$name.json
+    rm -f "$out" "${out%.json}.jsonl"
+    # shellcheck disable=SC2086 # flags are word-split on purpose
+    cargo run --release -q -p aftl-bench --bin sim_cli -- --preset lun1 $flags --json "$out" </dev/null >/dev/null \
+        || { echo "$name smoke: sim_cli failed"; exit 1; }
+    check_patterns "$out" 1 "\"schema_version\": 9;$want" || exit 1
+    [ -z "$deny" ] || check_patterns "$out" 0 "$deny" || exit 1
+done <<'ROWS'
+fault|--scheme across --scale 0.01 --fault-seed 7 --read-fail-rate 0.01 --program-fail-rate 0.002 --erase-fail-rate 0.002|"read_fail_rate": 0.01;"host_unrecoverable_reads": 0|"read_faults": 0,
+host|--scheme across --scale 0.0014 --queues 2 --queue-depth 16 --arbitration wrr --tenant-weights 3,1 --trace-events 64|"arbitration": "wrr";"tenant0";"tenant1"|
+fleet|--scheme across --scale 0.0014 --devices 2|"devices": 2;"d0/tenant0";"d1/tenant0"|
+pipeline|--scheme mrsm --scale 0.01 --pipeline --map-batch 8|"pipeline";"map_engine"|"coalesced_lookups": 0,
+learned|--scheme learned --scale 0.01 --cache-bytes 16384|"learned"|"predict_hits": 0,
+recovery|--scheme across --scale 0.01 --crash-at 2000 --recover --checkpoint-every 100|"recovery";"mode": "checkpoint";"lost_sectors": 0;"torn_exposed": false|"sim_span_ns": 0,
+ROWS
+# Every single-device run writes its event trace, hosted ones included.
+[ "$(wc -l <target/ci_smoke_host.jsonl)" -eq 64 ] \
+    || { echo "host smoke: the event trace is not 64 JSONL lines"; exit 1; }
+# The 1-device fleet is the hosted run, the pipelined replay the serial
+# one on the flash side, and every driver's manifest is its golden.
+cargo test --release -q -p aftl-integration --test fig8_parity >/dev/null \
+    || { echo "a driver or engine mode diverged from its golden (tests/fig8_parity.rs)"; exit 1; }
 
 say "tracked freshness (every committed BENCH_*.json == a fresh run)"
 # The five tracked files hold simulated values only, so each is a pure

@@ -44,7 +44,7 @@ pub const AMT_ENTRY_BYTES: u64 = 8;
 /// Translation-page id namespace offset for AMT pages.
 const AMT_TPID_BASE: u64 = 1 << 40;
 
-/// Feature toggles for ablation studies (`aftl-bench --bin ablation`).
+/// Feature toggles for ablation studies (`repro_all ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcrossOptions {
     /// Merge overlapping updates into the area when the union fits in one

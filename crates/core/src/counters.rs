@@ -52,19 +52,15 @@ pub struct SchemeCounters {
     /// Pages whose data was lost after exhausting the read-retry ladder
     /// during internal operations (RMW, merge, rollback). The replacement
     /// page is stamped with `recover::LOST_VERSION`.
-    #[serde(default)]
     pub lost_pages: u64,
     /// Host reads that served at least one sector from a lost page — data
     /// the device acknowledged but could no longer return.
-    #[serde(default)]
     pub host_unrecoverable_reads: u64,
     /// Host writes rejected because the device was in read-only mode.
-    #[serde(default)]
     pub write_rejections: u64,
     /// Host writes delayed by the near-full admission throttle
     /// (`GcTuning::throttle_fraction`): admitted, but charged the throttle
     /// delay so GC can keep pace instead of the queue stalling whole.
-    #[serde(default)]
     pub throttled_writes: u64,
 }
 

@@ -89,50 +89,30 @@ impl GcPolicy {
     }
 }
 
-fn default_window() -> u32 {
-    8
-}
-
-fn default_urgent_ratio() -> f64 {
-    0.5
-}
-
-fn default_throttle_delay() -> u64 {
-    2_000_000 // one TLC program time
-}
-
 /// Policy / preemption / idle / throttle knobs — everything about GC
 /// except the trigger threshold (which stays a top-level scheme config
-/// field for manifest compatibility). All fields are serde-defaulted so
-/// pre-v6 manifests still deserialize.
+/// field for manifest compatibility).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GcTuning {
     /// Victim-selection policy.
-    #[serde(default)]
     pub policy: GcPolicy,
     /// Foreground slice budget in page copies; `0` = atomic episodes
     /// (the paper's behavior, and the default).
-    #[serde(default)]
     pub preempt_pages: u32,
     /// Window width for [`GcPolicy::Windowed`].
-    #[serde(default = "default_window")]
     pub window: u32,
     /// Below `threshold × urgent_ratio` free fraction, a foreground slice
     /// ignores the preemption budget and collects until the stop mark —
     /// graceful degradation beats an allocator failure.
-    #[serde(default = "default_urgent_ratio")]
     pub urgent_ratio: f64,
     /// Idle (background) GC runs while the free fraction is below
     /// `threshold + idle_headroom`; `0` disables idle GC (the default).
-    #[serde(default)]
     pub idle_headroom: f64,
     /// Host writes are delayed by [`GcTuning::throttle_delay_ns`] while
     /// the free fraction is below this; `0` disables the throttle
     /// (the default).
-    #[serde(default)]
     pub throttle_fraction: f64,
     /// Extra admission latency per throttled write.
-    #[serde(default = "default_throttle_delay")]
     pub throttle_delay_ns: u64,
 }
 
@@ -141,11 +121,11 @@ impl Default for GcTuning {
         GcTuning {
             policy: GcPolicy::Greedy,
             preempt_pages: 0,
-            window: default_window(),
-            urgent_ratio: default_urgent_ratio(),
+            window: 8,
+            urgent_ratio: 0.5,
             idle_headroom: 0.0,
             throttle_fraction: 0.0,
-            throttle_delay_ns: default_throttle_delay(),
+            throttle_delay_ns: 2_000_000, // one TLC program time
         }
     }
 }
@@ -159,7 +139,6 @@ pub struct GcConfig {
     /// so GC runs in episodes rather than once per write.
     pub hysteresis: f64,
     /// Policy / preemption / idle / throttle knobs.
-    #[serde(default)]
     pub tuning: GcTuning,
 }
 
@@ -185,23 +164,18 @@ pub struct GcReport {
     /// Victim blocks retired instead of reclaimed (erase failure or
     /// worn-out endurance budget). Their pages were migrated first, so no
     /// data is lost — only capacity.
-    #[serde(default)]
     pub retired_blocks: u64,
     /// Migrated pages whose source read exhausted the retry ladder; the
     /// copy carries [`crate::recover::LOST_VERSION`] stamps.
-    #[serde(default)]
     pub lost_pages: u64,
     /// Collection episodes started (victim set selected). Unlike the
     /// boolean `triggered`, this survives [`GcReport::merge`], so "how
     /// many episodes" is recoverable from an aggregated report.
-    #[serde(default)]
     pub episodes: u64,
     /// Foreground slices that paused at the preemption budget with the
     /// episode unfinished.
-    #[serde(default)]
     pub preemptions: u64,
     /// Pages migrated by idle (background) slices.
-    #[serde(default)]
     pub idle_pages: u64,
 }
 

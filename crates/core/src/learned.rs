@@ -65,20 +65,8 @@ use crate::recover::{lost_stamps_of, program_relocating_in_plane, read_with_retr
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
 
-fn default_retrain_threshold() -> u32 {
-    16
-}
-
-fn default_min_run() -> u32 {
-    1
-}
-
-fn default_max_segments() -> u32 {
-    4096
-}
-
-/// Learned-mapping knobs, carried in [`SchemeConfig`]. Serde-defaulted so
-/// pre-v8 manifests still deserialize; only the learned scheme reads them.
+/// Learned-mapping knobs, carried in [`SchemeConfig`]; only the learned
+/// scheme reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LearnedConfig {
     /// Half-width of the prediction window in pages: a prediction probes
@@ -86,21 +74,17 @@ pub struct LearnedConfig {
     /// tag verifies. `0` (the default) means models are exact — segments
     /// are built only from observed runs, so the window buys nothing
     /// unless segments are allowed to approximate.
-    #[serde(default)]
     pub max_error: u32,
     /// Rebuild (split into hole-free subruns) a segment once this many of
     /// its members have been punched out by overwrites or relocation.
-    #[serde(default = "default_retrain_threshold")]
     pub retrain_threshold: u32,
     /// Minimum members for a closed run to be installed as a segment. The
     /// default of 1 ingests every program — isolated single-page writes
     /// become single-member segments, like LeaFTL's point outliers — so
     /// random-overwrite regions stay predictable, not just sequential runs.
-    #[serde(default = "default_min_run")]
     pub min_run: u32,
     /// Segment-store capacity; at capacity, installing a segment evicts a
     /// low-coverage victim (clock scan over live member counts).
-    #[serde(default = "default_max_segments")]
     pub max_segments: u32,
 }
 
@@ -108,14 +92,14 @@ impl Default for LearnedConfig {
     fn default() -> Self {
         LearnedConfig {
             max_error: 0,
-            retrain_threshold: default_retrain_threshold(),
-            min_run: default_min_run(),
-            max_segments: default_max_segments(),
+            retrain_threshold: 16,
+            min_run: 1,
+            max_segments: 4096,
         }
     }
 }
 
-/// Learned-mapping event counters (RunReport v8).
+/// Learned-mapping event counters (the manifest's `learned` section).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LearnedStats {
     /// Reads served straight off a verified prediction (no PMT access).

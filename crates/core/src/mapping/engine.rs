@@ -35,8 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use super::cache::{CacheStats, MapCache};
 
-/// Pipeline knobs, carried in [`crate::scheme::SchemeConfig`]. Serde-
-/// defaulted so pre-v7 manifests still deserialize.
+/// Pipeline knobs, carried in [`crate::scheme::SchemeConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Two-stage pipelined execution on/off. Off = bit-identical legacy
@@ -67,7 +66,7 @@ impl PipelineConfig {
     }
 }
 
-/// Pipeline event counters (RunReport v7).
+/// Pipeline event counters (the manifest's `map_engine` section).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MapEngineStats {
     /// Map-in flash reads whose result satisfied more than one lookup in

@@ -141,24 +141,13 @@ pub struct SchemeConfig {
     pub gc_threshold: f64,
     /// GC stop hysteresis: collect until `gc_threshold + gc_hysteresis`
     /// free so the trigger doesn't chatter at the boundary.
-    #[serde(default = "default_gc_hysteresis")]
     pub gc_hysteresis: f64,
-    /// GC policy / preemption / idle / throttle knobs (PR 7). Serde-
-    /// defaulted so pre-v6 manifests still deserialize.
-    #[serde(default)]
+    /// GC policy / preemption / idle / throttle knobs.
     pub gc: GcTuning,
-    /// Pipelined map-engine knobs (PR 8). Serde-defaulted (pipeline off)
-    /// so pre-v7 manifests still deserialize.
-    #[serde(default)]
+    /// Pipelined map-engine knobs (off by default).
     pub pipeline: PipelineConfig,
-    /// Learned-mapping knobs (PR 9). Serde-defaulted so pre-v8 manifests
-    /// still deserialize; only [`SchemeKind::Learned`] reads them.
-    #[serde(default)]
+    /// Learned-mapping knobs; only [`SchemeKind::Learned`] reads them.
     pub learned: LearnedConfig,
-}
-
-fn default_gc_hysteresis() -> f64 {
-    crate::gc::GcConfig::default().hysteresis
 }
 
 impl SchemeConfig {
@@ -178,7 +167,7 @@ impl SchemeConfig {
             // thrash for every scheme alike.
             cache_bytes: (logical_pages * 4 * 45 / 100).max(2 << 20),
             gc_threshold: 0.10,
-            gc_hysteresis: default_gc_hysteresis(),
+            gc_hysteresis: crate::gc::GcConfig::default().hysteresis,
             gc: GcTuning::default(),
             pipeline: PipelineConfig::default(),
             learned: LearnedConfig::default(),

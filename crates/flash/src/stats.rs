@@ -70,20 +70,15 @@ pub struct FlashStats {
     pub channel_busy_ns: Nanos,
     /// Injected transient read failures (each occupied the chip but
     /// returned no data; successful retries count under `reads`).
-    #[serde(default)]
     pub read_faults: u64,
     /// Injected program failures (page consumed, block retired).
-    #[serde(default)]
     pub program_faults: u64,
     /// Injected erase failures (block retired).
-    #[serde(default)]
     pub erase_faults: u64,
     /// Blocks retired because their erase-endurance budget was exhausted
     /// (subset of `retired_blocks`).
-    #[serde(default)]
     pub worn_out_blocks: u64,
     /// Blocks retired by the bad-block manager, for any reason.
-    #[serde(default)]
     pub retired_blocks: u64,
 }
 

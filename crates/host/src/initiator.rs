@@ -44,8 +44,8 @@ pub enum ArrivalModel {
     /// Bursty open-loop arrivals: `burst` back-to-back requests (spaced
     /// `spacing_ns`) at the start of every `period_ns` window, then
     /// silence until the next window — the adversarial tail-latency shape
-    /// the `gc_tail` bench uses (a GC episode that stalls one burst shows
-    /// up directly at p99.9).
+    /// the `gc` entry of the `tracked` bench uses (a GC episode that
+    /// stalls one burst shows up directly at p99.9).
     Burst {
         /// Requests per burst (min 1).
         burst: u32,

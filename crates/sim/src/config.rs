@@ -18,13 +18,6 @@ pub struct ObserveConfig {
     pub trace: TraceConfig,
 }
 
-impl Default for ObserveConfig {
-    /// Same as [`ObserveConfig::standard`]: histograms on, tracing off.
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl ObserveConfig {
     /// Histograms on, tracing off — what experiment runs use.
     pub fn standard() -> Self {
@@ -107,16 +100,12 @@ pub struct SimConfig {
     /// Enable the sector-stamp oracle (tests only; costs memory).
     pub track_content: bool,
     /// Observability sinks: latency histograms and event tracing.
-    /// Serde-defaulted: absent from pre-v2 manifest echoes.
-    #[serde(default)]
     pub observe: ObserveConfig,
     /// Fault injection and endurance model. Disabled by default: no RNG
     /// draws, no endurance checks, bit-identical results to a build
     /// without the fault layer.
-    #[serde(default = "FaultConfig::disabled")]
     pub fault: FaultConfig,
     /// Sudden-power-off injection and recovery. Disabled by default.
-    #[serde(default)]
     pub crash: CrashConfig,
 }
 
@@ -172,13 +161,8 @@ impl SimConfig {
             timing: TimingSpec::unit(),
             scheme,
             scheme_cfg: SchemeConfig {
-                logical_pages: geometry.total_pages() * 9 / 10,
                 cache_bytes: 1 << 20,
-                gc_threshold: 0.10,
-                gc_hysteresis: 0.0005,
-                gc: Default::default(),
-                pipeline: Default::default(),
-                learned: Default::default(),
+                ..SchemeConfig::for_geometry(&geometry)
             },
             warmup: WarmupConfig {
                 used_fraction: 0.0,

@@ -18,14 +18,13 @@
 
 use std::collections::HashMap;
 
-use aftl_core::gc::GcReport;
 use aftl_core::recovery::{RecoveryMode, RecoveryStats};
-use aftl_core::request::{HostRequest, ReqKind};
+use aftl_core::request::HostRequest;
 use aftl_flash::{FlashError, Result};
 
 use crate::config::SimConfig;
-use crate::metrics::{cache_delta, counters_delta, flash_delta, ClassBreakdown};
-use crate::report::{RecoverySection, RunReport, SCHEMA_VERSION};
+use crate::metrics::Window;
+use crate::report::{assemble, DeviceRun, RecoverySection, RunReport};
 use crate::ssd::Ssd;
 use crate::warmup::WarmupStats;
 
@@ -117,16 +116,33 @@ fn workload_request(i: u64, seed: u64, span_sectors: u64, spp: u64) -> (u64, u32
 /// recover, and verify every acknowledged sector. `config.track_content`
 /// must be on — the verdict is read back through the rebuilt scheme.
 pub fn run_crash_point(config: &SimConfig, writes: u64, seed: u64) -> Result<CrashOutcome> {
-    run_crash_keep(config, writes, seed).map(|(outcome, ..)| outcome)
+    crash_device(config, writes, seed).map(|(outcome, _)| outcome)
 }
 
-/// [`run_crash_point`], handing back the recovered device and the
-/// pre-cut request metrics alongside the verdict (manifest assembly).
-pub fn run_crash_keep(
-    config: &SimConfig,
-    writes: u64,
-    seed: u64,
-) -> Result<(CrashOutcome, Ssd, ClassBreakdown, GcReport)> {
+/// Run one crash point and assemble its manifest: the counter/latency
+/// sections cover the whole run (pre-cut workload plus post-recovery
+/// verification reads), the class metrics and span the acknowledged
+/// writes, and `recovery` the rebuild cost and the oracle verdict. No
+/// aging — OOB journaling must cover every programmed page.
+pub fn run_crash_single(config: &SimConfig, writes: u64, seed: u64) -> Result<RunReport> {
+    run_crash_keep(config, writes, seed).map(|(report, _)| report)
+}
+
+/// Like [`run_crash_single`], but hands the recovered device back
+/// alongside the report (event-trace export, wear state, …).
+pub fn run_crash_keep(config: &SimConfig, writes: u64, seed: u64) -> Result<(RunReport, Ssd)> {
+    let started = std::time::Instant::now();
+    let (outcome, run) = crash_device(config, writes, seed)?;
+    // Cut-only runs (no --recover) carry no recovery section: nothing was
+    // rebuilt, so there is nothing to report or verify.
+    let recovery = config.crash.recover.then(|| outcome.to_section());
+    let wall = started.elapsed().as_secs_f64();
+    Ok(assemble(vec![run], None, None, None, recovery, wall))
+}
+
+/// The crash workload on a fresh device: the verdict, and the device run
+/// whose window recorded every acknowledged write.
+fn crash_device(config: &SimConfig, writes: u64, seed: u64) -> Result<(CrashOutcome, DeviceRun)> {
     assert!(
         config.track_content,
         "crash runs need the sector-stamp oracle (track_content)"
@@ -146,8 +162,7 @@ pub fn run_crash_keep(
     let mut cut_mid_write = false;
     let mut cut_during_gc = false;
     let mut torn: Option<HostRequest> = None;
-    let mut classes = ClassBreakdown::default();
-    let mut gc = GcReport::default();
+    let mut window = Window::open(&ssd);
 
     for i in 0..writes {
         if let Some(every) = config.crash.checkpoint_every {
@@ -164,15 +179,7 @@ pub fn run_crash_keep(
                     expected.insert(s, req.version);
                 }
                 acked_writes += 1;
-                classes
-                    .class_mut(done.kind == ReqKind::Write, done.across)
-                    .record(
-                        done.sectors,
-                        done.latency_ns,
-                        done.flash_reads,
-                        done.flash_programs,
-                    );
-                gc.merge(&done.gc);
+                window.record(&done, req.at_ns);
                 if ssd.powered_off() {
                     // The cut fired inside the post-ack GC slice: the
                     // write itself is durable and sealed.
@@ -236,7 +243,11 @@ pub fn run_crash_keep(
         // Cut-only run (`--crash-at` without `--recover`): report where
         // the workload died; the device stays powered off.
         RecoveryStats {
-            mode: expected_mode(config),
+            mode: if config.crash.checkpoint_every.is_some() {
+                RecoveryMode::Checkpoint
+            } else {
+                RecoveryMode::Scan
+            },
             scanned_pages: 0,
             journal_replays: 0,
             rebuild_flash_reads: 0,
@@ -256,57 +267,14 @@ pub fn run_crash_keep(
         lost_sectors: lost,
         torn_exposed,
     };
-    Ok((outcome, ssd, classes, gc))
-}
-
-/// Run one crash point and assemble the full v9 run manifest around it:
-/// the usual counter/latency sections cover the whole run (pre-cut
-/// workload plus post-recovery verification reads), and `recovery`
-/// carries the rebuild cost and the oracle verdict. No aging — the crash
-/// workload itself dirties the device, and OOB journaling must cover
-/// every programmed page.
-pub fn run_crash_single(config: &SimConfig, writes: u64, seed: u64) -> Result<RunReport> {
-    let started = std::time::Instant::now();
-    let (outcome, ssd, classes, gc) = run_crash_keep(config, writes, seed)?;
-    // Cut-only runs (no --recover) carry no recovery section: nothing was
-    // rebuilt, so there is nothing to report or verify.
-    let recovery = config.crash.recover.then(|| outcome.to_section());
-    let end = ssd.snapshot();
-    let base = crate::metrics::StatsSnapshot::default();
-    Ok(RunReport {
-        schema_version: SCHEMA_VERSION,
-        trace: format!("crash(seed={seed},writes={writes})"),
-        scheme: ssd.config().scheme,
-        page_bytes: ssd.config().geometry.page_bytes,
-        requests: outcome.acked_writes,
-        config: ssd.config().clone(),
+    let run = DeviceRun {
+        window: window.close(&ssd),
+        ssd,
         warmup: WarmupStats::default(),
-        classes,
-        latency: ssd.observer().breakdown(),
-        flash: flash_delta(&end.flash, &base.flash),
-        counters: counters_delta(&end.counters, &base.counters),
-        cache: cache_delta(&end.cache, &base.cache),
-        map_engine: end.map_engine.delta(&base.map_engine),
-        learned: end.learned.delta(&base.learned),
-        gc,
-        mapping_table_bytes: ssd.scheme().mapping_table_bytes(),
-        sim_span_ns: 0,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        trace_events: ssd.observer().trace_events_total(),
-        qos: None,
-        fleet: None,
-        recovery,
-    })
-}
-
-/// Expected recovery mode for a config: checkpointing implies delta
-/// replay, otherwise a full OOB scan.
-fn expected_mode(config: &SimConfig) -> RecoveryMode {
-    if config.crash.checkpoint_every.is_some() {
-        RecoveryMode::Checkpoint
-    } else {
-        RecoveryMode::Scan
-    }
+        requests: acked_writes,
+        name: format!("crash(seed={seed},writes={writes})"),
+    };
+    Ok((outcome, run))
 }
 
 #[cfg(test)]

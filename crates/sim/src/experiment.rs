@@ -1,7 +1,5 @@
 //! One-call experiment runners for (trace × scheme × page size) grids.
 
-use aftl_core::gc::GcReport;
-use aftl_core::request::ReqKind;
 use aftl_core::scheme::SchemeKind;
 use aftl_flash::{FlashError, Result};
 use aftl_trace::Trace;
@@ -9,8 +7,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
-use crate::metrics::{cache_delta, counters_delta, flash_delta, ClassBreakdown};
-use crate::report::{RunReport, SCHEMA_VERSION};
+use crate::metrics::Window;
+use crate::report::{assemble, DeviceRun, RunReport};
 use crate::ssd::Ssd;
 use crate::warmup;
 
@@ -32,58 +30,30 @@ pub fn run_on_device_keep(mut ssd: Ssd, trace: &Trace) -> Result<(RunReport, Ssd
     let started = std::time::Instant::now();
     let warm = ssd.config().warmup;
     let warmup = warmup::age(&mut ssd, &warm)?;
-    let base = ssd.snapshot();
-
-    let mut classes = ClassBreakdown::default();
-    let mut gc = GcReport::default();
-    let mut last_complete: u128 = 0;
+    let mut window = Window::open(&ssd);
     for rec in &trace.records {
-        let c = match ssd.submit_record(rec) {
-            Ok(c) => c,
+        match ssd.submit_record(rec) {
+            Ok(c) => window.record(&c, rec.at_ns),
             // Degraded device: the rejection is already counted in the
             // device's write_rejections (surfaced via the counter delta);
             // reads keep flowing, so the replay continues.
-            Err(FlashError::ReadOnlyMode) => continue,
+            Err(FlashError::ReadOnlyMode) => {}
             Err(e) => return Err(e),
-        };
-        classes
-            .class_mut(c.kind == ReqKind::Write, c.across)
-            .record(c.sectors, c.latency_ns, c.flash_reads, c.flash_programs);
-        gc.merge(&c.gc);
-        last_complete = last_complete.max(u128::from(rec.at_ns) + u128::from(c.latency_ns));
+        }
     }
 
     // Wall clock covers the replayed workload only — device aging plus the
     // trace loop. Snapshot diffing and the observer's percentile sorts
     // below are host-side report assembly, not replay.
     let wall_seconds = started.elapsed().as_secs_f64();
-
-    let end = ssd.snapshot();
-    let report = RunReport {
-        schema_version: SCHEMA_VERSION,
-        trace: trace.name.clone(),
-        scheme: ssd.config().scheme,
-        page_bytes: ssd.config().geometry.page_bytes,
-        requests: trace.records.len() as u64,
-        config: ssd.config().clone(),
+    let run = DeviceRun {
+        window: window.close(&ssd),
+        ssd,
         warmup,
-        classes,
-        latency: ssd.observer().breakdown(),
-        flash: flash_delta(&end.flash, &base.flash),
-        counters: counters_delta(&end.counters, &base.counters),
-        cache: cache_delta(&end.cache, &base.cache),
-        map_engine: end.map_engine.delta(&base.map_engine),
-        learned: end.learned.delta(&base.learned),
-        gc,
-        mapping_table_bytes: ssd.scheme().mapping_table_bytes(),
-        sim_span_ns: last_complete,
-        wall_seconds,
-        trace_events: ssd.observer().trace_events_total(),
-        qos: None,
-        fleet: None,
-        recovery: None,
+        requests: trace.records.len() as u64,
+        name: trace.name.clone(),
     };
-    Ok((report, ssd))
+    Ok(assemble(vec![run], None, None, None, None, wall_seconds))
 }
 
 /// Replay `trace` on the standard experiment device at `page_bytes`.

@@ -8,7 +8,7 @@
 //! pinned to its own fully independent simulated device (own flash
 //! array, own FTL, own host engine, own seeded RNG streams), the devices
 //! run concurrently on worker threads, and their results are merged into
-//! a single schema-v5 [`RunReport`].
+//! a single [`RunReport`] with a [`FleetSection`].
 //!
 //! Determinism is the design invariant, not an accident:
 //!
@@ -60,8 +60,9 @@ use aftl_trace::{sector_ranges, Trace};
 use rayon::prelude::*;
 
 use crate::config::SimConfig;
-use crate::hosted::{assemble_report, run_device, tenants_from_trace, DeviceRun};
-use crate::report::{DeviceSummary, FleetSection, RunReport};
+use crate::hosted::{qos_section, run_device, tenants_from_trace};
+use crate::report::{assemble, DeviceRun, DeviceSummary, FleetSection, RunReport, TenantQos};
+use crate::ssd::Ssd;
 
 /// Odd 64-bit constant for deriving per-device seed streams. Distinct
 /// from the per-tenant constant inside `aftl-host`, so device `i` tenant
@@ -129,9 +130,9 @@ impl FleetSpec {
 /// Shard `trace` across `spec.devices` simulated devices by sector
 /// range, drive every device's host engine (in parallel unless
 /// `spec.sequential`), and merge the per-device results into one
-/// schema-v5 [`RunReport`] with a [`FleetSection`] describing the
-/// topology. Each device is built from `config` with its warm-up and
-/// fault seeds re-derived for its shard index.
+/// [`RunReport`] with a [`FleetSection`] describing the topology. Each
+/// device is built from `config` with its warm-up and fault seeds
+/// re-derived for its shard index.
 ///
 /// ```
 /// use aftl_core::scheme::SchemeKind;
@@ -160,6 +161,16 @@ pub fn run_fleet(
     trace: &Trace,
     spec: &FleetSpec,
 ) -> aftl_flash::Result<RunReport> {
+    run_fleet_keep(config, trace, spec).map(|(report, _)| report)
+}
+
+/// Like [`run_fleet`], but hands device 0 back alongside the report, its
+/// observer holding the fleet's merged histograms.
+pub fn run_fleet_keep(
+    config: SimConfig,
+    trace: &Trace,
+    spec: &FleetSpec,
+) -> aftl_flash::Result<(RunReport, Ssd)> {
     assert!(spec.devices >= 1, "fleet needs at least one device");
     let started = std::time::Instant::now();
     let n = spec.devices;
@@ -174,49 +185,35 @@ pub fn run_fleet(
         trace.shard_by_ranges(&ranges)
     };
 
-    let weights: Vec<u32> = (0..spec.tenants_per_device)
-        .map(|i| spec.weights.get(i).copied().unwrap_or(1))
-        .collect();
-
-    // One fully-owned spec per device, so worker threads share nothing.
-    struct DeviceSpec {
-        config: SimConfig,
-        host: HostConfig,
-        shard: Trace,
-    }
-    let specs: Vec<DeviceSpec> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            let mut config = config.clone();
-            config.warmup.seed = device_seed(config.warmup.seed, i);
-            config.fault.seed = device_seed(config.fault.seed, i);
-            let mut host = spec.host;
-            host.seed = device_seed(host.seed, i);
-            DeviceSpec {
-                config,
-                host,
-                shard,
-            }
-        })
-        .collect();
-
-    let drive = |d: &DeviceSpec| -> aftl_flash::Result<DeviceRun> {
-        let tenants = tenants_from_trace(
-            &d.shard,
+    // Device `i` derives its seeds from its shard index, and its tenants
+    // are named `d<i>/…` when more than one device contributes QoS rows.
+    let shards: Vec<(usize, Trace)> = shards.into_iter().enumerate().collect();
+    let drive = |(i, shard): &(usize, Trace)| {
+        let mut config = config.clone();
+        config.warmup.seed = device_seed(config.warmup.seed, *i);
+        config.fault.seed = device_seed(config.fault.seed, *i);
+        let mut host = spec.host;
+        host.seed = device_seed(host.seed, *i);
+        let mut tenants = tenants_from_trace(
+            shard,
             spec.tenants_per_device,
             spec.issue,
             spec.queue_depth,
-            &weights,
+            &spec.weights,
         );
-        run_device(d.config.clone(), tenants, &d.host)
+        if n > 1 {
+            for t in &mut tenants {
+                t.name = format!("d{i}/{}", t.name);
+            }
+        }
+        run_device(config, tenants, &host)
     };
-    let runs: aftl_flash::Result<Vec<DeviceRun>> = if spec.sequential {
-        specs.iter().map(drive).collect()
+    let runs: aftl_flash::Result<Vec<_>> = if spec.sequential {
+        shards.iter().map(drive).collect()
     } else {
-        specs.par_iter().map(drive).collect()
+        shards.par_iter().map(drive).collect()
     };
-    let runs = runs?;
+    let (runs, rows): (Vec<DeviceRun>, Vec<Vec<TenantQos>>) = runs?.into_iter().unzip();
 
     let fleet = FleetSection {
         devices: n as u64,
@@ -231,26 +228,23 @@ pub fn run_fleet(
                 range_start: range.start,
                 range_end: range.end,
                 requests: run.requests,
-                sim_span_ns: u128::from(run.span_ns),
-                flash_programs: run.flash.programs.total(),
-                erases: run.flash.erases,
+                sim_span_ns: run.window.span_ns,
+                flash_programs: run.window.stats.flash.programs.total(),
+                erases: run.window.stats.flash.erases,
                 warmup_writes: run.warmup.writes,
             })
             .collect(),
     };
-
-    let name = if n == 1 {
-        None // keep the hosted run's own name: bit-parity with run_hosted
-    } else {
-        Some(format!("fleet{n}:{}", trace.name))
-    };
-    Ok(assemble_report(
-        runs,
+    let qos = Some(qos_section(
         &spec.host,
-        name,
-        Some(fleet),
-        started,
-    ))
+        rows.into_iter().flatten().collect(),
+    ));
+
+    // A 1-device fleet keeps the hosted run's own name: bit-parity with
+    // `run_hosted`.
+    let name = (n > 1).then(|| format!("fleet{n}:{}", trace.name));
+    let wall_seconds = started.elapsed().as_secs_f64();
+    Ok(assemble(runs, name, qos, Some(fleet), None, wall_seconds))
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! no contention model, a *hosted* run puts the `aftl-host` engine in
 //! front of the device: per-tenant submission queues, RR/WRR arbitration,
 //! a device-side inflight budget, and closed- or open-loop initiators.
-//! The result is still one [`RunReport`] — schema v4 adds a [`QosSection`]
-//! carrying per-tenant end-to-end latency percentiles and backpressure
-//! counters.
+//! The result is still one [`RunReport`], with a [`QosSection`] carrying
+//! per-tenant end-to-end latency percentiles and backpressure counters.
 //!
 //! Two latencies show up in a hosted manifest and they measure different
 //! things: the `classes`/`latency` sections record *device-side* latency
@@ -14,27 +13,24 @@
 //! *end-to-end* latency (tenant arrival → complete), which additionally
 //! charges queue wait and queue-full stall time to the tenant.
 
-use aftl_core::gc::GcReport;
-use aftl_core::request::ReqKind;
 use aftl_flash::{FlashError, Nanos, Result};
 use aftl_host::{run_host, HostConfig, QueuedDevice, Served, TenantConfig};
 use aftl_trace::{IoOp, IoRecord};
 
 use crate::config::SimConfig;
-use crate::metrics::{cache_delta, counters_delta, flash_delta, ClassBreakdown};
+use crate::metrics::Window;
 use crate::observe::LatencyHistogram;
-use crate::report::{QosSection, RunReport, TenantQos, SCHEMA_VERSION};
+use crate::report::{assemble, DeviceRun, QosSection, RunReport, TenantQos};
 use crate::ssd::Ssd;
-use crate::warmup::{self, WarmupStats};
+use crate::warmup;
 
 /// [`QueuedDevice`] adapter: the simulated SSD behind the host engine.
-/// Accumulates the same device-side accounting the replay loop keeps
-/// (class breakdown, GC report), and parks the first hard error so the
-/// run can surface it after the engine returns.
+/// Records into the same measured window the replay loop fills, and
+/// parks the first hard error so the run can surface it after the engine
+/// returns.
 struct SsdDevice {
     ssd: Ssd,
-    classes: ClassBreakdown,
-    gc: GcReport,
+    window: Window,
     error: Option<FlashError>,
 }
 
@@ -52,10 +48,7 @@ impl QueuedDevice for SsdDevice {
         };
         match self.ssd.submit_record(&rec) {
             Ok(c) => {
-                self.classes
-                    .class_mut(c.kind == ReqKind::Write, c.across)
-                    .record(c.sectors, c.latency_ns, c.flash_reads, c.flash_programs);
-                self.gc.merge(&c.gc);
+                self.window.record(&c, now_ns);
                 Served::Done {
                     complete_ns: now_ns.saturating_add(c.latency_ns),
                 }
@@ -76,7 +69,7 @@ impl QueuedDevice for SsdDevice {
             return;
         }
         match self.ssd.on_idle(now_ns, until_ns) {
-            Ok(gc) => self.gc.merge(&gc),
+            Ok(gc) => self.window.gc.merge(&gc),
             // A device that went read-only mid-idle-GC keeps serving
             // reads; the rejection policy above handles the writes.
             Err(FlashError::ReadOnlyMode) => {}
@@ -85,245 +78,114 @@ impl QueuedDevice for SsdDevice {
     }
 }
 
-/// Per-tenant end-to-end accounting, filled by the completion sink. Raw
-/// histograms (not summaries) so fleet aggregation can merge tenants
-/// exactly before condensing.
-pub(crate) struct TenantAcc {
-    pub(crate) reads: u64,
-    pub(crate) writes: u64,
-    pub(crate) read_latency: LatencyHistogram,
-    pub(crate) write_latency: LatencyHistogram,
-}
-
-/// The raw, still-mergeable result of driving one device to workload
-/// exhaustion: measured-window deltas, the host-engine outcome, per-tenant
-/// accumulators, and the device itself (for its observer histograms,
-/// scheme footprint and config echo). [`run_hosted`] condenses one of
-/// these into a [`RunReport`]; `crate::fleet` merges `N` of them first.
-pub(crate) struct DeviceRun {
-    pub(crate) ssd: Ssd,
-    pub(crate) warmup: WarmupStats,
-    pub(crate) classes: ClassBreakdown,
-    pub(crate) gc: GcReport,
-    pub(crate) flash: aftl_flash::FlashStats,
-    pub(crate) counters: aftl_core::counters::SchemeCounters,
-    pub(crate) cache: aftl_core::mapping::cache::CacheStats,
-    pub(crate) map_engine: aftl_core::mapping::engine::MapEngineStats,
-    pub(crate) learned: aftl_core::LearnedStats,
-    pub(crate) span_ns: Nanos,
-    pub(crate) tenants: Vec<aftl_host::TenantOutcome>,
-    pub(crate) acc: Vec<TenantAcc>,
-    pub(crate) requests: u64,
-    pub(crate) run_name: String,
-}
-
-/// Build, age and drive one device behind the host engine, returning the
-/// raw [`DeviceRun`]. Deterministic for a fixed `(config, tenants, host)`
-/// triple — `host.seed` feeds every initiator.
+/// Build, age and drive one device behind the host engine, returning its
+/// [`DeviceRun`] and one QoS row per tenant. Deterministic for a fixed
+/// `(config, tenants, host)` triple — `host.seed` feeds every initiator.
 pub(crate) fn run_device(
     config: SimConfig,
     tenants: Vec<TenantConfig>,
     host: &HostConfig,
-) -> Result<DeviceRun> {
+) -> Result<(DeviceRun, Vec<TenantQos>)> {
     assert!(!tenants.is_empty(), "hosted run needs at least one tenant");
     let mut ssd = Ssd::new(config)?;
     let warm = ssd.config().warmup;
     let warmup = warmup::age(&mut ssd, &warm)?;
-    let base = ssd.snapshot();
 
-    let total_records: u64 = tenants.iter().map(|t| t.trace.records.len() as u64).sum();
-    let run_name = format!(
-        "hosted:{}",
-        tenants
-            .iter()
-            .map(|t| t.trace.name.as_str())
-            .collect::<Vec<_>>()
-            .join("+")
-    );
-
+    let requests = tenants.iter().map(|t| t.trace.records.len() as u64).sum();
+    let names: Vec<&str> = tenants.iter().map(|t| t.trace.name.as_str()).collect();
+    let name = format!("hosted:{}", names.join("+"));
+    // Per tenant, end-to-end read and write latency (arrival → complete).
+    let mut latency = vec![[LatencyHistogram::new(), LatencyHistogram::new()]; tenants.len()];
     let mut device = SsdDevice {
+        window: Window::open(&ssd),
         ssd,
-        classes: ClassBreakdown::default(),
-        gc: GcReport::default(),
         error: None,
     };
-
-    let mut acc: Vec<TenantAcc> = tenants
-        .iter()
-        .map(|_| TenantAcc {
-            reads: 0,
-            writes: 0,
-            read_latency: LatencyHistogram::new(),
-            write_latency: LatencyHistogram::new(),
-        })
-        .collect();
-
     let outcome = run_host(&mut device, tenants, host, |c| {
-        if c.rejected {
-            return;
-        }
-        let a = &mut acc[c.tenant];
-        let latency = c.complete_ns.saturating_sub(c.arrival_ns);
-        match c.record.op {
-            IoOp::Read => {
-                a.reads += 1;
-                a.read_latency.record(latency);
-            }
-            IoOp::Write => {
-                a.writes += 1;
-                a.write_latency.record(latency);
-            }
+        if !c.rejected {
+            let op = match c.record.op {
+                IoOp::Read => 0,
+                IoOp::Write => 1,
+            };
+            latency[c.tenant][op].record(c.complete_ns.saturating_sub(c.arrival_ns));
         }
     });
-
-    if let Some(e) = device.error {
+    let SsdDevice {
+        ssd,
+        mut window,
+        error,
+    } = device;
+    if let Some(e) = error {
         return Err(e);
     }
-    let SsdDevice {
-        ssd, classes, gc, ..
-    } = device;
+    // The engine's span also counts rejected writes, which complete at
+    // the instant they were refused.
+    window.span_ns = u128::from(outcome.span_ns);
 
-    let end = ssd.snapshot();
-    Ok(DeviceRun {
-        warmup,
-        classes,
-        gc,
-        flash: flash_delta(&end.flash, &base.flash),
-        counters: counters_delta(&end.counters, &base.counters),
-        cache: cache_delta(&end.cache, &base.cache),
-        map_engine: end.map_engine.delta(&base.map_engine),
-        learned: end.learned.delta(&base.learned),
-        span_ns: outcome.span_ns,
-        tenants: outcome.tenants,
-        acc,
-        requests: total_records,
-        run_name,
+    let rows = outcome
+        .tenants
+        .into_iter()
+        .zip(latency)
+        .map(|(t, [read, write])| TenantQos {
+            name: t.name,
+            weight: t.weight,
+            queue_depth: t.queue_depth as u64,
+            issue: t.issue,
+            requests: t.completed + t.rejected,
+            reads: read.count(),
+            writes: write.count(),
+            rejected_writes: t.rejected,
+            queue_full_stalls: t.queue.queue_full_stalls,
+            stalled_ns: t.queue.stalled_ns,
+            max_occupancy: t.queue.max_occupancy,
+            read_latency: read.summary(),
+            write_latency: write.summary(),
+        })
+        .collect();
+    let run = DeviceRun {
+        window: window.close(&ssd),
         ssd,
-    })
+        warmup,
+        requests,
+        name,
+    };
+    Ok((run, rows))
 }
 
-/// Condense one or more [`DeviceRun`]s into a single [`RunReport`]:
-/// counters, class metrics, GC work and warm-up stats sum; latency
-/// histograms merge exactly (bucket-count addition) before percentiles
-/// are taken; the simulated span is the fleet *makespan* (max over
-/// devices — they run concurrently in simulated time); per-tenant QoS
-/// rows concatenate in device order, prefixed `d<i>/` when more than one
-/// device contributed. The config echo and scheme label come from device
-/// 0, whose derived seeds equal the base seeds. Deterministic: a pure
-/// left-to-right fold over `runs` in device order.
-pub(crate) fn assemble_report(
-    mut runs: Vec<DeviceRun>,
-    host: &HostConfig,
-    trace_name: Option<String>,
-    fleet: Option<crate::report::FleetSection>,
-    started: std::time::Instant,
-) -> RunReport {
-    assert!(!runs.is_empty(), "report needs at least one device run");
-    let single = runs.len() == 1;
-
-    let mut qos_tenants = Vec::new();
-    for (d, run) in runs.iter().enumerate() {
-        for (t, a) in run.tenants.iter().zip(run.acc.iter()) {
-            qos_tenants.push(TenantQos {
-                name: if single {
-                    t.name.clone()
-                } else {
-                    format!("d{d}/{}", t.name)
-                },
-                weight: t.weight,
-                queue_depth: t.queue_depth as u64,
-                issue: t.issue.clone(),
-                requests: t.completed + t.rejected,
-                reads: a.reads,
-                writes: a.writes,
-                rejected_writes: t.rejected,
-                queue_full_stalls: t.queue.queue_full_stalls,
-                stalled_ns: t.queue.stalled_ns,
-                max_occupancy: t.queue.max_occupancy,
-                read_latency: a.read_latency.summary(),
-                write_latency: a.write_latency.summary(),
-            });
-        }
-    }
-    let qos = QosSection {
+/// The QoS section of a run whose devices all sat behind `host`.
+pub(crate) fn qos_section(host: &HostConfig, tenants: Vec<TenantQos>) -> QosSection {
+    QosSection {
         arbitration: host.arbitration.name().to_string(),
         device_inflight: host.device_inflight.max(1) as u64,
         host_seed: host.seed,
-        tenants: qos_tenants,
-    };
-
-    let warmup = WarmupStats::merged(&runs.iter().map(|r| r.warmup).collect::<Vec<_>>());
-    let mut classes = ClassBreakdown::default();
-    let mut gc = GcReport::default();
-    let mut flash = aftl_flash::FlashStats::default();
-    let mut counters = aftl_core::counters::SchemeCounters::default();
-    let mut cache = aftl_core::mapping::cache::CacheStats::default();
-    let mut map_engine = aftl_core::mapping::engine::MapEngineStats::default();
-    let mut learned = aftl_core::LearnedStats::default();
-    let mut span_ns: Nanos = 0;
-    let mut requests = 0u64;
-    let mut mapping_table_bytes = 0u64;
-    let mut trace_events = 0u64;
-    for run in &runs {
-        classes.merge(&run.classes);
-        gc.merge(&run.gc);
-        flash.merge(&run.flash);
-        counters.merge(&run.counters);
-        cache.merge(&run.cache);
-        map_engine.merge(&run.map_engine);
-        learned.merge(&run.learned);
-        span_ns = span_ns.max(run.span_ns);
-        requests += run.requests;
-        mapping_table_bytes += run.ssd.scheme().mapping_table_bytes();
-        trace_events += run.ssd.observer().trace_events_total();
-    }
-
-    // Merge every device's histograms into device 0's observer, then
-    // condense once — exact by the PR 1 merge property.
-    let (head, rest) = runs.split_at_mut(1);
-    for run in rest.iter() {
-        head[0].ssd.observer_mut().merge(run.ssd.observer());
-    }
-    let head = &runs[0];
-
-    RunReport {
-        schema_version: SCHEMA_VERSION,
-        trace: trace_name.unwrap_or_else(|| head.run_name.clone()),
-        scheme: head.ssd.config().scheme,
-        page_bytes: head.ssd.config().geometry.page_bytes,
-        requests,
-        config: head.ssd.config().clone(),
-        warmup,
-        classes,
-        latency: head.ssd.observer().breakdown(),
-        flash,
-        counters,
-        cache,
-        map_engine,
-        learned,
-        gc,
-        mapping_table_bytes,
-        sim_span_ns: u128::from(span_ns),
-        wall_seconds: started.elapsed().as_secs_f64(),
-        trace_events,
-        qos: Some(qos),
-        fleet,
-        recovery: None,
+        tenants,
     }
 }
 
 /// Run the multi-queue host engine over a freshly built, aged device and
-/// collect a schema-v5 [`RunReport`] whose [`QosSection`] carries the
-/// per-tenant picture. Deterministic for a fixed `(config, tenants,
-/// host)` triple — `host.seed` feeds every initiator.
+/// collect a [`RunReport`] whose [`QosSection`] carries the per-tenant
+/// picture. Deterministic for a fixed `(config, tenants, host)` triple —
+/// `host.seed` feeds every initiator.
 pub fn run_hosted(
     config: SimConfig,
     tenants: Vec<TenantConfig>,
     host: &HostConfig,
 ) -> Result<RunReport> {
+    run_hosted_keep(config, tenants, host).map(|(report, _)| report)
+}
+
+/// Like [`run_hosted`], but hands the device back alongside the report
+/// (event-trace export, wear state, …).
+pub fn run_hosted_keep(
+    config: SimConfig,
+    tenants: Vec<TenantConfig>,
+    host: &HostConfig,
+) -> Result<(RunReport, Ssd)> {
     let started = std::time::Instant::now();
-    let run = run_device(config, tenants, host)?;
-    Ok(assemble_report(vec![run], host, None, None, started))
+    let (run, rows) = run_device(config, tenants, host)?;
+    let qos = Some(qos_section(host, rows));
+    let wall_seconds = started.elapsed().as_secs_f64();
+    Ok(assemble(vec![run], None, qos, None, None, wall_seconds))
 }
 
 /// Split `trace` into `n` round-robin shards and dress each as a tenant
@@ -355,6 +217,7 @@ pub fn tenants_from_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SCHEMA_VERSION;
     use aftl_core::scheme::SchemeKind;
     use aftl_host::{Arbitration, ArrivalModel, IssueModel};
     use aftl_trace::{IoOp, IoRecord, Trace};

@@ -12,9 +12,9 @@
 //!   active FTL scheme, runs GC, classifies requests (across vs normal),
 //! * [`warmup`] — ages the SSD (90 % of capacity used, ~39.8 % valid)
 //!   before measurements, as the paper does,
-//! * [`metrics`] — per-run measurements: latency sums by request class,
-//!   flash op counts split Map/Data, erase counts, DRAM accesses,
-//!   mapping-table bytes — everything Figures 4 and 8–12 report,
+//! * [`metrics`] — per-run measurements and the one measured
+//!   [`metrics::Window`] every driver fills: class latency sums, flash
+//!   and scheme deltas — everything Figures 4 and 8–12 report,
 //! * [`experiment`] — one-call runners for (trace × scheme × page size)
 //!   grids, fanned out across cores with rayon,
 //! * [`hosted`] — multi-queue hosted runs: the `aftl-host` NVMe-style
@@ -26,8 +26,8 @@
 //!   deterministically into one manifest,
 //! * [`observe`] — latency histograms per op kind and optional structured
 //!   event tracing (JSONL),
-//! * [`report`] — the [`RunReport`] run manifest: one self-describing JSON
-//!   document per run (config echo, warm-up stats, percentiles, counters),
+//! * [`report`] — the [`RunReport`] run manifest, built by one assembler
+//!   for every driver: config echo, warm-up stats, percentiles, counters,
 //! * [`tables`] — fixed-width normalized tables mirroring the paper's
 //!   figures.
 

@@ -1,14 +1,18 @@
-//! Per-run measurement building blocks: request-class metrics and the
-//! snapshot/delta machinery that brackets the measured window. The
-//! assembled manifest type lives in [`crate::report`].
+//! Per-run measurement building blocks: request-class metrics, the
+//! snapshot/delta machinery, and the one measured [`Window`] every driver
+//! fills. The assembled manifest type lives in [`crate::report`].
 
 use aftl_core::counters::SchemeCounters;
+use aftl_core::gc::GcReport;
 use aftl_core::learned::LearnedStats;
 use aftl_core::mapping::cache::CacheStats;
 use aftl_core::mapping::engine::MapEngineStats;
+use aftl_core::request::ReqKind;
 use aftl_flash::stats::KindCounts;
-use aftl_flash::FlashStats;
+use aftl_flash::{FlashStats, Nanos};
 use serde::{Deserialize, Serialize};
+
+use crate::ssd::{Completed, Ssd};
 
 /// Metrics for one request class (read/write × across/normal) —
 /// the decomposition behind Figure 4.
@@ -198,6 +202,72 @@ pub fn cache_delta(a: &CacheStats, b: &CacheStats) -> CacheStats {
         misses: a.misses - b.misses,
         loads: a.loads - b.loads,
         flushes: a.flushes - b.flushes,
+    }
+}
+
+/// The measured window every driver fills: opened on a device's
+/// cumulative stats, fed each request the run measures, closed into the
+/// deltas a manifest reports, and merged across a fleet's devices.
+#[derive(Debug, Clone)]
+pub struct Window {
+    /// The device's cumulative stats when the window opened; once closed,
+    /// their deltas over the window.
+    pub stats: StatsSnapshot,
+    /// Per request-class metrics of the recorded requests.
+    pub classes: ClassBreakdown,
+    /// GC work the recorded requests (and any idle gaps) triggered.
+    pub gc: GcReport,
+    /// The latest completion recorded, in simulated ns.
+    pub span_ns: u128,
+}
+
+impl Window {
+    /// Open the window on `ssd`'s stats as they stand.
+    pub fn open(ssd: &Ssd) -> Self {
+        Window {
+            stats: ssd.snapshot(),
+            classes: ClassBreakdown::default(),
+            gc: GcReport::default(),
+            span_ns: 0,
+        }
+    }
+
+    /// Fold in one request that arrived at `at_ns`.
+    #[inline]
+    pub fn record(&mut self, c: &Completed, at_ns: Nanos) {
+        self.classes
+            .class_mut(c.kind == ReqKind::Write, c.across)
+            .record(c.sectors, c.latency_ns, c.flash_reads, c.flash_programs);
+        self.gc.merge(&c.gc);
+        let end = u128::from(at_ns) + u128::from(c.latency_ns);
+        self.span_ns = self.span_ns.max(end);
+    }
+
+    /// Close the window on `ssd`'s stats: `stats` becomes their deltas.
+    pub fn close(mut self, ssd: &Ssd) -> Self {
+        let (end, base) = (ssd.snapshot(), &self.stats);
+        self.stats = StatsSnapshot {
+            flash: flash_delta(&end.flash, &base.flash),
+            counters: counters_delta(&end.counters, &base.counters),
+            cache: cache_delta(&end.cache, &base.cache),
+            map_engine: end.map_engine.delta(&base.map_engine),
+            learned: end.learned.delta(&base.learned),
+        };
+        self
+    }
+
+    /// Fold in another device's closed window: counts sum, and the span
+    /// is the makespan (devices run concurrently in simulated time).
+    pub fn merge(&mut self, o: &Window) {
+        let (s, t) = (&mut self.stats, &o.stats);
+        s.flash.merge(&t.flash);
+        s.counters.merge(&t.counters);
+        s.cache.merge(&t.cache);
+        s.map_engine.merge(&t.map_engine);
+        s.learned.merge(&t.learned);
+        self.classes.merge(&o.classes);
+        self.gc.merge(&o.gc);
+        self.span_ns = self.span_ns.max(o.span_ns);
     }
 }
 

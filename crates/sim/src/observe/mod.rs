@@ -65,7 +65,7 @@ pub enum OpKind {
     /// One foreground GC pause: the span a host request spent stalled
     /// behind a GC slice (request dispatch → last GC op completion). With
     /// atomic GC this is a whole episode; with preemption it is one
-    /// budgeted slice — the distribution the `gc_tail` bench gates on.
+    /// budgeted slice — the distribution `BENCH_gc.json` gates on.
     GcPause,
 }
 
@@ -173,15 +173,11 @@ pub struct LatencyBreakdown {
     pub amerge: HistogramSummary,
     /// Across-FTL ARollback operations.
     pub arollback: HistogramSummary,
-    /// Failed page reads (fault injection; absent in pre-v3 manifests).
-    #[serde(default)]
+    /// Failed page reads (fault injection).
     pub read_retry: HistogramSummary,
-    /// Failed page programs (fault injection; absent in pre-v3 manifests).
-    #[serde(default)]
+    /// Failed page programs (fault injection).
     pub reprogram: HistogramSummary,
-    /// Foreground GC pauses seen by host requests (absent in pre-v6
-    /// manifests).
-    #[serde(default)]
+    /// Foreground GC pauses seen by host requests.
     pub gc_pause: HistogramSummary,
 }
 
@@ -240,12 +236,6 @@ impl Observer {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.hists.is_some() || self.ring.is_some()
-    }
-
-    /// Whether the event trace is active.
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.ring.is_some()
     }
 
     #[inline]
@@ -321,11 +311,6 @@ impl Observer {
             self.record(kind, ev.latency_ns, now_ns.saturating_add(ev.latency_ns));
         }
         self.scratch_events = events;
-    }
-
-    /// The histogram for `kind`, when histograms are enabled.
-    pub fn histogram(&self, kind: OpKind) -> Option<&LatencyHistogram> {
-        self.hists.as_ref().map(|h| &h[kind.index()])
     }
 
     /// Condense all histograms into the manifest's latency section
@@ -480,7 +465,7 @@ mod tests {
 
     #[test]
     fn breakdown_maps_kinds_to_fields() {
-        let mut obs = Observer::new(&ObserveConfig::default());
+        let mut obs = Observer::new(&ObserveConfig::standard());
         obs.record(OpKind::RmwRead, 1_000, 10);
         obs.record(OpKind::Erase, 2_000_000, 20);
         let b = obs.breakdown();

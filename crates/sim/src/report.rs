@@ -7,7 +7,7 @@
 //! latency percentiles, flash-level op counts, scheme counters, cache and
 //! GC statistics. All figure/table binaries consume this one type — the
 //! human-readable tables in [`crate::tables`] are renderings of it, not a
-//! second accounting path.
+//! second accounting path — and one assembler builds it for every driver.
 
 use aftl_core::counters::SchemeCounters;
 use aftl_core::gc::GcReport;
@@ -20,39 +20,83 @@ use aftl_flash::FlashStats;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
-use crate::metrics::ClassBreakdown;
+use crate::metrics::{ClassBreakdown, Window};
 use crate::observe::LatencyBreakdown;
+use crate::ssd::Ssd;
 use crate::warmup::WarmupStats;
 
 /// Version of the [`RunReport`] JSON schema. Bumped whenever a field is
-/// added, removed or changes meaning, so downstream tooling can detect
-/// manifests it does not understand.
-///
-/// History: v2 added the latency/trace observability sections; v3 added
-/// the fault model — the `FaultConfig` echo inside `config`, fault and
-/// retirement counters in `flash`/`counters`/`gc`, and the
-/// `read_retry`/`reprogram` latency buckets. v4 added the multi-queue
-/// host front end: the optional [`QosSection`] with per-tenant
-/// end-to-end latency percentiles and backpressure counters (`null` for
-/// plain replay runs). v5 added fleet runs: the optional [`FleetSection`]
-/// describing the device shards a merged manifest aggregates (`null`
-/// for single-device runs). v6 added preemptible, policy-pluggable GC:
-/// the `GcTuning` echo inside `config`, the `episodes`/`preemptions`/
-/// `idle_pages` counters in `gc`, `throttled_writes` in `counters`, and
-/// the `gc_pause` latency bucket. v7 added the pipelined map engine:
-/// the `PipelineConfig` echo inside `config.scheme_cfg` and the
-/// [`MapEngineStats`] `map_engine` section (batched map-in reads,
-/// coalesced lookups, out-of-order completions). v8 added the learned
-/// mapping scheme: the `LearnedConfig` echo inside `config.scheme_cfg`
-/// and the [`LearnedStats`] `learned` section (predict hits,
-/// mis-predicts, verify reads, segment rebuilds, map-ins saved). v9
-/// added crash consistency: the `CrashConfig` echo inside `config` and
-/// the optional [`RecoverySection`] with rebuild counters and the
-/// acknowledged-write oracle verdict (`null` for runs without a power
-/// cut). Every addition carries a serde default, so v1–v8 manifests
-/// still deserialize (see the `old_manifests_still_deserialize`
-/// property test).
+/// added, removed or changes meaning; only the current version parses,
+/// since every artifact regenerates from the code. v9 has three optional
+/// sections, `null` when a run has none: [`QosSection`] (hosted runs),
+/// [`FleetSection`] (sharded runs) and [`RecoverySection`] (power cuts).
 pub const SCHEMA_VERSION: u32 = 9;
+
+/// One device's part of a run, ready for [`assemble`]: the device (its
+/// observer histograms, scheme footprint and config echo), what aging
+/// did, its closed window, and the requests it was given.
+pub(crate) struct DeviceRun {
+    pub(crate) ssd: Ssd,
+    pub(crate) warmup: WarmupStats,
+    pub(crate) window: Window,
+    pub(crate) requests: u64,
+    /// The run's name when this device is the whole run.
+    pub(crate) name: String,
+}
+
+/// Fold one or more [`DeviceRun`]s, left to right, into the run manifest
+/// with whichever optional sections the driver produced: counts sum,
+/// latency histograms merge exactly before percentiles are taken, and the
+/// span is the makespan. Name (unless overridden), config echo and scheme
+/// come from device 0, which is handed back holding the merged histograms.
+pub(crate) fn assemble(
+    runs: Vec<DeviceRun>,
+    name: Option<String>,
+    qos: Option<QosSection>,
+    fleet: Option<FleetSection>,
+    recovery: Option<RecoverySection>,
+    wall_seconds: f64,
+) -> (RunReport, Ssd) {
+    let warmup = WarmupStats::merged(&runs.iter().map(|r| r.warmup).collect::<Vec<_>>());
+    let mut runs = runs.into_iter();
+    let head = runs.next().expect("a report needs at least one device run");
+    let (mut ssd, mut w, mut requests) = (head.ssd, head.window, head.requests);
+    let mut mapping_table_bytes = ssd.scheme().mapping_table_bytes();
+    let mut trace_events = ssd.observer().trace_events_total();
+    for run in runs {
+        w.merge(&run.window);
+        requests += run.requests;
+        mapping_table_bytes += run.ssd.scheme().mapping_table_bytes();
+        trace_events += run.ssd.observer().trace_events_total();
+        ssd.observer_mut().merge(run.ssd.observer());
+    }
+    let config = ssd.config().clone();
+    let report = RunReport {
+        schema_version: SCHEMA_VERSION,
+        trace: name.unwrap_or(head.name),
+        scheme: config.scheme,
+        page_bytes: config.geometry.page_bytes,
+        requests,
+        config,
+        warmup,
+        classes: w.classes,
+        latency: ssd.observer().breakdown(),
+        flash: w.stats.flash,
+        counters: w.stats.counters,
+        cache: w.stats.cache,
+        map_engine: w.stats.map_engine,
+        learned: w.stats.learned,
+        gc: w.gc,
+        mapping_table_bytes,
+        sim_span_ns: w.span_ns,
+        wall_seconds,
+        trace_events,
+        qos,
+        fleet,
+        recovery,
+    };
+    (report, ssd)
+}
 
 /// The complete result of replaying one trace on one scheme — the run
 /// manifest.
@@ -76,8 +120,6 @@ pub struct RunReport {
     /// Per request-class metrics (read/write × across/normal).
     pub classes: ClassBreakdown,
     /// Per op-kind latency percentiles (p50/p95/p99/p999).
-    /// Serde-defaulted: absent from pre-v2 manifests.
-    #[serde(default)]
     pub latency: LatencyBreakdown,
     /// Flash-level deltas over the measured window (map/data split).
     pub flash: FlashStats,
@@ -86,12 +128,9 @@ pub struct RunReport {
     /// Mapping-cache statistics.
     pub cache: CacheStats,
     /// Pipelined map-engine counters (all zero when the pipeline is off).
-    /// Serde-defaulted: absent from pre-v7 manifests.
-    #[serde(default)]
     pub map_engine: MapEngineStats,
     /// Learned-mapping counters (all zero for the paper's three
-    /// schemes). Serde-defaulted: absent from pre-v8 manifests.
-    #[serde(default)]
+    /// schemes).
     pub learned: LearnedStats,
     /// Accumulated GC work.
     pub gc: GcReport,
@@ -104,20 +143,15 @@ pub struct RunReport {
     /// loops use this as the replay-throughput sample.
     pub wall_seconds: f64,
     /// Events offered to the trace ring (0 unless tracing was enabled).
-    /// Serde-defaulted: absent from pre-v2 manifests.
-    #[serde(default)]
     pub trace_events: u64,
     /// Per-tenant QoS results — present only for hosted (multi-queue)
     /// runs, `null` for plain replay.
-    #[serde(default)]
     pub qos: Option<QosSection>,
     /// Fleet topology and per-device summaries — present only for
     /// sharded multi-device runs, `null` otherwise.
-    #[serde(default)]
     pub fleet: Option<FleetSection>,
     /// Crash-recovery results — present only for sudden-power-off runs
     /// that recovered (`--crash-at` + `--recover`), `null` otherwise.
-    #[serde(default)]
     pub recovery: Option<RecoverySection>,
 }
 
@@ -314,7 +348,6 @@ mod tests {
     use crate::experiment::run_single_with;
     use aftl_core::scheme::SchemeKind;
     use aftl_trace::{IoOp, IoRecord, Trace};
-    use proptest::prelude::*;
 
     fn tiny_trace() -> Trace {
         let mut records = Vec::new();
@@ -359,140 +392,6 @@ mod tests {
             report.config.geometry.page_bytes
         );
         assert_eq!(back.scheme, SchemeKind::Across);
-    }
-
-    /// Field names each schema version introduced (see [`SCHEMA_VERSION`]'s
-    /// history). Stripping every field added *after* version `v` from a
-    /// fresh report's value tree simulates a genuine schema-`v` manifest.
-    fn fields_added_at(version: u32) -> &'static [&'static str] {
-        match version {
-            // Latency/trace observability sections (incl. the config echo).
-            2 => &["latency", "trace_events", "observe"],
-            // Fault model: config echo, flash/counter/GC fault counters,
-            // retry/reprogram/retired latency buckets.
-            3 => &[
-                "fault",
-                "read_faults",
-                "program_faults",
-                "erase_faults",
-                "worn_out_blocks",
-                "retired_blocks",
-                "lost_pages",
-                "host_unrecoverable_reads",
-                "write_rejections",
-                "read_retry",
-                "reprogram",
-                "retired",
-            ],
-            // Multi-queue host front end.
-            4 => &["qos"],
-            // Fleet runs.
-            5 => &["fleet"],
-            // Preemptible GC: tuning echo, episode counters, throttle,
-            // pause bucket.
-            6 => &[
-                "tuning",
-                "episodes",
-                "preemptions",
-                "idle_pages",
-                "throttled_writes",
-                "gc_pause",
-            ],
-            // Pipelined map engine.
-            7 => &["pipeline", "map_engine"],
-            // Learned mapping (config echo + counter section).
-            8 => &["learned"],
-            // Crash consistency: config echo + recovery section.
-            9 => &["recovery", "crash"],
-            _ => &[],
-        }
-    }
-
-    fn strip(v: &mut serde::Value, gone: &[&str], version: u32) {
-        use serde::Value;
-        if let Value::Map(entries) = v {
-            entries.retain(|(k, _)| !gone.contains(&k.as_str()));
-            for (k, v) in entries.iter_mut() {
-                if k == "schema_version" {
-                    *v = Value::U128(u128::from(version));
-                }
-                strip(v, gone, version);
-            }
-        } else if let Value::Seq(items) = v {
-            for item in items {
-                strip(item, gone, version);
-            }
-        }
-    }
-
-    /// One report, generated once: every proptest case re-strips the same
-    /// value tree, so the property stays cheap across hundreds of cases.
-    fn fresh_report() -> &'static RunReport {
-        static REPORT: std::sync::OnceLock<RunReport> = std::sync::OnceLock::new();
-        REPORT.get_or_init(|| {
-            let mut config = SimConfig::test_tiny(SchemeKind::Across);
-            config.track_content = false;
-            run_single_with(config, &tiny_trace()).unwrap()
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Backward compatibility, v1 through today: a manifest of any
-        /// older schema version — simulated by stripping every field the
-        /// later versions introduced — must still deserialize, with every
-        /// stripped section landing on its serde default.
-        #[test]
-        fn old_manifests_still_deserialize(version in 1u32..=SCHEMA_VERSION) {
-            use serde::Deserialize;
-            let report = fresh_report();
-            let gone: Vec<&str> = (version + 1..=SCHEMA_VERSION)
-                .flat_map(|v| fields_added_at(v).iter().copied())
-                .collect();
-            let mut v = serde_json::to_value(report);
-            strip(&mut v, &gone, version);
-            let back = RunReport::from_value(&v)
-                .unwrap_or_else(|e| panic!("v{version} manifest must deserialize: {e:?}"));
-            prop_assert_eq!(back.schema_version, version);
-            prop_assert_eq!(back.requests, report.requests);
-            if version < 9 {
-                prop_assert!(back.recovery.is_none(), "recovery defaults to None");
-                prop_assert!(!back.config.crash.armed(), "crash echo defaults off");
-            }
-            if version < 8 {
-                prop_assert_eq!(back.learned.predict_hits, 0);
-                prop_assert_eq!(
-                    back.config.scheme_cfg.learned.max_error,
-                    aftl_core::LearnedConfig::default().max_error
-                );
-            }
-            if version < 7 {
-                prop_assert!(!back.config.scheme_cfg.pipeline.enabled);
-                prop_assert_eq!(back.map_engine.batched_map_reads, 0);
-            }
-            if version < 6 {
-                prop_assert_eq!(back.gc.episodes, 0);
-                prop_assert_eq!(back.counters.throttled_writes, 0);
-                prop_assert_eq!(back.latency.gc_pause.count, 0);
-            }
-            if version < 5 {
-                prop_assert!(back.fleet.is_none());
-            }
-            if version < 4 {
-                prop_assert!(back.qos.is_none());
-            }
-            if version < 3 {
-                prop_assert!(!back.config.fault.injects());
-                prop_assert_eq!(back.flash.read_faults, 0);
-                prop_assert_eq!(back.counters.write_rejections, 0);
-                prop_assert_eq!(back.latency.read_retry.count, 0);
-            }
-            if version < 2 {
-                prop_assert_eq!(back.latency.host_write.count, 0);
-                prop_assert_eq!(back.trace_events, 0);
-            }
-        }
     }
 
     #[test]

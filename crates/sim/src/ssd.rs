@@ -114,12 +114,6 @@ impl Ssd {
         }
     }
 
-    /// The checkpoint taken by [`Ssd::take_checkpoint`], if any.
-    #[inline]
-    pub fn checkpoint(&self) -> Option<&Checkpoint> {
-        self.checkpoint.as_ref()
-    }
-
     /// Power-cycle the device after an armed crash fired: restore power,
     /// rebuild the mapping from the OOB journal (seeded by the checkpoint
     /// when one was taken), and replace the scheme and allocator with the
@@ -150,12 +144,6 @@ impl Ssd {
     #[inline]
     pub fn write_rejections(&self) -> u64 {
         self.write_rejections
-    }
-
-    /// Host writes delayed by the near-full admission throttle.
-    #[inline]
-    pub fn throttled_writes(&self) -> u64 {
-        self.throttled_writes
     }
 
     /// The configuration the device was built from.
@@ -288,9 +276,7 @@ impl Ssd {
             // Under fault injection, running out of free blocks is a
             // degradation event (blocks were retired), not a sizing bug:
             // the device drops to read-only instead of aborting the run.
-            Err(FlashError::NoFreeBlocks)
-                if self.config.fault.injects() || self.config.fault.wears() =>
-            {
+            Err(FlashError::NoFreeBlocks) if self.degrades() => {
                 self.read_only = true;
                 self.write_rejections += 1;
                 return Err(FlashError::ReadOnlyMode);
@@ -327,20 +313,11 @@ impl Ssd {
             alloc: &mut self.alloc,
             now_ns: dispatch_ns,
         };
-        let gc = match self.scheme.maybe_gc(&mut env) {
-            Ok(gc) => gc,
-            Err(FlashError::NoFreeBlocks)
-                if self.config.fault.injects() || self.config.fault.wears() =>
-            {
-                self.read_only = true;
-                GcReport::default()
-            }
-            // Power died during background GC: the host write above was
-            // already acked and sealed, so the request itself succeeded.
-            // The outage surfaces on the next submit.
-            Err(FlashError::PowerCut) => GcReport::default(),
-            Err(e) => return Err(e),
-        };
+        // Power dying during this GC slice leaves the host write above
+        // acked and sealed, so the request itself succeeded; the outage
+        // surfaces on the next submit.
+        let gc = self.scheme.maybe_gc(&mut env);
+        let gc = self.settle_gc(gc)?;
         let gc_end = self.observer.absorb_ops(&mut self.array, Phase::Gc);
         if gc.triggered {
             if let Some(end) = gc_end {
@@ -349,11 +326,6 @@ impl Ssd {
                 self.observer
                     .record_gc_pause(end.saturating_sub(dispatch_ns), end);
             }
-        }
-        if self.config.fault.min_spare_blocks > 0
-            && self.alloc.free_blocks() < u64::from(self.config.fault.min_spare_blocks)
-        {
-            self.read_only = true;
         }
 
         Ok(Completed {
@@ -393,22 +365,35 @@ impl Ssd {
             alloc: &mut self.alloc,
             now_ns,
         };
-        let gc = match self.scheme.idle_gc(&mut env, budget) {
+        let gc = self.scheme.idle_gc(&mut env, budget);
+        let gc = self.settle_gc(gc)?;
+        self.observer.absorb_ops(&mut self.array, Phase::Gc);
+        Ok(gc)
+    }
+
+    /// Whether running out of blocks degrades the device to read-only
+    /// instead of failing the run: blocks were retired by injected faults
+    /// or wear, not lost to a sizing bug.
+    fn degrades(&self) -> bool {
+        self.config.fault.injects() || self.config.fault.wears()
+    }
+
+    /// The outcome of a GC slice, with the failures a device survives
+    /// absorbed: a degrading device out of blocks goes read-only, and a
+    /// power cut ends the slice (no host request is in flight). Below the
+    /// spare-block floor the device goes read-only too.
+    fn settle_gc(&mut self, gc: Result<GcReport>) -> Result<GcReport> {
+        let gc = match gc {
             Ok(gc) => gc,
-            Err(FlashError::NoFreeBlocks)
-                if self.config.fault.injects() || self.config.fault.wears() =>
-            {
+            Err(FlashError::NoFreeBlocks) if self.degrades() => {
                 self.read_only = true;
                 GcReport::default()
             }
-            // Power died mid-idle-GC; no host request was in flight.
             Err(FlashError::PowerCut) => GcReport::default(),
             Err(e) => return Err(e),
         };
-        self.observer.absorb_ops(&mut self.array, Phase::Gc);
-        if self.config.fault.min_spare_blocks > 0
-            && self.alloc.free_blocks() < u64::from(self.config.fault.min_spare_blocks)
-        {
+        let spare = self.config.fault.min_spare_blocks;
+        if spare > 0 && self.alloc.free_blocks() < u64::from(spare) {
             self.read_only = true;
         }
         Ok(gc)
