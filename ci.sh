@@ -44,11 +44,22 @@ say "core structure (one page-mapped core, the engine mode asked in one place)"
 # acknowledged loss themselves; every other read is the core's.
 [ "$(grep -rn 'served_lost(' crates/core/src | grep -vc '^crates/core/src/\(scheme\|pagemap\).rs:')" -le 3 ] \
     || { echo "a scheme re-implements the serve-a-mapped-page block"; exit 1; }
+# Crash recovery is one election into one image: a per-scheme image type or
+# a per-scheme branch outside the four constructor arms creeping back fails
+# here rather than in review.
+if grep -rnE 'enum SchemeImage|MrsmNodeImage' crates/core/src; then
+    echo "a per-scheme recovery image is back (SchemeImage is one struct)"; exit 1
+fi
+[ "$(awk '/^#\[cfg\(test\)\]/{exit} /SchemeKind::/{n++} END{print n+0}' crates/core/src/recovery.rs)" -le 4 ] \
+    || { echo "recovery.rs branches on SchemeKind beyond constructing the scheme"; exit 1; }
 # Non-test lines of crates/core/src (7 579 before the core existed): the
-# number ROADMAP item 5's target is held to.
+# number ROADMAP item 5's target is held to; recovery.rs (671 when it
+# elected winners per scheme) beside it.
 printf 'crates/core/src non-test lines: '
 find crates/core/src -name '*.rs' ! -name reference.rs \
     -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +
+printf 'crates/core/src/recovery.rs non-test lines: '
+awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' crates/core/src/recovery.rs
 
 say "bench structure (one figure binary, one tracked bench, no host clock in BENCH files)"
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered

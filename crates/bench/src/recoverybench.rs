@@ -18,12 +18,13 @@
 
 use aftl_core::scheme::SchemeKind;
 use aftl_sim::config::CrashConfig;
-use aftl_sim::crash::{run_crash_point, CrashOutcome};
-use aftl_sim::SimConfig;
+use aftl_sim::crash::run_crash_point;
+use aftl_sim::{RecoverySection, SimConfig};
 use serde::{Deserialize, Serialize};
 
-/// Schema version of `BENCH_recovery.json`. Bump on any field change.
-pub const RECOVERY_SCHEMA_VERSION: u32 = 1;
+/// Schema version of `BENCH_recovery.json`. Bump on any field change (2:
+/// each arm is a manifest [`RecoverySection`], `crash_at` included).
+pub const RECOVERY_SCHEMA_VERSION: u32 = 2;
 
 /// The gate: the full-scan rebuild must issue at least this many times
 /// more flash reads than the checkpointed rebuild, on every scheme.
@@ -61,63 +62,15 @@ pub fn recovery_config(
     config
 }
 
-/// One recovery arm's cost and verdict.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RecoveryRow {
-    /// Recovery mode: `"scan"` or `"checkpoint"`.
-    pub mode: String,
-    /// Whether the cut fired before the workload ran out of writes.
-    pub fired: bool,
-    /// Host writes acknowledged before the cut.
-    pub acked_writes: u64,
-    /// OOB entries scanned during rebuild.
-    pub scanned_pages: u64,
-    /// Post-checkpoint journal entries replayed (0 for full scans).
-    pub journal_replays: u64,
-    /// Flash reads the rebuild issued — the gated cost.
-    pub rebuild_flash_reads: u64,
-    /// Simulated rebuild time (ns).
-    pub recovery_ns: u64,
-    /// Sectors read back and checked after recovery.
-    pub verified_sectors: u64,
-    /// Acknowledged sectors serving the wrong generation (must be 0).
-    pub lost_sectors: u64,
-    /// Whether the torn request became visible (must be false).
-    pub torn_exposed: bool,
-}
-
-impl RecoveryRow {
-    /// Extract the row from a crash-point outcome.
-    pub fn of(out: &CrashOutcome) -> Self {
-        RecoveryRow {
-            mode: out.stats.mode.as_str().to_string(),
-            fired: out.fired,
-            acked_writes: out.acked_writes,
-            scanned_pages: out.stats.scanned_pages,
-            journal_replays: out.stats.journal_replays,
-            rebuild_flash_reads: out.stats.rebuild_flash_reads,
-            recovery_ns: out.stats.recovery_ns,
-            verified_sectors: out.verified_sectors,
-            lost_sectors: out.lost_sectors,
-            torn_exposed: out.torn_exposed,
-        }
-    }
-
-    /// Both oracle conditions hold.
-    pub fn clean(&self) -> bool {
-        self.lost_sectors == 0 && !self.torn_exposed
-    }
-}
-
 /// One scheme's scan-vs-checkpoint comparison.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecoveryPair {
     /// Scheme name.
     pub scheme: String,
     /// Full-OOB-scan rebuild.
-    pub scan: RecoveryRow,
+    pub scan: RecoverySection,
     /// Checkpoint + delta-replay rebuild.
-    pub checkpoint: RecoveryRow,
+    pub checkpoint: RecoverySection,
     /// `scan.rebuild_flash_reads / checkpoint.rebuild_flash_reads` — the
     /// number the gate checks.
     pub ratio: f64,
@@ -178,8 +131,8 @@ pub fn measure_recovery() -> Vec<RecoveryPair> {
             let ck = run_crash_point(&ck_cfg, RECOVERY_WRITES, RECOVERY_SEED)
                 .unwrap_or_else(|e| panic!("{}: checkpoint arm failed: {e:?}", scheme.name()));
 
-            let scan = RecoveryRow::of(&scan);
-            let checkpoint = RecoveryRow::of(&ck);
+            let scan = scan.to_section();
+            let checkpoint = ck.to_section();
             let ratio = if checkpoint.rebuild_flash_reads == 0 {
                 0.0
             } else {
@@ -298,8 +251,9 @@ pub fn validate_recovery_manifest(m: &BenchRecoveryManifest) -> std::result::Res
 mod tests {
     use super::*;
 
-    fn row(mode: &str, rebuild_reads: u64) -> RecoveryRow {
-        RecoveryRow {
+    fn row(mode: &str, rebuild_reads: u64) -> RecoverySection {
+        RecoverySection {
+            crash_at: RECOVERY_CRASH_AT,
             mode: mode.into(),
             fired: true,
             acked_writes: 2000,
@@ -397,8 +351,8 @@ mod tests {
         ck_cfg.timing = tiny.timing;
         ck_cfg.scheme_cfg = tiny.scheme_cfg;
 
-        let scan = RecoveryRow::of(&run_crash_point(&scan_cfg, 500, 11).unwrap());
-        let ck = RecoveryRow::of(&run_crash_point(&ck_cfg, 500, 11).unwrap());
+        let scan = run_crash_point(&scan_cfg, 500, 11).unwrap().to_section();
+        let ck = run_crash_point(&ck_cfg, 500, 11).unwrap().to_section();
         assert!(scan.clean() && ck.clean());
         assert_eq!(scan.mode, "scan");
         assert_eq!(ck.mode, "checkpoint");

@@ -30,6 +30,7 @@ use crate::mapping::pmt::NO_AIDX;
 use crate::obs::{SchemeEvent, SchemeEventKind};
 use crate::pagemap::{CoreMigrator, PageMapCore};
 use crate::recover::{program_relocating, read_with_retry, LOST_VERSION};
+use crate::recovery::{AreaImage, SchemeImage};
 use crate::request::{split_extents, HostRequest, ReqKind};
 use crate::scheme::{
     served_after_read, served_unwritten, FtlEnv, FtlScheme, SchemeConfig, SchemeKind,
@@ -106,13 +107,13 @@ impl AcrossFtl {
     pub fn from_image(
         geometry: &aftl_flash::Geometry,
         cfg: SchemeConfig,
-        pages: &[(u64, Ppn)],
-        areas: &[crate::recovery::AreaImage],
+        image: &SchemeImage,
     ) -> Self {
         let spp = geometry.page_bytes / geometry.sector_bytes;
         let mut ftl = Self::new(geometry, cfg);
-        ftl.core.load_pages(geometry, pages);
-        for a in areas {
+        image.assert_holds(ftl.kind(), false, true);
+        ftl.core.load_pages(geometry, &image.pages);
+        for a in &image.areas {
             let entry = AmtEntry {
                 start_sector: a.start_sector,
                 size_sectors: a.size_sectors,
@@ -224,6 +225,7 @@ impl AcrossFtl {
         let (new_ppn, w) = program_relocating(
             env.array,
             env.alloc,
+            None,
             StreamId::Across,
             PageKind::AcrossData,
             u64::from(aidx),
@@ -338,6 +340,7 @@ impl AcrossFtl {
         let (new_ppn, w) = program_relocating(
             env.array,
             env.alloc,
+            None,
             StreamId::Across,
             PageKind::AcrossData,
             u64::from(aidx),
@@ -854,19 +857,21 @@ impl FtlScheme for AcrossFtl {
         }
     }
 
-    fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        let pages = self.core.pages();
+    fn capture_image(&self) -> SchemeImage {
         let areas = self
             .amt
             .iter_live()
-            .map(|(aidx, e)| crate::recovery::AreaImage {
+            .map(|(aidx, e)| AreaImage {
                 aidx,
                 start_sector: e.start_sector,
                 size_sectors: e.size_sectors,
                 appn: e.appn,
             })
             .collect();
-        Some(crate::recovery::SchemeImage::Across { pages, areas })
+        SchemeImage {
+            areas,
+            ..self.core.image()
+        }
     }
 }
 

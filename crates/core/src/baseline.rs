@@ -7,13 +7,14 @@
 //! and Across-FTL removes. All of it is `pagemap::PageMapCore`; this file
 //! is the [`FtlScheme`] face of the core with no policy added.
 
-use aftl_flash::{Ppn, Result};
+use aftl_flash::Result;
 
 use crate::counters::SchemeCounters;
 use crate::gc::GcReport;
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::MapEngineStats;
 use crate::pagemap::PageMapCore;
+use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
 
@@ -34,14 +35,16 @@ impl BaselineFtl {
     }
 
     /// Construct a baseline FTL preloaded with a recovered mapping (see
-    /// [`crate::recovery`]). The map cache starts cold.
+    /// [`crate::recovery`]); it holds whole pages only. The map cache
+    /// starts cold.
     pub fn from_image(
         geometry: &aftl_flash::Geometry,
         cfg: SchemeConfig,
-        pages: &[(u64, Ppn)],
+        image: &SchemeImage,
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        ftl.core.load_pages(geometry, pages);
+        image.assert_holds(ftl.kind(), false, false);
+        ftl.core.load_pages(geometry, &image.pages);
         ftl
     }
 }
@@ -109,8 +112,8 @@ impl FtlScheme for BaselineFtl {
         self.core.cfg.logical_pages
     }
 
-    fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        Some(crate::recovery::SchemeImage::Baseline(self.core.pages()))
+    fn capture_image(&self) -> SchemeImage {
+        self.core.image()
     }
 }
 

@@ -263,6 +263,7 @@ where
         let (new_ppn, _) = program_relocating(
             array,
             alloc,
+            None,
             StreamId::Gc,
             info.kind,
             info.tag,

@@ -1,5 +1,5 @@
 //! Learned LPN→PPN mapping: a fourth FTL comparator that kills
-//! translation-page double reads (LearnedFTL-style, ROADMAP item 1).
+//! translation-page double reads (LearnedFTL-style).
 //!
 //! The three paper schemes all pay a "double read" when the DFTL mapping
 //! cache misses: a map-in flash read fetches the translation page before
@@ -61,7 +61,8 @@ use crate::gc::{GcReport, PageMigrator};
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::MapEngineStats;
 use crate::pagemap::{CoreMigrator, PageMapCore};
-use crate::recover::{lost_stamps_of, program_relocating_in_plane, read_with_retry};
+use crate::recover::{lost_stamps_of, program_relocating, read_with_retry};
+use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
 
@@ -807,15 +808,17 @@ impl LearnedFtl {
     }
 
     /// Construct a learned FTL preloaded with a recovered mapping (see
-    /// [`crate::recovery`]). Segments and runs start empty — reads fall
-    /// back to the PMT and models retrain as writes arrive.
+    /// [`crate::recovery`]); it holds whole pages only. Segments and runs
+    /// start empty — reads fall back to the PMT and models retrain as
+    /// writes arrive.
     pub fn from_image(
         geometry: &aftl_flash::Geometry,
         cfg: SchemeConfig,
-        pages: &[(u64, Ppn)],
+        image: &SchemeImage,
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        ftl.core.load_pages(geometry, pages);
+        image.assert_holds(ftl.kind(), false, false);
+        ftl.core.load_pages(geometry, &image.pages);
         ftl
     }
 
@@ -987,8 +990,8 @@ impl FtlScheme for LearnedFtl {
         self.core.cfg.logical_pages
     }
 
-    fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        Some(crate::recovery::SchemeImage::Learned(self.core.pages()))
+    fn capture_image(&self) -> SchemeImage {
+        self.core.image()
     }
 }
 
@@ -1074,10 +1077,10 @@ impl PageMigrator for LearnedMigrator<'_> {
         let page_bytes = array.geometry().page_bytes;
         let mut programmed = 0u64;
         for page in self.buf.drain(..) {
-            let (new_ppn, _) = program_relocating_in_plane(
+            let (new_ppn, _) = program_relocating(
                 array,
                 alloc,
-                plane,
+                Some(plane),
                 StreamId::Gc,
                 PageKind::Data,
                 page.lpn,

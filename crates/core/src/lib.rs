@@ -61,8 +61,8 @@ pub use obs::{SchemeEvent, SchemeEventKind};
 pub use oracle::Oracle;
 pub use recover::{program_relocating, read_with_retry, PageRead, LOST_VERSION};
 pub use recovery::{
-    recover as crash_recover, AreaImage, Checkpoint, MrsmNodeImage, RecoveryMode, RecoveryStats,
-    SchemeImage,
+    recover as crash_recover, AreaImage, Checkpoint, RecoveryMode, RecoveryStats, SchemeImage,
+    SubLocs,
 };
 pub use request::{HostRequest, PageExtent, ReqKind};
 pub use scheme::{FtlEnv, FtlScheme, SchemeKind, ServiceOutcome};

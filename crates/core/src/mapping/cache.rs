@@ -322,6 +322,7 @@ impl MapCache {
         let (new_ppn, out) = crate::recover::program_relocating(
             array,
             alloc,
+            None,
             StreamId::Map,
             PageKind::Map,
             tpid,

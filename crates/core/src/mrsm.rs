@@ -24,6 +24,7 @@ use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::{MapEngine, MapEngineStats};
 use crate::mapping::touched::TouchedSet;
 use crate::recover::{lost_stamps_of, program_relocating, read_with_retry, PageRead, LOST_VERSION};
+use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{
     served_unwritten, FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome,
@@ -431,41 +432,41 @@ impl MrsmFtl {
     }
 
     /// Construct an MRSM FTL preloaded with a recovered mapping (see
-    /// [`crate::recovery`]). Page-mapped nodes store no resident set, as
-    /// `MrsmFtl::page_write` leaves them; sub-mapped nodes register each
-    /// present sub with its resident page. The map cache starts cold.
+    /// [`crate::recovery`]): whole pages and sub-mapped LPNs, no areas.
+    /// Page-mapped nodes store no resident set, as `MrsmFtl::page_write`
+    /// leaves them; sub-mapped nodes register each present sub with its
+    /// resident page. The map cache starts cold.
     pub fn from_image(
         geometry: &aftl_flash::Geometry,
         cfg: SchemeConfig,
-        nodes: &[(u64, crate::recovery::MrsmNodeImage)],
+        image: &SchemeImage,
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        let in_range = |ppn: Ppn| ppn.0 < geometry.total_pages();
-        for &(lpn, node) in nodes {
+        image.assert_holds(ftl.kind(), true, false);
+        let check = |lpn: u64, ppn: Ppn| {
             assert!(
                 lpn < cfg.logical_pages,
                 "image maps lpn {lpn}, off the device"
             );
-            match node {
-                crate::recovery::MrsmNodeImage::Page(p) => {
-                    assert!(in_range(p), "image maps lpn {lpn} to {p:?}, off the device");
-                    ftl.map.set(lpn, LpnMap::Page(p));
-                }
-                crate::recovery::MrsmNodeImage::Subs(slots) => {
-                    let mut locs = [SubLoc::NONE; SUBS_PER_PAGE as usize];
-                    for (sub, loc) in slots.iter().enumerate() {
-                        if let Some((ppn, slot)) = *loc {
-                            assert!(
-                                in_range(ppn),
-                                "image maps lpn {lpn} to {ppn:?}, off the device"
-                            );
-                            locs[sub] = SubLoc { ppn, slot };
-                            ftl.residents.push(ppn, lpn, sub as u32);
-                        }
-                    }
-                    ftl.map.set(lpn, LpnMap::Sub(locs));
+            assert!(
+                ppn.0 < geometry.total_pages(),
+                "image maps lpn {lpn} to {ppn:?}, off the device"
+            );
+        };
+        for &(lpn, ppn) in &image.pages {
+            check(lpn, ppn);
+            ftl.map.set(lpn, LpnMap::Page(ppn));
+        }
+        for &(lpn, slots) in &image.subs {
+            let mut locs = [SubLoc::NONE; SUBS_PER_PAGE as usize];
+            for (sub, loc) in slots.iter().enumerate() {
+                if let Some((ppn, slot)) = *loc {
+                    check(lpn, ppn);
+                    locs[sub] = SubLoc { ppn, slot };
+                    ftl.residents.push(ppn, lpn, sub as u32);
                 }
             }
+            ftl.map.set(lpn, LpnMap::Sub(locs));
         }
         ftl
     }
@@ -593,6 +594,7 @@ impl MrsmFtl {
         let (new_ppn, w) = program_relocating(
             env.array,
             env.alloc,
+            None,
             StreamId::Data,
             PageKind::Data,
             lpn,
@@ -813,6 +815,7 @@ impl FtlScheme for MrsmFtl {
             let (new_ppn, w) = program_relocating(
                 env.array,
                 env.alloc,
+                None,
                 StreamId::Across,
                 PageKind::AcrossData,
                 group[0].lpn,
@@ -979,25 +982,18 @@ impl FtlScheme for MrsmFtl {
         self.cfg.logical_pages
     }
 
-    fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
+    fn capture_image(&self) -> SchemeImage {
         // The image lists nodes by ascending LPN, which is the table's order.
-        let mut nodes = Vec::with_capacity(self.map.len());
+        let mut image = SchemeImage::default();
         for (lpn, node) in self.map.iter() {
-            let img = match node {
-                LpnMap::Page(p) => crate::recovery::MrsmNodeImage::Page(p),
-                LpnMap::Sub(locs) => {
-                    let mut slots = [None; SUBS_PER_PAGE as usize];
-                    for (sub, loc) in locs.iter().enumerate() {
-                        if loc.is_some() {
-                            slots[sub] = Some((loc.ppn, loc.slot));
-                        }
-                    }
-                    crate::recovery::MrsmNodeImage::Subs(slots)
-                }
-            };
-            nodes.push((lpn, img));
+            match node {
+                LpnMap::Page(p) => image.pages.push((lpn, p)),
+                LpnMap::Sub(locs) => image
+                    .subs
+                    .push((lpn, locs.map(|l| l.is_some().then_some((l.ppn, l.slot))))),
+            }
         }
-        Some(crate::recovery::SchemeImage::Mrsm(nodes))
+        image
     }
 }
 
@@ -1056,6 +1052,7 @@ impl MrsmMigrator<'_> {
         let (new_ppn, _) = program_relocating(
             array,
             alloc,
+            None,
             StreamId::Gc,
             PageKind::AcrossData,
             chunk[0].lpn,

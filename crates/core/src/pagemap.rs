@@ -22,6 +22,7 @@ use crate::mapping::engine::MapEngine;
 use crate::mapping::pmt::{assert_ppns_fit, PageMapTable};
 use crate::mapping::touched::TouchedSet;
 use crate::recover::{lost_stamps_of, program_relocating, read_with_retry, PageRead};
+use crate::recovery::SchemeImage;
 use crate::request::PageExtent;
 use crate::scheme::{
     extent_stamps, served_after_read, served_unwritten, FtlEnv, SchemeConfig, ServiceOutcome,
@@ -92,13 +93,17 @@ impl PageMapCore {
         }
     }
 
-    /// Every mapped `(lpn, ppn)` pair in LPN order — the `pages` half of a
-    /// checkpoint image.
-    pub(crate) fn pages(&self) -> Vec<(u64, Ppn)> {
-        (0..self.pmt.logical_pages())
+    /// The core's checkpoint image: every mapped `(lpn, ppn)` pair in LPN
+    /// order.
+    pub(crate) fn image(&self) -> SchemeImage {
+        let pages = (0..self.pmt.logical_pages())
             .map(|lpn| (lpn, self.pmt.get(lpn).ppn))
             .filter(|(_, ppn)| ppn.is_valid())
-            .collect()
+            .collect();
+        SchemeImage {
+            pages,
+            ..SchemeImage::default()
+        }
     }
 
     /// Translation page holding `lpn`'s PMT entry.
@@ -184,6 +189,7 @@ impl PageMapCore {
         let (new_ppn, w) = program_relocating(
             array,
             alloc,
+            None,
             StreamId::Data,
             PageKind::Data,
             extent.lpn,
@@ -302,37 +308,42 @@ impl PageMigrator for CoreMigrator<'_> {
 
 #[cfg(test)]
 mod tests {
+    use crate::recovery::SchemeImage;
     use crate::scheme::SchemeConfig;
     use crate::{AcrossFtl, BaselineFtl, LearnedFtl};
     use aftl_flash::{Geometry, Ppn};
 
-    /// A device, its config, and recovered pairs naming a PPN one past the
-    /// device's last — below 2³², so the table's word would take it.
-    fn image_off_the_device() -> (Geometry, SchemeConfig, [(u64, Ppn); 2]) {
+    /// A device, its config, and a recovered image whose second pair names
+    /// a PPN one past the device's last — below 2³², so the table's word
+    /// would take it.
+    fn image_off_the_device() -> (Geometry, SchemeConfig, SchemeImage) {
         let g = Geometry::tiny();
-        let pages = [(0, Ppn(3)), (1, Ppn(g.total_pages()))];
-        (g, SchemeConfig::for_geometry(&g), pages)
+        let image = SchemeImage {
+            pages: vec![(0, Ppn(3)), (1, Ppn(g.total_pages()))],
+            ..SchemeImage::default()
+        };
+        (g, SchemeConfig::for_geometry(&g), image)
     }
 
     #[test]
     #[should_panic(expected = "image maps lpn 1 to Ppn(512), off the device")]
     fn baseline_image_with_a_ppn_off_the_device_is_refused() {
-        let (g, cfg, pages) = image_off_the_device();
-        BaselineFtl::from_image(&g, cfg, &pages);
+        let (g, cfg, image) = image_off_the_device();
+        BaselineFtl::from_image(&g, cfg, &image);
     }
 
     #[test]
     #[should_panic(expected = "image maps lpn 1 to Ppn(512), off the device")]
     fn learned_image_with_a_ppn_off_the_device_is_refused() {
-        let (g, cfg, pages) = image_off_the_device();
-        LearnedFtl::from_image(&g, cfg, &pages);
+        let (g, cfg, image) = image_off_the_device();
+        LearnedFtl::from_image(&g, cfg, &image);
     }
 
     #[test]
     #[should_panic(expected = "image maps lpn 1 to Ppn(512), off the device")]
     fn across_image_with_a_ppn_off_the_device_is_refused() {
-        let (g, cfg, pages) = image_off_the_device();
-        AcrossFtl::from_image(&g, cfg, &pages, &[]);
+        let (g, cfg, image) = image_off_the_device();
+        AcrossFtl::from_image(&g, cfg, &image);
     }
 
     /// An LPN past the exported space used to be an anonymous slice-index
@@ -342,6 +353,10 @@ mod tests {
     fn image_with_an_lpn_past_the_exported_space_is_refused() {
         let (g, cfg, _) = image_off_the_device();
         assert_eq!(cfg.logical_pages, 460);
-        BaselineFtl::from_image(&g, cfg, &[(cfg.logical_pages, Ppn(3))]);
+        let image = SchemeImage {
+            pages: vec![(cfg.logical_pages, Ppn(3))],
+            ..SchemeImage::default()
+        };
+        BaselineFtl::from_image(&g, cfg, &image);
     }
 }

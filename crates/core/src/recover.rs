@@ -84,14 +84,16 @@ pub fn read_with_retry(
     Ok(PageRead::Lost { complete_ns })
 }
 
-/// Allocate and program a page for `stream`, relocating to a fresh block
-/// whenever the program fails (the failed program already retired its
-/// block and consumed the page, so the mapping fix-up is simply "use the
-/// PPN this returns").
+/// Allocate and program a page for `stream` — in `plane` when given (GC
+/// keeps copy-backs on one chip when it can) — relocating to a fresh
+/// block whenever the program fails (the failed program already retired
+/// its block and consumed the page, so the mapping fix-up is simply "use
+/// the PPN this returns").
 #[allow(clippy::too_many_arguments)]
 pub fn program_relocating(
     array: &mut FlashArray,
     alloc: &mut Allocator,
+    plane: Option<u64>,
     stream: StreamId,
     kind: PageKind,
     tag: u64,
@@ -100,31 +102,10 @@ pub fn program_relocating(
     ready_ns: Nanos,
 ) -> Result<(Ppn, OpOutcome)> {
     loop {
-        let ppn = alloc.alloc_page(array, stream)?;
-        match array.program(ppn, kind, tag, bytes, arrive_ns, ready_ns) {
-            Ok(out) => return Ok((ppn, out)),
-            Err(FlashError::ProgramFailed(_)) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`program_relocating`], but preferring a specific plane (GC keeps
-/// copy-backs on one chip when it can).
-#[allow(clippy::too_many_arguments)]
-pub fn program_relocating_in_plane(
-    array: &mut FlashArray,
-    alloc: &mut Allocator,
-    plane_idx: u64,
-    stream: StreamId,
-    kind: PageKind,
-    tag: u64,
-    bytes: u32,
-    arrive_ns: Nanos,
-    ready_ns: Nanos,
-) -> Result<(Ppn, OpOutcome)> {
-    loop {
-        let ppn = alloc.alloc_page_in_plane(array, plane_idx, stream)?;
+        let ppn = match plane {
+            Some(plane) => alloc.alloc_page_in_plane(array, plane, stream)?,
+            None => alloc.alloc_page(array, stream)?,
+        };
         match array.program(ppn, kind, tag, bytes, arrive_ns, ready_ns) {
             Ok(out) => return Ok((ppn, out)),
             Err(FlashError::ProgramFailed(_)) => continue,
@@ -231,6 +212,7 @@ mod tests {
             let (ppn, _) = program_relocating(
                 &mut a,
                 &mut alloc,
+                None,
                 StreamId::Data,
                 PageKind::Data,
                 i,

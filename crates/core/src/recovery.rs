@@ -10,7 +10,7 @@
 //! records, layout descriptors — see [`aftl_flash::oob`]) and the small
 //! persistent kill log. [`recover`] rebuilds a scheme from that alone.
 //!
-//! ## Arbitration
+//! ## Election
 //!
 //! Multiple physical copies of the same logical data coexist on flash (the
 //! old copy is merely *invalid*, a DRAM notion that died with the cut).
@@ -27,10 +27,18 @@
 //!   newer superseding program exists, so the group is treated as
 //!   committed.
 //!
-//! Across-FTL areas additionally consult the persistent kill log: an area
-//! winner whose sequence number was deliberately killed (rollback or drop
-//! committed with a later request) stays dead even if every page that
-//! carried the kill record has since been garbage-collected.
+//! One pass elects every scheme's winners, keyed by what each page's OOB
+//! record says it holds — not by which scheme wrote it: a `Data` page holds
+//! its tag's whole LPN, an [`OobDesc::Slots`] page (MRSM) the `(lpn, sub)`
+//! pairs it lists, an [`OobDesc::Area`] page (Across-FTL) its AMT tag. An
+//! LPN is sub-mapped exactly when one of its sub-regions was written after
+//! its newest whole page; its other sub-regions stay at their natural
+//! slots of that page.
+//!
+//! Areas additionally consult the persistent kill log, the only kill
+//! authority: an area winner whose sequence number was deliberately killed
+//! (rollback or drop committed with a later request) stays dead even if
+//! every page of the killing request has since been garbage-collected.
 //!
 //! ## Scan vs. checkpoint
 //!
@@ -41,7 +49,7 @@
 //! gone), and otherwise only the pages programmed past the checkpointed
 //! write pointer are read. Checkpoints are taken between requests, so no
 //! write group ever spans one, and every sequence number in the delta is
-//! newer than every checkpointed one — the image seeds the arbitration and
+//! newer than every checkpointed one — the image seeds the election and
 //! the delta wins on conflict.
 //!
 //! Recovery is only supported when the crash was armed *from construction*
@@ -50,6 +58,7 @@
 //! fault injection disabled.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 use aftl_flash::{Allocator, FlashArray, OobDesc, PageKind, Ppn, OOB_GROUP_POISONED};
 
@@ -59,15 +68,10 @@ use crate::learned::LearnedFtl;
 use crate::mrsm::MrsmFtl;
 use crate::scheme::{FtlScheme, SchemeConfig, SchemeKind};
 
-/// Where one logical page's four quarter-page sub-regions live (MRSM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MrsmNodeImage {
-    /// The whole logical page sits in one physical page at natural offsets.
-    Page(Ppn),
-    /// Per-sub location, indexed by sub-region: `(physical page, slot
-    /// within that page)`; `None` = sub never written.
-    Subs([Option<(Ppn, u8)>; 4]),
-}
+/// Where one logical page's four quarter-page sub-regions live (MRSM):
+/// `(physical page, slot within that page)` per sub-region, `None` = never
+/// written.
+pub type SubLocs = [Option<(Ppn, u8)>; 4];
 
 /// One live Across-FTL re-aligned area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,54 +88,45 @@ pub struct AreaImage {
     pub appn: Ppn,
 }
 
-/// A scheme's complete logical-to-physical mapping, in a form every scheme
-/// can both produce (checkpointing) and consume (rebuild after a crash).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemeImage {
-    /// Baseline FTL: `(lpn, ppn)` pairs.
-    Baseline(Vec<(u64, Ppn)>),
-    /// MRSM: per-LPN sub-page location nodes.
-    Mrsm(Vec<(u64, MrsmNodeImage)>),
-    /// Across-FTL: page-mapped entries plus live re-aligned areas.
-    Across {
-        /// `(lpn, ppn)` page-mapped entries.
-        pages: Vec<(u64, Ppn)>,
-        /// Live AMT areas.
-        areas: Vec<AreaImage>,
-    },
-    /// Learned FTL: `(lpn, ppn)` pairs (segments retrain lazily).
-    Learned(Vec<(u64, Ppn)>),
+/// A scheme's complete logical-to-physical mapping, in the one form every
+/// scheme both produces (checkpointing) and consumes (rebuild after a
+/// crash). Each scheme fills the parts it holds and leaves the rest empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SchemeImage {
+    /// `(lpn, ppn)`: LPNs held whole by one page, by ascending LPN.
+    pub pages: Vec<(u64, Ppn)>,
+    /// `(lpn, sub-locations)`: sub-mapped LPNs (MRSM), by ascending LPN.
+    pub subs: Vec<(u64, SubLocs)>,
+    /// Live re-aligned areas (Across-FTL).
+    pub areas: Vec<AreaImage>,
 }
 
 impl SchemeImage {
-    /// Which scheme this image belongs to.
-    pub fn kind(&self) -> SchemeKind {
-        match self {
-            SchemeImage::Baseline(_) => SchemeKind::Baseline,
-            SchemeImage::Mrsm(_) => SchemeKind::Mrsm,
-            SchemeImage::Across { .. } => SchemeKind::Across,
-            SchemeImage::Learned(_) => SchemeKind::Learned,
-        }
-    }
-
     /// Serialized size of the image, in bytes, under a simple on-flash
     /// encoding (8 B per LPN/PPN, 1 B per slot index, 24 B per area
     /// descriptor including its `AIdx`). Determines how many flash pages
     /// a checkpoint load costs.
     pub fn checkpoint_bytes(&self) -> u64 {
-        match self {
-            SchemeImage::Baseline(p) | SchemeImage::Learned(p) => p.len() as u64 * 16,
-            SchemeImage::Mrsm(nodes) => nodes
-                .iter()
-                .map(|(_, n)| match n {
-                    MrsmNodeImage::Page(_) => 16u64,
-                    MrsmNodeImage::Subs(_) => 8 + 4 * 9,
-                })
-                .sum(),
-            SchemeImage::Across { pages, areas } => {
-                pages.len() as u64 * 16 + areas.len() as u64 * 24
-            }
-        }
+        self.pages.len() as u64 * 16
+            + self.subs.len() as u64 * (8 + 4 * 9)
+            + self.areas.len() as u64 * 24
+    }
+
+    /// Refuse an image with a part `scheme` cannot hold: sub-mapped LPNs
+    /// unless `subs`, areas unless `areas`.
+    pub(crate) fn assert_holds(&self, scheme: SchemeKind, subs: bool, areas: bool) {
+        assert!(
+            subs || self.subs.is_empty(),
+            "{} cannot hold the image's {} sub-mapped LPNs",
+            scheme.name(),
+            self.subs.len()
+        );
+        assert!(
+            areas || self.areas.is_empty(),
+            "{} cannot hold the image's {} areas",
+            scheme.name(),
+            self.areas.len()
+        );
     }
 }
 
@@ -232,196 +227,101 @@ fn collect(array: &FlashArray, ppn: Ppn, out: &mut Vec<Cand>) -> aftl_flash::Res
     Ok(())
 }
 
-/// Per-LPN last-writer-wins over committed `Data` pages, optionally seeded
-/// from a checkpoint image. Checkpointed pages are write-once, so reading
-/// their sequence number from the array models the seq a real FTL would
-/// have persisted inside the image — at zero flash cost.
-fn arbitrate_pages(
+/// Keep `won` under `key` unless the holder was programmed no earlier.
+fn newest<K: Hash + Eq + Copy, V>(best: &mut HashMap<K, (u64, V)>, key: K, seq: u64, won: V) {
+    if best.get(&key).is_none_or(|&(held, _)| held < seq) {
+        best.insert(key, (seq, won));
+    }
+}
+
+/// The one election: per-LPN whole pages, per-`(lpn, sub)` sub-regions and
+/// per-AMT-tag areas, each last-writer-wins over the committed pages that
+/// hold it, seeded from a checkpoint image. Checkpointed pages are
+/// write-once, so reading their sequence number from the array models the
+/// seq a real FTL would have persisted inside the image — at zero flash
+/// cost.
+///
+/// Areas then pass the kill log — each record kills its tag up to a seq,
+/// so a retired area stays dead even when the page named by the record
+/// was erased first and an older same-tag page survives as the tag's
+/// winner. A checkpointed area additionally dies when any committed
+/// post-checkpoint page carries its `AIdx` — migration, AMerge, and slot
+/// reuse all program a newer page under the same tag, so delta activity on
+/// a tag proves the checkpointed descriptor stale — or when a committed
+/// post-checkpoint area winner overlaps its range (AMerge supersedes by
+/// union containment without writing a kill record).
+fn elect(
     array: &FlashArray,
     cands: &[Cand],
     committed: impl Fn(u64) -> bool,
-    seed: Option<&[(u64, Ppn)]>,
+    seed: Option<&SchemeImage>,
     changed: impl Fn(Ppn) -> bool,
-) -> aftl_flash::Result<Vec<(u64, Ppn)>> {
-    let mut best: HashMap<u64, (u64, Ppn)> = HashMap::new();
-    if let Some(pages) = seed {
-        for &(lpn, ppn) in pages {
-            if changed(ppn) {
-                continue; // block re-erased since the checkpoint
-            }
-            best.insert(lpn, (array.page_info(ppn)?.seq, ppn));
+) -> aftl_flash::Result<SchemeImage> {
+    let mut pages: HashMap<u64, (u64, Ppn)> = HashMap::new();
+    let mut subs: HashMap<(u64, u8), (u64, (Ppn, u8))> = HashMap::new();
+    let mut areas: HashMap<u64, (u64, AreaImage)> = HashMap::new();
+    // A seed entry in a block re-erased since the checkpoint is gone.
+    if let Some(ck) = seed {
+        for &(lpn, ppn) in ck.pages.iter().filter(|&&(_, p)| !changed(p)) {
+            pages.insert(lpn, (array.page_info(ppn)?.seq, ppn));
         }
-    }
-    for c in cands {
-        if c.kind != PageKind::Data || !committed(c.group) {
-            continue;
-        }
-        match best.get(&c.tag) {
-            Some(&(seq, _)) if seq >= c.seq => {}
-            _ => {
-                best.insert(c.tag, (c.seq, c.ppn));
+        for (lpn, locs) in &ck.subs {
+            for (sub, &loc) in locs.iter().enumerate() {
+                if let Some((ppn, slot)) = loc.filter(|&(p, _)| !changed(p)) {
+                    let seq = array.page_info(ppn)?.seq;
+                    subs.insert((*lpn, sub as u8), (seq, (ppn, slot)));
+                }
             }
         }
     }
-    let mut out: Vec<(u64, Ppn)> = best.into_iter().map(|(l, (_, p))| (l, p)).collect();
-    out.sort_unstable_by_key(|&(l, _)| l);
-    Ok(out)
-}
+    for c in cands.iter().filter(|c| committed(c.group)) {
+        match c.desc {
+            OobDesc::None if c.kind == PageKind::Data => newest(&mut pages, c.tag, c.seq, c.ppn),
+            OobDesc::None => {}
+            OobDesc::Slots { n, slots } => {
+                for (slot, &key) in slots[..usize::from(n)].iter().enumerate() {
+                    newest(&mut subs, key, c.seq, (c.ppn, slot as u8));
+                }
+            }
+            OobDesc::Area {
+                start_sector,
+                size_sectors,
+            } => {
+                let area = AreaImage {
+                    aidx: c.tag as u32,
+                    start_sector,
+                    size_sectors,
+                    appn: c.ppn,
+                };
+                newest(&mut areas, c.tag, c.seq, area);
+            }
+        }
+    }
 
-#[derive(Clone, Copy)]
-struct SubWin {
-    seq: u64,
-    ppn: Ppn,
-    slot: u8,
-    page_node: bool,
-}
+    // Sub-regions newer than their LPN's newest whole page split it; the
+    // page keeps the rest at their natural slots.
+    let mut split: HashMap<u64, SubLocs> = HashMap::new();
+    for (&(lpn, sub), &(seq, loc)) in &subs {
+        if pages.get(&lpn).is_none_or(|&(page_seq, _)| page_seq < seq) {
+            split.entry(lpn).or_insert([None; 4])[usize::from(sub)] = Some(loc);
+        }
+    }
+    let mut image = SchemeImage::default();
+    for (lpn, mut locs) in split {
+        if let Some((_, ppn)) = pages.remove(&lpn) {
+            for (sub, loc) in locs.iter_mut().enumerate() {
+                loc.get_or_insert((ppn, sub as u8));
+            }
+        }
+        image.subs.push((lpn, locs));
+    }
+    image.subs.sort_unstable_by_key(|&(lpn, _)| lpn);
+    image.pages = pages
+        .into_iter()
+        .map(|(lpn, (_, ppn))| (lpn, ppn))
+        .collect();
+    image.pages.sort_unstable_by_key(|&(lpn, _)| lpn);
 
-fn sub_upsert(best: &mut HashMap<(u64, u8), SubWin>, key: (u64, u8), win: SubWin) {
-    match best.get(&key) {
-        Some(w) if w.seq >= win.seq => {}
-        _ => {
-            best.insert(key, win);
-        }
-    }
-}
-
-/// MRSM arbitration: per-`(lpn, sub)` last-writer-wins. A whole-page
-/// `Data` program wins all four subs at natural slots; a packed
-/// `AcrossData` page wins each `(lpn, sub)` its slot descriptor names.
-/// Per-LPN nodes collapse back to `Page` only when all four subs agree on
-/// one whole-page winner.
-fn arbitrate_mrsm(
-    array: &FlashArray,
-    cands: &[Cand],
-    committed: impl Fn(u64) -> bool,
-    seed: Option<&[(u64, MrsmNodeImage)]>,
-    changed: impl Fn(Ppn) -> bool,
-) -> aftl_flash::Result<Vec<(u64, MrsmNodeImage)>> {
-    let mut best: HashMap<(u64, u8), SubWin> = HashMap::new();
-    if let Some(nodes) = seed {
-        for &(lpn, node) in nodes {
-            match node {
-                MrsmNodeImage::Page(p) => {
-                    if changed(p) {
-                        continue;
-                    }
-                    let seq = array.page_info(p)?.seq;
-                    for sub in 0..4u8 {
-                        best.insert(
-                            (lpn, sub),
-                            SubWin {
-                                seq,
-                                ppn: p,
-                                slot: sub,
-                                page_node: true,
-                            },
-                        );
-                    }
-                }
-                MrsmNodeImage::Subs(slots) => {
-                    for (sub, loc) in slots.iter().enumerate() {
-                        let Some((p, slot)) = *loc else { continue };
-                        if changed(p) {
-                            continue;
-                        }
-                        let seq = array.page_info(p)?.seq;
-                        best.insert(
-                            (lpn, sub as u8),
-                            SubWin {
-                                seq,
-                                ppn: p,
-                                slot,
-                                page_node: false,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-    for c in cands {
-        if !committed(c.group) {
-            continue;
-        }
-        match c.kind {
-            PageKind::Data => {
-                for sub in 0..4u8 {
-                    sub_upsert(
-                        &mut best,
-                        (c.tag, sub),
-                        SubWin {
-                            seq: c.seq,
-                            ppn: c.ppn,
-                            slot: sub,
-                            page_node: true,
-                        },
-                    );
-                }
-            }
-            PageKind::AcrossData => {
-                if let OobDesc::Slots { n, slots } = c.desc {
-                    for (j, &(lpn, sub)) in slots.iter().enumerate().take(usize::from(n)) {
-                        sub_upsert(
-                            &mut best,
-                            (lpn, sub),
-                            SubWin {
-                                seq: c.seq,
-                                ppn: c.ppn,
-                                slot: j as u8,
-                                page_node: false,
-                            },
-                        );
-                    }
-                }
-            }
-            PageKind::Map => {}
-        }
-    }
-    let mut per_lpn: HashMap<u64, [Option<SubWin>; 4]> = HashMap::new();
-    for ((lpn, sub), w) in best {
-        per_lpn.entry(lpn).or_insert([None; 4])[usize::from(sub)] = Some(w);
-    }
-    let mut out = Vec::with_capacity(per_lpn.len());
-    for (lpn, subs) in per_lpn {
-        let whole_page = subs
-            .iter()
-            .all(|w| w.is_some_and(|w| w.page_node && w.ppn == subs[0].unwrap().ppn));
-        if whole_page {
-            out.push((lpn, MrsmNodeImage::Page(subs[0].unwrap().ppn)));
-        } else {
-            let mut locs = [None; 4];
-            for (i, w) in subs.iter().enumerate() {
-                if let Some(w) = w {
-                    locs[i] = Some((w.ppn, w.slot));
-                }
-            }
-            out.push((lpn, MrsmNodeImage::Subs(locs)));
-        }
-    }
-    out.sort_unstable_by_key(|&(l, _)| l);
-    Ok(out)
-}
-
-/// Across-FTL area arbitration: per-AMT-tag last-writer-wins over committed
-/// `AcrossData` pages (GC migration and AMerge update an area in place
-/// under its tag, so the newest page per tag is the live version), then the
-/// persistent kill log removes deliberately retired winners — each record
-/// kills its tag up to a seq, so a retired area stays dead even when the
-/// page named by the record was erased first and an older same-tag page
-/// survives as the scan's per-tag winner. A checkpointed area additionally
-/// dies when any committed post-checkpoint page carries its `AIdx` —
-/// migration, AMerge, and slot reuse all program a newer page under the
-/// same tag, so delta activity on a tag proves the checkpointed descriptor
-/// stale — or when a committed post-checkpoint area winner overlaps its
-/// range (AMerge supersedes by union containment without writing a kill
-/// record).
-fn arbitrate_areas(
-    array: &FlashArray,
-    cands: &[Cand],
-    committed: impl Fn(u64) -> bool,
-    seed: Option<&[AreaImage]>,
-    changed: impl Fn(Ppn) -> bool,
-) -> aftl_flash::Result<Vec<AreaImage>> {
     // tag -> highest killed seq: a candidate with that tag is dead unless
     // it was programmed after the newest kill (slot reuse).
     let mut kill_max: HashMap<u64, u64> = HashMap::new();
@@ -430,70 +330,42 @@ fn arbitrate_areas(
         *e = (*e).max(k.seq);
     }
     let killed = |tag: u64, seq: u64| kill_max.get(&tag).is_some_and(|&k| seq <= k);
-    let mut best: HashMap<u64, (u64, AreaImage)> = HashMap::new();
-    let mut seen_tags: HashSet<u64> = HashSet::new();
-    for c in cands {
-        if c.kind != PageKind::AcrossData || !committed(c.group) {
-            continue;
-        }
-        seen_tags.insert(c.tag);
-        let OobDesc::Area {
-            start_sector,
-            size_sectors,
-        } = c.desc
-        else {
-            continue;
-        };
-        let win = AreaImage {
-            aidx: c.tag as u32,
-            start_sector,
-            size_sectors,
-            appn: c.ppn,
-        };
-        match best.get(&c.tag) {
-            Some(&(seq, _)) if seq >= c.seq => {}
-            _ => {
-                best.insert(c.tag, (c.seq, win));
-            }
-        }
-    }
-    let mut areas: Vec<AreaImage> = best
-        .into_iter()
-        .filter(|&(tag, (seq, _))| !killed(tag, seq))
-        .map(|(_, (_, a))| a)
+    image.areas = areas
+        .iter()
+        .filter(|&(&tag, &(seq, _))| !killed(tag, seq))
+        .map(|(_, &(_, a))| a)
         .collect();
-    let fresh = areas.len();
-    if let Some(seed) = seed {
-        for a in seed {
-            if changed(a.appn)
-                || seen_tags.contains(&u64::from(a.aidx))
-                || killed(u64::from(a.aidx), array.page_info(a.appn)?.seq)
-            {
-                continue;
-            }
-            let superseded = areas[..fresh].iter().any(|w| {
-                a.start_sector < w.start_sector + u64::from(w.size_sectors)
-                    && w.start_sector < a.start_sector + u64::from(a.size_sectors)
-            });
-            if !superseded {
-                areas.push(*a);
-            }
+    let fresh = image.areas.len();
+    for a in seed.map_or(&[][..], |ck| &ck.areas) {
+        let tag = u64::from(a.aidx);
+        if changed(a.appn) || areas.contains_key(&tag) || killed(tag, array.page_info(a.appn)?.seq)
+        {
+            continue;
+        }
+        let superseded = image.areas[..fresh].iter().any(|w| {
+            a.start_sector < w.start_sector + u64::from(w.size_sectors)
+                && w.start_sector < a.start_sector + u64::from(a.size_sectors)
+        });
+        if !superseded {
+            image.areas.push(*a);
         }
     }
-    areas.sort_unstable_by_key(|a| (a.start_sector, a.appn));
-    Ok(areas)
+    image
+        .areas
+        .sort_unstable_by_key(|a| (a.start_sector, a.appn));
+    Ok(image)
 }
 
 /// Rebuild the full device state after a power cut: elect the surviving
 /// mapping from OOB records (plus an optional [`Checkpoint`]), restore the
 /// array's valid/invalid accounting to exactly the winner set, rebuild the
-/// allocator over the recovered blocks, and construct a fresh scheme
-/// preloaded with the mapping.
+/// allocator over the recovered blocks, and construct a fresh `kind`
+/// scheme preloaded with the mapping.
 ///
 /// Returns the scheme, the allocator and the cost/mode statistics. The
 /// crash must have been armed from device construction (pre-arm pages
-/// carry no OOB journal), and `checkpoint` — when given — must belong to
-/// the same scheme `kind`.
+/// carry no OOB journal); a `checkpoint` image with a part the scheme
+/// cannot hold is refused by its `from_image`.
 pub fn recover(
     array: &mut FlashArray,
     cfg: SchemeConfig,
@@ -504,13 +376,6 @@ pub fn recover(
         array.crash_armed(),
         "recovery requires OOB journaling armed from construction"
     );
-    if let Some(ck) = checkpoint {
-        assert_eq!(
-            ck.image.kind(),
-            kind,
-            "checkpoint image belongs to a different scheme"
-        );
-    }
     let g = *array.geometry();
     let ppb = u64::from(g.pages_per_block);
 
@@ -570,81 +435,40 @@ pub fn recover(
     let committed = |group: u64| Some(group) != torn_group;
     let changed = |ppn: Ppn| changed_blocks.contains(&(ppn.0 / ppb));
 
-    // Phase 3: per-scheme arbitration.
-    let image = match (kind, checkpoint.map(|c| &c.image)) {
-        (SchemeKind::Baseline, seed) => {
-            let seed = seed.map(|i| match i {
-                SchemeImage::Baseline(p) => p.as_slice(),
-                _ => unreachable!(),
-            });
-            SchemeImage::Baseline(arbitrate_pages(array, &cands, committed, seed, changed)?)
-        }
-        (SchemeKind::Learned, seed) => {
-            let seed = seed.map(|i| match i {
-                SchemeImage::Learned(p) => p.as_slice(),
-                _ => unreachable!(),
-            });
-            SchemeImage::Learned(arbitrate_pages(array, &cands, committed, seed, changed)?)
-        }
-        (SchemeKind::Mrsm, seed) => {
-            let seed = seed.map(|i| match i {
-                SchemeImage::Mrsm(n) => n.as_slice(),
-                _ => unreachable!(),
-            });
-            SchemeImage::Mrsm(arbitrate_mrsm(array, &cands, committed, seed, changed)?)
-        }
-        (SchemeKind::Across, seed) => {
-            let (seed_pages, seed_areas) = match seed {
-                Some(SchemeImage::Across { pages, areas }) => {
-                    (Some(pages.as_slice()), Some(areas.as_slice()))
-                }
-                Some(_) => unreachable!(),
-                None => (None, None),
-            };
-            SchemeImage::Across {
-                pages: arbitrate_pages(array, &cands, committed, seed_pages, changed)?,
-                areas: arbitrate_areas(array, &cands, committed, seed_areas, changed)?,
-            }
-        }
-    };
+    // Phase 3: the election.
+    let image = elect(
+        array,
+        &cands,
+        committed,
+        checkpoint.map(|ck| &ck.image),
+        changed,
+    )?;
 
     // Phase 4: restore physical accounting to exactly the winner set, then
     // rebuild the allocator over the recovered blocks.
-    let mut live: HashSet<Ppn> = HashSet::new();
-    match &image {
-        SchemeImage::Baseline(pages) | SchemeImage::Learned(pages) => {
-            live.extend(pages.iter().map(|&(_, p)| p));
-        }
-        SchemeImage::Mrsm(nodes) => {
-            for (_, node) in nodes {
-                match node {
-                    MrsmNodeImage::Page(p) => {
-                        live.insert(*p);
-                    }
-                    MrsmNodeImage::Subs(slots) => {
-                        live.extend(slots.iter().flatten().map(|&(p, _)| p));
-                    }
-                }
-            }
-        }
-        SchemeImage::Across { pages, areas } => {
-            live.extend(pages.iter().map(|&(_, p)| p));
-            live.extend(areas.iter().map(|a| a.appn));
-        }
-    }
+    let live: HashSet<Ppn> = image
+        .pages
+        .iter()
+        .map(|&(_, ppn)| ppn)
+        .chain(
+            image
+                .subs
+                .iter()
+                .flat_map(|(_, locs)| locs.iter().flatten().map(|&(ppn, _)| ppn)),
+        )
+        .chain(image.areas.iter().map(|a| a.appn))
+        .collect();
     array.rebuild_page_states(|ppn| live.contains(&ppn));
     let alloc = Allocator::rebuild(array);
 
     // Phase 5: a fresh scheme preloaded with the recovered mapping. Map
     // caches and learned segments start cold; the PMT in DRAM is the
     // authority for correctness.
-    let scheme: Box<dyn FtlScheme + Send> = match &image {
-        SchemeImage::Baseline(pages) => Box::new(BaselineFtl::from_image(&g, cfg, pages)),
-        SchemeImage::Mrsm(nodes) => Box::new(MrsmFtl::from_image(&g, cfg, nodes)),
-        SchemeImage::Across { pages, areas } => {
-            Box::new(AcrossFtl::from_image(&g, cfg, pages, areas))
-        }
-        SchemeImage::Learned(pages) => Box::new(LearnedFtl::from_image(&g, cfg, pages)),
+    let scheme: Box<dyn FtlScheme + Send> = match kind {
+        SchemeKind::Baseline => Box::new(BaselineFtl::from_image(&g, cfg, &image)),
+        SchemeKind::Mrsm => Box::new(MrsmFtl::from_image(&g, cfg, &image)),
+        SchemeKind::Across => Box::new(AcrossFtl::from_image(&g, cfg, &image)),
+        SchemeKind::Learned => Box::new(LearnedFtl::from_image(&g, cfg, &image)),
     };
 
     let page_bytes = u64::from(g.page_bytes);
@@ -668,4 +492,88 @@ pub fn recover(
         recovery_ns: rebuild_flash_reads * array.timing().read_ns,
     };
     Ok((scheme, alloc, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::HostRequest;
+    use crate::scheme::FtlEnv;
+    use aftl_flash::{Geometry, TimingSpec};
+
+    /// MRSM on a crash-armed tiny device (spp = 8, so a sub-region is 2
+    /// sectors) after `writes` of `(sector, sectors)`: its own image, and
+    /// the image of the scheme a full-scan rebuild hands back.
+    fn mrsm_rebuilt(writes: &[(u64, u32)]) -> (SchemeImage, SchemeImage) {
+        let g = Geometry::tiny();
+        let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+        array.arm_crash(u64::MAX);
+        let mut alloc = Allocator::new(&array);
+        let cfg = SchemeConfig::for_geometry(&g);
+        let mut ftl = MrsmFtl::new(&g, cfg);
+        for (t, &(sector, sectors)) in (0u64..).zip(writes) {
+            let mut env = FtlEnv {
+                array: &mut array,
+                alloc: &mut alloc,
+                now_ns: t,
+            };
+            ftl.write(&mut env, &HostRequest::write(t, sector, sectors))
+                .unwrap();
+        }
+        let (rebuilt, _, _) = recover(&mut array, cfg, SchemeKind::Mrsm, None).unwrap();
+        (ftl.capture_image(), rebuilt.capture_image())
+    }
+
+    #[test]
+    fn a_sub_written_after_the_whole_page_splits_it() {
+        // LPN 0 whole, then its sub-region 1 alone.
+        let (before, after) = mrsm_rebuilt(&[(0, 8), (2, 2)]);
+        assert_eq!(after, before);
+        assert!(after.pages.is_empty() && after.areas.is_empty());
+        let [(0, [Some((page, 0)), Some((packed, 0)), third, fourth])] = after.subs[..] else {
+            panic!("LPN 0 is not split: {after:?}");
+        };
+        assert_ne!(page, packed);
+        assert_eq!(
+            (third, fourth),
+            (Some((page, 2)), Some((page, 3))),
+            "untouched subs stay at their natural slots of the page"
+        );
+    }
+
+    #[test]
+    fn a_whole_page_written_after_a_sub_maps_the_page() {
+        // LPN 0's sub-region 1 alone, then the whole page.
+        let (before, after) = mrsm_rebuilt(&[(2, 2), (0, 8)]);
+        assert_eq!(after, before);
+        assert!(after.subs.is_empty(), "{after:?}");
+        assert!(matches!(after.pages[..], [(0, _)]), "{after:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "MRSM cannot hold the image's 1 areas")]
+    fn mrsm_refuses_an_image_with_areas() {
+        let g = Geometry::tiny();
+        let image = SchemeImage {
+            areas: vec![AreaImage {
+                aidx: 0,
+                start_sector: 4,
+                size_sectors: 8,
+                appn: Ppn(3),
+            }],
+            ..SchemeImage::default()
+        };
+        MrsmFtl::from_image(&g, SchemeConfig::for_geometry(&g), &image);
+    }
+
+    #[test]
+    #[should_panic(expected = "Across-FTL cannot hold the image's 1 sub-mapped LPNs")]
+    fn across_refuses_an_image_with_sub_mapped_lpns() {
+        let g = Geometry::tiny();
+        let image = SchemeImage {
+            subs: vec![(0, [Some((Ppn(3), 0)), None, None, None])],
+            ..SchemeImage::default()
+        };
+        AcrossFtl::from_image(&g, SchemeConfig::for_geometry(&g), &image);
+    }
 }

@@ -242,11 +242,8 @@ pub trait FtlScheme {
     fn drain_events(&mut self, _into: &mut Vec<SchemeEvent>) {}
 
     /// Snapshot the complete logical-to-physical mapping for a crash
-    /// checkpoint (see [`crate::recovery`]). `None` means the scheme does
-    /// not support checkpointed recovery.
-    fn capture_image(&self) -> Option<crate::recovery::SchemeImage> {
-        None
-    }
+    /// checkpoint (see [`crate::recovery`]).
+    fn capture_image(&self) -> crate::recovery::SchemeImage;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,19 +12,19 @@
 //!   landed, so a torn multi-extent request is rolled back wholesale rather
 //!   than left half-visible.
 //! * **kill records** — when Across-FTL folds an area back (rollback) or
-//!   drops a fully superseded area, the replacement pages carry a
+//!   drops a fully superseded area, the write group records a
 //!   [`KillRecord`]: the killed area's AMT tag and the sequence number of
 //!   its page at kill time. A record retires *every* page of that tag up
 //!   to that seq — the tag's history is a chain of superseding programs
 //!   (AMerge, GC migration), and any link of the chain may outlive the
 //!   newest one once blocks start being erased, so killing only the exact
 //!   newest seq would let an older same-tag page resurrect the area.
-//!   Because the page carrying a kill record can itself be
-//!   garbage-collected long after the killed area page would otherwise
-//!   look live, committed kills are *also* appended to a persistent kill
-//!   log ([`OobStore::kill_log`]) — modeling the small dedicated
+//!   Kills live in no data page's OOB: sealing the group appends them to
+//!   the persistent kill log ([`OobStore::kill_log`]), the only kill
+//!   authority recovery reads — modeling the small dedicated
 //!   translation-journal stream that real crash-consistent FTLs append
-//!   commit records to, which is never erased by data-block GC.
+//!   commit records to, which is never erased by data-block GC, so a kill
+//!   outlives every page its request programmed.
 //! * **layout descriptors** — packed sub-page pages (MRSM) record which
 //!   `(lpn, sub)` each slot holds; across-area pages record the area's
 //!   sector range. Both are needed to rebuild the mapping from a bare scan.
@@ -70,7 +70,7 @@ pub struct KillRecord {
 
 /// The crash-relevant OOB metadata of one physical page, beyond the
 /// tag/seq kept in [`crate::page::PageInfo`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OobExtra {
     /// Write-group id (0 = no group: pre-arm pages and GC copies, which
     /// recovery treats as implicitly committed).
@@ -80,9 +80,6 @@ pub struct OobExtra {
     pub commit: bool,
     /// Scheme-specific layout descriptor.
     pub desc: OobDesc,
-    /// Area retirements carried by the write group this page belongs to
-    /// (Across-FTL rollback / drop).
-    pub kills: Vec<KillRecord>,
 }
 
 impl OobExtra {
@@ -92,7 +89,6 @@ impl OobExtra {
             group: 0,
             commit: false,
             desc: OobDesc::None,
-            kills: Vec::new(),
         }
     }
 }
@@ -148,20 +144,16 @@ impl OobStore {
     }
 
     /// Seal the current group: its last programmed page receives the commit
-    /// mark and the full kill list, and the kills are appended to the
-    /// persistent [`Self::kill_log`]. A group that programmed nothing seals
-    /// to nothing (pure-overwrite requests served entirely in place) — but
-    /// its kills still reach the log, since the drop committed with the
-    /// request.
+    /// mark, and the group's kills are appended to the persistent
+    /// [`Self::kill_log`]. A group that programmed nothing seals to nothing
+    /// (pure-overwrite requests served entirely in place) — but its kills
+    /// still reach the log, since the drop committed with the request.
     pub fn seal_group(&mut self) {
-        self.kill_log.extend_from_slice(&self.pending_kills);
+        self.kill_log.append(&mut self.pending_kills);
         if let Some(ppn) = self.last_group_ppn.take() {
-            let extra = &mut self.extras[ppn.0 as usize];
-            extra.commit = true;
-            extra.kills = std::mem::take(&mut self.pending_kills);
+            self.extras[ppn.0 as usize].commit = true;
         }
         self.current = None;
-        self.pending_kills.clear();
     }
 
     /// Every area retirement committed by a sealed write group, in commit
@@ -183,7 +175,6 @@ impl OobStore {
                     group,
                     commit: false,
                     desc: OobDesc::None,
-                    kills: self.pending_kills.clone(),
                 };
                 self.last_group_ppn = Some(ppn);
             }
@@ -255,14 +246,15 @@ mod tests {
         s.note_program(Ppn(2), PageKind::Data);
         s.group_kill(6, 43);
         s.note_program(Ppn(3), PageKind::Data);
+        assert!(s.kill_log().is_empty(), "kills wait for the seal");
         s.seal_group();
         assert_eq!(
-            s.of(Ppn(3)).kills,
-            vec![
+            s.kill_log(),
+            &[
                 KillRecord { tag: 5, seq: 41 },
                 KillRecord { tag: 6, seq: 43 }
             ],
-            "seal carries all kills"
+            "seal logs all kills"
         );
         assert!(s.of(Ppn(3)).commit);
     }

@@ -61,12 +61,6 @@ pub struct CrashOutcome {
 }
 
 impl CrashOutcome {
-    /// Both oracle conditions hold: no acknowledged write lost, no torn
-    /// request partially visible.
-    pub fn clean(&self) -> bool {
-        self.lost_sectors == 0 && !self.torn_exposed
-    }
-
     /// The manifest section this outcome contributes to a v9
     /// [`crate::report::RunReport`].
     pub fn to_section(&self) -> RecoverySection {
@@ -300,7 +294,7 @@ mod tests {
             assert!(out.fired, "{}: budget must fire mid-workload", kind.name());
             assert!(out.acked_writes > 0);
             assert!(
-                out.clean(),
+                out.to_section().clean(),
                 "{}: lost {} torn {}",
                 kind.name(),
                 out.lost_sectors,
@@ -322,7 +316,7 @@ mod tests {
             ck_cfg.crash.checkpoint_every = Some(50);
             let ck = run_crash_point(&ck_cfg, 500, 11).unwrap();
 
-            assert!(scan.clean() && ck.clean());
+            assert!(scan.to_section().clean() && ck.to_section().clean());
             assert_eq!(ck.stats.mode, RecoveryMode::Checkpoint);
             assert!(
                 ck.stats.rebuild_flash_reads < scan.stats.rebuild_flash_reads,
@@ -357,6 +351,6 @@ mod tests {
         let out = run_crash_point(&crash_config(SchemeKind::Across, u64::MAX / 2), 120, 3).unwrap();
         assert!(!out.fired);
         assert_eq!(out.acked_writes, 120);
-        assert!(out.clean());
+        assert!(out.to_section().clean());
     }
 }

@@ -186,6 +186,14 @@ pub struct RecoverySection {
     pub torn_exposed: bool,
 }
 
+impl RecoverySection {
+    /// Both oracle conditions hold: no acknowledged write lost, no torn
+    /// request partially visible.
+    pub fn clean(&self) -> bool {
+        self.lost_sectors == 0 && !self.torn_exposed
+    }
+}
+
 /// How a fleet run sharded the workload and what each device contributed.
 /// The enclosing [`RunReport`] carries the *merged* measurements; this
 /// section records the topology so a merged manifest stays auditable.

@@ -102,16 +102,10 @@ impl Ssd {
     }
 
     /// Snapshot the scheme's mapping and per-block state as the recovery
-    /// checkpoint (call between requests — a quiescent point). Returns
-    /// `false` if the scheme does not support checkpoint capture.
-    pub fn take_checkpoint(&mut self) -> bool {
-        match self.scheme.capture_image() {
-            Some(image) => {
-                self.checkpoint = Some(Checkpoint::capture(&self.array, image));
-                true
-            }
-            None => false,
-        }
+    /// checkpoint (call between requests — a quiescent point).
+    pub fn take_checkpoint(&mut self) {
+        let image = self.scheme.capture_image();
+        self.checkpoint = Some(Checkpoint::capture(&self.array, image));
     }
 
     /// Power-cycle the device after an armed crash fired: restore power,

@@ -120,12 +120,14 @@ fn sweep_learned_recovers_every_crash_point() {
 /// The checkpointed rebuild must pass the same oracle at every crash
 /// point — a checkpoint that forgot the delta (or replayed a stale
 /// journal entry over a newer write) would surface here as a lost
-/// sector. One scheme suffices: checkpoint/delta arbitration is
-/// scheme-independent, and the four scan sweeps above already cover the
-/// per-scheme rebuild paths.
+/// sector. The election that seeds from the checkpoint is one for every
+/// scheme, but what each scheme's image holds is not (whole pages,
+/// sub-mapped LPNs, areas), so all four are swept.
 #[test]
 fn sweep_with_checkpoints_recovers_every_crash_point() {
-    assert_coverage(SchemeKind::Across, Some(25));
+    for scheme in SchemeKind::WITH_LEARNED {
+        assert_coverage(scheme, Some(25));
+    }
 }
 
 proptest! {
