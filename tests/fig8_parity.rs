@@ -39,6 +39,13 @@
 //! continuation through the rebuilt scheme, and the final counters and
 //! mapping, as one digest per case plus readable counts.
 //!
+//! `tests/golden/faulted.json` pins the fault path no other golden
+//! reaches: every scheme on the tiny device under GC pressure with read,
+//! program and erase faults armed and no read retries, so old-copy reads
+//! (read-modify-write, area merge and rollback, GC copy and lift) and host
+//! reads lose pages. Each case is a digest of the manifest and of every
+//! sector a read served, plus the loss counts in readable form.
+//!
 //! To re-bless after an *intentional* behaviour change (e.g. a scheme or
 //! policy change, never a data-structure swap):
 //!
@@ -53,10 +60,11 @@ use aftl_core::scheme::{FtlScheme, SchemeKind};
 use aftl_core::{LearnedStats, MapEngineStats, SchemeCounters, SchemeImage};
 use aftl_host::{Arbitration, HostConfig, IssueModel};
 use aftl_sim::crash::{run_crash_keep, run_crash_single};
-use aftl_sim::experiment::run_single_with;
+use aftl_sim::experiment::{run_on_device_keep, run_single_with};
 use aftl_sim::fleet::{run_fleet, FleetSpec};
 use aftl_sim::hosted::{run_hosted, tenants_from_trace};
 use aftl_sim::{CrashConfig, SimConfig, Ssd};
+use aftl_trace::{IoOp, IoRecord, Trace};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -67,6 +75,7 @@ const MRSM_GC_GOLDEN_PATH: &str = "../../tests/golden/mrsm_gc_repack.json";
 const PIPELINED_GOLDEN_PATH: &str = "../../tests/golden/fig8_small_pipelined.json";
 const DRIVERS_GOLDEN_PATH: &str = "../../tests/golden/drivers.json";
 const RECOVERED_GOLDEN_PATH: &str = "../../tests/golden/recovered.json";
+const FAULTED_GOLDEN_PATH: &str = "../../tests/golden/faulted.json";
 
 fn run_digests() -> Vec<ReplayDigest> {
     let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
@@ -630,4 +639,124 @@ fn recovered_devices_match_golden() {
     for (want, got) in golden.iter().zip(&got) {
         assert_eq!(want, got, "{}: the recovered device drifted", want.case);
     }
+}
+
+/// One faulted device, as the golden keeps it: digests of the manifest and
+/// of the served sectors, and the counts that show which loss path moved.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct FaultedCase {
+    scheme: String,
+    /// FNV-1a 64 of the manifest (`wall_seconds` zeroed), in hex.
+    manifest: String,
+    /// FNV-1a 64 of every read's served `(sector, version)` pairs, each
+    /// read's sorted by sector, in hex.
+    served: String,
+    /// Old copies lost on the host path (read-modify-write, merge, rollback).
+    lost_pages: u64,
+    /// Valid pages GC lost while copying or lifting them.
+    gc_lost_pages: u64,
+    host_unrecoverable_reads: u64,
+    rmw_reads: u64,
+    /// Programs that failed and were relocated to a fresh block.
+    relocated_programs: u64,
+}
+
+/// 2 500 seeded requests, 60 % writes of 1–16 sectors over 40 % of the
+/// tiny device's logical space: enough overwrite churn for GC, and enough
+/// partial and across-page writes for every old-copy read.
+fn faulted_trace(logical_sectors: u64) -> Trace {
+    let span = logical_sectors * 4 / 10;
+    let records = (0..2_500u64)
+        .map(|i| {
+            let z = splitmix(0xFA_0175 ^ i);
+            let sectors = 1 + (z >> 8) % 16;
+            IoRecord {
+                at_ns: i * 20_000,
+                sector: (z >> 24) % (span - sectors),
+                sectors: sectors as u32,
+                op: if z % 10 < 6 { IoOp::Write } else { IoOp::Read },
+            }
+        })
+        .collect();
+    Trace::new("faulted", records)
+}
+
+fn run_faulted() -> Vec<FaultedCase> {
+    SchemeKind::WITH_LEARNED
+        .iter()
+        .map(|&scheme| {
+            let mut config = SimConfig::test_tiny(scheme);
+            config.fault = aftl_flash::FaultConfig {
+                seed: 0xF1A5,
+                read_fail_rate: 0.03,
+                program_fail_rate: 0.004,
+                erase_fail_rate: 0.002,
+                read_retries: 0,
+                ..aftl_flash::FaultConfig::disabled()
+            };
+            let trace = faulted_trace(Ssd::new(config.clone()).expect("device").logical_sectors());
+            let (mut report, _) =
+                run_on_device_keep(Ssd::new(config.clone()).expect("device"), &trace)
+                    .unwrap_or_else(|e| panic!("{}: faulted replay fails: {e}", scheme.name()));
+            report.wall_seconds = 0.0;
+            let manifest = serde_json::to_string(&report).expect("manifest serializes");
+            // The same requests again, each write stamped with its own
+            // version so a served sector names the write it came from.
+            let mut ssd = Ssd::new(config).expect("device");
+            let mut served = String::new();
+            for (i, rec) in trace.records.iter().enumerate() {
+                let req = HostRequest {
+                    version: i as u64 + 1,
+                    ..match rec.op {
+                        IoOp::Write => HostRequest::write(rec.at_ns, rec.sector, rec.sectors),
+                        IoOp::Read => HostRequest::read(rec.at_ns, rec.sector, rec.sectors),
+                    }
+                };
+                match ssd.submit(&req) {
+                    Ok(done) => {
+                        let mut sectors: Vec<(u64, u64)> =
+                            done.served.iter().map(|s| (s.sector, s.version)).collect();
+                        sectors.sort_unstable();
+                        writeln!(served, "{i} {sectors:?}").unwrap();
+                    }
+                    Err(aftl_flash::FlashError::ReadOnlyMode) => {
+                        writeln!(served, "{i} ro").unwrap()
+                    }
+                    Err(e) => panic!("{}: request {i}: {e}", scheme.name()),
+                }
+            }
+            FaultedCase {
+                scheme: scheme.name().to_string(),
+                manifest: format!("{:016x}", fnv1a(&manifest)),
+                served: format!("{:016x}", fnv1a(&served)),
+                lost_pages: report.counters.lost_pages,
+                gc_lost_pages: report.gc.lost_pages,
+                host_unrecoverable_reads: report.counters.host_unrecoverable_reads,
+                rmw_reads: report.counters.rmw_reads,
+                relocated_programs: report.flash.program_faults,
+            }
+        })
+        .collect()
+}
+
+/// Lost reads, lost old copies and relocated programs on every scheme: a
+/// refactor of any read that can lose its page must serve, stamp and
+/// count exactly what it did.
+#[test]
+fn faulted_devices_match_golden() {
+    let golden: Vec<FaultedCase> =
+        serde_json::from_str(&golden_json(FAULTED_GOLDEN_PATH, run_faulted))
+            .expect("faulted golden parses");
+    let got = run_faulted();
+    for case in &got {
+        assert!(
+            case.lost_pages > 0
+                && case.gc_lost_pages > 0
+                && case.host_unrecoverable_reads > 0
+                && case.rmw_reads > 0
+                && case.relocated_programs > 0,
+            "the golden must exercise every loss path: {case:?}"
+        );
+    }
+    assert_eq!(golden, got, "a faulted device drifted from the golden");
 }
