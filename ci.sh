@@ -32,18 +32,33 @@ else
     echo "clippy not installed; skipping (install via: rustup component add clippy)"
 fi
 
-say "core structure (one page-mapped core, the engine mode asked in one place)"
-# The page-mapped schemes are policies over crates/core/src/pagemap.rs and
-# no scheme forks on the map-engine mode; a copy of either creeping back
+say "core structure (one core under all four schemes, the engine mode asked in one place)"
+# Every scheme holds the shared core of crates/core/src/pagemap.rs and no
+# scheme forks on the map-engine mode; a copy of either creeping back
 # fails here rather than in review.
 [ -z "$(grep -rn '\.pipelined()' crates/core/src | grep -v '^crates/core/src/mapping/engine.rs:')" ] \
     || { echo "a scheme reads the map-engine mode (use MapEngine::issue_at)"; exit 1; }
 [ "$(grep -rn 'fn ensure_pmt' crates/core/src | wc -l)" -eq 1 ] \
     || { echo "the lazily allocated PMT has more than one owner"; exit 1; }
-# Across-FTL's area and gap-list reads and MRSM's piece loop may stamp an
-# acknowledged loss themselves; every other read is the core's.
-[ "$(grep -rn 'served_lost(' crates/core/src | grep -vc '^crates/core/src/\(scheme\|pagemap\).rs:')" -le 3 ] \
+# Non-test code of crates/core/src, one "file:line" per line.
+core_code=$(find crates/core/src -name '*.rs' ! -name reference.rs \
+    -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{print FILENAME":"$0}' {} +)
+# Every read of a mapped page is the core's serve_page.
+[ "$(grep -rnE 'served_(lost|from_page)\(' crates/core/src | grep -vc '^crates/core/src/\(scheme\|pagemap\).rs:')" -eq 0 ] \
     || { echo "a scheme re-implements the serve-a-mapped-page block"; exit 1; }
+# Every old-copy read takes its loss stamps from recover::read_old_copy.
+if grep -rnE 'version *[:=] *LOST_VERSION|lost_stamps_of\(' crates/core/src \
+    | grep -v '^crates/core/src/\(recover\|scheme\).rs:'; then
+    echo "a scheme stamps a lost old copy itself (use recover::read_old_copy)"; exit 1
+fi
+# One GC driver, one map engine and one touched set, all built by the core.
+for ctor in GcState::new MapEngine::new TouchedSet::new; do
+    [ "$(printf '%s\n' "$core_code" | grep -cF "$ctor")" -eq 1 ] \
+        || { echo "$ctor is called outside the shared core"; exit 1; }
+done
+# GC's one-to-one copy is the core's PageCopier.
+[ "$(printf '%s\n' "$core_code" | grep -v '^crates/core/src/gc.rs:' | grep -cF 'CopyMigrator(')" -le 1 ] \
+    || { echo "a scheme wraps CopyMigrator itself (use PageCopier::copy)"; exit 1; }
 # Crash recovery is one election into one image: a per-scheme image type or
 # a per-scheme branch outside the four constructor arms creeping back fails
 # here rather than in review.
@@ -54,12 +69,13 @@ fi
     || { echo "recovery.rs branches on SchemeKind beyond constructing the scheme"; exit 1; }
 # Non-test lines of crates/core/src (7 579 before the core existed): the
 # number ROADMAP item 5's target is held to; recovery.rs (671 when it
-# elected winners per scheme) beside it.
-printf 'crates/core/src non-test lines: '
-find crates/core/src -name '*.rs' ! -name reference.rs \
-    -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +
+# elected winners per scheme) and mrsm.rs (1 186 when it carried its own
+# copy of the core) beside it.
+printf 'crates/core/src non-test lines: %s\n' "$(printf '%s\n' "$core_code" | wc -l)"
 printf 'crates/core/src/recovery.rs non-test lines: '
 awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' crates/core/src/recovery.rs
+printf 'crates/core/src/mrsm.rs non-test lines: '
+awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' crates/core/src/mrsm.rs
 
 say "bench structure (one figure binary, one tracked bench, no host clock in BENCH files)"
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered

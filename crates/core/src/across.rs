@@ -18,23 +18,19 @@
 //! two); reads exceeding an area are **merged** (area + normal pages).
 
 use aftl_flash::{
-    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
+    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, StreamId,
 };
 
-use crate::counters::SchemeCounters;
-use crate::gc::{CopyMigrator, GcReport, PageMigrator};
+use crate::gc::{GcReport, PageMigrator};
 use crate::mapping::amt::{AcrossMapTable, AmtEntry};
-use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::MapEngineStats;
 use crate::mapping::pmt::NO_AIDX;
 use crate::obs::{SchemeEvent, SchemeEventKind};
-use crate::pagemap::{CoreMigrator, PageMapCore};
-use crate::recover::{program_relocating, read_with_retry, LOST_VERSION};
+use crate::pagemap::{scheme_core_methods, serve_page, CoreMigrator, PageMapCore};
+use crate::recover::{program_relocating, read_old_copy, PageStamps};
 use crate::recovery::{AreaImage, SchemeImage};
 use crate::request::{split_extents, HostRequest, ReqKind};
 use crate::scheme::{
-    served_after_read, served_unwritten, FtlEnv, FtlScheme, SchemeConfig, SchemeKind,
-    ServiceOutcome,
+    carry_range, stamp_range, FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome,
 };
 
 /// Modelled bytes per PMT entry (32-bit PPN + 16-bit AIdx reference):
@@ -69,9 +65,13 @@ pub struct AcrossFtl {
     /// Composite-operation log for the observability layer (`None` = off).
     event_log: Option<Vec<SchemeEvent>>,
     amt_entries_per_tpage: u64,
-    // Reusable read-path scratch (gap subtraction runs per extent; its
-    // capacity persists across requests so steady-state reads do not
-    // allocate).
+    // Reusable read-path scratch: per-LPN resolution times, the linked
+    // areas, the overlapping ones with their AMT resolution times, and the
+    // gap subtraction's two buffers. Capacity persists across requests so
+    // steady-state reads do not allocate.
+    scratch_lpn_ready: Vec<Nanos>,
+    scratch_aidxs: Vec<u32>,
+    scratch_areas: Vec<(AmtEntry, Nanos)>,
     scratch_gaps: Vec<(u64, u64)>,
     scratch_gaps_next: Vec<(u64, u64)>,
 }
@@ -94,6 +94,9 @@ impl AcrossFtl {
             amt: AcrossMapTable::new(),
             event_log: None,
             amt_entries_per_tpage: u64::from(geometry.page_bytes) / AMT_ENTRY_BYTES,
+            scratch_lpn_ready: Vec::new(),
+            scratch_aidxs: Vec::new(),
+            scratch_areas: Vec::new(),
             scratch_gaps: Vec::new(),
             scratch_gaps_next: Vec::new(),
         }
@@ -123,11 +126,7 @@ impl AcrossFtl {
             // page's OOB tag is that index, and GC resolves the tag
             // against the rebuilt table.
             ftl.amt.insert_at(a.aidx, entry);
-            for lpn in entry.first_lpn(spp)..=entry.last_lpn(spp) {
-                if ftl.core.pmt.in_range(lpn) {
-                    ftl.core.pmt.set_aidx(lpn, a.aidx);
-                }
-            }
+            ftl.set_links(a.aidx, &entry, spp, a.aidx);
         }
         ftl.sync_area_gauges();
         ftl
@@ -150,10 +149,7 @@ impl AcrossFtl {
         // AMT pages live in their own tpid namespace; their footprint is
         // reported from the AMT's slot storage, not the touched set.
         let tpid = AMT_TPID_BASE + u64::from(aidx) / self.amt_entries_per_tpage;
-        self.core.counters.dram_accesses += 1;
-        self.core
-            .engine
-            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
+        self.core.resolve(env, tpid, 1, dirty)
     }
 
     fn sync_area_gauges(&mut self) {
@@ -171,9 +167,9 @@ impl AcrossFtl {
         }
     }
 
-    /// Distinct areas linked from the LPNs in `[first, last]`.
-    fn areas_touching(&self, first_lpn: u64, last_lpn: u64) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Distinct areas linked from the LPNs in `[first, last]`, into `out`.
+    fn areas_touching(&self, first_lpn: u64, last_lpn: u64, out: &mut Vec<u32>) {
+        out.clear();
         for lpn in first_lpn..=last_lpn {
             if !self.core.pmt.in_range(lpn) {
                 continue;
@@ -183,22 +179,88 @@ impl AcrossFtl {
                 out.push(aidx);
             }
         }
-        out
     }
 
-    /// Clear the `AIdx` links of an area on the LPNs it spans.
-    fn clear_links(&mut self, aidx: u32, entry: &AmtEntry, spp: u32) {
+    /// Set the `AIdx` links of the LPNs area `aidx` spans to `to`: `aidx`
+    /// itself to link them, [`NO_AIDX`] to clear the ones still linked.
+    fn set_links(&mut self, aidx: u32, entry: &AmtEntry, spp: u32, to: u32) {
         for lpn in entry.first_lpn(spp)..=entry.last_lpn(spp) {
-            if self.core.pmt.in_range(lpn) && self.core.pmt.get(lpn).aidx == aidx {
-                self.core.pmt.set_aidx(lpn, NO_AIDX);
+            if self.core.pmt.in_range(lpn) && (to == aidx || self.core.pmt.get(lpn).aidx == aidx) {
+                self.core.pmt.set_aidx(lpn, to);
             }
         }
     }
 
-    /// Content stamps held by an area's flash page (index i ↔ sector
-    /// `start_sector + i`), if tracking is on.
-    fn area_stamps(env: &FtlEnv<'_>, entry: &AmtEntry) -> Option<Vec<Option<SectorStamp>>> {
-        env.array.content_of(entry.appn).map(|s| s.to_vec())
+    /// Program area `aidx`'s page for `size_sectors` sectors from
+    /// `start_sector`, carrying `stamps`, then point the AMT entry at it
+    /// and link the LPNs it spans. Returns when the program completed.
+    #[allow(clippy::too_many_arguments)]
+    fn program_area(
+        &mut self,
+        env: &mut FtlEnv<'_>,
+        aidx: u32,
+        start_sector: u64,
+        size_sectors: u32,
+        stamps: Option<PageStamps>,
+        ready: Nanos,
+    ) -> Result<Nanos> {
+        let (appn, w) = program_relocating(
+            env.array,
+            env.alloc,
+            None,
+            StreamId::Across,
+            PageKind::AcrossData,
+            u64::from(aidx),
+            env.sectors_to_bytes(size_sectors),
+            env.now_ns,
+            ready,
+        )?;
+        let oob = OobDesc::Area {
+            start_sector,
+            size_sectors,
+        };
+        env.array.annotate_oob(appn, oob);
+        if let Some(stamps) = stamps {
+            env.array.record_content(appn, stamps);
+        }
+        let entry = AmtEntry {
+            start_sector,
+            size_sectors,
+            appn,
+        };
+        self.amt.update(aidx, entry);
+        self.set_links(aidx, &entry, env.spp(), aidx);
+        Ok(w.complete_ns)
+    }
+
+    /// Retire area `aidx` (entry `a`): journal a kill record (tag + current
+    /// page seq) so recovery never resurrects it — neither this page nor
+    /// any older same-tag page that outlives it — then drop its page, its
+    /// links and its AMT entry.
+    fn retire_area(&mut self, env: &mut FtlEnv<'_>, aidx: u32, a: &AmtEntry) -> Result<()> {
+        let killed_seq = env.array.page_info(a.appn)?.seq;
+        env.array.oob_group_kill(u64::from(aidx), killed_seq);
+        env.array.invalidate(a.appn)?;
+        self.set_links(aidx, a, env.spp(), NO_AIDX);
+        self.amt.remove(aidx);
+        self.sync_area_gauges();
+        Ok(())
+    }
+
+    /// Read an area's old copy for a merge or rollback, counting a loss.
+    /// Its stamps are indexed from the area's first sector.
+    fn read_area(
+        &mut self,
+        env: &mut FtlEnv<'_>,
+        a: &AmtEntry,
+        ready: Nanos,
+    ) -> Result<(Nanos, Option<PageStamps>)> {
+        let bytes = env.sectors_to_bytes(a.size_sectors);
+        let (read, stamps) = read_old_copy(env.array, a.appn, bytes, env.now_ns, ready)?;
+        if read.is_lost() {
+            self.core.counters.lost_pages += 1;
+        }
+        Ok((read.complete_ns(), stamps))
     }
 
     // --- write paths --------------------------------------------------------
@@ -221,51 +283,16 @@ impl AcrossFtl {
         let amt_ready = self.amt_access(env, aidx, true)?;
         let ready = ready.max(amt_ready);
 
-        let bytes = env.sectors_to_bytes(req.sectors);
-        let (new_ppn, w) = program_relocating(
-            env.array,
-            env.alloc,
-            None,
-            StreamId::Across,
-            PageKind::AcrossData,
-            u64::from(aidx),
-            bytes,
-            env.now_ns,
-            ready,
-        )?;
-        env.array.annotate_oob(
-            new_ppn,
-            OobDesc::Area {
-                start_sector: req.sector,
-                size_sectors: req.sectors,
-            },
-        );
-        if env.array.tracks_content() {
-            let spp_usize = spp as usize;
-            let mut stamps = vec![None; spp_usize];
-            for i in 0..req.sectors {
-                stamps[i as usize] = Some(SectorStamp {
-                    sector: req.sector + u64::from(i),
-                    version: req.version,
-                });
-            }
-            env.array.record_content(new_ppn, stamps.into_boxed_slice());
-        }
-        self.amt.update(
-            aidx,
-            AmtEntry {
-                appn: new_ppn,
-                ..entry
-            },
-        );
-        let first = req.first_lpn(spp);
-        let last = req.last_lpn(spp);
-        debug_assert_eq!(last, first + 1);
-        self.core.pmt.set_aidx(first, aidx);
-        self.core.pmt.set_aidx(last, aidx);
+        let stamps = env.array.tracks_content().then(|| {
+            let mut stamps = vec![None; spp as usize];
+            let (s, e) = (req.sector, req.end_sector());
+            stamp_range(&mut stamps, s, s, e, req.version);
+            stamps.into_boxed_slice()
+        });
+        let done = self.program_area(env, aidx, req.sector, req.sectors, stamps, ready)?;
         self.core.counters.across_direct_writes += 1;
         self.sync_area_gauges();
-        Ok(w.complete_ns)
+        Ok(done)
     }
 
     /// AMerge: merge `req` into area `aidx`; the union must fit in one page
@@ -290,97 +317,38 @@ impl AcrossFtl {
 
         // Merge needs the old area's data only when the update does not
         // fully re-cover it — re-writing the same range (the common hot-
-        // update case) skips the read entirely.
+        // update case) skips the read, and the update then overwrites every
+        // old stamp. A lost old area carries its loss stamps into the
+        // merged page, so later reads report the acknowledged loss instead
+        // of stale data.
         let needs_read = !(req.sector <= a.start_sector && a.end_sector() <= req.end_sector());
-        let mut lost_old = false;
-        let data_ready = if needs_read {
-            let r = read_with_retry(
-                env.array,
-                a.appn,
-                env.sectors_to_bytes(a.size_sectors),
-                env.now_ns,
-                ready,
-            )?;
-            if r.is_lost() {
-                lost_old = true;
-                self.core.counters.lost_pages += 1;
-            }
-            r.complete_ns()
+        let (data_ready, old) = if needs_read {
+            self.read_area(env, &a, ready)?
         } else {
-            ready
+            (ready, None)
         };
-        let mut stamps_opt = None;
-        if env.array.tracks_content() {
-            let mut old = Self::area_stamps(env, &a);
-            if lost_old {
-                // The carried-over sectors are unrecoverable; stamp them as
-                // an acknowledged loss, not stale data.
-                if let Some(old) = old.as_mut() {
-                    for s in old.iter_mut().flatten() {
-                        s.version = LOST_VERSION;
-                    }
-                }
-            }
+        let stamps = env.array.tracks_content().then(|| {
             let mut stamps = vec![None; spp as usize];
             if let Some(old) = old {
-                for i in 0..a.size_sectors as usize {
-                    let dst = (a.start_sector - union_start) as usize + i;
-                    stamps[dst] = old.get(i).copied().flatten();
-                }
+                let (start, end) = (a.start_sector, a.end_sector());
+                carry_range(&mut stamps, union_start, &old, start, start, end);
             }
-            for i in 0..req.sectors {
-                let dst = (req.sector - union_start) as usize + i as usize;
-                stamps[dst] = Some(SectorStamp {
-                    sector: req.sector + u64::from(i),
-                    version: req.version,
-                });
-            }
-            stamps_opt = Some(stamps.into_boxed_slice());
-        }
-        let (new_ppn, w) = program_relocating(
-            env.array,
-            env.alloc,
-            None,
-            StreamId::Across,
-            PageKind::AcrossData,
-            u64::from(aidx),
-            env.sectors_to_bytes(union_size),
-            env.now_ns,
-            data_ready,
-        )?;
-        env.array.annotate_oob(
-            new_ppn,
-            OobDesc::Area {
-                start_sector: union_start,
-                size_sectors: union_size,
-            },
-        );
-        if let Some(stamps) = stamps_opt {
-            env.array.record_content(new_ppn, stamps);
-        }
-        env.array.invalidate(a.appn)?;
-        self.amt.update(
-            aidx,
-            AmtEntry {
-                start_sector: union_start,
-                size_sectors: union_size,
-                appn: new_ppn,
-            },
-        );
+            let (s, e) = (req.sector, req.end_sector());
+            stamp_range(&mut stamps, union_start, s, e, req.version);
+            stamps.into_boxed_slice()
+        });
         // The union spans the same two LPNs (it contains the old area's
         // page boundary and fits in one page).
-        let first = union_start / u64::from(spp);
-        let last = (union_end - 1) / u64::from(spp);
-        self.core.pmt.set_aidx(first, aidx);
-        self.core.pmt.set_aidx(last, aidx);
+        let done = self.program_area(env, aidx, union_start, union_size, stamps, data_ready)?;
+        env.array.invalidate(a.appn)?;
         if profitable {
             self.core.counters.profitable_amerge += 1;
         } else {
             self.core.counters.unprofitable_amerge += 1;
         }
-        self.log_event(SchemeEventKind::AMerge, env.now_ns, w.complete_ns);
+        self.log_event(SchemeEventKind::AMerge, env.now_ns, done);
         self.sync_area_gauges();
-        Ok(w.complete_ns)
+        Ok(done)
     }
 
     /// ARollback: fold area `aidx` back into normally mapped pages,
@@ -399,31 +367,8 @@ impl AcrossFtl {
         let ready = ready.max(amt_ready);
 
         // Read the across-page area once.
-        let r = read_with_retry(
-            env.array,
-            a.appn,
-            env.sectors_to_bytes(a.size_sectors),
-            env.now_ns,
-            ready,
-        )?;
-        if r.is_lost() {
-            self.core.counters.lost_pages += 1;
-        }
-        let area_ready = r.complete_ns();
+        let (area_ready, area_stamps) = self.read_area(env, &a, ready)?;
         let mut done = area_ready;
-        let area_stamps = if env.array.tracks_content() {
-            let mut stamps = Self::area_stamps(env, &a);
-            if r.is_lost() {
-                if let Some(stamps) = stamps.as_mut() {
-                    for s in stamps.iter_mut().flatten() {
-                        s.version = LOST_VERSION;
-                    }
-                }
-            }
-            stamps
-        } else {
-            None
-        };
 
         // The range to re-write normally: the area plus the update.
         let (fold_start, fold_end) = match update {
@@ -437,7 +382,7 @@ impl AcrossFtl {
         // Unlink the area *before* programming so the extent program's
         // RMW path sees consistent state; the physical page stays readable
         // until invalidated below.
-        self.clear_links(aidx, &a, spp);
+        self.set_links(aidx, &a, spp, NO_AIDX);
 
         for extent in split_extents(fold_start, fold_end, spp) {
             let ext_ready = self.core.map_access(env, extent.lpn, true)?.max(area_ready);
@@ -445,39 +390,22 @@ impl AcrossFtl {
             // then the update — newest last.
             let stamps_override = if env.array.tracks_content() {
                 let old_ppn = self.core.pmt.get(extent.lpn).ppn;
-                let mut stamps: Vec<Option<SectorStamp>> = match old_ppn.is_valid() {
-                    true => env
-                        .array
-                        .content_of(old_ppn)
-                        .map(|s| s.to_vec())
-                        .unwrap_or_else(|| vec![None; spp as usize]),
-                    false => vec![None; spp as usize],
-                };
+                let old = old_ppn
+                    .is_valid()
+                    .then(|| env.array.content_of(old_ppn))
+                    .flatten();
+                let mut stamps = old.map_or_else(|| vec![None; spp as usize], <[_]>::to_vec);
                 stamps.resize(spp as usize, None);
                 let page_start = extent.lpn * u64::from(spp);
-                // Area data overlay.
-                if let Some(ref area) = area_stamps {
-                    let ov_start = a.start_sector.max(page_start);
-                    let ov_end = a.end_sector().min(page_start + u64::from(spp));
-                    let mut s = ov_start;
-                    while s < ov_end {
-                        stamps[(s - page_start) as usize] =
-                            area.get((s - a.start_sector) as usize).copied().flatten();
-                        s += 1;
-                    }
+                let page_end = page_start + u64::from(spp);
+                if let Some(area) = &area_stamps {
+                    let (start, end) =
+                        (a.start_sector.max(page_start), a.end_sector().min(page_end));
+                    carry_range(&mut stamps, page_start, area, a.start_sector, start, end);
                 }
-                // Update overlay.
                 if let Some(u) = update {
-                    let ov_start = u.sector.max(page_start);
-                    let ov_end = u.end_sector().min(page_start + u64::from(spp));
-                    let mut s = ov_start;
-                    while s < ov_end {
-                        stamps[(s - page_start) as usize] = Some(SectorStamp {
-                            sector: s,
-                            version: u.version,
-                        });
-                        s += 1;
-                    }
+                    let (start, end) = (u.sector.max(page_start), u.end_sector().min(page_end));
+                    stamp_range(&mut stamps, page_start, start, end, u.version);
                 }
                 Some(stamps.into_boxed_slice())
             } else {
@@ -490,31 +418,19 @@ impl AcrossFtl {
             done = done.max(w);
         }
 
-        // The fold-back deliberately retires the area: journal a kill
-        // record (tag + current page seq) so recovery never resurrects it —
-        // neither this page nor any older same-tag page that outlives it.
-        let killed_seq = env.array.page_info(a.appn)?.seq;
-        env.array.oob_group_kill(u64::from(aidx), killed_seq);
-        env.array.invalidate(a.appn)?;
-        self.amt.remove(aidx);
+        // The fold-back deliberately retires the area.
+        self.retire_area(env, aidx, &a)?;
         self.core.counters.arollbacks += 1;
         self.log_event(SchemeEventKind::ARollback, env.now_ns, done);
-        self.sync_area_gauges();
         Ok(done)
     }
 
     /// Drop an area whose entire range is superseded by `req` (no data
     /// movement needed).
     fn drop_area(&mut self, env: &mut FtlEnv<'_>, aidx: u32) -> Result<Nanos> {
-        let spp = env.spp();
         let a = self.amt.get(aidx).expect("drop of live area");
         let ready = self.amt_access(env, aidx, true)?;
-        let killed_seq = env.array.page_info(a.appn)?.seq;
-        env.array.oob_group_kill(u64::from(aidx), killed_seq);
-        env.array.invalidate(a.appn)?;
-        self.clear_links(aidx, &a, spp);
-        self.amt.remove(aidx);
-        self.sync_area_gauges();
+        self.retire_area(env, aidx, &a)?;
         Ok(ready)
     }
 
@@ -525,7 +441,8 @@ impl AcrossFtl {
         let mut ready = self.core.map_access(env, lpn1, true)?;
         ready = ready.max(self.core.map_access(env, lpn2, true)?);
 
-        let areas = self.areas_touching(lpn1, lpn2);
+        let mut areas = Vec::new();
+        self.areas_touching(lpn1, lpn2, &mut areas);
         match areas.as_slice() {
             [] => self.direct_write(env, req, ready),
             [aidx] => {
@@ -572,7 +489,8 @@ impl AcrossFtl {
         // parallel exactly like the baseline's sub-requests.
         let mut reconcile_done = env.now_ns;
 
-        let areas = self.areas_touching(req.first_lpn(spp), req.last_lpn(spp));
+        let mut areas = Vec::new();
+        self.areas_touching(req.first_lpn(spp), req.last_lpn(spp), &mut areas);
         for aidx in areas {
             let a = self.amt.get(aidx).expect("linked area is live");
             if s <= a.start_sector && a.end_sector() <= e {
@@ -635,24 +553,24 @@ impl PageMigrator for AreaMigrator<'_> {
         if info.kind != PageKind::AcrossData {
             return self.core.migrate(array, alloc, now, old, info, report);
         }
-        let mut copy = CopyMigrator(
-            |array: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
-                self.core.counters.dram_accesses += 1;
-                let aidx = info.tag as u32;
-                let mut e = self.amt.get(aidx).expect("GC migrated a dead area page");
-                debug_assert_eq!(e.appn, old);
-                e.appn = new;
-                self.amt.update(aidx, e);
-                array.annotate_oob(
-                    new,
-                    OobDesc::Area {
-                        start_sector: e.start_sector,
-                        size_sectors: e.size_sectors,
-                    },
-                );
-            },
-        );
-        copy.migrate(array, alloc, now, old, info, report)
+        let amt = &mut *self.amt;
+        let remap = |array: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
+            let aidx = info.tag as u32;
+            let mut e = amt.get(aidx).expect("GC migrated a dead area page");
+            debug_assert_eq!(e.appn, old);
+            e.appn = new;
+            amt.update(aidx, e);
+            array.annotate_oob(
+                new,
+                OobDesc::Area {
+                    start_sector: e.start_sector,
+                    size_sectors: e.size_sectors,
+                },
+            );
+        };
+        self.core
+            .copier
+            .copy(array, alloc, now, old, info, report, remap)
     }
 }
 
@@ -681,7 +599,6 @@ impl FtlScheme for AcrossFtl {
         self.core.counters.host_reads += 1;
         self.core.engine.begin_batch(env.now_ns);
         let spp = env.spp();
-        let track = env.array.tracks_content();
         let (s, e) = (req.sector, req.end_sector());
         let (lpn1, lpn2) = (req.first_lpn(spp), req.last_lpn(spp));
         let mut outcome = ServiceOutcome::default();
@@ -690,50 +607,49 @@ impl FtlScheme for AcrossFtl {
         // issue each page read at its own resolution time rather than the
         // request-wide maximum.
         let mut ready = env.now_ns;
-        let mut lpn_ready: Vec<Nanos> = Vec::with_capacity((lpn2 - lpn1 + 1) as usize);
+        let mut lpn_ready = std::mem::take(&mut self.scratch_lpn_ready);
+        lpn_ready.clear();
         for lpn in lpn1..=lpn2 {
             let t = self.core.map_access(env, lpn, false)?;
             lpn_ready.push(t);
             ready = ready.max(t);
         }
-        let areas: Vec<(u32, AmtEntry)> = self
-            .areas_touching(lpn1, lpn2)
-            .into_iter()
-            .map(|i| (i, self.amt.get(i).expect("linked area is live")))
-            .filter(|(_, a)| a.overlaps(s, e))
-            .collect();
-        let mut area_ready: Vec<Nanos> = Vec::with_capacity(areas.len());
-        for (aidx, _) in &areas {
-            let t = self.amt_access(env, *aidx, false)?;
-            area_ready.push(t);
-            ready = ready.max(t);
+        // The overlapping areas, each with its AMT resolution time.
+        let mut linked = std::mem::take(&mut self.scratch_aidxs);
+        self.areas_touching(lpn1, lpn2, &mut linked);
+        let mut areas = std::mem::take(&mut self.scratch_areas);
+        areas.clear();
+        for &aidx in &linked {
+            let a = self.amt.get(aidx).expect("linked area is live");
+            if a.overlaps(s, e) {
+                let t = self.amt_access(env, aidx, false)?;
+                areas.push((a, t));
+                ready = ready.max(t);
+            }
         }
         outcome.merge_time(ready);
 
         // Serve the area-covered sub-ranges from the across pages.
         let mut flash_reads = 0u64;
         let mut any_lost = false;
-        for (i, (_, a)) in areas.iter().enumerate() {
+        for &(a, area_ready) in &areas {
             let ov_start = a.start_sector.max(s);
             let ov_end = a.end_sector().min(e);
-            let len = (ov_end - ov_start) as u32;
             // The area read depends on its AMT resolution and the PMT
             // lookups of the LPNs it bridges — not on resolutions for
             // unrelated parts of the request.
-            let mut own = area_ready[i];
+            let mut own = area_ready;
             for lpn in a.first_lpn(spp).max(lpn1)..=a.last_lpn(spp).min(lpn2) {
                 own = own.max(lpn_ready[(lpn - lpn1) as usize]);
             }
             let at = self.core.engine.issue_at(own, ready);
-            let bytes = env.sectors_to_bytes(len);
-            let r = read_with_retry(env.array, a.appn, bytes, env.now_ns, at)?;
+            let range = (
+                (ov_start - a.start_sector) as u32,
+                ov_start,
+                (ov_end - ov_start) as u32,
+            );
             flash_reads += 1;
-            outcome.merge_time(r.complete_ns());
-            any_lost |= r.is_lost();
-            if track {
-                let range = ((ov_start - a.start_sector) as u32, ov_start, len);
-                served_after_read(env.array, &r, a.appn, [range], &mut outcome.served);
-            }
+            any_lost |= serve_page(env, a.appn, [range], at, &mut outcome)?;
         }
 
         // Serve the rest from normally mapped pages, one read per LPN.
@@ -749,9 +665,9 @@ impl FtlScheme for AcrossFtl {
             // plus the AMT resolutions of any areas clipping its range (the
             // gap boundaries come from those entries).
             let mut dep = lpn_ready[(extent.lpn - lpn1) as usize];
-            for (i, (_, a)) in areas.iter().enumerate() {
+            for &(a, area_ready) in &areas {
                 if a.overlaps(ext_s, ext_e) {
-                    dep = dep.max(area_ready[i]);
+                    dep = dep.max(area_ready);
                 }
                 next.clear();
                 for &(gs, ge) in &gaps {
@@ -771,27 +687,18 @@ impl FtlScheme for AcrossFtl {
             if gaps.is_empty() {
                 continue;
             }
-            let entry = self.core.pmt.get(extent.lpn);
-            if entry.has_ppn() {
-                let covered: u64 = gaps.iter().map(|(gs, ge)| ge - gs).sum();
-                let at = self.core.engine.issue_at(dep, ready);
-                let bytes = env.sectors_to_bytes(covered as u32);
-                let r = read_with_retry(env.array, entry.ppn, bytes, env.now_ns, at)?;
+            let ppn = self.core.pmt.get(extent.lpn).ppn;
+            let at = if ppn.is_valid() {
                 flash_reads += 1;
-                outcome.merge_time(r.complete_ns());
-                any_lost |= r.is_lost();
-                if track {
-                    let page_start = extent.lpn * u64::from(spp);
-                    let ranges = gaps
-                        .iter()
-                        .map(|&(gs, ge)| ((gs - page_start) as u32, gs, (ge - gs) as u32));
-                    served_after_read(env.array, &r, entry.ppn, ranges, &mut outcome.served);
-                }
-            } else if track {
-                for (gs, ge) in &gaps {
-                    served_unwritten(*gs, (ge - gs) as u32, &mut outcome.served);
-                }
-            }
+                self.core.engine.issue_at(dep, ready)
+            } else {
+                dep
+            };
+            let page_start = extent.lpn * u64::from(spp);
+            let ranges = gaps
+                .iter()
+                .map(|&(gs, ge)| ((gs - page_start) as u32, gs, (ge - gs) as u32));
+            any_lost |= serve_page(env, ppn, ranges, at, &mut outcome)?;
         }
         self.scratch_gaps = gaps;
         self.scratch_gaps_next = next;
@@ -802,7 +709,7 @@ impl FtlScheme for AcrossFtl {
 
         // Classification (§3.3.2 / §4.2.1).
         if !areas.is_empty() {
-            let sole_area_covers = areas.len() == 1 && areas[0].1.contains(s, e);
+            let sole_area_covers = areas.len() == 1 && areas[0].0.contains(s, e);
             if sole_area_covers {
                 self.core.counters.across_direct_reads += 1;
             } else {
@@ -812,28 +719,13 @@ impl FtlScheme for AcrossFtl {
                     flash_reads.saturating_sub(conventional);
             }
         }
+        self.scratch_lpn_ready = lpn_ready;
+        self.scratch_aidxs = linked;
+        self.scratch_areas = areas;
         Ok(outcome)
     }
 
-    fn maybe_gc(&mut self, env: &mut FtlEnv<'_>) -> Result<GcReport> {
-        self.run_gc(env, None)
-    }
-
-    fn idle_gc(&mut self, env: &mut FtlEnv<'_>, max_pages: u64) -> Result<GcReport> {
-        self.run_gc(env, Some(max_pages))
-    }
-
-    fn counters(&self) -> &SchemeCounters {
-        &self.core.counters
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        *self.core.engine.cache_stats()
-    }
-
-    fn map_engine_stats(&self) -> MapEngineStats {
-        *self.core.engine.stats()
-    }
+    scheme_core_methods!();
 
     fn mapping_table_bytes(&self) -> u64 {
         // PMT translation pages touched + the AMT slot storage (allocated in
@@ -841,10 +733,6 @@ impl FtlScheme for AcrossFtl {
         let page_bytes = u64::from(self.core.page_bytes);
         let amt_bytes = self.amt.capacity_slots() as u64 * AMT_ENTRY_BYTES;
         self.core.table_bytes() + amt_bytes.div_ceil(page_bytes) * page_bytes
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.core.cfg.logical_pages
     }
 
     fn set_event_log(&mut self, enabled: bool) {

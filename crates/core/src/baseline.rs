@@ -9,11 +9,8 @@
 
 use aftl_flash::Result;
 
-use crate::counters::SchemeCounters;
 use crate::gc::GcReport;
-use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::MapEngineStats;
-use crate::pagemap::PageMapCore;
+use crate::pagemap::{scheme_core_methods, PageMapCore};
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
@@ -46,6 +43,10 @@ impl BaselineFtl {
         image.assert_holds(ftl.kind(), false, false);
         ftl.core.load_pages(geometry, &image.pages);
         ftl
+    }
+
+    fn run_gc(&mut self, env: &mut FtlEnv<'_>, idle_budget: Option<u64>) -> Result<GcReport> {
+        self.core.collect(env, idle_budget)
     }
 }
 
@@ -84,32 +85,10 @@ impl FtlScheme for BaselineFtl {
         Ok(outcome)
     }
 
-    fn maybe_gc(&mut self, env: &mut FtlEnv<'_>) -> Result<GcReport> {
-        self.core.collect(env, None)
-    }
-
-    fn idle_gc(&mut self, env: &mut FtlEnv<'_>, max_pages: u64) -> Result<GcReport> {
-        self.core.collect(env, Some(max_pages))
-    }
-
-    fn counters(&self) -> &SchemeCounters {
-        &self.core.counters
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        *self.core.engine.cache_stats()
-    }
-
-    fn map_engine_stats(&self) -> MapEngineStats {
-        *self.core.engine.stats()
-    }
+    scheme_core_methods!();
 
     fn mapping_table_bytes(&self) -> u64 {
         self.core.table_bytes()
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.core.cfg.logical_pages
     }
 
     fn capture_image(&self) -> SchemeImage {

@@ -44,7 +44,7 @@
 //! Cost-benefit and windowed need global ranks, so they enumerate the
 //! index once at episode start and sort.
 
-use crate::recover::{lost_stamps_of, program_relocating, read_with_retry};
+use crate::recover::{program_relocating, read_old_copy};
 use aftl_flash::{
     Allocator, BlockAddr, FlashArray, FlashError, Nanos, PageInfo, Ppn, Result, StreamId,
 };
@@ -195,14 +195,16 @@ impl GcReport {
 
 /// How a scheme relocates the valid pages of GC victims.
 ///
-/// The default [`CopyMigrator`] copies pages one-to-one; schemes with
-/// sub-page layouts (MRSM) provide their own migrator so sparse region
-/// pages are *repacked* during collection instead of being copied sparse —
+/// The default [`CopyMigrator`] copies pages one-to-one; every scheme's
+/// migrator reaches it for that arm through the shared core's `PageCopier`,
+/// which also remaps `Map` pages. Two schemes add their own: MRSM *repacks*
+/// sparse region pages during collection instead of copying them sparse —
 /// without this, sub-page fragmentation would permanently inflate the
-/// valid-data footprint.
+/// valid-data footprint — and Learned-FTL buffers data pages and reprograms
+/// them LPN-sorted, so relocation recreates the runs its model learns.
 ///
-/// Preemption contract: `migrate` must invalidate *only* `old` (all three
-/// in-tree migrators do). The episode machine re-checks a page's validity
+/// Preemption contract: `migrate` must invalidate *only* `old` (every
+/// in-tree migrator does). The episode machine re-checks a page's validity
 /// when resuming after a pause, which is sound exactly because sibling
 /// pages of the same victim are never invalidated as a side effect.
 pub trait PageMigrator {
@@ -252,8 +254,8 @@ where
         report: &mut GcReport,
     ) -> Result<u64> {
         let page_bytes = array.geometry().page_bytes;
-        let r = read_with_retry(array, old, page_bytes, now, now)?;
-        if r.is_lost() {
+        let (read, stamps) = read_old_copy(array, old, page_bytes, now, now)?;
+        if read.is_lost() {
             report.lost_pages += 1;
         }
         // Stripe migrated pages across planes: the program (2 ms) dominates
@@ -269,17 +271,10 @@ where
             info.tag,
             page_bytes,
             now,
-            r.complete_ns(),
+            read.complete_ns(),
         )?;
-        if array.tracks_content() {
-            let stamps = if r.is_lost() {
-                lost_stamps_of(array, old)
-            } else {
-                array.content_of(old).map(|s| s.to_vec().into_boxed_slice())
-            };
-            if let Some(stamps) = stamps {
-                array.record_content(new_ppn, stamps);
-            }
+        if let Some(stamps) = stamps {
+            array.record_content(new_ppn, stamps);
         }
         array.invalidate(old)?;
         (self.0)(array, old, new_ppn, info);

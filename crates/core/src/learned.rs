@@ -56,12 +56,9 @@ use aftl_flash::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::counters::SchemeCounters;
 use crate::gc::{GcReport, PageMigrator};
-use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::MapEngineStats;
-use crate::pagemap::{CoreMigrator, PageMapCore};
-use crate::recover::{lost_stamps_of, program_relocating, read_with_retry};
+use crate::pagemap::{scheme_core_methods, CoreMigrator, PageMapCore};
+use crate::recover::{program_relocating, read_old_copy, read_with_retry};
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
@@ -956,25 +953,7 @@ impl FtlScheme for LearnedFtl {
         Ok(outcome)
     }
 
-    fn maybe_gc(&mut self, env: &mut FtlEnv<'_>) -> Result<GcReport> {
-        self.run_gc(env, None)
-    }
-
-    fn idle_gc(&mut self, env: &mut FtlEnv<'_>, max_pages: u64) -> Result<GcReport> {
-        self.run_gc(env, Some(max_pages))
-    }
-
-    fn counters(&self) -> &SchemeCounters {
-        &self.core.counters
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        *self.core.engine.cache_stats()
-    }
-
-    fn map_engine_stats(&self) -> MapEngineStats {
-        *self.core.engine.stats()
-    }
+    scheme_core_methods!();
 
     fn learned_stats(&self) -> LearnedStats {
         self.stats
@@ -984,10 +963,6 @@ impl FtlScheme for LearnedFtl {
         // PMT tpage footprint (the fallback is still a full DFTL table)
         // plus the modelled segment-store bytes.
         self.core.table_bytes() + self.model.store.model_bytes()
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.core.cfg.logical_pages
     }
 
     fn capture_image(&self) -> SchemeImage {
@@ -1040,22 +1015,15 @@ impl PageMigrator for LearnedMigrator<'_> {
             return self.core.migrate(array, alloc, now, old, info, report);
         }
         let page_bytes = array.geometry().page_bytes;
-        let r = read_with_retry(array, old, page_bytes, now, now)?;
-        if r.is_lost() {
+        let (read, stamps) = read_old_copy(array, old, page_bytes, now, now)?;
+        if read.is_lost() {
             report.lost_pages += 1;
         }
-        let stamps = if !array.tracks_content() {
-            None
-        } else if r.is_lost() {
-            lost_stamps_of(array, old)
-        } else {
-            array.content_of(old).map(|s| s.to_vec().into_boxed_slice())
-        };
         array.invalidate(old)?;
         self.buf.push(BufferedPage {
             lpn: info.tag,
             stamps,
-            read_done: r.complete_ns(),
+            read_done: read.complete_ns(),
         });
         // Programs are counted when `finish` flushes the buffer.
         Ok(0)
@@ -1088,12 +1056,10 @@ impl PageMigrator for LearnedMigrator<'_> {
                 now,
                 page.read_done,
             )?;
-            if array.tracks_content() {
-                if let Some(stamps) = page.stamps {
-                    array.record_content(new_ppn, stamps);
-                }
+            if let Some(stamps) = page.stamps {
+                array.record_content(new_ppn, stamps);
             }
-            self.core.counters.dram_accesses += 1;
+            self.core.copier.counters.dram_accesses += 1;
             let prev = self.core.pmt.set_ppn(page.lpn, new_ppn);
             // `prev` was invalidated in `migrate`; only the mapping moves.
             debug_assert!(prev.is_valid(), "GC migrated an unmapped data page");

@@ -18,16 +18,14 @@ use aftl_flash::{
     Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
 };
 
-use crate::counters::SchemeCounters;
-use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState, PageMigrator};
-use crate::mapping::cache::CacheStats;
-use crate::mapping::engine::{MapEngine, MapEngineStats};
-use crate::mapping::touched::TouchedSet;
-use crate::recover::{lost_stamps_of, program_relocating, read_with_retry, PageRead, LOST_VERSION};
+use crate::gc::{GcReport, PageMigrator};
+use crate::pagemap::{scheme_core_methods, serve_page, PageCopier, SchemeCore};
+use crate::recover::{program_relocating, read_old_copy, PageStamps};
 use crate::recovery::SchemeImage;
-use crate::request::{HostRequest, ReqKind};
+use crate::request::{HostRequest, PageExtent, ReqKind};
 use crate::scheme::{
-    served_unwritten, FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome,
+    carry_range, extent_stamps, served_unwritten, stamp_range, FtlEnv, FtlScheme, SchemeConfig,
+    SchemeKind, ServiceOutcome,
 };
 
 /// Sub-regions per page (MRSM's default granularity).
@@ -374,24 +372,16 @@ impl ResidentTable {
 
 /// The MRSM scheme.
 pub struct MrsmFtl {
-    cfg: SchemeConfig,
-    gc: GcState,
+    core: SchemeCore,
     map: LpnTable,
     /// Live sub-regions resident on each flash page (reverse map used for
     /// slot-wise invalidation and GC remapping).
     residents: ResidentTable,
-    engine: MapEngine,
-    counters: SchemeCounters,
-    touched_tpages: TouchedSet,
-    entries_per_tpage: u64,
-    page_bytes: u32,
     // Reusable per-request scratch (capacity persists across requests so
     // the hot path stays allocation-free).
     scratch_pending: Vec<SubWrite>,
     scratch_old_reads: Vec<(Ppn, Nanos)>,
     scratch_pieces: Vec<Piece>,
-    scratch_read_pages: Vec<(Ppn, Nanos)>,
-    scratch_lost: Vec<Ppn>,
     /// The repack buffer, lent to each [`MrsmMigrator`] and kept between
     /// collections so steady-state GC allocates nothing.
     gc_pending: Vec<PendingSub>,
@@ -406,27 +396,13 @@ impl MrsmFtl {
             geometry.total_pages(),
             cfg.logical_pages
         );
-        let page_bytes = geometry.page_bytes;
-        let engine = MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline);
         MrsmFtl {
-            gc: GcState::new(GcConfig {
-                threshold: cfg.gc_threshold,
-                hysteresis: cfg.gc_hysteresis,
-                tuning: cfg.gc,
-            }),
-            cfg,
+            core: SchemeCore::new(geometry, cfg, ENTRY_BYTES),
             map: LpnTable::default(),
             residents: ResidentTable::for_device(geometry.total_pages()),
-            engine,
-            counters: SchemeCounters::default(),
-            touched_tpages: TouchedSet::new(),
-            entries_per_tpage: u64::from(page_bytes) / ENTRY_BYTES,
-            page_bytes,
             scratch_pending: Vec::new(),
             scratch_old_reads: Vec::new(),
             scratch_pieces: Vec::new(),
-            scratch_read_pages: Vec::new(),
-            scratch_lost: Vec::new(),
             gc_pending: Vec::new(),
         }
     }
@@ -443,25 +419,15 @@ impl MrsmFtl {
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
         image.assert_holds(ftl.kind(), true, false);
-        let check = |lpn: u64, ppn: Ppn| {
-            assert!(
-                lpn < cfg.logical_pages,
-                "image maps lpn {lpn}, off the device"
-            );
-            assert!(
-                ppn.0 < geometry.total_pages(),
-                "image maps lpn {lpn} to {ppn:?}, off the device"
-            );
-        };
         for &(lpn, ppn) in &image.pages {
-            check(lpn, ppn);
+            ftl.core.assert_on_device(geometry, lpn, ppn);
             ftl.map.set(lpn, LpnMap::Page(ppn));
         }
         for &(lpn, slots) in &image.subs {
             let mut locs = [SubLoc::NONE; SUBS_PER_PAGE as usize];
             for (sub, loc) in slots.iter().enumerate() {
                 if let Some((ppn, slot)) = *loc {
-                    check(lpn, ppn);
+                    ftl.core.assert_on_device(geometry, lpn, ppn);
                     locs[sub] = SubLoc { ppn, slot };
                     ftl.residents.push(ppn, lpn, sub as u32);
                 }
@@ -488,16 +454,15 @@ impl MrsmFtl {
         // behind; the next collection starts, as a new migrator always
         // has, empty.
         self.gc_pending.clear();
+        let (gc, copier) = self.core.gc_parts();
         let mut migrator = MrsmMigrator {
+            copier,
             map: &mut self.map,
             residents: &mut self.residents,
-            engine: &mut self.engine,
-            counters: &mut self.counters,
             pending: &mut self.gc_pending,
             spp,
         };
-        self.gc
-            .collect(env.array, env.alloc, env.now_ns, idle_budget, &mut migrator)
+        gc.collect(env.array, env.alloc, env.now_ns, idle_budget, &mut migrator)
     }
 
     /// Tree-lookup cost in DRAM accesses: one probe per level.
@@ -506,21 +471,15 @@ impl MrsmFtl {
         64 - n.leading_zeros() as u64
     }
 
+    #[inline]
     fn map_access(&mut self, env: &mut FtlEnv<'_>, lpn: u64, dirty: bool) -> Result<Nanos> {
         // Table-size accounting is entry-based (Figure 12(a))...
-        self.touched_tpages.insert(lpn / self.entries_per_tpage);
-        self.counters.dram_accesses += self.tree_depth();
+        self.core.touch(lpn);
         // ...but cache traffic is leaf-granular and scattered: hash the
         // leaf id so neighbouring leaves do not share a cache slot.
         let tpid = splitmix64(lpn / LEAF_LPNS);
-        self.engine
-            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
-    }
-
-    /// Current location of a sub-region.
-    #[inline]
-    fn loc_of(&self, lpn: u64, sub: u32) -> Option<SubLoc> {
-        self.map.loc(lpn, sub)
+        let depth = self.tree_depth();
+        self.core.resolve(env, tpid, depth, dirty)
     }
 
     /// Remove a sub-region from the residents of the page it is at (`loc`,
@@ -557,21 +516,15 @@ impl MrsmFtl {
         Ok(())
     }
 
-    /// Point `lpn/sub` at a new location, converting a page-mapped node to
-    /// sub-mapped form if needed.
-    fn set_sub_loc(&mut self, lpn: u64, sub: u32, loc: SubLoc) {
-        set_sub_loc_parts(&mut self.map, &mut self.residents, lpn, sub, loc);
-    }
-
     /// Full-page write: back to page-mapped form.
     fn page_write(
         &mut self,
         env: &mut FtlEnv<'_>,
-        lpn: u64,
+        extent: &PageExtent,
         version: u64,
         ready: Nanos,
     ) -> Result<Nanos> {
-        let spp = env.spp();
+        let (lpn, spp) = (extent.lpn, env.spp());
         // Evict all old sub-region locations. A `Page` node owns all four
         // resident slots of its page and stores no set ([`ResidentSet`]),
         // so retiring it is the one invalidate the last of four evictions
@@ -583,14 +536,14 @@ impl MrsmFtl {
             }
             None => {
                 for sub in 0..SUBS_PER_PAGE {
-                    let loc = self.loc_of(lpn, sub);
+                    let loc = self.map.loc(lpn, sub);
                     self.evict_sub_at(env, lpn, sub, loc)?;
                 }
             }
         }
         // A full page depends on its own extent's resolution only, in
         // both engine modes.
-        let ready = self.engine.issue_at(ready, ready);
+        let ready = self.core.engine.issue_at(ready, ready);
         let (new_ppn, w) = program_relocating(
             env.array,
             env.alloc,
@@ -603,16 +556,8 @@ impl MrsmFtl {
             ready,
         )?;
         if env.array.tracks_content() {
-            let start = lpn * u64::from(spp);
-            let stamps: Vec<Option<SectorStamp>> = (0..spp)
-                .map(|i| {
-                    Some(SectorStamp {
-                        sector: start + u64::from(i),
-                        version,
-                    })
-                })
-                .collect();
-            env.array.record_content(new_ppn, stamps.into_boxed_slice());
+            let stamps = extent_stamps(spp, extent, version, None);
+            env.array.record_content(new_ppn, stamps);
         }
         self.map.set(lpn, LpnMap::Page(new_ppn));
         Ok(w.complete_ns)
@@ -674,8 +619,8 @@ impl FtlScheme for MrsmFtl {
 
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
-        self.counters.host_writes += 1;
-        self.engine.begin_batch(env.now_ns);
+        self.core.counters.host_writes += 1;
+        self.core.engine.begin_batch(env.now_ns);
         let spp = env.spp();
         let sub_sectors = u64::from(spp / SUBS_PER_PAGE);
         let mut outcome = ServiceOutcome::default();
@@ -687,7 +632,7 @@ impl FtlScheme for MrsmFtl {
             let t = self.map_access(env, extent.lpn, true)?;
             ready = ready.max(t);
             if extent.is_full_page(spp) {
-                let w = self.page_write(env, extent.lpn, req.version, t)?;
+                let w = self.page_write(env, &extent, req.version, t)?;
                 outcome.merge_time(w);
                 continue;
             }
@@ -706,7 +651,7 @@ impl FtlScheme for MrsmFtl {
                     ws: es.max(sub_start),
                     we: ee.min(sub_end),
                     ready: t,
-                    loc: self.loc_of(extent.lpn, sub as u32),
+                    loc: self.map.loc(extent.lpn, sub as u32),
                 });
             }
         }
@@ -725,7 +670,7 @@ impl FtlScheme for MrsmFtl {
         let track = env.array.tracks_content();
         let mut old_reads = std::mem::take(&mut self.scratch_old_reads);
         old_reads.clear();
-        let mut old_stamps: HashMap<Ppn, Vec<Option<SectorStamp>>> = HashMap::new();
+        let mut old_stamps: HashMap<Ppn, PageStamps> = HashMap::new();
         for sw in &pending {
             let sub_start = sw.lpn * u64::from(spp) + u64::from(sw.sub) * sub_sectors;
             let partial = sw.ws > sub_start || sw.we < sub_start + sub_sectors;
@@ -739,30 +684,17 @@ impl FtlScheme for MrsmFtl {
                 // The old-copy read depends only on the mapping resolution
                 // of the sub-write that needs it, not on the request's
                 // slowest resolution.
-                let at = self.engine.issue_at(sw.ready, ready);
-                let r = read_with_retry(
-                    env.array,
-                    loc.ppn,
-                    env.sectors_to_bytes(spp / SUBS_PER_PAGE),
-                    env.now_ns,
-                    at,
-                )?;
-                self.counters.rmw_reads += 1;
-                if r.is_lost() {
-                    self.counters.lost_pages += 1;
+                let at = self.core.engine.issue_at(sw.ready, ready);
+                let bytes = env.sectors_to_bytes(spp / SUBS_PER_PAGE);
+                let (read, stamps) = read_old_copy(env.array, loc.ppn, bytes, env.now_ns, at)?;
+                self.core.counters.rmw_reads += 1;
+                if read.is_lost() {
+                    self.core.counters.lost_pages += 1;
                 }
-                if track {
-                    if let Some(c) = env.array.content_of(loc.ppn) {
-                        let mut c = c.to_vec();
-                        if r.is_lost() {
-                            for s in c.iter_mut().flatten() {
-                                s.version = LOST_VERSION;
-                            }
-                        }
-                        old_stamps.insert(loc.ppn, c);
-                    }
+                if let Some(stamps) = stamps {
+                    old_stamps.insert(loc.ppn, stamps);
                 }
-                old_reads.push((loc.ppn, r.complete_ns()));
+                old_reads.push((loc.ppn, read.complete_ns()));
             }
         }
 
@@ -781,73 +713,47 @@ impl FtlScheme for MrsmFtl {
                     }
                 }
             }
-            let bytes = env.sectors_to_bytes(group.len() as u32 * (spp / SUBS_PER_PAGE));
-            // Stamps assembled before the old locations are evicted.
-            let stamps = if track {
+            // Stamps assembled before the old locations are evicted: each
+            // slot carries its sub-region's old copy, then the update.
+            let stamps = track.then(|| {
+                let sub_len = sub_sectors as usize;
                 let mut stamps = vec![None; spp as usize];
                 for (slot, sw) in group.iter().enumerate() {
                     let sub_start = sw.lpn * u64::from(spp) + u64::from(sw.sub) * sub_sectors;
-                    let slot_base = slot as u64 * sub_sectors;
-                    for i in 0..sub_sectors {
-                        let sector = sub_start + i;
-                        let dst = (slot_base + i) as usize;
-                        if sector >= sw.ws && sector < sw.we {
-                            stamps[dst] = Some(SectorStamp {
-                                sector,
-                                version: req.version,
-                            });
-                        } else if let Some(loc) = sw.loc {
-                            // Preserved from the old location.
-                            let src = u64::from(loc.slot) * sub_sectors + i;
-                            stamps[dst] = old_stamps
-                                .get(&loc.ppn)
-                                .and_then(|c| c.get(src as usize).copied().flatten());
-                        }
+                    let dst = &mut stamps[slot * sub_len..(slot + 1) * sub_len];
+                    if let Some((loc, old)) =
+                        sw.loc.and_then(|l| Some((l, old_stamps.get(&l.ppn)?)))
+                    {
+                        let src = &old[usize::from(loc.slot) * sub_len..];
+                        let (start, end) = (sub_start, sub_start + sub_sectors);
+                        carry_range(dst, sub_start, src, sub_start, start, end);
                     }
+                    stamp_range(dst, sub_start, sw.ws, sw.we, req.version);
                 }
-                Some(stamps.into_boxed_slice())
-            } else {
-                None
-            };
+                stamps.into_boxed_slice()
+            });
             let at = self
+                .core
                 .engine
                 .issue_at(own.max(old_read_done), ready.max(old_read_done));
-            let (new_ppn, w) = program_relocating(
+            let slots = group.iter().map(|sw| (sw.lpn, sw.sub));
+            let (new_ppn, done) = program_region(
                 env.array,
                 env.alloc,
-                None,
                 StreamId::Across,
-                PageKind::AcrossData,
-                group[0].lpn,
-                bytes,
+                slots,
+                stamps,
                 env.now_ns,
                 at,
             )?;
-            let mut oob_slots = [(0u64, 0u8); 4];
-            for (slot, sw) in group.iter().enumerate() {
-                oob_slots[slot] = (sw.lpn, sw.sub as u8);
-            }
-            env.array.annotate_oob(
-                new_ppn,
-                OobDesc::Slots {
-                    n: group.len() as u8,
-                    slots: oob_slots,
-                },
-            );
-            if let Some(stamps) = stamps {
-                env.array.record_content(new_ppn, stamps);
-            }
-            outcome.merge_time(w.complete_ns);
+            outcome.merge_time(done);
             for (slot, sw) in group.iter().enumerate() {
                 self.evict_sub_at(env, sw.lpn, sw.sub, sw.loc)?;
-                self.set_sub_loc(
-                    sw.lpn,
-                    sw.sub,
-                    SubLoc {
-                        ppn: new_ppn,
-                        slot: slot as u8,
-                    },
-                );
+                let loc = SubLoc {
+                    ppn: new_ppn,
+                    slot: slot as u8,
+                };
+                set_sub_loc(&mut self.map, &mut self.residents, sw.lpn, sw.sub, loc);
             }
         }
         self.scratch_pending = pending;
@@ -857,8 +763,8 @@ impl FtlScheme for MrsmFtl {
 
     fn read(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Read);
-        self.counters.host_reads += 1;
-        self.engine.begin_batch(env.now_ns);
+        self.core.counters.host_reads += 1;
+        self.core.engine.begin_batch(env.now_ns);
         let spp = env.spp();
         let sub_sectors = u64::from(spp / SUBS_PER_PAGE);
         let track = env.array.tracks_content();
@@ -880,7 +786,7 @@ impl FtlScheme for MrsmFtl {
                 let sub_start = page_start + sub * sub_sectors;
                 let rs = es.max(sub_start);
                 let re = ee.min(sub_start + sub_sectors);
-                match self.loc_of(extent.lpn, sub as u32) {
+                match self.map.loc(extent.lpn, sub as u32) {
                     Some(loc) => pieces.push(Piece {
                         ppn: loc.ppn,
                         page_offset: (u64::from(loc.slot) * sub_sectors + (rs - sub_start)) as u32,
@@ -898,88 +804,33 @@ impl FtlScheme for MrsmFtl {
         }
         outcome.merge_time(ready);
 
-        // One flash read per distinct page (distinct pages ≤ pieces, a
-        // handful — linear dedup).
-        let mut read_pages = std::mem::take(&mut self.scratch_read_pages);
-        read_pages.clear();
-        let mut lost_pages = std::mem::take(&mut self.scratch_lost);
-        lost_pages.clear();
-        for p in &pieces {
-            if read_pages.iter().any(|&(pp, _)| pp == p.ppn) {
+        // One flash read per distinct page, serving every piece on it
+        // (distinct pages ≤ pieces, a handful — linear dedup).
+        let mut any_lost = false;
+        for (i, p) in pieces.iter().enumerate() {
+            if pieces[..i].iter().any(|q| q.ppn == p.ppn) {
                 continue;
             }
-            let (total, page_ready) = pieces
-                .iter()
-                .filter(|q| q.ppn == p.ppn)
-                .fold((0u32, env.now_ns), |(t, a), q| (t + q.len, a.max(q.ready)));
+            let on_page = pieces[i..].iter().filter(|q| q.ppn == p.ppn);
             // Each page read depends only on the resolutions of the pieces
             // it serves; issued then, it overlaps with map misses still in
             // flight on other chips.
-            let at = self.engine.issue_at(page_ready, ready);
-            let r = read_with_retry(
-                env.array,
-                p.ppn,
-                env.sectors_to_bytes(total),
-                env.now_ns,
-                at,
-            )?;
-            if let PageRead::Lost { .. } = r {
-                lost_pages.push(p.ppn);
-            }
-            read_pages.push((p.ppn, r.complete_ns()));
-            outcome.merge_time(r.complete_ns());
+            let page_ready = on_page.clone().fold(env.now_ns, |a, q| a.max(q.ready));
+            let at = self.core.engine.issue_at(page_ready, ready);
+            let ranges = on_page.map(|q| (q.page_offset, q.sector, q.len));
+            any_lost |= serve_page(env, p.ppn, ranges, at, &mut outcome)?;
         }
-        if !lost_pages.is_empty() {
-            self.counters.host_unrecoverable_reads += 1;
-        }
-        if track {
-            for p in &pieces {
-                if lost_pages.contains(&p.ppn) {
-                    crate::scheme::served_lost(p.sector, p.len, &mut outcome.served);
-                } else {
-                    crate::scheme::served_from_page(
-                        env.array,
-                        p.ppn,
-                        p.page_offset,
-                        p.sector,
-                        p.len,
-                        &mut outcome.served,
-                    );
-                }
-            }
+        if any_lost {
+            self.core.counters.host_unrecoverable_reads += 1;
         }
         self.scratch_pieces = pieces;
-        self.scratch_read_pages = read_pages;
-        self.scratch_lost = lost_pages;
         Ok(outcome)
     }
 
-    fn maybe_gc(&mut self, env: &mut FtlEnv<'_>) -> Result<GcReport> {
-        self.run_gc(env, None)
-    }
-
-    fn idle_gc(&mut self, env: &mut FtlEnv<'_>, max_pages: u64) -> Result<GcReport> {
-        self.run_gc(env, Some(max_pages))
-    }
-
-    fn counters(&self) -> &SchemeCounters {
-        &self.counters
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        *self.engine.cache_stats()
-    }
-
-    fn map_engine_stats(&self) -> MapEngineStats {
-        *self.engine.stats()
-    }
+    scheme_core_methods!();
 
     fn mapping_table_bytes(&self) -> u64 {
-        self.touched_tpages.len() * u64::from(self.page_bytes)
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.cfg.logical_pages
+        self.core.table_bytes()
     }
 
     fn capture_image(&self) -> SchemeImage {
@@ -997,18 +848,48 @@ impl FtlScheme for MrsmFtl {
     }
 }
 
-/// Shared by [`MrsmFtl::set_sub_loc`] and the GC migrator (which borrows
-/// the tables piecewise).
+/// Point `lpn/sub` at `loc`, converting a page-mapped node to sub-mapped
+/// form if needed, and register it among `loc`'s page's residents. Takes
+/// the tables apart so the GC migrator, which borrows them piecewise, can
+/// call it too.
 #[inline]
-fn set_sub_loc_parts(
-    map: &mut LpnTable,
-    residents: &mut ResidentTable,
-    lpn: u64,
-    sub: u32,
-    loc: SubLoc,
-) {
+fn set_sub_loc(map: &mut LpnTable, residents: &mut ResidentTable, lpn: u64, sub: u32, loc: SubLoc) {
     map.set_sub(lpn, sub, loc);
     residents.push(loc.ppn, lpn, sub);
+}
+
+/// Program a region page whose slots hold `slots` — `(lpn, sub)` each, in
+/// slot order — carrying `stamps`; returns the page and when its program
+/// completed. The write pack and the GC repack both fill pages this way.
+fn program_region(
+    array: &mut FlashArray,
+    alloc: &mut Allocator,
+    stream: StreamId,
+    slots: impl ExactSizeIterator<Item = (u64, u32)>,
+    stamps: Option<PageStamps>,
+    now: Nanos,
+    ready: Nanos,
+) -> Result<(Ppn, Nanos)> {
+    let g = array.geometry();
+    let n = slots.len() as u32;
+    let bytes = n * (g.sectors_per_page() / SUBS_PER_PAGE) * g.sector_bytes;
+    let mut oob = [(0u64, 0u8); SUBS_PER_PAGE as usize];
+    for (slot, (lpn, sub)) in slots.enumerate() {
+        oob[slot] = (lpn, sub as u8);
+    }
+    let kind = PageKind::AcrossData;
+    let (ppn, w) = program_relocating(
+        array, alloc, None, stream, kind, oob[0].0, bytes, now, ready,
+    )?;
+    let slots = OobDesc::Slots {
+        n: n as u8,
+        slots: oob,
+    };
+    array.annotate_oob(ppn, slots);
+    if let Some(stamps) = stamps {
+        array.record_content(ppn, stamps);
+    }
+    Ok((ppn, w.complete_ns))
 }
 
 /// A live sub-region lifted off a GC victim, awaiting repacking.
@@ -1025,10 +906,9 @@ struct PendingSub {
 /// region pages are *repacked* — live sub-regions from several victims
 /// fill fresh pages densely, reclaiming the space fragmentation wasted.
 struct MrsmMigrator<'a> {
+    copier: PageCopier<'a>,
     map: &'a mut LpnTable,
     residents: &'a mut ResidentTable,
-    engine: &'a mut MapEngine,
-    counters: &'a mut SchemeCounters,
     /// Lifted sub-regions not yet repacked ([`MrsmFtl::gc_pending`]).
     pending: &'a mut Vec<PendingSub>,
     spp: u32,
@@ -1046,44 +926,21 @@ impl MrsmMigrator<'_> {
             return Ok(0);
         }
         let chunk = &self.pending[..n];
-        let sub_sectors = u64::from(self.spp / SUBS_PER_PAGE);
-        let sector_bytes = array.geometry().sector_bytes;
+        let sub_len = (self.spp / SUBS_PER_PAGE) as usize;
         let ready = chunk.iter().map(|p| p.ready).max().unwrap_or(now);
-        let (new_ppn, _) = program_relocating(
-            array,
-            alloc,
-            None,
-            StreamId::Gc,
-            PageKind::AcrossData,
-            chunk[0].lpn,
-            n as u32 * sub_sectors as u32 * sector_bytes,
-            now,
-            ready,
-        )?;
-        let mut oob_slots = [(0u64, 0u8); 4];
-        for (slot, p) in chunk.iter().enumerate() {
-            oob_slots[slot] = (p.lpn, p.sub as u8);
-        }
-        array.annotate_oob(
-            new_ppn,
-            OobDesc::Slots {
-                n: n as u8,
-                slots: oob_slots,
-            },
-        );
-        if array.tracks_content() {
+        let stamps = array.tracks_content().then(|| {
             let mut stamps = vec![None; self.spp as usize];
             for (slot, p) in chunk.iter().enumerate() {
                 if let Some(s) = &p.stamps {
-                    for (i, v) in s.iter().enumerate() {
-                        stamps[slot * sub_sectors as usize + i] = *v;
-                    }
+                    stamps[slot * sub_len..(slot + 1) * sub_len].copy_from_slice(s);
                 }
             }
-            array.record_content(new_ppn, stamps.into_boxed_slice());
-        }
+            stamps.into_boxed_slice()
+        });
+        let slots = chunk.iter().map(|p| (p.lpn, p.sub));
+        let (new_ppn, _) = program_region(array, alloc, StreamId::Gc, slots, stamps, now, ready)?;
         for (slot, p) in chunk.iter().enumerate() {
-            set_sub_loc_parts(
+            set_sub_loc(
                 self.map,
                 self.residents,
                 p.lpn,
@@ -1109,40 +966,31 @@ impl PageMigrator for MrsmMigrator<'_> {
         info: &PageInfo,
         report: &mut GcReport,
     ) -> Result<u64> {
-        self.counters.dram_accesses += 1;
-        let page_bytes = array.geometry().page_bytes;
-        let sub_sectors = (self.spp / SUBS_PER_PAGE) as usize;
-
         // A translation page, or a page-mapped data page — the valid user
         // page with no resident set, owned by the LPN in its program tag
         // ([`MrsmFtl::page_write`]) — moves one-to-one.
         let Some(res) = self.residents.get(old).copied() else {
-            let MrsmMigrator { map, engine, .. } = self;
-            let mut copy =
-                CopyMigrator(|_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
-                    if info.kind == PageKind::Map {
-                        engine.note_migrated(info.tag, new);
-                    } else {
-                        debug_assert!(
-                            map.page_of(info.tag) == Some(old),
-                            "valid user page has neither residents nor a page-mapped owner"
-                        );
-                        map.set(info.tag, LpnMap::Page(new));
-                    }
-                });
-            return copy.migrate(array, alloc, now, old, info, report);
+            let map = &mut *self.map;
+            let remap = |_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
+                debug_assert!(
+                    map.page_of(info.tag) == Some(old),
+                    "valid user page has neither residents nor a page-mapped owner"
+                );
+                map.set(info.tag, LpnMap::Page(new));
+            };
+            return self
+                .copier
+                .copy(array, alloc, now, old, info, report, remap);
         };
 
-        let r = read_with_retry(array, old, page_bytes, now, now)?;
-        if r.is_lost() {
+        self.copier.counters.dram_accesses += 1;
+        let page_bytes = array.geometry().page_bytes;
+        let sub_sectors = (self.spp / SUBS_PER_PAGE) as usize;
+        let (read, content) = read_old_copy(array, old, page_bytes, now, now)?;
+        if read.is_lost() {
             report.lost_pages += 1;
         }
         // Sparse page: lift the live sub-regions into the repack buffer.
-        let content = if r.is_lost() {
-            lost_stamps_of(array, old).map(|c| c.to_vec())
-        } else {
-            array.content_of(old).map(|c| c.to_vec())
-        };
         self.residents.remove(old);
         for (lpn, sub) in res.entries() {
             let loc = self.map.loc(lpn, sub).expect("resident implies mapped");
@@ -1155,7 +1003,7 @@ impl PageMigrator for MrsmMigrator<'_> {
                 lpn,
                 sub,
                 stamps,
-                ready: r.complete_ns(),
+                ready: read.complete_ns(),
             });
         }
         array.invalidate(old)?;

@@ -56,8 +56,7 @@ impl RefLpnTable {
     }
 
     /// Point `lpn/sub` at `loc`, converting a page-mapped node to
-    /// sub-mapped form if needed (the map half of the old
-    /// `set_sub_loc_parts`).
+    /// sub-mapped form if needed (the map half of `set_sub_loc`).
     pub(super) fn set_sub(&mut self, lpn: u64, sub: u32, loc: SubLoc) {
         let node = self.get_or_insert(lpn);
         let locs = match node {

@@ -1,16 +1,24 @@
-//! The page-mapped core: what the baseline FTL *is*, and what Learned-FTL
-//! and Across-FTL are built on.
+//! The shared core under all four schemes, and the page-mapped FTL on it.
+//!
+//! [`SchemeCore`] is what does not depend on a scheme's table shape: the
+//! scheme config, the GC driver, the map engine, the counters, the
+//! touched-translation-page set with its sizing, GC's one-to-one page copy
+//! ([`PageCopier`]) and the one read that serves a mapped page
+//! ([`serve_page`]). Every scheme holds one.
 //!
 //! The paper defines Across-FTL as the page-level FTL plus an overlay (an
 //! `AIdx` field in the PMT and a second-level AMT, §3.2); Learned-FTL is
 //! the page-level FTL plus a read predictor that bypasses the translation
-//! read. [`PageMapCore`] is that page-level FTL once: the lazily allocated
-//! PMT behind the map engine, the read-modify-write extent program, the
-//! read of a mapped page with its loss accounting, the GC remap of `Data`
-//! and `Map` pages, and the `(lpn, ppn)` image a checkpoint captures and
-//! recovery reloads. The schemes hold one and add their policy; its fields
-//! are theirs to reach (`core.pmt` for Across-FTL's `AIdx` links,
-//! `core.engine` for its AMT lookups).
+//! read. [`PageMapCore`] is that page-level FTL once, on top of the shared
+//! core: the lazily allocated PMT behind the map engine, the
+//! read-modify-write extent program, the GC remap of `Data` pages, and the
+//! `(lpn, ppn)` image a checkpoint captures and recovery reloads. Baseline,
+//! Learned-FTL and Across-FTL hold one and add their policy; its fields are
+//! theirs to reach (`core.pmt` for Across-FTL's `AIdx` links, `core.engine`
+//! for its AMT lookups). MRSM holds the shared core alone, under its own
+//! sub-page tables.
+
+use std::ops::{Deref, DerefMut};
 
 use aftl_flash::{
     Allocator, FlashArray, Geometry, Nanos, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
@@ -21,20 +29,18 @@ use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState, PageMigrator};
 use crate::mapping::engine::MapEngine;
 use crate::mapping::pmt::{assert_ppns_fit, PageMapTable};
 use crate::mapping::touched::TouchedSet;
-use crate::recover::{lost_stamps_of, program_relocating, read_with_retry, PageRead};
+use crate::recover::{program_relocating, read_old_copy, read_with_retry};
 use crate::recovery::SchemeImage;
 use crate::request::PageExtent;
 use crate::scheme::{
-    extent_stamps, served_after_read, served_unwritten, FtlEnv, SchemeConfig, ServiceOutcome,
+    extent_stamps, served_from_page, served_lost, served_unwritten, FtlEnv, SchemeConfig,
+    ServiceOutcome,
 };
 
-/// State and code shared by the page-mapped schemes.
-pub(crate) struct PageMapCore {
+/// State and code every scheme shares, whatever its mapping table.
+pub(crate) struct SchemeCore {
     pub(crate) cfg: SchemeConfig,
     gc: GcState,
-    /// Empty until the first request, GC call or image load: an FTL that
-    /// is built and never driven costs no table.
-    pub(crate) pmt: PageMapTable,
     pub(crate) engine: MapEngine,
     pub(crate) counters: SchemeCounters,
     /// Translation pages ever touched — the dynamically allocated table
@@ -44,14 +50,12 @@ pub(crate) struct PageMapCore {
     pub(crate) page_bytes: u32,
 }
 
-impl PageMapCore {
-    /// A core for `geometry` whose PMT entries are modelled at
-    /// `entry_bytes` each. Refuses a geometry whose PPNs do not fit a
-    /// table word before anything is sized from it.
+impl SchemeCore {
+    /// A core for `geometry` whose mapping entries are modelled at
+    /// `entry_bytes` each.
     pub(crate) fn new(geometry: &Geometry, cfg: SchemeConfig, entry_bytes: u64) -> Self {
-        assert_ppns_fit(geometry);
         let page_bytes = geometry.page_bytes;
-        PageMapCore {
+        SchemeCore {
             gc: GcState::new(GcConfig {
                 threshold: cfg.gc_threshold,
                 hysteresis: cfg.gc_hysteresis,
@@ -59,11 +63,235 @@ impl PageMapCore {
             }),
             engine: MapEngine::new(cfg.cache_tpages(page_bytes), cfg.pipeline),
             cfg,
-            pmt: PageMapTable::new(0),
             counters: SchemeCounters::default(),
             touched_tpages: TouchedSet::new(),
             entries_per_tpage: u64::from(page_bytes) / entry_bytes,
             page_bytes,
+        }
+    }
+
+    /// Refuse a recovered `(lpn, ppn)` pair that is off the exported space
+    /// or off the device (see [`crate::recovery`]).
+    pub(crate) fn assert_on_device(&self, geometry: &Geometry, lpn: u64, ppn: Ppn) {
+        assert!(
+            lpn < self.cfg.logical_pages,
+            "image maps lpn {lpn}, off the device"
+        );
+        assert!(
+            ppn.0 < geometry.total_pages(),
+            "image maps lpn {lpn} to {ppn:?}, off the device"
+        );
+    }
+
+    /// Translation page holding `lpn`'s mapping entry.
+    #[inline]
+    pub(crate) fn tpid(&self, lpn: u64) -> u64 {
+        lpn / self.entries_per_tpage
+    }
+
+    /// Count `lpn`'s translation page as touched; returns its id.
+    #[inline]
+    pub(crate) fn touch(&mut self, lpn: u64) -> u64 {
+        let tpid = self.tpid(lpn);
+        self.touched_tpages.insert(tpid);
+        tpid
+    }
+
+    /// Bytes of translation pages touched so far.
+    pub(crate) fn table_bytes(&self) -> u64 {
+        self.touched_tpages.len() * u64::from(self.page_bytes)
+    }
+
+    /// One mapping-table consultation costing `dram_accesses`: a cache
+    /// probe of translation page `tpid` (possibly loading or flushing one).
+    /// Returns when the entry is available.
+    #[inline]
+    pub(crate) fn resolve(
+        &mut self,
+        env: &mut FtlEnv<'_>,
+        tpid: u64,
+        dram_accesses: u64,
+        dirty: bool,
+    ) -> Result<Nanos> {
+        self.counters.dram_accesses += dram_accesses;
+        self.engine
+            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
+    }
+
+    /// The GC driver and the one-to-one copier, borrowed apart so a
+    /// scheme's migrator can hold the copier and still drive collection.
+    pub(crate) fn gc_parts(&mut self) -> (&mut GcState, PageCopier<'_>) {
+        let copier = PageCopier {
+            engine: &mut self.engine,
+            counters: &mut self.counters,
+        };
+        (&mut self.gc, copier)
+    }
+}
+
+/// The [`FtlScheme`](crate::scheme::FtlScheme) methods every scheme
+/// answers from its `core` alone, and foreground and idle GC through its
+/// own `run_gc(env, idle_budget)`. Expands inside the scheme's impl.
+macro_rules! scheme_core_methods {
+    () => {
+        fn maybe_gc(
+            &mut self,
+            env: &mut $crate::scheme::FtlEnv<'_>,
+        ) -> aftl_flash::Result<$crate::gc::GcReport> {
+            self.run_gc(env, None)
+        }
+
+        fn idle_gc(
+            &mut self,
+            env: &mut $crate::scheme::FtlEnv<'_>,
+            max_pages: u64,
+        ) -> aftl_flash::Result<$crate::gc::GcReport> {
+            self.run_gc(env, Some(max_pages))
+        }
+
+        fn counters(&self) -> &$crate::counters::SchemeCounters {
+            &self.core.counters
+        }
+
+        fn cache_stats(&self) -> $crate::mapping::cache::CacheStats {
+            *self.core.engine.cache_stats()
+        }
+
+        fn map_engine_stats(&self) -> $crate::mapping::engine::MapEngineStats {
+            *self.core.engine.stats()
+        }
+
+        fn logical_pages(&self) -> u64 {
+            self.core.cfg.logical_pages
+        }
+    };
+}
+pub(crate) use scheme_core_methods;
+
+/// GC's one-to-one move: a valid page is copied to a fresh page and the
+/// table that names it is pointed at the copy — the map cache for a `Map`
+/// page, the scheme's own table for every other kind.
+pub(crate) struct PageCopier<'a> {
+    engine: &'a mut MapEngine,
+    pub(crate) counters: &'a mut SchemeCounters,
+}
+
+impl PageCopier<'_> {
+    /// Copy `old` one-to-one ([`CopyMigrator`]) and remap it: a `Map` page
+    /// in the map cache, any other through `remap(array, old, new, info)`.
+    /// Each remap is one DRAM access.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn copy(
+        &mut self,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+        now: Nanos,
+        old: Ppn,
+        info: &PageInfo,
+        report: &mut GcReport,
+        mut remap: impl FnMut(&mut FlashArray, Ppn, Ppn, &PageInfo),
+    ) -> Result<u64> {
+        let (engine, counters) = (&mut *self.engine, &mut *self.counters);
+        let mut copy = CopyMigrator(
+            |array: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
+                counters.dram_accesses += 1;
+                match info.kind {
+                    PageKind::Map => engine.note_migrated(info.tag, new),
+                    _ => remap(array, old, new, info),
+                }
+            },
+        );
+        copy.migrate(array, alloc, now, old, info, report)
+    }
+}
+
+/// Serve `ranges` — `(in-page sector offset, first sector, count)` each —
+/// of page `ppn` ([`Ppn::INVALID`] = never written): one flash read of
+/// their total size issued at `at` through the retry ladder and, with
+/// content tracking on, the sector provenance the oracle checks. Returns
+/// whether the ladder was exhausted; the caller counts the host read the
+/// device could not recover by its own rule.
+#[inline]
+pub(crate) fn serve_page<R>(
+    env: &mut FtlEnv<'_>,
+    ppn: Ppn,
+    ranges: R,
+    at: Nanos,
+    outcome: &mut ServiceOutcome,
+) -> Result<bool>
+where
+    R: IntoIterator<Item = (u32, u64, u32)> + Clone,
+{
+    let track = env.array.tracks_content();
+    if !ppn.is_valid() {
+        if track {
+            for (_, first_sector, count) in ranges {
+                served_unwritten(first_sector, count, &mut outcome.served);
+            }
+        }
+        return Ok(false);
+    }
+    let sectors = ranges.clone().into_iter().map(|(_, _, count)| count).sum();
+    let r = read_with_retry(
+        env.array,
+        ppn,
+        env.sectors_to_bytes(sectors),
+        env.now_ns,
+        at,
+    )?;
+    outcome.merge_time(r.complete_ns());
+    if track {
+        for (page_offset, first_sector, count) in ranges {
+            if r.is_lost() {
+                served_lost(first_sector, count, &mut outcome.served);
+            } else {
+                served_from_page(
+                    env.array,
+                    ppn,
+                    page_offset,
+                    first_sector,
+                    count,
+                    &mut outcome.served,
+                );
+            }
+        }
+    }
+    Ok(r.is_lost())
+}
+
+/// The page-level FTL: the shared core plus the PMT.
+pub(crate) struct PageMapCore {
+    base: SchemeCore,
+    /// Empty until the first request, GC call or image load: an FTL that
+    /// is built and never driven costs no table.
+    pub(crate) pmt: PageMapTable,
+}
+
+impl Deref for PageMapCore {
+    type Target = SchemeCore;
+
+    #[inline]
+    fn deref(&self) -> &SchemeCore {
+        &self.base
+    }
+}
+
+impl DerefMut for PageMapCore {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut SchemeCore {
+        &mut self.base
+    }
+}
+
+impl PageMapCore {
+    /// A core for `geometry` whose PMT entries are modelled at
+    /// `entry_bytes` each. Refuses a geometry whose PPNs do not fit a
+    /// table word before anything is sized from it.
+    pub(crate) fn new(geometry: &Geometry, cfg: SchemeConfig, entry_bytes: u64) -> Self {
+        assert_ppns_fit(geometry);
+        PageMapCore {
+            base: SchemeCore::new(geometry, cfg, entry_bytes),
+            pmt: PageMapTable::new(0),
         }
     }
 
@@ -81,14 +309,7 @@ impl PageMapCore {
     pub(crate) fn load_pages(&mut self, geometry: &Geometry, pages: &[(u64, Ppn)]) {
         self.ensure_pmt();
         for &(lpn, ppn) in pages {
-            assert!(
-                lpn < self.cfg.logical_pages,
-                "image maps lpn {lpn}, off the device"
-            );
-            assert!(
-                ppn.0 < geometry.total_pages(),
-                "image maps lpn {lpn} to {ppn:?}, off the device"
-            );
+            self.assert_on_device(geometry, lpn, ppn);
             self.pmt.set_ppn(lpn, ppn);
         }
     }
@@ -106,20 +327,9 @@ impl PageMapCore {
         }
     }
 
-    /// Translation page holding `lpn`'s PMT entry.
-    #[inline]
-    pub(crate) fn tpid(&self, lpn: u64) -> u64 {
-        lpn / self.entries_per_tpage
-    }
-
-    /// Bytes of PMT translation pages touched so far.
-    pub(crate) fn table_bytes(&self) -> u64 {
-        self.touched_tpages.len() * u64::from(self.page_bytes)
-    }
-
     /// One PMT consultation: a cache probe (possibly loading/flushing a
-    /// translation page) plus the DRAM access accounting. Returns when the
-    /// entry is available.
+    /// translation page) plus one DRAM access. Returns when the entry is
+    /// available.
     #[inline]
     pub(crate) fn map_access(
         &mut self,
@@ -127,11 +337,8 @@ impl PageMapCore {
         lpn: u64,
         dirty: bool,
     ) -> Result<Nanos> {
-        let tpid = self.tpid(lpn);
-        self.touched_tpages.insert(tpid);
-        self.counters.dram_accesses += 1;
-        self.engine
-            .resolve(env.array, env.alloc, env.now_ns, tpid, dirty)
+        let tpid = self.touch(lpn);
+        self.resolve(env, tpid, 1, dirty)
     }
 
     /// Program a normally-mapped page for `extent`, with read-modify-write
@@ -155,29 +362,19 @@ impl PageMapCore {
         let old = self.pmt.get(extent.lpn).ppn;
 
         let mut ready = at;
-        let mut base_stamps: Option<Box<[Option<SectorStamp>]>> = None;
+        let mut base_stamps = None;
         let rmw = !extent.is_full_page(spp) && old.is_valid();
         if rmw {
             // Read the old copy to preserve the sectors the extent misses.
-            match read_with_retry(array, old, page_bytes, now_ns, ready)? {
-                PageRead::Ok(r) => {
-                    ready = r.complete_ns;
-                    if array.tracks_content() {
-                        base_stamps = array.content_of(old).map(|s| s.to_vec().into_boxed_slice());
-                    }
-                }
-                PageRead::Lost { complete_ns } => {
-                    // The sectors the extent misses are gone; the merged
-                    // page carries LOST_VERSION stamps for them so later
-                    // reads report the acknowledged loss instead of stale
-                    // data.
-                    ready = complete_ns;
-                    self.counters.lost_pages += 1;
-                    if array.tracks_content() {
-                        base_stamps = lost_stamps_of(array, old);
-                    }
-                }
+            // If it is lost, the merged page carries its loss stamps for
+            // them, so later reads report the acknowledged loss instead of
+            // stale data.
+            let (read, stamps) = read_old_copy(array, old, page_bytes, now_ns, ready)?;
+            ready = read.complete_ns();
+            if read.is_lost() {
+                self.counters.lost_pages += 1;
             }
+            base_stamps = stamps;
             self.counters.rmw_reads += 1;
         }
 
@@ -209,11 +406,9 @@ impl PageMapCore {
         Ok(w.complete_ns)
     }
 
-    /// Serve `extent` from `ppn`, the page its LPN maps to
-    /// ([`Ppn::INVALID`] = never written): one flash read issued at `at`
-    /// through the retry ladder, an exhausted ladder counted as a host
-    /// read the device could not recover, and — with content tracking on —
-    /// the sector provenance the oracle checks.
+    /// Serve `extent` from `ppn`, the page its LPN maps to ([`serve_page`]),
+    /// counting an exhausted ladder as one host read the device could not
+    /// recover.
     #[inline]
     pub(crate) fn serve_extent(
         &mut self,
@@ -223,23 +418,9 @@ impl PageMapCore {
         at: Nanos,
         outcome: &mut ServiceOutcome,
     ) -> Result<()> {
-        let first_sector = extent.start_sector(env.spp());
-        let track = env.array.tracks_content();
-        if !ppn.is_valid() {
-            if track {
-                served_unwritten(first_sector, extent.len, &mut outcome.served);
-            }
-            return Ok(());
-        }
-        let bytes = env.sectors_to_bytes(extent.len);
-        let r = read_with_retry(env.array, ppn, bytes, env.now_ns, at)?;
-        outcome.merge_time(r.complete_ns());
-        if r.is_lost() {
+        let range = (extent.offset, extent.start_sector(env.spp()), extent.len);
+        if serve_page(env, ppn, [range], at, outcome)? {
             self.counters.host_unrecoverable_reads += 1;
-        }
-        if track {
-            let range = (extent.offset, first_sector, extent.len);
-            served_after_read(env.array, &r, ppn, [range], &mut outcome.served);
         }
         Ok(())
     }
@@ -250,12 +431,14 @@ impl PageMapCore {
     /// pages) and still drive the collection.
     pub(crate) fn gc_parts(&mut self) -> (&mut GcState, CoreMigrator<'_>) {
         self.ensure_pmt();
-        let migrator = CoreMigrator {
-            pmt: &mut self.pmt,
-            engine: &mut self.engine,
-            counters: &mut self.counters,
-        };
-        (&mut self.gc, migrator)
+        let (gc, copier) = self.base.gc_parts();
+        (
+            gc,
+            CoreMigrator {
+                copier,
+                pmt: &mut self.pmt,
+            },
+        )
     }
 
     /// Foreground (`idle_budget` = `None`) or idle (`Some(max_pages)`)
@@ -270,13 +453,11 @@ impl PageMapCore {
     }
 }
 
-/// GC over the core's tables: a valid page is copied one-to-one and the
-/// table that names it is pointed at the copy — the PMT for a `Data` page,
-/// the map cache for a `Map` page.
+/// GC over the page-mapped tables: a `Data` or `Map` page is copied
+/// one-to-one and the PMT or the map cache pointed at the copy.
 pub(crate) struct CoreMigrator<'a> {
+    pub(crate) copier: PageCopier<'a>,
     pub(crate) pmt: &'a mut PageMapTable,
-    engine: &'a mut MapEngine,
-    pub(crate) counters: &'a mut SchemeCounters,
 }
 
 impl PageMigrator for CoreMigrator<'_> {
@@ -289,20 +470,18 @@ impl PageMigrator for CoreMigrator<'_> {
         info: &PageInfo,
         report: &mut GcReport,
     ) -> Result<u64> {
-        let mut copy = CopyMigrator(|_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
-            self.counters.dram_accesses += 1;
-            match info.kind {
-                PageKind::Data => {
-                    let prev = self.pmt.set_ppn(info.tag, new);
-                    debug_assert_eq!(prev, old, "GC migrated a stale data page");
-                }
-                PageKind::Map => self.engine.note_migrated(info.tag, new),
-                PageKind::AcrossData => {
-                    unreachable!("the scheme that writes across-data pages remaps them")
-                }
-            }
-        });
-        copy.migrate(array, alloc, now, old, info, report)
+        let pmt = &mut *self.pmt;
+        let remap = |_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
+            debug_assert_eq!(
+                info.kind,
+                PageKind::Data,
+                "the scheme that writes across-data pages remaps them"
+            );
+            let prev = pmt.set_ppn(info.tag, new);
+            debug_assert_eq!(prev, old, "GC migrated a stale data page");
+        };
+        self.copier
+            .copy(array, alloc, now, old, info, report, remap)
     }
 }
 

@@ -84,6 +84,33 @@ pub fn read_with_retry(
     Ok(PageRead::Lost { complete_ns })
 }
 
+/// Content stamps of one page, a slot per sector.
+pub(crate) type PageStamps = Box<[Option<SectorStamp>]>;
+
+/// Read back the old copy of data about to be rewritten elsewhere (RMW,
+/// area merge or rollback, GC copy or lift): `bytes` of `ppn` through the
+/// retry ladder, plus — with content tracking on — the stamps the rewrite
+/// carries over, [`LOST_VERSION`] ones if the read was lost. The caller
+/// counts a lost read into its own counter.
+#[inline]
+pub(crate) fn read_old_copy(
+    array: &mut FlashArray,
+    ppn: Ppn,
+    bytes: u32,
+    arrive_ns: Nanos,
+    ready_ns: Nanos,
+) -> Result<(PageRead, Option<PageStamps>)> {
+    let read = read_with_retry(array, ppn, bytes, arrive_ns, ready_ns)?;
+    let stamps = if !array.tracks_content() {
+        None
+    } else if read.is_lost() {
+        lost_stamps_of(array, ppn)
+    } else {
+        array.content_of(ppn).map(Box::from)
+    };
+    Ok((read, stamps))
+}
+
 /// Allocate and program a page for `stream` — in `plane` when given (GC
 /// keeps copy-backs on one chip when it can) — relocating to a fresh
 /// block whenever the program fails (the failed program already retired
@@ -118,7 +145,7 @@ pub fn program_relocating(
 /// [`LOST_VERSION`] — used when a page's data could not be read back
 /// (RMW, merge or GC source loss) but its sector layout is still known
 /// from the OOB/mapping state.
-pub(crate) fn lost_stamps_of(array: &FlashArray, ppn: Ppn) -> Option<Box<[Option<SectorStamp>]>> {
+fn lost_stamps_of(array: &FlashArray, ppn: Ppn) -> Option<PageStamps> {
     array.content_of(ppn).map(|stamps| {
         stamps
             .iter()

@@ -11,7 +11,7 @@ use crate::learned::{LearnedConfig, LearnedStats};
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::{MapEngineStats, PipelineConfig};
 use crate::obs::SchemeEvent;
-use crate::recover::{PageRead, LOST_VERSION};
+use crate::recover::LOST_VERSION;
 use crate::request::{HostRequest, PageExtent};
 
 /// Which scheme a trait object implements (for reports).
@@ -265,13 +265,45 @@ pub(crate) fn extent_stamps(
     };
     stamps.resize(spp as usize, None);
     let start = extent.start_sector(spp);
-    for i in 0..extent.len {
-        stamps[(extent.offset + i) as usize] = Some(SectorStamp {
-            sector: start + u64::from(i),
-            version,
-        });
-    }
+    let page_start = extent.lpn * u64::from(spp);
+    stamp_range(
+        &mut stamps,
+        page_start,
+        start,
+        start + u64::from(extent.len),
+        version,
+    );
     stamps.into_boxed_slice()
+}
+
+/// Stamp sectors `[start, end)` at `version` into `stamps`, a page whose
+/// slot 0 holds sector `base`.
+pub(crate) fn stamp_range(
+    stamps: &mut [Option<SectorStamp>],
+    base: u64,
+    start: u64,
+    end: u64,
+    version: u64,
+) {
+    for sector in start..end {
+        stamps[(sector - base) as usize] = Some(SectorStamp { sector, version });
+    }
+}
+
+/// Carry the stamps of sectors `[start, end)` from `src` (slot 0 holds
+/// sector `src_base`) into `dst` (slot 0 holds `dst_base`).
+pub(crate) fn carry_range(
+    dst: &mut [Option<SectorStamp>],
+    dst_base: u64,
+    src: &[Option<SectorStamp>],
+    src_base: u64,
+    start: u64,
+    end: u64,
+) {
+    for sector in start..end {
+        dst[(sector - dst_base) as usize] =
+            src.get((sector - src_base) as usize).copied().flatten();
+    }
 }
 
 /// Assemble served-sector provenance for `count` sectors starting at
@@ -315,24 +347,6 @@ pub(crate) fn served_lost(first_sector: u64, count: u32, out: &mut Vec<ServedSec
             sector: first_sector + u64::from(i),
             version: LOST_VERSION,
         });
-    }
-}
-
-/// Provenance of `ranges` — `(in-page sector offset, first sector,
-/// count)` each — of page `ppn` once reading it gave `read`: the page's
-/// stamps, or the acknowledged loss when the retry ladder was exhausted.
-pub(crate) fn served_after_read(
-    array: &FlashArray,
-    read: &PageRead,
-    ppn: Ppn,
-    ranges: impl IntoIterator<Item = (u32, u64, u32)>,
-    out: &mut Vec<ServedSector>,
-) {
-    for (page_offset, first_sector, count) in ranges {
-        match read {
-            PageRead::Ok(_) => served_from_page(array, ppn, page_offset, first_sector, count, out),
-            PageRead::Lost { .. } => served_lost(first_sector, count, out),
-        }
     }
 }
 

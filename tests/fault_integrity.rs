@@ -121,6 +121,11 @@ proptest! {
     fn across_ftl_integrity_under_faults(seeds in (1u64..1 << 48, any::<u64>())) {
         faulty_workload(SchemeKind::Across, seeds.0, seeds.1, 1500)?;
     }
+
+    #[test]
+    fn learned_integrity_under_faults(seeds in (1u64..1 << 48, any::<u64>())) {
+        faulty_workload(SchemeKind::Learned, seeds.0, seeds.1, 1500)?;
+    }
 }
 
 /// Spare-block exhaustion degrades to read-only instead of panicking:
