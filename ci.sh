@@ -32,7 +32,7 @@ else
     echo "clippy not installed; skipping (install via: rustup component add clippy)"
 fi
 
-say "core structure (one core under all four schemes, the engine mode asked in one place)"
+say "core structure (one core under all four schemes, a scheme is a value, the engine mode asked in one place)"
 # Every scheme holds the shared core of crates/core/src/pagemap.rs and no
 # scheme forks on the map-engine mode; a copy of either creeping back
 # fails here rather than in review.
@@ -60,13 +60,24 @@ done
 [ "$(printf '%s\n' "$core_code" | grep -v '^crates/core/src/gc.rs:' | grep -cF 'CopyMigrator(')" -le 1 ] \
     || { echo "a scheme wraps CopyMigrator itself (use PageCopier::copy)"; exit 1; }
 # Crash recovery is one election into one image: a per-scheme image type or
-# a per-scheme branch outside the four constructor arms creeping back fails
-# here rather than in review.
+# a per-scheme branch creeping back fails here rather than in review.
 if grep -rnE 'enum SchemeImage|MrsmNodeImage' crates/core/src; then
     echo "a per-scheme recovery image is back (SchemeImage is one struct)"; exit 1
 fi
-[ "$(awk '/^#\[cfg\(test\)\]/{exit} /SchemeKind::/{n++} END{print n+0}' crates/core/src/recovery.rs)" -le 4 ] \
-    || { echo "recovery.rs branches on SchemeKind beyond constructing the scheme"; exit 1; }
+[ "$(awk '/^#\[cfg\(test\)\]/{exit} /SchemeKind::/{n++} END{print n+0}' crates/core/src/recovery.rs)" -eq 0 ] \
+    || { echo "recovery.rs branches on SchemeKind (Scheme::from_image builds the scheme)"; exit 1; }
+# A scheme is a value (core::scheme::Scheme), so a device can be forked:
+# no boxed scheme outside tests, and each scheme is rebuilt from an image
+# in Scheme::from_image alone.
+crates_code=$(find crates -name '*.rs' ! -name reference.rs \
+    -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{print FILENAME":"$0}' {} +)
+if printf '%s\n' "$crates_code" | grep -F 'Box<dyn FtlScheme'; then
+    echo "a scheme is boxed outside tests (hold a core::scheme::Scheme)"; exit 1
+fi
+for ftl in BaselineFtl MrsmFtl AcrossFtl LearnedFtl; do
+    [ "$(printf '%s\n' "$crates_code" | grep -cF "$ftl::from_image(")" -eq 1 ] \
+        || { echo "$ftl::from_image is called outside Scheme::from_image"; exit 1; }
+done
 # Non-test lines of crates/core/src (7 579 before the core existed): the
 # number ROADMAP item 5's target is held to; recovery.rs (671 when it
 # elected winners per scheme) and mrsm.rs (1 186 when it carried its own

@@ -9,11 +9,11 @@
 //! touches the file system or the process: `repro_all` prints and writes.
 
 use crate::{luns, normalized, reduction_pct, Args, PAGE_SIZES};
-use aftl_core::scheme::SchemeKind;
+use aftl_core::scheme::{Scheme, SchemeKind};
 use aftl_core::{AcrossFtl, AcrossOptions};
 use aftl_sim::experiment::{run_grid, run_on_device, ComparisonReport};
 use aftl_sim::tables::{absolute_table, bar_chart};
-use aftl_sim::{RunReport, SimConfig, Ssd};
+use aftl_sim::{warmup, RunReport, SimConfig, Ssd};
 use aftl_trace::synth::collection::figure2_collection;
 use aftl_trace::{LunPreset, Trace, TraceStats};
 use rayon::prelude::*;
@@ -446,19 +446,24 @@ fn fig14(e: &Eval) -> Result<Rendered, String> {
 /// Ablation study: how much of Across-FTL's benefit comes from AMerge?
 /// Compares the grid's Across-FTL column against AMerge disabled (every
 /// overlapping update rolls the area back and is re-written normally),
-/// both over the grid's FTL column — only the no-AMerge cells are new.
+/// both over the grid's FTL column — only the no-AMerge cells (forks of
+/// one aged device) are new.
 fn ablation(e: &Eval) -> Result<Rendered, String> {
     let page = e.args.page_bytes;
     let grid = e.grid(page)?;
+    let config = SimConfig::experiment(SchemeKind::Across, page);
+    let options = AcrossOptions {
+        enable_amerge: false,
+    };
+    let scheme = AcrossFtl::with_options(&config.geometry, config.scheme_cfg, options);
+    let warm = config.warmup;
+    let mut aged = Ssd::with_scheme(config, Scheme::Across(scheme))
+        .map_err(|e| format!("no-AMerge device @ {page} B failed: {e}"))?;
+    warmup::age(&mut aged, &warm)
+        .map_err(|e| format!("aging without AMerge @ {page} B failed: {e}"))?;
     let no_merge: Vec<RunReport> = (e.traces().par_iter())
         .map(|trace| {
-            let config = SimConfig::experiment(SchemeKind::Across, page);
-            let options = AcrossOptions {
-                enable_amerge: false,
-            };
-            let scheme = AcrossFtl::with_options(&config.geometry, config.scheme_cfg, options);
-            Ssd::with_scheme(config, Box::new(scheme))
-                .and_then(|ssd| run_on_device(ssd, trace))
+            run_on_device(aged.fork(), trace)
                 .map_err(|e| format!("{} without AMerge @ {page} B failed: {e}", trace.name))
         })
         .collect::<Result<_, _>>()?;
@@ -506,14 +511,15 @@ mod tests {
         select(&words)
     }
 
-    /// A pass over lun1 alone at 1/500 length: three cells a grid.
-    fn one_lun_eval() -> Eval {
+    /// A pass over the first `n` LUNs at 1/500 length: 3 × `n` cells a grid.
+    fn luns_eval(n: usize) -> Eval {
         let eval = Eval::new(Args {
             scale: 0.002,
             ..Args::default()
         });
-        let lun1 = LunPreset::ALL[0].generate_scaled(eval.args.scale);
-        eval.traces.set(vec![lun1]).unwrap();
+        let luns = LunPreset::ALL[..n].iter();
+        let traces = luns.map(|p| p.generate_scaled(eval.args.scale)).collect();
+        eval.traces.set(traces).unwrap();
         eval
     }
 
@@ -541,7 +547,7 @@ mod tests {
 
     #[test]
     fn a_pass_simulates_only_the_grids_its_figures_read() {
-        let eval = one_lun_eval();
+        let eval = luns_eval(1);
         for &(name, render) in select_words("table1 table2 fig2 fig13").unwrap() {
             let figure = render(&eval).unwrap();
             assert!(figure.0.starts_with("== "), "{name}");
@@ -558,20 +564,26 @@ mod tests {
 
     #[test]
     fn fig4_and_fig8_read_the_grids_ftl_and_across_columns() {
-        let eval = one_lun_eval();
+        // Two LUNs: each scheme's two cells are two forks of one aged
+        // device, and each equals an independent run.
+        let eval = luns_eval(2);
         let page = eval.args.page_bytes;
         let json = |r: &RunReport| serde_json::to_string(r).unwrap();
+        let grid = eval.grid(page).unwrap();
+        assert_eq!(grid.len(), 2, "two LUNs, two grid rows");
         for scheme in [SchemeKind::Baseline, SchemeKind::Across] {
-            let mut alone = run_single(&eval.traces()[0], scheme, page).unwrap();
-            alone.wall_seconds = 0.0;
-            let [lun1] = eval.grid(page).unwrap() else {
-                panic!("one LUN, one grid row")
-            };
-            assert_eq!(json(lun1.get(scheme)), json(&alone), "{}", scheme.name());
+            for (trace, row) in eval.traces().iter().zip(grid) {
+                let mut alone = run_single(trace, scheme, page).unwrap();
+                alone.wall_seconds = 0.0;
+                let cell = format!("{} on {}", scheme.name(), trace.name);
+                assert_eq!(json(row.get(scheme)), json(&alone), "{cell}");
+            }
         }
-        let lun1 = &eval.traces()[0].name;
-        assert!(fig4(&eval).unwrap().0.contains(&format!("\n{lun1:<8}")));
-        assert!(fig8(&eval).unwrap().0.contains(&format!("\n{lun1:<8}")));
+        for trace in eval.traces() {
+            let lun = &trace.name;
+            assert!(fig4(&eval).unwrap().0.contains(&format!("\n{lun:<8}")));
+            assert!(fig8(&eval).unwrap().0.contains(&format!("\n{lun:<8}")));
+        }
         assert_eq!(eval.grids().count(), 1);
     }
 

@@ -58,6 +58,7 @@ impl Default for AcrossOptions {
 }
 
 /// The proposed scheme: the page-mapped core plus the AMT overlay.
+#[derive(Clone)]
 pub struct AcrossFtl {
     core: PageMapCore,
     options: AcrossOptions,
@@ -114,7 +115,7 @@ impl AcrossFtl {
     ) -> Self {
         let spp = geometry.page_bytes / geometry.sector_bytes;
         let mut ftl = Self::new(geometry, cfg);
-        image.assert_holds(ftl.kind(), false, true);
+        image.assert_holds(SchemeKind::Across, false, true);
         ftl.core.load_pages(geometry, &image.pages);
         for a in &image.areas {
             let entry = AmtEntry {
@@ -575,10 +576,6 @@ impl PageMigrator for AreaMigrator<'_> {
 }
 
 impl FtlScheme for AcrossFtl {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Across
-    }
-
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
         self.core.ensure_pmt();

@@ -19,6 +19,7 @@ use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome}
 pub const ENTRY_BYTES: u64 = 4;
 
 /// The baseline page-mapping FTL.
+#[derive(Clone)]
 pub struct BaselineFtl {
     core: PageMapCore,
 }
@@ -40,7 +41,7 @@ impl BaselineFtl {
         image: &SchemeImage,
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        image.assert_holds(ftl.kind(), false, false);
+        image.assert_holds(SchemeKind::Baseline, false, false);
         ftl.core.load_pages(geometry, &image.pages);
         ftl
     }
@@ -51,10 +52,6 @@ impl BaselineFtl {
 }
 
 impl FtlScheme for BaselineFtl {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Baseline
-    }
-
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
         self.core.ensure_pmt();

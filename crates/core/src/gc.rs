@@ -374,7 +374,7 @@ pub fn order_victims(
 /// drained and how far, and the blocks erased so far. Paused and resumed by
 /// [`GcState`]; holds no borrows, so it lives inside a scheme across
 /// invocations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GcEpisode {
     /// Greedy only: the victim-index bucket (= invalid count) to pull when
     /// the victim list next runs dry. Strictly descending, so the episode's
@@ -406,7 +406,7 @@ enum SliceEnd {
 /// [`GcEpisode`] and the buffers it runs over. Foreground collection
 /// ([`GcState::maybe_collect`]) runs after host writes; idle collection
 /// ([`GcState::idle_collect`]) runs in host arrival gaps when enabled.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GcState {
     cfg: GcConfig,
     episode: Option<GcEpisode>,

@@ -182,7 +182,7 @@ impl Owner {
 /// LPN" one probe, and the single-owner invariant structural — an entry
 /// has room for one owner, and every write to it states the owner it
 /// expects to replace.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct MemberIndex {
     entries: Vec<u32>,
 }
@@ -302,7 +302,7 @@ impl Segment {
 /// new pair can be observed. Predictions go stale through capacity
 /// eviction only in the sense of *disappearing*, never of being wrong, so
 /// the verify path is a safety net rather than the common case.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SegmentStore {
     /// Segment slab; `free` lists the vacant slots (each holding an empty
     /// default segment).
@@ -542,7 +542,7 @@ impl PendingRun {
 /// anything else closes it. Pending runs are exact mappings too, so their
 /// members are entered in the store's [`MemberIndex`] and predicted like
 /// any segment's.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RunTracker {
     pending: Vec<PendingRun>,
     /// `pending` position of the run in each slot. The index names a run
@@ -685,7 +685,7 @@ const TRACKER_CAPACITY: usize = 32;
 
 /// Everything that predicts: the installed segments and the open runs,
 /// looked up through the store's one [`MemberIndex`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LearnedModel {
     store: SegmentStore,
     tracker: RunTracker,
@@ -780,6 +780,7 @@ impl LearnedModel {
 
 /// The learned-mapping FTL: the page-mapped core plus the model and
 /// predict-then-verify read path described in the module docs.
+#[derive(Clone)]
 pub struct LearnedFtl {
     core: PageMapCore,
     model: LearnedModel,
@@ -814,7 +815,7 @@ impl LearnedFtl {
         image: &SchemeImage,
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        image.assert_holds(ftl.kind(), false, false);
+        image.assert_holds(SchemeKind::Learned, false, false);
         ftl.core.load_pages(geometry, &image.pages);
         ftl
     }
@@ -846,10 +847,6 @@ impl LearnedFtl {
 }
 
 impl FtlScheme for LearnedFtl {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Learned
-    }
-
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
         self.core.ensure_pmt();
@@ -976,6 +973,7 @@ impl FtlScheme for LearnedFtl {
 
 /// A valid data page buffered during a GC slice, awaiting the sorted
 /// repack at [`PageMigrator::finish`].
+#[derive(Clone)]
 struct BufferedPage {
     lpn: u64,
     stamps: Option<Box<[Option<SectorStamp>]>>,

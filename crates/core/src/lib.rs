@@ -65,4 +65,4 @@ pub use recovery::{
     SubLocs,
 };
 pub use request::{HostRequest, PageExtent, ReqKind};
-pub use scheme::{FtlEnv, FtlScheme, SchemeKind, ServiceOutcome};
+pub use scheme::{FtlEnv, FtlScheme, Scheme, SchemeKind, ServiceOutcome};

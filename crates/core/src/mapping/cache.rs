@@ -74,7 +74,7 @@ struct Entry {
 /// allocation. The flash locations of spilled pages use a second
 /// [`OpenMap`]. Eviction order is exactly the old stamp-ordered
 /// (`BTreeMap`) implementation's: least recently touched first.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MapCache {
     capacity_tpages: usize,
     entries: Vec<Entry>,

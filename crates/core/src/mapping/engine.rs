@@ -114,7 +114,7 @@ struct WindowEntry {
 
 /// The per-scheme map engine: a [`MapCache`] plus the pipelined
 /// resolution window. See the module docs for the execution model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MapEngine {
     cache: MapCache,
     cfg: PipelineConfig,

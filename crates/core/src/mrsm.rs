@@ -79,6 +79,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// A sub-region write staged during request processing.
+#[derive(Clone)]
 struct SubWrite {
     lpn: u64,
     sub: u32,
@@ -162,7 +163,7 @@ const SUB: u8 = 2;
 /// probe sequence and no slab behind an index. MRSM never unmaps an LPN
 /// (nodes only convert between page- and sub-mapped forms), so `len()`,
 /// the mapped-LPN count driving [`MrsmFtl::tree_depth`], only rises.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LpnTable {
     /// `ABSENT`, `PAGE` or `SUB` per LPN.
     forms: Vec<u8>,
@@ -303,7 +304,7 @@ impl ResidentSet {
 
 /// Reverse map `Ppn` → [`ResidentSet`], a flat array indexed by PPN and
 /// grown to the highest PPN holding a set; an empty set is no set.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ResidentTable {
     sets: Vec<ResidentSet>,
 }
@@ -371,6 +372,7 @@ impl ResidentTable {
 }
 
 /// The MRSM scheme.
+#[derive(Clone)]
 pub struct MrsmFtl {
     core: SchemeCore,
     map: LpnTable,
@@ -418,7 +420,7 @@ impl MrsmFtl {
         image: &SchemeImage,
     ) -> Self {
         let mut ftl = Self::new(geometry, cfg);
-        image.assert_holds(ftl.kind(), true, false);
+        image.assert_holds(SchemeKind::Mrsm, true, false);
         for &(lpn, ppn) in &image.pages {
             ftl.core.assert_on_device(geometry, lpn, ppn);
             ftl.map.set(lpn, LpnMap::Page(ppn));
@@ -613,10 +615,6 @@ fn check_tables(map: &LpnTable, residents: &ResidentTable) {
 }
 
 impl FtlScheme for MrsmFtl {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Mrsm
-    }
-
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome> {
         debug_assert_eq!(req.kind, ReqKind::Write);
         self.core.counters.host_writes += 1;
@@ -893,6 +891,7 @@ fn program_region(
 }
 
 /// A live sub-region lifted off a GC victim, awaiting repacking.
+#[derive(Clone)]
 struct PendingSub {
     lpn: u64,
     sub: u32,

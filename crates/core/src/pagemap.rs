@@ -38,6 +38,7 @@ use crate::scheme::{
 };
 
 /// State and code every scheme shares, whatever its mapping table.
+#[derive(Clone)]
 pub(crate) struct SchemeCore {
     pub(crate) cfg: SchemeConfig,
     gc: GcState,
@@ -260,6 +261,7 @@ where
 }
 
 /// The page-level FTL: the shared core plus the PMT.
+#[derive(Clone)]
 pub(crate) struct PageMapCore {
     base: SchemeCore,
     /// Empty until the first request, GC call or image load: an FTL that

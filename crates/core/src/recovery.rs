@@ -62,11 +62,7 @@ use std::hash::Hash;
 
 use aftl_flash::{Allocator, FlashArray, OobDesc, PageKind, Ppn, OOB_GROUP_POISONED};
 
-use crate::across::AcrossFtl;
-use crate::baseline::BaselineFtl;
-use crate::learned::LearnedFtl;
-use crate::mrsm::MrsmFtl;
-use crate::scheme::{FtlScheme, SchemeConfig, SchemeKind};
+use crate::scheme::{Scheme, SchemeConfig, SchemeKind};
 
 /// Where one logical page's four quarter-page sub-regions live (MRSM):
 /// `(physical page, slot within that page)` per sub-region, `None` = never
@@ -371,7 +367,7 @@ pub fn recover(
     cfg: SchemeConfig,
     kind: SchemeKind,
     checkpoint: Option<&Checkpoint>,
-) -> aftl_flash::Result<(Box<dyn FtlScheme + Send>, Allocator, RecoveryStats)> {
+) -> aftl_flash::Result<(Scheme, Allocator, RecoveryStats)> {
     assert!(
         array.crash_armed(),
         "recovery requires OOB journaling armed from construction"
@@ -464,12 +460,7 @@ pub fn recover(
     // Phase 5: a fresh scheme preloaded with the recovered mapping. Map
     // caches and learned segments start cold; the PMT in DRAM is the
     // authority for correctness.
-    let scheme: Box<dyn FtlScheme + Send> = match kind {
-        SchemeKind::Baseline => Box::new(BaselineFtl::from_image(&g, cfg, &image)),
-        SchemeKind::Mrsm => Box::new(MrsmFtl::from_image(&g, cfg, &image)),
-        SchemeKind::Across => Box::new(AcrossFtl::from_image(&g, cfg, &image)),
-        SchemeKind::Learned => Box::new(LearnedFtl::from_image(&g, cfg, &image)),
-    };
+    let scheme = Scheme::from_image(kind, &g, cfg, &image);
 
     let page_bytes = u64::from(g.page_bytes);
     let (mode, journal_replays, ckpt_pages) = match checkpoint {
@@ -498,7 +489,8 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::request::HostRequest;
-    use crate::scheme::FtlEnv;
+    use crate::scheme::{FtlEnv, FtlScheme};
+    use crate::{AcrossFtl, MrsmFtl};
     use aftl_flash::{Geometry, TimingSpec};
 
     /// MRSM on a crash-armed tiny device (spp = 8, so a sub-region is 2
@@ -521,7 +513,7 @@ mod tests {
                 .unwrap();
         }
         let (rebuilt, _, _) = recover(&mut array, cfg, SchemeKind::Mrsm, None).unwrap();
-        (ftl.capture_image(), rebuilt.capture_image())
+        (ftl.capture_image(), rebuilt.as_dyn().capture_image())
     }
 
     #[test]

@@ -13,8 +13,9 @@ use crate::mapping::engine::{MapEngineStats, PipelineConfig};
 use crate::obs::SchemeEvent;
 use crate::recover::LOST_VERSION;
 use crate::request::{HostRequest, PageExtent};
+use crate::{AcrossFtl, BaselineFtl, LearnedFtl, MrsmFtl};
 
-/// Which scheme a trait object implements (for reports).
+/// Which of the four schemes a device runs (for configs and reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SchemeKind {
     /// Conventional dynamic page-level mapping FTL.
@@ -182,14 +183,6 @@ impl SchemeConfig {
 
 /// The FTL interface the simulator drives.
 pub trait FtlScheme {
-    /// Which scheme this is (for reports and dispatch-free branching).
-    fn kind(&self) -> SchemeKind;
-
-    /// Display name, defaulting to the kind's name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
     /// Service a host write.
     fn write(&mut self, env: &mut FtlEnv<'_>, req: &HostRequest) -> Result<ServiceOutcome>;
 
@@ -203,11 +196,8 @@ pub trait FtlScheme {
     fn maybe_gc(&mut self, env: &mut FtlEnv<'_>) -> Result<GcReport>;
 
     /// Run idle (background) GC for up to `max_pages` page copies during a
-    /// host arrival gap. Default: no idle GC (schemes opt in by routing to
-    /// [`crate::gc::GcState::idle_collect`]).
-    fn idle_gc(&mut self, _env: &mut FtlEnv<'_>, _max_pages: u64) -> Result<GcReport> {
-        Ok(GcReport::default())
-    }
+    /// host arrival gap ([`crate::gc::GcState::idle_collect`]).
+    fn idle_gc(&mut self, env: &mut FtlEnv<'_>, max_pages: u64) -> Result<GcReport>;
 
     /// Cumulative event counters since construction.
     fn counters(&self) -> &SchemeCounters;
@@ -215,11 +205,8 @@ pub trait FtlScheme {
     /// Mapping-cache hit/miss/eviction statistics.
     fn cache_stats(&self) -> CacheStats;
 
-    /// Pipelined map-engine counters (all zero with the pipeline off or
-    /// for schemes that bypass the engine).
-    fn map_engine_stats(&self) -> MapEngineStats {
-        MapEngineStats::default()
-    }
+    /// Pipelined map-engine counters (all zero with the pipeline off).
+    fn map_engine_stats(&self) -> MapEngineStats;
 
     /// Learned-mapping counters (all zero for every scheme except
     /// [`SchemeKind::Learned`]).
@@ -244,6 +231,68 @@ pub trait FtlScheme {
     /// Snapshot the complete logical-to-physical mapping for a crash
     /// checkpoint (see [`crate::recovery`]).
     fn capture_image(&self) -> crate::recovery::SchemeImage;
+}
+
+/// One of the four schemes, held by value so a device can be forked whole.
+/// Callers reach it through [`Scheme::as_dyn`] / [`Scheme::as_dyn_mut`].
+#[derive(Clone)]
+pub enum Scheme {
+    /// The conventional page-level FTL.
+    Baseline(BaselineFtl),
+    /// The MRSM comparator.
+    Mrsm(MrsmFtl),
+    /// The paper's Across-FTL.
+    Across(AcrossFtl),
+    /// The learned-mapping comparator.
+    Learned(LearnedFtl),
+}
+
+impl Scheme {
+    /// A fresh `kind` scheme for a device of `geometry`.
+    pub fn new(kind: SchemeKind, geometry: &Geometry, cfg: SchemeConfig) -> Self {
+        match kind {
+            SchemeKind::Baseline => Scheme::Baseline(BaselineFtl::new(geometry, cfg)),
+            SchemeKind::Mrsm => Scheme::Mrsm(MrsmFtl::new(geometry, cfg)),
+            SchemeKind::Across => Scheme::Across(AcrossFtl::new(geometry, cfg)),
+            SchemeKind::Learned => Scheme::Learned(LearnedFtl::new(geometry, cfg)),
+        }
+    }
+
+    /// A `kind` scheme preloaded with a recovered mapping (see
+    /// [`crate::recovery`]), refusing an image part `kind` cannot hold.
+    pub fn from_image(
+        kind: SchemeKind,
+        geometry: &Geometry,
+        cfg: SchemeConfig,
+        image: &crate::recovery::SchemeImage,
+    ) -> Self {
+        match kind {
+            SchemeKind::Baseline => Scheme::Baseline(BaselineFtl::from_image(geometry, cfg, image)),
+            SchemeKind::Mrsm => Scheme::Mrsm(MrsmFtl::from_image(geometry, cfg, image)),
+            SchemeKind::Across => Scheme::Across(AcrossFtl::from_image(geometry, cfg, image)),
+            SchemeKind::Learned => Scheme::Learned(LearnedFtl::from_image(geometry, cfg, image)),
+        }
+    }
+
+    /// The scheme behind its interface.
+    pub fn as_dyn(&self) -> &(dyn FtlScheme + Send) {
+        match self {
+            Scheme::Baseline(s) => s,
+            Scheme::Mrsm(s) => s,
+            Scheme::Across(s) => s,
+            Scheme::Learned(s) => s,
+        }
+    }
+
+    /// The scheme behind its interface, mutably.
+    pub fn as_dyn_mut(&mut self) -> &mut (dyn FtlScheme + Send) {
+        match self {
+            Scheme::Baseline(s) => s,
+            Scheme::Mrsm(s) => s,
+            Scheme::Across(s) => s,
+            Scheme::Learned(s) => s,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ struct PlaneAlloc {
 
 /// The device-wide allocator. Owns per-plane free lists; the [`FlashArray`]
 /// remains the source of truth for page states.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Allocator {
     planes: Vec<PlaneAlloc>,
     cursor: u64,

@@ -106,7 +106,7 @@ type PageContent = Option<Box<[Option<SectorStamp>]>>;
 
 /// Armed-crash state: the remaining flash-op budget, the power latch, and
 /// the OOB journal store recovery scans after the cut.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CrashState {
     /// Flash operations (read/program/erase) left before the power cut.
     ops_remaining: u64,
@@ -118,7 +118,7 @@ struct CrashState {
 }
 
 /// The NAND flash array (see crate docs for the FTL contract).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlashArray {
     geometry: Geometry,
     timing: TimingSpec,

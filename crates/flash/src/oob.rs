@@ -100,7 +100,7 @@ pub const OOB_GROUP_POISONED: u64 = u64::MAX;
 
 /// Dense per-page store of [`OobExtra`] records plus the active-group
 /// bookkeeping. Owned by the array; allocated when a crash is armed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OobStore {
     extras: Vec<OobExtra>,
     next_group: u64,

@@ -15,11 +15,11 @@ use crate::warmup;
 /// Replay `trace` on a device configured by `config`, with aging, and
 /// collect the full report.
 pub fn run_single_with(config: SimConfig, trace: &Trace) -> Result<RunReport> {
-    let ssd = Ssd::new(config)?;
-    run_on_device(ssd, trace)
+    run_on_device(Ssd::new(config)?, trace)
 }
 
-/// Replay `trace` on an already-built device (custom schemes / ablations).
+/// Replay `trace` on an already-built device (custom schemes / ablations),
+/// aging it first unless it was aged already (e.g. a fork of an aged one).
 pub fn run_on_device(ssd: Ssd, trace: &Trace) -> Result<RunReport> {
     run_on_device_keep(ssd, trace).map(|(report, _)| report)
 }
@@ -82,30 +82,35 @@ impl ComparisonReport {
     }
 }
 
-/// Run the full (trace × scheme) grid, in parallel over every combination.
+/// Run the full (trace × scheme) grid: age one device per scheme, then
+/// replay every trace on a fork of it, in parallel. Each cell equals
+/// [`run_single`] but for its `wall_seconds`, which leaves the aging out.
 pub fn run_grid(traces: &[Trace], page_bytes: u32) -> Result<Vec<ComparisonReport>> {
-    let combos: Vec<(usize, SchemeKind)> = traces
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| SchemeKind::ALL.map(|s| (i, s)))
-        .collect();
-    let runs: Vec<(usize, RunReport)> = combos
+    let aged: Vec<Ssd> = SchemeKind::ALL
         .par_iter()
-        .map(|&(i, scheme)| run_single(&traces[i], scheme, page_bytes).map(|r| (i, r)))
-        .collect::<Result<_>>()?;
-    let mut out: Vec<ComparisonReport> = traces
-        .iter()
-        .map(|t| ComparisonReport {
-            trace: t.name.clone(),
-            page_bytes,
-            runs: Vec::new(),
+        .map(|&scheme| {
+            let mut ssd = Ssd::new(SimConfig::experiment(scheme, page_bytes))?;
+            let warm = ssd.config().warmup;
+            warmup::age(&mut ssd, &warm)?;
+            Ok(ssd)
         })
+        .collect::<Result<_>>()?;
+    let cells: Vec<(&Trace, &Ssd)> = traces
+        .iter()
+        .flat_map(|t| aged.iter().map(move |d| (t, d)))
         .collect();
-    // Collected in combo order, so each `runs` fills in `SchemeKind::ALL` order.
-    for (i, r) in runs {
-        out[i].runs.push(r);
-    }
-    Ok(out)
+    let runs: Vec<RunReport> = cells
+        .par_iter()
+        .map(|&(trace, device)| run_on_device(device.fork(), trace))
+        .collect::<Result<_>>()?;
+    // Trace-major, so each trace's runs come in `SchemeKind::ALL` order.
+    let mut runs = runs.into_iter();
+    let comparison = |t: &Trace| ComparisonReport {
+        trace: t.name.clone(),
+        page_bytes,
+        runs: runs.by_ref().take(aged.len()).collect(),
+    };
+    Ok(traces.iter().map(comparison).collect())
 }
 
 #[cfg(test)]

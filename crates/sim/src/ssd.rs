@@ -4,8 +4,7 @@
 use aftl_core::gc::GcReport;
 use aftl_core::recovery::{Checkpoint, RecoveryStats};
 use aftl_core::request::{HostRequest, ReqKind};
-use aftl_core::scheme::{FtlEnv, FtlScheme, SchemeKind, ServedSector};
-use aftl_core::{AcrossFtl, BaselineFtl, LearnedFtl, MrsmFtl};
+use aftl_core::scheme::{FtlEnv, FtlScheme, Scheme, ServedSector};
 use aftl_flash::{Allocator, FlashArray, FlashError, Nanos, Result};
 use aftl_trace::{IoOp, IoRecord};
 
@@ -34,35 +33,31 @@ pub struct Completed {
     pub served: Vec<ServedSector>,
 }
 
-/// The simulated device.
+/// The simulated device. Not `Clone`: [`Ssd::fork`] is the one copy.
 pub struct Ssd {
     config: SimConfig,
     array: FlashArray,
     alloc: Allocator,
-    scheme: Box<dyn FtlScheme + Send>,
+    scheme: Scheme,
     observer: Observer,
     read_only: bool,
     write_rejections: u64,
     throttled_writes: u64,
     /// Most recent quiescent-point mapping checkpoint (crash experiments).
     checkpoint: Option<Checkpoint>,
+    pub(crate) aged: Option<crate::warmup::WarmupStats>,
 }
 
 impl Ssd {
     /// Build a device with the scheme named by `config.scheme`.
     pub fn new(config: SimConfig) -> Result<Self> {
-        let scheme: Box<dyn FtlScheme + Send> = match config.scheme {
-            SchemeKind::Baseline => Box::new(BaselineFtl::new(&config.geometry, config.scheme_cfg)),
-            SchemeKind::Mrsm => Box::new(MrsmFtl::new(&config.geometry, config.scheme_cfg)),
-            SchemeKind::Across => Box::new(AcrossFtl::new(&config.geometry, config.scheme_cfg)),
-            SchemeKind::Learned => Box::new(LearnedFtl::new(&config.geometry, config.scheme_cfg)),
-        };
+        let scheme = Scheme::new(config.scheme, &config.geometry, config.scheme_cfg);
         Self::with_scheme(config, scheme)
     }
 
-    /// Build a device around a custom scheme instance (ablation studies,
-    /// user-provided FTLs). `config.scheme` is used only for labelling.
-    pub fn with_scheme(config: SimConfig, mut scheme: Box<dyn FtlScheme + Send>) -> Result<Self> {
+    /// Build a device around a configured scheme instance (ablation
+    /// studies). `config.scheme` is used only for labelling.
+    pub fn with_scheme(config: SimConfig, mut scheme: Scheme) -> Result<Self> {
         let mut array = FlashArray::new(config.geometry, config.timing)?;
         if config.track_content {
             array.enable_content_tracking();
@@ -71,7 +66,7 @@ impl Ssd {
         let observer = Observer::new(&config.observe);
         if observer.enabled() {
             array.enable_op_log();
-            scheme.set_event_log(true);
+            scheme.as_dyn_mut().set_event_log(true);
         }
         let alloc = Allocator::new(&array);
         Ok(Ssd {
@@ -84,7 +79,22 @@ impl Ssd {
             write_rejections: 0,
             throttled_writes: 0,
             checkpoint: None,
+            aged: None,
         })
+    }
+
+    /// An independent copy of this device with a fresh observer:
+    /// measurement is not device state.
+    pub fn fork(&self) -> Ssd {
+        Ssd {
+            config: self.config.clone(),
+            array: self.array.clone(),
+            alloc: self.alloc.clone(),
+            scheme: self.scheme.clone(),
+            observer: Observer::new(&self.config.observe),
+            checkpoint: self.checkpoint.clone(),
+            ..*self
+        }
     }
 
     /// Arm a deterministic sudden power-off after `crash_at` more flash
@@ -104,22 +114,23 @@ impl Ssd {
     /// Snapshot the scheme's mapping and per-block state as the recovery
     /// checkpoint (call between requests — a quiescent point).
     pub fn take_checkpoint(&mut self) {
-        let image = self.scheme.capture_image();
+        let image = self.scheme.as_dyn().capture_image();
         self.checkpoint = Some(Checkpoint::capture(&self.array, image));
     }
 
     /// Power-cycle the device after an armed crash fired: restore power,
     /// rebuild the mapping from the OOB journal (seeded by the checkpoint
     /// when one was taken), and replace the scheme and allocator with the
-    /// recovered state.
+    /// recovered state (its scheme logging events if the observer is on).
     pub fn power_cycle_recover(&mut self) -> Result<RecoveryStats> {
         self.array.power_restore();
-        let (scheme, alloc, stats) = aftl_core::crash_recover(
+        let (mut scheme, alloc, stats) = aftl_core::crash_recover(
             &mut self.array,
             self.config.scheme_cfg,
             self.config.scheme,
             self.checkpoint.as_ref(),
         )?;
+        scheme.as_dyn_mut().set_event_log(self.observer.enabled());
         self.scheme = scheme;
         self.alloc = alloc;
         Ok(stats)
@@ -155,7 +166,7 @@ impl Ssd {
     /// The active FTL scheme.
     #[inline]
     pub fn scheme(&self) -> &dyn FtlScheme {
-        self.scheme.as_ref()
+        self.scheme.as_dyn()
     }
 
     /// The latency/trace aggregator (see [`crate::observe`]).
@@ -180,13 +191,13 @@ impl Ssd {
     /// Exported logical capacity in sectors.
     #[inline]
     pub fn logical_sectors(&self) -> u64 {
-        self.scheme.logical_pages() * u64::from(self.spp())
+        self.scheme.as_dyn().logical_pages() * u64::from(self.spp())
     }
 
     /// Snapshot cumulative statistics (pair with deltas to bracket the
     /// measured window).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut counters = *self.scheme.counters();
+        let mut counters = *self.scheme().counters();
         // Write rejections and throttle delays happen at the device layer,
         // before the scheme sees the request; fold them into the counter
         // block here.
@@ -195,9 +206,9 @@ impl Ssd {
         StatsSnapshot {
             flash: self.array.stats().clone(),
             counters,
-            cache: self.scheme.cache_stats(),
-            map_engine: self.scheme.map_engine_stats(),
-            learned: self.scheme.learned_stats(),
+            cache: self.scheme().cache_stats(),
+            map_engine: self.scheme().map_engine_stats(),
+            learned: self.scheme().learned_stats(),
         }
     }
 
@@ -262,8 +273,8 @@ impl Ssd {
             now_ns: dispatch_ns,
         };
         let outcome = match req.kind {
-            ReqKind::Write => self.scheme.write(&mut env, req),
-            ReqKind::Read => self.scheme.read(&mut env, req),
+            ReqKind::Write => self.scheme.as_dyn_mut().write(&mut env, req),
+            ReqKind::Read => self.scheme.as_dyn_mut().read(&mut env, req),
         };
         let outcome = match outcome {
             Ok(o) => o,
@@ -292,7 +303,7 @@ impl Ssd {
         };
         self.observer.absorb_ops(&mut self.array, phase);
         self.observer
-            .absorb_scheme_events(self.scheme.as_mut(), req.at_ns);
+            .absorb_scheme_events(self.scheme.as_dyn_mut(), req.at_ns);
         self.observer.record_host(
             req.kind,
             outcome.complete_ns.saturating_sub(req.at_ns),
@@ -310,7 +321,7 @@ impl Ssd {
         // Power dying during this GC slice leaves the host write above
         // acked and sealed, so the request itself succeeded; the outage
         // surfaces on the next submit.
-        let gc = self.scheme.maybe_gc(&mut env);
+        let gc = self.scheme.as_dyn_mut().maybe_gc(&mut env);
         let gc = self.settle_gc(gc)?;
         let gc_end = self.observer.absorb_ops(&mut self.array, Phase::Gc);
         if gc.triggered {
@@ -359,7 +370,7 @@ impl Ssd {
             alloc: &mut self.alloc,
             now_ns,
         };
-        let gc = self.scheme.idle_gc(&mut env, budget);
+        let gc = self.scheme.as_dyn_mut().idle_gc(&mut env, budget);
         let gc = self.settle_gc(gc)?;
         self.observer.absorb_ops(&mut self.array, Phase::Gc);
         Ok(gc)
@@ -413,9 +424,97 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WarmupConfig;
+    use crate::experiment::run_on_device_keep;
+    use aftl_core::scheme::SchemeKind;
+    use aftl_flash::FaultConfig;
+    use aftl_trace::Trace;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny(scheme: SchemeKind) -> Ssd {
         Ssd::new(SimConfig::test_tiny(scheme)).unwrap()
+    }
+
+    #[test]
+    fn a_recovered_scheme_keeps_its_event_log() {
+        // An area (4+6), an AMerge (6+6) and an ARollback (2+8), before
+        // and after a power cycle: each reaches the latency histograms.
+        let mut ssd = tiny(SchemeKind::Across);
+        ssd.arm_crash(u64::MAX / 2);
+        let three = |ssd: &mut Ssd| {
+            for (sector, sectors) in [(4, 6), (6, 6), (2, 8)] {
+                ssd.submit(&HostRequest::write(0, sector, sectors)).unwrap();
+            }
+            let b = ssd.observer().breakdown();
+            (b.amerge.count, b.arollback.count)
+        };
+        assert_eq!(three(&mut ssd), (1, 1));
+        ssd.power_cycle_recover().unwrap();
+        assert_eq!(three(&mut ssd), (2, 2), "events lost after recovery");
+        let c = ssd.scheme().counters();
+        let merges = c.profitable_amerge + c.unprofitable_amerge;
+        assert_eq!((merges, c.arollbacks), (1, 1), "the rebuilt scheme's own");
+    }
+
+    #[test]
+    fn a_fork_equals_a_freshly_aged_device() {
+        // Faults and crash journaling armed, aged to ~60 % used.
+        let config = |scheme| SimConfig {
+            fault: FaultConfig {
+                seed: 9,
+                read_fail_rate: 0.01,
+                program_fail_rate: 0.005,
+                ..FaultConfig::disabled()
+            },
+            warmup: WarmupConfig {
+                used_fraction: 0.6,
+                valid_fraction: 0.3,
+                seed: 5,
+            },
+            ..SimConfig::test_tiny(scheme)
+        };
+        let armed = |config: &SimConfig| {
+            let mut ssd = Ssd::new(config.clone()).unwrap();
+            ssd.arm_crash(u64::MAX / 2);
+            ssd
+        };
+        let mut rng = SmallRng::seed_from_u64(31);
+        let records = (0..400)
+            .map(|i| IoRecord {
+                at_ns: i * 1_000,
+                sector: rng.random_range(0..1_500),
+                sectors: [1, 2, 4, 8, 12, 16][rng.random_range(0..6usize)],
+                op: if rng.random_bool(0.6) {
+                    IoOp::Write
+                } else {
+                    IoOp::Read
+                },
+            })
+            .collect();
+        let trace = Trace::new("mixed", records);
+        // The replay's faults and report, then a power cycle's cost and
+        // mapping.
+        let run = |ssd: Ssd| {
+            let (mut report, mut ssd) = run_on_device_keep(ssd, &trace).unwrap();
+            report.wall_seconds = 0.0;
+            let faults = report.flash.read_faults + report.flash.program_faults;
+            let json = serde_json::to_string(&report).unwrap();
+            let recovered = ssd.power_cycle_recover().unwrap();
+            (faults, json, recovered, ssd.scheme().capture_image())
+        };
+        for kind in SchemeKind::WITH_LEARNED {
+            let config = config(kind);
+            let mut source = armed(&config);
+            crate::warmup::age(&mut source, &config.warmup).unwrap();
+            let before = format!("{:?}", source.snapshot());
+            let fresh = run(armed(&config));
+            assert!(fresh.0 > 0, "{}: no fault fired", kind.name());
+            assert_eq!(run(source.fork()), fresh, "{}: first fork", kind.name());
+            assert_eq!(run(source.fork()), fresh, "{}: second fork", kind.name());
+            let after = format!("{:?}", source.snapshot());
+            assert_eq!(after, before, "{}: forks share state", kind.name());
+        }
     }
 
     #[test]

@@ -49,7 +49,12 @@ impl WarmupStats {
 
 /// Age `ssd` per `cfg` and report what was done. Calls
 /// [`Ssd::finish_warmup`] at the end so the measured window starts clean.
+///
+/// A device is aged once: later calls (also on a fork) return that aging.
 pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
+    if let Some(stats) = ssd.aged {
+        return Ok(stats);
+    }
     let spp = u64::from(ssd.spp());
     let total_pages = ssd.array().geometry().total_pages();
     let footprint_pages =
@@ -93,6 +98,7 @@ pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
         valid_fraction: ssd.array().valid_page_fraction(),
     };
     ssd.finish_warmup();
+    ssd.aged = Some(stats);
     Ok(stats)
 }
 

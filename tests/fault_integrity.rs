@@ -1,19 +1,17 @@
 //! Fault-injection integrity: with seeded transient read/program/erase
 //! faults enabled, every acknowledged write must stay readable with its
 //! last-written content — or be explicitly accounted for as an
-//! acknowledged loss ([`LOST_VERSION`]) or a rejected write on a
+//! acknowledged loss (`LOST_VERSION`) or a rejected write on a
 //! read-only device. Never silent corruption, on any scheme.
 
-use std::collections::HashMap;
+mod common;
 
 use aftl_core::request::{HostRequest, ReqKind};
 use aftl_core::scheme::SchemeKind;
-use aftl_core::LOST_VERSION;
 use aftl_flash::{FaultConfig, FlashError};
 use aftl_integration::small_ssd_with_faults;
+use common::shadowed_workload;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 fn faulty_config(fault_seed: u64) -> FaultConfig {
     FaultConfig {
@@ -25,11 +23,10 @@ fn faulty_config(fault_seed: u64) -> FaultConfig {
     }
 }
 
-/// Drive `n` seeded random requests through a fault-injected device,
-/// shadowing content versions on the side. A served sector must carry its
-/// last *acknowledged* version — or the version of a write the device
-/// rejected mid-flight (the one transition write may be partially
-/// applied), or the explicit [`LOST_VERSION`] marker. Anything else is
+/// Drive `n` seeded random requests through a fault-injected device under
+/// [`shadowed_workload`]'s rule: a served sector carries its last
+/// *acknowledged* version, the version of a write the device rejected
+/// mid-flight, or the explicit `LOST_VERSION` marker. Anything else is
 /// silent corruption and fails the test.
 fn faulty_workload(
     scheme: SchemeKind,
@@ -38,62 +35,7 @@ fn faulty_workload(
     n: usize,
 ) -> Result<(), TestCaseError> {
     let mut ssd = small_ssd_with_faults(scheme, faulty_config(fault_seed));
-    let mut rng = SmallRng::seed_from_u64(workload_seed);
-    let spp = u64::from(ssd.spp());
-    let span_sectors = ssd.logical_sectors() * 6 / 10;
-
-    let mut committed: HashMap<u64, u64> = HashMap::new();
-    let mut tentative: HashMap<u64, u64> = HashMap::new();
-    let mut next_version = 0u64;
-    for i in 0..n {
-        let sectors = *[1u32, 2, 4, 6, 8, 10, 12, 16]
-            .iter()
-            .filter(|&&z| u64::from(z) <= 2 * spp)
-            .nth(rng.random_range(0..6))
-            .unwrap();
-        let sector = rng.random_range(0..span_sectors - u64::from(sectors));
-        if rng.random_bool(0.6) {
-            let mut req = HostRequest::write(i as u64, sector, sectors);
-            next_version += 1;
-            req.version = next_version;
-            match ssd.submit(&req) {
-                Ok(_) => {
-                    for s in req.sector..req.end_sector() {
-                        committed.insert(s, next_version);
-                        tentative.remove(&s);
-                    }
-                }
-                // The write that trips read-only mode may have reached
-                // flash for some of its sectors before the allocator ran
-                // dry: those sectors legitimately serve this version.
-                Err(FlashError::ReadOnlyMode) => {
-                    for s in req.sector..req.end_sector() {
-                        tentative.insert(s, next_version);
-                    }
-                }
-                Err(e) => return Err(TestCaseError::fail(format!("write failed: {e}"))),
-            }
-        } else {
-            let req = HostRequest::read(i as u64, sector, sectors);
-            let done = ssd
-                .submit(&req)
-                .map_err(|e| TestCaseError::fail(format!("read failed: {e}")))?;
-            prop_assert_eq!(done.served.len(), sectors as usize);
-            for s in &done.served {
-                let want = committed.get(&s.sector).copied().unwrap_or(0);
-                let tent = tentative.get(&s.sector).copied();
-                prop_assert!(
-                    s.version == want || Some(s.version) == tent || s.version == LOST_VERSION,
-                    "{}: sector {} served version {} (committed {}, tentative {:?})",
-                    scheme.name(),
-                    s.sector,
-                    s.version,
-                    want,
-                    tent
-                );
-            }
-        }
-    }
+    shadowed_workload(&mut ssd, true, workload_seed, n).map_err(TestCaseError::fail)?;
     // The run must actually have exercised the fault machinery.
     let stats = ssd.array().stats();
     prop_assert!(
