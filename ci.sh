@@ -88,6 +88,21 @@ awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' crates/core/src/recovery.rs
 printf 'crates/core/src/mrsm.rs non-test lines: '
 awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' crates/core/src/mrsm.rs
 
+say "flash structure (a state/kind byte and a 32-bit tag per flash page; seq lives in the crash journal)"
+# Per-page metadata is sized by what each path reads (DESIGN.md §9): a
+# 64-bit per-page array creeping back into the page store, or the hashed
+# MRSM leaf ids that once needed 64-bit tags, fails here rather than in
+# review.
+if grep -nE '^ *(pub(\([a-z]+\))? )?[a-z_]+: Vec<u64>' crates/flash/src/page.rs; then
+    echo "crates/flash/src/page.rs declares a Vec<u64> field (tags are 32-bit; seq is the journal's)"; exit 1
+fi
+if grep -rn 'splitmix64' crates/core; then
+    echo "splitmix64 is back under crates/core (MRSM keys its cache by leaf index)"; exit 1
+fi
+printf 'page store bytes per flash page: '
+awk '/^pub\(crate\) struct PageStore/,/^}/' crates/flash/src/page.rs \
+    | sed -nE 's/^ *[a-z_]+: Vec<u(8|16|32|64)>,$/\1/p' | awk '{n += $1 / 8} END {print n}'
+
 say "bench structure (one figure binary, one tracked bench, no host clock in BENCH files)"
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered
 # in-process by repro_all, and every committed BENCH_*.json an entry of

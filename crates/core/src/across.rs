@@ -38,8 +38,10 @@ use crate::scheme::{
 pub const PMT_ENTRY_BYTES: u64 = 6;
 /// Modelled bytes per AMT entry (Off + Size + APPN).
 pub const AMT_ENTRY_BYTES: u64 = 8;
-/// Translation-page id namespace offset for AMT pages.
-const AMT_TPID_BASE: u64 = 1 << 40;
+/// Translation-page id namespace offset for AMT pages: above every PMT
+/// page id (`lpn / entries_per_tpage`), and low enough that every AMT
+/// page id fits the flash array's 32-bit page tag.
+const AMT_TPID_BASE: u64 = 1 << 31;
 
 /// Feature toggles for ablation studies (`repro_all ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,8 +151,14 @@ impl AcrossFtl {
     fn amt_access(&mut self, env: &mut FtlEnv<'_>, aidx: u32, dirty: bool) -> Result<Nanos> {
         // AMT pages live in their own tpid namespace; their footprint is
         // reported from the AMT's slot storage, not the touched set.
-        let tpid = AMT_TPID_BASE + u64::from(aidx) / self.amt_entries_per_tpage;
+        let tpid = self.amt_tpid(aidx);
         self.core.resolve(env, tpid, 1, dirty)
+    }
+
+    /// Translation-page id of the AMT page holding entry `aidx`.
+    #[inline]
+    fn amt_tpid(&self, aidx: u32) -> u64 {
+        AMT_TPID_BASE + u64::from(aidx) / self.amt_entries_per_tpage
     }
 
     fn sync_area_gauges(&mut self) {
@@ -763,7 +771,7 @@ impl FtlScheme for AcrossFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aftl_flash::{Allocator, FlashArray, Geometry, TimingSpec};
+    use aftl_flash::{Allocator, FlashArray, Geometry, GeometryBuilder, TimingSpec};
 
     fn setup() -> (FlashArray, Allocator, AcrossFtl) {
         let g = Geometry::tiny();
@@ -820,6 +828,54 @@ mod tests {
         let mut v: Vec<(u64, u64)> = out.served.iter().map(|s| (s.sector, s.version)).collect();
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn map_page_tags_fit_32_bits() {
+        // On the 16 GiB device at every page size, the widest translation
+        // -page tags Across-FTL (AMT pages, over every possible AIdx) and
+        // MRSM (tree leaves) program round-trip through the array's 32-bit
+        // OOB tag; a wider tag panics and a free page reads `u64::MAX`.
+        for page_bytes in [4096u32, 8192, 16384] {
+            let g = GeometryBuilder::new()
+                .channels(8)
+                .chips_per_channel(2)
+                .dies_per_chip(2)
+                .planes_per_die(2)
+                .blocks_per_plane(((1u64 << 34) / (64 * 64 * u64::from(page_bytes))) as u32)
+                .pages_per_block(64)
+                .page_bytes(page_bytes)
+                .build()
+                .unwrap();
+            assert_eq!(g.capacity_bytes(), 16 << 30);
+            let cfg = SchemeConfig::for_geometry(&g);
+            let last_lpn = cfg.logical_pages - 1;
+            let across = AcrossFtl::new(&g, cfg);
+            assert!(
+                across.core.tpid(last_lpn) < across.amt_tpid(0),
+                "PMT and AMT page ids overlap"
+            );
+            let tags = [
+                across.amt_tpid(0),
+                across.amt_tpid(NO_AIDX - 1),
+                crate::mrsm::leaf_tpid(last_lpn),
+            ];
+            let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+            for (i, &tag) in tags.iter().enumerate() {
+                let ppn = Ppn(i as u64);
+                array
+                    .program(ppn, PageKind::Map, tag, page_bytes, 0, 0)
+                    .unwrap();
+                let info = array.page_info(ppn).unwrap();
+                assert_eq!((info.kind, info.tag), (PageKind::Map, tag));
+            }
+            let free = Ppn(tags.len() as u64);
+            assert_eq!(array.page_info(free).unwrap().tag, u64::MAX);
+            let wide = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                array.program(free, PageKind::Map, u64::from(u32::MAX), page_bytes, 0, 0)
+            }));
+            assert!(wide.is_err(), "a tag of u32::MAX must not be stored");
+        }
     }
 
     #[test]

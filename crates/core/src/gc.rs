@@ -46,7 +46,7 @@
 
 use crate::recover::{program_relocating, read_old_copy};
 use aftl_flash::{
-    Allocator, BlockAddr, FlashArray, FlashError, Nanos, PageInfo, Ppn, Result, StreamId,
+    Allocator, BlockAddr, FlashArray, FlashError, Nanos, PageInfo, PageState, Ppn, Result, StreamId,
 };
 use serde::{Deserialize, Serialize};
 
@@ -659,7 +659,7 @@ impl GcState {
                 // captured at victim start; skip them — their mapping
                 // already points at the newer copy. (With atomic episodes
                 // nothing interleaves, so nothing is ever skipped.)
-                if !array.page_info(old_ppn)?.is_valid() {
+                if array.page_state(old_ppn)? != PageState::Valid {
                     continue;
                 }
                 let programs = migrator.migrate(array, alloc, now, old_ppn, &info, report)?;

@@ -69,13 +69,12 @@ enum LpnMap {
     Sub([SubLoc; SUBS_PER_PAGE as usize]),
 }
 
-/// SplitMix64 — stateless hash scattering tree-leaf ids.
+/// Translation-page id of the tree leaf holding `lpn`'s entry: the leaf
+/// index. The mapping cache is keyed exactly, so leaf ids need no
+/// scattering, and they fit the flash array's 32-bit page tag.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+pub(crate) fn leaf_tpid(lpn: u64) -> u64 {
+    lpn / LEAF_LPNS
 }
 
 /// A sub-region write staged during request processing.
@@ -477,9 +476,9 @@ impl MrsmFtl {
     fn map_access(&mut self, env: &mut FtlEnv<'_>, lpn: u64, dirty: bool) -> Result<Nanos> {
         // Table-size accounting is entry-based (Figure 12(a))...
         self.core.touch(lpn);
-        // ...but cache traffic is leaf-granular and scattered: hash the
-        // leaf id so neighbouring leaves do not share a cache slot.
-        let tpid = splitmix64(lpn / LEAF_LPNS);
+        // ...but cache traffic is leaf-granular: one translation page per
+        // leaf.
+        let tpid = leaf_tpid(lpn);
         let depth = self.tree_depth();
         self.core.resolve(env, tpid, depth, dirty)
     }

@@ -17,8 +17,8 @@
 //! Recovery elects winners by **last-writer-wins** over the monotonic
 //! program sequence number, restricted to *committed* pages:
 //!
-//! * a page in write group 0 (pre-arm data, GC migrations) is implicitly
-//!   committed;
+//! * a page in write group 0 (GC migrations, data programmed outside a
+//!   host write) is implicitly committed;
 //! * a grouped page is committed unless its group is the **torn group** —
 //!   the group that contains the globally newest non-map page yet has no
 //!   commit mark anywhere. Only the last request in flight can be torn, and
@@ -359,9 +359,9 @@ fn elect(
 /// scheme preloaded with the mapping.
 ///
 /// Returns the scheme, the allocator and the cost/mode statistics. The
-/// crash must have been armed from device construction (pre-arm pages
-/// carry no OOB journal); a `checkpoint` image with a part the scheme
-/// cannot hold is refused by its `from_image`.
+/// crash must have been armed from device construction, which
+/// [`FlashArray::arm_crash`] enforces; a `checkpoint` image with a part
+/// the scheme cannot hold is refused by its `from_image`.
 pub fn recover(
     array: &mut FlashArray,
     cfg: SchemeConfig,

@@ -146,7 +146,10 @@ impl Allocator {
         let n = self.planes.len() as u64;
         for _ in 0..n {
             let plane_idx = self.cursor;
-            self.cursor = (self.cursor + 1) % n;
+            self.cursor += 1;
+            if self.cursor == n {
+                self.cursor = 0;
+            }
             if let Some(ppn) = self.try_plane(array, plane_idx, stream) {
                 return Ok(ppn);
             }

@@ -7,7 +7,7 @@ use crate::error::FlashError;
 use crate::faults::{FaultConfig, FaultInjector};
 use crate::geometry::{Geometry, PageAddr, Ppn};
 use crate::oob::{OobDesc, OobExtra, OobStore};
-use crate::page::{PageInfo, PageKind, PageState, PageStore, SectorStamp};
+use crate::page::{narrow_tag, PageInfo, PageKind, PageState, PageStore, SectorStamp};
 use crate::stats::FlashStats;
 use crate::timing::TimingSpec;
 use crate::victims::VictimIndex;
@@ -113,7 +113,8 @@ struct CrashState {
     /// Once true, every flash operation fails with
     /// [`FlashError::PowerCut`] until [`FlashArray::power_restore`].
     powered_off: bool,
-    /// Per-page OOB journaling records (write groups, kills, layout).
+    /// Per-page OOB journaling records (sequence stamps, write groups,
+    /// kills, layout).
     oob: OobStore,
 }
 
@@ -156,6 +157,8 @@ pub struct FlashArray {
     read_retries: u32,
     /// Device-wide monotonic program sequence counter (next stamp to hand
     /// out; stamps start at 1 so `seq == 0` means "never programmed").
+    /// Counted whether or not a crash is armed; only the armed journal
+    /// keeps the stamps.
     next_seq: u64,
     /// Armed sudden-power-off state; `None` keeps every operation's fast
     /// path to a single branch.
@@ -198,9 +201,20 @@ impl FlashArray {
     /// operations (reads, programs and erases, in issue order — DRAM-only
     /// invalidations don't count) every operation fails with
     /// [`FlashError::PowerCut`] until [`Self::power_restore`]. Arming also
-    /// turns on OOB journaling (write groups, kill records, layout
-    /// descriptors) so recovery has something to scan.
+    /// turns on OOB journaling (sequence stamps, write groups, kill
+    /// records, layout descriptors) so recovery has something to scan.
+    ///
+    /// # Panics
+    ///
+    /// If the array has already programmed a page: the journal must cover
+    /// every programmed page, so a crash is armed before the first write.
     pub fn arm_crash(&mut self, crash_at: u64) {
+        assert_eq!(
+            self.next_seq,
+            1,
+            "arm_crash: {} page(s) already programmed; arm before the first write",
+            self.next_seq - 1
+        );
         self.crash = Some(CrashState {
             ops_remaining: crash_at,
             powered_off: false,
@@ -331,12 +345,22 @@ impl FlashArray {
         self.op_log.is_some()
     }
 
+    /// Switch the per-operation log off, dropping anything still logged
+    /// (aging runs unobserved).
+    pub fn disable_op_log(&mut self) {
+        self.op_log = None;
+    }
+
     /// Move all logged operations into `into`, keeping the log's allocation
     /// for reuse. No-op when the log is disabled.
     pub fn drain_op_log(&mut self, into: &mut Vec<FlashOpRecord>) {
-        if let Some(log) = &mut self.op_log {
-            into.append(log);
-        }
+        into.extend(self.drain_ops());
+    }
+
+    /// Drain the logged operations in place, in issue order, keeping the
+    /// log's allocation for reuse. Empty when the log is disabled.
+    pub fn drain_ops(&mut self) -> impl Iterator<Item = FlashOpRecord> + '_ {
+        self.op_log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     #[inline]
@@ -471,10 +495,25 @@ impl FlashArray {
         }
     }
 
-    /// Inspect a page's state/OOB.
+    /// Inspect a page's state/OOB. `seq` is the journal's stamp while a
+    /// crash is armed and 0 otherwise.
     pub fn page_info(&self, ppn: Ppn) -> Result<PageInfo> {
         self.split(ppn)?;
-        Ok(self.pages.info(ppn.0 as usize))
+        Ok(self.info_at(ppn))
+    }
+
+    /// A page's lifecycle state alone (one byte read, no tag or stamp).
+    #[inline]
+    pub fn page_state(&self, ppn: Ppn) -> Result<PageState> {
+        self.split(ppn)?;
+        Ok(self.pages.state(ppn.0 as usize))
+    }
+
+    /// The record of in-range page `ppn`, its stamp from the journal.
+    #[inline]
+    fn info_at(&self, ppn: Ppn) -> PageInfo {
+        let seq = self.crash.as_ref().map_or(0, |c| c.oob.seq_of(ppn));
+        self.pages.info(ppn.0 as usize, seq)
     }
 
     /// The structured address of a PPN.
@@ -575,11 +614,11 @@ impl FlashArray {
         let gid = self.gid_of(addr);
         let first = gid as u64 * u64::from(self.geometry.pages_per_block);
         let programmed = u64::from(self.blocks[gid].write_ptr);
-        out.extend(
-            (first..first + programmed)
-                .filter(|&p| self.pages.state(p as usize) == PageState::Valid)
-                .map(|p| (Ppn(p), self.pages.info(p as usize))),
-        );
+        for p in first..first + programmed {
+            if self.pages.state(p as usize) == PageState::Valid {
+                out.push((Ppn(p), self.info_at(Ppn(p))));
+            }
+        }
     }
 
     /// Per-block erase counts (wear histogram input).
@@ -674,6 +713,10 @@ impl FlashArray {
     /// transfer cost (partial-page programs still program a whole page but
     /// move fewer bytes over the bus). See [`Self::read`] for the
     /// `arrive_ns`/`ready_ns` semantics.
+    ///
+    /// # Panics
+    ///
+    /// On a `tag` of `u32::MAX` or more: the OOB tag is 32 bits wide.
     pub fn program(
         &mut self,
         ppn: Ppn,
@@ -683,6 +726,7 @@ impl FlashArray {
         arrive_ns: Nanos,
         ready_ns: Nanos,
     ) -> Result<OpOutcome> {
+        let tag = narrow_tag(tag);
         self.power_check()?;
         let (gid, page) = self.split(ppn)?;
         let ppb = self.geometry.pages_per_block;
@@ -700,7 +744,10 @@ impl FlashArray {
             });
         }
         let was_free = blk.is_free();
-        self.pages.program(ppn.0 as usize, kind, tag, self.next_seq);
+        self.pages.program(ppn.0 as usize, kind, tag);
+        if let Some(c) = &mut self.crash {
+            c.oob.note_seq(ppn, self.next_seq);
+        }
         self.next_seq += 1;
         blk.write_ptr += 1;
         blk.valid_count += 1;
@@ -1315,22 +1362,48 @@ mod tests {
     }
 
     #[test]
-    fn map_page_tags_keep_all_64_bits() {
-        // Translation-page tags are hashes (MRSM) or sit above `1 << 40`
-        // (Across-FTL's AMT pages): the store must not narrow them.
+    #[should_panic(expected = "arm before the first write")]
+    fn arm_crash_after_a_program_panics() {
         let mut a = tiny_array();
-        let tags = [u64::MAX - 1, (1 << 40) + 7];
-        for (i, &tag) in tags.iter().enumerate() {
-            a.program(Ppn(i as u64), PageKind::Map, tag, 512, 0, 0)
-                .unwrap();
-            let info = a.page_info(Ppn(i as u64)).unwrap();
-            assert_eq!((info.kind, info.tag), (PageKind::Map, tag));
-        }
-        let valid = a.valid_pages_of(a.block_addr_of(Ppn(0)));
+        a.program(Ppn(0), PageKind::Data, 1, 512, 0, 0).unwrap();
+        a.arm_crash(u64::MAX);
+    }
+
+    #[test]
+    fn seq_is_journaled_only_while_armed() {
+        let stamps = |a: &FlashArray| {
+            (0..3)
+                .map(|p| a.page_info(Ppn(p)).unwrap().seq)
+                .collect::<Vec<_>>()
+        };
+        let program_block_0 = |a: &mut FlashArray| {
+            for p in 0..3 {
+                a.program(Ppn(p), PageKind::Data, p, 512, 0, 0).unwrap();
+            }
+        };
+        let mut unarmed = tiny_array();
+        program_block_0(&mut unarmed);
+        assert_eq!(stamps(&unarmed), [0, 0, 0], "no journal, no stamps");
+
+        let mut armed = tiny_array();
+        armed.arm_crash(u64::MAX);
+        // A page of another block first: stamps are device-wide.
+        let other = Ppn(armed.geometry().pages_per_plane());
+        armed.program(other, PageKind::Data, 9, 512, 0, 0).unwrap();
+        program_block_0(&mut armed);
+        assert_eq!(armed.page_info(other).unwrap().seq, 1);
+        assert_eq!(stamps(&armed), [2, 3, 4], "program order");
+        let valid = armed.valid_pages_of(armed.block_addr_of(Ppn(0)));
         assert_eq!(
-            valid.iter().map(|(_, info)| info.tag).collect::<Vec<_>>(),
-            tags
+            valid.iter().map(|(_, info)| info.seq).collect::<Vec<_>>(),
+            [2, 3, 4]
         );
+        for p in 0..3 {
+            armed.invalidate(Ppn(p)).unwrap();
+        }
+        armed.erase(armed.block_addr_of(Ppn(0)), 0).unwrap();
+        assert_eq!(stamps(&armed), [0, 0, 0], "the erase clears the stamps");
+        assert_eq!(armed.page_info(other).unwrap().seq, 1);
     }
 
     // ---- the flat store against the block model it replaced ----------------
@@ -1549,9 +1622,10 @@ mod tests {
                     page,
                     out_of_order: dice < 8,
                     kind: (tag % 3) as u8,
-                    // Tags span the whole width: LPNs, Across-FTL's
-                    // translation-page ids above 1 << 40, hashes.
-                    tag: tag >> (page % 64),
+                    // Tags span the whole 32-bit width (LPNs, Across-FTL's
+                    // translation-page ids above 1 << 31) but for the
+                    // free-page sentinel.
+                    tag: (tag >> (page % 32 + 32)).min(u64::from(u32::MAX) - 1),
                     fail: dice == 99,
                 },
                 70..=169 => StoreOp::Invalidate { block, page },
@@ -1629,6 +1703,9 @@ mod tests {
         };
         let mut a = FlashArray::new(g, TimingSpec::unit()).unwrap();
         a.configure_faults(&quiet);
+        // Armed (with a budget that never runs out), so the journal keeps
+        // the sequence stamps the block model's pages carry.
+        a.arm_crash(u64::MAX);
         let mut r = BlockDevice::new(g);
         // A few hot blocks, spread over the planes, so they fill, collect
         // invalid pages, get erased and wear out within one run.

@@ -1,11 +1,16 @@
 //! Out-of-band journaling records for crash recovery.
 //!
 //! Real NAND pages carry a spare (OOB) area programmed atomically with the
-//! data. Beyond the reverse-map tag and program sequence number (kept in
-//! [`crate::page::PageInfo`]), crash-consistent FTLs stash three more kinds
-//! of metadata there, modeled here as a side store the array maintains only
-//! while a crash is armed (see [`crate::array::FlashArray::arm_crash`]):
+//! data. The array keeps the reverse-map tag every path reads for every
+//! page; what only crash recovery reads is modeled here as a side store
+//! the array maintains only while a crash is armed (see
+//! [`crate::array::FlashArray::arm_crash`], which must precede the first
+//! program):
 //!
+//! * **program sequence stamps** — the device-wide monotonic number each
+//!   program draws; recovery arbitrates conflicting copies of a logical
+//!   page last-writer-wins over it. Reported as
+//!   [`crate::page::PageInfo::seq`], 0 with no crash armed.
 //! * **write-group commit records** — every data page programmed on behalf
 //!   of one atomic host write carries the group id; the group's *last* page
 //!   carries a commit mark. Recovery drops groups whose commit mark never
@@ -68,11 +73,11 @@ pub struct KillRecord {
     pub seq: u64,
 }
 
-/// The crash-relevant OOB metadata of one physical page, beyond the
-/// tag/seq kept in [`crate::page::PageInfo`].
+/// The crash-relevant OOB metadata of one physical page, beyond the tag
+/// the array keeps and the sequence stamp ([`OobStore::seq_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OobExtra {
-    /// Write-group id (0 = no group: pre-arm pages and GC copies, which
+    /// Write-group id (0 = no group: GC copies and map pages, which
     /// recovery treats as implicitly committed).
     pub group: u64,
     /// Whether this page carries its group's commit mark (the group's last
@@ -98,11 +103,15 @@ impl OobExtra {
 /// allocated upward from 1, so the sentinel cannot collide.
 pub const OOB_GROUP_POISONED: u64 = u64::MAX;
 
-/// Dense per-page store of [`OobExtra`] records plus the active-group
-/// bookkeeping. Owned by the array; allocated when a crash is armed.
+/// Dense per-page store of [`OobExtra`] records and program sequence
+/// stamps, plus the active-group bookkeeping. Owned by the array;
+/// allocated when a crash is armed.
 #[derive(Debug, Clone)]
 pub struct OobStore {
     extras: Vec<OobExtra>,
+    /// Program sequence stamp per page (0 = erased since, or never
+    /// programmed).
+    seq: Vec<u64>,
     next_group: u64,
     current: Option<u64>,
     pending_kills: Vec<KillRecord>,
@@ -115,6 +124,7 @@ impl OobStore {
     pub fn new(total_pages: u64) -> Self {
         OobStore {
             extras: vec![OobExtra::ungrouped(); total_pages as usize],
+            seq: vec![0; total_pages as usize],
             next_group: 1,
             current: None,
             pending_kills: Vec::new(),
@@ -164,6 +174,13 @@ impl OobStore {
         &self.kill_log
     }
 
+    /// Stamp a page with the sequence number its program (successful or
+    /// not) drew.
+    #[inline]
+    pub(crate) fn note_seq(&mut self, ppn: Ppn, seq: u64) {
+        self.seq[ppn.0 as usize] = seq;
+    }
+
     /// Record a successful program. Data pages join the open group (if
     /// any); map pages never do — the translation tables are rebuilt from
     /// the data pages at recovery, so torn map writes are harmless.
@@ -202,11 +219,17 @@ impl OobStore {
         &self.extras[ppn.0 as usize]
     }
 
-    /// Reset the records of an erased block's pages.
+    /// The program sequence stamp of a page (0 once its block is erased).
+    #[inline]
+    pub fn seq_of(&self, ppn: Ppn) -> u64 {
+        self.seq[ppn.0 as usize]
+    }
+
+    /// Reset the records and sequence stamps of an erased block's pages.
     pub(crate) fn clear_block(&mut self, first_ppn: Ppn, pages_per_block: u32) {
-        for p in 0..pages_per_block {
-            self.extras[(first_ppn.0 + u64::from(p)) as usize] = OobExtra::ungrouped();
-        }
+        let pages = first_ppn.0 as usize..(first_ppn.0 + u64::from(pages_per_block)) as usize;
+        self.extras[pages.clone()].fill(OobExtra::ungrouped());
+        self.seq[pages].fill(0);
     }
 }
 

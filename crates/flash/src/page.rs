@@ -54,8 +54,10 @@ pub struct PageInfo {
     /// translation-page id; for `AcrossData` the owning table's entry id.
     pub tag: u64,
     /// Device-wide monotonic program sequence number stamped at program
-    /// time (0 = never programmed). Crash recovery arbitrates conflicting
-    /// copies of the same logical page with last-writer-wins over this.
+    /// time. Kept by the crash journal only, so it reads 0 on a page never
+    /// programmed and on every page of an array with no crash armed. Crash
+    /// recovery arbitrates conflicting copies of the same logical page
+    /// with last-writer-wins over this.
     #[serde(default)]
     pub seq: u64,
 }
@@ -96,22 +98,43 @@ impl Default for PageInfo {
     }
 }
 
-/// Every page's [`PageInfo`], indexed by PPN, as three parallel arrays
-/// rather than an array of records: the questions on the hot path ("is
-/// this page valid, what kind is it") read one byte of `meta` — 2 MB for a
-/// 16 GiB device, cache-resident — while `tag` and `seq` are written at
-/// program time (sequentially within a block) and read back only by GC and
-/// recovery, which stream them. 17 B per page against the record's 24.
+/// Every page's [`PageInfo`] but its sequence stamp, indexed by PPN, as two
+/// parallel arrays rather than an array of records: the questions on the
+/// hot path ("is this page valid, what kind is it") read one byte of
+/// `meta` — 2 MB for a 16 GiB device, cache-resident — while `tag` is
+/// written at program time (sequentially within a block) and read back
+/// only by GC and recovery, which stream it. 5 B per page against the
+/// record's 24. The program sequence stamp is read by crash recovery alone
+/// and lives in the crash journal ([`crate::oob::OobStore`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PageStore {
     /// [`PageState`] in bits 0–1, [`PageKind`] in bits 2–3; a free page is 0.
     meta: Vec<u8>,
-    tag: Vec<u64>,
-    seq: Vec<u64>,
+    /// Reverse-map tag; [`FREE_TAG`] on a free page.
+    tag: Vec<u32>,
 }
 
 const STATE_MASK: u8 = 0b11;
 const KIND_SHIFT: u32 = 2;
+/// The stored tag of a free page, reported as `u64::MAX`. No programmed
+/// page may carry it (see [`narrow_tag`]).
+const FREE_TAG: u32 = u32::MAX;
+
+/// A reverse-map tag in its stored 32-bit form. Every tag a scheme
+/// programs fits: LPNs and AMT slot indices are below `2^32`, and
+/// translation-page ids are PMT page numbers, MRSM leaf indices or
+/// Across-FTL's AMT pages from `1 << 31` up.
+///
+/// # Panics
+///
+/// On a tag of `u32::MAX` or more.
+#[inline]
+pub(crate) fn narrow_tag(tag: u64) -> u32 {
+    match u32::try_from(tag) {
+        Ok(t) if t != FREE_TAG => t,
+        _ => panic!("page tag {tag} does not fit the 32-bit OOB tag"),
+    }
+}
 
 #[inline]
 fn pack(state: PageState, kind: PageKind) -> u8 {
@@ -135,8 +158,7 @@ impl PageStore {
         let free = PageInfo::free();
         PageStore {
             meta: vec![pack(free.state, free.kind); n],
-            tag: vec![free.tag; n],
-            seq: vec![free.seq; n],
+            tag: vec![FREE_TAG; n],
         }
     }
 
@@ -160,28 +182,32 @@ impl PageStore {
         }
     }
 
-    /// The record of page `i`, assembled by value.
+    /// The record of page `i`, assembled by value, with sequence stamp
+    /// `seq` (the store keeps none).
     #[inline]
-    pub(crate) fn info(&self, i: usize) -> PageInfo {
+    pub(crate) fn info(&self, i: usize, seq: u64) -> PageInfo {
+        let tag = match self.tag[i] {
+            FREE_TAG => u64::MAX,
+            t => u64::from(t),
+        };
         PageInfo {
             state: self.state(i),
             kind: self.kind(i),
-            tag: self.tag[i],
-            seq: self.seq[i],
+            tag,
+            seq,
         }
     }
 
-    /// Mark free page `i` programmed with the given kind/tag/sequence stamp.
+    /// Mark free page `i` programmed with the given kind and (narrowed)
+    /// tag.
     #[inline]
-    pub(crate) fn program(&mut self, i: usize, kind: PageKind, tag: u64, seq: u64) {
+    pub(crate) fn program(&mut self, i: usize, kind: PageKind, tag: u32) {
         debug_assert_eq!(self.state(i), PageState::Free);
         self.meta[i] = pack(PageState::Valid, kind);
         self.tag[i] = tag;
-        self.seq[i] = seq;
     }
 
-    /// Change the state of programmed page `i`, keeping its kind, tag and
-    /// sequence stamp.
+    /// Change the state of programmed page `i`, keeping its kind and tag.
     #[inline]
     pub(crate) fn set_state(&mut self, i: usize, state: PageState) {
         debug_assert!(self.state(i) != PageState::Free && state != PageState::Free);
@@ -192,8 +218,7 @@ impl PageStore {
     pub(crate) fn erase(&mut self, first: usize, n: usize) {
         let free = PageInfo::free();
         self.meta[first..first + n].fill(pack(free.state, free.kind));
-        self.tag[first..first + n].fill(free.tag);
-        self.seq[first..first + n].fill(free.seq);
+        self.tag[first..first + n].fill(FREE_TAG);
     }
 }
 

@@ -52,13 +52,22 @@ impl TimingSpec {
     /// the full-page transfer time for `page_bytes`-sized pages.
     #[inline]
     pub fn transfer_ns(&self, bytes: u64, page_bytes: u32) -> Nanos {
-        if self.transfer_per_page_ns == 0 || bytes == 0 {
+        let full = self.transfer_per_page_ns;
+        if full == 0 || bytes == 0 {
             return 0;
         }
-        // Round up so tiny transfers still cost at least 1 ns.
-        let full = u128::from(self.transfer_per_page_ns);
-        let t = (full * u128::from(bytes)).div_ceil(u128::from(page_bytes));
-        t as Nanos
+        if bytes == u64::from(page_bytes) {
+            return full;
+        }
+        // Round up so tiny transfers still cost at least 1 ns. The product
+        // fits 64 bits for any realistic page; the 128-bit path keeps the
+        // result exact beyond that.
+        match full.checked_mul(bytes) {
+            Some(p) => p.div_ceil(u64::from(page_bytes)),
+            None => {
+                (u128::from(full) * u128::from(bytes)).div_ceil(u128::from(page_bytes)) as Nanos
+            }
+        }
     }
 
     /// Scale the spec for a page size differing from the 8 KB reference

@@ -187,20 +187,23 @@ pub fn run_fleet_keep(
 
     // Device `i` derives its seeds from its shard index, and its tenants
     // are named `d<i>/…` when more than one device contributes QoS rows.
+    // Each device consumes its shard and drops it as soon as its tenants
+    // hold their copies, before the device is built and aged.
     let shards: Vec<(usize, Trace)> = shards.into_iter().enumerate().collect();
-    let drive = |(i, shard): &(usize, Trace)| {
+    let drive = |(i, shard): (usize, Trace)| {
         let mut config = config.clone();
-        config.warmup.seed = device_seed(config.warmup.seed, *i);
-        config.fault.seed = device_seed(config.fault.seed, *i);
+        config.warmup.seed = device_seed(config.warmup.seed, i);
+        config.fault.seed = device_seed(config.fault.seed, i);
         let mut host = spec.host;
-        host.seed = device_seed(host.seed, *i);
+        host.seed = device_seed(host.seed, i);
         let mut tenants = tenants_from_trace(
-            shard,
+            &shard,
             spec.tenants_per_device,
             spec.issue,
             spec.queue_depth,
             &spec.weights,
         );
+        drop(shard);
         if n > 1 {
             for t in &mut tenants {
                 t.name = format!("d{i}/{}", t.name);
@@ -209,9 +212,9 @@ pub fn run_fleet_keep(
         run_device(config, tenants, &host)
     };
     let runs: aftl_flash::Result<Vec<_>> = if spec.sequential {
-        shards.iter().map(drive).collect()
+        shards.into_iter().map(drive).collect()
     } else {
-        shards.par_iter().map(drive).collect()
+        shards.into_par_iter().map(drive).collect()
     };
     let (runs, rows): (Vec<DeviceRun>, Vec<Vec<TenantQos>>) = runs?.into_iter().unzip();
 

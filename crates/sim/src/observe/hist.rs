@@ -59,7 +59,7 @@ fn bucket_floor(index: usize) -> u64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    counts: Vec<u64>,
+    counts: Box<[u64; BUCKETS]>,
     count: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -76,7 +76,7 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS],
+            counts: Box::new([0; BUCKETS]),
             count: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -184,7 +184,7 @@ impl LatencyHistogram {
     /// assert_eq!(a.max_ns(), 900);
     /// ```
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
         self.count += other.count;

@@ -27,7 +27,7 @@ pub mod hist;
 use aftl_core::request::ReqKind;
 use aftl_core::scheme::FtlScheme;
 use aftl_core::{SchemeEvent, SchemeEventKind};
-use aftl_flash::{FlashArray, FlashOp, FlashOpRecord, Nanos, PageKind};
+use aftl_flash::{FlashArray, FlashOp, Nanos, PageKind};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ObserveConfig;
@@ -210,9 +210,11 @@ impl LatencyBreakdown {
 /// no per-operation work.
 #[derive(Debug)]
 pub struct Observer {
-    hists: Option<Vec<LatencyHistogram>>,
+    /// Whether `hists` records (they stay empty otherwise).
+    histograms: bool,
+    /// One histogram per [`OpKind`], indexed by [`OpKind::index`].
+    hists: Box<[LatencyHistogram; OpKind::ALL.len()]>,
     ring: Option<EventRing>,
-    scratch_ops: Vec<FlashOpRecord>,
     scratch_events: Vec<SchemeEvent>,
 }
 
@@ -220,14 +222,9 @@ impl Observer {
     /// Build an observer per `cfg`.
     pub fn new(cfg: &ObserveConfig) -> Self {
         Observer {
-            hists: cfg.histograms.then(|| {
-                OpKind::ALL
-                    .iter()
-                    .map(|_| LatencyHistogram::new())
-                    .collect()
-            }),
+            histograms: cfg.histograms,
+            hists: Box::new(std::array::from_fn(|_| LatencyHistogram::new())),
             ring: cfg.trace.enabled.then(|| EventRing::new(&cfg.trace)),
-            scratch_ops: Vec::new(),
             scratch_events: Vec::new(),
         }
     }
@@ -235,13 +232,13 @@ impl Observer {
     /// Whether any sink is active (callers skip op-log plumbing otherwise).
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.hists.is_some() || self.ring.is_some()
+        self.histograms || self.ring.is_some()
     }
 
     #[inline]
     fn record(&mut self, kind: OpKind, latency_ns: Nanos, t_ns: Nanos) {
-        if let Some(hists) = &mut self.hists {
-            hists[kind.index()].record(latency_ns);
+        if self.histograms {
+            self.hists[kind.index()].record(latency_ns);
         }
         if let Some(ring) = &mut self.ring {
             ring.offer(Event {
@@ -273,16 +270,13 @@ impl Observer {
         if !self.enabled() {
             return None;
         }
-        let mut ops = std::mem::take(&mut self.scratch_ops);
-        array.drain_op_log(&mut ops);
         let mut last_complete: Option<Nanos> = None;
-        for rec in ops.drain(..) {
+        for rec in array.drain_ops() {
             last_complete = Some(last_complete.map_or(rec.complete_ns, |t| t.max(rec.complete_ns)));
             if let Some(kind) = classify(phase, rec.op, rec.kind, rec.failed) {
                 self.record(kind, rec.latency_ns, rec.complete_ns);
             }
         }
-        self.scratch_ops = ops;
         last_complete
     }
 
@@ -316,9 +310,7 @@ impl Observer {
     /// Condense all histograms into the manifest's latency section
     /// (all-zero summaries when histograms are disabled).
     pub fn breakdown(&self) -> LatencyBreakdown {
-        let Some(hists) = &self.hists else {
-            return LatencyBreakdown::default();
-        };
+        let hists = &self.hists;
         LatencyBreakdown {
             host_read: hists[OpKind::HostRead.index()].summary(),
             host_write: hists[OpKind::HostWrite.index()].summary(),
@@ -345,8 +337,8 @@ impl Observer {
     /// different clocks would fabricate an ordering that never existed;
     /// fleet reports sum only the offered-event totals.
     pub fn merge(&mut self, other: &Observer) {
-        if let (Some(mine), Some(theirs)) = (&mut self.hists, &other.hists) {
-            for (h, o) in mine.iter_mut().zip(theirs.iter()) {
+        if self.histograms && other.histograms {
+            for (h, o) in self.hists.iter_mut().zip(other.hists.iter()) {
                 h.merge(o);
             }
         }
@@ -365,10 +357,8 @@ impl Observer {
     /// Forget everything recorded so far (measurement starts after
     /// warm-up); sinks stay configured.
     pub fn reset(&mut self) {
-        if let Some(hists) = &mut self.hists {
-            for h in hists {
-                h.reset();
-            }
+        for h in self.hists.iter_mut() {
+            h.reset();
         }
         if let Some(ring) = &mut self.ring {
             ring.clear();

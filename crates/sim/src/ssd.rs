@@ -99,8 +99,8 @@ impl Ssd {
 
     /// Arm a deterministic sudden power-off after `crash_at` more flash
     /// operations, and start OOB crash journaling (see
-    /// [`FlashArray::arm_crash`]). Call before the first write so every
-    /// programmed page carries OOB records.
+    /// [`FlashArray::arm_crash`]). Call before the first write, so every
+    /// programmed page carries OOB records; the array panics otherwise.
     pub fn arm_crash(&mut self, crash_at: u64) {
         self.array.arm_crash(crash_at);
     }
@@ -214,11 +214,24 @@ impl Ssd {
 
     /// Forget warm-up history: zero the op counters, chip timelines and
     /// observability sinks so measurements start clean (mapping state and
-    /// data placement remain).
+    /// data placement remain), and switch the flash op log and the scheme's
+    /// event log back on if aging switched them off.
     pub fn finish_warmup(&mut self) {
         self.array.reset_stats();
         self.array.reset_timelines();
         self.observer.reset();
+        if self.observer.enabled() {
+            self.array.enable_op_log();
+            self.scheme.as_dyn_mut().set_event_log(true);
+        }
+    }
+
+    /// Switch the flash op log and the scheme's event log off until
+    /// [`Self::finish_warmup`]: aging's operations would only be recorded
+    /// to be discarded there.
+    pub(crate) fn unobserved(&mut self) {
+        self.array.disable_op_log();
+        self.scheme.as_dyn_mut().set_event_log(false);
     }
 
     /// Clamp a request into the exported logical space (external traces may

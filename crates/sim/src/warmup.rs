@@ -47,8 +47,10 @@ impl WarmupStats {
     }
 }
 
-/// Age `ssd` per `cfg` and report what was done. Calls
-/// [`Ssd::finish_warmup`] at the end so the measured window starts clean.
+/// Age `ssd` per `cfg` and report what was done. Aging runs unobserved
+/// (no flash op log, no scheme event log) and calls [`Ssd::finish_warmup`]
+/// at the end, which turns observation back on so the measured window
+/// starts clean.
 ///
 /// A device is aged once: later calls (also on a fork) return that aging.
 pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
@@ -66,6 +68,7 @@ pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
     let gc_floor = ssd.config().scheme_cfg.gc_threshold + ssd.config().scheme_cfg.gc_hysteresis;
     let free_target = (1.0 - cfg.used_fraction).max(gc_floor);
     let mut writes = 0u64;
+    ssd.unobserved();
 
     if cfg.used_fraction > 0.0 && footprint_pages > 0 {
         // Pass 1: sequential fill of the footprint (all full-page writes).

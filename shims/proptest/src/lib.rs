@@ -6,12 +6,12 @@
 //! `collection::vec` strategies, [`prop_assert!`] and
 //! [`prop_assert_eq!`]. Differences from the real crate, by design:
 //!
-//! * **No shrinking.** A failing case panics with the generated input's
-//!   `Debug` rendering and the case's RNG seed instead of a minimized
-//!   counterexample.
+//! * **No shrinking.** A failing case — an `Err` from the body or a panic
+//!   inside it — is reported with its index and the generated input's
+//!   `Debug` rendering instead of a minimized counterexample.
 //! * **Deterministic seeding.** Case `i` of test `t` derives its seed
 //!   from a hash of `t` and `i`, so failures reproduce without a
-//!   persistence file.
+//!   persistence file: `PROPTEST_CASE=<i>` runs case `i` alone.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -209,23 +209,64 @@ pub mod collection {
     }
 }
 
-/// Drive `cases` generated inputs through `body`, panicking on the first
-/// failure with the input's debug rendering (no shrinking).
+/// Drive `cases` generated inputs through `body`, stopping at the first
+/// failure with the case index and the input's debug rendering (no
+/// shrinking): a body returning `Err` panics with them, and a body that
+/// panics has them printed before its panic resumes. With
+/// `PROPTEST_CASE=<i>` in the environment only case `i` runs, so a
+/// reported failure replays alone.
 pub fn run_cases<S: Strategy>(
     cfg: &ProptestConfig,
     strategy: S,
     test_name: &str,
     body: impl Fn(S::Value) -> Result<(), TestCaseError>,
 ) {
-    for case in 0..cfg.cases {
+    let only = std::env::var("PROPTEST_CASE").ok().map(|v| {
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASE={v:?} is not a case index"))
+    });
+    run_selected(
+        cfg,
+        strategy,
+        test_name,
+        only,
+        &mut |r| eprintln!("{r}"),
+        body,
+    );
+}
+
+/// [`run_cases`] over case `only` (or all cases when `None`), handing a
+/// panicking case's report to `report`.
+fn run_selected<S: Strategy>(
+    cfg: &ProptestConfig,
+    strategy: S,
+    test_name: &str,
+    only: Option<u32>,
+    report: &mut dyn FnMut(String),
+    body: impl Fn(S::Value) -> Result<(), TestCaseError>,
+) {
+    let cases = match only {
+        Some(case) => case..case + 1,
+        None => 0..cfg.cases,
+    };
+    for case in cases {
         let mut rng = TestRng::for_case(test_name, case);
         let value = strategy.generate(&mut rng);
         let rendered = format!("{value:?}");
-        if let Err(e) = body(value) {
-            panic!(
-                "proptest {test_name}: case {case}/{} failed: {e}\ninput: {rendered}",
+        let failure = |what: String| {
+            format!(
+                "proptest {test_name}: case {case}/{} {what}\ninput: {rendered}",
                 cfg.cases
-            );
+            )
+        };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(value))) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("{}", failure(format!("failed: {e}"))),
+            Err(payload) => {
+                report(failure("panicked".into()));
+                std::panic::resume_unwind(payload);
+            }
         }
     }
 }
@@ -324,6 +365,52 @@ mod tests {
             prop_assert!(x < 50, "x was {x}");
             prop_assert_eq!(x.wrapping_add(0), x);
         }
+    }
+
+    #[test]
+    fn panicking_case_is_reported_then_resumes() {
+        let cfg = ProptestConfig::with_cases(16);
+        let (mut reports, runs) = (Vec::new(), std::cell::Cell::new(0));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            super::run_selected(
+                &cfg,
+                0u64..10,
+                "panics",
+                None,
+                &mut |r| reports.push(r),
+                |v| {
+                    runs.set(runs.get() + 1);
+                    assert!(runs.get() < 3, "boom on {v}");
+                    Ok(())
+                },
+            );
+        }));
+        let payload = unwound.expect_err("the body's panic resumes");
+        let message = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.starts_with("boom on "), "{message}");
+        assert_eq!(runs.get(), 3, "no case runs after the failing one");
+        assert_eq!(reports.len(), 1);
+        assert!(
+            reports[0].starts_with("proptest panics: case 2/16 panicked\ninput: "),
+            "{}",
+            reports[0]
+        );
+    }
+
+    #[test]
+    fn one_selected_case_replays_alone() {
+        let cfg = ProptestConfig::with_cases(8);
+        let s = || collection::vec(any::<u64>(), 1..4);
+        let seen = std::cell::RefCell::new(Vec::new());
+        let record = |v: Vec<u64>| {
+            seen.borrow_mut().push(v);
+            Ok(())
+        };
+        super::run_selected(&cfg, s(), "replay", None, &mut |_| {}, record);
+        let all = seen.take();
+        assert_eq!(all.len(), 8);
+        super::run_selected(&cfg, s(), "replay", Some(5), &mut |_| {}, record);
+        assert_eq!(seen.take(), [all[5].clone()], "case 5, and only case 5");
     }
 
     #[test]

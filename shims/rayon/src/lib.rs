@@ -1,6 +1,7 @@
 //! Offline stand-in for `rayon`.
 //!
-//! Provides the one pattern this workspace uses — `slice.par_iter()
+//! Provides the two patterns this workspace uses — `slice.par_iter()
+//! .map(f).collect::<C>()` and, consuming a `Vec`, `vec.into_par_iter()
 //! .map(f).collect::<C>()` — with genuine parallelism: the input is
 //! chunked across `std::thread::scope` workers (one per available core,
 //! capped by item count) and the mapped results are reassembled in input
@@ -12,7 +13,7 @@
 
 /// Import surface mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::IntoParallelRefIterator;
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 /// `par_iter()` entry point for slice-backed collections (`Vec`, arrays
@@ -77,25 +78,83 @@ pub struct ParMap<'d, T, F> {
 impl<'d, T: Sync, U: Send, F: Fn(&'d T) -> U + Sync> ParMap<'d, T, F> {
     /// Run the map across worker threads and collect in input order.
     pub fn collect<C: FromIterator<U>>(self) -> C {
-        par_map_vec(self.slice, &self.f).into_iter().collect()
+        par_map(self.slice.iter().collect(), &self.f)
+            .into_iter()
+            .collect()
     }
 }
 
-fn par_map_vec<'d, T: Sync, U: Send, F: Fn(&'d T) -> U + Sync>(slice: &'d [T], f: &F) -> Vec<U> {
-    let n = slice.len();
+/// `into_par_iter()` entry point for owned collections: each element is
+/// moved to the worker that maps it.
+pub trait IntoParallelIterator {
+    /// The parallel iterator produced.
+    type Iter;
+    /// Element type yielded by value.
+    type Item: Send;
+
+    /// A parallel iterator consuming `self`.
+    fn into_par_iter(self) -> Self::Iter;
+}
+
+impl<T: Send> IntoParallelIterator for Vec<T> {
+    type Iter = IntoIter<T>;
+    type Item = T;
+
+    fn into_par_iter(self) -> IntoIter<T> {
+        IntoIter { vec: self }
+    }
+}
+
+/// Consuming parallel iterator over a `Vec`.
+pub struct IntoIter<T> {
+    vec: Vec<T>,
+}
+
+impl<T: Send> IntoIter<T> {
+    /// Map each element in parallel, by value.
+    pub fn map<U, F>(self, f: F) -> IntoMap<T, F>
+    where
+        U: Send,
+        F: Fn(T) -> U + Sync,
+    {
+        IntoMap { vec: self.vec, f }
+    }
+}
+
+/// Mapped consuming parallel iterator; terminal `collect` runs the work.
+pub struct IntoMap<T, F> {
+    vec: Vec<T>,
+    f: F,
+}
+
+impl<T: Send, U: Send, F: Fn(T) -> U + Sync> IntoMap<T, F> {
+    /// Run the map across worker threads and collect in input order.
+    pub fn collect<C: FromIterator<U>>(self) -> C {
+        par_map(self.vec, &self.f).into_iter().collect()
+    }
+}
+
+/// Map `items` in input order, each chunk of them moved to its own worker.
+fn par_map<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: &F) -> Vec<U> {
+    let n = items.len();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
         .min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return slice.iter().map(f).collect();
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
     }
     let chunk = n.div_ceil(workers);
+    let mut items = items.into_iter();
+    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
+    while items.len() > 0 {
+        chunks.push(items.by_ref().take(chunk).collect());
+    }
     let mut parts: Vec<Vec<U>> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
-        let handles: Vec<_> = slice
-            .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<U>>()))
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
         for h in handles {
             // Propagate worker panics to the caller, like rayon does.
@@ -139,6 +198,21 @@ mod tests {
         let arr = [1u8, 2, 3];
         let out: Vec<u8> = arr.par_iter().map(|x| x + 1).collect();
         assert_eq!(out, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn into_par_iter_moves_items_and_keeps_order() {
+        let v: Vec<String> = (0..1001).map(|i| i.to_string()).collect();
+        let out: Vec<usize> = v.into_par_iter().map(|s: String| s.len()).collect();
+        let want: Vec<usize> = (0..1001).map(|i: i32| i.to_string().len()).collect();
+        assert_eq!(out, want);
+        let err: Result<Vec<u8>, u8> = vec![1u8, 2, 3]
+            .into_par_iter()
+            .map(|x| if x == 2 { Err(x) } else { Ok(x) })
+            .collect();
+        assert_eq!(err, Err(2));
+        let empty: Vec<u8> = Vec::<u8>::new().into_par_iter().map(|x| x).collect();
+        assert!(empty.is_empty());
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn check_greedy_erase_order(ops: &[RawOp], hysteresis: f64) -> Result<(), TestCa
     // has no active block, GC copies land in erased blocks only, and no
     // block can *become* a candidate while the episode runs: what it
     // selects lazily must be what a snapshot at its start would select.
-    let mut filler = 1u64 << 32;
+    let mut filler = 1u64 << 31;
     for &addr in &blocks {
         if array.next_free_page(addr) == Some(0) {
             continue;
