@@ -129,16 +129,26 @@ awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
     crates/bench/src/gctail.rs crates/bench/src/learnedbench.rs crates/bench/src/recoverybench.rs \
     crates/bench/src/tracked.rs crates/bench/benches/tracked.rs
 
-say "sim structure (one measured window, one report assembler)"
-# Replay, hosted, fleet and crash runs all fill metrics::Window and hand it
-# to report::assemble, the one RunReport literal outside tests; a second
-# copy creeping back fails here rather than in review.
+say "sim structure (one device step, one measured window, one report assembler)"
+# Replay, hosted and fleet runs all drive experiment::DeviceRun::step, which
+# fills metrics::Window, and hand it to report::assemble, the one RunReport
+# literal outside tests; a second copy creeping back fails here rather than
+# in review.
 literals=$(find crates/sim/src crates/bench/src -name '*.rs' -exec awk \
     'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /(^ *|[=(] *)RunReport [{]/ {print FILENAME":"FNR}' {} +)
 [ "$(printf '%s\n' "$literals" | grep -c .)" -eq 1 ] \
     || { echo "RunReport is built in more than one place:"; echo "$literals"; exit 1; }
+# A power cut is an option of every run (config.crash, honoured by the
+# step), not a run driver of its own, and no run mode refuses it.
+if grep -rn 'fn run_crash_' crates; then
+    echo "a crash run driver is back (arm config.crash and replay through the step)"; exit 1
+fi
+if awk '/^fn check_combinations/,/^}/' crates/bench/src/bin/sim_cli.rs | grep -E \
+    'invalid\("--crash-at"|(crash|power).*(devices|queues)|(devices|queues).*(crash|power)'; then
+    echo "check_combinations refuses a power cut under --devices/--queues"; exit 1
+fi
 # Non-test lines of the simulator and its CLI (4 274 with four run loops
-# and a hand-rolled flag parser).
+# and a hand-rolled flag parser; 3 917 with a crash run loop of its own).
 printf 'crates/sim/src + sim_cli.rs non-test lines: '
 { find crates/sim/src -name '*.rs'; echo crates/bench/src/bin/sim_cli.rs; } \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
@@ -179,7 +189,8 @@ say "sim_cli smokes (one row per run mode: name | flags | must match | must not 
 #   fleet    — 2 devices with the topology section and per-device rows;
 #   pipeline — the coalescing window fires on a real trace;
 #   learned  — a DRAM-starved learned replay serves predicted reads;
-#   recovery — cut, checkpoint + delta rebuild, oracle clean.
+#   recovery — cut, checkpoint + delta rebuild, oracle clean;
+#   recovery-hosted — the same under two host tenants.
 check_patterns() { # FILE MUST(1)|MUST-NOT(0) PATTERNS
     old_ifs=$IFS; IFS=';'; set -f
     for pat in $3; do
@@ -203,6 +214,7 @@ fleet|--scheme across --scale 0.0014 --devices 2|"devices": 2;"d0/tenant0";"d1/t
 pipeline|--scheme mrsm --scale 0.01 --pipeline --map-batch 8|"pipeline";"map_engine"|"coalesced_lookups": 0,
 learned|--scheme learned --scale 0.01 --cache-bytes 16384|"learned"|"predict_hits": 0,
 recovery|--scheme across --scale 0.01 --crash-at 2000 --recover --checkpoint-every 100|"recovery";"mode": "checkpoint";"lost_sectors": 0;"torn_exposed": false|"sim_span_ns": 0,
+recovery-hosted|--scheme across --scale 0.01 --queues 2 --crash-at 2000 --recover --checkpoint-every 100|"recovery";"mode": "checkpoint";"lost_sectors": 0;"torn_exposed": false|"sim_span_ns": 0,
 ROWS
 # Every single-device run writes its event trace, hosted ones included.
 [ "$(wc -l <target/ci_smoke_host.jsonl)" -eq 64 ] \

@@ -9,17 +9,19 @@
 //! sim_cli --scheme across --queues 2 --arrival-rate 50000   # open-loop Poisson
 //! sim_cli --scheme across --devices 8                       # 8-device fleet run
 //! sim_cli --scheme across --crash-at 5000 --recover         # power cut + rebuild
+//! sim_cli --scheme across --queues 2 --crash-at 5000 --recover  # ... of a hosted run
 //! ```
 //!
 //! Every flag is one row of [`FLAGS`] — name, value hint, default, help
 //! and a setter that parses, range-checks and stores the value — which
 //! drives parsing, validation and `--help`; [`check_combinations`] holds
-//! the few rules that involve two flags. The flags pick one of four run
+//! the few rules that involve two flags. The flags pick one of three run
 //! modes sharing one tail: replay (default), hosted (`--queues N`: the
-//! trace sharded over N tenants, plus a QoS section), fleet (`--devices
-//! N`: range-sharded devices, plus a fleet section; `--queues` is then per
-//! device) and crash (`--crash-at N`: the crash workload, plus a recovery
-//! section with `--recover`). Every run writes its [`RunReport`] to
+//! trace sharded over N tenants, plus a QoS section) and fleet
+//! (`--devices N`: range-sharded devices, plus a fleet section; `--queues`
+//! is then per device). `--crash-at N` arms a power cut in any of them: the
+//! replayed trace is cut, and with `--recover` the devices are rebuilt and
+//! verified, plus a recovery section. Every run writes its [`RunReport`] to
 //! `--json`, else `results/sim_cli_<stem>_<scheme>.json` (directory from
 //! `AFTL_RESULTS_DIR`); with `--trace-events N` a single-device run also
 //! writes its event trace as JSONL next to it.
@@ -27,7 +29,6 @@
 use aftl_core::scheme::SchemeKind;
 use aftl_core::GcPolicy;
 use aftl_host::{Arbitration, ArrivalModel, HostConfig, IssueModel};
-use aftl_sim::crash::run_crash_keep;
 use aftl_sim::experiment::run_on_device_keep;
 use aftl_sim::fleet::{run_fleet_keep, FleetSpec};
 use aftl_sim::hosted::{run_hosted_keep, tenants_from_trace};
@@ -334,7 +335,7 @@ const FLAGS: &[Flag] = &[
         .help("commands in flight inside a device")
         .set(|c, v| int(v).map(|n| c.host.device_inflight = n)),
     arg("--host-seed", "N", "42")
-        .help("seed of the arrivals and of the crash workload")
+        .help("seed of the arrivals")
         .set(|c, v| int(v).map(|s| c.host.seed = s)),
     // Garbage collection.
     arg("--gc-policy", "POLICY", "greedy")
@@ -397,7 +398,7 @@ const FLAGS: &[Flag] = &[
         .set(|c, v| int(v).map(|b| c.config.scheme_cfg.cache_bytes = b)),
     // Power cuts.
     arg("--crash-at", "N", "off")
-        .help("cut power at the N-th flash op (crash workload)")
+        .help("cut power at the N-th flash op of the run")
         .set(|c, v| count(v).map(|n| c.config.crash.crash_at = Some(n))),
     arg("--recover", "", "off")
         .help("after the cut, rebuild and verify every acked write")
@@ -475,15 +476,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, CliError> {
 /// The rules that involve two flags.
 fn check_combinations(c: &Cmd) -> Result<(), CliError> {
     let crash = c.config.crash;
-    if let Some(n) = crash.crash_at {
-        if c.devices.is_some() || c.queues.is_some() {
-            let why = "power-cut runs replay on one device (incompatible with --devices, --queues)";
-            return Err(invalid("--crash-at", n, why));
-        }
-    } else if crash.recover {
+    if crash.recover && !crash.armed() {
         let why = "recovery needs a power cut to recover from (add --crash-at N)";
         return Err(invalid("--recover", "(set)", why));
-    } else if let Some(k) = crash.checkpoint_every {
+    }
+    if let (None, Some(k)) = (crash.crash_at, crash.checkpoint_every) {
         let why = "checkpoints only matter for crash runs (add --crash-at N)";
         return Err(invalid("--checkpoint-every", k, why));
     }
@@ -537,20 +534,17 @@ fn run() -> Result<(), CliError> {
         trace.name,
         trace.len()
     );
-    let stem: String = (trace.name.chars())
+    let mut stem: String = (trace.name.chars())
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
     let issue = cmd.issue();
     let mut config = cmd.config;
-    let (run, stem) = if let Some(crash_at) = config.crash.crash_at {
-        // The crash workload replaces trace replay (its writes need known
-        // generations to verify); the trace only sets its size, one write
-        // per record.
-        eprintln!("crash run: {workload}, cut after {crash_at} flash ops…");
+    if config.crash.armed() {
+        // The verdict reads every acknowledged sector's generation back.
         config.track_content = true;
-        let run = run_crash_keep(&config, trace.len() as u64, cmd.host.seed);
-        (run, "crash".to_string())
-    } else if let Some(devices) = cmd.devices {
+        stem.push_str("_crash");
+    }
+    let (run, stem) = if let Some(devices) = cmd.devices {
         let fleet = FleetSpec {
             devices,
             host: cmd.host,
@@ -896,6 +890,21 @@ mod tests {
         check("--devices 1 --trace-events 100").unwrap();
         check("--queues 2 --trace-events 100").unwrap();
         check("--crash-at 3000 --trace-events 100").unwrap();
+    }
+
+    #[test]
+    fn a_power_cut_arms_every_run_mode() {
+        for mode in ["", "--queues 2", "--devices 2", "--devices 2 --queues 2"] {
+            let cmd = check(&format!("{mode} --crash-at 3000 --recover")).unwrap();
+            assert_eq!(cmd.config.crash.crash_at, Some(3000), "{mode}");
+        }
+        let line = rejected("--queues 2 --recover");
+        assert!(line.starts_with("invalid --recover (set): "), "{line}");
+        let line = rejected("--devices 2 --checkpoint-every 10");
+        assert!(
+            line.starts_with("invalid --checkpoint-every 10: "),
+            "{line}"
+        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! all four schemes, and the `BENCH_recovery.json` manifest gating the
 //! checkpointed rebuild at [`MIN_SCAN_TO_CHECKPOINT_RATIO`]× cheaper.
 //!
-//! Each arm runs the same seeded crash workload ([`aftl_sim::crash`])
-//! into a crash-armed device, cuts power at the same flash-op boundary,
-//! power-cycles and rebuilds the mapping — once with no checkpoint (every
-//! programmed page's OOB entry is scanned) and once with a periodic
-//! mapping checkpoint (only the post-checkpoint delta is replayed). The
+//! Each arm replays the same seeded crash workload
+//! ([`aftl_sim::crash::workload`]) on a crash-armed device, cuts power at
+//! the same flash-op boundary, power-cycles and rebuilds the mapping —
+//! once with no checkpoint (every programmed page's OOB entry is scanned)
+//! and once with a periodic mapping checkpoint (only the post-checkpoint
+//! delta is replayed). The
 //! number to watch is `rebuild_flash_reads`: flash reads recovery had to
 //! issue before the device could serve hosts again. Both arms also carry
 //! the acknowledged-write oracle verdict — a manifest with a single lost
@@ -18,7 +19,8 @@
 
 use aftl_core::scheme::SchemeKind;
 use aftl_sim::config::CrashConfig;
-use aftl_sim::crash::run_crash_point;
+use aftl_sim::crash::workload;
+use aftl_sim::experiment::run_single_with;
 use aftl_sim::{RecoverySection, SimConfig};
 use serde::{Deserialize, Serialize};
 
@@ -115,6 +117,14 @@ pub fn min_ratio(pairs: &[RecoveryPair]) -> f64 {
         .min(f64::MAX) // keep the JSON finite even for an empty slice
 }
 
+/// Replay `writes` crash-workload writes with `config`'s cut armed: the
+/// run's recovery section.
+fn recover(config: SimConfig, writes: u64, seed: u64) -> aftl_flash::Result<RecoverySection> {
+    let trace = workload(&config, writes, seed);
+    let report = run_single_with(config, &trace)?;
+    Ok(report.recovery.expect("a recovered run reports"))
+}
+
 /// Run the scan and checkpoint arms of the canonical crash workload for
 /// every scheme and collect the pairs, in [`SchemeKind::WITH_LEARNED`]
 /// order.
@@ -123,16 +133,13 @@ pub fn measure_recovery() -> Vec<RecoveryPair> {
         .iter()
         .map(|&scheme| {
             let scan_cfg = recovery_config(scheme, RECOVERY_CRASH_AT, None);
-            let scan = run_crash_point(&scan_cfg, RECOVERY_WRITES, RECOVERY_SEED)
+            let scan = recover(scan_cfg, RECOVERY_WRITES, RECOVERY_SEED)
                 .unwrap_or_else(|e| panic!("{}: scan arm failed: {e:?}", scheme.name()));
 
             let every = Some(RECOVERY_CHECKPOINT_EVERY);
             let ck_cfg = recovery_config(scheme, RECOVERY_CRASH_AT, every);
-            let ck = run_crash_point(&ck_cfg, RECOVERY_WRITES, RECOVERY_SEED)
+            let checkpoint = recover(ck_cfg, RECOVERY_WRITES, RECOVERY_SEED)
                 .unwrap_or_else(|e| panic!("{}: checkpoint arm failed: {e:?}", scheme.name()));
-
-            let scan = scan.to_section();
-            let checkpoint = ck.to_section();
             let ratio = if checkpoint.rebuild_flash_reads == 0 {
                 0.0
             } else {
@@ -351,8 +358,8 @@ mod tests {
         ck_cfg.timing = tiny.timing;
         ck_cfg.scheme_cfg = tiny.scheme_cfg;
 
-        let scan = run_crash_point(&scan_cfg, 500, 11).unwrap().to_section();
-        let ck = run_crash_point(&ck_cfg, 500, 11).unwrap().to_section();
+        let scan = recover(scan_cfg, 500, 11).unwrap();
+        let ck = recover(ck_cfg, 500, 11).unwrap();
         assert!(scan.clean() && ck.clean());
         assert_eq!(scan.mode, "scan");
         assert_eq!(ck.mode, "checkpoint");

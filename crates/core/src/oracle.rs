@@ -1,7 +1,8 @@
-//! A sector-version mirror used by tests: every write records the expected
-//! generation per sector, every read's [`crate::scheme::ServedSector`] list
-//! is checked against it. This proves read-your-writes through across-page
-//! remapping, AMerge, ARollback, read-modify-write and GC migration.
+//! A sector-version mirror used by tests and crash verification: every
+//! acknowledged write records the expected generation per sector, every
+//! read's [`crate::scheme::ServedSector`] list is checked against it. This
+//! proves read-your-writes through across-page remapping, AMerge,
+//! ARollback, read-modify-write and GC migration.
 
 use std::collections::HashMap;
 
@@ -12,7 +13,8 @@ use crate::scheme::ServedSector;
 #[derive(Debug, Default)]
 pub struct Oracle {
     expected: HashMap<u64, u64>,
-    next_version: u64,
+    /// Latest generation issued (0 before the first stamp).
+    version: u64,
 }
 
 /// A mismatch between what a read served and what the oracle expected.
@@ -39,21 +41,36 @@ impl std::fmt::Display for OracleViolation {
 impl Oracle {
     /// An empty oracle (no sectors written yet).
     pub fn new() -> Self {
-        Oracle {
-            expected: HashMap::new(),
-            next_version: 1,
-        }
+        Oracle::default()
     }
 
     /// Stamp a write request with the next generation and record it.
     /// Call *before* handing the request to the scheme.
     pub fn stamp_write(&mut self, req: &mut HostRequest) {
-        let version = self.next_version;
-        self.next_version += 1;
-        req.version = version;
+        self.stamp(req);
+        self.acknowledge(req);
+    }
+
+    /// Stamp a write request with the next generation without recording
+    /// it: its sectors are expected only once [`Self::acknowledge`]d, so
+    /// a write a power cut tore is never expected.
+    pub fn stamp(&mut self, req: &mut HostRequest) {
+        self.version += 1;
+        req.version = self.version;
+    }
+
+    /// Record an acknowledged write's sectors at its stamped generation.
+    pub fn acknowledge(&mut self, req: &HostRequest) {
         for s in req.sector..req.end_sector() {
-            self.expected.insert(s, version);
+            self.expected.insert(s, req.version);
         }
+    }
+
+    /// Every sector ever recorded, in ascending order.
+    pub fn sectors(&self) -> Vec<u64> {
+        let mut sectors: Vec<u64> = self.expected.keys().copied().collect();
+        sectors.sort_unstable();
+        sectors
     }
 
     /// Check a read's provenance; returns every violation (empty = pass).
@@ -87,7 +104,7 @@ impl Oracle {
 
     /// Latest generation issued.
     pub fn current_version(&self) -> u64 {
-        self.next_version - 1
+        self.version
     }
 }
 
@@ -138,6 +155,28 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].sector, 10);
         assert_eq!(v[0].expected, 2);
+    }
+
+    #[test]
+    fn an_unacknowledged_write_is_never_expected() {
+        let mut o = Oracle::new();
+        let mut acked = HostRequest::write(0, 10, 2);
+        o.stamp(&mut acked);
+        o.acknowledge(&acked);
+        let mut torn = HostRequest::write(0, 11, 2);
+        o.stamp(&mut torn);
+        assert_eq!((acked.version, torn.version), (1, 2));
+        assert_eq!(o.sectors(), vec![10, 11]);
+        let r = HostRequest::read(0, 10, 3);
+        let served = |v11| {
+            [(10, 1), (11, v11), (12, 0)].map(|(sector, version)| ServedSector { sector, version })
+        };
+        assert!(o.check_read(&r, &served(1)).is_empty());
+        assert_eq!(
+            o.check_read(&r, &served(2)).len(),
+            1,
+            "torn generation served"
+        );
     }
 
     #[test]

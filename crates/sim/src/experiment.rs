@@ -1,16 +1,105 @@
-//! One-call experiment runners for (trace × scheme × page size) grids.
+//! One-call experiment runners for (trace × scheme × page size) grids, and
+//! the one device step every run drives.
 
 use aftl_core::scheme::SchemeKind;
-use aftl_flash::{FlashError, Result};
-use aftl_trace::Trace;
+use aftl_flash::{FlashError, Nanos, Result};
+use aftl_trace::{IoRecord, Trace};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
+use crate::crash::Cut;
 use crate::metrics::Window;
-use crate::report::{assemble, DeviceRun, RunReport};
+use crate::report::{assemble, RunReport};
 use crate::ssd::Ssd;
-use crate::warmup;
+use crate::warmup::{self, WarmupStats};
+
+/// One device's part of a run. Replay, each hosted device and each fleet
+/// device feed their requests through [`DeviceRun::step`], which records
+/// them into the device's measured window; once finished, the run is
+/// ready for [`assemble`].
+pub(crate) struct DeviceRun {
+    pub(crate) ssd: Ssd,
+    pub(crate) warmup: WarmupStats,
+    pub(crate) window: Window,
+    /// Requests the device answered (served or refused as read-only).
+    pub(crate) requests: u64,
+    /// The run's name when this device is the whole run.
+    pub(crate) name: String,
+    /// The armed power cut, when `config.crash.crash_at` is set.
+    cut: Option<Cut>,
+    /// A hosted run's first hard error, parked until the engine returns.
+    pub(crate) error: Option<FlashError>,
+}
+
+impl DeviceRun {
+    /// Ready `ssd` for a run and open its window: arm the power cut its
+    /// config asks for — a crash-armed device is not aged, so the OOB
+    /// journal covers every programmed page — or else age it (unless it
+    /// was aged already, e.g. a fork of an aged one).
+    pub(crate) fn start(mut ssd: Ssd, name: String) -> Result<Self> {
+        let (crash_at, warm) = (ssd.config().crash.crash_at, ssd.config().warmup);
+        let warmup = match crash_at {
+            Some(budget) => {
+                ssd.arm_crash(budget);
+                WarmupStats::default()
+            }
+            None => warmup::age(&mut ssd, &warm)?,
+        };
+        Ok(DeviceRun {
+            window: Window::open(&ssd),
+            ssd,
+            warmup,
+            requests: 0,
+            name,
+            cut: crash_at.map(|_| Cut::default()),
+            error: None,
+        })
+    }
+
+    /// The device step: service one host request at `rec.at_ns` and
+    /// record it. `Ok(Some(latency))` once served; `Ok(None)` when
+    /// refused — a write to a read-only device (counted in the device's
+    /// write rejections; reads keep flowing), or anything once an armed
+    /// cut has fired.
+    pub(crate) fn step(&mut self, rec: &IoRecord) -> Result<Option<Nanos>> {
+        let mut req = self.ssd.request(rec);
+        let done = match &mut self.cut {
+            None => self.ssd.submit(&req),
+            Some(cut) => {
+                if !cut.admit(&mut self.ssd, &mut req) {
+                    return Ok(None);
+                }
+                let done = self.ssd.submit(&req);
+                cut.settle(&req, &done);
+                done
+            }
+        };
+        let served = match done {
+            Ok(c) => {
+                self.window.record(&c, req.at_ns);
+                Some(c.latency_ns)
+            }
+            Err(FlashError::ReadOnlyMode) => None,
+            // The cut tore this request: it was never answered.
+            Err(FlashError::PowerCut) if self.cut.is_some() => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        self.requests += 1;
+        Ok(served)
+    }
+
+    /// End the run: the crash verdict when a cut was armed (the device
+    /// keeps it), then close the window.
+    pub(crate) fn finish(mut self) -> Result<Self> {
+        if let Some(cut) = self.cut.take() {
+            let acked_writes = self.window.classes.writes_total().requests;
+            self.ssd.crash = Some(cut.verdict(&mut self.ssd, acked_writes)?);
+        }
+        self.window = self.window.close(&self.ssd);
+        Ok(self)
+    }
+}
 
 /// Replay `trace` on a device configured by `config`, with aging, and
 /// collect the full report.
@@ -19,41 +108,28 @@ pub fn run_single_with(config: SimConfig, trace: &Trace) -> Result<RunReport> {
 }
 
 /// Replay `trace` on an already-built device (custom schemes / ablations),
-/// aging it first unless it was aged already (e.g. a fork of an aged one).
+/// aging it first unless it was aged already (e.g. a fork of an aged one)
+/// or a power cut is armed.
 pub fn run_on_device(ssd: Ssd, trace: &Trace) -> Result<RunReport> {
     run_on_device_keep(ssd, trace).map(|(report, _)| report)
 }
 
 /// Like [`run_on_device`], but hands the device back alongside the report
-/// for post-run inspection (event-trace export, wear state, …).
-pub fn run_on_device_keep(mut ssd: Ssd, trace: &Trace) -> Result<(RunReport, Ssd)> {
+/// for post-run inspection (event-trace export, wear state, the crash
+/// verdict, …).
+pub fn run_on_device_keep(ssd: Ssd, trace: &Trace) -> Result<(RunReport, Ssd)> {
     let started = std::time::Instant::now();
-    let warm = ssd.config().warmup;
-    let warmup = warmup::age(&mut ssd, &warm)?;
-    let mut window = Window::open(&ssd);
+    let mut run = DeviceRun::start(ssd, trace.name.clone())?;
     for rec in &trace.records {
-        match ssd.submit_record(rec) {
-            Ok(c) => window.record(&c, rec.at_ns),
-            // Degraded device: the rejection is already counted in the
-            // device's write_rejections (surfaced via the counter delta);
-            // reads keep flowing, so the replay continues.
-            Err(FlashError::ReadOnlyMode) => {}
-            Err(e) => return Err(e),
-        }
+        run.step(rec)?;
     }
 
     // Wall clock covers the replayed workload only — device aging plus the
-    // trace loop. Snapshot diffing and the observer's percentile sorts
-    // below are host-side report assembly, not replay.
+    // trace loop. The crash verdict, snapshot diffing and the observer's
+    // percentile sorts below are not replay.
     let wall_seconds = started.elapsed().as_secs_f64();
-    let run = DeviceRun {
-        window: window.close(&ssd),
-        ssd,
-        warmup,
-        requests: trace.records.len() as u64,
-        name: trace.name.clone(),
-    };
-    Ok(assemble(vec![run], None, None, None, None, wall_seconds))
+    let run = run.finish()?;
+    Ok(assemble(vec![run], None, None, None, wall_seconds))
 }
 
 /// Replay `trace` on the standard experiment device at `page_bytes`.

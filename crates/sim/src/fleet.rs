@@ -60,8 +60,9 @@ use aftl_trace::{sector_ranges, Trace};
 use rayon::prelude::*;
 
 use crate::config::SimConfig;
+use crate::experiment::DeviceRun;
 use crate::hosted::{qos_section, run_device, tenants_from_trace};
-use crate::report::{assemble, DeviceRun, DeviceSummary, FleetSection, RunReport, TenantQos};
+use crate::report::{assemble, DeviceSummary, FleetSection, RunReport, TenantQos};
 use crate::ssd::Ssd;
 
 /// Odd 64-bit constant for deriving per-device seed streams. Distinct
@@ -247,7 +248,7 @@ pub fn run_fleet_keep(
     // `run_hosted`.
     let name = (n > 1).then(|| format!("fleet{n}:{}", trace.name));
     let wall_seconds = started.elapsed().as_secs_f64();
-    Ok(assemble(runs, name, qos, Some(fleet), None, wall_seconds))
+    Ok(assemble(runs, name, qos, Some(fleet), wall_seconds))
 }
 
 #[cfg(test)]
@@ -381,6 +382,53 @@ mod tests {
             serde_json::to_string(&a.flash),
             serde_json::to_string(&b.flash)
         );
+    }
+
+    #[test]
+    fn a_fleets_recovery_folds_its_devices_sections() {
+        let mut config = SimConfig::test_tiny(SchemeKind::Across);
+        config.crash = crate::config::CrashConfig {
+            crash_at: Some(700),
+            recover: true,
+            checkpoint_every: Some(25),
+        };
+        let trace = crate::crash::workload(&config, 800, 5);
+        let spec = FleetSpec::new(2);
+        let fleet = run_fleet(config.clone(), &trace, &spec).unwrap();
+        // Each device alone: its shard, its derived seeds, one tenant.
+        let ranges = sector_ranges(trace.max_sector_end(), 2);
+        let shards = trace.shard_by_ranges(&ranges);
+        let sections: Vec<_> = (shards.iter().enumerate())
+            .map(|(i, shard)| {
+                let mut config = config.clone();
+                config.warmup.seed = device_seed(config.warmup.seed, i);
+                config.fault.seed = device_seed(config.fault.seed, i);
+                let mut host = spec.host;
+                host.seed = device_seed(host.seed, i);
+                let tenants = tenants_from_trace(shard, 1, spec.issue, spec.queue_depth, &[]);
+                let report = crate::hosted::run_hosted(config, tenants, &host).unwrap();
+                report.recovery.expect("each device recovered")
+            })
+            .collect();
+        let [a, b] = &sections[..] else {
+            unreachable!()
+        };
+        assert!(a.fired && b.fired && a.clean() && b.clean());
+        assert!(a.recovery_ns > 0 && b.recovery_ns > 0, "max and sum differ");
+        let folded = crate::report::RecoverySection {
+            crash_at: 700,
+            fired: true,
+            mode: "checkpoint".into(),
+            scanned_pages: a.scanned_pages + b.scanned_pages,
+            journal_replays: a.journal_replays + b.journal_replays,
+            rebuild_flash_reads: a.rebuild_flash_reads + b.rebuild_flash_reads,
+            recovery_ns: a.recovery_ns.max(b.recovery_ns),
+            acked_writes: a.acked_writes + b.acked_writes,
+            verified_sectors: a.verified_sectors + b.verified_sectors,
+            lost_sectors: 0,
+            torn_exposed: false,
+        };
+        assert_eq!(fleet.recovery, Some(folded));
     }
 
     #[test]

@@ -18,23 +18,14 @@ use aftl_host::{run_host, HostConfig, QueuedDevice, Served, TenantConfig};
 use aftl_trace::{IoOp, IoRecord};
 
 use crate::config::SimConfig;
-use crate::metrics::Window;
+use crate::experiment::DeviceRun;
 use crate::observe::LatencyHistogram;
-use crate::report::{assemble, DeviceRun, QosSection, RunReport, TenantQos};
+use crate::report::{assemble, QosSection, RunReport, TenantQos};
 use crate::ssd::Ssd;
-use crate::warmup;
 
-/// [`QueuedDevice`] adapter: the simulated SSD behind the host engine.
-/// Records into the same measured window the replay loop fills, and
-/// parks the first hard error so the run can surface it after the engine
-/// returns.
-struct SsdDevice {
-    ssd: Ssd,
-    window: Window,
-    error: Option<FlashError>,
-}
-
-impl QueuedDevice for SsdDevice {
+/// The device step behind the host engine. The first hard error is
+/// parked so the run can surface it after the engine returns.
+impl QueuedDevice for DeviceRun {
     fn submit(&mut self, now_ns: Nanos, record: &IoRecord) -> Served {
         if self.error.is_some() {
             // Poisoned: refuse everything so the engine drains and exits.
@@ -46,17 +37,11 @@ impl QueuedDevice for SsdDevice {
             at_ns: now_ns,
             ..*record
         };
-        match self.ssd.submit_record(&rec) {
-            Ok(c) => {
-                self.window.record(&c, now_ns);
-                Served::Done {
-                    complete_ns: now_ns.saturating_add(c.latency_ns),
-                }
-            }
-            // Degraded device: writes bounce (counted in the device's
-            // write_rejections), reads keep flowing — same policy as
-            // the replay loop.
-            Err(FlashError::ReadOnlyMode) => Served::Rejected,
+        match self.step(&rec) {
+            Ok(Some(latency_ns)) => Served::Done {
+                complete_ns: now_ns.saturating_add(latency_ns),
+            },
+            Ok(None) => Served::Rejected,
             Err(e) => {
                 self.error = Some(e);
                 Served::Rejected
@@ -71,37 +56,29 @@ impl QueuedDevice for SsdDevice {
         match self.ssd.on_idle(now_ns, until_ns) {
             Ok(gc) => self.window.gc.merge(&gc),
             // A device that went read-only mid-idle-GC keeps serving
-            // reads; the rejection policy above handles the writes.
+            // reads; the step refuses the writes.
             Err(FlashError::ReadOnlyMode) => {}
             Err(e) => self.error = Some(e),
         }
     }
 }
 
-/// Build, age and drive one device behind the host engine, returning its
-/// [`DeviceRun`] and one QoS row per tenant. Deterministic for a fixed
-/// `(config, tenants, host)` triple — `host.seed` feeds every initiator.
+/// Build, age (or crash-arm) and drive one device behind the host engine,
+/// returning its [`DeviceRun`] and one QoS row per tenant. Deterministic
+/// for a fixed `(config, tenants, host)` triple — `host.seed` feeds every
+/// initiator.
 pub(crate) fn run_device(
     config: SimConfig,
     tenants: Vec<TenantConfig>,
     host: &HostConfig,
 ) -> Result<(DeviceRun, Vec<TenantQos>)> {
     assert!(!tenants.is_empty(), "hosted run needs at least one tenant");
-    let mut ssd = Ssd::new(config)?;
-    let warm = ssd.config().warmup;
-    let warmup = warmup::age(&mut ssd, &warm)?;
-
-    let requests = tenants.iter().map(|t| t.trace.records.len() as u64).sum();
     let names: Vec<&str> = tenants.iter().map(|t| t.trace.name.as_str()).collect();
-    let name = format!("hosted:{}", names.join("+"));
+    let mut run = DeviceRun::start(Ssd::new(config)?, format!("hosted:{}", names.join("+")))?;
+
     // Per tenant, end-to-end read and write latency (arrival → complete).
     let mut latency = vec![[LatencyHistogram::new(), LatencyHistogram::new()]; tenants.len()];
-    let mut device = SsdDevice {
-        window: Window::open(&ssd),
-        ssd,
-        error: None,
-    };
-    let outcome = run_host(&mut device, tenants, host, |c| {
+    let outcome = run_host(&mut run, tenants, host, |c| {
         if !c.rejected {
             let op = match c.record.op {
                 IoOp::Read => 0,
@@ -110,17 +87,12 @@ pub(crate) fn run_device(
             latency[c.tenant][op].record(c.complete_ns.saturating_sub(c.arrival_ns));
         }
     });
-    let SsdDevice {
-        ssd,
-        mut window,
-        error,
-    } = device;
-    if let Some(e) = error {
+    if let Some(e) = run.error.take() {
         return Err(e);
     }
-    // The engine's span also counts rejected writes, which complete at
+    // The engine's span also counts refused requests, which complete at
     // the instant they were refused.
-    window.span_ns = u128::from(outcome.span_ns);
+    run.window.span_ns = u128::from(outcome.span_ns);
 
     let rows = outcome
         .tenants
@@ -142,14 +114,7 @@ pub(crate) fn run_device(
             write_latency: write.summary(),
         })
         .collect();
-    let run = DeviceRun {
-        window: window.close(&ssd),
-        ssd,
-        warmup,
-        requests,
-        name,
-    };
-    Ok((run, rows))
+    Ok((run.finish()?, rows))
 }
 
 /// The QoS section of a run whose devices all sat behind `host`.
@@ -185,7 +150,7 @@ pub fn run_hosted_keep(
     let (run, rows) = run_device(config, tenants, host)?;
     let qos = Some(qos_section(host, rows));
     let wall_seconds = started.elapsed().as_secs_f64();
-    Ok(assemble(vec![run], None, qos, None, None, wall_seconds))
+    Ok(assemble(vec![run], None, qos, None, wall_seconds))
 }
 
 /// Split `trace` into `n` round-robin shards and dress each as a tenant

@@ -6,8 +6,9 @@
 //!
 //! * [`config`] — device/scheme/warm-up configuration, including the
 //!   scaled *experiment geometry* used by the reproduction runs,
-//! * [`crash`] — sudden-power-off experiments: a crash-armed workload
-//!   driver, OOB-journal recovery, and the acknowledged-write oracle,
+//! * [`crash`] — sudden-power-off runs: a power cut armed on any run,
+//!   OOB-journal recovery, the acknowledged-write verdict, and the crash
+//!   workload,
 //! * [`ssd`] — the simulated device: dispatches host requests to the
 //!   active FTL scheme, runs GC, classifies requests (across vs normal),
 //! * [`warmup`] — ages the SSD (90 % of capacity used, ~39.8 % valid)
@@ -15,8 +16,9 @@
 //! * [`metrics`] — per-run measurements and the one measured
 //!   [`metrics::Window`] every driver fills: class latency sums, flash
 //!   and scheme deltas — everything Figures 4 and 8–12 report,
-//! * [`experiment`] — one-call runners for (trace × scheme × page size)
-//!   grids, fanned out across cores with rayon,
+//! * [`experiment`] — the one device step every run drives, and one-call
+//!   runners for (trace × scheme × page size) grids, fanned out across
+//!   cores with rayon,
 //! * [`hosted`] — multi-queue hosted runs: the `aftl-host` NVMe-style
 //!   front end (per-tenant submission queues, RR/WRR arbitration,
 //!   backpressure) driving the device, with per-tenant QoS in the
@@ -46,7 +48,7 @@ pub mod tables;
 pub mod warmup;
 
 pub use config::{CrashConfig, ObserveConfig, SimConfig};
-pub use crash::{run_crash_point, CrashOutcome};
+pub use crash::CrashOutcome;
 pub use experiment::{run_single, ComparisonReport};
 pub use fleet::{run_fleet, FleetSpec};
 pub use hosted::{run_hosted, tenants_from_trace};

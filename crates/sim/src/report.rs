@@ -20,7 +20,8 @@ use aftl_flash::FlashStats;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
-use crate::metrics::{ClassBreakdown, Window};
+use crate::experiment::DeviceRun;
+use crate::metrics::ClassBreakdown;
 use crate::observe::LatencyBreakdown;
 use crate::ssd::Ssd;
 use crate::warmup::WarmupStats;
@@ -32,32 +33,26 @@ use crate::warmup::WarmupStats;
 /// [`FleetSection`] (sharded runs) and [`RecoverySection`] (power cuts).
 pub const SCHEMA_VERSION: u32 = 9;
 
-/// One device's part of a run, ready for [`assemble`]: the device (its
-/// observer histograms, scheme footprint and config echo), what aging
-/// did, its closed window, and the requests it was given.
-pub(crate) struct DeviceRun {
-    pub(crate) ssd: Ssd,
-    pub(crate) warmup: WarmupStats,
-    pub(crate) window: Window,
-    pub(crate) requests: u64,
-    /// The run's name when this device is the whole run.
-    pub(crate) name: String,
-}
-
-/// Fold one or more [`DeviceRun`]s, left to right, into the run manifest
-/// with whichever optional sections the driver produced: counts sum,
-/// latency histograms merge exactly before percentiles are taken, and the
-/// span is the makespan. Name (unless overridden), config echo and scheme
-/// come from device 0, which is handed back holding the merged histograms.
+/// Fold one or more finished [`DeviceRun`]s, left to right, into the run
+/// manifest with whichever optional sections the driver produced: counts
+/// sum, latency histograms merge exactly before percentiles are taken, the
+/// span is the makespan, and crash verdicts fold into `recovery` when the
+/// run recovered. Name (unless overridden), config echo and scheme come
+/// from device 0, which is handed back holding the merged histograms.
 pub(crate) fn assemble(
     runs: Vec<DeviceRun>,
     name: Option<String>,
     qos: Option<QosSection>,
     fleet: Option<FleetSection>,
-    recovery: Option<RecoverySection>,
     wall_seconds: f64,
 ) -> (RunReport, Ssd) {
     let warmup = WarmupStats::merged(&runs.iter().map(|r| r.warmup).collect::<Vec<_>>());
+    // A cut-only run (no `recover`) rebuilt nothing, so it reports nothing.
+    let recovery = runs
+        .iter()
+        .filter(|r| r.ssd.config().crash.recover)
+        .filter_map(|r| r.ssd.crash_outcome().map(|c| c.to_section()))
+        .reduce(RecoverySection::merge);
     let mut runs = runs.into_iter();
     let head = runs.next().expect("a report needs at least one device run");
     let (mut ssd, mut w, mut requests) = (head.ssd, head.window, head.requests);
@@ -157,7 +152,7 @@ pub struct RunReport {
 
 /// What recovering from a sudden power-off cost and whether the rebuilt
 /// mapping passed the acknowledged-write oracle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoverySection {
     /// Flash-op budget the cut was armed with.
     pub crash_at: u64,
@@ -191,6 +186,22 @@ impl RecoverySection {
     /// request partially visible.
     pub fn clean(&self) -> bool {
         self.lost_sectors == 0 && !self.torn_exposed
+    }
+
+    /// Fold another device's section into a fleet's: counts sum, the
+    /// rebuild time is the longest (devices recover concurrently), and
+    /// `fired` / `torn_exposed` hold if they do on any device.
+    fn merge(mut self, o: RecoverySection) -> RecoverySection {
+        self.fired |= o.fired;
+        self.scanned_pages += o.scanned_pages;
+        self.journal_replays += o.journal_replays;
+        self.rebuild_flash_reads += o.rebuild_flash_reads;
+        self.recovery_ns = self.recovery_ns.max(o.recovery_ns);
+        self.acked_writes += o.acked_writes;
+        self.verified_sectors += o.verified_sectors;
+        self.lost_sectors += o.lost_sectors;
+        self.torn_exposed |= o.torn_exposed;
+        self
     }
 }
 
@@ -264,7 +275,8 @@ pub struct TenantQos {
     pub reads: u64,
     /// Writes completed.
     pub writes: u64,
-    /// Writes the device refused (read-only degradation).
+    /// Requests the device refused: writes to a read-only device, and
+    /// everything offered after a power cut fired.
     pub rejected_writes: u64,
     /// Stall episodes: arrivals that found the submission queue full.
     pub queue_full_stalls: u64,

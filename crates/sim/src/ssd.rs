@@ -9,6 +9,7 @@ use aftl_flash::{Allocator, FlashArray, FlashError, Nanos, Result};
 use aftl_trace::{IoOp, IoRecord};
 
 use crate::config::SimConfig;
+use crate::crash::CrashOutcome;
 use crate::metrics::StatsSnapshot;
 use crate::observe::{Observer, Phase};
 
@@ -46,6 +47,8 @@ pub struct Ssd {
     /// Most recent quiescent-point mapping checkpoint (crash experiments).
     checkpoint: Option<Checkpoint>,
     pub(crate) aged: Option<crate::warmup::WarmupStats>,
+    /// The verdict of the crash-armed run this device finished.
+    pub(crate) crash: Option<CrashOutcome>,
 }
 
 impl Ssd {
@@ -80,6 +83,7 @@ impl Ssd {
             throttled_writes: 0,
             checkpoint: None,
             aged: None,
+            crash: None,
         })
     }
 
@@ -93,6 +97,7 @@ impl Ssd {
             scheme: self.scheme.clone(),
             observer: Observer::new(&self.config.observe),
             checkpoint: self.checkpoint.clone(),
+            crash: None,
             ..*self
         }
     }
@@ -103,6 +108,12 @@ impl Ssd {
     /// programmed page carries OOB records; the array panics otherwise.
     pub fn arm_crash(&mut self, crash_at: u64) {
         self.array.arm_crash(crash_at);
+    }
+
+    /// The verdict of the crash-armed run this device finished (see
+    /// [`crate::crash`]); `None` unless `config.crash.crash_at` was set.
+    pub fn crash_outcome(&self) -> Option<&CrashOutcome> {
+        self.crash.as_ref()
     }
 
     /// Whether the armed power cut has fired.
@@ -417,8 +428,9 @@ impl Ssd {
         Ok(gc)
     }
 
-    /// Convert and service a trace record.
-    pub fn submit_record(&mut self, rec: &IoRecord) -> Result<Completed> {
+    /// The host request a trace record asks of this device, clamped into
+    /// its logical space.
+    pub fn request(&self, rec: &IoRecord) -> HostRequest {
         let mut req = HostRequest {
             at_ns: rec.at_ns,
             sector: rec.sector,
@@ -430,7 +442,7 @@ impl Ssd {
             version: 0,
         };
         self.clamp(&mut req);
-        self.submit(&req)
+        req
     }
 }
 
@@ -623,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_record_converts_ops() {
+    fn request_converts_ops() {
         let mut ssd = tiny(SchemeKind::Across);
         let rec = IoRecord {
             at_ns: 5,
@@ -631,7 +643,7 @@ mod tests {
             sectors: 8,
             op: IoOp::Write,
         };
-        let c = ssd.submit_record(&rec).unwrap();
+        let c = ssd.submit(&ssd.request(&rec)).unwrap();
         assert_eq!(c.kind, ReqKind::Write);
         let rec = IoRecord {
             at_ns: 6,
@@ -639,6 +651,6 @@ mod tests {
             sectors: 8,
             op: IoOp::Read,
         };
-        assert_eq!(ssd.submit_record(&rec).unwrap().kind, ReqKind::Read);
+        assert_eq!(ssd.submit(&ssd.request(&rec)).unwrap().kind, ReqKind::Read);
     }
 }

@@ -12,14 +12,18 @@
 //! * a proptest over random (crash point, workload seed, scheme) tuples,
 //!   so the oracle is also exercised off the sweep's grid.
 //!
-//! The per-point verdict comes from [`aftl_sim::crash::run_crash_point`]:
-//! power-cycle, OOB-journal rebuild, then a read-back of every
-//! acknowledged sector through the rebuilt scheme.
+//! Each point replays the crash workload ([`aftl_sim::crash::workload`])
+//! through the ordinary replay entry point with the cut armed; the verdict
+//! the returned device holds comes from a power-cycle, the OOB-journal
+//! rebuild, then a read-back of every acknowledged sector through the
+//! rebuilt scheme.
 
 use aftl_core::scheme::SchemeKind;
+use aftl_flash::Result;
 use aftl_sim::config::CrashConfig;
-use aftl_sim::crash::run_crash_point;
-use aftl_sim::SimConfig;
+use aftl_sim::crash::{workload, CrashOutcome};
+use aftl_sim::experiment::run_on_device_keep;
+use aftl_sim::{SimConfig, Ssd};
 use proptest::prelude::*;
 
 /// Crash points per scheme in the deterministic sweep (the issue floor).
@@ -41,6 +45,14 @@ fn crash_config(scheme: SchemeKind, crash_at: u64, checkpoint_every: Option<u64>
     config
 }
 
+/// Replay `writes` crash-workload writes with `config`'s cut armed: the
+/// run's verdict.
+fn crash_point(config: &SimConfig, writes: u64, seed: u64) -> Result<CrashOutcome> {
+    let trace = workload(config, writes, seed);
+    let (_, ssd) = run_on_device_keep(Ssd::new(config.clone())?, &trace)?;
+    Ok(ssd.crash_outcome().expect("a cut was armed").clone())
+}
+
 /// Sweep `SWEEP_POINTS` crash budgets for one scheme and demand a clean
 /// recovery at every single one. Returns coverage counters so the caller
 /// can assert the sweep actually hit the interesting cut sites.
@@ -53,27 +65,28 @@ fn sweep(scheme: SchemeKind, checkpoint_every: Option<u64>) -> (u64, u64, u64, u
     for point in 1..=SWEEP_POINTS {
         let crash_at = point * 40;
         let config = crash_config(scheme, crash_at, checkpoint_every);
-        let out = run_crash_point(&config, SWEEP_WRITES, 0x5EED ^ point)
+        let out = crash_point(&config, SWEEP_WRITES, 0x5EED ^ point)
             .unwrap_or_else(|e| panic!("{} @ {crash_at}: {e:?}", scheme.name()));
+        let section = out.to_section();
         assert_eq!(
-            out.lost_sectors,
+            section.lost_sectors,
             0,
             "{} @ {crash_at}: lost {} acknowledged sectors",
             scheme.name(),
-            out.lost_sectors
+            section.lost_sectors
         );
         assert!(
-            !out.torn_exposed,
+            !section.torn_exposed,
             "{} @ {crash_at}: torn request became visible",
             scheme.name()
         );
         assert!(
-            out.verified_sectors > 0,
+            section.verified_sectors > 0,
             "{} @ {crash_at}: verified nothing",
             scheme.name()
         );
-        fired += u64::from(out.fired);
-        mid_write += u64::from(out.cut_mid_write);
+        fired += u64::from(section.fired);
+        mid_write += u64::from(out.torn_extent.is_some());
         mid_realign += u64::from(out.torn_extent.is_some_and(|(_, n)| u64::from(n) > spp));
         mid_gc += u64::from(out.cut_during_gc);
     }
@@ -142,8 +155,9 @@ proptest! {
             in (40u64..2_400, 0u64..1 << 32, 0usize..4, any::<bool>())) {
         let scheme = SchemeKind::WITH_LEARNED[scheme_idx];
         let every = checkpointed.then_some(30);
-        let out = run_crash_point(&crash_config(scheme, crash_at, every), 300, seed)
-            .expect("crash run completes");
+        let out = crash_point(&crash_config(scheme, crash_at, every), 300, seed)
+            .expect("crash run completes")
+            .to_section();
         prop_assert_eq!(out.lost_sectors, 0);
         prop_assert!(!out.torn_exposed);
         prop_assert!(out.verified_sectors > 0);

@@ -59,7 +59,7 @@ use aftl_core::request::HostRequest;
 use aftl_core::scheme::{FtlScheme, SchemeKind};
 use aftl_core::{LearnedStats, MapEngineStats, SchemeCounters, SchemeImage};
 use aftl_host::{Arbitration, HostConfig, IssueModel};
-use aftl_sim::crash::{run_crash_keep, run_crash_single};
+use aftl_sim::crash::workload;
 use aftl_sim::experiment::{run_on_device_keep, run_single_with};
 use aftl_sim::fleet::{run_fleet, FleetSpec};
 use aftl_sim::hosted::{run_hosted, tenants_from_trace};
@@ -419,8 +419,8 @@ struct DriverRun {
 }
 
 /// Across-FTL through every driver: replay, hosted (2 WRR tenants), a
-/// 2-device fleet, and the crash workload rebuilt by full scan and from
-/// checkpoints.
+/// 2-device fleet, and the crash workload replayed with a cut armed and
+/// rebuilt by full scan and from checkpoints.
 fn run_drivers() -> Vec<DriverRun> {
     let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
     let config = || replay::fig8_small_config(SchemeKind::Across);
@@ -443,7 +443,7 @@ fn run_drivers() -> Vec<DriverRun> {
             recover: true,
             checkpoint_every,
         };
-        run_crash_single(&config, 400, 7)
+        run_single_with(config.clone(), &workload(&config, 400, 7))
     };
     let runs = [
         ("replay", run_single_with(config(), &trace)),
@@ -593,7 +593,9 @@ fn run_recovered() -> Vec<RecoveredCase> {
                     recover: true,
                     checkpoint_every,
                 };
-                let (mut report, mut ssd) = run_crash_keep(&config, 800, 0x5EED)
+                let trace = workload(&config, 800, 0x5EED);
+                let device = Ssd::new(config).expect("device");
+                let (mut report, mut ssd) = run_on_device_keep(device, &trace)
                     .unwrap_or_else(|e| panic!("{} @ {crash_at}: {e}", scheme.name()));
                 report.wall_seconds = 0.0;
                 let mut text = serde_json::to_string(&report).expect("manifest serializes");

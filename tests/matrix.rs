@@ -7,7 +7,8 @@
 //! * a second fork runs a content-checked random workload (a read may
 //!   serve an acknowledged loss only with faults on);
 //! * the configuration drives a 2-tenant hosted run and a 2-device fleet;
-//! * with faults off, a scan and a checkpointed crash point recover clean.
+//! * with faults off, a scan and a checkpointed power cut recover clean
+//!   under replay, a 2-tenant WRR hosted run and the 2-device fleet.
 //!
 //! `cargo test` builds with debug assertions, so every GC episode also
 //! checks the victim index, MRSM its tables and Learned-FTL its index. A
@@ -20,11 +21,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use aftl_core::gc::{GcPolicy, GcTuning};
 use aftl_core::scheme::SchemeKind;
 use aftl_flash::FaultConfig;
-use aftl_host::{HostConfig, IssueModel};
+use aftl_host::{Arbitration, HostConfig, IssueModel};
 use aftl_integration::small_ssd_config;
 use aftl_sim::config::{CrashConfig, WarmupConfig};
+use aftl_sim::crash::workload;
 use aftl_sim::experiment::{run_on_device, run_single_with};
-use aftl_sim::{run_crash_point, run_fleet, run_hosted, tenants_from_trace, FleetSpec};
+use aftl_sim::{run_fleet, run_hosted, tenants_from_trace, FleetSpec};
 use aftl_sim::{RunReport, SimConfig, Ssd};
 use aftl_trace::{IoOp, IoRecord, Trace};
 use common::shadowed_workload;
@@ -128,17 +130,24 @@ fn run_cell(cell: &Cell) {
         );
     }
 
-    let tenants = tenants_from_trace(&trace, 2, IssueModel::Closed { outstanding: 4 }, 8, &[2, 1]);
+    let tenants = |trace: &Trace| {
+        tenants_from_trace(trace, 2, IssueModel::Closed { outstanding: 4 }, 8, &[2, 1])
+    };
     let host = HostConfig {
         seed: SEED,
         ..HostConfig::default()
     };
-    let hosted = run_hosted(config.clone(), tenants, &host).expect("hosted run");
+    let hosted = run_hosted(config.clone(), tenants(&trace), &host).expect("hosted run");
     assert_eq!(hosted.requests, trace.records.len() as u64, "hosted");
     let fleet = run_fleet(config.clone(), &trace, &FleetSpec::new(2)).expect("fleet run");
     assert_eq!(fleet.requests, trace.records.len() as u64, "fleet");
 
+    // Crash × faults is out of scope (DESIGN.md §14).
     if !cell.faults {
+        let wrr = HostConfig {
+            arbitration: Arbitration::WeightedRoundRobin,
+            ..host
+        };
         for checkpoint_every in [None, Some(25)] {
             let mut config = config.clone();
             config.crash = CrashConfig {
@@ -146,12 +155,21 @@ fn run_cell(cell: &Cell) {
                 recover: true,
                 checkpoint_every,
             };
-            let out = run_crash_point(&config, 400, SEED).expect("crash point");
-            let section = out.to_section();
-            assert!(
-                out.fired && section.clean(),
-                "crash {checkpoint_every:?}: {section:?}"
-            );
+            // Enough writes that each fleet device outlasts the budget.
+            let crash = workload(&config, 800, SEED);
+            let runs = [
+                ("replay", run_single_with(config.clone(), &crash)),
+                ("hosted", run_hosted(config.clone(), tenants(&crash), &wrr)),
+                ("fleet", run_fleet(config, &crash, &FleetSpec::new(2))),
+            ];
+            for (driver, report) in runs {
+                let report = report.unwrap_or_else(|e| panic!("crash {driver}: {e}"));
+                let section = report.recovery.expect("a recovered run reports");
+                assert!(
+                    section.fired && section.clean(),
+                    "crash {driver} {checkpoint_every:?}: {section:?}"
+                );
+            }
         }
     }
 }
