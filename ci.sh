@@ -79,7 +79,7 @@ for ftl in BaselineFtl MrsmFtl AcrossFtl LearnedFtl; do
         || { echo "$ftl::from_image is called outside Scheme::from_image"; exit 1; }
 done
 # Non-test lines of crates/core/src (7 579 before the core existed): the
-# number ROADMAP item 5's target is held to; recovery.rs (671 when it
+# number ROADMAP item 11's target is held to; recovery.rs (671 when it
 # elected winners per scheme) and mrsm.rs (1 186 when it carried its own
 # copy of the core) beside it.
 printf 'crates/core/src non-test lines: %s\n' "$(printf '%s\n' "$core_code" | wc -l)"
@@ -147,10 +147,28 @@ if awk '/^fn check_combinations/,/^}/' crates/bench/src/bin/sim_cli.rs | grep -E
     'invalid\("--crash-at"|(crash|power).*(devices|queues)|(devices|queues).*(crash|power)'; then
     echo "check_combinations refuses a power cut under --devices/--queues"; exit 1
 fi
+# One aging-and-fork loop: the figure grids, the ablation and the learned
+# traffic rows all replay through experiment::sweep, the one non-test
+# caller of Ssd::fork; a private grid or fork loop creeping back fails
+# here rather than in review.
+if grep -rn 'fn run_grid' crates; then
+    echo "run_grid is back (sweep the experiment devices)"; exit 1
+fi
+forks=$(find crates/sim/src crates/bench/src -name '*.rs' -exec awk \
+    'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} /^ *(pub(\([a-z]+\))? )?fn / {match($0, /fn [a-z_0-9]+/); f=substr($0, RSTART+3, RLENGTH-3)}
+     !t && /\.fork\(\)/ {print FILENAME":"FNR" in fn "f}' {} +)
+[ "$(printf '%s\n' "$forks" | grep -c .)" -eq 1 ] \
+    && printf '%s\n' "$forks" | grep -q '^crates/sim/src/experiment.rs:[0-9]* in fn sweep$' \
+    || { echo "Ssd::fork is called outside experiment::sweep:"; echo "$forks"; exit 1; }
 # Non-test lines of the simulator and its CLI (4 274 with four run loops
 # and a hand-rolled flag parser; 3 917 with a crash run loop of its own).
 printf 'crates/sim/src + sim_cli.rs non-test lines: '
 { find crates/sim/src -name '*.rs'; echo crates/bench/src/bin/sim_cli.rs; } \
+    | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+# Non-test lines of the simulator and the whole harness (6 099 with a grid
+# loop, the ablation's aging and learnedbench's replay loop of their own).
+printf 'crates/sim/src + crates/bench/src non-test lines: '
+find crates/sim/src crates/bench/src -name '*.rs' \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
 say "cargo build --release"
@@ -165,21 +183,26 @@ say "cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 say "figures smoke (one pass: selected figures, one grid, no per-figure dumps)"
-# Two trace-statistics figures and one grid figure at 1/500 length: the
-# pass must render exactly the four selected, in paper order, simulate the
-# 8 KB grid once (6 LUNs x 3 schemes) and write no per-figure grid copy.
+# Two trace-statistics figures, one grid figure and the seed study at
+# 1/500 length: the pass must render exactly the five selected, in paper
+# order, simulate the 8 KB grid once (6 LUNs x 3 schemes; seed 0 of the
+# study reads it), write no per-figure grid copy, and write the study's
+# 4 seeds x 8 headline reductions.
 fig_dir=target/ci_figures_smoke
 rm -rf "$fig_dir"
 AFTL_RESULTS_DIR=$fig_dir cargo run --release -q -p aftl-bench --bin repro_all -- \
-    table1 table2 fig9 fig13 --scale 0.002 >/dev/null
+    table1 table2 fig9 fig13 seeds --scale 0.002 >/dev/null
 grep '^== ' "$fig_dir/all_figures.txt" | cut -c1-12 | tr '\n' '|' \
-    | grep -q '^== Table 1: |== Table 2: |== Figure 9(|== Figure 9(|== Figure 9(|== Figure 13|$' \
+    | grep -q '^== Table 1: |== Table 2: |== Figure 9(|== Figure 9(|== Figure 9(|== Figure 13|== Seeds: Ac|$' \
     || { echo "figures smoke: wrong figures or order in all_figures.txt"; exit 1; }
 [ "$(grep -c '"runs": \[' "$fig_dir/grid_8k.json")" -eq 6 ] \
     || { echo "figures smoke: grid_8k.json does not hold 6 LUNs"; exit 1; }
 [ "$(grep -c '"schema_version"' "$fig_dir/grid_8k.json")" -eq 18 ] \
     || { echo "figures smoke: grid_8k.json does not hold 6 x 3 runs"; exit 1; }
 [ ! -e "$fig_dir/fig9.json" ] || { echo "figures smoke: fig9 dumped its own grid copy"; exit 1; }
+[ "$(grep -c '"seed": ' "$fig_dir/seeds.json")" -eq 4 ] \
+    && [ "$(grep -cE '^ *"[a-zA-Z/ ]+ vs (FTL|MRSM)",$' "$fig_dir/seeds.json")" -eq 32 ] \
+    || { echo "figures smoke: seeds.json does not hold 4 seeds x 8 reductions"; exit 1; }
 
 say "sim_cli smokes (one row per run mode: name | flags | must match | must not match)"
 # Each row runs sim_cli on lun1 and greps the manifest it writes: every

@@ -11,9 +11,9 @@
 use crate::{luns, normalized, reduction_pct, Args, PAGE_SIZES};
 use aftl_core::scheme::{Scheme, SchemeKind};
 use aftl_core::{AcrossFtl, AcrossOptions};
-use aftl_sim::experiment::{run_grid, run_on_device, ComparisonReport};
+use aftl_sim::experiment::{sweep, ComparisonReport};
 use aftl_sim::tables::{absolute_table, bar_chart};
-use aftl_sim::{warmup, RunReport, SimConfig, Ssd};
+use aftl_sim::{RunReport, SimConfig, Ssd};
 use aftl_trace::synth::collection::figure2_collection;
 use aftl_trace::{LunPreset, Trace, TraceStats};
 use rayon::prelude::*;
@@ -39,7 +39,7 @@ impl Eval {
 
     /// The six evaluation LUNs at `args.scale`.
     pub fn traces(&self) -> &[Trace] {
-        self.traces.get_or_init(|| luns(self.args.scale))
+        self.traces.get_or_init(|| luns(self.args.scale, 0))
     }
 
     /// The 6-LUN × 3-scheme grid at `page_bytes` (one of [`PAGE_SIZES`]).
@@ -52,9 +52,7 @@ impl Eval {
         let cell = &self.grids[slot.expect("page size validated by Args::parse")];
         let computed = cell.get_or_init(|| {
             let started = std::time::Instant::now();
-            // `run_grid`'s error does not say which cell failed.
-            let mut cells = run_grid(self.traces(), page_bytes)
-                .map_err(|e| format!("the 6 LUN x 3 scheme grid @ {page_bytes} B failed: {e}"))?;
+            let mut cells = grid(self.traces(), page_bytes, 0)?;
             let (kb, wall) = (page_bytes / 1024, started.elapsed().as_secs_f64());
             eprintln!("[repro_all] grid @ {kb} KB simulated in {wall:.1}s");
             for run in cells.iter_mut().flat_map(|c| &mut c.runs) {
@@ -72,6 +70,25 @@ impl Eval {
     }
 }
 
+/// The (trace × scheme) grid of `traces` at `page_bytes`: one
+/// [`SimConfig::experiment`] device per scheme, its aging seed XOR-ed with
+/// `seed` (0 = the paper's), swept over every trace.
+fn grid(traces: &[Trace], page_bytes: u32, seed: u64) -> Result<Vec<ComparisonReport>, String> {
+    let mut configs = SchemeKind::ALL.map(|scheme| SimConfig::experiment(scheme, page_bytes));
+    (configs.iter_mut()).for_each(|config| config.warmup.seed ^= seed);
+    let devices = (configs.into_iter().map(Ssd::new)).collect::<aftl_flash::Result<_>>();
+    let runs = (devices.and_then(|devices| sweep(devices, traces)))
+        .map_err(|e| format!("grid @ {page_bytes} B, seed {seed}: {e}"))?;
+    // Trace-major, so each trace's runs come in `SchemeKind::ALL` order.
+    let mut runs = runs.into_iter();
+    let row = |t: &Trace| ComparisonReport {
+        trace: t.name.clone(),
+        page_bytes,
+        runs: runs.by_ref().take(SchemeKind::ALL.len()).collect(),
+    };
+    Ok(traces.iter().map(row).collect())
+}
+
 /// What a figure renders: `(text, json)` — the table it prints and, for the
 /// four figures whose numbers are no grid's, the pretty-printed JSON
 /// document `repro_all` writes next to it as `<name>.json`.
@@ -85,9 +102,9 @@ fn json<T: serde::Serialize + ?Sized>(value: &T) -> Option<String> {
 /// of the shared inputs (`Err` is a failed simulation).
 pub type Figure = (&'static str, fn(&Eval) -> Result<Rendered, String>);
 
-/// Every table and figure, in paper order. `ablation` is not in the paper
-/// and runs only when asked for by name.
-pub const FIGURES: [Figure; 12] = [
+/// Every table and figure, in paper order. `ablation` and `seeds` are not
+/// in the paper and run only when asked for by name.
+pub const FIGURES: [Figure; 13] = [
     ("table1", table1),
     ("table2", table2),
     ("fig2", fig2),
@@ -100,16 +117,18 @@ pub const FIGURES: [Figure; 12] = [
     ("fig13", fig13),
     ("fig14", fig14),
     ("ablation", ablation),
+    ("seeds", seeds),
 ];
 
 /// The figures `names` asks for, in paper order whatever order they were
-/// given in; no names = every figure of the paper (all but `ablation`).
+/// given in; no names = every figure of the paper (all but `ablation` and
+/// `seeds`).
 pub fn select(names: &[String]) -> Result<Vec<&'static Figure>, String> {
     if let Some(bad) = names.iter().find(|n| FIGURES.iter().all(|f| f.0 != **n)) {
         return Err(format!("unknown figure {bad:?}"));
     }
     let wanted = |name: &str| match names {
-        [] => name != "ablation",
+        [] => !matches!(name, "ablation" | "seeds"),
         _ => names.iter().any(|n| n == name),
     };
     Ok(FIGURES.iter().filter(|f| wanted(f.0)).collect())
@@ -403,7 +422,7 @@ fn fig13(e: &Eval) -> Result<Rendered, String> {
     // Static stats only: the ratios settle well before 0.3 of a trace, so
     // the figure measures its own set, capped there (a sub-second
     // regeneration when the pass itself runs at or below 0.3).
-    let traces = luns(e.args.scale.min(0.3));
+    let traces = luns(e.args.scale.min(0.3), 0);
     let rows: Vec<(String, f64, f64, f64)> = traces
         .par_iter()
         .map(|t| {
@@ -456,17 +475,9 @@ fn ablation(e: &Eval) -> Result<Rendered, String> {
         enable_amerge: false,
     };
     let scheme = AcrossFtl::with_options(&config.geometry, config.scheme_cfg, options);
-    let warm = config.warmup;
-    let mut aged = Ssd::with_scheme(config, Scheme::Across(scheme))
-        .map_err(|e| format!("no-AMerge device @ {page} B failed: {e}"))?;
-    warmup::age(&mut aged, &warm)
-        .map_err(|e| format!("aging without AMerge @ {page} B failed: {e}"))?;
-    let no_merge: Vec<RunReport> = (e.traces().par_iter())
-        .map(|trace| {
-            run_on_device(aged.fork(), trace)
-                .map_err(|e| format!("{} without AMerge @ {page} B failed: {e}", trace.name))
-        })
-        .collect::<Result<_, _>>()?;
+    let device = Ssd::with_scheme(config, Scheme::Across(scheme));
+    let no_merge = (device.and_then(|device| sweep(vec![device], e.traces())))
+        .map_err(|e| format!("no-AMerge sweep @ {page} B failed: {e}"))?;
 
     let mut out =
         String::from("== Ablation: Across-FTL design choices (normalized to baseline FTL) ==\n");
@@ -497,10 +508,66 @@ fn ablation(e: &Eval) -> Result<Rendered, String> {
     Ok((out, None))
 }
 
+/// Seeds of the `seeds` study. Seed `k` is XOR-ed into every LUN
+/// generator's seed and the aging seed, as `aftl-benchmark --seed k` does;
+/// seed 0 is the paper pass itself.
+const SEEDS: u64 = 4;
+
+/// The Fig. 9–11 headline metrics, each reduced vs FTL and vs MRSM.
+const HEADLINES: [&str; 4] = ["I/O time", "flash writes", "flash reads", "erases"];
+
+/// `r`'s value of each of [`HEADLINES`].
+fn headline_values(r: &RunReport) -> [f64; 4] {
+    let (writes, reads) = (r.flash_writes().total(), r.flash_reads().total());
+    let [writes, reads, erases] = [writes, reads, r.erases()].map(|n| n as f64);
+    [r.io_time_s(), writes, reads, erases]
+}
+
+/// One seed's eight headline reductions (%), as fig9–11 print them.
+#[derive(serde::Serialize)]
+struct SeedColumn {
+    seed: u64,
+    reductions: Vec<(String, f64)>,
+}
+
+/// Seed study: the eight headline reductions (%) of each seed, then their
+/// mean, min and max. Seed 0 reads the pass's own grid.
+fn seeds(e: &Eval) -> Result<Rendered, String> {
+    let page = e.args.page_bytes;
+    let headlines = |seed, grid: &[ComparisonReport]| {
+        let mut reductions = Vec::new();
+        for (i, what) in HEADLINES.iter().enumerate() {
+            for vs in [SchemeKind::Baseline, SchemeKind::Mrsm] {
+                let pct = reduction_pct(grid, vs, |r| headline_values(r)[i]);
+                reductions.push((format!("{what} vs {}", vs.name()), pct));
+            }
+        }
+        SeedColumn { seed, reductions }
+    };
+    let mut columns = vec![headlines(0, e.grid(page)?)];
+    for seed in 1..SEEDS {
+        let grid = grid(&luns(e.args.scale, seed), page, seed)?;
+        columns.push(headlines(seed, &grid));
+    }
+    let mut out = String::from("== Seeds: Across-FTL's headline reductions (%) per seed ==\n");
+    let seeds: String = (0..SEEDS).map(|seed| format!("  seed {seed}")).collect();
+    out += &format!("{:<24}{seeds}    mean     min     max\n", "");
+    for (row, (what, _)) in columns[0].reductions.iter().enumerate() {
+        let values: Vec<f64> = columns.iter().map(|c| c.reductions[row].1).collect();
+        let avg = mean(values.iter().copied());
+        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let cells: String = values.iter().map(|v| format!("{v:>8.1}")).collect();
+        out += &format!("{what:<24}{cells}{avg:>8.1}{min:>8.1}{max:>8.1}\n");
+    }
+    Ok((out, json(&columns)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aftl_sim::run_single;
+    use aftl_sim::experiment::run_single_with;
+    use aftl_trace::VdiWorkload;
 
     fn names(figures: &[&Figure]) -> Vec<&'static str> {
         figures.iter().map(|f| f.0).collect()
@@ -531,7 +598,11 @@ mod tests {
         ];
         let all: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
         assert_eq!(all[..11], paper);
-        assert_eq!(all[11..], ["ablation"], "names are unique: 11 + ablation");
+        assert_eq!(
+            all[11..],
+            ["ablation", "seeds"],
+            "unique: 11 + ablation + seeds"
+        );
         assert_eq!(names(&select_words("").unwrap()), paper);
         assert!(FIGURES.iter().all(|f| usage().contains(f.0)));
     }
@@ -555,11 +626,37 @@ mod tests {
         }
         assert_eq!(eval.grids().count(), 0, "trace statistics need no grid");
 
-        for &(name, render) in select_words("fig9 fig11").unwrap() {
-            assert!(render(&eval).unwrap().1.is_none(), "{name}");
-        }
+        let rendered: Vec<Rendered> = (select_words("fig9 fig11 seeds").unwrap().iter())
+            .map(|&&(_, render)| render(&eval).unwrap())
+            .collect();
+        let [(fig9, None), (fig11, None), (_, Some(seeds))] = &rendered[..] else {
+            panic!("fig9 and fig11 read a grid, seeds writes its own numbers");
+        };
         let pages: Vec<u32> = eval.grids().map(|(page, _)| page).collect();
-        assert_eq!(pages, [8192], "fig9 and fig11 share the one 8 KB grid");
+        assert_eq!(
+            pages,
+            [8192],
+            "fig9, fig11 and seed 0 share the one 8 KB grid"
+        );
+
+        // Seed 0 is the pass's grid: its column is fig9's and fig11's
+        // printed headline reductions.
+        let seeds: serde_json::Value = serde_json::from_str(seeds).unwrap();
+        let columns = seeds.as_seq().unwrap();
+        assert_eq!(columns.len(), 4);
+        let pct = |row: usize| {
+            let cell = columns[0].get("reductions").unwrap().as_seq().unwrap()[row].clone();
+            format!("{:.1}%", cell.as_seq().unwrap()[1].as_f64().unwrap())
+        };
+        let printed = |what: &str, vs_ftl: usize| {
+            format!(
+                "{what} by {} vs FTL and {} vs MRSM",
+                pct(vs_ftl),
+                pct(vs_ftl + 1)
+            )
+        };
+        assert!(fig9.contains(&printed("reduces I/O time", 0)), "{fig9}");
+        assert!(fig11.contains(&printed("reduces erases", 6)), "{fig11}");
     }
 
     #[test]
@@ -573,7 +670,8 @@ mod tests {
         assert_eq!(grid.len(), 2, "two LUNs, two grid rows");
         for scheme in [SchemeKind::Baseline, SchemeKind::Across] {
             for (trace, row) in eval.traces().iter().zip(grid) {
-                let mut alone = run_single(trace, scheme, page).unwrap();
+                let config = SimConfig::experiment(scheme, page);
+                let mut alone = run_single_with(config, trace).unwrap();
                 alone.wall_seconds = 0.0;
                 let cell = format!("{} on {}", scheme.name(), trace.name);
                 assert_eq!(json(row.get(scheme)), json(&alone), "{cell}");
@@ -585,6 +683,24 @@ mod tests {
             assert!(fig8(&eval).unwrap().0.contains(&format!("\n{lun:<8}")));
         }
         assert_eq!(eval.grids().count(), 1);
+
+        // Seed 1, as `seeds` and `aftl-benchmark --seed 1` run it: the
+        // seed XOR-ed into the aging seed and the LUN's generator seed. A
+        // sweep of the seeded device over the seeded trace is the fresh
+        // seeded run, and not the seed-0 cell.
+        let mut config = SimConfig::experiment(SchemeKind::Across, page);
+        config.warmup.seed ^= 1;
+        let mut spec = LunPreset::Lun1.spec(eval.args.scale);
+        spec.seed ^= 1;
+        let trace = VdiWorkload::new(spec).generate();
+        assert_eq!(luns(eval.args.scale, 1)[0].records, trace.records);
+        let device = Ssd::new(config.clone()).unwrap();
+        let mut swept = sweep(vec![device], std::slice::from_ref(&trace)).unwrap();
+        let mut alone = run_single_with(config, &trace).unwrap();
+        (swept[0].wall_seconds, alone.wall_seconds) = (0.0, 0.0);
+        assert_eq!(json(&swept[0]), json(&alone), "seed 1: sweep vs fresh run");
+        let seed0 = grid[0].get(SchemeKind::Across);
+        assert_ne!(json(&swept[0]), json(seed0), "seed 1 is not seed 0");
     }
 
     #[test]
@@ -594,7 +710,7 @@ mod tests {
         eval.grids[1]
             .set(Err("lun3 ran out of blocks".into()))
             .unwrap();
-        for render in [fig4, fig9, fig12, ablation] {
+        for render in [fig4, fig9, fig12, ablation, seeds] {
             assert_eq!(render(&eval).err().unwrap(), "lun3 ran out of blocks");
         }
         assert!(table1(&eval).is_ok());

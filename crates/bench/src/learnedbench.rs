@@ -21,7 +21,7 @@
 use aftl_core::oracle::Oracle;
 use aftl_core::request::{HostRequest, ReqKind};
 use aftl_core::scheme::SchemeKind;
-use aftl_sim::experiment::run_single_with;
+use aftl_sim::experiment::sweep;
 use aftl_sim::report::RunReport;
 use aftl_sim::Ssd;
 use aftl_trace::{IoOp, Trace};
@@ -173,14 +173,10 @@ pub fn map_read_reduction(rows: &[MapTrafficRow]) -> f64 {
 /// Replay `trace` on the aged fig8-small device under every scheme and
 /// collect the traffic rows, in [`SchemeKind::WITH_LEARNED`] order.
 pub fn measure_map_traffic(trace: &Trace) -> Vec<MapTrafficRow> {
-    SchemeKind::WITH_LEARNED
-        .iter()
-        .map(|&scheme| {
-            let report = run_single_with(learned_traffic_config(scheme), trace)
-                .expect("fig8-small replay succeeds");
-            MapTrafficRow::of(&report)
-        })
-        .collect()
+    let device = |scheme| Ssd::new(learned_traffic_config(scheme)).expect("fig8-small device");
+    let devices = SchemeKind::WITH_LEARNED.map(device).into();
+    let reports = sweep(devices, std::slice::from_ref(trace)).expect("fig8-small replay succeeds");
+    reports.iter().map(MapTrafficRow::of).collect()
 }
 
 /// Side-by-side content-tracked replay of `trace` on a baseline and a

@@ -22,7 +22,7 @@
 use aftl_core::scheme::SchemeKind;
 use aftl_sim::experiment::ComparisonReport;
 use aftl_sim::tables::{normalized_table, Row};
-use aftl_trace::{LunPreset, Trace};
+use aftl_trace::{LunPreset, Trace, VdiWorkload};
 use rayon::prelude::*;
 use std::path::PathBuf;
 
@@ -89,12 +89,15 @@ impl Args {
     }
 }
 
-/// Generate the six evaluation LUNs (parallel; calibration included).
-pub fn luns(scale: f64) -> Vec<Trace> {
-    LunPreset::ALL
-        .par_iter()
-        .map(|p| p.generate_scaled(scale))
-        .collect()
+/// Generate the six evaluation LUNs (parallel; calibration included),
+/// `seed` XOR-ed into each generator's seed (0 = the paper's traces).
+pub fn luns(scale: f64, seed: u64) -> Vec<Trace> {
+    let lun = |p: &LunPreset| {
+        let mut spec = p.spec(scale);
+        spec.seed ^= seed;
+        VdiWorkload::new(spec).generate()
+    };
+    LunPreset::ALL.par_iter().map(lun).collect()
 }
 
 /// A normalized figure panel over a grid: one row per LUN with the three
@@ -139,7 +142,8 @@ pub fn results_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aftl_sim::experiment::run_grid;
+    use aftl_sim::experiment::sweep;
+    use aftl_sim::{SimConfig, Ssd};
 
     #[test]
     fn args_default() {
@@ -188,11 +192,21 @@ mod tests {
 
     #[test]
     fn tiny_grid_round_trips() {
-        let traces = luns(0.002);
+        let traces = luns(0.002, 0);
         assert_eq!(traces.len(), 6);
-        let g = run_grid(&traces[..1], 8192).unwrap();
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0].runs.len(), 3);
+        let devices = SchemeKind::ALL.map(|s| Ssd::new(SimConfig::experiment(s, 8192)).unwrap());
+        let runs = sweep(devices.into(), &traces[..1]).unwrap();
+        let schemes: Vec<SchemeKind> = runs.iter().map(|r| r.scheme).collect();
+        assert_eq!(
+            schemes,
+            SchemeKind::ALL,
+            "one trace: one cell per device, in order"
+        );
+        let g = [ComparisonReport {
+            trace: traces[0].name.clone(),
+            page_bytes: 8192,
+            runs,
+        }];
         let panel = normalized("erase count", "erases", &g, |r| r.erases() as f64);
         assert_eq!(panel.lines().count(), 3, "title, header, one LUN:\n{panel}");
         let lun1 = panel.lines().last().unwrap();

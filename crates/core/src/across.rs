@@ -105,6 +105,12 @@ impl AcrossFtl {
         }
     }
 
+    /// Take `old`'s ablation toggles: a scheme rebuilt after a power cut
+    /// keeps its predecessor's, which no image holds.
+    pub fn keep_options(&mut self, old: &AcrossFtl) {
+        self.options = old.options;
+    }
+
     /// Construct an Across-FTL preloaded with a recovered mapping (see
     /// [`crate::recovery`]): page-mapped entries plus live re-aligned
     /// areas, each reinstalled at its pre-crash `AIdx` so the OOB tags on

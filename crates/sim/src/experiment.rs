@@ -1,5 +1,6 @@
-//! One-call experiment runners for (trace × scheme × page size) grids, and
-//! the one device step every run drives.
+//! One-call experiment runners — one trace on one device, or a sweep of
+//! traces over forks of aged devices — and the one device step every run
+//! drives.
 
 use aftl_core::scheme::SchemeKind;
 use aftl_flash::{FlashError, Nanos, Result};
@@ -132,11 +133,6 @@ pub fn run_on_device_keep(ssd: Ssd, trace: &Trace) -> Result<(RunReport, Ssd)> {
     Ok(assemble(vec![run], None, None, None, wall_seconds))
 }
 
-/// Replay `trace` on the standard experiment device at `page_bytes`.
-pub fn run_single(trace: &Trace, scheme: SchemeKind, page_bytes: u32) -> Result<RunReport> {
-    run_single_with(SimConfig::experiment(scheme, page_bytes), trace)
-}
-
 /// One trace replayed on all three schemes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComparisonReport {
@@ -158,35 +154,24 @@ impl ComparisonReport {
     }
 }
 
-/// Run the full (trace × scheme) grid: age one device per scheme, then
-/// replay every trace on a fork of it, in parallel. Each cell equals
-/// [`run_single`] but for its `wall_seconds`, which leaves the aging out.
-pub fn run_grid(traces: &[Trace], page_bytes: u32) -> Result<Vec<ComparisonReport>> {
-    let aged: Vec<Ssd> = SchemeKind::ALL
-        .par_iter()
-        .map(|&scheme| {
-            let mut ssd = Ssd::new(SimConfig::experiment(scheme, page_bytes))?;
-            let warm = ssd.config().warmup;
-            warmup::age(&mut ssd, &warm)?;
-            Ok(ssd)
-        })
-        .collect::<Result<_>>()?;
-    let cells: Vec<(&Trace, &Ssd)> = traces
-        .iter()
+/// Age each device (in parallel; a no-op on an aged one), then replay
+/// every trace on a fork of every device, in parallel. Cells come back
+/// trace-major — `traces[t]` on `devices[d]` is cell
+/// `t * devices.len() + d` — and each equals [`run_on_device`] on a fresh
+/// copy of its device but for `wall_seconds`, which leaves the aging out.
+/// A crash-armed device is never aged, so it has nothing to share: replay
+/// it with [`run_on_device`].
+pub fn sweep(devices: Vec<Ssd>, traces: &[Trace]) -> Result<Vec<RunReport>> {
+    let age = |mut ssd: Ssd| {
+        let warm = ssd.config().warmup;
+        warmup::age(&mut ssd, &warm).map(|_| ssd)
+    };
+    let aged: Vec<Ssd> = devices.into_par_iter().map(age).collect::<Result<_>>()?;
+    let cells: Vec<(&Trace, &Ssd)> = (traces.iter())
         .flat_map(|t| aged.iter().map(move |d| (t, d)))
         .collect();
-    let runs: Vec<RunReport> = cells
-        .par_iter()
-        .map(|&(trace, device)| run_on_device(device.fork(), trace))
-        .collect::<Result<_>>()?;
-    // Trace-major, so each trace's runs come in `SchemeKind::ALL` order.
-    let mut runs = runs.into_iter();
-    let comparison = |t: &Trace| ComparisonReport {
-        trace: t.name.clone(),
-        page_bytes,
-        runs: runs.by_ref().take(aged.len()).collect(),
-    };
-    Ok(traces.iter().map(comparison).collect())
+    let replay = |&(trace, device): &(&Trace, &Ssd)| run_on_device(device.fork(), trace);
+    cells.par_iter().map(replay).collect()
 }
 
 #[cfg(test)]

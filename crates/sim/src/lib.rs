@@ -16,9 +16,9 @@
 //! * [`metrics`] — per-run measurements and the one measured
 //!   [`metrics::Window`] every driver fills: class latency sums, flash
 //!   and scheme deltas — everything Figures 4 and 8–12 report,
-//! * [`experiment`] — the one device step every run drives, and one-call
-//!   runners for (trace × scheme × page size) grids, fanned out across
-//!   cores with rayon,
+//! * [`experiment`] — the one device step every run drives, one-call
+//!   runners, and the sweep: traces replayed on forks of aged devices,
+//!   fanned out across cores with rayon,
 //! * [`hosted`] — multi-queue hosted runs: the `aftl-host` NVMe-style
 //!   front end (per-tenant submission queues, RR/WRR arbitration,
 //!   backpressure) driving the device, with per-tenant QoS in the
@@ -49,7 +49,7 @@ pub mod warmup;
 
 pub use config::{CrashConfig, ObserveConfig, SimConfig};
 pub use crash::CrashOutcome;
-pub use experiment::{run_single, ComparisonReport};
+pub use experiment::ComparisonReport;
 pub use fleet::{run_fleet, FleetSpec};
 pub use hosted::{run_hosted, tenants_from_trace};
 pub use metrics::ClassMetrics;

@@ -142,6 +142,9 @@ impl Ssd {
             self.checkpoint.as_ref(),
         )?;
         scheme.as_dyn_mut().set_event_log(self.observer.enabled());
+        if let (Scheme::Across(old), Scheme::Across(new)) = (&self.scheme, &mut scheme) {
+            new.keep_options(old);
+        }
         self.scheme = scheme;
         self.alloc = alloc;
         Ok(stats)
@@ -480,6 +483,28 @@ mod tests {
         let c = ssd.scheme().counters();
         let merges = c.profitable_amerge + c.unprofitable_amerge;
         assert_eq!((merges, c.arollbacks), (1, 1), "the rebuilt scheme's own");
+    }
+
+    #[test]
+    fn a_recovered_scheme_keeps_amerge_off() {
+        let config = SimConfig::test_tiny(SchemeKind::Across);
+        let options = aftl_core::AcrossOptions {
+            enable_amerge: false,
+        };
+        let across =
+            aftl_core::AcrossFtl::with_options(&config.geometry, config.scheme_cfg, options);
+        let mut ssd = Ssd::with_scheme(config, Scheme::Across(across)).unwrap();
+        ssd.arm_crash(u64::MAX / 2);
+        ssd.submit(&HostRequest::write(0, 4, 6)).unwrap();
+        ssd.power_cycle_recover().unwrap();
+        // Overlapping updates of the recovered area, each of whose union
+        // fits one page: AMerge would take every one of them.
+        for (sector, sectors) in [(6, 6), (4, 6), (5, 4)] {
+            ssd.submit(&HostRequest::write(0, sector, sectors)).unwrap();
+        }
+        let c = ssd.scheme().counters();
+        assert_eq!(c.profitable_amerge + c.unprofitable_amerge, 0);
+        assert!(c.arollbacks > 0, "the overlapping updates rolled back");
     }
 
     #[test]
