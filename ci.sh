@@ -79,7 +79,8 @@ for ftl in BaselineFtl MrsmFtl AcrossFtl LearnedFtl; do
         || { echo "$ftl::from_image is called outside Scheme::from_image"; exit 1; }
 done
 # Non-test lines of crates/core/src (7 579 before the core existed): the
-# number ROADMAP item 11's target is held to; recovery.rs (671 when it
+# number ROADMAP's line target for crates/core/src is held to (named here by
+# what it counts, since ROADMAP renumbers its items); recovery.rs (671 when it
 # elected winners per scheme) and mrsm.rs (1 186 when it carried its own
 # copy of the core) beside it.
 printf 'crates/core/src non-test lines: %s\n' "$(printf '%s\n' "$core_code" | wc -l)"
@@ -102,6 +103,22 @@ fi
 printf 'page store bytes per flash page: '
 awk '/^pub\(crate\) struct PageStore/,/^}/' crates/flash/src/page.rs \
     | sed -nE 's/^ *[a-z_]+: Vec<u(8|16|32|64)>,$/\1/p' | awk '{n += $1 / 8} END {print n}'
+
+say "MRSM tables (a word per logical and per physical page; sub-page detail in slabs)"
+# MRSM's tables hold what they map (DESIGN.md §9): one u32 per LPN and per
+# PPN, the four sub-region words of a sub-mapped LPN and the resident set
+# of a shared page in free-list slabs sized by what is live. A per-PPN
+# resident set or a per-LPN four-word node creeping back fails here rather
+# than in review.
+if grep -nE 'Vec<ResidentSet>|Vec<\[u32; SUBS_PER_PAGE' crates/core/src/mrsm.rs; then
+    echo "crates/core/src/mrsm.rs keys a resident set by PPN or a four-word node by LPN (use the slabs)"; exit 1
+fi
+for table in LpnTable:logical ResidentTable:physical; do
+    printf 'MRSM table bytes per %s page: ' "${table#*:}"
+    awk "/^struct ${table%:*} /,/^}/" crates/core/src/mrsm.rs \
+        | sed -nE 's/^ *[a-z_]+: Vec<u(8|16|32|64)>,$/\1/p' | awk '{n += $1 / 8} END {print n}'
+done
+echo '(plus 16 B per sub-mapped LPN and 20 B per live resident set, in the slabs)'
 
 say "bench structure (one figure binary, one tracked bench, no host clock in BENCH files)"
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered

@@ -152,26 +152,65 @@ impl SubLoc {
     }
 }
 
-/// Form of an LPN's mapping node ([`LpnTable::forms`]).
-const ABSENT: u8 = 0;
-const PAGE: u8 = 1;
-const SUB: u8 = 2;
+/// Tag of a sub-mapped [`LpnTable`] word, whose low bits are its slab slot.
+/// Pages stay under 2³⁰; [`NO_LOC`], which carries it too, names no slot.
+const SUB_TAG: u32 = 1 << 31;
 
-/// LPN → mapping node, as two flat arrays indexed by LPN and grown to the
-/// highest LPN written: a lookup is one indexed load, with no hash, no
-/// probe sequence and no slab behind an index. MRSM never unmaps an LPN
-/// (nodes only convert between page- and sub-mapped forms), so `len()`,
-/// the mapped-LPN count driving [`MrsmFtl::tree_depth`], only rises.
+mod slab {
+    /// A `Vec` of records whose freed slots are reused, last freed first: the
+    /// sub-page detail behind MRSM's per-page words, sized by what is live.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Slab<T> {
+        items: Vec<T>,
+        free: Vec<u32>,
+    }
+
+    impl<T: Copy> Slab<T> {
+        /// Store `item` in the last freed slot, or a new one; returns the slot.
+        pub(super) fn insert(&mut self, item: T) -> u32 {
+            let Some(i) = self.free.pop() else {
+                self.items.push(item);
+                return (self.items.len() - 1) as u32;
+            };
+            self.items[i as usize] = item;
+            i
+        }
+
+        /// Free slot `i`, returning what it held.
+        pub(super) fn remove(&mut self, i: usize) -> T {
+            self.free.push(i as u32);
+            self.items[i]
+        }
+
+        /// The record in slot `i`.
+        pub(super) fn get(&self, i: usize) -> &T {
+            &self.items[i]
+        }
+
+        pub(super) fn get_mut(&mut self, i: usize) -> &mut T {
+            &mut self.items[i]
+        }
+
+        /// Heap bytes reserved, freed slots included.
+        #[cfg(test)]
+        pub(super) fn heap_bytes(&self) -> usize {
+            std::mem::size_of::<T>() * self.items.capacity() + 4 * self.free.capacity()
+        }
+    }
+}
+use slab::Slab;
+
+/// LPN → mapping node: one `u32` word per LPN, grown to the highest LPN
+/// written inside room reserved for the logical span. A page-mapped word is
+/// its page, so a lookup is one load; a sub-mapped word is `SUB_TAG | slot`,
+/// the slab slot holding its four packed sub-region locations ([`NO_LOC`] =
+/// never written); an absent LPN's is [`NO_LOC`]. MRSM never unmaps an LPN
+/// (nodes only convert between page- and sub-mapped forms), so `len()`, the
+/// mapped-LPN count driving [`MrsmFtl::tree_depth`], only rises.
 #[derive(Debug, Clone, Default)]
 struct LpnTable {
-    /// `ABSENT`, `PAGE` or `SUB` per LPN.
-    forms: Vec<u8>,
-    /// Per LPN, each sub-region's packed location ([`NO_LOC`] = never
-    /// written). A page-mapped node on `p` holds `(p, 0) … (p, 3)` — where
-    /// its sub-regions are, and what they stay at when a partial write
-    /// splits the page — so [`LpnTable::loc`] never reads the form and
-    /// splitting a page rewrites one word.
-    words: Vec<[u32; SUBS_PER_PAGE as usize]>,
+    words: Vec<u32>,
+    subs: Slab<[u32; SUBS_PER_PAGE as usize]>,
     mapped: usize,
 }
 
@@ -182,69 +221,97 @@ impl LpnTable {
         self.mapped
     }
 
-    /// Current location of a sub-region.
+    /// `lpn`'s word, and its slab slot if it is sub-mapped.
+    #[inline]
+    fn word(&self, lpn: u64) -> (u32, Option<usize>) {
+        let word = self.words.get(lpn as usize).copied().unwrap_or(NO_LOC);
+        let slot = (word & SUB_TAG != 0 && word != NO_LOC).then_some(word & !SUB_TAG);
+        (word, slot.map(|i| i as usize))
+    }
+
+    /// Current location of a sub-region: `(p, sub)` on a page-mapped `p`.
     #[inline]
     fn loc(&self, lpn: u64, sub: u32) -> Option<SubLoc> {
-        let words = self.words.get(lpn as usize)?;
-        SubLoc::from_packed(words[sub as usize])
+        match self.word(lpn) {
+            (_, Some(i)) => SubLoc::from_packed(self.subs.get(i)[sub as usize]),
+            (NO_LOC, None) => None,
+            (page, None) => Some(SubLoc {
+                ppn: Ppn(page.into()),
+                slot: sub as u8,
+            }),
+        }
     }
 
     /// The flash page `lpn` is page-mapped on, if it is.
     #[inline]
     fn page_of(&self, lpn: u64) -> Option<Ppn> {
-        let i = lpn as usize;
-        (*self.forms.get(i)? == PAGE).then(|| Ppn(unpack(self.words[i][0]).0))
+        let word = self.word(lpn).0;
+        (word & SUB_TAG == 0).then(|| Ppn(word.into()))
     }
 
     /// `lpn`'s node, decoded.
     fn get(&self, lpn: u64) -> Option<LpnMap> {
-        let i = lpn as usize;
-        match *self.forms.get(i)? {
-            ABSENT => None,
-            PAGE => Some(LpnMap::Page(Ppn(unpack(self.words[i][0]).0))),
-            _ => Some(LpnMap::Sub(
-                self.words[i].map(|w| SubLoc::from_packed(w).unwrap_or(SubLoc::NONE)),
-            )),
-        }
+        let (_, Some(i)) = self.word(lpn) else {
+            return self.page_of(lpn).map(LpnMap::Page);
+        };
+        let words = self.subs.get(i);
+        Some(LpnMap::Sub(
+            words.map(|w| SubLoc::from_packed(w).unwrap_or(SubLoc::NONE)),
+        ))
     }
 
-    /// `lpn`'s index, grown into and counted as mapped; the caller sets
-    /// the form.
+    /// `lpn`'s word, grown into and counted as mapped; the caller sets it.
     #[inline]
-    fn entry(&mut self, lpn: u64) -> usize {
+    fn word_mut(&mut self, lpn: u64) -> &mut u32 {
         let i = lpn as usize;
-        if i >= self.forms.len() {
-            self.forms.resize(i + 1, ABSENT);
-            self.words.resize(i + 1, [NO_LOC; SUBS_PER_PAGE as usize]);
+        if i >= self.words.len() {
+            self.words.resize(i + 1, NO_LOC);
         }
-        if self.forms[i] == ABSENT {
-            self.mapped += 1;
-        }
-        i
+        self.mapped += usize::from(self.words[i] == NO_LOC);
+        &mut self.words[i]
+    }
+
+    /// `lpn`'s sub-region words, in a slot taken if it was not sub-mapped:
+    /// a page-mapped node's sub-regions stay where they were.
+    #[inline]
+    fn subs_mut(&mut self, lpn: u64) -> &mut [u32; SUBS_PER_PAGE as usize] {
+        let (word, slot) = self.word(lpn);
+        let i = slot.unwrap_or_else(|| {
+            let i = self.subs.insert(match word {
+                NO_LOC => [NO_LOC; SUBS_PER_PAGE as usize],
+                page => std::array::from_fn(|s| pack(page.into(), s as u32)),
+            });
+            *self.word_mut(lpn) = SUB_TAG | i;
+            i as usize
+        });
+        self.subs.get_mut(i)
     }
 
     /// Insert or overwrite `lpn`'s node.
     fn set(&mut self, lpn: u64, node: LpnMap) {
-        let i = self.entry(lpn);
-        (self.forms[i], self.words[i]) = match node {
-            LpnMap::Page(p) => (PAGE, std::array::from_fn(|s| pack(p.0, s as u32))),
-            LpnMap::Sub(locs) => (SUB, locs.map(SubLoc::packed)),
-        };
+        match node {
+            LpnMap::Page(p) => {
+                debug_assert!(p.0 < MAX_PAGES);
+                if let (_, Some(i)) = self.word(lpn) {
+                    self.subs.remove(i);
+                }
+                *self.word_mut(lpn) = p.0 as u32;
+            }
+            LpnMap::Sub(locs) => *self.subs_mut(lpn) = locs.map(SubLoc::packed),
+        }
     }
 
     /// Point `lpn/sub` at `loc`; the node becomes (or stays) sub-mapped,
     /// its other sub-regions where they were.
     #[inline]
     fn set_sub(&mut self, lpn: u64, sub: u32, loc: SubLoc) {
-        let i = self.entry(lpn);
-        self.forms[i] = SUB;
-        self.words[i][sub as usize] = loc.packed();
+        self.subs_mut(lpn)[sub as usize] = loc.packed();
     }
 
     /// All `(lpn, node)` pairs in LPN order. Used by the invariant checks
     /// and by crash-checkpoint capture.
     fn iter(&self) -> impl Iterator<Item = (u64, LpnMap)> + '_ {
-        (0..self.forms.len() as u64).filter_map(|lpn| self.get(lpn).map(|n| (lpn, n)))
+        (0..self.words.len() as u64).filter_map(|lpn| self.get(lpn).map(|n| (lpn, n)))
     }
 }
 
@@ -301,72 +368,81 @@ impl ResidentSet {
     }
 }
 
-/// Reverse map `Ppn` → [`ResidentSet`], a flat array indexed by PPN and
-/// grown to the highest PPN holding a set; an empty set is no set.
+/// Reverse map `Ppn` → [`ResidentSet`]: one `u32` slab slot per PPN
+/// ([`NO_LOC`] = no set), grown to the highest PPN holding a set, in front
+/// of a slab of the live sets; a set that empties frees its slot.
 #[derive(Debug, Clone, Default)]
 struct ResidentTable {
-    sets: Vec<ResidentSet>,
+    slots: Vec<u32>,
+    sets: Slab<ResidentSet>,
 }
 
 impl ResidentTable {
-    /// A table with room reserved for every page of the device. It still
-    /// grows (zero-filled) to the highest PPN holding a set, but inside one
-    /// allocation made here: page-mapped pages store no set, so the table
-    /// is first written mid-replay, and growing it by reallocation then
-    /// put a copy of itself on top of the run's peak memory.
+    /// A table with room reserved for every page of the device: page-mapped
+    /// pages store no set, so the slot words first grow mid-replay, where a
+    /// reallocation would put a copy of them on top of the run's peak.
     fn for_device(total_pages: u64) -> Self {
         ResidentTable {
-            sets: Vec::with_capacity(total_pages as usize),
+            slots: Vec::with_capacity(total_pages as usize),
+            sets: Slab::default(),
         }
+    }
+
+    #[inline]
+    fn slot(&self, ppn: Ppn) -> Option<usize> {
+        let slot = *self.slots.get(ppn.0 as usize)?;
+        (slot != NO_LOC).then_some(slot as usize)
     }
 
     #[inline]
     fn get(&self, ppn: Ppn) -> Option<&ResidentSet> {
-        self.sets.get(ppn.0 as usize).filter(|s| s.len > 0)
+        self.slot(ppn).map(|i| self.sets.get(i))
     }
 
+    /// Install a whole set under `ppn`, which has none yet; returns its slot.
     #[inline]
-    fn entry(&mut self, ppn: Ppn) -> &mut ResidentSet {
-        debug_assert!(ppn.0 < MAX_PAGES);
+    fn insert_set(&mut self, ppn: Ppn, set: ResidentSet) -> usize {
+        debug_assert!(ppn.0 < MAX_PAGES && self.slot(ppn).is_none());
         let i = ppn.0 as usize;
-        if i >= self.sets.len() {
-            self.sets.resize(i + 1, ResidentSet::default());
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, NO_LOC);
         }
-        &mut self.sets[i]
+        self.slots[i] = self.sets.insert(set);
+        self.slots[i] as usize
     }
 
     /// Append `(lpn, sub)` to `ppn`'s set, creating the set if absent.
     #[inline]
     fn push(&mut self, ppn: Ppn, lpn: u64, sub: u32) {
-        self.entry(ppn).push(lpn, sub);
-    }
-
-    /// Install a whole set under `ppn` (which must have none yet).
-    fn insert_set(&mut self, ppn: Ppn, set: ResidentSet) {
-        debug_assert!(self.get(ppn).is_none());
-        *self.entry(ppn) = set;
+        let i = self
+            .slot(ppn)
+            .unwrap_or_else(|| self.insert_set(ppn, ResidentSet::default()));
+        self.sets.get_mut(i).push(lpn, sub);
     }
 
     /// Drop one `(lpn, sub)` entry (swap-remove). Returns whether the set
     /// emptied (and so is gone); `None` if there is no such entry.
     #[inline]
     fn swap_remove_entry(&mut self, ppn: Ppn, lpn: u64, sub: u32) -> Option<bool> {
-        let set = self.sets.get_mut(ppn.0 as usize)?;
+        let i = self.slot(ppn)?;
+        let set = self.sets.get_mut(i);
         let pos = set.position(lpn, sub)?;
         set.swap_remove(pos);
-        Some(set.len == 0)
+        Some(set.len == 0 && self.remove(ppn).is_some())
     }
 
-    /// Remove and return the whole set for `ppn`.
+    /// Remove and return the whole set for `ppn`, freeing its slot.
     fn remove(&mut self, ppn: Ppn) -> Option<ResidentSet> {
-        let set = self.sets.get_mut(ppn.0 as usize)?;
-        (set.len > 0).then(|| std::mem::take(set))
+        let i = self.slot(ppn)?;
+        self.slots[ppn.0 as usize] = NO_LOC;
+        Some(self.sets.remove(i))
     }
 
     /// All live sets in PPN order (invariant checks).
     #[cfg(any(test, debug_assertions))]
     fn iter(&self) -> impl Iterator<Item = (Ppn, &ResidentSet)> {
-        (0u64..).map(Ppn).zip(&self.sets).filter(|(_, s)| s.len > 0)
+        let live = self.slots.iter().zip(0u64..).filter(|(&i, _)| i != NO_LOC);
+        live.map(|(&i, ppn)| (Ppn(ppn), self.sets.get(i as usize)))
     }
 }
 
@@ -399,7 +475,10 @@ impl MrsmFtl {
         );
         MrsmFtl {
             core: SchemeCore::new(geometry, cfg, ENTRY_BYTES),
-            map: LpnTable::default(),
+            map: LpnTable {
+                words: Vec::with_capacity(cfg.logical_pages as usize),
+                ..LpnTable::default()
+            },
             residents: ResidentTable::for_device(geometry.total_pages()),
             scratch_pending: Vec::new(),
             scratch_old_reads: Vec::new(),
@@ -1041,25 +1120,20 @@ mod tests {
     use proptest::prelude::*;
 
     fn setup() -> (FlashArray, Allocator, MrsmFtl) {
-        let g = Geometry::tiny(); // spp = 8, sub-region = 2 sectors
-        let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
-        array.enable_content_tracking();
-        let alloc = Allocator::new(&array);
-        let cfg = SchemeConfig {
-            logical_pages: g.total_pages() * 9 / 10,
-            cache_bytes: 1 << 20,
-            gc_threshold: 0.10,
-            gc_hysteresis: 0.0005,
-            gc: Default::default(),
-            pipeline: Default::default(),
-            learned: Default::default(),
-        };
-        let ftl = MrsmFtl::new(&g, cfg);
-        (array, alloc, ftl)
+        setup_on(Geometry::tiny(), Default::default()) // spp = 8, sub-region = 2 sectors
     }
 
     fn setup_pipelined() -> (FlashArray, Allocator, MrsmFtl) {
-        let g = Geometry::tiny();
+        setup_on(
+            Geometry::tiny(),
+            crate::mapping::engine::PipelineConfig::on(),
+        )
+    }
+
+    fn setup_on(
+        g: Geometry,
+        pipeline: crate::mapping::engine::PipelineConfig,
+    ) -> (FlashArray, Allocator, MrsmFtl) {
         let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
         array.enable_content_tracking();
         let alloc = Allocator::new(&array);
@@ -1069,7 +1143,7 @@ mod tests {
             gc_threshold: 0.10,
             gc_hysteresis: 0.0005,
             gc: Default::default(),
-            pipeline: crate::mapping::engine::PipelineConfig::on(),
+            pipeline,
             learned: Default::default(),
         };
         let ftl = MrsmFtl::new(&g, cfg);
@@ -1288,7 +1362,81 @@ mod tests {
         assert!(ftl.tree_depth() >= 1);
     }
 
-    /// The dense tables and the hashed reference, fed the same calls;
+    /// The tables hold what they map: a word per logical page and per
+    /// physical page, and detail only for the live sub-mapped nodes and
+    /// resident sets — not a four-word node per LPN and a set per PPN.
+    #[test]
+    fn tables_cost_a_word_per_page_plus_live_detail() {
+        let g = Geometry {
+            blocks_per_plane: 64,
+            pages_per_block: 32,
+            ..Geometry::tiny()
+        };
+        let (mut array, mut alloc, mut ftl) = setup_on(g, Default::default());
+        let (spp, span) = (u64::from(g.sectors_per_page()), ftl.core.cfg.logical_pages);
+        // Fill 60 % of the span, then churn it: one write in eight rewrites
+        // a single sub-region (splitting the page), the rest whole pages.
+        let lpns = span * 3 / 5;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..lpns + 20_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let lpn = if round < lpns {
+                round
+            } else {
+                (x >> 33) % lpns
+            };
+            if round >= lpns && x >> 20 & 7 == 0 {
+                let sub_sectors = spp / u64::from(SUBS_PER_PAGE);
+                let sector = lpn * spp + (x >> 24 & 3) * sub_sectors;
+                w(
+                    &mut ftl,
+                    &mut array,
+                    &mut alloc,
+                    sector,
+                    sub_sectors as u32,
+                    round,
+                );
+            } else {
+                w(
+                    &mut ftl,
+                    &mut array,
+                    &mut alloc,
+                    lpn * spp,
+                    spp as u32,
+                    round,
+                );
+            }
+            let mut e = FtlEnv {
+                array: &mut array,
+                alloc: &mut alloc,
+                now_ns: 0,
+            };
+            ftl.maybe_gc(&mut e).unwrap();
+        }
+        ftl.check_invariants();
+        let (map, residents) = (&ftl.map, &ftl.residents);
+        let sub_mapped = map
+            .iter()
+            .filter(|(_, n)| matches!(n, LpnMap::Sub(_)))
+            .count();
+        let sets = residents.iter().count();
+        assert!(sub_mapped > 0 && sets > 0, "the churn splits pages");
+        let heap = 4 * (map.words.capacity() + residents.slots.capacity())
+            + map.subs.heap_bytes()
+            + residents.sets.heap_bytes();
+        let detail = 16 * sub_mapped + 20 * sets;
+        // Slack for `Vec` growth: a slab keeps the slots freed since its
+        // high-water mark, and doubling may have doubled that mark.
+        let slack = 3 * detail;
+        let budget = 4 * (span + g.total_pages()) as usize + detail + slack;
+        assert!(
+            heap <= budget,
+            "tables hold {heap} B for {span} LPNs ({sub_mapped} sub-mapped), {} pages ({sets} sets): budget {budget} B",
+            g.total_pages()
+        );
+    }
+
+    /// The word-and-slab tables and the hashed reference, fed the same calls;
     /// [`Twins::agree`] compares everything either can be asked.
     #[derive(Default)]
     struct Twins {
@@ -1298,13 +1446,13 @@ mod tests {
         ref_residents: RefResidentTable,
     }
 
-    /// Keys the random operations draw from; the dense arrays end a little
+    /// Keys the random operations draw from; the word arrays end a little
     /// past it, pushed one index at a time by the boundary operations.
     const KEYS: u64 = 300;
 
     /// One table call, as the scheme makes them: `kind` picks the call,
     /// `bits` its small arguments and whether a key is replaced by index 0
-    /// or by the first index past the dense array (the growth boundary).
+    /// or by the first index past the word array (the growth boundary).
     #[derive(Debug, Clone, Copy)]
     struct TableOp {
         kind: u8,
@@ -1329,8 +1477,8 @@ mod tests {
                 1 => boundary as u64,
                 _ => key,
             };
-            let lpn = edge(op.lpn, op.bits >> 16, self.map.forms.len());
-            let ppn = Ppn(edge(op.ppn, op.bits >> 19, self.residents.sets.len()));
+            let lpn = edge(op.lpn, op.bits >> 16, self.map.words.len());
+            let ppn = Ppn(edge(op.ppn, op.bits >> 19, self.residents.slots.len()));
             let sub = op.bits & 3;
             let slot = (op.bits >> 2 & 3) as u8;
             match op.kind {
@@ -1404,7 +1552,7 @@ mod tests {
         /// sets in equal entry order over every PPN, and the LPN-ordered
         /// walk `capture_image` takes equal to the reference's, sorted.
         fn agree(&self) -> std::result::Result<(), String> {
-            for lpn in 0..self.map.forms.len() as u64 + 2 {
+            for lpn in 0..self.map.words.len() as u64 + 2 {
                 let (new, old) = (self.map.get(lpn), self.ref_map.get(lpn).copied());
                 if new != old {
                     return Err(format!("lpn {lpn}: node {new:?}, reference {old:?}"));
@@ -1444,7 +1592,7 @@ mod tests {
             if !self.map.iter().eq(sorted) {
                 return Err("LPN-ordered walk differs from the sorted reference".into());
             }
-            for ppn in (0..self.residents.sets.len() as u64 + 2).map(Ppn) {
+            for ppn in (0..self.residents.slots.len() as u64 + 2).map(Ppn) {
                 let new = self
                     .residents
                     .get(ppn)
@@ -1465,19 +1613,61 @@ mod tests {
         }
     }
 
+    impl TableOp {
+        /// `kind` on exactly `lpn` and `ppn` (no boundary substitution),
+        /// with sub-region and slot `sub`; a whole sub-mapped node gets no
+        /// location, and a swap-remove takes `(lpn, sub)` itself.
+        fn on(kind: u8, lpn: u64, ppn: u64, sub: u32) -> Self {
+            let bits = 2 << 16 | 2 << 19 | sub << 2 | sub;
+            TableOp {
+                kind,
+                lpn,
+                ppn,
+                bits,
+            }
+        }
+    }
+
+    /// Calls that free slab slots and take them again, which random calls
+    /// reach only by chance. LPN 5 goes sub → page → sub, back into the
+    /// slot it freed; LPN 7 is first sub-mapped in the slot LPN 6 freed.
+    /// PPN 30's set empties by swap-remove before PPN 31's is made; PPN
+    /// 32's is removed whole before PPN 33's is made in its slot.
+    fn slot_reuse_script() -> [TableOp; 15] {
+        let (set_page, set_sub, push, swap_remove, remove) = (0, 2, 4, 8, 11);
+        [
+            TableOp::on(set_sub, 5, 10, 1),
+            TableOp::on(set_sub, 6, 11, 2),
+            TableOp::on(set_page, 5, 20, 0),
+            TableOp::on(set_sub, 5, 12, 3),
+            TableOp::on(set_page, 6, 21, 0),
+            TableOp::on(set_sub, 7, 13, 0),
+            TableOp::on(push, 5, 30, 0),
+            TableOp::on(push, 6, 30, 1),
+            TableOp::on(swap_remove, 5, 30, 0),
+            TableOp::on(swap_remove, 6, 30, 1),
+            TableOp::on(push, 7, 31, 2),
+            TableOp::on(push, 8, 32, 0),
+            TableOp::on(push, 8, 32, 1),
+            TableOp::on(remove, 0, 32, 0),
+            TableOp::on(push, 9, 33, 3),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Whatever the call sequence, the dense tables and the hashed
+        /// Whatever the call sequence, the slab tables and the hashed
         /// reference stay indistinguishable — nodes, mapped count, and the
         /// entry order within every resident set, which GC repack turns
-        /// into flash slot assignments.
+        /// into flash slot assignments — from a start that frees and
+        /// reuses slots of both slabs.
         #[test]
         fn dense_tables_equal_hashed_reference(
             ops in collection::vec(table_op_strategy(), 100..600)
         ) {
             let mut t = Twins::default();
-            for (step, &op) in ops.iter().enumerate() {
+            for (step, &op) in slot_reuse_script().iter().chain(&ops).enumerate() {
                 t.apply(op);
                 if let Err(e) = t.agree() {
                     return Err(TestCaseError::fail(format!("after step {step} ({op:?}): {e}")));

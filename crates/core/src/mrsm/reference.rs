@@ -1,5 +1,5 @@
-//! The hashed tables the dense pair replaced, kept as the reference the
-//! dense tables are compared against: per LPN an append-only node slab
+//! The hashed tables MRSM once used, kept as the reference its word-and-slab
+//! tables are compared against: per LPN an append-only node slab
 //! behind an [`OpenMap`], per PPN a free-list slab of inline four-entry
 //! sets behind another. Same [`LpnMap`] nodes, same push / swap-remove
 //! entry order within a set — only "where is this key's record" is answered

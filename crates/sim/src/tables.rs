@@ -100,17 +100,20 @@ fn format_abs(v: f64) -> String {
 }
 
 /// Geometric mean of ratios `new/base` across rows — the "average X %
-/// reduction" numbers quoted in the paper's text.
+/// reduction" numbers quoted in the paper's text. A pair with a zero on
+/// either side has no finite log-ratio and is left out, divisor included;
+/// with no pair left the mean is 1.0 (no change).
 pub fn mean_ratio(pairs: &[(f64, f64)]) -> f64 {
-    if pairs.is_empty() {
+    let (log_sum, kept) = pairs
+        .iter()
+        .filter(|(b, n)| *b > 0.0 && *n > 0.0)
+        .fold((0.0, 0u32), |(sum, kept), (b, n)| {
+            (sum + (n / b).ln(), kept + 1)
+        });
+    if kept == 0 {
         return 1.0;
     }
-    let log_sum: f64 = pairs
-        .iter()
-        .filter(|(b, _)| *b > 0.0)
-        .map(|(b, n)| (n / b).max(1e-12).ln())
-        .sum();
-    (log_sum / pairs.len() as f64).exp()
+    (log_sum / f64::from(kept)).exp()
 }
 
 #[cfg(test)]
@@ -170,5 +173,20 @@ mod tests {
             "0.5 and 2.0 average to 1.0, got {m}"
         );
         assert_eq!(mean_ratio(&[]), 1.0);
+    }
+
+    #[test]
+    fn mean_ratio_drops_pairs_with_a_zero_side() {
+        // A pair with a zero side has no finite log-ratio: it leaves both
+        // the product and the divisor.
+        let m = mean_ratio(&[(10.0, 5.0), (4.0, 0.0), (0.0, 0.0), (0.0, 3.0)]);
+        assert!((m - 0.5).abs() < 1e-12, "only 5/10 is kept, got {m}");
+        let m = mean_ratio(&[(10.0, 5.0), (10.0, 20.0), (0.0, 0.0)]);
+        assert!((m - 1.0).abs() < 1e-12, "0/0 must not dilute, got {m}");
+    }
+
+    #[test]
+    fn mean_ratio_of_only_zero_pairs_is_one() {
+        assert_eq!(mean_ratio(&[(0.0, 0.0), (5.0, 0.0), (0.0, 2.0)]), 1.0);
     }
 }
