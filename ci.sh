@@ -120,6 +120,22 @@ for table in LpnTable:logical ResidentTable:physical; do
 done
 echo '(plus 16 B per sub-mapped LPN and 20 B per live resident set, in the slabs)'
 
+say "mapping layer (translation pages indexed densely)"
+# Every scheme numbers its translation pages densely from 0 (DESIGN.md §9),
+# so the map cache indexes one record per tpid. A hash or tree map in the
+# mapping layer's non-test code, or Across-FTL's AMT tpids moving back to a
+# sparse base, fails here rather than in review.
+if printf '%s\n' "$core_code" | grep '^crates/core/src/mapping/' \
+    | grep -E 'OpenMap|HashMap|HashSet|BTreeMap'; then
+    echo "crates/core/src/mapping holds a hash or tree map (index translation pages densely)"; exit 1
+fi
+if grep -rn 'AMT_TPID_BASE' crates; then
+    echo "AMT_TPID_BASE is back (AMT tpids follow the PMT's last translation page)"; exit 1
+fi
+printf 'map cache bytes per translation page: '
+awk '/^struct Tpage /,/^}/' crates/core/src/mapping/cache.rs \
+    | sed -nE 's/^ *[a-z_]+: u(8|16|32|64),$/\1/p' | awk '{n += $1 / 8} END {print n}'
+
 say "bench structure (one figure binary, one tracked bench, no host clock in BENCH files)"
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered
 # in-process by repro_all, and every committed BENCH_*.json an entry of

@@ -552,7 +552,6 @@ fn run() -> Result<(), CliError> {
             queue_depth: cmd.queue_depth,
             tenants_per_device: cmd.queues.unwrap_or(1),
             weights: cmd.weights,
-            sequential: false,
         };
         eprintln!(
             "fleet run: {workload}, {devices} device(s) [{}]…",

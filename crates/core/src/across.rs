@@ -38,10 +38,6 @@ use crate::scheme::{
 pub const PMT_ENTRY_BYTES: u64 = 6;
 /// Modelled bytes per AMT entry (Off + Size + APPN).
 pub const AMT_ENTRY_BYTES: u64 = 8;
-/// Translation-page id namespace offset for AMT pages: above every PMT
-/// page id (`lpn / entries_per_tpage`), and low enough that every AMT
-/// page id fits the flash array's 32-bit page tag.
-const AMT_TPID_BASE: u64 = 1 << 31;
 
 /// Feature toggles for ablation studies (`repro_all ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +64,9 @@ pub struct AcrossFtl {
     /// Composite-operation log for the observability layer (`None` = off).
     event_log: Option<Vec<SchemeEvent>>,
     amt_entries_per_tpage: u64,
+    /// First AMT translation-page id: the one after the PMT's last, so the
+    /// scheme's tpids are one dense range from 0.
+    amt_tpid_base: u64,
     // Reusable read-path scratch: per-LPN resolution times, the linked
     // areas, the overlapping ones with their AMT resolution times, and the
     // gap subtraction's two buffers. Capacity persists across requests so
@@ -91,8 +90,10 @@ impl AcrossFtl {
         cfg: SchemeConfig,
         options: AcrossOptions,
     ) -> Self {
+        let core = PageMapCore::new(geometry, cfg, PMT_ENTRY_BYTES);
         AcrossFtl {
-            core: PageMapCore::new(geometry, cfg, PMT_ENTRY_BYTES),
+            amt_tpid_base: core.tpid(cfg.logical_pages - 1) + 1,
+            core,
             options,
             amt: AcrossMapTable::new(),
             event_log: None,
@@ -155,7 +156,7 @@ impl AcrossFtl {
     // --- mapping-cache plumbing -------------------------------------------
 
     fn amt_access(&mut self, env: &mut FtlEnv<'_>, aidx: u32, dirty: bool) -> Result<Nanos> {
-        // AMT pages live in their own tpid namespace; their footprint is
+        // AMT pages take the tpids after the PMT's; their footprint is
         // reported from the AMT's slot storage, not the touched set.
         let tpid = self.amt_tpid(aidx);
         self.core.resolve(env, tpid, 1, dirty)
@@ -164,7 +165,7 @@ impl AcrossFtl {
     /// Translation-page id of the AMT page holding entry `aidx`.
     #[inline]
     fn amt_tpid(&self, aidx: u32) -> u64 {
-        AMT_TPID_BASE + u64::from(aidx) / self.amt_entries_per_tpage
+        self.amt_tpid_base + u64::from(aidx) / self.amt_entries_per_tpage
     }
 
     fn sync_area_gauges(&mut self) {
@@ -860,6 +861,11 @@ mod tests {
             assert!(
                 across.core.tpid(last_lpn) < across.amt_tpid(0),
                 "PMT and AMT page ids overlap"
+            );
+            assert_eq!(
+                across.amt_tpid(0),
+                across.core.tpid(last_lpn) + 1,
+                "the first AMT page id is the PMT's translation-page count"
             );
             let tags = [
                 across.amt_tpid(0),

@@ -11,7 +11,7 @@
 use aftl_flash::{Allocator, FlashArray, Nanos, PageKind, Ppn, Result, StreamId};
 use serde::{Deserialize, Serialize};
 
-use super::openmap::OpenMap;
+use super::pmt::{pack_ppn, unpack_ppn};
 
 /// Cache event counters.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -49,8 +49,20 @@ impl CacheStats {
     }
 }
 
-/// Sentinel for "no slab slot" in the intrusive list links.
+/// Sentinel for "none": a list link, a [`Tpage`]'s slot or flash copy.
 const NIL: u32 = u32::MAX;
+
+/// A translation page's slab slot while resident and flash copy once flushed.
+#[derive(Debug, Clone, Copy)]
+struct Tpage {
+    slot: u32,
+    ppn: u32,
+}
+
+const NO_TPAGE: Tpage = Tpage {
+    slot: NIL,
+    ppn: NIL,
+};
 
 /// One resident translation page: a slab entry doubly linked into the LRU
 /// list (head = most recent, tail = eviction victim).
@@ -64,16 +76,15 @@ struct Entry {
 
 /// A bounded LRU cache of translation pages, spilling to flash.
 ///
-/// Translation-page ids (`tpid`) are scheme-defined: a scheme with several
-/// tables (e.g. Across-FTL's PMT + AMT) assigns them disjoint id ranges.
+/// Translation-page ids (`tpid`) are scheme-defined and dense: a scheme's
+/// tables (e.g. Across-FTL's PMT + AMT) take disjoint dense tpid ranges
+/// starting at 0.
 ///
 /// Internals: resident pages live in a slab (`entries` + `free`) threaded
-/// into an intrusive doubly-linked LRU list, with an open-addressed
-/// [`OpenMap`] from tpid to slab slot. A hit is one hash probe and four
-/// link writes; eviction pops the list tail — no ordered map, no per-access
-/// allocation. The flash locations of spilled pages use a second
-/// [`OpenMap`]. Eviction order is exactly the old stamp-ordered
-/// (`BTreeMap`) implementation's: least recently touched first.
+/// into an intrusive doubly-linked LRU list; an 8-byte `Tpage` record
+/// per tpid, grown on demand, holds its slab slot and flash copy. A hit is
+/// one indexed load and four link writes; eviction pops the list tail, in
+/// exactly the old stamp-ordered (ordered-map) implementation's order.
 #[derive(Debug, Clone)]
 pub struct MapCache {
     capacity_tpages: usize,
@@ -81,10 +92,10 @@ pub struct MapCache {
     free: Vec<u32>,
     head: u32,
     tail: u32,
-    /// tpid → slab slot of resident pages.
-    resident: OpenMap,
-    /// tpid → PPN of the page's current flash copy.
-    flash_loc: OpenMap,
+    /// Per-tpid slab slot and flash copy, indexed by tpid.
+    tpages: Vec<Tpage>,
+    /// Records with a flash copy.
+    flash_tpages: usize,
     stats: CacheStats,
     /// Bumped whenever an eviction recycles a slab slot — lets the
     /// pipelined [`super::engine::MapEngine`] detect that slots cached in
@@ -103,8 +114,8 @@ impl MapCache {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            resident: OpenMap::new(),
-            flash_loc: OpenMap::new(),
+            tpages: Vec::new(),
+            flash_tpages: 0,
             stats: CacheStats::default(),
             eviction_gen: 0,
         }
@@ -124,7 +135,7 @@ impl MapCache {
     /// Translation pages currently resident in DRAM.
     #[inline]
     pub fn resident_tpages(&self) -> usize {
-        self.resident.len()
+        self.entries.len() - self.free.len()
     }
 
     /// Configured capacity in translation pages.
@@ -151,8 +162,8 @@ impl MapCache {
         self.stats.lookups += 1;
         let cache_ns = array.timing().cache_access_ns;
 
-        if let Some(slot) = self.resident.get(tpid) {
-            let slot = slot as u32;
+        let Tpage { slot, ppn } = self.tpage(tpid);
+        if slot != NIL {
             self.stats.hits += 1;
             self.touch(slot);
             self.entries[slot as usize].dirty |= make_dirty;
@@ -162,7 +173,7 @@ impl MapCache {
         self.stats.misses += 1;
         // Make room; a dirty victim's write-back gates slot reuse.
         let mut ready = now + cache_ns;
-        while self.resident.len() >= self.capacity_tpages {
+        while self.resident_tpages() >= self.capacity_tpages {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "cache full ⇒ lru nonempty");
             let (victim_tpid, victim_dirty) = {
@@ -171,7 +182,7 @@ impl MapCache {
             };
             self.unlink(victim);
             self.free.push(victim);
-            self.resident.remove(victim_tpid);
+            self.tpages[victim_tpid as usize].slot = NIL;
             self.eviction_gen += 1;
             if victim_dirty {
                 let done = self.flush_tpage(array, alloc, now, victim_tpid)?;
@@ -185,10 +196,10 @@ impl MapCache {
         // rebuilt from the in-DRAM tables (OOB scan in a real device) and
         // the page is re-marked dirty so a fresh copy reaches flash.
         let mut dirty = make_dirty;
-        if let Some(ppn) = self.flash_loc.get(tpid) {
+        if ppn != NIL {
             let r = crate::recover::read_with_retry(
                 array,
-                Ppn(ppn),
+                unpack_ppn(ppn),
                 array.geometry().page_bytes,
                 now,
                 now,
@@ -203,7 +214,7 @@ impl MapCache {
         }
         let slot = self.alloc_slot(tpid, dirty);
         self.push_front(slot);
-        self.resident.insert(tpid, u64::from(slot));
+        self.tpage_mut(tpid).slot = slot;
         Ok(ready)
     }
 
@@ -216,14 +227,14 @@ impl MapCache {
     /// Slab slot of the most recently touched resident page (the LRU
     /// head). Valid immediately after [`Self::access`] returned — the
     /// accessed page is always moved to the head — so the pipelined
-    /// engine can remember the slot without a second hash probe.
+    /// engine can remember the slot without a second index lookup.
     #[inline]
     pub fn mru_slot(&self) -> u32 {
         self.head
     }
 
     /// Re-touch a page known to be resident at `slot`: exactly the hit
-    /// path of [`Self::access`] minus the index probe. Counters and LRU
+    /// path of [`Self::access`] minus the index lookup. Counters and LRU
     /// movement are identical to a hit, so pipelined coalescing leaves
     /// cache statistics and future eviction order bit-identical to the
     /// serial execution. `tpid` is a debug cross-check only.
@@ -246,6 +257,19 @@ impl MapCache {
         self.touch(slot);
         self.entries[slot as usize].dirty |= make_dirty;
         now + timing.cache_access_ns
+    }
+
+    /// `tpid`'s record; a tpid past the table's end has none.
+    fn tpage(&self, tpid: u64) -> Tpage {
+        self.tpages.get(tpid as usize).copied().unwrap_or(NO_TPAGE)
+    }
+
+    /// `tpid`'s record, growing the table to hold it.
+    fn tpage_mut(&mut self, tpid: u64) -> &mut Tpage {
+        if self.tpages.len() <= tpid as usize {
+            self.tpages.resize(tpid as usize + 1, NO_TPAGE);
+        }
+        &mut self.tpages[tpid as usize]
     }
 
     // ---- intrusive LRU list plumbing ----------------------------------
@@ -330,8 +354,9 @@ impl MapCache {
             now,
             now,
         )?;
-        if let Some(old) = self.flash_loc.insert(tpid, new_ppn.0) {
-            array.invalidate(Ppn(old))?;
+        match std::mem::replace(&mut self.tpage_mut(tpid).ppn, pack_ppn(new_ppn)) {
+            NIL => self.flash_tpages += 1,
+            old => array.invalidate(unpack_ppn(old))?,
         }
         self.stats.flushes += 1;
         Ok(out.complete_ns)
@@ -364,12 +389,12 @@ impl MapCache {
     /// GC migrated the flash copy of translation page `tpid` (its OOB tag)
     /// from `old` to `new`.
     pub fn note_migrated(&mut self, tpid: u64, new_ppn: Ppn) {
-        self.flash_loc.insert(tpid, new_ppn.0);
+        self.tpage_mut(tpid).ppn = pack_ppn(new_ppn);
     }
 
     /// Number of translation pages that currently have a flash copy.
     pub fn flash_tpages(&self) -> usize {
-        self.flash_loc.len()
+        self.flash_tpages
     }
 
     /// Whether touching `tpid` right now would issue a map-in flash read
@@ -377,7 +402,7 @@ impl MapCache {
     /// "double read" a verified learned prediction avoids. Non-mutating:
     /// no counters tick and no LRU state moves.
     pub fn would_load(&self, tpid: u64) -> bool {
-        self.resident.get(tpid).is_none() && self.flash_loc.get(tpid).is_some()
+        matches!(self.tpage(tpid), Tpage { slot: NIL, ppn } if ppn != NIL)
     }
 }
 

@@ -12,14 +12,14 @@
 //! * **Pipelined**: requests are executed in two stages. The *resolution
 //!   stage* batches the request's translation-page lookups in a small
 //!   window keyed by the dispatch time: repeated lookups of a tpage
-//!   already resolved this batch are **coalesced** — they skip the hash
-//!   probe into the cache index and touch the known LRU slot directly,
-//!   and a map-in flash read issued by the first miss satisfies every
-//!   later lookup of that tpage (**batched map-in**). The *data stage*
-//!   then issues flash ops for already-resolved extents at their own
-//!   mapping-ready times instead of the request-wide maximum, so data ops
-//!   on independent chips overlap with map misses still in flight
-//!   (**out-of-order completion** against the per-chip busy timelines).
+//!   already resolved this batch are **coalesced** — they skip the index
+//!   lookup and touch the known LRU slot directly, and a map-in flash
+//!   read issued by the first miss satisfies every later lookup of that
+//!   tpage (**batched map-in**). The *data stage* then issues flash ops
+//!   for already-resolved extents at their own mapping-ready times
+//!   instead of the request-wide maximum, so data ops on independent
+//!   chips overlap with map misses still in flight (**out-of-order
+//!   completion** against the per-chip busy timelines).
 //!
 //! The mode models *when* data ops issue, nothing else: the schemes do
 //! the same host work in both, and the flash op *sequence* (and hence
@@ -73,7 +73,7 @@ pub struct MapEngineStats {
     /// the same resolution batch (one read, many pending lookups).
     pub batched_map_reads: u64,
     /// Lookups answered from the resolution window: counter/LRU effects
-    /// replayed, hash probe skipped.
+    /// replayed, index lookup skipped.
     pub coalesced_lookups: u64,
     /// Data ops issued at their own mapping-ready time while an earlier
     /// resolution of the batch was still in flight (they would have

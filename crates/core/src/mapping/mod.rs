@@ -15,7 +15,6 @@
 pub mod amt;
 pub mod cache;
 pub mod engine;
-pub mod openmap;
 pub mod pmt;
 pub mod touched;
 

@@ -81,7 +81,7 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 const NO_PPN: u32 = u32::MAX;
 
 #[inline]
-fn pack_ppn(ppn: Ppn) -> u32 {
+pub(super) fn pack_ppn(ppn: Ppn) -> u32 {
     if ppn.is_valid() {
         debug_assert!(ppn.0 < PPN_LIMIT, "{ppn} does not fit a PMT word");
         ppn.0 as u32
@@ -91,7 +91,7 @@ fn pack_ppn(ppn: Ppn) -> u32 {
 }
 
 #[inline]
-fn unpack_ppn(word: u32) -> Ppn {
+pub(super) fn unpack_ppn(word: u32) -> Ppn {
     if word == NO_PPN {
         Ppn::INVALID
     } else {

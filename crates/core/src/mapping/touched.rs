@@ -3,7 +3,7 @@
 //! Every mapping access records which translation page it touched so the
 //! schemes can report mapping-table footprint (Figure 12a). Translation-page
 //! ids are small and dense — `lpn / entries_per_tpage` — so a growable bit
-//! vector replaces the former `HashSet<u64>` and its per-access SipHash.
+//! vector replaces the former hashed set and its per-access SipHash.
 
 /// Growable bit set counting distinct small `u64` ids.
 #[derive(Debug, Clone, Default)]

@@ -1,20 +1,20 @@
 //! The hashed tables MRSM once used, kept as the reference its word-and-slab
 //! tables are compared against: per LPN an append-only node slab
-//! behind an [`OpenMap`], per PPN a free-list slab of inline four-entry
+//! behind a `HashMap`, per PPN a free-list slab of inline four-entry
 //! sets behind another. Same [`LpnMap`] nodes, same push / swap-remove
 //! entry order within a set — only "where is this key's record" is answered
 //! the old way, by hashing.
 
 use super::{LpnMap, SubLoc, SUBS_PER_PAGE};
-use crate::mapping::openmap::OpenMap;
 use aftl_flash::Ppn;
+use std::collections::HashMap;
 
 /// LPN → mapping-node table. MRSM never unmaps an LPN (nodes only convert
 /// between page- and sub-mapped forms), so the node slab is append-only
 /// and `len()` is the mapped-LPN count.
 #[derive(Debug, Default)]
 pub(super) struct RefLpnTable {
-    index: OpenMap,
+    index: HashMap<u64, u64>,
     lpns: Vec<u64>,
     nodes: Vec<LpnMap>,
 }
@@ -25,12 +25,12 @@ impl RefLpnTable {
     }
 
     pub(super) fn get(&self, lpn: u64) -> Option<&LpnMap> {
-        self.index.get(lpn).map(|s| &self.nodes[s as usize])
+        self.index.get(&lpn).map(|&s| &self.nodes[s as usize])
     }
 
     /// Insert or overwrite `lpn`'s node.
     pub(super) fn set(&mut self, lpn: u64, node: LpnMap) {
-        match self.index.get(lpn) {
+        match self.index.get(&lpn).copied() {
             Some(s) => self.nodes[s as usize] = node,
             None => {
                 self.index.insert(lpn, self.nodes.len() as u64);
@@ -42,7 +42,7 @@ impl RefLpnTable {
 
     /// Mutable node for `lpn`, creating an empty sub-mapped node if absent.
     fn get_or_insert(&mut self, lpn: u64) -> &mut LpnMap {
-        let slot = match self.index.get(lpn) {
+        let slot = match self.index.get(&lpn).copied() {
             Some(s) => s as usize,
             None => {
                 let s = self.nodes.len();
@@ -114,19 +114,19 @@ impl RefResidentSet {
     }
 }
 
-/// Reverse map `Ppn` → [`RefResidentSet`]: an open-addressed index over a
+/// Reverse map `Ppn` → [`RefResidentSet`]: a hashed index over a
 /// slab with a free list (region pages empty out and are erased by GC, so
 /// slots recycle).
 #[derive(Debug, Default)]
 pub(super) struct RefResidentTable {
-    index: OpenMap,
+    index: HashMap<u64, u64>,
     slots: Vec<RefResidentSet>,
     free: Vec<u32>,
 }
 
 impl RefResidentTable {
     pub(super) fn get(&self, ppn: Ppn) -> Option<&RefResidentSet> {
-        self.index.get(ppn.0).map(|s| &self.slots[s as usize])
+        self.index.get(&ppn.0).map(|&s| &self.slots[s as usize])
     }
 
     fn alloc_slot(&mut self, ppn: Ppn) -> usize {
@@ -146,7 +146,7 @@ impl RefResidentTable {
 
     /// Append `(lpn, sub)` to `ppn`'s set, creating the set if absent.
     pub(super) fn push(&mut self, ppn: Ppn, lpn: u64, sub: u32) {
-        let slot = match self.index.get(ppn.0) {
+        let slot = match self.index.get(&ppn.0).copied() {
             Some(s) => s as usize,
             None => self.alloc_slot(ppn),
         };
@@ -155,7 +155,7 @@ impl RefResidentTable {
 
     /// Install a whole set under `ppn` (which must have none yet).
     pub(super) fn insert_set(&mut self, ppn: Ppn, mut set: RefResidentSet) {
-        debug_assert!(self.index.get(ppn.0).is_none());
+        debug_assert!(!self.index.contains_key(&ppn.0));
         set.ppn = ppn;
         let slot = self.alloc_slot(ppn);
         self.slots[slot] = set;
@@ -164,7 +164,7 @@ impl RefResidentTable {
     /// Drop one `(lpn, sub)` entry (swap-remove). Returns whether the set
     /// emptied (and was removed); `None` if there is no such entry.
     pub(super) fn swap_remove_entry(&mut self, ppn: Ppn, lpn: u64, sub: u32) -> Option<bool> {
-        let slot = self.index.get(ppn.0)? as usize;
+        let slot = self.index.get(&ppn.0).copied()? as usize;
         let set = &mut self.slots[slot];
         let pos = set
             .as_slice()
@@ -174,7 +174,7 @@ impl RefResidentTable {
         set.len -= 1;
         if set.len == 0 {
             set.ppn = Ppn::INVALID;
-            self.index.remove(ppn.0);
+            self.index.remove(&ppn.0);
             self.free.push(slot as u32);
             Some(true)
         } else {
@@ -184,7 +184,7 @@ impl RefResidentTable {
 
     /// Remove and return the whole set for `ppn`.
     pub(super) fn remove(&mut self, ppn: Ppn) -> Option<RefResidentSet> {
-        let slot = self.index.remove(ppn.0)? as usize;
+        let slot = self.index.remove(&ppn.0)? as usize;
         let set = self.slots[slot];
         self.slots[slot].ppn = Ppn::INVALID;
         self.free.push(slot as u32);

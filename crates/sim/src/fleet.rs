@@ -87,7 +87,6 @@ pub fn device_seed(base: u64, device: usize) -> u64 {
 /// let spec = FleetSpec::new(8);
 /// assert_eq!(spec.devices, 8);
 /// assert_eq!(spec.tenants_per_device, 1);
-/// assert!(!spec.sequential, "devices run on worker threads by default");
 /// ```
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
@@ -105,11 +104,6 @@ pub struct FleetSpec {
     /// Per-tenant arbitration weights (index = tenant on each device;
     /// missing entries default to 1).
     pub weights: Vec<u32>,
-    /// Run devices one after another on the caller's thread instead of
-    /// in parallel. Results are identical by construction — the flag
-    /// exists so tests can assert exactly that, and to keep profiles
-    /// readable.
-    pub sequential: bool,
 }
 
 impl FleetSpec {
@@ -123,23 +117,22 @@ impl FleetSpec {
             queue_depth: 32,
             tenants_per_device: 1,
             weights: Vec::new(),
-            sequential: false,
         }
     }
 }
 
 /// Shard `trace` across `spec.devices` simulated devices by sector
-/// range, drive every device's host engine (in parallel unless
-/// `spec.sequential`), and merge the per-device results into one
-/// [`RunReport`] with a [`FleetSection`] describing the topology. Each
+/// range, drive every device's host engine on worker threads, and merge
+/// the per-device results into one [`RunReport`] with a
+/// [`FleetSection`] describing the topology. Each
 /// device is built from `config` with its warm-up and fault seeds
 /// re-derived for its shard index.
 ///
 /// ```
 /// use aftl_core::scheme::SchemeKind;
-/// use aftl_sim::fleet::{run_fleet, FleetSpec};
-/// use aftl_sim::SimConfig;
-/// use aftl_trace::{IoOp, IoRecord, Trace};
+/// use aftl_sim::fleet::{device_seed, run_fleet, FleetSpec};
+/// use aftl_sim::{run_hosted, tenants_from_trace, SimConfig};
+/// use aftl_trace::{sector_ranges, IoOp, IoRecord, Trace};
 ///
 /// let records = (0..120u64)
 ///     .map(|i| IoRecord { at_ns: i * 500, sector: (i * 11) % 2048, sectors: 4, op: IoOp::Write })
@@ -148,14 +141,20 @@ impl FleetSpec {
 /// let mut config = SimConfig::test_tiny(SchemeKind::Baseline);
 /// config.track_content = false;
 ///
-/// // The same fleet, parallel and sequential, merges to identical results.
-/// let par = run_fleet(config.clone(), &trace, &FleetSpec::new(3)).unwrap();
-/// let mut seq_spec = FleetSpec::new(3);
-/// seq_spec.sequential = true;
-/// let seq = run_fleet(config, &trace, &seq_spec).unwrap();
-/// assert_eq!(par.flash.programs.total(), seq.flash.programs.total());
-/// assert_eq!(par.sim_span_ns, seq.sim_span_ns);
-/// assert_eq!(par.qos, seq.qos);
+/// // Device 1 of a 3-device fleet is a standalone hosted run of its
+/// // shard under its derived seeds.
+/// let spec = FleetSpec::new(3);
+/// let fleet = run_fleet(config.clone(), &trace, &spec).unwrap();
+/// let shard = &trace.shard_by_ranges(&sector_ranges(trace.max_sector_end(), 3))[1];
+/// config.warmup.seed = device_seed(config.warmup.seed, 1);
+/// config.fault.seed = device_seed(config.fault.seed, 1);
+/// let mut host = spec.host;
+/// host.seed = device_seed(host.seed, 1);
+/// let tenants = tenants_from_trace(shard, 1, spec.issue, spec.queue_depth, &[]);
+/// let alone = run_hosted(config, tenants, &host).unwrap();
+/// let d1 = &fleet.fleet.as_ref().unwrap().per_device[1];
+/// assert_eq!((d1.requests, d1.sim_span_ns), (alone.requests, alone.sim_span_ns));
+/// assert_eq!(d1.flash_programs, alone.flash.programs.total());
 /// ```
 pub fn run_fleet(
     config: SimConfig,
@@ -212,11 +211,7 @@ pub fn run_fleet_keep(
         }
         run_device(config, tenants, &host)
     };
-    let runs: aftl_flash::Result<Vec<_>> = if spec.sequential {
-        shards.into_iter().map(drive).collect()
-    } else {
-        shards.into_par_iter().map(drive).collect()
-    };
+    let runs: aftl_flash::Result<Vec<_>> = shards.into_par_iter().map(drive).collect();
     let (runs, rows): (Vec<DeviceRun>, Vec<Vec<TenantQos>>) = runs?.into_iter().unzip();
 
     let fleet = FleetSection {
@@ -315,28 +310,51 @@ mod tests {
         assert!(fleet.fleet.is_some() && hosted.fleet.is_none());
     }
 
+    /// Device `i` of `spec`'s fleet run alone: a hosted run of its shard
+    /// under its derived seeds.
+    fn standalone(config: &SimConfig, trace: &Trace, spec: &FleetSpec, i: usize) -> RunReport {
+        let ranges = sector_ranges(trace.max_sector_end(), spec.devices);
+        let shard = &trace.shard_by_ranges(&ranges)[i];
+        let mut config = config.clone();
+        config.warmup.seed = device_seed(config.warmup.seed, i);
+        config.fault.seed = device_seed(config.fault.seed, i);
+        let mut host = spec.host;
+        host.seed = device_seed(host.seed, i);
+        let tenants = tenants_from_trace(
+            shard,
+            spec.tenants_per_device,
+            spec.issue,
+            spec.queue_depth,
+            &spec.weights,
+        );
+        crate::hosted::run_hosted(config, tenants, &host).unwrap()
+    }
+
     #[test]
-    fn parallel_and_sequential_fleets_merge_identically() {
+    fn every_device_equals_its_standalone_hosted_run() {
         let trace = tiny_trace(400);
         for scheme in SchemeKind::ALL {
-            let mut spec = FleetSpec::new(3);
-            let par = run_fleet(tiny_config(scheme), &trace, &spec).unwrap();
-            spec.sequential = true;
-            let seq = run_fleet(tiny_config(scheme), &trace, &spec).unwrap();
-            assert_eq!(par.requests, seq.requests);
-            assert_eq!(par.sim_span_ns, seq.sim_span_ns);
-            assert_eq!(par.qos, seq.qos);
-            assert_eq!(par.fleet, seq.fleet);
-            assert_eq!(
-                serde_json::to_string(&par.flash),
-                serde_json::to_string(&seq.flash),
-                "{}: flash deltas must not depend on scheduling",
-                scheme.name()
-            );
-            assert_eq!(
-                serde_json::to_string(&par.latency),
-                serde_json::to_string(&seq.latency)
-            );
+            let spec = FleetSpec::new(3);
+            let report = run_fleet(tiny_config(scheme), &trace, &spec).unwrap();
+            let fleet = report.fleet.unwrap();
+            let rows = report.qos.unwrap().tenants;
+            for (i, device) in fleet.per_device.iter().enumerate() {
+                let alone = standalone(&tiny_config(scheme), &trace, &spec, i);
+                let want = DeviceSummary {
+                    device: i as u64,
+                    range_start: device.range_start,
+                    range_end: device.range_end,
+                    requests: alone.requests,
+                    sim_span_ns: alone.sim_span_ns,
+                    flash_programs: alone.flash.programs.total(),
+                    erases: alone.flash.erases,
+                    warmup_writes: alone.warmup.writes,
+                };
+                assert_eq!(*device, want, "{} device {i}", scheme.name());
+                let mut row = alone.qos.unwrap().tenants.remove(0);
+                row.name = format!("d{i}/{}", row.name);
+                assert_eq!(rows[i], row, "{} device {i}", scheme.name());
+            }
         }
     }
 
@@ -395,18 +413,9 @@ mod tests {
         let trace = crate::crash::workload(&config, 800, 5);
         let spec = FleetSpec::new(2);
         let fleet = run_fleet(config.clone(), &trace, &spec).unwrap();
-        // Each device alone: its shard, its derived seeds, one tenant.
-        let ranges = sector_ranges(trace.max_sector_end(), 2);
-        let shards = trace.shard_by_ranges(&ranges);
-        let sections: Vec<_> = (shards.iter().enumerate())
-            .map(|(i, shard)| {
-                let mut config = config.clone();
-                config.warmup.seed = device_seed(config.warmup.seed, i);
-                config.fault.seed = device_seed(config.fault.seed, i);
-                let mut host = spec.host;
-                host.seed = device_seed(host.seed, i);
-                let tenants = tenants_from_trace(shard, 1, spec.issue, spec.queue_depth, &[]);
-                let report = crate::hosted::run_hosted(config, tenants, &host).unwrap();
+        let sections: Vec<_> = (0..2)
+            .map(|i| {
+                let report = standalone(&config, &trace, &spec, i);
                 report.recovery.expect("each device recovered")
             })
             .collect();

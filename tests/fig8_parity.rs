@@ -376,7 +376,6 @@ fn fleet_single_device_matches_hosted_run_bit_for_bit() {
         queue_depth: 32,
         tenants_per_device: 1,
         weights: vec![1],
-        sequential: false,
     };
 
     let golden = golden();

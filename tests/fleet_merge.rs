@@ -1,18 +1,22 @@
-//! Fleet-merge properties: the parallel fleet path must be a pure
-//! function of `(config, trace, spec)` — identical to the sequential
-//! single-thread merge for any shard count and seed, with the range
-//! sharding covering the LPN space exactly (no gaps, no overlap, no
-//! record lost or duplicated).
+//! Fleet-merge properties: every device of a fleet run is exactly a
+//! standalone hosted run of its shard under its derived seeds, the fleet
+//! run is a pure function of `(config, trace, spec)` for any shard count
+//! and seed, and the range sharding covers the LPN space exactly (no
+//! gaps, no overlap, no record lost or duplicated).
 
 use aftl_core::scheme::SchemeKind;
-use aftl_sim::fleet::{run_fleet, FleetSpec};
-use aftl_sim::SimConfig;
+use aftl_sim::fleet::{device_seed, run_fleet, FleetSpec};
+use aftl_sim::{run_hosted, tenants_from_trace, DeviceSummary, RunReport, SimConfig};
 use aftl_trace::{sector_ranges, IoOp, IoRecord, Trace};
 use proptest::prelude::*;
 
+/// The tiny device, aged so each device's derived warm-up seed shapes
+/// its run.
 fn tiny_config(scheme: SchemeKind) -> SimConfig {
     let mut config = SimConfig::test_tiny(scheme);
     config.track_content = false;
+    config.warmup.used_fraction = 0.6;
+    config.warmup.valid_fraction = 0.3;
     config
 }
 
@@ -41,15 +45,34 @@ fn synth_trace(seed: u64, len: usize) -> Trace {
     Trace::new("prop", records)
 }
 
+/// Device `i` of `spec`'s fleet run alone: a hosted run of `shard` under
+/// the device's derived seeds.
+fn standalone(shard: &Trace, spec: &FleetSpec, i: usize) -> RunReport {
+    let mut config = tiny_config(SchemeKind::Across);
+    config.warmup.seed = device_seed(config.warmup.seed, i);
+    config.fault.seed = device_seed(config.fault.seed, i);
+    let mut host = spec.host;
+    host.seed = device_seed(host.seed, i);
+    let tenants = tenants_from_trace(
+        shard,
+        spec.tenants_per_device,
+        spec.issue,
+        spec.queue_depth,
+        &spec.weights,
+    );
+    run_hosted(config, tenants, &host).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The hard invariant of the fleet layer: for random shard counts,
-    /// seeds and workloads, running the devices on worker threads and
-    /// merging must equal running them one-by-one on this thread and
-    /// merging — on every histogram, counter and QoS row.
+    /// seeds and workloads, each device's summary and QoS rows equal a
+    /// standalone hosted run of its shard with `device_seed(base, i)`
+    /// seeds, and two runs of the same fleet are identical on every
+    /// histogram, counter and QoS row.
     #[test]
-    fn parallel_fleet_equals_sequential_merge(
+    fn fleet_devices_equal_standalone_hosted_runs(
         (devices, seed, trace_seed, len) in (
             1usize..=5,
             any::<u64>(),
@@ -61,30 +84,45 @@ proptest! {
         let mut spec = FleetSpec::new(devices);
         spec.host.seed = seed;
 
-        let par = run_fleet(tiny_config(SchemeKind::Across), &trace, &spec).unwrap();
-        spec.sequential = true;
-        let seq = run_fleet(tiny_config(SchemeKind::Across), &trace, &spec).unwrap();
+        let a = run_fleet(tiny_config(SchemeKind::Across), &trace, &spec).unwrap();
+        let fleet = a.fleet.as_ref().expect("fleet runs carry topology");
+        let rows = &a.qos.as_ref().expect("fleet runs carry QoS").tenants;
+        prop_assert_eq!(fleet.per_device.len(), devices);
+        prop_assert_eq!(rows.len(), devices);
+        let ranges = sector_ranges(trace.max_sector_end(), devices);
+        for (i, shard) in trace.shard_by_ranges(&ranges).iter().enumerate() {
+            let alone = standalone(shard, &spec, i);
+            let want = DeviceSummary {
+                device: i as u64,
+                range_start: ranges[i].start,
+                range_end: ranges[i].end,
+                requests: alone.requests,
+                sim_span_ns: alone.sim_span_ns,
+                flash_programs: alone.flash.programs.total(),
+                erases: alone.flash.erases,
+                warmup_writes: alone.warmup.writes,
+            };
+            prop_assert_eq!(&fleet.per_device[i], &want);
+            let mut row = alone.qos.expect("hosted runs carry QoS").tenants.remove(0);
+            if devices > 1 {
+                row.name = format!("d{i}/{}", row.name);
+            }
+            prop_assert_eq!(&rows[i], &row);
+        }
 
-        prop_assert_eq!(par.requests, seq.requests);
-        prop_assert_eq!(par.sim_span_ns, seq.sim_span_ns);
-        prop_assert_eq!(&par.qos, &seq.qos);
-        prop_assert_eq!(&par.fleet, &seq.fleet);
-        prop_assert_eq!(
-            serde_json::to_string(&par.flash),
-            serde_json::to_string(&seq.flash)
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&par.counters),
-            serde_json::to_string(&seq.counters)
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&par.latency),
-            serde_json::to_string(&seq.latency)
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&par.classes),
-            serde_json::to_string(&seq.classes)
-        );
+        let b = run_fleet(tiny_config(SchemeKind::Across), &trace, &spec).unwrap();
+        prop_assert_eq!(a.requests, b.requests);
+        prop_assert_eq!(a.sim_span_ns, b.sim_span_ns);
+        prop_assert_eq!(&a.qos, &b.qos);
+        prop_assert_eq!(&a.fleet, &b.fleet);
+        for (x, y) in [
+            (serde_json::to_string(&a.flash), serde_json::to_string(&b.flash)),
+            (serde_json::to_string(&a.counters), serde_json::to_string(&b.counters)),
+            (serde_json::to_string(&a.latency), serde_json::to_string(&b.latency)),
+            (serde_json::to_string(&a.classes), serde_json::to_string(&b.classes)),
+        ] {
+            prop_assert_eq!(x.unwrap(), y.unwrap());
+        }
     }
 
     /// Consistent range sharding covers the sector space exactly: ranges

@@ -1,13 +1,21 @@
-//! Property-based equivalence of the slab/intrusive-list [`MapCache`] with a
-//! straightforward reference model of the old stamp-ordered (`BTreeMap`)
-//! implementation: under arbitrary access traces the hit/miss/load/flush
-//! counters, residency and flash-copy counts must match exactly.
+//! The [`MapCache`] against independent answers.
+//!
+//! * Property-based equivalence with a straightforward reference model of
+//!   the old stamp-ordered (`BTreeMap`) implementation: under arbitrary
+//!   access traces over two disjoint dense tpid ranges the hit/miss/load/
+//!   flush counters, residency, flash-copy counts and `would_load` must
+//!   match exactly.
+//! * LRU theory: the measured hit ratio under uniform tpids is `C/N`, and
+//!   under Zipf tpids it is Che's approximation.
 
 use std::collections::HashSet;
 
 use aftl_core::mapping::cache::MapCache;
 use aftl_flash::{Allocator, FlashArray, GeometryBuilder, TimingSpec};
+use aftl_trace::synth::Zipf;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// The old implementation in miniature: residents keyed by tpid with an
 /// LRU stamp, evicting the smallest stamp; dirty evictions flush to flash.
@@ -68,6 +76,10 @@ impl ModelCache {
         self.next_stamp += 1;
     }
 
+    fn would_load(&self, tpid: u64) -> bool {
+        !self.resident.iter().any(|e| e.0 == tpid) && self.flash.contains(&tpid)
+    }
+
     fn flush_all(&mut self) {
         for e in &mut self.resident {
             if e.1 {
@@ -85,11 +97,19 @@ enum CacheOp {
     FlushAll,
 }
 
+/// Two dense tpid ranges with a gap between them, as a scheme with two
+/// tables numbers them (PMT-like `0..16`, AMT-like `64..80`): the first
+/// access above the gap grows the cache's per-tpid table mid-sequence.
+fn tpids() -> impl Iterator<Item = u64> {
+    (0..16).chain(64..80)
+}
+
 fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
-    (0u8..=19, 0u64..16, any::<bool>()).prop_map(|(kind, tpid, dirty)| {
+    (0u8..=19, 0usize..32, any::<bool>()).prop_map(|(kind, i, dirty)| {
         if kind == 0 {
             CacheOp::FlushAll
         } else {
+            let tpid = tpids().nth(i).expect("32 tpids");
             CacheOp::Access { tpid, dirty }
         }
     })
@@ -150,6 +170,15 @@ fn run_trace(capacity: usize, ops: &[CacheOp]) -> Result<(), TestCaseError> {
         );
         prop_assert_eq!(cache.resident_tpages(), model.resident.len());
         prop_assert_eq!(cache.flash_tpages(), model.flash.len());
+        for tpid in tpids() {
+            prop_assert!(
+                cache.would_load(tpid) == model.would_load(tpid),
+                "would_load({}) diverged after op {} {:?}",
+                tpid,
+                i,
+                op
+            );
+        }
     }
     Ok(())
 }
@@ -173,4 +202,99 @@ proptest! {
     {
         run_trace(1, &ops)?;
     }
+}
+
+/// Translation pages and cache capacity of the LRU-theory checks.
+const N: usize = 4096;
+const C: usize = 512;
+
+/// A device that absorbs every tpid's one dirty first-eviction flush with
+/// no GC: a page materialises dirty on first touch, flushes once when
+/// evicted and reloads clean (the theory checks never dirty a page), so
+/// at most `N` map pages are ever programmed into its 32 768.
+fn theory_backing() -> (FlashArray, Allocator) {
+    let g = GeometryBuilder::new()
+        .channels(2)
+        .chips_per_channel(2)
+        .dies_per_chip(1)
+        .planes_per_die(2)
+        .blocks_per_plane(64)
+        .pages_per_block(64)
+        .page_bytes(4096)
+        .build()
+        .expect("valid geometry");
+    assert!(g.total_pages() >= 8 * N as u64);
+    let array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+    let alloc = Allocator::new(&array);
+    (array, alloc)
+}
+
+/// Hit ratio of 100 000 clean accesses drawn by `draw`, measured after a
+/// 20 000-access warm-up fills the cache.
+fn measured_hit_ratio(mut draw: impl FnMut() -> u64) -> f64 {
+    let (mut array, mut alloc) = theory_backing();
+    let mut cache = MapCache::new(C);
+    let mut access = |cache: &mut MapCache| {
+        let tpid = draw();
+        assert!(tpid < N as u64);
+        cache
+            .access(&mut array, &mut alloc, 0, tpid, false)
+            .unwrap();
+    };
+    for _ in 0..20_000 {
+        access(&mut cache);
+    }
+    assert_eq!(cache.resident_tpages(), C, "warm-up fills the cache");
+    let before = *cache.stats();
+    for _ in 0..100_000 {
+        access(&mut cache);
+    }
+    let s = cache.stats();
+    (s.hits - before.hits) as f64 / (s.lookups - before.lookups) as f64
+}
+
+/// Che's approximation of an LRU cache's hit ratio under independent
+/// references with probabilities `p`: the characteristic time `T` solves
+/// `Σᵢ (1 − e^(−pᵢT)) = capacity` (found by bisection), and the hit ratio
+/// is `Σᵢ pᵢ (1 − e^(−pᵢT))`.
+fn che_hit_ratio(p: &[f64], capacity: usize) -> f64 {
+    let occupancy = |t: f64| p.iter().map(|&pi| 1.0 - (-pi * t).exp()).sum::<f64>();
+    let (mut lo, mut hi) = (0.0, 1.0);
+    while occupancy(hi) < capacity as f64 {
+        hi *= 2.0;
+    }
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if occupancy(mid) < capacity as f64 {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let t = 0.5 * (lo + hi);
+    p.iter().map(|&pi| pi * (1.0 - (-pi * t).exp())).sum()
+}
+
+#[test]
+fn uniform_hit_ratio_is_capacity_over_pages() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let hit = measured_hit_ratio(|| rng.random_range(0..N as u64));
+    let want = C as f64 / N as f64;
+    assert!(
+        (hit - want).abs() <= 0.02,
+        "uniform LRU hit ratio {hit:.4}, theory C/N = {want:.4}"
+    );
+}
+
+#[test]
+fn zipf_hit_ratio_matches_che_approximation() {
+    let zipf = Zipf::new(N, 0.9);
+    let p: Vec<f64> = (0..N).map(|k| zipf.pmf(k)).collect();
+    let want = che_hit_ratio(&p, C);
+    let mut rng = SmallRng::seed_from_u64(7);
+    let hit = measured_hit_ratio(|| zipf.sample(&mut rng) as u64);
+    assert!(
+        (hit - want).abs() <= 0.02,
+        "Zipf(0.9) LRU hit ratio {hit:.4}, Che's approximation {want:.4}"
+    );
 }
