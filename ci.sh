@@ -47,7 +47,7 @@ core_code=$(find crates/core/src -name '*.rs' ! -name reference.rs \
 [ "$(grep -rnE 'served_(lost|from_page)\(' crates/core/src | grep -vc '^crates/core/src/\(scheme\|pagemap\).rs:')" -eq 0 ] \
     || { echo "a scheme re-implements the serve-a-mapped-page block"; exit 1; }
 # Every old-copy read takes its loss stamps from recover::read_old_copy.
-if grep -rnE 'version *[:=] *LOST_VERSION|lost_stamps_of\(' crates/core/src \
+if grep -rnE 'version *[:=] *LOST_VERSION|carried_content\(' crates/core/src \
     | grep -v '^crates/core/src/\(recover\|scheme\).rs:'; then
     echo "a scheme stamps a lost old copy itself (use recover::read_old_copy)"; exit 1
 fi
@@ -74,6 +74,15 @@ crates_code=$(find crates -name '*.rs' ! -name reference.rs \
 if printf '%s\n' "$crates_code" | grep -F 'Box<dyn FtlScheme'; then
     echo "a scheme is boxed outside tests (hold a core::scheme::Scheme)"; exit 1
 fi
+# GC's one-to-one copy is one FlashArray::relocate call (DESIGN.md §9): an
+# old-copy read or a relocating program in gc.rs, or a second caller of the
+# primitive, would be a second GC copy path.
+if printf '%s\n' "$core_code" | grep '^crates/core/src/gc.rs:' \
+    | grep -E 'read_old_copy\(|program_relocating\('; then
+    echo "gc.rs copies a page itself (use FlashArray::relocate)"; exit 1
+fi
+[ "$(printf '%s\n' "$crates_code" | grep -cF '.relocate(')" -eq 1 ] \
+    || { echo "FlashArray::relocate needs exactly one non-test caller (CopyMigrator)"; exit 1; }
 for ftl in BaselineFtl MrsmFtl AcrossFtl LearnedFtl; do
     [ "$(printf '%s\n' "$crates_code" | grep -cF "$ftl::from_image(")" -eq 1 ] \
         || { echo "$ftl::from_image is called outside Scheme::from_image"; exit 1; }

@@ -26,7 +26,7 @@ use crate::mapping::amt::{AcrossMapTable, AmtEntry};
 use crate::mapping::pmt::NO_AIDX;
 use crate::obs::{SchemeEvent, SchemeEventKind};
 use crate::pagemap::{scheme_core_methods, serve_page, CoreMigrator, PageMapCore};
-use crate::recover::{program_relocating, read_old_copy, PageStamps};
+use crate::recover::{read_old_copy, PageStamps};
 use crate::recovery::{AreaImage, SchemeImage};
 use crate::request::{split_extents, HostRequest, ReqKind};
 use crate::scheme::{
@@ -220,8 +220,7 @@ impl AcrossFtl {
         stamps: Option<PageStamps>,
         ready: Nanos,
     ) -> Result<Nanos> {
-        let (appn, w) = program_relocating(
-            env.array,
+        let (appn, w) = env.array.program_relocating(
             env.alloc,
             None,
             StreamId::Across,
@@ -557,6 +556,15 @@ struct AreaMigrator<'a> {
 }
 
 impl PageMigrator for AreaMigrator<'_> {
+    fn prefetch(&self, pages: &[(Ppn, PageInfo)]) {
+        self.core.prefetch(pages);
+        for (_, info) in pages {
+            if info.kind == PageKind::AcrossData {
+                std::hint::black_box(self.amt.get(info.tag as u32));
+            }
+        }
+    }
+
     fn migrate(
         &mut self,
         array: &mut FlashArray,
@@ -565,7 +573,7 @@ impl PageMigrator for AreaMigrator<'_> {
         old: Ppn,
         info: &PageInfo,
         report: &mut GcReport,
-    ) -> Result<u64> {
+    ) -> Result<Option<u64>> {
         if info.kind != PageKind::AcrossData {
             return self.core.migrate(array, alloc, now, old, info, report);
         }

@@ -33,9 +33,11 @@
 //! order produces.
 //!
 //! Greedy selection costs what it collects. An episode starts in O(1) with
-//! a bucket cursor at the index's top level; only when its victim list
+//! a bucket cursor at the index's top level; only when its victim queue
 //! runs dry does it read the next non-empty bucket below the cursor, drop
-//! allocator-active blocks, order that one bucket by stamp and continue.
+//! allocator-active blocks, heap that one bucket by stamp and continue —
+//! so each victim taken costs O(log bucket), and the blocks an episode
+//! never reaches are never ordered.
 //! The cursor only descends, so an episode sees each bucket at most once
 //! and its victim list is finite however the index changes under it. A
 //! bucket holds what is in it *when the cursor reaches it*: a block that
@@ -43,10 +45,17 @@
 //! flush during migration can do that) waits for the next episode.
 //! Cost-benefit and windowed need global ranks, so they enumerate the
 //! index once at episode start and sort.
+//!
+//! The victim being drained is *held* out of the index (see
+//! [`aftl_flash::victims`]) from the moment its pages are captured until it
+//! is erased or retired; an episode dropped mid-victim gives it back as it
+//! took it. Each one-to-one copy is one [`FlashArray::relocate`] call.
 
-use crate::recover::{program_relocating, read_old_copy};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use aftl_flash::{
-    Allocator, BlockAddr, FlashArray, FlashError, Nanos, PageInfo, PageState, Ppn, Result, StreamId,
+    Allocator, BlockAddr, FlashArray, FlashError, Nanos, PageInfo, Ppn, Relocation, Result,
 };
 use serde::{Deserialize, Serialize};
 
@@ -203,15 +212,20 @@ impl GcReport {
 /// valid-data footprint — and Learned-FTL buffers data pages and reprograms
 /// them LPN-sorted, so relocation recreates the runs its model learns.
 ///
-/// Preemption contract: `migrate` must invalidate *only* `old` (every
-/// in-tree migrator does). The episode machine re-checks a page's validity
-/// when resuming after a pause, which is sound exactly because sibling
-/// pages of the same victim are never invalidated as a side effect.
+/// Preemption contract: the episode machine hands `migrate` every page it
+/// captured when it took the victim, and a host write between the slices
+/// of a parked episode may have superseded a page since. `migrate` checks
+/// validity once — inside [`FlashArray::relocate`] for a one-to-one copy —
+/// and skips such a page. It must invalidate *only* `old` (every in-tree
+/// migrator does): a sibling page of the same victim is then never
+/// superseded behind GC's back, so in an atomic episode nothing is ever
+/// skipped.
 pub trait PageMigrator {
-    /// Relocate one valid page (`old`, with OOB `info`). The implementation
-    /// must issue the flash ops, invalidate `old`, and update its mapping
-    /// state. Returns the number of pages programmed; source-read losses
-    /// are recorded in `report.lost_pages`.
+    /// Relocate one captured page (`old`, with OOB `info`): if it is still
+    /// valid, issue the flash ops, invalidate `old` and update the mapping
+    /// state, returning the number of pages programmed; if it is not,
+    /// issue nothing and return `None`. Source-read losses are recorded in
+    /// `report.lost_pages`.
     fn migrate(
         &mut self,
         array: &mut FlashArray,
@@ -220,7 +234,12 @@ pub trait PageMigrator {
         old: Ppn,
         info: &PageInfo,
         report: &mut GcReport,
-    ) -> Result<u64>;
+    ) -> Result<Option<u64>>;
+
+    /// Called with a victim's captured pages before any of them moves: a
+    /// migrator reads the table entries it will update for them here, so
+    /// their cache misses overlap rather than stalling one copy each.
+    fn prefetch(&self, _pages: &[(Ppn, PageInfo)]) {}
 
     /// Called once at the end of every collection slice (flush any
     /// partially packed buffers). Migrators are rebuilt per invocation —
@@ -237,13 +256,15 @@ pub trait PageMigrator {
     }
 }
 
-/// The default migrator: one-to-one page copy plus a remap callback.
+/// The default migrator: one-to-one page copy ([`FlashArray::relocate`])
+/// plus a remap callback.
 pub struct CopyMigrator<F>(pub F);
 
 impl<F> PageMigrator for CopyMigrator<F>
 where
     F: FnMut(&mut FlashArray, Ppn, Ppn, &PageInfo),
 {
+    #[inline]
     fn migrate(
         &mut self,
         array: &mut FlashArray,
@@ -252,38 +273,20 @@ where
         old: Ppn,
         info: &PageInfo,
         report: &mut GcReport,
-    ) -> Result<u64> {
-        let page_bytes = array.geometry().page_bytes;
-        let (read, stamps) = read_old_copy(array, old, page_bytes, now, now)?;
-        if read.is_lost() {
+    ) -> Result<Option<u64>> {
+        let Relocation::Moved { to, lost } = array.relocate(alloc, old, info, now)? else {
+            return Ok(None);
+        };
+        if lost {
             report.lost_pages += 1;
         }
-        // Stripe migrated pages across planes: the program (2 ms) dominates
-        // the migration cost, and pinning it to the victim's chip would
-        // serialise a whole block's migration on one chip, stalling host
-        // I/O far beyond what SSDsim's per-plane GC exhibits.
-        let (new_ppn, _) = program_relocating(
-            array,
-            alloc,
-            None,
-            StreamId::Gc,
-            info.kind,
-            info.tag,
-            page_bytes,
-            now,
-            read.complete_ns(),
-        )?;
-        if let Some(stamps) = stamps {
-            array.record_content(new_ppn, stamps);
-        }
-        array.invalidate(old)?;
-        (self.0)(array, old, new_ppn, info);
-        Ok(1)
+        (self.0)(array, old, to, info);
+        Ok(Some(1))
     }
 }
 
 /// One erase candidate at episode start, as scored by the victim policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct VictimCand {
     /// Invalid pages in the block (the greedy signal).
     pub invalid: u32,
@@ -377,17 +380,15 @@ pub fn order_victims(
 #[derive(Debug, Clone)]
 pub struct GcEpisode {
     /// Greedy only: the victim-index bucket (= invalid count) to pull when
-    /// the victim list next runs dry. Strictly descending, so the episode's
-    /// victim list is finite; 0 = nothing left to pull, which is where
-    /// cost-benefit and windowed episodes start.
+    /// the victim queue next runs dry. Strictly descending, so the
+    /// episode's victims are finite; 0 = nothing left to pull, which is
+    /// where cost-benefit and windowed episodes start.
     cursor: u32,
-    /// Next victim to (re)load.
-    next_victim: usize,
+    /// The victim being drained, held out of the victim index; its valid
+    /// pages are [`GcState`]'s captured pages.
+    current: Option<VictimCand>,
     /// Cursor into the current victim's captured valid pages.
     next_page: usize,
-    /// Whether the captured pages and `next_page` refer to
-    /// `victims[next_victim]`.
-    loaded: bool,
     /// Blocks erased by this episode so far (feeds the historic
     /// nothing-reclaimable [`FlashError::NoFreeBlocks`] check).
     erased: u64,
@@ -410,11 +411,12 @@ enum SliceEnd {
 pub struct GcState {
     cfg: GcConfig,
     episode: Option<GcEpisode>,
-    /// Victims of the episode in flight, in collection order: the bucket
-    /// being drained for greedy, the whole ranked candidate set for
+    /// Victims of the episode in flight not yet taken, a min-heap on their
+    /// key: the rest of the bucket being drained, keyed by stamp, for
+    /// greedy; the rest of the whole candidate set, keyed by rank, for
     /// cost-benefit and windowed. Kept between episodes, like `pages`, so
-    /// steady-state collection allocates nothing.
-    victims: Vec<VictimCand>,
+    /// steady-state greedy collection allocates nothing.
+    victims: BinaryHeap<Reverse<(u64, VictimCand)>>,
     /// Valid pages of the current victim, captured at victim start.
     pages: Vec<(Ppn, PageInfo)>,
 }
@@ -425,7 +427,7 @@ impl GcState {
         GcState {
             cfg,
             episode: None,
-            victims: Vec::new(),
+            victims: BinaryHeap::new(),
             pages: Vec::new(),
         }
     }
@@ -556,12 +558,13 @@ impl GcState {
             GcPolicy::Greedy => array.top_victim_level(),
             GcPolicy::CostBenefit | GcPolicy::Windowed => {
                 let pages_per_block = array.geometry().pages_per_block;
+                let mut ranked = Vec::new();
                 array.victim_index().for_each(|invalid, addr, stamp| {
                     if !alloc.is_active(addr) {
-                        self.victims.push(VictimCand::new(invalid, addr, stamp));
+                        ranked.push(VictimCand::new(invalid, addr, stamp));
                     }
                 });
-                order_victims(t.policy, t.window, pages_per_block, &mut self.victims);
+                order_victims(t.policy, t.window, pages_per_block, &mut ranked);
                 #[cfg(debug_assertions)]
                 assert_matches_scan(
                     array,
@@ -569,17 +572,19 @@ impl GcState {
                     t.policy,
                     t.window,
                     1..=pages_per_block,
-                    &self.victims,
+                    &ranked,
                 );
+                let ranked = ranked.into_iter().enumerate();
+                self.victims
+                    .extend(ranked.map(|(rank, c)| Reverse((rank as u64, c))));
                 0
             }
         };
         report.episodes += 1;
         self.episode = Some(GcEpisode {
             cursor,
-            next_victim: 0,
+            current: None,
             next_page: 0,
-            loaded: false,
             erased: 0,
         });
     }
@@ -587,7 +592,9 @@ impl GcState {
     /// Run one slice of the parked episode (see [`GcState::slice`]). The
     /// episode stays parked only when the slice paused; when it finished
     /// or failed it is dropped — the scheme surfaces an error and a later
-    /// trigger starts fresh.
+    /// trigger starts fresh. An episode dropped mid-victim gives the
+    /// victim back to the index at its old stamp, so the next one finds
+    /// the index as an uninterrupted run would have left it.
     #[allow(clippy::too_many_arguments)]
     fn run_slice(
         &mut self,
@@ -601,7 +608,9 @@ impl GcState {
     ) -> Result<SliceEnd> {
         let end = self.slice(array, alloc, now, stop_at, budget, migrator, report);
         if !matches!(end, Ok(SliceEnd::Paused)) {
-            self.episode = None;
+            if let Some(victim) = self.episode.take().and_then(|ep| ep.current) {
+                array.release_victim(victim.addr());
+            }
         }
         end
     }
@@ -630,24 +639,31 @@ impl GcState {
         let ep = episode.as_mut().expect("slice runs with an episode");
         let mut copied: u64 = 0;
         let end = loop {
-            if !ep.loaded {
-                // Victim boundary: the stop mark is only checked here,
-                // matching the historic per-victim (not per-page) check —
-                // and before any bucket is read for a victim not needed.
-                if alloc.free_fraction() >= stop_at
-                    || (ep.next_victim >= victims.len() && !pull_bucket(ep, victims, array, alloc))
-                {
-                    break SliceEnd::Done {
-                        episode_erased: ep.erased,
-                    };
+            let victim = match ep.current {
+                Some(victim) => victim.addr(),
+                None => {
+                    // Victim boundary: the stop mark is only checked here,
+                    // matching the historic per-victim (not per-page)
+                    // check — and before any bucket is read for a victim
+                    // not needed.
+                    if alloc.free_fraction() >= stop_at
+                        || (victims.is_empty() && !pull_bucket(ep, victims, array, alloc))
+                    {
+                        break SliceEnd::Done {
+                            episode_erased: ep.erased,
+                        };
+                    }
+                    if copied >= budget {
+                        break SliceEnd::Paused;
+                    }
+                    let Reverse((_, victim)) = victims.pop().expect("a victim is queued");
+                    array.hold_victim(victim.addr(), pages);
+                    migrator.prefetch(pages);
+                    ep.current = Some(victim);
+                    ep.next_page = 0;
+                    victim.addr()
                 }
-                if copied >= budget {
-                    break SliceEnd::Paused;
-                }
-                array.valid_pages_into(victims[ep.next_victim].addr(), pages);
-                ep.next_page = 0;
-                ep.loaded = true;
-            }
+            };
 
             while ep.next_page < pages.len() {
                 if copied >= budget {
@@ -655,14 +671,12 @@ impl GcState {
                 }
                 let (old_ppn, info) = pages[ep.next_page];
                 ep.next_page += 1;
-                // Host writes between slices may have invalidated pages
-                // captured at victim start; skip them — their mapping
-                // already points at the newer copy. (With atomic episodes
-                // nothing interleaves, so nothing is ever skipped.)
-                if array.page_state(old_ppn)? != PageState::Valid {
+                // A page superseded since capture is skipped — its mapping
+                // already points at the newer copy.
+                let Some(programs) = migrator.migrate(array, alloc, now, old_ppn, &info, report)?
+                else {
                     continue;
-                }
-                let programs = migrator.migrate(array, alloc, now, old_ppn, &info, report)?;
+                };
                 report.migrated_pages += programs;
                 array.note_gc_migration();
                 copied += 1;
@@ -685,7 +699,6 @@ impl GcState {
                 let programs = migrator.finish(array, alloc, now, report)?;
                 report.migrated_pages += programs;
             }
-            let victim = victims[ep.next_victim].addr();
             match array.erase(victim, now) {
                 Ok(_) => {
                     alloc.release_block(victim);
@@ -697,8 +710,7 @@ impl GcState {
                 }
                 Err(e) => return Err(e),
             }
-            ep.next_victim += 1;
-            ep.loaded = false;
+            ep.current = None;
         };
 
         let programs = migrator.finish(array, alloc, now, report)?;
@@ -707,40 +719,55 @@ impl GcState {
     }
 }
 
-/// Greedy selection proper: refill the drained victim list with the next
+/// Greedy selection proper: refill the drained victim queue with the next
 /// non-empty bucket at or below the episode's cursor — its blocks that are
-/// not allocator-active, coldest first — and leave the cursor under it.
-/// Returns whether there is a victim to take: `false` only when no bucket
-/// is left. Costs the buckets it reads, not the candidate set.
+/// not allocator-active, in a min-heap on their stamps — and leave the
+/// cursor under it. Returns whether there is a victim to take: `false`
+/// only when no bucket is left. Costs the buckets it reads, O(bucket) to
+/// heap one, and O(log bucket) per victim taken from it.
 fn pull_bucket(
     ep: &mut GcEpisode,
-    victims: &mut Vec<VictimCand>,
+    victims: &mut BinaryHeap<Reverse<(u64, VictimCand)>>,
     array: &FlashArray,
     alloc: &Allocator,
 ) -> bool {
-    victims.clear();
-    ep.next_victim = 0;
     while victims.is_empty() && ep.cursor > 0 {
         let level = ep.cursor;
         ep.cursor -= 1;
-        victims.extend(
+        let mut queue = std::mem::take(victims).into_vec();
+        queue.extend(
             array
                 .victim_index()
                 .bucket(level)
                 .filter(|&(addr, _)| !alloc.is_active(addr))
-                .map(|(addr, stamp)| VictimCand::new(level, addr, stamp)),
+                .map(|(addr, stamp)| Reverse((stamp, VictimCand::new(level, addr, stamp)))),
         );
-        victims.sort_unstable_by_key(|c| c.stamp);
+        *victims = BinaryHeap::from(queue);
         #[cfg(debug_assertions)]
-        assert_matches_scan(array, alloc, GcPolicy::Greedy, 0, level..=level, victims);
+        assert_matches_scan(
+            array,
+            alloc,
+            GcPolicy::Greedy,
+            0,
+            level..=level,
+            &taking_order(victims),
+        );
     }
     !victims.is_empty()
 }
 
+/// The victims `queue` holds, in the order the episode will take them.
+#[cfg(any(test, debug_assertions))]
+fn taking_order(queue: &BinaryHeap<Reverse<(u64, VictimCand)>>) -> Vec<VictimCand> {
+    let ascending = queue.clone().into_sorted_vec().into_iter().rev();
+    ascending.map(|Reverse((_, c))| c).collect()
+}
+
 /// Debug oracle: victims just taken from the index at invalid counts
-/// `levels` must be exactly what a full scan of the block summaries finds
-/// there — full, that many invalid pages, not retired, not
-/// allocator-active — in `policy`'s reference order.
+/// `levels`, in the order the episode takes them, must be exactly what a
+/// full scan of the block summaries finds there — full, that many invalid
+/// pages, not retired, not allocator-active, not held — in `policy`'s
+/// reference order.
 #[cfg(debug_assertions)]
 fn assert_matches_scan(
     array: &FlashArray,
@@ -754,7 +781,12 @@ fn assert_matches_scan(
     let mut scan = Vec::new();
     for plane in 0..array.geometry().total_planes() {
         for s in array.block_summaries(plane) {
-            if s.full && levels.contains(&s.invalid) && !s.retired && !alloc.is_active(s.addr) {
+            if s.full
+                && levels.contains(&s.invalid)
+                && !s.retired
+                && !alloc.is_active(s.addr)
+                && !vi.is_held(s.addr)
+            {
                 let stamp = vi.stamp_of(s.addr).expect("a candidate block is indexed");
                 scan.push(VictimCand::new(s.invalid, s.addr, stamp));
             }
@@ -770,7 +802,7 @@ fn assert_matches_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aftl_flash::{Geometry, PageKind, TimingSpec};
+    use aftl_flash::{Geometry, PageKind, StreamId, TimingSpec};
     use std::collections::HashMap;
 
     /// Run a GC episode to completion if needed, copying pages one-to-one
@@ -1183,14 +1215,15 @@ mod tests {
             .unwrap();
         assert_eq!((r.episodes, r.preemptions, r.migrated_pages), (1, 1, 1));
         assert!(state.in_episode(), "one page of budget parks the episode");
-        assert_eq!(state.victims.len(), 3, "the top bucket and nothing else");
-        assert!(state.victims.iter().all(|c| c.invalid == 6));
+        let victims = materialised(&state);
+        assert_eq!(victims.len(), 3, "the top bucket and nothing else");
+        assert!(victims.iter().all(|c| c.invalid == 6));
 
         // The low buckets are reached only after the top one is drained:
         // three victims of two valid pages each, one page per slice.
         let mut erased = 0;
         while erased < 3 {
-            assert!(state.victims.iter().all(|c| c.invalid == 6));
+            assert!(materialised(&state).iter().all(|c| c.invalid == 6));
             erased += state
                 .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
                 .unwrap()
@@ -1200,8 +1233,19 @@ mod tests {
             .maybe_collect(&mut array, &mut alloc, 0, &mut copy)
             .unwrap();
         assert_eq!(r.migrated_pages, 1);
-        assert_eq!(state.victims.len(), 1500, "then the 2-invalid bucket");
-        assert!(state.victims.iter().all(|c| c.invalid == 2));
+        let victims = materialised(&state);
+        assert_eq!(victims.len(), 1500, "then the 2-invalid bucket");
+        assert!(victims.iter().all(|c| c.invalid == 2));
+    }
+
+    /// The victims a parked episode has materialised: the one it is
+    /// draining, then those queued behind it in the order it takes them.
+    fn materialised(state: &GcState) -> Vec<VictimCand> {
+        let current = state.episode.as_ref().and_then(|ep| ep.current);
+        current
+            .into_iter()
+            .chain(taking_order(&state.victims))
+            .collect()
     }
 
     /// A device whose only candidates are 1-invalid-page blocks, under a
@@ -1246,6 +1290,134 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, FlashError::NoFreeBlocks);
         assert!(!state.in_episode());
+    }
+
+    /// Every block of the tiny device programmed — block `b` of plane `p`
+    /// with `1 + (b + 3p) % 4` invalid pages — so no block is free, with a
+    /// power cut armed after `crash_at` flash operations when given.
+    fn full_device(crash_at: Option<u64>) -> (FlashArray, Allocator) {
+        let g = Geometry::tiny();
+        let mut array = FlashArray::new(g, TimingSpec::unit()).unwrap();
+        if let Some(crash_at) = crash_at {
+            array.arm_crash(crash_at);
+        }
+        let mut next_lpn = 0u64;
+        for plane_idx in 0..g.total_planes() {
+            for block in 0..g.blocks_per_plane {
+                let invalid = 1 + (block + 3 * plane_idx as u32) % 4;
+                fill_block(
+                    &mut array,
+                    BlockAddr { plane_idx, block },
+                    invalid,
+                    &mut next_lpn,
+                );
+            }
+        }
+        let alloc = Allocator::rebuild(&array);
+        assert_eq!(alloc.free_blocks(), 0);
+        (array, alloc)
+    }
+
+    /// Supersede every valid page of the device's first block, which makes
+    /// it the one fully invalid block and the greediest victim.
+    fn supersede_first_block(array: &mut FlashArray) {
+        let first = BlockAddr {
+            plane_idx: 0,
+            block: 0,
+        };
+        for (ppn, _) in array.valid_pages_of(first) {
+            array.invalidate(ppn).unwrap();
+        }
+    }
+
+    /// One foreground collection with one-to-one copies: its result and
+    /// the victims it copied pages out of, in order.
+    fn collect_in_order(
+        state: &mut GcState,
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+    ) -> (Result<GcReport>, Vec<BlockAddr>) {
+        let mut victims: Vec<BlockAddr> = Vec::new();
+        let r = state.maybe_collect(
+            array,
+            alloc,
+            0,
+            &mut CopyMigrator(|array: &mut FlashArray, old, _, _: &PageInfo| {
+                let source = array.block_addr_of(old);
+                if victims.last() != Some(&source) {
+                    victims.push(source);
+                }
+            }),
+        );
+        (r, victims)
+    }
+
+    /// An episode cut mid-victim — by a power cut after two of its pages
+    /// moved, or by `NoFreeBlocks` on its first — gives the victim back to
+    /// the index at its old stamp, and the next episode erases the same
+    /// block sequence an uninterrupted run does.
+    #[test]
+    fn an_episode_cut_mid_victim_gives_the_victim_back() {
+        let cfg = GcConfig {
+            threshold: 0.9,
+            hysteresis: 0.0,
+            ..GcConfig::default()
+        };
+        let programs = Geometry::tiny().total_pages();
+        for power_cut in [true, false] {
+            // The uninterrupted run: the superseded block first, then every
+            // other candidate.
+            let (mut array, mut alloc) = full_device(power_cut.then_some(u64::MAX));
+            supersede_first_block(&mut array);
+            let (r, reference) = collect_in_order(&mut GcState::new(cfg), &mut array, &mut alloc);
+            r.unwrap();
+            let reference_wear: Vec<u64> = array.erase_counts().collect();
+
+            // The power cut lands on the third copy's program: after the
+            // fill, the superseded block's erase and two page moves.
+            let (mut array, mut alloc) = full_device(power_cut.then_some(programs + 1 + 2 * 2 + 1));
+            if power_cut {
+                supersede_first_block(&mut array);
+            }
+            let victim = reference[0];
+            let index = array.victim_index();
+            let (stamp, tick) = (index.stamp_of(victim), index.tick());
+            assert!(stamp.is_some());
+            let mut state = GcState::new(cfg);
+            let (r, mut cut) = collect_in_order(&mut state, &mut array, &mut alloc);
+            let expected = if power_cut {
+                FlashError::PowerCut
+            } else {
+                FlashError::NoFreeBlocks
+            };
+            assert_eq!(r.unwrap_err(), expected);
+            assert!(!state.in_episode());
+            assert_eq!(cut, if power_cut { vec![victim] } else { vec![] });
+
+            let index = array.victim_index();
+            assert!(!index.is_held(victim));
+            assert_eq!(index.stamp_of(victim), stamp, "{expected:?}: the old stamp");
+            assert_eq!(index.tick(), tick, "{expected:?}: no new entry");
+            let invalid = array.block_summary(victim).invalid;
+            assert_eq!(index.invalid_of(victim), Some(invalid));
+            assert_eq!(invalid, if power_cut { 4 + 2 } else { 4 });
+            array.check_victim_index().unwrap();
+
+            if power_cut {
+                array.power_restore();
+            } else {
+                supersede_first_block(&mut array);
+            }
+            let (r, rest) = collect_in_order(&mut state, &mut array, &mut alloc);
+            r.unwrap();
+            let resumed = rest.first() == cut.last();
+            cut.extend(rest.into_iter().skip(usize::from(resumed)));
+            assert_eq!(
+                cut, reference,
+                "{expected:?}: the same victims in the same order"
+            );
+            assert!(array.erase_counts().eq(reference_wear), "{expected:?}");
+        }
     }
 
     #[test]

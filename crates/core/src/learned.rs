@@ -52,13 +52,13 @@
 //! current — so the charged path is the common one.
 
 use aftl_flash::{
-    Allocator, FlashArray, Nanos, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
+    Allocator, FlashArray, Nanos, PageInfo, PageKind, PageState, Ppn, Result, SectorStamp, StreamId,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::gc::{GcReport, PageMigrator};
 use crate::pagemap::{scheme_core_methods, CoreMigrator, PageMapCore};
-use crate::recover::{program_relocating, read_old_copy, read_with_retry};
+use crate::recover::read_old_copy;
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
@@ -922,8 +922,7 @@ impl FtlScheme for LearnedFtl {
                         break;
                     }
                     // Valid page, wrong LPN: a wasted verify read, charged.
-                    let r = read_with_retry(
-                        env.array,
+                    let r = env.array.read_with_retry(
                         cand,
                         env.geometry().sector_bytes,
                         env.now_ns,
@@ -1005,12 +1004,16 @@ impl PageMigrator for LearnedMigrator<'_> {
         old: Ppn,
         info: &PageInfo,
         report: &mut GcReport,
-    ) -> Result<u64> {
+    ) -> Result<Option<u64>> {
         if info.kind != PageKind::Data {
             // The core copies stamps along with the page; a translation
             // page has none, so that step does nothing here.
             debug_assert!(array.content_of(old).is_none(), "{old:?}: stamped map page");
             return self.core.migrate(array, alloc, now, old, info, report);
+        }
+        if array.page_state(old)? != PageState::Valid {
+            // Superseded since capture (see [`PageMigrator`]).
+            return Ok(None);
         }
         let page_bytes = array.geometry().page_bytes;
         let (read, stamps) = read_old_copy(array, old, page_bytes, now, now)?;
@@ -1024,7 +1027,7 @@ impl PageMigrator for LearnedMigrator<'_> {
             read_done: read.complete_ns(),
         });
         // Programs are counted when `finish` flushes the buffer.
-        Ok(0)
+        Ok(Some(0))
     }
 
     fn finish(
@@ -1043,8 +1046,7 @@ impl PageMigrator for LearnedMigrator<'_> {
         let page_bytes = array.geometry().page_bytes;
         let mut programmed = 0u64;
         for page in self.buf.drain(..) {
-            let (new_ppn, _) = program_relocating(
-                array,
+            let (new_ppn, _) = array.program_relocating(
                 alloc,
                 Some(plane),
                 StreamId::Gc,

@@ -59,7 +59,7 @@ pub use mapping::engine::{MapEngine, MapEngineStats, PipelineConfig};
 pub use mrsm::MrsmFtl;
 pub use obs::{SchemeEvent, SchemeEventKind};
 pub use oracle::Oracle;
-pub use recover::{program_relocating, read_with_retry, PageRead, LOST_VERSION};
+pub use recover::{PageRead, LOST_VERSION};
 pub use recovery::{
     recover as crash_recover, AreaImage, Checkpoint, RecoveryMode, RecoveryStats, SchemeImage,
     SubLocs,

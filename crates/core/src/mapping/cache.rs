@@ -197,13 +197,8 @@ impl MapCache {
         // the page is re-marked dirty so a fresh copy reaches flash.
         let mut dirty = make_dirty;
         if ppn != NIL {
-            let r = crate::recover::read_with_retry(
-                array,
-                unpack_ppn(ppn),
-                array.geometry().page_bytes,
-                now,
-                now,
-            )?;
+            let r =
+                array.read_with_retry(unpack_ppn(ppn), array.geometry().page_bytes, now, now)?;
             if r.is_lost() {
                 dirty = true;
             }
@@ -343,8 +338,7 @@ impl MapCache {
         now: Nanos,
         tpid: u64,
     ) -> Result<Nanos> {
-        let (new_ppn, out) = crate::recover::program_relocating(
-            array,
+        let (new_ppn, out) = array.program_relocating(
             alloc,
             None,
             StreamId::Map,

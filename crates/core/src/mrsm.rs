@@ -15,12 +15,13 @@
 use std::collections::HashMap;
 
 use aftl_flash::{
-    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, SectorStamp, StreamId,
+    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, PageState, Ppn, Result, SectorStamp,
+    StreamId,
 };
 
 use crate::gc::{GcReport, PageMigrator};
 use crate::pagemap::{scheme_core_methods, serve_page, PageCopier, SchemeCore};
-use crate::recover::{program_relocating, read_old_copy, PageStamps};
+use crate::recover::{read_old_copy, PageStamps};
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, PageExtent, ReqKind};
 use crate::scheme::{
@@ -624,8 +625,7 @@ impl MrsmFtl {
         // A full page depends on its own extent's resolution only, in
         // both engine modes.
         let ready = self.core.engine.issue_at(ready, ready);
-        let (new_ppn, w) = program_relocating(
-            env.array,
+        let (new_ppn, w) = env.array.program_relocating(
             env.alloc,
             None,
             StreamId::Data,
@@ -954,9 +954,8 @@ fn program_region(
         oob[slot] = (lpn, sub as u8);
     }
     let kind = PageKind::AcrossData;
-    let (ppn, w) = program_relocating(
-        array, alloc, None, stream, kind, oob[0].0, bytes, now, ready,
-    )?;
+    let (ppn, w) =
+        array.program_relocating(alloc, None, stream, kind, oob[0].0, bytes, now, ready)?;
     let slots = OobDesc::Slots {
         n: n as u8,
         slots: oob,
@@ -1042,10 +1041,13 @@ impl PageMigrator for MrsmMigrator<'_> {
         old: Ppn,
         info: &PageInfo,
         report: &mut GcReport,
-    ) -> Result<u64> {
+    ) -> Result<Option<u64>> {
         // A translation page, or a page-mapped data page — the valid user
         // page with no resident set, owned by the LPN in its program tag
-        // ([`MrsmFtl::page_write`]) — moves one-to-one.
+        // ([`MrsmFtl::page_write`]) — moves one-to-one. So does a page
+        // superseded since capture, which the copy skips: the last
+        // eviction from a region page drops its resident set as it
+        // invalidates the page.
         let Some(res) = self.residents.get(old).copied() else {
             let map = &mut *self.map;
             let remap = |_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
@@ -1060,6 +1062,7 @@ impl PageMigrator for MrsmMigrator<'_> {
                 .copy(array, alloc, now, old, info, report, remap);
         };
 
+        debug_assert_eq!(array.page_state(old), Ok(PageState::Valid));
         self.copier.counters.dram_accesses += 1;
         let page_bytes = array.geometry().page_bytes;
         let sub_sectors = (self.spp / SUBS_PER_PAGE) as usize;
@@ -1089,7 +1092,7 @@ impl PageMigrator for MrsmMigrator<'_> {
         while self.pending.len() >= SUBS_PER_PAGE as usize {
             programs += self.flush_chunk(array, alloc, now)?;
         }
-        Ok(programs)
+        Ok(Some(programs))
     }
 
     fn finish(

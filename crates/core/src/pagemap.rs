@@ -29,7 +29,7 @@ use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState, PageMigrator};
 use crate::mapping::engine::MapEngine;
 use crate::mapping::pmt::{assert_ppns_fit, PageMapTable};
 use crate::mapping::touched::TouchedSet;
-use crate::recover::{program_relocating, read_old_copy, read_with_retry};
+use crate::recover::read_old_copy;
 use crate::recovery::SchemeImage;
 use crate::request::PageExtent;
 use crate::scheme::{
@@ -180,8 +180,10 @@ pub(crate) struct PageCopier<'a> {
 impl PageCopier<'_> {
     /// Copy `old` one-to-one ([`CopyMigrator`]) and remap it: a `Map` page
     /// in the map cache, any other through `remap(array, old, new, info)`.
-    /// Each remap is one DRAM access.
+    /// Each remap is one DRAM access. `None` when `old` was superseded
+    /// since GC captured it ([`PageMigrator::migrate`]).
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub(crate) fn copy(
         &mut self,
         array: &mut FlashArray,
@@ -191,7 +193,7 @@ impl PageCopier<'_> {
         info: &PageInfo,
         report: &mut GcReport,
         mut remap: impl FnMut(&mut FlashArray, Ppn, Ppn, &PageInfo),
-    ) -> Result<u64> {
+    ) -> Result<Option<u64>> {
         let (engine, counters) = (&mut *self.engine, &mut *self.counters);
         let mut copy = CopyMigrator(
             |array: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
@@ -233,13 +235,9 @@ where
         return Ok(false);
     }
     let sectors = ranges.clone().into_iter().map(|(_, _, count)| count).sum();
-    let r = read_with_retry(
-        env.array,
-        ppn,
-        env.sectors_to_bytes(sectors),
-        env.now_ns,
-        at,
-    )?;
+    let r = env
+        .array
+        .read_with_retry(ppn, env.sectors_to_bytes(sectors), env.now_ns, at)?;
     outcome.merge_time(r.complete_ns());
     if track {
         for (page_offset, first_sector, count) in ranges {
@@ -385,8 +383,7 @@ impl PageMapCore {
         } else {
             extent.len * sector_bytes
         };
-        let (new_ppn, w) = program_relocating(
-            array,
+        let (new_ppn, w) = array.program_relocating(
             alloc,
             None,
             StreamId::Data,
@@ -463,6 +460,15 @@ pub(crate) struct CoreMigrator<'a> {
 }
 
 impl PageMigrator for CoreMigrator<'_> {
+    fn prefetch(&self, pages: &[(Ppn, PageInfo)]) {
+        for (_, info) in pages {
+            if info.kind == PageKind::Data {
+                std::hint::black_box(self.pmt.get(info.tag));
+            }
+        }
+    }
+
+    #[inline]
     fn migrate(
         &mut self,
         array: &mut FlashArray,
@@ -471,7 +477,7 @@ impl PageMigrator for CoreMigrator<'_> {
         old: Ppn,
         info: &PageInfo,
         report: &mut GcReport,
-    ) -> Result<u64> {
+    ) -> Result<Option<u64>> {
         let pmt = &mut *self.pmt;
         let remap = |_: &mut FlashArray, old: Ppn, new: Ppn, info: &PageInfo| {
             debug_assert_eq!(

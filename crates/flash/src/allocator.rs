@@ -142,6 +142,7 @@ impl Allocator {
     /// block is claimed from the plane's free list; when the plane is
     /// exhausted the next plane is tried, and only if *every* plane is out
     /// of space does this fail with [`FlashError::NoFreeBlocks`].
+    #[inline]
     pub fn alloc_page(&mut self, array: &FlashArray, stream: StreamId) -> Result<Ppn> {
         let n = self.planes.len() as u64;
         for _ in 0..n {
@@ -172,15 +173,24 @@ impl Allocator {
         self.alloc_page(array, stream)
     }
 
+    /// The next page of `stream`'s active block in the plane, or of a block
+    /// claimed for it.
+    #[inline]
     fn try_plane(&mut self, array: &FlashArray, plane_idx: u64, stream: StreamId) -> Option<Ppn> {
-        let slot = stream as usize;
-        let plane = &mut self.planes[plane_idx as usize];
-        if let Some(addr) = plane.active[slot] {
+        if let Some(addr) = self.planes[plane_idx as usize].active[stream as usize] {
             if let Some(page) = array.next_free_page(addr) {
                 return Some(array.ppn_in_block(addr, page));
             }
-            plane.active[slot] = None; // block filled up (or was retired)
         }
+        self.claim_block(array, plane_idx, stream)
+    }
+
+    /// Replace `stream`'s active block in the plane — filled up, retired or
+    /// never claimed — with the plane's next free block, if any.
+    #[inline(never)]
+    fn claim_block(&mut self, array: &FlashArray, plane_idx: u64, stream: StreamId) -> Option<Ppn> {
+        let slot = stream as usize;
+        self.planes[plane_idx as usize].active[slot] = None;
         // Skip blocks the bad-block manager retired while they sat in the
         // free list (e.g. a worn-out block that was already erased).
         loop {

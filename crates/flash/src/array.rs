@@ -2,12 +2,15 @@
 //! advances per-chip / per-channel timelines, and keeps the statistics the
 //! evaluation harness reports.
 
+use crate::allocator::{Allocator, StreamId};
 use crate::block::{BlockAddr, BlockMeta, BlockSummary};
 use crate::error::FlashError;
 use crate::faults::{FaultConfig, FaultInjector};
 use crate::geometry::{Geometry, PageAddr, Ppn};
 use crate::oob::{OobDesc, OobExtra, OobStore};
-use crate::page::{narrow_tag, PageInfo, PageKind, PageState, PageStore, SectorStamp};
+use crate::page::{
+    narrow_tag, PageInfo, PageKind, PageState, PageStore, SectorStamp, LOST_VERSION,
+};
 use crate::stats::FlashStats;
 use crate::timing::TimingSpec;
 use crate::victims::VictimIndex;
@@ -30,6 +33,61 @@ impl OpOutcome {
     }
 }
 
+/// Outcome of [`FlashArray::read_with_retry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageRead {
+    /// The read succeeded, possibly after retries.
+    Ok(OpOutcome),
+    /// Every attempt failed; the page's data is unrecoverable.
+    Lost {
+        /// When the final failed attempt released the chip.
+        complete_ns: Nanos,
+    },
+}
+
+impl PageRead {
+    /// When the (successful or abandoned) read finished.
+    #[inline]
+    pub fn complete_ns(&self) -> Nanos {
+        match self {
+            PageRead::Ok(out) => out.complete_ns,
+            PageRead::Lost { complete_ns } => *complete_ns,
+        }
+    }
+
+    /// Whether the page's data was lost.
+    #[inline]
+    pub fn is_lost(&self) -> bool {
+        matches!(self, PageRead::Lost { .. })
+    }
+}
+
+/// What [`FlashArray::relocate`] did with a GC source page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relocation {
+    /// The source was no longer valid — superseded since GC captured its
+    /// victim's pages — so nothing was issued.
+    Skipped,
+    /// The source now lives at `to` and is invalid where it was. `lost`
+    /// when its read exhausted the retry ladder: the copy carries
+    /// [`LOST_VERSION`] stamps.
+    Moved {
+        /// The copy's page.
+        to: Ppn,
+        /// Whether the source's data was lost.
+        lost: bool,
+    },
+}
+
+/// Where a read of one page lands, resolved once however many attempts
+/// the retry ladder makes.
+struct ReadSite {
+    kind: PageKind,
+    chip: usize,
+    channel: usize,
+    xfer_ns: Nanos,
+}
+
 /// Flash operation class of a logged [`FlashOpRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlashOp {
@@ -44,7 +102,7 @@ pub enum FlashOp {
 /// One completed flash operation, captured by the optional op log (see
 /// [`FlashArray::enable_op_log`]). The simulator's observability layer
 /// drains these per request to classify and histogram operation latencies.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashOpRecord {
     /// Operation class.
     pub op: FlashOp,
@@ -621,6 +679,22 @@ impl FlashArray {
         }
     }
 
+    /// Capture victim `addr`'s valid pages into `out` (as
+    /// [`Self::valid_pages_into`]) and hold it out of the victim index
+    /// until it is erased or retired (see [`crate::victims`]).
+    pub fn hold_victim(&mut self, addr: BlockAddr, out: &mut Vec<(Ppn, PageInfo)>) {
+        self.valid_pages_into(addr, out);
+        self.victims.hold(addr);
+    }
+
+    /// Give a held victim back to the index at its entry stamp, with the
+    /// invalid pages it has now (GC dropped its episode mid-victim). No-op
+    /// when `addr` is not held.
+    pub fn release_victim(&mut self, addr: BlockAddr) {
+        let invalid = self.blocks[self.gid_of(addr)].invalid_count;
+        self.victims.release(addr, invalid);
+    }
+
     /// Per-block erase counts (wear histogram input).
     pub fn erase_counts(&self) -> impl Iterator<Item = u64> + '_ {
         self.blocks.iter().map(|b| b.erase_count)
@@ -664,9 +738,9 @@ impl FlashArray {
         }
     }
 
-    /// Read `bytes` of a valid page. `arrive_ns` is the owning request's
-    /// arrival (queue position); `ready_ns` is when the op's inputs are
-    /// available (mapping lookups, prior chained ops).
+    /// Read `bytes` of a valid page, one attempt. `arrive_ns` is the owning
+    /// request's arrival (queue position); `ready_ns` is when the op's
+    /// inputs are available (mapping lookups, prior chained ops).
     pub fn read(
         &mut self,
         ppn: Ppn,
@@ -675,37 +749,109 @@ impl FlashArray {
         ready_ns: Nanos,
     ) -> Result<OpOutcome> {
         self.power_check()?;
+        let site = self.valid_read_site(ppn, bytes)?;
+        self.read_attempt(&site, arrive_ns, ready_ns)
+            .ok_or(FlashError::ReadFailed(ppn))
+    }
+
+    /// Read `bytes` of a valid page through the retry ladder: one attempt
+    /// plus up to [`Self::read_retries`] retries. Each failed attempt has
+    /// already occupied the chip, so a retry queues behind it on the chip
+    /// timeline — the per-retry timing penalty arises from the model
+    /// rather than a bolted-on constant. When the ladder is exhausted the
+    /// page is declared [`PageRead::Lost`]. Protocol errors (out of range,
+    /// unwritten page, …) pass through unretried.
+    pub fn read_with_retry(
+        &mut self,
+        ppn: Ppn,
+        bytes: u32,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Result<PageRead> {
+        self.power_check()?;
+        let site = self.valid_read_site(ppn, bytes)?;
+        self.read_ladder(&site, arrive_ns, ready_ns)
+    }
+
+    /// The read site of `ppn` if it is valid, or why it cannot be read.
+    #[inline]
+    fn valid_read_site(&self, ppn: Ppn, bytes: u32) -> Result<ReadSite> {
         let (gid, _) = self.split(ppn)?;
         if self.pages.state(ppn.0 as usize) != PageState::Valid {
             return Err(FlashError::ReadUnwritten(ppn));
         }
-        let kind = self.pages.kind(ppn.0 as usize);
+        Ok(self.read_site(gid, self.pages.kind(ppn.0 as usize), bytes))
+    }
+
+    /// Chip, channel and transfer time of a `bytes` read of a `kind` page
+    /// in block `gid`.
+    #[inline]
+    fn read_site(&self, gid: usize, kind: PageKind, bytes: u32) -> ReadSite {
         let plane = self.plane_of(gid);
-        let chip = self.lut.chip_of_plane[plane] as usize;
-        let channel = self.lut.channel_of_plane[plane] as usize;
-        let xfer = self.timing.transfer_ns(
-            u64::from(bytes.min(self.geometry.page_bytes)),
-            self.geometry.page_bytes,
-        );
+        ReadSite {
+            kind,
+            chip: self.lut.chip_of_plane[plane] as usize,
+            channel: self.lut.channel_of_plane[plane] as usize,
+            xfer_ns: self.timing.transfer_ns(
+                u64::from(bytes.min(self.geometry.page_bytes)),
+                self.geometry.page_bytes,
+            ),
+        }
+    }
+
+    /// The retry ladder at `site`, whose first attempt's power check the
+    /// caller has made (every later attempt makes its own, in issue
+    /// order). Inlined, like [`Self::program_at`].
+    #[inline(always)]
+    fn read_ladder(
+        &mut self,
+        site: &ReadSite,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Result<PageRead> {
+        for attempt in 0..=self.read_retries {
+            if attempt > 0 {
+                self.power_check()?;
+            }
+            if let Some(out) = self.read_attempt(site, arrive_ns, ready_ns) {
+                return Ok(PageRead::Ok(out));
+            }
+        }
+        // The chip timeline has absorbed every failed attempt; its
+        // busy-until mark is when the last attempt completed.
+        Ok(PageRead::Lost {
+            complete_ns: self.chip_busy[site.chip].max(ready_ns),
+        })
+    }
+
+    /// One read attempt at `site`: occupies the chip, then returns the
+    /// outcome or — when the injector fails it — `None`.
+    #[inline(always)]
+    fn read_attempt(
+        &mut self,
+        site: &ReadSite,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Option<OpOutcome> {
         let out = self.schedule(
-            chip,
-            channel,
+            site.chip,
+            site.channel,
             arrive_ns,
             ready_ns,
             self.timing.read_ns,
-            xfer,
+            site.xfer_ns,
         );
         if self.injector.fail_read() {
             // The failed attempt occupied the chip for its full duration;
             // a retry re-queues behind it, which is exactly the retry
             // ladder's timing penalty.
             self.stats.read_faults += 1;
-            self.log_op_outcome(FlashOp::Read, kind, arrive_ns, out, true);
-            return Err(FlashError::ReadFailed(ppn));
+            self.log_op_outcome(FlashOp::Read, site.kind, arrive_ns, out, true);
+            return None;
         }
-        self.stats.reads.bump(kind);
-        self.log_op(FlashOp::Read, kind, arrive_ns, out);
-        Ok(out)
+        self.stats.reads.bump(site.kind);
+        self.log_op(FlashOp::Read, site.kind, arrive_ns, out);
+        Some(out)
     }
 
     /// Program the next free page of `ppn`'s block (NAND sequential rule),
@@ -728,6 +874,22 @@ impl FlashArray {
     ) -> Result<OpOutcome> {
         let tag = narrow_tag(tag);
         self.power_check()?;
+        self.program_at(ppn, kind, tag, bytes, arrive_ns, ready_ns)
+    }
+
+    /// [`Self::program`] after its power check, inlined into
+    /// [`Self::program_relocating`] as well: its `Result` then stays in
+    /// registers instead of a round trip through memory on every page.
+    #[inline(always)]
+    fn program_at(
+        &mut self,
+        ppn: Ppn,
+        kind: PageKind,
+        tag: u32,
+        bytes: u32,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Result<OpOutcome> {
         let (gid, page) = self.split(ppn)?;
         let ppb = self.geometry.pages_per_block;
         let blk = &mut self.blocks[gid];
@@ -799,6 +961,40 @@ impl FlashArray {
         self.stats.programs.bump(kind);
         self.log_op(FlashOp::Program, kind, arrive_ns, out);
         Ok(out)
+    }
+
+    /// Allocate and program a page for `stream` — in `plane` when given —
+    /// relocating to a fresh block whenever the program fails (the failed
+    /// program already retired its block and consumed the page, so the
+    /// caller's mapping fix-up is simply "use the PPN this returns"). The
+    /// loop always makes progress and ends, at worst with
+    /// [`FlashError::NoFreeBlocks`] once every block is retired.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub fn program_relocating(
+        &mut self,
+        alloc: &mut Allocator,
+        plane: Option<u64>,
+        stream: StreamId,
+        kind: PageKind,
+        tag: u64,
+        bytes: u32,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Result<(Ppn, OpOutcome)> {
+        let tag = narrow_tag(tag);
+        loop {
+            let ppn = match plane {
+                Some(plane) => alloc.alloc_page_in_plane(self, plane, stream)?,
+                None => alloc.alloc_page(self, stream)?,
+            };
+            self.power_check()?;
+            match self.program_at(ppn, kind, tag, bytes, arrive_ns, ready_ns) {
+                Ok(out) => return Ok((ppn, out)),
+                Err(FlashError::ProgramFailed(_)) => continue,
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Erase a block. All its pages must already be invalid (or free).
@@ -895,6 +1091,14 @@ impl FlashArray {
         if self.pages.state(ppn.0 as usize) != PageState::Valid {
             return Err(FlashError::InvalidateNonValid(ppn));
         }
+        self.invalidate_at(gid, ppn);
+        Ok(())
+    }
+
+    /// [`Self::invalidate`] of valid page `ppn` in block `gid`. A block GC
+    /// holds takes the count without a victim-index move.
+    #[inline]
+    fn invalidate_at(&mut self, gid: usize, ppn: Ppn) {
         self.pages.set_state(ppn.0 as usize, PageState::Invalid);
         let blk = &mut self.blocks[gid];
         blk.valid_count -= 1;
@@ -912,7 +1116,60 @@ impl FlashArray {
                 content[ppn.0 as usize] = None;
             }
         }
-        Ok(())
+    }
+
+    /// GC's one-to-one page move, in one pass over the source: read `from`
+    /// through the retry ladder, program a [`StreamId::Gc`] page with its
+    /// `info` kind and tag (relocating on program failure), carry its
+    /// content stamps over and invalidate it. `info` is what GC captured
+    /// with the victim's pages, so the source's address is decomposed once
+    /// and its kind never looked up again. A source no longer valid comes
+    /// back [`Relocation::Skipped`] with nothing issued.
+    ///
+    /// Side effects land in the order of the separate calls it replaces
+    /// (ladder read, [`Self::program_relocating`], [`Self::record_content`],
+    /// [`Self::invalidate`]): injector draws, the crash op budget, stats,
+    /// op-log records and the allocator cursor.
+    #[inline]
+    pub fn relocate(
+        &mut self,
+        alloc: &mut Allocator,
+        from: Ppn,
+        info: &PageInfo,
+        now: Nanos,
+    ) -> Result<Relocation> {
+        let (gid, _) = self.split(from)?;
+        if self.pages.state(from.0 as usize) != PageState::Valid {
+            return Ok(Relocation::Skipped);
+        }
+        debug_assert_eq!(self.pages.kind(from.0 as usize), info.kind);
+        let page_bytes = self.geometry.page_bytes;
+        let site = self.read_site(gid, info.kind, page_bytes);
+        self.power_check()?;
+        let read = self.read_ladder(&site, now, now)?;
+        let stamps = self.carried_content(from, read.is_lost());
+        // Striped across planes: the program (2 ms) dominates the move, and
+        // pinning it to the victim's chip would serialise a whole block's
+        // migration on one chip, stalling host I/O far beyond what
+        // SSDsim's per-plane GC exhibits.
+        let (to, _) = self.program_relocating(
+            alloc,
+            None,
+            StreamId::Gc,
+            info.kind,
+            info.tag,
+            page_bytes,
+            now,
+            read.complete_ns(),
+        )?;
+        if let Some(stamps) = stamps {
+            self.record_content(to, stamps);
+        }
+        self.invalidate_at(gid, from);
+        Ok(Relocation::Moved {
+            to,
+            lost: read.is_lost(),
+        })
     }
 
     /// Count a GC-driven migration (callers still issue the read/program).
@@ -982,15 +1239,25 @@ impl FlashArray {
     }
 
     /// Debug oracle: rebuild the candidate set with the historic full scan
-    /// and compare it to the incremental index, and the device-wide
+    /// and compare it to the incremental index — a block GC holds counts
+    /// as not indexed, and must still be a candidate — and the device-wide
     /// free-block total to the per-plane counts. Returns a description of
     /// the first divergence, if any.
     pub fn check_victim_index(&self) -> std::result::Result<(), String> {
         let mut scanned = 0usize;
         for plane in 0..self.geometry.total_planes() {
             for s in self.block_summaries(plane) {
+                let candidate = s.full && s.invalid > 0 && !s.retired;
+                let held = self.victims.is_held(s.addr);
+                if held && !candidate {
+                    return Err(format!(
+                        "block {:?} is held but not a candidate \
+                         (full={} invalid={} retired={})",
+                        s.addr, s.full, s.invalid, s.retired
+                    ));
+                }
                 let indexed = self.victims.invalid_of(s.addr);
-                let expect = (s.full && s.invalid > 0 && !s.retired).then_some(s.invalid);
+                let expect = (candidate && !held).then_some(s.invalid);
                 if indexed != expect {
                     return Err(format!(
                         "block {:?}: index has {indexed:?}, scan says {expect:?} \
@@ -1036,6 +1303,28 @@ impl FlashArray {
     /// Whether content tracking is on.
     pub fn tracks_content(&self) -> bool {
         self.content.is_some()
+    }
+
+    /// The stamps a rewrite of `ppn`'s data carries over (RMW, area merge
+    /// or rollback, GC copy or lift): the page's own, or — when its read
+    /// was `lost` — the same sectors at [`LOST_VERSION`], since the layout
+    /// is still known though the data is not. `None` without tracking or
+    /// recorded content.
+    pub fn carried_content(&self, ppn: Ppn, lost: bool) -> Option<Box<[Option<SectorStamp>]>> {
+        let stamps = self.content_of(ppn)?;
+        Some(if lost {
+            stamps
+                .iter()
+                .map(|s| {
+                    s.map(|st| SectorStamp {
+                        sector: st.sector,
+                        version: LOST_VERSION,
+                    })
+                })
+                .collect()
+        } else {
+            Box::from(stamps)
+        })
     }
 }
 

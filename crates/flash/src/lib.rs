@@ -36,13 +36,13 @@ pub mod timing;
 pub mod victims;
 
 pub use allocator::{Allocator, StreamId};
-pub use array::{FlashArray, FlashOp, FlashOpRecord, OpOutcome};
+pub use array::{FlashArray, FlashOp, FlashOpRecord, OpOutcome, PageRead, Relocation};
 pub use block::BlockAddr;
 pub use error::FlashError;
 pub use faults::{FaultConfig, FaultInjector};
 pub use geometry::{Geometry, GeometryBuilder, PageAddr, Ppn};
 pub use oob::{KillRecord, OobDesc, OobExtra, OOB_GROUP_POISONED};
-pub use page::{PageInfo, PageKind, PageState, SectorStamp};
+pub use page::{PageInfo, PageKind, PageState, SectorStamp, LOST_VERSION};
 pub use stats::FlashStats;
 pub use timing::TimingSpec;
 pub use victims::VictimIndex;

@@ -38,6 +38,12 @@ pub struct SectorStamp {
     pub version: u64,
 }
 
+/// Version stamp carried by sectors whose page was lost after exhausting
+/// the read-retry ladder ([`crate::array::PageRead::Lost`]). Distinct from
+/// `u64::MAX` (which flags a mapping bug) so tests can tell an acknowledged
+/// loss from silent corruption.
+pub const LOST_VERSION: u64 = u64::MAX - 1;
+
 /// OOB metadata kept per physical page.
 ///
 /// Real SSDs store the reverse map (LPN) in the page's spare area; GC uses

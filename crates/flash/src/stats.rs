@@ -54,7 +54,7 @@ impl KindCounts {
 }
 
 /// Aggregate statistics maintained by [`crate::array::FlashArray`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlashStats {
     /// Page reads issued, by page kind.
     pub reads: KindCounts,

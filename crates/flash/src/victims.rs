@@ -7,9 +7,10 @@
 //! from the candidate set directly.
 //!
 //! A block is **indexed** exactly when it could be erased for profit:
-//! fully programmed, at least one invalid page, not retired. (Whether it is
-//! an allocator-*active* block is allocator state, filtered at selection
-//! time — a full block can never be active for long anyway.)
+//! fully programmed, at least one invalid page, not retired, not held by
+//! GC (below). (Whether it is an allocator-*active* block is allocator
+//! state, filtered at selection time — a full block can never be active
+//! for long anyway.)
 //!
 //! The structure is a classic bucket index: `buckets[i]` holds the global
 //! ids of indexed blocks with exactly `i` invalid pages, and two dense
@@ -19,18 +20,33 @@
 //! collector reads one bucket at a time ([`VictimIndex::bucket`], O(that
 //! bucket)), and full enumeration ([`VictimIndex::for_each`]) is
 //! O(candidates), not O(blocks).
+//!
+//! A victim GC is draining is **held**
+//! ([`crate::array::FlashArray::hold_victim`]): out of its bucket from the
+//! moment GC captures its valid pages until it is erased or retired. Every
+//! copy invalidates one of its pages, and a held block takes those without
+//! a bucket move ([`VictimIndex::upsert`] leaves it alone) — it is about to
+//! be erased, so its rank no longer matters. A held block is not indexed:
+//! [`VictimIndex::len`], [`VictimIndex::invalid_of`] and the buckets leave
+//! it out. It keeps its entry stamp, so an episode dropped
+//! mid-victim ([`crate::array::FlashArray::release_victim`]) puts it back
+//! exactly as it was taken, apart from the invalid pages it gained, and
+//! without advancing [`VictimIndex::tick`].
 
 use crate::block::BlockAddr;
 
 /// Sentinel for "not indexed" in the per-block position arrays.
 const NONE: u32 = u32::MAX;
 
+/// `bucket_of` sentinel for a held block (see module docs).
+const HELD: u32 = u32::MAX - 1;
+
 /// Bucketed-by-invalid-count index of erase candidates. See module docs.
 #[derive(Debug, Clone)]
 pub struct VictimIndex {
     blocks_per_plane: u32,
-    /// Bucket (= invalid count) each global block currently sits in, or
-    /// [`NONE`].
+    /// Bucket (= invalid count) each global block currently sits in,
+    /// [`HELD`], or [`NONE`].
     bucket_of: Vec<u32>,
     /// Position of each global block inside its bucket's vector.
     pos_in_bucket: Vec<u32>,
@@ -46,8 +62,8 @@ pub struct VictimIndex {
     /// block *entered* the index (first invalid page after filling).
     /// Preserved across bucket moves, overwritten on re-entry after an
     /// erase, so a smaller stamp means a colder candidate — the signal
-    /// cost-benefit and windowed victim policies use as "age". Stale for
-    /// unindexed blocks.
+    /// cost-benefit and windowed victim policies use as "age". Kept while
+    /// a block is held; stale for other unindexed blocks.
     stamp: Vec<u64>,
     /// Monotonic insertion counter feeding [`Self::stamp`]. Logical (event
     /// count, not nanoseconds), so candidate ages are a pure function of
@@ -97,12 +113,17 @@ impl VictimIndex {
         self.len == 0
     }
 
+    /// Whether global block `gid` sits in a bucket.
+    #[inline]
+    fn indexed(&self, gid: usize) -> bool {
+        self.bucket_of[gid] < HELD
+    }
+
     /// Invalid-page count the index holds for `addr`, if indexed.
     #[inline]
     pub fn invalid_of(&self, addr: BlockAddr) -> Option<u32> {
         let gid = self.global_id(addr);
-        let b = self.bucket_of[gid];
-        (b != NONE).then_some(b)
+        self.indexed(gid).then_some(self.bucket_of[gid])
     }
 
     /// Age stamp of `addr` (insertion tick at which it became a
@@ -110,7 +131,13 @@ impl VictimIndex {
     #[inline]
     pub fn stamp_of(&self, addr: BlockAddr) -> Option<u64> {
         let gid = self.global_id(addr);
-        (self.bucket_of[gid] != NONE).then(|| self.stamp[gid])
+        self.indexed(gid).then(|| self.stamp[gid])
+    }
+
+    /// Whether GC holds `addr` out of the index (see module docs).
+    #[inline]
+    pub fn is_held(&self, addr: BlockAddr) -> bool {
+        self.bucket_of[self.global_id(addr)] == HELD
     }
 
     /// Current insertion tick — the "now" against which candidate ages are
@@ -121,12 +148,12 @@ impl VictimIndex {
     }
 
     /// Insert `addr` with `invalid` invalid pages, or move it to the new
-    /// bucket if already indexed. O(1).
+    /// bucket if already indexed. O(1); no-op on a held block.
     pub fn upsert(&mut self, addr: BlockAddr, invalid: u32) {
         debug_assert!(invalid > 0, "zero-profit blocks are not indexed");
         let gid = self.global_id(addr) as u32;
         let cur = self.bucket_of[gid as usize];
-        if cur == invalid {
+        if cur == invalid || cur == HELD {
             return;
         }
         if cur != NONE {
@@ -136,23 +163,53 @@ impl VictimIndex {
             self.stamp[gid as usize] = self.tick;
             self.tick += 1;
         }
+        self.attach(gid, invalid);
+    }
+
+    /// Remove `addr` from the index (erase, retire, or no longer a
+    /// candidate), or end its hold. O(1); no-op when neither.
+    pub fn remove(&mut self, addr: BlockAddr) {
+        let gid = self.global_id(addr) as u32;
+        if self.indexed(gid as usize) {
+            self.detach(gid);
+            self.len -= 1;
+        }
+        self.bucket_of[gid as usize] = NONE;
+        self.pos_in_bucket[gid as usize] = NONE;
+    }
+
+    /// Take indexed block `addr` out of its bucket while GC drains it,
+    /// keeping its stamp (see module docs). O(1).
+    pub(crate) fn hold(&mut self, addr: BlockAddr) {
+        let gid = self.global_id(addr) as u32;
+        debug_assert!(
+            self.indexed(gid as usize),
+            "{addr:?}: held while not indexed"
+        );
+        self.detach(gid);
+        self.len -= 1;
+        self.bucket_of[gid as usize] = HELD;
+        self.pos_in_bucket[gid as usize] = NONE;
+    }
+
+    /// Give held block `addr` back at its entry stamp, in the bucket for
+    /// its current `invalid` count; the tick does not advance. O(1); no-op
+    /// when `addr` is not held.
+    pub(crate) fn release(&mut self, addr: BlockAddr, invalid: u32) {
+        let gid = self.global_id(addr) as u32;
+        if self.bucket_of[gid as usize] == HELD {
+            self.len += 1;
+            self.attach(gid, invalid);
+        }
+    }
+
+    /// Push `gid` onto bucket `invalid`, recording where it sits.
+    fn attach(&mut self, gid: u32, invalid: u32) {
         let bucket = &mut self.buckets[invalid as usize];
         self.bucket_of[gid as usize] = invalid;
         self.pos_in_bucket[gid as usize] = bucket.len() as u32;
         bucket.push(gid);
         self.top = self.top.max(invalid as usize);
-    }
-
-    /// Remove `addr` from the index (erase, retire, or no longer a
-    /// candidate). O(1); no-op when not indexed.
-    pub fn remove(&mut self, addr: BlockAddr) {
-        let gid = self.global_id(addr) as u32;
-        if self.bucket_of[gid as usize] != NONE {
-            self.detach(gid);
-            self.bucket_of[gid as usize] = NONE;
-            self.pos_in_bucket[gid as usize] = NONE;
-            self.len -= 1;
-        }
     }
 
     /// Unlink `gid` from its current bucket, fixing the swapped-in entry's
@@ -263,6 +320,49 @@ mod tests {
         assert_eq!(v.stamp_of(addr(0, 1)), None);
         v.upsert(addr(0, 1), 1);
         assert_eq!(v.stamp_of(addr(0, 1)), Some(2));
+    }
+
+    #[test]
+    fn hold_then_release_keeps_stamp_tick_len_and_best() {
+        let mut v = VictimIndex::new(8, 4, 8);
+        v.upsert(addr(0, 1), 6);
+        v.upsert(addr(1, 0), 3);
+        v.upsert(addr(1, 2), 6);
+        let (tick, len, best) = (v.tick(), v.len(), v.peek_best());
+        assert_eq!(best, Some((addr(0, 1), 6)));
+
+        v.hold(addr(0, 1));
+        assert!(v.is_held(addr(0, 1)));
+        assert_eq!(
+            (v.len(), v.invalid_of(addr(0, 1))),
+            (2, None),
+            "held = not indexed"
+        );
+        assert_eq!(v.stamp_of(addr(0, 1)), None);
+        // Invalidations while held move nothing.
+        v.upsert(addr(0, 1), 7);
+        assert_eq!(v.invalid_of(addr(0, 1)), None);
+        assert_eq!(v.peek_best(), Some((addr(1, 2), 6)));
+
+        v.release(addr(0, 1), 6);
+        assert!(!v.is_held(addr(0, 1)));
+        assert_eq!(v.stamp_of(addr(0, 1)), Some(0), "the entry stamp survives");
+        assert_eq!((v.tick(), v.len()), (tick, len), "no new entry");
+        v.remove(addr(1, 2)); // bucket order is not rank: leave one block at 6
+        assert_eq!(v.peek_best(), best);
+        v.release(addr(0, 1), 2);
+        assert_eq!(
+            v.invalid_of(addr(0, 1)),
+            Some(6),
+            "release of an indexed block is a no-op"
+        );
+
+        // A hold ends at erase or retirement.
+        v.hold(addr(0, 1));
+        v.remove(addr(0, 1));
+        assert!(!v.is_held(addr(0, 1)));
+        v.release(addr(0, 1), 6);
+        assert_eq!((v.len(), v.stamp_of(addr(0, 1))), (1, None));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based check of the incremental GC victim index: under arbitrary
 //! program/invalidate/erase/retire sequences — both raw flash-array ops and
-//! full scheme workloads with fault injection — the index must always agree
-//! with a from-scratch scan of every block summary
+//! full scheme workloads with fault injection, one of them with preemptible
+//! GC so a victim is held out of the index between requests — the index
+//! must always agree with a from-scratch scan of every block summary
 //! ([`FlashArray::check_victim_index`]) — and a greedy GC episode selecting
 //! from it bucket by bucket must erase blocks in the reference order
 //! ([`order_victims`]) over the candidates a full scan finds at its start.
@@ -15,7 +16,9 @@ use aftl_flash::{
     Allocator, BlockAddr, FaultConfig, FlashArray, FlashError, Geometry, PageInfo, PageKind,
     TimingSpec,
 };
-use aftl_integration::small_ssd_with_faults;
+use aftl_integration::{small_ssd_config, small_ssd_with_faults};
+use aftl_sim::config::WarmupConfig;
+use aftl_sim::Ssd;
 use proptest::prelude::*;
 
 /// One raw flash operation, interpreted against the array's current state.
@@ -221,16 +224,54 @@ fn check_greedy_erase_order(ops: &[RawOp], hysteresis: f64) -> Result<(), TestCa
     Ok(())
 }
 
-/// Drive a request mix through a full SSD (GC, translation-page spills and
-/// fault-driven retirement included) and cross-check the index along the way.
-fn run_scheme_ops(scheme: SchemeKind, ops: &[(bool, u64, u32)]) -> Result<(), TestCaseError> {
-    let faults = FaultConfig {
+/// The faults every scheme workload runs under.
+fn workload_faults() -> FaultConfig {
+    FaultConfig {
         seed: 7,
         program_fail_rate: 0.002,
         erase_fail_rate: 0.002,
         ..FaultConfig::disabled()
+    }
+}
+
+/// Drive a request mix through a full SSD (GC, translation-page spills and
+/// fault-driven retirement included) and cross-check the index along the way.
+fn run_scheme_ops(scheme: SchemeKind, ops: &[(bool, u64, u32)]) -> Result<(), TestCaseError> {
+    let mut ssd = small_ssd_with_faults(scheme, workload_faults());
+    drive_and_check(&mut ssd, scheme, ops, 16)
+}
+
+/// [`run_scheme_ops`] on a device aged to 90 % used whose GC copies at most
+/// two pages per foreground slice: episodes park mid-victim, so the index
+/// is checked after every request, often with a victim held out of it.
+/// Erase faults only: a failed erase retires the victim GC holds, while
+/// program faults would wear the aged device down to read-only.
+fn run_preemptible_ops(scheme: SchemeKind, ops: &[(bool, u64, u32)]) -> Result<(), TestCaseError> {
+    let faults = FaultConfig {
+        program_fail_rate: 0.0,
+        ..workload_faults()
     };
-    let mut ssd = small_ssd_with_faults(scheme, faults);
+    let mut config = small_ssd_config(scheme, faults);
+    config.scheme_cfg.gc.preempt_pages = 2;
+    config.warmup = WarmupConfig {
+        used_fraction: 0.9,
+        valid_fraction: 0.7,
+        seed: 1,
+    };
+    let mut ssd = Ssd::new(config).expect("device");
+    let warmup = ssd.config().warmup;
+    aftl_sim::warmup::age(&mut ssd, &warmup).expect("aging");
+    drive_and_check(&mut ssd, scheme, ops, 1)
+}
+
+/// Submit `ops` to `ssd`, checking the victim index every `every`
+/// requests and at the end.
+fn drive_and_check(
+    ssd: &mut Ssd,
+    scheme: SchemeKind,
+    ops: &[(bool, u64, u32)],
+    every: usize,
+) -> Result<(), TestCaseError> {
     let mut oracle = Oracle::new();
     for (i, &(write, sector, sectors)) in ops.iter().enumerate() {
         if write {
@@ -241,7 +282,7 @@ fn run_scheme_ops(scheme: SchemeKind, ops: &[(bool, u64, u32)]) -> Result<(), Te
             ssd.submit(&HostRequest::read(i as u64, sector, sectors))
                 .unwrap();
         }
-        if i % 16 == 0 {
+        if i % every == 0 {
             if let Err(msg) = ssd.array().check_victim_index() {
                 return Err(TestCaseError::fail(format!(
                     "{} after req {i}: {msg}",
@@ -299,5 +340,12 @@ proptest! {
         ops in proptest::collection::vec(req_strategy(), 1..250))
     {
         run_scheme_ops(SchemeKind::Across, &ops)?;
+    }
+
+    #[test]
+    fn preemptible_gc_keeps_index_consistent(
+        (scheme, ops) in (0usize..4, proptest::collection::vec(req_strategy(), 1..250))
+    ) {
+        run_preemptible_ops(SchemeKind::WITH_LEARNED[scheme], &ops)?;
     }
 }
