@@ -46,10 +46,19 @@ core_code=$(find crates/core/src -name '*.rs' ! -name reference.rs \
 # Every read of a mapped page is the core's serve_page.
 [ "$(grep -rnE 'served_(lost|from_page)\(' crates/core/src | grep -vc '^crates/core/src/\(scheme\|pagemap\).rs:')" -eq 0 ] \
     || { echo "a scheme re-implements the serve-a-mapped-page block"; exit 1; }
-# Every old-copy read takes its loss stamps from recover::read_old_copy.
+# Every old-copy read takes its loss stamps from FlashArray::read_old_copy,
+# whose read step FlashArray::relocate shares: one carried_content caller.
 if grep -rnE 'version *[:=] *LOST_VERSION|carried_content\(' crates/core/src \
-    | grep -v '^crates/core/src/\(recover\|scheme\).rs:'; then
-    echo "a scheme stamps a lost old copy itself (use recover::read_old_copy)"; exit 1
+    | grep -v '^crates/core/src/scheme.rs:'; then
+    echo "a scheme stamps a lost old copy itself (use FlashArray::read_old_copy)"; exit 1
+fi
+[ "$(awk '/^#\[cfg\(test\)\]/{exit} /carried_content\(/' crates/flash/src/array.rs | grep -vc 'fn carried_content')" -eq 1 ] \
+    || { echo "crates/flash/src/array.rs reads an old copy in more than one place (use read_carrying)"; exit 1; }
+# Learned-FTL has one model type: an open run is a Segment in the store's
+# slab that is not yet in its order, so the index names every model by slab id.
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR":"$0}' crates/core/src/learned.rs \
+    | grep -E 'enum Owner|struct PendingRun|RUN_BIT|slot_pos'; then
+    echo "learned.rs has a second model type back (an open run is an open Segment)"; exit 1
 fi
 # One GC driver, one map engine and one touched set, all built by the core.
 for ctor in GcState::new MapEngine::new TouchedSet::new; do

@@ -19,12 +19,12 @@
 //! counts reproduce on every machine.
 
 use aftl_core::oracle::Oracle;
-use aftl_core::request::{HostRequest, ReqKind};
+use aftl_core::request::ReqKind;
 use aftl_core::scheme::SchemeKind;
 use aftl_sim::experiment::sweep;
 use aftl_sim::report::RunReport;
 use aftl_sim::Ssd;
-use aftl_trace::{IoOp, Trace};
+use aftl_trace::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::replay::{fig8_small_config, fig8_small_trace, FIG8_SMALL_SCALE};
@@ -201,17 +201,7 @@ pub fn read_parity(trace: &Trace, scale: f64) -> ReadParity {
     let mut mismatches = 0u64;
     let mut oracle_violations = 0u64;
     for rec in &trace.records {
-        let mut req = HostRequest {
-            at_ns: rec.at_ns,
-            sector: rec.sector,
-            sectors: rec.sectors,
-            kind: match rec.op {
-                IoOp::Read => ReqKind::Read,
-                IoOp::Write => ReqKind::Write,
-            },
-            version: 0,
-        };
-        ftl.clamp(&mut req);
+        let mut req = ftl.request(rec);
         if req.kind == ReqKind::Write {
             oracle.stamp_write(&mut req);
         }

@@ -18,7 +18,7 @@
 //! two); reads exceeding an area are **merged** (area + normal pages).
 
 use aftl_flash::{
-    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, Ppn, Result, StreamId,
+    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, PageStamps, Ppn, Result, StreamId,
 };
 
 use crate::gc::{GcReport, PageMigrator};
@@ -26,7 +26,6 @@ use crate::mapping::amt::{AcrossMapTable, AmtEntry};
 use crate::mapping::pmt::NO_AIDX;
 use crate::obs::{SchemeEvent, SchemeEventKind};
 use crate::pagemap::{scheme_core_methods, serve_page, CoreMigrator, PageMapCore};
-use crate::recover::{read_old_copy, PageStamps};
 use crate::recovery::{AreaImage, SchemeImage};
 use crate::request::{split_extents, HostRequest, ReqKind};
 use crate::scheme::{
@@ -271,7 +270,7 @@ impl AcrossFtl {
         ready: Nanos,
     ) -> Result<(Nanos, Option<PageStamps>)> {
         let bytes = env.sectors_to_bytes(a.size_sectors);
-        let (read, stamps) = read_old_copy(env.array, a.appn, bytes, env.now_ns, ready)?;
+        let (read, stamps) = env.array.read_old_copy(a.appn, bytes, env.now_ns, ready)?;
         if read.is_lost() {
             self.core.counters.lost_pages += 1;
         }

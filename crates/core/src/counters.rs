@@ -51,7 +51,7 @@ pub struct SchemeCounters {
     // --- fault handling ---------------------------------------------------
     /// Pages whose data was lost after exhausting the read-retry ladder
     /// during internal operations (RMW, merge, rollback). The replacement
-    /// page is stamped with `recover::LOST_VERSION`.
+    /// page is stamped with [`crate::LOST_VERSION`].
     pub lost_pages: u64,
     /// Host reads that served at least one sector from a lost page — data
     /// the device acknowledged but could no longer return.

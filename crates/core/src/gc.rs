@@ -175,7 +175,7 @@ pub struct GcReport {
     /// data is lost — only capacity.
     pub retired_blocks: u64,
     /// Migrated pages whose source read exhausted the retry ladder; the
-    /// copy carries [`crate::recover::LOST_VERSION`] stamps.
+    /// copy carries [`crate::LOST_VERSION`] stamps.
     pub lost_pages: u64,
     /// Collection episodes started (victim set selected). Unlike the
     /// boolean `triggered`, this survives [`GcReport::merge`], so "how

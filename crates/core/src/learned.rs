@@ -7,26 +7,27 @@
 //! with **piecewise-linear models** over LPN→PPN runs:
 //!
 //! * A `RunTracker` watches every data-page program. Consecutive
-//!   physical pages whose LPNs advance by a constant stride open a
-//!   *pending run*; when a run closes (adjacency breaks, the tracker
-//!   fills, or a member is overwritten) it is installed into the
-//!   `SegmentStore` as a `Segment` — an exact linear model
+//!   physical pages whose LPNs advance by a constant stride grow an
+//!   *open* `Segment` in the `SegmentStore` — an exact linear model
 //!   `ppn = base + (lpn − start) / stride` with integer arithmetic only.
+//!   When the run closes (adjacency breaks, the tracker fills, or a member
+//!   is overwritten) the same segment joins the store's installed ones.
 //!   Sequential host writes and the GC migrator's sorted repack are the
 //!   two big run producers. A segment carries its `stride` — plane
 //!   striping makes stride = #planes the common case, and a 2-member run
 //!   takes whatever gap its two LPNs had — so segments interleave and
 //!   overlap in LPN range, and no ordering of them finds an LPN's model.
 //! * One **membership index** does: a dense per-LPN table (4 B per
-//!   logical page) whose entry names the single model — installed segment
-//!   or open run — that holds the LPN as a live member. "Does the model
+//!   logical page) whose entry names the single segment — open or
+//!   installed — that holds the LPN as a live member. "Does the model
 //!   cover this LPN", the question every read *and every program* asks, is
 //!   one probe plus one divide (LearnedFTL's per-model bitmap filter plays
 //!   the same role), and "at most one model holds an LPN" is structural:
-//!   an entry has room for one owner. Segments live in a slab so the
-//!   entries stay valid while other segments come and go; the start-LPN
-//!   order is kept only as a list of slab ids, because the clock eviction
-//!   is defined over it.
+//!   an entry has room for one segment. Segments live in one slab and keep
+//!   their slab id from the moment their run opens, so closing a run
+//!   rewrites no entry; the start-LPN order of the installed segments is
+//!   kept only as a list of slab ids, because the clock eviction is
+//!   defined over it.
 //! * The read path is **predict-then-verify**: the model predicts a PPN
 //!   window ([`LearnedConfig::max_error`] wide, default exact), the
 //!   candidate page's on-flash OOB LPN tag verifies the prediction, and
@@ -52,13 +53,12 @@
 //! current — so the charged path is the common one.
 
 use aftl_flash::{
-    Allocator, FlashArray, Nanos, PageInfo, PageKind, PageState, Ppn, Result, SectorStamp, StreamId,
+    Allocator, FlashArray, Nanos, PageInfo, PageKind, PageStamps, PageState, Ppn, Result, StreamId,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::gc::{GcReport, PageMigrator};
 use crate::pagemap::{scheme_core_methods, CoreMigrator, PageMapCore};
-use crate::recover::read_old_copy;
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, ReqKind};
 use crate::scheme::{FtlEnv, FtlScheme, SchemeConfig, SchemeKind, ServiceOutcome};
@@ -143,45 +143,12 @@ impl LearnedStats {
 // Membership index
 // ---------------------------------------------------------------------------
 
-/// The one model that holds an LPN as a live member, as the
-/// [`MemberIndex`] names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    /// An installed segment, by [`SegmentStore`] slab id.
-    Segment(u32),
-    /// An open run, by [`RunTracker`] slot.
-    Run(u32),
-}
-
-impl Owner {
-    /// Index entries are `0` for "unmodelled", `id + 1` for a segment and
-    /// `RUN_BIT | slot` for a run.
-    const RUN_BIT: u32 = 1 << 31;
-
-    #[inline]
-    fn encode(owner: Option<Owner>) -> u32 {
-        match owner {
-            None => 0,
-            Some(Owner::Segment(id)) => id + 1,
-            Some(Owner::Run(slot)) => Owner::RUN_BIT | slot,
-        }
-    }
-
-    #[inline]
-    fn decode(entry: u32) -> Option<Owner> {
-        match entry {
-            0 => None,
-            e if e & Owner::RUN_BIT != 0 => Some(Owner::Run(e & !Owner::RUN_BIT)),
-            e => Some(Owner::Segment(e - 1)),
-        }
-    }
-}
-
-/// Dense per-LPN table of [`Owner`]s: 4 B per logical page, grown to the
-/// highest LPN any model has held. It makes "which model predicts this
-/// LPN" one probe, and the single-owner invariant structural — an entry
-/// has room for one owner, and every write to it states the owner it
-/// expects to replace.
+/// Dense per-LPN table of the [`SegmentStore`] slab id — open or installed
+/// segment — that holds each LPN as a live member: 4 B per logical page
+/// (`0` = unmodelled, `id + 1` otherwise), grown to the highest LPN any
+/// model has held. It makes "which model predicts this LPN" one probe, and
+/// the single-owner invariant structural — an entry has room for one id,
+/// and every write to it states the id it expects to replace.
 #[derive(Debug, Clone, Default)]
 struct MemberIndex {
     entries: Vec<u32>,
@@ -189,15 +156,13 @@ struct MemberIndex {
 
 impl MemberIndex {
     #[inline]
-    fn get(&self, lpn: u64) -> Option<Owner> {
-        self.entries
-            .get(lpn as usize)
-            .and_then(|&e| Owner::decode(e))
+    fn get(&self, lpn: u64) -> Option<u32> {
+        self.entries.get(lpn as usize)?.checked_sub(1)
     }
 
-    /// Pass `lpn` from owner `from` to owner `to` (`None` = unmodelled).
+    /// Pass `lpn` from segment `from` to segment `to` (`None` = unmodelled).
     #[inline]
-    fn hand_over(&mut self, lpn: u64, from: Option<Owner>, to: Option<Owner>) {
+    fn hand_over(&mut self, lpn: u64, from: Option<u32>, to: Option<u32>) {
         debug_assert_eq!(
             self.get(lpn),
             from,
@@ -207,7 +172,7 @@ impl MemberIndex {
         if i >= self.entries.len() {
             self.entries.resize(i + 1, 0);
         }
-        self.entries[i] = Owner::encode(to);
+        self.entries[i] = to.map_or(0, |id| id + 1);
     }
 }
 
@@ -219,13 +184,18 @@ impl MemberIndex {
 /// `i < len` map to `base_ppn + i`. `holes` lists punched member indices
 /// (overwritten or relocated since the run was observed); a hole is not a
 /// member and never predicted.
+///
+/// An *open* segment is a run the [`RunTracker`] is still growing: it has
+/// its slab id and index entries from its first member on, but is not yet
+/// in the store's `order`, and it has no holes — a punch closes it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Segment {
     start_lpn: u64,
     /// LPN distance between consecutive members (≥ 1; the plane-striping
     /// allocator makes stride = #planes the common case for sequential
     /// host writes, stride 1 for the GC repack, and a 2-member run takes
-    /// whatever gap its two LPNs had).
+    /// whatever gap its two LPNs had). A one-member segment has stride 1:
+    /// `len == 1` is what "stride not yet fixed" means to an open run.
     stride: u64,
     base_ppn: u64,
     len: u32,
@@ -233,6 +203,8 @@ struct Segment {
     holes: Vec<u32>,
     /// Whether the run was created by GC relocation (diagnostics only).
     from_gc: bool,
+    /// Whether the [`RunTracker`] is still growing the run.
+    open: bool,
 }
 
 impl Segment {
@@ -281,27 +253,29 @@ impl Segment {
     }
 }
 
-/// The installed piecewise-linear models.
+/// Every model, open runs included, in one slab.
 ///
 /// Segments interleave and overlap in LPN range (two plane-striped runs
 /// cover the same span on different residues; a 2-member outlier can span
 /// the whole device), so no ordering of them answers "who holds this LPN".
-/// The [`MemberIndex`] does: a segment's live members point at its slab
-/// slot, which never moves while the segment is installed. The start-LPN
-/// order survives only as `order`, a list of slab ids, because the clock
-/// eviction is defined over positions in it.
+/// The [`MemberIndex`] does: a segment's live members name its slab id,
+/// which it keeps from the moment its run opens until it leaves the model.
+/// The start-LPN order of the installed (closed) segments survives only as
+/// `order`, a list of slab ids, because the clock eviction is defined over
+/// positions in it.
 ///
-/// Costs: a probe is O(1); install and evict are O(log n) compares plus a
-/// shift of at most 4 B × n in `order` plus one index write per live
+/// Costs: a probe is O(1); opening or extending a run is one index write;
+/// closing one is O(log n) compares plus a shift of at most 4 B × n in
+/// `order`; evicting or dropping a segment is one index write per live
 /// member.
 ///
 /// Invariant (maintained by punch-on-program, asserted in debug builds at
-/// every index write): at most one model — installed segment or open run —
-/// holds any LPN as a live member, and that member's prediction is
-/// current: a program always punches the LPN's old membership before the
-/// new pair can be observed. Predictions go stale through capacity
-/// eviction only in the sense of *disappearing*, never of being wrong, so
-/// the verify path is a safety net rather than the common case.
+/// every index write): at most one segment — installed or open — holds any
+/// LPN as a live member, and that member's prediction is current: a
+/// program always punches the LPN's old membership before the new pair can
+/// be observed. Predictions go stale through capacity eviction only in the
+/// sense of *disappearing*, never of being wrong, so the verify path is a
+/// safety net rather than the common case.
 #[derive(Debug, Clone)]
 struct SegmentStore {
     /// Segment slab; `free` lists the vacant slots (each holding an empty
@@ -309,10 +283,8 @@ struct SegmentStore {
     slab: Vec<Segment>,
     free: Vec<u32>,
     /// Slab ids of the installed segments by `start_lpn`, equal starts in
-    /// install order.
+    /// install order. Open runs are not in it.
     order: Vec<u32>,
-    /// Owners of every LPN some segment *or open run* holds; the
-    /// [`RunTracker`] enters its runs here too.
     index: MemberIndex,
     cfg: LearnedConfig,
     /// Clock hand for capacity eviction, a position in `order`.
@@ -343,23 +315,100 @@ impl SegmentStore {
         Ppn(seg.base_ppn + u64::from(seg.member(lpn)))
     }
 
+    /// Put `seg` in a vacant slab slot and hand its live members over from
+    /// segment `from` (`None` for members nobody held). Returns its id.
+    fn place(&mut self, seg: Segment, from: Option<u32>) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Segment::default());
+            (self.slab.len() - 1) as u32
+        });
+        self.slab[id as usize] = seg;
+        for lpn in self.slab[id as usize].live_lpns() {
+            self.index.hand_over(lpn, from, Some(id));
+        }
+        id
+    }
+
+    /// Vacate slab slot `id`, returning its segment. Its live members still
+    /// name `id`; the caller hands them over.
+    fn take(&mut self, id: u32) -> Segment {
+        self.free.push(id);
+        std::mem::take(&mut self.slab[id as usize])
+    }
+
+    /// Take segment `id` out of the model: its live members go unmodelled.
+    fn discard(&mut self, id: u32) {
+        for lpn in self.take(id).live_lpns() {
+            self.index.hand_over(lpn, Some(id), None);
+        }
+    }
+
+    /// Insert installed segment `id` into `order`, after every segment
+    /// starting at or before it.
+    fn insert_order(&mut self, id: u32) {
+        let start = self.slab[id as usize].start_lpn;
+        let at = self
+            .order
+            .partition_point(|&i| self.slab[i as usize].start_lpn <= start);
+        self.order.insert(at, id);
+    }
+
+    /// Grow open run `id` by `lpn`, just programmed at the run's next PPN,
+    /// if `lpn` continues its progression — while the stride is not yet
+    /// fixed, any larger LPN fixes it. Returns whether the run grew.
+    fn extend(&mut self, id: u32, lpn: u64) -> bool {
+        let run = &mut self.slab[id as usize];
+        let last = run.start_lpn + u64::from(run.len - 1) * run.stride;
+        let extends = if run.len == 1 {
+            lpn > last
+        } else {
+            lpn == last.wrapping_add(run.stride)
+        };
+        if extends {
+            if run.len == 1 {
+                run.stride = lpn - last;
+            }
+            run.len += 1;
+            self.index.hand_over(lpn, None, Some(id));
+        }
+        extends
+    }
+
+    /// Close open run `id`: under the same id it joins `order` (then the
+    /// capacity check runs), or — with fewer than `min_run` live members —
+    /// leaves the model.
+    fn close(&mut self, id: u32) {
+        let run = &mut self.slab[id as usize];
+        run.open = false;
+        if run.live() >= self.cfg.min_run {
+            self.insert_order(id);
+            self.enforce_capacity();
+        } else {
+            self.discard(id);
+        }
+    }
+
     /// Punch `lpn` out of segment `id`, which the index says holds it (the
-    /// LPN moved or died). Splits the segment into hole-free subruns once
-    /// it carries [`LearnedConfig::retrain_threshold`] holes.
+    /// LPN moved or died). An installed segment is split into hole-free
+    /// subruns once it carries [`LearnedConfig::retrain_threshold`] holes;
+    /// an open one is left to its tracker to close.
     fn punch_member(&mut self, id: u32, lpn: u64, stats: &mut LearnedStats) {
         let seg = &mut self.slab[id as usize];
         let m = seg.member(lpn);
         let pos = seg.holes.partition_point(|&h| h < m);
         seg.holes.insert(pos, m);
-        self.index.hand_over(lpn, Some(Owner::Segment(id)), None);
-        if seg.holes.len() as u32 >= self.cfg.retrain_threshold || seg.live() < self.cfg.min_run {
+        self.index.hand_over(lpn, Some(id), None);
+        if !seg.open
+            && (seg.holes.len() as u32 >= self.cfg.retrain_threshold
+                || seg.live() < self.cfg.min_run)
+        {
             self.rebuild(id);
             stats.segment_rebuilds += 1;
         }
     }
 
-    /// Replace segment `id` by its maximal hole-free subruns of at least
-    /// `min_run` members.
+    /// Replace installed segment `id` by its maximal hole-free subruns of
+    /// at least `min_run` members.
     fn rebuild(&mut self, id: u32) {
         let start = self.slab[id as usize].start_lpn;
         let first = self
@@ -370,8 +419,8 @@ impl SegmentStore {
                 .iter()
                 .position(|&i| i == id)
                 .expect("an installed segment is in the order");
-        let seg = self.remove_at(pos);
-        let old = Some(Owner::Segment(id));
+        self.order.remove(pos);
+        let seg = self.take(id);
         let mut from = 0;
         for to in seg.holes.iter().copied().chain([seg.len]) {
             // Members [from, to) with no holes.
@@ -380,52 +429,19 @@ impl SegmentStore {
                 stride: seg.stride,
                 base_ppn: seg.base_ppn + u64::from(from),
                 len: to - from,
-                holes: Vec::new(),
                 from_gc: seg.from_gc,
+                ..Segment::default()
             };
             if sub.len >= self.cfg.min_run {
-                self.install_sorted(sub, old);
+                let sub = self.place(sub, Some(id));
+                self.insert_order(sub);
             } else {
                 for lpn in sub.live_lpns() {
-                    self.index.hand_over(lpn, old, None);
+                    self.index.hand_over(lpn, Some(id), None);
                 }
             }
             from = to + 1;
         }
-    }
-
-    /// Install a closed run as a segment (callers filtered by `min_run`).
-    /// `from` is the model whose members these were until now: the run
-    /// being closed, or `None` for members nobody held.
-    fn install(&mut self, seg: Segment, from: Option<Owner>) {
-        debug_assert!(seg.stride >= 1 && seg.len >= 1);
-        self.install_sorted(seg, from);
-        self.enforce_capacity();
-    }
-
-    fn install_sorted(&mut self, seg: Segment, from: Option<Owner>) {
-        let at = self
-            .order
-            .partition_point(|&i| self.slab[i as usize].start_lpn <= seg.start_lpn);
-        let id = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(Segment::default());
-            (self.slab.len() - 1) as u32
-        });
-        debug_assert!(id + 1 < Owner::RUN_BIT);
-        for lpn in seg.live_lpns() {
-            self.index.hand_over(lpn, from, Some(Owner::Segment(id)));
-        }
-        self.slab[id as usize] = seg;
-        self.order.insert(at, id);
-    }
-
-    /// Take the segment at `order` position `pos` out of the store. Its
-    /// live members still point at the vacated slot; the caller hands them
-    /// over.
-    fn remove_at(&mut self, pos: usize) -> Segment {
-        let id = self.order.remove(pos);
-        self.free.push(id);
-        std::mem::take(&mut self.slab[id as usize])
     }
 
     /// Evict low-coverage segments while over capacity: an 8-probe clock
@@ -445,11 +461,8 @@ impl SegmentStore {
                 }
             }
             self.evict_cursor = victim;
-            let id = self.order[victim];
-            let seg = self.remove_at(victim);
-            for lpn in seg.live_lpns() {
-                self.index.hand_over(lpn, Some(Owner::Segment(id)), None);
-            }
+            let id = self.order.remove(victim);
+            self.discard(id);
         }
     }
 
@@ -477,78 +490,18 @@ impl SegmentStore {
 // Run tracker
 // ---------------------------------------------------------------------------
 
-/// A run still being observed: physical pages `base_ppn + i` carrying LPNs
-/// in arithmetic progression. `stride` is 0 until the second member fixes
-/// it.
-#[derive(Debug, Clone)]
-struct PendingRun {
-    start_lpn: u64,
-    stride: u64,
-    base_ppn: u64,
-    len: u32,
-    last_lpn: u64,
-    from_gc: bool,
-    /// Last-update tick, for LRU eviction.
-    tick: u64,
-    /// The [`RunTracker`] slot the index knows this run by.
-    slot: u32,
-}
-
-impl PendingRun {
-    /// Member index of `lpn`, if it is a member (the definition; see
-    /// [`Segment::index_of`]).
-    fn index_of(&self, lpn: u64) -> Option<u32> {
-        if self.stride == 0 {
-            return (lpn == self.start_lpn).then_some(0);
-        }
-        if lpn < self.start_lpn {
-            return None;
-        }
-        let d = lpn - self.start_lpn;
-        if !d.is_multiple_of(self.stride) {
-            return None;
-        }
-        let i = d / self.stride;
-        (i < u64::from(self.len)).then_some(i as u32)
-    }
-
-    /// Member index of `lpn`, which the index says this run holds.
-    #[inline]
-    fn member(&self, lpn: u64) -> u32 {
-        let m = match self.stride {
-            0 => 0,
-            stride => ((lpn - self.start_lpn) / stride) as u32,
-        };
-        debug_assert_eq!(self.index_of(lpn), Some(m), "index names a non-member");
-        m
-    }
-
-    /// The run as a segment, with member `hole` punched out.
-    fn into_segment(self, hole: Option<u32>) -> Segment {
-        Segment {
-            start_lpn: self.start_lpn,
-            stride: self.stride.max(1),
-            base_ppn: self.base_ppn,
-            len: self.len,
-            holes: hole.into_iter().collect(),
-            from_gc: self.from_gc,
-        }
-    }
-}
-
-/// Tracks open LPN→PPN runs at program time and installs closed ones into
-/// the [`SegmentStore`]. Keyed by physical adjacency: a program at
-/// `base + len` whose LPN continues the progression extends the run;
-/// anything else closes it. Pending runs are exact mappings too, so their
-/// members are entered in the store's [`MemberIndex`] and predicted like
-/// any segment's.
+/// Grows open runs at program time and closes them into the
+/// [`SegmentStore`]. Keyed by physical adjacency: a program at an open
+/// run's next PPN whose LPN continues the progression extends the run;
+/// anything else closes it. An open run is an open [`Segment`] in the
+/// store's slab, so the [`MemberIndex`] names and predicts it like any
+/// installed one.
 #[derive(Debug, Clone)]
 struct RunTracker {
-    pending: Vec<PendingRun>,
-    /// `pending` position of the run in each slot. The index names a run
-    /// by slot because positions move under `swap_remove`.
-    slot_pos: Vec<usize>,
-    free_slots: Vec<u32>,
+    /// Slab id and last-extended tick (for LRU closing) of each open run,
+    /// in `push` / `swap_remove` order: the first-match extension lookup
+    /// and the oldest-tick pick are defined over it.
+    open: Vec<(u32, u64)>,
     capacity: usize,
     tick: u64,
 }
@@ -557,9 +510,7 @@ impl RunTracker {
     fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RunTracker {
-            pending: Vec::with_capacity(capacity),
-            slot_pos: vec![0; capacity],
-            free_slots: (0..capacity as u32).collect(),
+            open: Vec::with_capacity(capacity),
             capacity,
             tick: 0,
         }
@@ -570,112 +521,40 @@ impl RunTracker {
     fn note_program(&mut self, lpn: u64, ppn: Ppn, from_gc: bool, store: &mut SegmentStore) {
         self.tick += 1;
         let p = ppn.0;
-        if let Some(i) = self
-            .pending
-            .iter()
-            .position(|r| r.base_ppn + u64::from(r.len) == p)
-        {
-            let r = &mut self.pending[i];
-            let extends = if r.stride == 0 {
-                lpn > r.last_lpn
-            } else {
-                lpn == r.last_lpn.wrapping_add(r.stride)
-            };
-            if extends {
-                if r.stride == 0 {
-                    r.stride = lpn - r.last_lpn;
-                }
-                r.len += 1;
-                r.last_lpn = lpn;
-                r.tick = self.tick;
-                store.index.hand_over(lpn, None, Some(Owner::Run(r.slot)));
+        if let Some(i) = self.open.iter().position(|&(id, _)| {
+            let run = &store.slab[id as usize];
+            run.base_ppn + u64::from(run.len) == p
+        }) {
+            let id = self.open[i].0;
+            if store.extend(id, lpn) {
+                self.open[i].1 = self.tick;
                 return;
             }
             // Physically adjacent but the LPN progression broke: close.
-            let closed = self.take(i);
-            Self::close(closed, None, store);
+            self.open.swap_remove(i);
+            store.close(id);
         }
-        self.open(lpn, p, from_gc, store);
-    }
-
-    fn open(&mut self, lpn: u64, ppn: u64, from_gc: bool, store: &mut SegmentStore) {
-        if self.pending.len() >= self.capacity {
-            // Evict the least recently extended run.
-            let (i, _) = self
-                .pending
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.tick)
-                .expect("capacity ≥ 1 ⇒ nonempty");
-            let closed = self.take(i);
-            Self::close(closed, None, store);
+        if self.open.len() >= self.capacity {
+            // Close the least recently extended run.
+            let oldest = (0..self.open.len()).min_by_key(|&i| self.open[i].1);
+            let (id, _) = self.open.swap_remove(oldest.expect("capacity ≥ 1"));
+            store.close(id);
         }
-        let slot = self
-            .free_slots
-            .pop()
-            .expect("as many slots as the tracker holds runs");
-        self.slot_pos[slot as usize] = self.pending.len();
-        store.index.hand_over(lpn, None, Some(Owner::Run(slot)));
-        self.pending.push(PendingRun {
+        let run = Segment {
             start_lpn: lpn,
-            stride: 0,
-            base_ppn: ppn,
+            stride: 1,
+            base_ppn: p,
             len: 1,
-            last_lpn: lpn,
             from_gc,
-            tick: self.tick,
-            slot,
-        });
-    }
-
-    /// Take the run at `pending` position `pos` out of the tracker and
-    /// free its slot. Its members still point at the slot; [`Self::close`]
-    /// hands them over before the slot can be reused.
-    fn take(&mut self, pos: usize) -> PendingRun {
-        let run = self.pending.swap_remove(pos);
-        self.free_slots.push(run.slot);
-        if let Some(moved) = self.pending.get(pos) {
-            self.slot_pos[moved.slot as usize] = pos;
-        }
-        run
-    }
-
-    /// Install a run taken out of the tracker as a segment — or drop it if
-    /// fewer than `min_run` members are left. `hole` is a member the caller
-    /// has already punched out of the index.
-    fn close(run: PendingRun, hole: Option<u32>, store: &mut SegmentStore) {
-        let from = Some(Owner::Run(run.slot));
-        let seg = run.into_segment(hole);
-        if seg.live() >= store.cfg.min_run {
-            store.install(seg, from);
-        } else {
-            for lpn in seg.live_lpns() {
-                store.index.hand_over(lpn, from, None);
-            }
-        }
-    }
-
-    /// `lpn`, which the index says the run in `slot` holds, was
-    /// overwritten or relocated: close that run with the member punched
-    /// out (its mapping just went stale).
-    fn punch_member(&mut self, slot: u32, lpn: u64, store: &mut SegmentStore) {
-        let run = self.take(self.slot_pos[slot as usize]);
-        let hole = run.member(lpn);
-        store.index.hand_over(lpn, Some(Owner::Run(slot)), None);
-        Self::close(run, Some(hole), store);
-    }
-
-    /// Exact prediction for `lpn`, which the index says the run in `slot`
-    /// holds.
-    #[inline]
-    fn member_ppn(&self, slot: u32, lpn: u64) -> Ppn {
-        let run = &self.pending[self.slot_pos[slot as usize]];
-        Ppn(run.base_ppn + u64::from(run.member(lpn)))
+            open: true,
+            ..Segment::default()
+        };
+        self.open.push((store.place(run, None), self.tick));
     }
 }
 
 // ---------------------------------------------------------------------------
-// The model: segments + open runs behind one index
+// The model: one slab of segments, some open, behind one index
 // ---------------------------------------------------------------------------
 
 /// How many runs the tracker keeps open at once — comfortably above the
@@ -683,8 +562,9 @@ impl RunTracker {
 /// GC repack never thrash each other out.
 const TRACKER_CAPACITY: usize = 32;
 
-/// Everything that predicts: the installed segments and the open runs,
-/// looked up through the store's one [`MemberIndex`].
+/// Everything that predicts: the store's segments, installed and open,
+/// looked up through its one [`MemberIndex`], and the tracker that grows
+/// the open ones.
 #[derive(Debug, Clone)]
 struct LearnedModel {
     store: SegmentStore,
@@ -703,18 +583,22 @@ impl LearnedModel {
     /// Model prediction for `lpn`: one index probe, one divide.
     #[inline]
     fn predict(&self, lpn: u64) -> Option<Ppn> {
-        Some(match self.store.index.get(lpn)? {
-            Owner::Segment(id) => self.store.member_ppn(id, lpn),
-            Owner::Run(slot) => self.tracker.member_ppn(slot, lpn),
-        })
+        let id = self.store.index.get(lpn)?;
+        Some(self.store.member_ppn(id, lpn))
     }
 
-    /// `lpn` moved or died: punch it out of whichever model holds it.
+    /// `lpn` moved or died: punch it out of whichever segment holds it,
+    /// closing that segment's run if it is still open.
     fn punch(&mut self, lpn: u64, stats: &mut LearnedStats) {
-        match self.store.index.get(lpn) {
-            None => {}
-            Some(Owner::Segment(id)) => self.store.punch_member(id, lpn, stats),
-            Some(Owner::Run(slot)) => self.tracker.punch_member(slot, lpn, &mut self.store),
+        let Some(id) = self.store.index.get(lpn) else {
+            return;
+        };
+        self.store.punch_member(id, lpn, stats);
+        if self.store.slab[id as usize].open {
+            let open = &mut self.tracker.open;
+            let i = open.iter().position(|&(run, _)| run == id);
+            open.swap_remove(i.expect("an open segment is tracked"));
+            self.store.close(id);
         }
     }
 
@@ -726,49 +610,45 @@ impl LearnedModel {
             .note_program(lpn, ppn, from_gc, &mut self.store);
     }
 
-    /// Debug oracle: every index entry names a model in which that LPN is
-    /// a live member, and every live member of every model has its entry.
-    /// Returns a description of the first divergence, if any.
+    /// Debug oracle: every index entry names a segment in which that LPN
+    /// is a live member; every live member of every installed or open
+    /// segment has its entry; and the open segments are exactly the
+    /// tracked ones, none of them in `order`. Returns a description of the
+    /// first divergence, if any.
     #[cfg(any(test, debug_assertions))]
     fn check_index(&self) -> std::result::Result<(), String> {
-        let (store, tracker) = (&self.store, &self.tracker);
+        let store = &self.store;
         for (lpn, &entry) in store.index.entries.iter().enumerate() {
-            let lpn = lpn as u64;
-            let held = match Owner::decode(entry) {
-                None => continue,
-                // A vacant slab slot holds an empty segment: no members.
-                Some(Owner::Segment(id)) => store
-                    .slab
-                    .get(id as usize)
-                    .is_some_and(|s| s.len > 0 && s.index_of(lpn).is_some()),
-                Some(Owner::Run(slot)) => tracker
-                    .slot_pos
-                    .get(slot as usize)
-                    .and_then(|&pos| tracker.pending.get(pos))
-                    .is_some_and(|r| r.slot == slot && r.index_of(lpn).is_some()),
+            let Some(id) = entry.checked_sub(1) else {
+                continue;
             };
-            if !held {
+            // A vacant slab slot holds an empty segment: no members.
+            let seg = store.slab.get(id as usize);
+            if !seg.is_some_and(|s| s.len > 0 && s.index_of(lpn as u64).is_some()) {
                 return Err(format!(
-                    "lpn {lpn}: entry {:?} names a model that does not hold it",
-                    Owner::decode(entry)
+                    "lpn {lpn}: entry names segment {id}, which does not hold it"
                 ));
             }
         }
-        let segment_members = store.order.iter().flat_map(|&id| {
-            let lpns = store.slab[id as usize].live_lpns();
-            lpns.map(move |lpn| (lpn, Owner::Segment(id)))
-        });
-        let run_members = tracker.pending.iter().flat_map(|r| {
-            let lpns = (0..u64::from(r.len)).map(|m| r.start_lpn + m * r.stride);
-            lpns.map(|lpn| (lpn, Owner::Run(r.slot)))
-        });
-        for (lpn, owner) in segment_members.chain(run_members) {
-            if store.index.get(lpn) != Some(owner) {
+        let installed = store.order.iter().map(|&id| (id, false));
+        let open = self.tracker.open.iter().map(|&(id, _)| (id, true));
+        for (id, tracked) in installed.chain(open) {
+            let seg = &store.slab[id as usize];
+            if seg.open != tracked {
                 return Err(format!(
-                    "lpn {lpn}: live member of {owner:?}, entry says {:?}",
+                    "segment {id}: open {}, tracked {tracked}",
+                    seg.open
+                ));
+            }
+            if let Some(lpn) = seg.live_lpns().find(|&l| store.index.get(l) != Some(id)) {
+                return Err(format!(
+                    "lpn {lpn}: live member of segment {id}, entry says {:?}",
                     store.index.get(lpn)
                 ));
             }
+        }
+        if store.slab.iter().filter(|s| s.open).count() != self.tracker.open.len() {
+            return Err("an open segment is not tracked".into());
         }
         Ok(())
     }
@@ -975,7 +855,7 @@ impl FtlScheme for LearnedFtl {
 #[derive(Clone)]
 struct BufferedPage {
     lpn: u64,
-    stamps: Option<Box<[Option<SectorStamp>]>>,
+    stamps: Option<PageStamps>,
     /// When the source read released its chip (the program's ready time).
     read_done: Nanos,
 }
@@ -1016,7 +896,7 @@ impl PageMigrator for LearnedMigrator<'_> {
             return Ok(None);
         }
         let page_bytes = array.geometry().page_bytes;
-        let (read, stamps) = read_old_copy(array, old, page_bytes, now, now)?;
+        let (read, stamps) = array.read_old_copy(old, page_bytes, now, now)?;
         if read.is_lost() {
             report.lost_pages += 1;
         }
@@ -1094,15 +974,23 @@ mod tests {
             stride,
             base_ppn,
             len,
-            holes: vec![],
-            from_gc: false,
+            ..Segment::default()
+        }
+    }
+
+    impl SegmentStore {
+        /// Install `seg` directly, as a run that opened holding all of its
+        /// members and closed at once.
+        fn install(&mut self, seg: Segment) {
+            let id = self.place(seg, None);
+            self.close(id);
         }
     }
 
     #[test]
     fn segment_predicts_members_only() {
         let (mut s, _) = model(LearnedConfig::default(), 4);
-        s.store.install(seg(100, 4, 1000, 8), None);
+        s.store.install(seg(100, 4, 1000, 8));
         assert_eq!(s.predict(100), Some(Ppn(1000)));
         assert_eq!(s.predict(112), Some(Ppn(1003)));
         assert_eq!(s.predict(128), Some(Ppn(1007)));
@@ -1118,7 +1006,7 @@ mod tests {
             ..LearnedConfig::default()
         };
         let (mut s, mut st) = model(cfg, 4);
-        s.store.install(seg(0, 1, 500, 10), None);
+        s.store.install(seg(0, 1, 500, 10));
         s.punch(3, &mut st);
         assert_eq!(s.predict(3), None, "punched member no longer predicted");
         assert_eq!(s.predict(4), Some(Ppn(504)), "neighbours still predicted");
@@ -1144,8 +1032,7 @@ mod tests {
         };
         let (mut s, _) = model(cfg, 4);
         for i in 0..10u64 {
-            s.store
-                .install(seg(i * 100, 1, i * 1000, 2 + i as u32), None);
+            s.store.install(seg(i * 100, 1, i * 1000, 2 + i as u32));
         }
         assert!(s.store.len() <= 4);
         s.check_index().unwrap();
@@ -1154,17 +1041,29 @@ mod tests {
     #[test]
     fn tracker_builds_runs_from_adjacent_programs() {
         let (mut s, mut st) = model(LearnedConfig::default(), 4);
-        // Stride-2 LPNs at consecutive PPNs: one pending run.
+        // Stride-2 LPNs at consecutive PPNs: one open run.
         for i in 0..5u64 {
             s.note_program(10 + 2 * i, Ppn(700 + i), false, &mut st);
         }
-        assert_eq!(s.predict(14), Some(Ppn(702)), "pending runs predict");
+        assert_eq!(s.predict(14), Some(Ppn(702)), "open runs predict");
         assert_eq!(s.store.len(), 0, "run still open");
+        let [(id, _)] = s.tracker.open[..] else {
+            panic!("one open run: {:?}", s.tracker.open);
+        };
+        assert_eq!(
+            s.store.slab[id as usize],
+            Segment {
+                open: true,
+                ..seg(10, 2, 700, 5)
+            }
+        );
         // A non-adjacent program (different block) closes nothing but the
-        // evicted pending run once capacity is hit; force a close by
+        // evicted open run once capacity is hit; force a close by
         // breaking the progression at the adjacent PPN.
         s.note_program(9999, Ppn(705), false, &mut st);
         assert_eq!(s.store.len(), 1, "broken progression installs the run");
+        assert_eq!(s.store.order, [id], "the run closed under its slab id");
+        assert_eq!(s.tracker.open.len(), 1, "9999 opened a run of its own");
         assert_eq!(s.predict(18), Some(Ppn(704)));
         s.check_index().unwrap();
     }
@@ -1176,9 +1075,35 @@ mod tests {
             s.note_program(i, Ppn(100 + i), false, &mut st);
         }
         s.punch(2, &mut st);
-        assert!(s.tracker.pending.is_empty(), "punched run left the tracker");
+        assert!(s.tracker.open.is_empty(), "punched run left the tracker");
+        let want = Segment {
+            holes: vec![2],
+            ..seg(0, 1, 100, 6)
+        };
+        assert!(s.store.installed().eq([&want]), "installed with its hole");
         assert_eq!(s.predict(2), None, "hole not predicted");
         assert_eq!(s.predict(4), Some(Ppn(104)), "other members installed");
+        s.check_index().unwrap();
+    }
+
+    #[test]
+    fn closing_run_keeps_its_slab_id_and_index_entries() {
+        let (mut s, mut st) = model(LearnedConfig::default(), 4);
+        for i in 0..6u64 {
+            s.note_program(3 * i, Ppn(40 + i), false, &mut st);
+        }
+        let [(id, _)] = s.tracker.open[..] else {
+            panic!("one open run: {:?}", s.tracker.open);
+        };
+        let entries = s.store.index.entries.clone();
+        // Break the progression at the run's next PPN: the run closes.
+        s.note_program(1, Ppn(46), false, &mut st);
+        assert_eq!(s.store.order, [id], "installed under the id it opened with");
+        assert!(!s.store.slab[id as usize].open);
+        for lpn in (0..18).step_by(3) {
+            assert_eq!(s.store.index.entries[lpn], entries[lpn], "lpn {lpn}");
+            assert_eq!(s.store.index.get(lpn as u64), Some(id));
+        }
         s.check_index().unwrap();
     }
 
@@ -1203,7 +1128,7 @@ mod tests {
         }
 
         fn install(&mut self, seg: Segment) {
-            self.new.store.install(seg.clone(), None);
+            self.new.store.install(seg.clone());
             self.old.store.install(seg);
         }
 
@@ -1374,7 +1299,7 @@ mod tests {
         #[test]
         fn indexed_model_equals_scanning_reference(
             (knobs, ops) in (
-                (8u32..=64, 2u32..=16, 1u32..=3, 2usize..=5),
+                (8u32..=64, 2u32..=16, 1u32..=4, 1usize..=5),
                 collection::vec(model_op_strategy(), 100..500),
             )
         ) {

@@ -1,13 +1,60 @@
 //! The lookup structure the membership index replaced, kept as the
 //! reference the indexed model is compared against: a start-sorted
-//! `Vec<Segment>` searched by a bounded backward scan, a linear scan over
-//! the open runs, and the punch-both glue `LearnedFtl` used to carry. Same
-//! [`Segment`] / [`PendingRun`] arithmetic, same install position, same
-//! clock eviction, same LRU — only "who holds this LPN" is answered the old
-//! way, by looking.
+//! `Vec<Segment>` searched by a bounded backward scan, open runs of a type
+//! of their own found by a linear scan, and the punch-both glue
+//! `LearnedFtl` used to carry. Same [`Segment`] arithmetic, same install
+//! position, same clock eviction, same LRU — only "who holds this LPN" is
+//! answered the old way, by looking, and a run becomes a segment only when
+//! it closes.
 
-use super::{LearnedConfig, LearnedStats, PendingRun, Segment};
+use super::{LearnedConfig, LearnedStats, Segment};
 use aftl_flash::Ppn;
+
+/// A run still being observed: physical pages `base_ppn + i` carrying LPNs
+/// in arithmetic progression. `stride` is 0 until the second member fixes
+/// it.
+#[derive(Debug)]
+struct PendingRun {
+    start_lpn: u64,
+    stride: u64,
+    base_ppn: u64,
+    len: u32,
+    last_lpn: u64,
+    from_gc: bool,
+    /// Last-update tick, for LRU eviction.
+    tick: u64,
+}
+
+impl PendingRun {
+    /// Member index of `lpn`, if it is a member.
+    fn index_of(&self, lpn: u64) -> Option<u32> {
+        if self.stride == 0 {
+            return (lpn == self.start_lpn).then_some(0);
+        }
+        if lpn < self.start_lpn {
+            return None;
+        }
+        let d = lpn - self.start_lpn;
+        if !d.is_multiple_of(self.stride) {
+            return None;
+        }
+        let i = d / self.stride;
+        (i < u64::from(self.len)).then_some(i as u32)
+    }
+
+    /// The run as an installed segment, with member `hole` punched out.
+    fn into_segment(self, hole: Option<u32>) -> Segment {
+        Segment {
+            start_lpn: self.start_lpn,
+            stride: self.stride.max(1),
+            base_ppn: self.base_ppn,
+            len: self.len,
+            holes: hole.into_iter().collect(),
+            from_gc: self.from_gc,
+            open: false,
+        }
+    }
+}
 
 /// LPN span a segment covers: `(len − 1) × stride`.
 fn span(seg: &Segment) -> u64 {
@@ -82,6 +129,7 @@ impl RefStore {
                     len: to - from,
                     holes: Vec::new(),
                     from_gc: seg.from_gc,
+                    open: false,
                 });
             }
         };
@@ -180,7 +228,6 @@ impl RefTracker {
             last_lpn: lpn,
             from_gc,
             tick: self.tick,
-            slot: 0, // the reference has no index to name runs in
         });
     }
 

@@ -26,11 +26,11 @@
 //! idle background slices), [`counters`] (the event
 //! counters behind the paper's Figures 8–12), [`oracle`] (a
 //! sector-version mirror used by tests to prove read-your-writes across
-//! remapping, merging, rollback and GC), [`recover`] (the read-retry
-//! ladder and program-failure relocation every scheme uses when fault
-//! injection is enabled), and [`recovery`] (rebuilding the mapping after a
-//! sudden power-off from OOB journaling, optionally seeded by a
-//! checkpoint).
+//! remapping, merging, rollback and GC), and [`recovery`] (rebuilding the
+//! mapping after a sudden power-off from OOB journaling, optionally seeded
+//! by a checkpoint). The old-copy read every scheme uses, and the
+//! read-retry ladder and program-failure relocation behind it when fault
+//! injection is enabled, are methods of `aftl_flash::FlashArray`.
 
 #![warn(missing_docs)]
 
@@ -44,12 +44,12 @@ pub mod mrsm;
 pub mod obs;
 pub mod oracle;
 mod pagemap;
-pub mod recover;
 pub mod recovery;
 pub mod request;
 pub mod scheme;
 
 pub use across::{AcrossFtl, AcrossOptions};
+pub use aftl_flash::{PageRead, LOST_VERSION};
 pub use baseline::BaselineFtl;
 pub use counters::SchemeCounters;
 pub use gc::{GcConfig, GcPolicy, GcReport, GcState, GcTuning};
@@ -59,7 +59,6 @@ pub use mapping::engine::{MapEngine, MapEngineStats, PipelineConfig};
 pub use mrsm::MrsmFtl;
 pub use obs::{SchemeEvent, SchemeEventKind};
 pub use oracle::Oracle;
-pub use recover::{PageRead, LOST_VERSION};
 pub use recovery::{
     recover as crash_recover, AreaImage, Checkpoint, RecoveryMode, RecoveryStats, SchemeImage,
     SubLocs,

@@ -29,15 +29,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of lookups that hit; 0 when there were none.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
     /// Accumulate another device's cache statistics into this one
     /// (fleet-level aggregation; every field is a plain sum).
     pub fn merge(&mut self, o: &CacheStats) {

@@ -15,13 +15,12 @@
 use std::collections::HashMap;
 
 use aftl_flash::{
-    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, PageState, Ppn, Result, SectorStamp,
-    StreamId,
+    Allocator, FlashArray, Nanos, OobDesc, PageInfo, PageKind, PageStamps, PageState, Ppn, Result,
+    SectorStamp, StreamId,
 };
 
 use crate::gc::{GcReport, PageMigrator};
 use crate::pagemap::{scheme_core_methods, serve_page, PageCopier, SchemeCore};
-use crate::recover::{read_old_copy, PageStamps};
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, PageExtent, ReqKind};
 use crate::scheme::{
@@ -762,7 +761,7 @@ impl FtlScheme for MrsmFtl {
                 // slowest resolution.
                 let at = self.core.engine.issue_at(sw.ready, ready);
                 let bytes = env.sectors_to_bytes(spp / SUBS_PER_PAGE);
-                let (read, stamps) = read_old_copy(env.array, loc.ppn, bytes, env.now_ns, at)?;
+                let (read, stamps) = env.array.read_old_copy(loc.ppn, bytes, env.now_ns, at)?;
                 self.core.counters.rmw_reads += 1;
                 if read.is_lost() {
                     self.core.counters.lost_pages += 1;
@@ -1066,7 +1065,7 @@ impl PageMigrator for MrsmMigrator<'_> {
         self.copier.counters.dram_accesses += 1;
         let page_bytes = array.geometry().page_bytes;
         let sub_sectors = (self.spp / SUBS_PER_PAGE) as usize;
-        let (read, content) = read_old_copy(array, old, page_bytes, now, now)?;
+        let (read, content) = array.read_old_copy(old, page_bytes, now, now)?;
         if read.is_lost() {
             report.lost_pages += 1;
         }

@@ -96,16 +96,6 @@ impl Oracle {
         }
         violations
     }
-
-    /// Number of distinct sectors ever written.
-    pub fn written_sectors(&self) -> usize {
-        self.expected.len()
-    }
-
-    /// Latest generation issued.
-    pub fn current_version(&self) -> u64 {
-        self.version
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ use crate::gc::{CopyMigrator, GcConfig, GcReport, GcState, PageMigrator};
 use crate::mapping::engine::MapEngine;
 use crate::mapping::pmt::{assert_ppns_fit, PageMapTable};
 use crate::mapping::touched::TouchedSet;
-use crate::recover::read_old_copy;
 use crate::recovery::SchemeImage;
 use crate::request::PageExtent;
 use crate::scheme::{
@@ -369,7 +368,7 @@ impl PageMapCore {
             // If it is lost, the merged page carries its loss stamps for
             // them, so later reads report the acknowledged loss instead of
             // stale data.
-            let (read, stamps) = read_old_copy(array, old, page_bytes, now_ns, ready)?;
+            let (read, stamps) = array.read_old_copy(old, page_bytes, now_ns, ready)?;
             ready = read.complete_ns();
             if read.is_lost() {
                 self.counters.lost_pages += 1;

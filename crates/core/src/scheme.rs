@@ -2,7 +2,7 @@
 //! stamp assembly they share (the page-mapped write/read/GC skeleton
 //! itself is the crate-private `pagemap` module).
 
-use aftl_flash::{Allocator, FlashArray, Geometry, Nanos, Ppn, Result, SectorStamp};
+use aftl_flash::{Allocator, FlashArray, Geometry, Nanos, Ppn, Result, SectorStamp, LOST_VERSION};
 use serde::{Deserialize, Serialize};
 
 use crate::counters::SchemeCounters;
@@ -11,7 +11,6 @@ use crate::learned::{LearnedConfig, LearnedStats};
 use crate::mapping::cache::CacheStats;
 use crate::mapping::engine::{MapEngineStats, PipelineConfig};
 use crate::obs::SchemeEvent;
-use crate::recover::LOST_VERSION;
 use crate::request::{HostRequest, PageExtent};
 use crate::{AcrossFtl, BaselineFtl, LearnedFtl, MrsmFtl};
 
@@ -99,7 +98,7 @@ pub struct ServedSector {
     pub sector: u64,
     /// Write generation served; 0 for never-written sectors. `u64::MAX`
     /// flags a page whose OOB stamp disagrees with the requested sector —
-    /// i.e. a mapping bug. [`crate::recover::LOST_VERSION`] (`u64::MAX - 1`)
+    /// i.e. a mapping bug. [`crate::LOST_VERSION`] (`u64::MAX - 1`)
     /// marks data the device lost to unrecoverable read failures and
     /// *acknowledged* losing — not a bug, a modelled fault outcome.
     pub version: u64,

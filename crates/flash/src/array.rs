@@ -9,7 +9,7 @@ use crate::faults::{FaultConfig, FaultInjector};
 use crate::geometry::{Geometry, PageAddr, Ppn};
 use crate::oob::{OobDesc, OobExtra, OobStore};
 use crate::page::{
-    narrow_tag, PageInfo, PageKind, PageState, PageStore, SectorStamp, LOST_VERSION,
+    narrow_tag, PageInfo, PageKind, PageStamps, PageState, PageStore, SectorStamp, LOST_VERSION,
 };
 use crate::stats::FlashStats;
 use crate::timing::TimingSpec;
@@ -160,7 +160,7 @@ impl AddrLut {
 
 /// One physical page's tracked content: a stamp per sector, present only
 /// for pages that have been programmed since tracking was enabled.
-type PageContent = Option<Box<[Option<SectorStamp>]>>;
+type PageContent = Option<PageStamps>;
 
 /// Armed-crash state: the remaining flash-op budget, the power latch, and
 /// the OOB journal store recovery scans after the cut.
@@ -773,6 +773,41 @@ impl FlashArray {
         self.read_ladder(&site, arrive_ns, ready_ns)
     }
 
+    /// Read back the old copy of data about to be rewritten elsewhere
+    /// (RMW, area merge or rollback, a repacking GC's lift): `bytes` of
+    /// `ppn` through the retry ladder, as [`Self::read_with_retry`], plus —
+    /// with content tracking on — the stamps the rewrite carries over,
+    /// [`LOST_VERSION`] ones if the read was lost. The caller counts a lost
+    /// read into its own counter.
+    #[inline]
+    pub fn read_old_copy(
+        &mut self,
+        ppn: Ppn,
+        bytes: u32,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Result<(PageRead, Option<PageStamps>)> {
+        self.power_check()?;
+        let site = self.valid_read_site(ppn, bytes)?;
+        self.read_carrying(ppn, &site, arrive_ns, ready_ns)
+    }
+
+    /// The one old-copy read, shared by [`Self::read_old_copy`] and
+    /// [`Self::relocate`]: the ladder at `ppn`'s `site` (whose first power
+    /// check the caller has made) and the stamps a rewrite carries over.
+    #[inline]
+    fn read_carrying(
+        &mut self,
+        ppn: Ppn,
+        site: &ReadSite,
+        arrive_ns: Nanos,
+        ready_ns: Nanos,
+    ) -> Result<(PageRead, Option<PageStamps>)> {
+        let read = self.read_ladder(site, arrive_ns, ready_ns)?;
+        let stamps = self.carried_content(ppn, read.is_lost());
+        Ok((read, stamps))
+    }
+
     /// The read site of `ppn` if it is valid, or why it cannot be read.
     #[inline]
     fn valid_read_site(&self, ppn: Ppn, bytes: u32) -> Result<ReadSite> {
@@ -1127,7 +1162,8 @@ impl FlashArray {
     /// back [`Relocation::Skipped`] with nothing issued.
     ///
     /// Side effects land in the order of the separate calls it replaces
-    /// (ladder read, [`Self::program_relocating`], [`Self::record_content`],
+    /// ([`Self::read_old_copy`], whose read step it shares,
+    /// [`Self::program_relocating`], [`Self::record_content`],
     /// [`Self::invalidate`]): injector draws, the crash op budget, stats,
     /// op-log records and the allocator cursor.
     #[inline]
@@ -1146,8 +1182,7 @@ impl FlashArray {
         let page_bytes = self.geometry.page_bytes;
         let site = self.read_site(gid, info.kind, page_bytes);
         self.power_check()?;
-        let read = self.read_ladder(&site, now, now)?;
-        let stamps = self.carried_content(from, read.is_lost());
+        let (read, stamps) = self.read_carrying(from, &site, now, now)?;
         // Striped across planes: the program (2 ms) dominates the move, and
         // pinning it to the victim's chip would serialise a whole block's
         // migration on one chip, stalling host I/O far beyond what
@@ -1288,7 +1323,7 @@ impl FlashArray {
 
     /// Record which sector stamps a just-programmed page holds.
     /// No-op unless [`Self::enable_content_tracking`] was called.
-    pub fn record_content(&mut self, ppn: Ppn, stamps: Box<[Option<SectorStamp>]>) {
+    pub fn record_content(&mut self, ppn: Ppn, stamps: PageStamps) {
         if let Some(content) = &mut self.content {
             content[ppn.0 as usize] = Some(stamps);
         }
@@ -1310,7 +1345,7 @@ impl FlashArray {
     /// was `lost` — the same sectors at [`LOST_VERSION`], since the layout
     /// is still known though the data is not. `None` without tracking or
     /// recorded content.
-    pub fn carried_content(&self, ppn: Ppn, lost: bool) -> Option<Box<[Option<SectorStamp>]>> {
+    fn carried_content(&self, ppn: Ppn, lost: bool) -> Option<PageStamps> {
         let stamps = self.content_of(ppn)?;
         Some(if lost {
             stamps
@@ -1693,6 +1728,255 @@ mod tests {
         armed.erase(armed.block_addr_of(Ppn(0)), 0).unwrap();
         assert_eq!(stamps(&armed), [0, 0, 0], "the erase clears the stamps");
         assert_eq!(armed.page_info(other).unwrap().seq, 1);
+    }
+
+    // ---- the retry ladder, relocation and old-copy reads ---------------------
+
+    fn array_with(cfg: FaultConfig) -> FlashArray {
+        let mut a = FlashArray::new(Geometry::tiny(), TimingSpec::unit()).unwrap();
+        a.configure_faults(&cfg);
+        a
+    }
+
+    #[test]
+    fn retry_ladder_recovers_transient_failures() {
+        // ~50 % fail rate: with 8 retries the chance of losing a page is
+        // ~0.2 %, so across a handful of reads recovery dominates.
+        let mut a = array_with(FaultConfig {
+            seed: 3,
+            read_fail_rate: 0.5,
+            ..FaultConfig::disabled()
+        });
+        a.program(Ppn(0), PageKind::Data, 1, 4096, 0, 0).unwrap();
+        let mut recovered = 0;
+        for _ in 0..20 {
+            if let PageRead::Ok(_) = a.read_with_retry(Ppn(0), 4096, 0, 0).unwrap() {
+                recovered += 1;
+            }
+        }
+        assert!(
+            recovered >= 19,
+            "retries recover transients: {recovered}/20"
+        );
+        assert!(a.stats().read_faults > 0, "some attempts did fail");
+    }
+
+    #[test]
+    fn exhausted_ladder_reports_lost_with_time_charged() {
+        let mut a = array_with(FaultConfig {
+            seed: 1,
+            read_fail_rate: 1.0,
+            ..FaultConfig::disabled()
+        });
+        a.program(Ppn(0), PageKind::Data, 1, 4096, 0, 0).unwrap();
+        let r = a.read_with_retry(Ppn(0), 4096, 0, 0).unwrap();
+        assert!(r.is_lost());
+        assert_eq!(a.stats().read_faults, 1 + a.read_retries() as u64);
+        assert!(
+            r.complete_ns() > 0,
+            "every failed attempt occupied the chip"
+        );
+    }
+
+    #[test]
+    fn protocol_errors_pass_through_unretried() {
+        let mut a = array_with(FaultConfig {
+            seed: 1,
+            read_fail_rate: 1.0,
+            ..FaultConfig::disabled()
+        });
+        assert_eq!(
+            a.read_with_retry(Ppn(2), 512, 0, 0),
+            Err(FlashError::ReadUnwritten(Ppn(2))),
+        );
+        assert_eq!(a.stats().read_faults, 0);
+    }
+
+    #[test]
+    fn relocation_survives_program_failures() {
+        // Fail ~70 % of programs: relocation must still land every page,
+        // retiring blocks as it goes.
+        let mut a = array_with(FaultConfig {
+            seed: 9,
+            program_fail_rate: 0.7,
+            ..FaultConfig::disabled()
+        });
+        let mut alloc = Allocator::new(&a);
+        let mut placed = Vec::new();
+        for i in 0..10u64 {
+            let (ppn, _) = a
+                .program_relocating(
+                    &mut alloc,
+                    None,
+                    StreamId::Data,
+                    PageKind::Data,
+                    i,
+                    512,
+                    0,
+                    0,
+                )
+                .unwrap();
+            assert!(a.page_info(ppn).unwrap().is_valid());
+            placed.push(ppn);
+        }
+        assert!(a.stats().program_faults > 0, "failures were injected");
+        assert!(a.stats().retired_blocks > 0, "failed blocks were retired");
+        // Every returned PPN is distinct and readable.
+        placed.sort();
+        placed.dedup();
+        assert_eq!(placed.len(), 10);
+    }
+
+    #[test]
+    fn lost_stamps_mark_every_present_sector() {
+        let mut a = FlashArray::new(Geometry::tiny(), TimingSpec::unit()).unwrap();
+        a.enable_content_tracking();
+        a.program(Ppn(0), PageKind::Data, 1, 4096, 0, 0).unwrap();
+        let stamps: Vec<Option<SectorStamp>> = (0..8)
+            .map(|i| {
+                (i % 2 == 0).then_some(SectorStamp {
+                    sector: 40 + i,
+                    version: 3,
+                })
+            })
+            .collect();
+        a.record_content(Ppn(0), stamps.into_boxed_slice());
+        let lost = a.carried_content(Ppn(0), true).unwrap();
+        assert_eq!(lost[0].unwrap().version, LOST_VERSION);
+        assert_eq!(lost[0].unwrap().sector, 40);
+        assert!(lost[1].is_none(), "holes stay holes");
+    }
+
+    /// GC's page move as the separate calls [`FlashArray::relocate`]
+    /// replaced: validity check, old-copy read, relocating program,
+    /// stamps, invalidate.
+    fn composed_copy(
+        array: &mut FlashArray,
+        alloc: &mut Allocator,
+        old: Ppn,
+        info: &PageInfo,
+        now: Nanos,
+    ) -> Result<Relocation> {
+        if array.page_state(old)? != PageState::Valid {
+            return Ok(Relocation::Skipped);
+        }
+        let page_bytes = array.geometry().page_bytes;
+        let (read, stamps) = array.read_old_copy(old, page_bytes, now, now)?;
+        let (to, _) = array.program_relocating(
+            alloc,
+            None,
+            StreamId::Gc,
+            info.kind,
+            info.tag,
+            page_bytes,
+            now,
+            read.complete_ns(),
+        )?;
+        if let Some(stamps) = stamps {
+            array.record_content(to, stamps);
+        }
+        array.invalidate(old)?;
+        Ok(Relocation::Moved {
+            to,
+            lost: read.is_lost(),
+        })
+    }
+
+    /// A device with read and program faults, content tracking, the op
+    /// log and a power cut armed after `crash_at` operations, holding 120
+    /// stamped pages of which every fifth is superseded; and those pages
+    /// with the info GC would capture for them.
+    #[allow(clippy::type_complexity)]
+    fn faulted_device(crash_at: u64) -> (FlashArray, Allocator, Vec<(Ppn, PageInfo)>) {
+        let mut a = array_with(FaultConfig {
+            seed: 11,
+            read_fail_rate: 0.3,
+            program_fail_rate: 0.03,
+            read_retries: 2,
+            ..FaultConfig::disabled()
+        });
+        a.enable_content_tracking();
+        a.enable_op_log();
+        a.arm_crash(crash_at);
+        let mut alloc = Allocator::new(&a);
+        let mut pages = Vec::new();
+        for i in 0..120u64 {
+            let kind = [PageKind::Data, PageKind::AcrossData, PageKind::Map][i as usize % 3];
+            let (ppn, _) = a
+                .program_relocating(&mut alloc, None, StreamId::Data, kind, i, 4096, 0, 0)
+                .unwrap();
+            let stamps = (0..8).map(|s| {
+                (s % 3 != 0).then_some(SectorStamp {
+                    sector: i * 8 + s,
+                    version: i,
+                })
+            });
+            a.record_content(ppn, stamps.collect());
+            pages.push((ppn, a.page_info(ppn).unwrap()));
+        }
+        for &(ppn, _) in pages.iter().step_by(5) {
+            a.invalidate(ppn).unwrap();
+        }
+        a.drain_ops().for_each(drop);
+        (a, alloc, pages)
+    }
+
+    /// `relocate` against the composition it replaced, on two clones of
+    /// one faulted, tracked, crash-armed device: the same moves, losses,
+    /// skips and power cut, and afterwards the same device — stats, chip
+    /// timelines, page states, content, OOB journal, op-log records,
+    /// allocator and the injector's later decisions.
+    #[test]
+    fn relocate_matches_the_composition_it_replaces() {
+        let (mut a, mut alloc_a, pages) = faulted_device(300);
+        let (mut b, mut alloc_b) = (a.clone(), alloc_a.clone());
+        let (mut copies, mut lost, mut skipped, mut cuts) = (Vec::new(), 0, 0, 0);
+        for (step, (old, info)) in pages.iter().enumerate() {
+            let now = step as Nanos * 3;
+            let got = a.relocate(&mut alloc_a, *old, info, now);
+            let want = composed_copy(&mut b, &mut alloc_b, *old, info, now);
+            assert_eq!(got, want, "step {step}");
+            let ops_a: Vec<_> = a.drain_ops().collect();
+            let ops_b: Vec<_> = b.drain_ops().collect();
+            assert_eq!(ops_a, ops_b, "step {step}: op-log records");
+            match got {
+                Ok(Relocation::Moved { to, lost: l }) => {
+                    copies.push(to);
+                    lost += usize::from(l);
+                }
+                Ok(Relocation::Skipped) => skipped += 1,
+                Err(FlashError::PowerCut) => {
+                    cuts += 1;
+                    a.power_restore();
+                    b.power_restore();
+                }
+                Err(e) => panic!("step {step}: {e:?}"),
+            }
+        }
+        assert!(copies.len() > 80 && lost > 0 && skipped == 24 && cuts == 1);
+        assert!(a.stats().read_faults > 0 && a.stats().program_faults > 0);
+
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.timelines(), b.timelines());
+        for p in 0..a.geometry().total_pages() {
+            let p = Ppn(p);
+            assert_eq!(a.page_info(p), b.page_info(p), "{p:?}");
+            assert_eq!(a.content_of(p), b.content_of(p), "{p:?}");
+            assert_eq!(a.oob_of(p), b.oob_of(p), "{p:?}");
+        }
+        assert_eq!(a.oob_kill_log(), b.oob_kill_log());
+        a.check_victim_index().unwrap();
+        assert_eq!(
+            format!("{:?}", a.victim_index()),
+            format!("{:?}", b.victim_index())
+        );
+        for _ in 0..16 {
+            let next_a = alloc_a.alloc_page(&a, StreamId::Gc);
+            assert_eq!(next_a, alloc_b.alloc_page(&b, StreamId::Gc));
+            let read = a.read(copies[0], 4096, 0, 0);
+            assert_eq!(read, b.read(copies[0], 4096, 0, 0));
+            assert_ne!(read, Err(FlashError::ReadUnwritten(copies[0])));
+        }
     }
 
     // ---- the flat store against the block model it replaced ----------------

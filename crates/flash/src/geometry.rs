@@ -235,13 +235,6 @@ impl Geometry {
         }
     }
 
-    /// The chip timeline index a PPN's operations serialise on.
-    #[inline]
-    pub fn chip_index_of(&self, ppn: Ppn) -> u64 {
-        let addr = self.page_addr(ppn);
-        u64::from(addr.channel) * u64::from(self.chips_per_channel) + u64::from(addr.chip)
-    }
-
     /// The channel index a PPN's transfers serialise on.
     #[inline]
     pub fn channel_index_of(&self, ppn: Ppn) -> u32 {

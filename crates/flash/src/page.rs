@@ -38,6 +38,10 @@ pub struct SectorStamp {
     pub version: u64,
 }
 
+/// Content stamps of one page, a slot per sector (`None` = a sector the
+/// page does not hold).
+pub type PageStamps = Box<[Option<SectorStamp>]>;
+
 /// Version stamp carried by sectors whose page was lost after exhausting
 /// the read-retry ladder ([`crate::array::PageRead::Lost`]). Distinct from
 /// `u64::MAX` (which flags a mapping bug) so tests can tell an acknowledged

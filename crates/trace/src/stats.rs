@@ -81,29 +81,10 @@ impl TraceStats {
         }
     }
 
-    /// Mean read size in KiB.
-    pub fn avg_read_kib(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            (self.read_sectors as f64 * self.sector_bytes as f64) / (self.reads as f64 * 1024.0)
-        }
-    }
-
     /// Table 2 "Across R" / Figures 2 & 13: across-page share of all
     /// requests.
     pub fn across_ratio(&self) -> f64 {
         ratio(self.across_requests, self.requests)
-    }
-
-    /// Across-page share of write requests only.
-    pub fn across_write_ratio(&self) -> f64 {
-        ratio(self.across_writes, self.writes)
-    }
-
-    /// Unaligned share of all requests.
-    pub fn unaligned_ratio(&self) -> f64 {
-        ratio(self.unaligned_requests, self.requests)
     }
 }
 

@@ -141,16 +141,6 @@ impl VdiSpec {
         spec.misaligned_fraction = f;
         spec
     }
-
-    /// Expected mean request size in KiB.
-    pub fn expected_size_kib(&self) -> f64 {
-        let total: f64 = self.size_weights.iter().map(|(_, w)| w).sum();
-        self.size_weights
-            .iter()
-            .map(|&(z, w)| w * f64::from(z) * 512.0 / 1024.0)
-            .sum::<f64>()
-            / total
-    }
 }
 
 /// Across-page ratio of a short sample generated from `spec` (40 k
