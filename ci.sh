@@ -222,6 +222,20 @@ printf 'crates/sim/src + crates/bench/src non-test lines: '
 find crates/sim/src crates/bench/src -name '*.rs' \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
+say "request-ahead prefetch (one unsafe, in the prefetch hint; replay and aging prefetch)"
+# The tree's one unsafe block is aftl_flash::prefetch's _mm_prefetch, a
+# hint with no architectural effect (DESIGN.md §9); a second one in
+# non-test code fails here rather than in review.
+unsafes=$(printf '%s\n' "$crates_code" | grep -vE '^[^:]+: *//' | grep -wF unsafe || true)
+[ "$(printf '%s\n' "$unsafes" | grep -c .)" -eq 1 ] \
+    && printf '%s\n' "$unsafes" | grep -q '^crates/flash/src/prefetch.rs:' \
+    || { echo "non-test code under crates/ has an unsafe outside aftl_flash::prefetch:"; echo "$unsafes"; exit 1; }
+# The replay loop and aging's overwrite pass both prefetch ahead.
+for loop in crates/sim/src/experiment.rs:run_on_device_keep crates/sim/src/warmup.rs:age; do
+    awk "/^pub fn ${loop#*:}\(/,/^}/" "${loop%:*}" | grep -qF '.prefetch(' \
+        || { echo "${loop#*:} (${loop%:*}) does not call Ssd::prefetch"; exit 1; }
+done
+
 say "cargo build --release"
 cargo build --release
 

@@ -57,7 +57,7 @@ impl Default for AcrossOptions {
 /// The proposed scheme: the page-mapped core plus the AMT overlay.
 #[derive(Clone)]
 pub struct AcrossFtl {
-    core: PageMapCore,
+    pub(crate) core: PageMapCore,
     options: AcrossOptions,
     amt: AcrossMapTable,
     /// Composite-operation log for the observability layer (`None` = off).

@@ -21,7 +21,7 @@ pub const ENTRY_BYTES: u64 = 4;
 /// The baseline page-mapping FTL.
 #[derive(Clone)]
 pub struct BaselineFtl {
-    core: PageMapCore,
+    pub(crate) core: PageMapCore,
 }
 
 impl BaselineFtl {

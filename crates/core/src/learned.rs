@@ -662,7 +662,7 @@ impl LearnedModel {
 /// predict-then-verify read path described in the module docs.
 #[derive(Clone)]
 pub struct LearnedFtl {
-    core: PageMapCore,
+    pub(crate) core: PageMapCore,
     model: LearnedModel,
     stats: LearnedStats,
     /// Round-robin plane for the GC repack (each flush fills one plane so

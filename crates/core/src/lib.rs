@@ -64,4 +64,4 @@ pub use recovery::{
     SubLocs,
 };
 pub use request::{HostRequest, PageExtent, ReqKind};
-pub use scheme::{FtlEnv, FtlScheme, Scheme, SchemeKind, ServiceOutcome};
+pub use scheme::{FtlEnv, FtlScheme, PrefetchStage, Scheme, SchemeKind, ServiceOutcome};

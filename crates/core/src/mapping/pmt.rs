@@ -143,6 +143,13 @@ impl PageMapTable {
         }
     }
 
+    /// Hint the CPU to fetch `lpn`'s slot ([`aftl_flash::prefetch()`]).
+    /// Panics past the table, as [`Self::get`] does.
+    #[inline]
+    pub fn prefetch(&self, lpn: u64) {
+        aftl_flash::prefetch(&self.entries[lpn as usize]);
+    }
+
     /// Set the normal-data PPN, returning the previous one (to invalidate).
     pub fn set_ppn(&mut self, lpn: u64, ppn: Ppn) -> Ppn {
         let slot = &mut self.entries[lpn as usize];

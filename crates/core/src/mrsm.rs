@@ -24,8 +24,8 @@ use crate::pagemap::{scheme_core_methods, serve_page, PageCopier, SchemeCore};
 use crate::recovery::SchemeImage;
 use crate::request::{HostRequest, PageExtent, ReqKind};
 use crate::scheme::{
-    carry_range, extent_stamps, served_unwritten, stamp_range, FtlEnv, FtlScheme, SchemeConfig,
-    SchemeKind, ServiceOutcome,
+    carry_range, extent_stamps, served_unwritten, stamp_range, FtlEnv, FtlScheme, PrefetchStage,
+    SchemeConfig, SchemeKind, ServiceOutcome,
 };
 
 /// Sub-regions per page (MRSM's default granularity).
@@ -543,6 +543,33 @@ impl MrsmFtl {
             spp,
         };
         gc.collect(env.array, env.alloc, env.now_ns, idle_budget, &mut migrator)
+    }
+
+    /// One stage of request-ahead prefetch for `lpn`
+    /// ([`crate::Scheme::prefetch`]): its table word, or the flash metadata
+    /// and [`ResidentTable`] slot of every page the word maps — its page,
+    /// or its sub-regions' pages. Nothing past the words grown.
+    #[inline]
+    pub(crate) fn prefetch(&self, array: &FlashArray, lpn: u64, stage: PrefetchStage) {
+        let Some(word) = self.map.words.get(lpn as usize) else {
+            return;
+        };
+        if stage == PrefetchStage::Far {
+            return aftl_flash::prefetch(word);
+        }
+        let page = |ppn: Ppn| {
+            array.prefetch_page(ppn);
+            if let Some(slot) = self.residents.slots.get(ppn.0 as usize) {
+                aftl_flash::prefetch(slot);
+            }
+        };
+        match self.map.word(lpn) {
+            (_, Some(i)) => (self.map.subs.get(i).iter())
+                .filter_map(|&w| SubLoc::from_packed(w))
+                .for_each(|loc| page(loc.ppn)),
+            (NO_LOC, None) => {}
+            (word, None) => page(Ppn(word.into())),
+        }
     }
 
     /// Tree-lookup cost in DRAM accesses: one probe per level.

@@ -32,8 +32,8 @@ use crate::mapping::touched::TouchedSet;
 use crate::recovery::SchemeImage;
 use crate::request::PageExtent;
 use crate::scheme::{
-    extent_stamps, served_from_page, served_lost, served_unwritten, FtlEnv, SchemeConfig,
-    ServiceOutcome,
+    extent_stamps, served_from_page, served_lost, served_unwritten, FtlEnv, PrefetchStage,
+    SchemeConfig, ServiceOutcome,
 };
 
 /// State and code every scheme shares, whatever its mapping table.
@@ -323,6 +323,20 @@ impl PageMapCore {
         SchemeImage {
             pages,
             ..SchemeImage::default()
+        }
+    }
+
+    /// One stage of request-ahead prefetch for `lpn`
+    /// ([`crate::Scheme::prefetch`]): its PMT slot, or the flash metadata
+    /// of the page the slot maps. Nothing past the PMT, which is empty
+    /// until the scheme is first driven.
+    #[inline]
+    pub(crate) fn prefetch(&self, array: &FlashArray, lpn: u64, stage: PrefetchStage) {
+        if self.pmt.in_range(lpn) {
+            match stage {
+                PrefetchStage::Far => self.pmt.prefetch(lpn),
+                PrefetchStage::Near => array.prefetch_page(self.pmt.get(lpn).ppn),
+            }
         }
     }
 

@@ -232,6 +232,16 @@ pub trait FtlScheme {
     fn capture_image(&self) -> crate::recovery::SchemeImage;
 }
 
+/// The two stages of request-ahead prefetch ([`Scheme::prefetch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefetchStage {
+    /// Several requests ahead: fetch each LPN's mapping-table entry.
+    Far,
+    /// A few requests ahead: read each entry, which the far stage cached,
+    /// and fetch the flash metadata of the pages it maps.
+    Near,
+}
+
 /// One of the four schemes, held by value so a device can be forked whole.
 /// Callers reach it through [`Scheme::as_dyn`] / [`Scheme::as_dyn_mut`].
 #[derive(Clone)]
@@ -270,6 +280,21 @@ impl Scheme {
             SchemeKind::Mrsm => Scheme::Mrsm(MrsmFtl::from_image(geometry, cfg, image)),
             SchemeKind::Across => Scheme::Across(AcrossFtl::from_image(geometry, cfg, image)),
             SchemeKind::Learned => Scheme::Learned(LearnedFtl::from_image(geometry, cfg, image)),
+        }
+    }
+
+    /// One stage of request-ahead prefetch for logical page `lpn` of a
+    /// request served a few requests from now: hint the CPU to fetch what
+    /// serving it will touch first (DESIGN.md §9). Reads the tables as they
+    /// are — builds none, moves no map-cache LRU, counts no DRAM access —
+    /// so no simulated number changes; an LPN past them is skipped.
+    #[inline]
+    pub fn prefetch(&self, array: &FlashArray, lpn: u64, stage: PrefetchStage) {
+        match self {
+            Scheme::Baseline(BaselineFtl { core })
+            | Scheme::Across(AcrossFtl { core, .. })
+            | Scheme::Learned(LearnedFtl { core, .. }) => core.prefetch(array, lpn, stage),
+            Scheme::Mrsm(s) => s.prefetch(array, lpn, stage),
         }
     }
 

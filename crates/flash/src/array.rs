@@ -560,6 +560,17 @@ impl FlashArray {
         Ok(self.info_at(ppn))
     }
 
+    /// Hint the CPU to fetch what reading, invalidating or rewriting
+    /// `ppn` first touches: its meta byte and its block's record. Reads
+    /// nothing back and does nothing for an invalid or out-of-range PPN.
+    #[inline]
+    pub fn prefetch_page(&self, ppn: Ppn) {
+        if let Ok((gid, _)) = self.split(ppn) {
+            self.pages.prefetch(ppn.0 as usize);
+            crate::prefetch(&self.blocks[gid]);
+        }
+    }
+
     /// A page's lifecycle state alone (one byte read, no tag or stamp).
     #[inline]
     pub fn page_state(&self, ppn: Ppn) -> Result<PageState> {

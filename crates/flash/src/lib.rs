@@ -31,6 +31,7 @@ pub mod faults;
 pub mod geometry;
 pub mod oob;
 pub mod page;
+pub mod prefetch;
 pub mod stats;
 pub mod timing;
 pub mod victims;
@@ -43,6 +44,7 @@ pub use faults::{FaultConfig, FaultInjector};
 pub use geometry::{Geometry, GeometryBuilder, PageAddr, Ppn};
 pub use oob::{KillRecord, OobDesc, OobExtra, OOB_GROUP_POISONED};
 pub use page::{PageInfo, PageKind, PageStamps, PageState, SectorStamp, LOST_VERSION};
+pub use prefetch::prefetch;
 pub use stats::FlashStats;
 pub use timing::TimingSpec;
 pub use victims::VictimIndex;

@@ -192,6 +192,12 @@ impl PageStore {
         }
     }
 
+    /// Hint the CPU to fetch page `i`'s meta byte ([`crate::prefetch()`]).
+    #[inline]
+    pub(crate) fn prefetch(&self, i: usize) {
+        crate::prefetch(&self.meta[i]);
+    }
+
     /// The record of page `i`, assembled by value, with sequence stamp
     /// `seq` (the store keeps none).
     #[inline]

@@ -12,7 +12,7 @@ use crate::config::SimConfig;
 use crate::crash::Cut;
 use crate::metrics::Window;
 use crate::report::{assemble, RunReport};
-use crate::ssd::Ssd;
+use crate::ssd::{Ssd, PREFETCH_AHEAD};
 use crate::warmup::{self, WarmupStats};
 
 /// One device's part of a run. Replay, each hosted device and each fleet
@@ -121,7 +121,25 @@ pub fn run_on_device(ssd: Ssd, trace: &Trace) -> Result<RunReport> {
 pub fn run_on_device_keep(ssd: Ssd, trace: &Trace) -> Result<(RunReport, Ssd)> {
     let started = std::time::Instant::now();
     let mut run = DeviceRun::start(ssd, trace.name.clone())?;
-    for rec in &trace.records {
+    // A record's first and last logical pages: the table slots of any
+    // pages between them share a cache line with one of theirs, unless the
+    // record spans more than nine pages. Taken before `Ssd::request` clamps
+    // the record into the logical space, as prefetch skips a page past it.
+    // Sectors per page are a power of two (`Geometry::validate`).
+    let shift = run.ssd.spp().trailing_zeros();
+    let ends = |rec: &IoRecord| {
+        let last = rec.sector + u64::from(rec.sectors.max(1)) - 1;
+        [rec.sector >> shift, last >> shift]
+    };
+    let records = &trace.records;
+    for (i, rec) in records.iter().enumerate() {
+        for (ahead, stage) in PREFETCH_AHEAD {
+            if let Some(next) = records.get(i + ahead) {
+                for lpn in ends(next) {
+                    run.ssd.prefetch(lpn, stage);
+                }
+            }
+        }
         run.step(rec)?;
     }
 

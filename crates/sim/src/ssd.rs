@@ -4,7 +4,7 @@
 use aftl_core::gc::GcReport;
 use aftl_core::recovery::{Checkpoint, RecoveryStats};
 use aftl_core::request::{HostRequest, ReqKind};
-use aftl_core::scheme::{FtlEnv, FtlScheme, Scheme, ServedSector};
+use aftl_core::scheme::{FtlEnv, FtlScheme, PrefetchStage, Scheme, ServedSector};
 use aftl_flash::{Allocator, FlashArray, FlashError, Nanos, Result};
 use aftl_trace::{IoOp, IoRecord};
 
@@ -12,6 +12,13 @@ use crate::config::SimConfig;
 use crate::crash::CrashOutcome;
 use crate::metrics::StatsSnapshot;
 use crate::observe::{Observer, Phase};
+
+/// How many requests ahead of the one being served the replay and aging
+/// loops run each stage of [`Ssd::prefetch`] (DESIGN.md §9): the far stage
+/// early enough for a mapping entry to arrive, the near stage late enough
+/// that the entry it reads is still cached.
+pub(crate) const PREFETCH_AHEAD: [(usize, PrefetchStage); 2] =
+    [(8, PrefetchStage::Far), (3, PrefetchStage::Near)];
 
 /// A serviced request.
 #[derive(Debug, Clone)]
@@ -41,6 +48,8 @@ pub struct Ssd {
     alloc: Allocator,
     scheme: Scheme,
     observer: Observer,
+    /// Whether requests reach the observer: off while aging.
+    observing: bool,
     read_only: bool,
     write_rejections: u64,
     throttled_writes: u64,
@@ -78,6 +87,7 @@ impl Ssd {
             alloc,
             scheme,
             observer,
+            observing: true,
             read_only: false,
             write_rejections: 0,
             throttled_writes: 0,
@@ -228,22 +238,26 @@ impl Ssd {
 
     /// Forget warm-up history: zero the op counters, chip timelines and
     /// observability sinks so measurements start clean (mapping state and
-    /// data placement remain), and switch the flash op log and the scheme's
-    /// event log back on if aging switched them off.
+    /// data placement remain), and switch observation — the flash op log,
+    /// the scheme's event log and the observer's intake — back on if aging
+    /// switched it off.
     pub fn finish_warmup(&mut self) {
         self.array.reset_stats();
         self.array.reset_timelines();
         self.observer.reset();
+        self.observing = true;
         if self.observer.enabled() {
             self.array.enable_op_log();
             self.scheme.as_dyn_mut().set_event_log(true);
         }
     }
 
-    /// Switch the flash op log and the scheme's event log off until
-    /// [`Self::finish_warmup`]: aging's operations would only be recorded
-    /// to be discarded there.
+    /// Switch observation off until [`Self::finish_warmup`] — the flash op
+    /// log, the scheme's event log and every observer call of
+    /// [`Self::submit`]: aging's writes would only be recorded to be
+    /// discarded there.
     pub(crate) fn unobserved(&mut self) {
+        self.observing = false;
         self.array.disable_op_log();
         self.scheme.as_dyn_mut().set_event_log(false);
     }
@@ -324,18 +338,20 @@ impl Ssd {
         let flash_reads = self.array.stats().reads.total() - before_reads;
         let flash_programs = self.array.stats().programs.total() - before_programs;
 
-        let phase = match req.kind {
-            ReqKind::Read => Phase::HostRead,
-            ReqKind::Write => Phase::HostWrite,
-        };
-        self.observer.absorb_ops(&mut self.array, phase);
-        self.observer
-            .absorb_scheme_events(self.scheme.as_dyn_mut(), req.at_ns);
-        self.observer.record_host(
-            req.kind,
-            outcome.complete_ns.saturating_sub(req.at_ns),
-            outcome.complete_ns,
-        );
+        if self.observing {
+            let phase = match req.kind {
+                ReqKind::Read => Phase::HostRead,
+                ReqKind::Write => Phase::HostWrite,
+            };
+            self.observer.absorb_ops(&mut self.array, phase);
+            self.observer
+                .absorb_scheme_events(self.scheme.as_dyn_mut(), req.at_ns);
+            self.observer.record_host(
+                req.kind,
+                outcome.complete_ns.saturating_sub(req.at_ns),
+                outcome.complete_ns,
+            );
+        }
 
         // GC runs after the request so its ops are not attributed to it.
         // With preemption enabled this is one budgeted slice; the parked
@@ -350,13 +366,15 @@ impl Ssd {
         // surfaces on the next submit.
         let gc = self.scheme.as_dyn_mut().maybe_gc(&mut env);
         let gc = self.settle_gc(gc)?;
-        let gc_end = self.observer.absorb_ops(&mut self.array, Phase::Gc);
-        if gc.triggered {
-            if let Some(end) = gc_end {
-                // The pause a queued request would see: dispatch → last GC
-                // op completion of this slice.
-                self.observer
-                    .record_gc_pause(end.saturating_sub(dispatch_ns), end);
+        if self.observing {
+            let gc_end = self.observer.absorb_ops(&mut self.array, Phase::Gc);
+            if gc.triggered {
+                if let Some(end) = gc_end {
+                    // The pause a queued request would see: dispatch → last
+                    // GC op completion of this slice.
+                    self.observer
+                        .record_gc_pause(end.saturating_sub(dispatch_ns), end);
+                }
             }
         }
 
@@ -431,6 +449,15 @@ impl Ssd {
         Ok(gc)
     }
 
+    /// One stage of request-ahead prefetch for logical page `lpn` of a
+    /// request this device serves a few requests from now
+    /// ([`Scheme::prefetch`]): a hint to the CPU that changes no device
+    /// state and no simulated number.
+    #[inline]
+    pub(crate) fn prefetch(&self, lpn: u64, stage: PrefetchStage) {
+        self.scheme.prefetch(&self.array, lpn, stage);
+    }
+
     /// The host request a trace record asks of this device, clamped into
     /// its logical space.
     pub fn request(&self, rec: &IoRecord) -> HostRequest {
@@ -455,7 +482,7 @@ mod tests {
     use crate::config::WarmupConfig;
     use crate::experiment::run_on_device_keep;
     use aftl_core::scheme::SchemeKind;
-    use aftl_flash::FaultConfig;
+    use aftl_flash::{FaultConfig, Ppn};
     use aftl_trace::Trace;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -646,6 +673,72 @@ mod tests {
         ssd.finish_warmup();
         assert_eq!(ssd.observer().breakdown().host_write.count, 0);
         assert_eq!(ssd.observer().trace_events_total(), 0);
+    }
+
+    #[test]
+    fn an_unobserved_device_records_nothing() {
+        let mut config = SimConfig::test_tiny(SchemeKind::Across);
+        config.observe.trace.enabled = true;
+        let mut ssd = Ssd::new(config).unwrap();
+        ssd.unobserved();
+        // An area, an AMerge, an ARollback, then page overwrites of 200
+        // LPNs (GC runs) and reads of each.
+        for (sector, sectors) in [(4, 6), (6, 6), (2, 8)] {
+            ssd.submit(&HostRequest::write(0, sector, sectors)).unwrap();
+        }
+        for i in 0..2_000 {
+            let sector = (i * 7 % 200) * 8;
+            ssd.submit(&HostRequest::write(i, sector, 8)).unwrap();
+            ssd.submit(&HostRequest::read(i, sector, 8)).unwrap();
+        }
+        assert!(ssd.scheme().counters().arollbacks > 0 && ssd.array().stats().erases > 0);
+        let b = ssd.observer().breakdown();
+        for kind in crate::observe::OpKind::ALL {
+            assert_eq!(b.get(kind).count, 0, "{kind:?} recorded while unobserved");
+        }
+        assert_eq!(ssd.observer().trace_events_total(), 0);
+    }
+
+    /// Runs both stages of request-ahead prefetch on LPNs mapped and
+    /// unmapped, the last LPN of the logical space and LPNs past it, and
+    /// PPNs no page has.
+    fn prefetch_everywhere(ssd: &Ssd) {
+        let end = ssd.scheme().logical_pages();
+        let lpns = (0..40).chain([end - 1, end, end + 5, u64::MAX]);
+        for stage in [PrefetchStage::Far, PrefetchStage::Near] {
+            for lpn in lpns.clone() {
+                ssd.scheme.prefetch(ssd.array(), lpn, stage);
+                ssd.prefetch(lpn, stage);
+            }
+        }
+        let total = ssd.array().geometry().total_pages();
+        for ppn in [Ppn::INVALID, Ppn(total), Ppn(u64::MAX - 1)] {
+            ssd.array().prefetch_page(ppn);
+        }
+    }
+
+    #[test]
+    fn prefetch_is_inert() {
+        let state = |ssd: &Ssd| {
+            let image = ssd.scheme().capture_image();
+            let table = ssd.scheme().mapping_table_bytes();
+            (format!("{:?}", ssd.snapshot()), table, image)
+        };
+        for kind in SchemeKind::WITH_LEARNED {
+            // Never driven: no table built yet, and prefetch builds none.
+            let mut ssd = tiny(kind);
+            let before = state(&ssd);
+            prefetch_everywhere(&ssd);
+            assert_eq!(state(&ssd), before, "{}: never driven", kind.name());
+            // Whole pages, an across-page request and sub-page pieces
+            // (MRSM's sub-mapped LPNs) over LPNs 0..6; 6.. stay unmapped.
+            for (sector, sectors) in [(0, 16), (4, 8), (17, 3), (26, 2), (33, 15)] {
+                ssd.submit(&HostRequest::write(0, sector, sectors)).unwrap();
+            }
+            let before = state(&ssd);
+            prefetch_everywhere(&ssd);
+            assert_eq!(state(&ssd), before, "{}: driven", kind.name());
+        }
     }
 
     #[test]

@@ -12,7 +12,12 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::config::WarmupConfig;
-use crate::ssd::Ssd;
+use crate::ssd::{Ssd, PREFETCH_AHEAD};
+
+/// LPNs the overwrite pass draws ahead of the one it writes, so
+/// [`Ssd::prefetch`] can see them: at least the far stage's distance.
+const DRAWN_AHEAD: usize = 16;
+const _: () = assert!(PREFETCH_AHEAD[0].0 <= DRAWN_AHEAD && PREFETCH_AHEAD[1].0 <= DRAWN_AHEAD);
 
 /// What aging actually did — echoed into the run manifest so a report is
 /// self-describing about the device state measurements started from.
@@ -82,10 +87,24 @@ pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
                 Err(e) => return Err(e),
             }
         }
-        // Pass 2: uniform overwrites until the used-capacity target.
+        // Pass 2: uniform overwrites until the used-capacity target. The
+        // LPNs are drawn in the same order as they are written, but
+        // `DRAWN_AHEAD` early: `ahead[i % DRAWN_AHEAD]` holds the LPN of
+        // write `i` until it is written, then that of write
+        // `i + DRAWN_AHEAD`.
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut ahead = [0; DRAWN_AHEAD];
+        ahead.fill_with(|| rng.random_range(0..footprint_pages));
+        let mut i = 0;
         while !ssd.read_only() && ssd.array().free_block_fraction() > free_target {
-            let lpn = rng.random_range(0..footprint_pages);
+            let lpn = std::mem::replace(
+                &mut ahead[i % DRAWN_AHEAD],
+                rng.random_range(0..footprint_pages),
+            );
+            for (distance, stage) in PREFETCH_AHEAD {
+                ssd.prefetch(ahead[(i + distance) % DRAWN_AHEAD], stage);
+            }
+            i += 1;
             let req = HostRequest::write(0, lpn * spp, spp as u32);
             match ssd.submit(&req) {
                 Ok(_) => writes += 1,
@@ -131,6 +150,66 @@ mod tests {
         assert!((valid - 0.4).abs() < 0.05, "valid fraction {valid}");
         // Counters were reset for the measured window.
         assert_eq!(ssd.array().stats().programs.total(), 0);
+    }
+
+    /// [`age`] as it was before it drew LPNs ahead: each overwrite's LPN
+    /// drawn just before it is written.
+    fn age_drawing_when_written(ssd: &mut Ssd, cfg: &WarmupConfig) -> WarmupStats {
+        let spp = u64::from(ssd.spp());
+        let total_pages = ssd.array().geometry().total_pages();
+        let footprint_pages =
+            ((total_pages as f64 * cfg.valid_fraction) as u64).min(ssd.scheme().logical_pages());
+        let gc_floor = ssd.config().scheme_cfg.gc_threshold + ssd.config().scheme_cfg.gc_hysteresis;
+        let free_target = (1.0 - cfg.used_fraction).max(gc_floor);
+        let write = |lpn: u64| HostRequest::write(0, lpn * spp, spp as u32);
+        ssd.unobserved();
+        for lpn in 0..footprint_pages {
+            ssd.submit(&write(lpn)).unwrap();
+        }
+        let mut writes = footprint_pages;
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        while ssd.array().free_block_fraction() > free_target {
+            let lpn = rng.random_range(0..footprint_pages);
+            ssd.submit(&write(lpn)).unwrap();
+            writes += 1;
+        }
+        let stats = WarmupStats {
+            footprint_pages,
+            writes,
+            used_fraction: 1.0 - ssd.array().free_block_fraction(),
+            valid_fraction: ssd.array().valid_page_fraction(),
+        };
+        ssd.finish_warmup();
+        stats
+    }
+
+    #[test]
+    fn drawing_ahead_ages_the_same_device() {
+        let cfg = WarmupConfig {
+            used_fraction: 0.7,
+            valid_fraction: 0.4,
+            seed: 11,
+        };
+        for kind in SchemeKind::WITH_LEARNED {
+            let mut ahead = Ssd::new(SimConfig::test_tiny(kind)).unwrap();
+            let mut when_written = Ssd::new(SimConfig::test_tiny(kind)).unwrap();
+            let stats = age(&mut ahead, &cfg).unwrap();
+            assert!(stats.writes > stats.footprint_pages + 100, "{stats:?}");
+            assert_eq!(
+                stats,
+                age_drawing_when_written(&mut when_written, &cfg),
+                "{}",
+                kind.name()
+            );
+            let snapshot = |ssd: &Ssd| format!("{:?}", ssd.snapshot());
+            assert_eq!(snapshot(&ahead), snapshot(&when_written), "{}", kind.name());
+            assert_eq!(
+                ahead.scheme().capture_image(),
+                when_written.scheme().capture_image(),
+                "{}",
+                kind.name()
+            );
+        }
     }
 
     #[test]
