@@ -222,7 +222,7 @@ printf 'crates/sim/src + crates/bench/src non-test lines: '
 find crates/sim/src crates/bench/src -name '*.rs' \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
-say "request-ahead prefetch (one unsafe, in the prefetch hint; replay and aging prefetch)"
+say "request-ahead prefetch (one unsafe, in the prefetch hint; replay, aging and hosted dispatch prefetch)"
 # The tree's one unsafe block is aftl_flash::prefetch's _mm_prefetch, a
 # hint with no architectural effect (DESIGN.md §9); a second one in
 # non-test code fails here rather than in review.
@@ -230,10 +230,12 @@ unsafes=$(printf '%s\n' "$crates_code" | grep -vE '^[^:]+: *//' | grep -wF unsaf
 [ "$(printf '%s\n' "$unsafes" | grep -c .)" -eq 1 ] \
     && printf '%s\n' "$unsafes" | grep -q '^crates/flash/src/prefetch.rs:' \
     || { echo "non-test code under crates/ has an unsafe outside aftl_flash::prefetch:"; echo "$unsafes"; exit 1; }
-# The replay loop and aging's overwrite pass both prefetch ahead.
-for loop in crates/sim/src/experiment.rs:run_on_device_keep crates/sim/src/warmup.rs:age; do
-    awk "/^pub fn ${loop#*:}\(/,/^}/" "${loop%:*}" | grep -qF '.prefetch(' \
-        || { echo "${loop#*:} (${loop%:*}) does not call Ssd::prefetch"; exit 1; }
+# The replay loop, aging's overwrite pass and the host engine's dispatch
+# (hosted and fleet runs) all prefetch ahead.
+for loop in crates/sim/src/experiment.rs:run_on_device_keep crates/sim/src/warmup.rs:age \
+    crates/host/src/engine.rs:run_host; do
+    awk "/^pub fn ${loop#*:}[(<]/,/^}/" "${loop%:*}" | grep -qF '.prefetch(' \
+        || { echo "${loop#*:} (${loop%:*}) does not call .prefetch("; exit 1; }
 done
 
 say "cargo build --release"

@@ -2,6 +2,7 @@
 //! stamp assembly they share (the page-mapped write/read/GC skeleton
 //! itself is the crate-private `pagemap` module).
 
+pub use aftl_flash::PrefetchStage;
 use aftl_flash::{Allocator, FlashArray, Geometry, Nanos, Ppn, Result, SectorStamp, LOST_VERSION};
 use serde::{Deserialize, Serialize};
 
@@ -230,16 +231,6 @@ pub trait FtlScheme {
     /// Snapshot the complete logical-to-physical mapping for a crash
     /// checkpoint (see [`crate::recovery`]).
     fn capture_image(&self) -> crate::recovery::SchemeImage;
-}
-
-/// The two stages of request-ahead prefetch ([`Scheme::prefetch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchStage {
-    /// Several requests ahead: fetch each LPN's mapping-table entry.
-    Far,
-    /// A few requests ahead: read each entry, which the far stage cached,
-    /// and fetch the flash metadata of the pages it maps.
-    Near,
 }
 
 /// One of the four schemes, held by value so a device can be forked whole.

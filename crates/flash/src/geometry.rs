@@ -131,10 +131,14 @@ impl Geometry {
         Ok(())
     }
 
-    /// Sectors per flash page.
+    /// Sectors per flash page. Both sizes are powers of two
+    /// ([`Geometry::validate`]), so this is a shift, not a division: the
+    /// host paths ask for it on every request.
     #[inline]
     pub fn sectors_per_page(&self) -> u32 {
-        self.page_bytes / self.sector_bytes
+        let spp = self.page_bytes >> self.sector_bytes.trailing_zeros();
+        debug_assert_eq!(spp, self.page_bytes / self.sector_bytes);
+        spp
     }
 
     /// Total planes in the device.
@@ -367,6 +371,29 @@ mod tests {
         let mut g = Geometry::tiny();
         g.sector_bytes = 500;
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn sectors_per_page_divides_every_valid_shape() {
+        let mut valid = 0;
+        for page in 0..32 {
+            for sector in 0..32 {
+                let g = Geometry {
+                    page_bytes: 1 << page,
+                    sector_bytes: 1 << sector,
+                    ..Geometry::tiny()
+                };
+                if g.validate().is_ok() {
+                    assert_eq!(g.sectors_per_page(), g.page_bytes / g.sector_bytes, "{g:?}");
+                    valid += 1;
+                }
+            }
+        }
+        assert_eq!(
+            valid,
+            32 * 33 / 2,
+            "every power-of-two sector up to the page"
+        );
     }
 
     #[test]

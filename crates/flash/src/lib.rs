@@ -44,7 +44,7 @@ pub use faults::{FaultConfig, FaultInjector};
 pub use geometry::{Geometry, GeometryBuilder, PageAddr, Ppn};
 pub use oob::{KillRecord, OobDesc, OobExtra, OOB_GROUP_POISONED};
 pub use page::{PageInfo, PageKind, PageStamps, PageState, SectorStamp, LOST_VERSION};
-pub use prefetch::prefetch;
+pub use prefetch::{prefetch, PrefetchStage};
 pub use stats::FlashStats;
 pub use timing::TimingSpec;
 pub use victims::VictimIndex;

@@ -17,3 +17,15 @@ pub fn prefetch<T>(r: &T) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = r;
 }
+
+/// The two stages of request-ahead prefetch (`aftl_core::Scheme::prefetch`):
+/// named here, below every driver, so the host engine can ask a device for
+/// either without knowing the FTL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefetchStage {
+    /// Several requests ahead: fetch each LPN's mapping-table entry.
+    Far,
+    /// A few requests ahead: read each entry, which the far stage cached,
+    /// and fetch the flash metadata of the pages it maps.
+    Near,
+}

@@ -23,7 +23,7 @@
 use crate::arbiter::{Arbiter, Arbitration};
 use crate::initiator::{Initiator, IssueModel};
 use crate::queue::{QueueStats, SqEntry, SubmissionQueue};
-use aftl_flash::Nanos;
+use aftl_flash::{Nanos, PrefetchStage};
 use aftl_trace::{IoRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,6 +41,15 @@ pub enum Served {
     Rejected,
 }
 
+/// How many records past the one a tenant just handed over the engine
+/// runs each stage of [`QueuedDevice::prefetch`], counted in that
+/// tenant's own records ([`Initiator::peek`]). A tenant's next record
+/// reaches the device about one round of the arbiter later, so these are
+/// shorter than replay's distances, which count the device's requests
+/// (DESIGN.md §9).
+const PREFETCH_AHEAD: [(usize, PrefetchStage); 2] =
+    [(2, PrefetchStage::Far), (0, PrefetchStage::Near)];
+
 /// The device side of the host interface. `submit` is called once per
 /// admitted command, in arbitration order, with the simulated submit
 /// time; the implementation decides when the command completes.
@@ -53,6 +62,11 @@ pub trait QueuedDevice {
     /// Devices may use the gap for background work (idle GC). Default:
     /// nothing.
     fn on_idle(&mut self, _now_ns: Nanos, _until_ns: Nanos) {}
+
+    /// One stage of request-ahead prefetch for `record`, which a tenant
+    /// will hand over a few records from now: a hint that must change
+    /// nothing the device reports. Default: nothing.
+    fn prefetch(&self, _record: &IoRecord, _stage: PrefetchStage) {}
 }
 
 /// One tenant: a workload, an issue model, and its queue/QoS knobs.
@@ -190,10 +204,14 @@ pub fn run_host<D: QueuedDevice>(
     }
 
     // Inflight commands ordered by (complete_ns, submit sequence): the
-    // sequence number breaks completion-time ties deterministically.
-    let mut inflight: BinaryHeap<Reverse<(Nanos, u64)>> = BinaryHeap::new();
-    let mut inflight_info: std::collections::HashMap<u64, Completion> =
-        std::collections::HashMap::new();
+    // sequence number breaks completion-time ties deterministically, so
+    // the slot holding the command's completion is never compared. Slots
+    // are reused through `free`; both grow only up to the inflight budget,
+    // so the loop allocates nothing per command.
+    let mut inflight: BinaryHeap<Reverse<(Nanos, u64, usize)>> = BinaryHeap::new();
+    let mut slots: Vec<Completion> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    let mut ready: Vec<bool> = Vec::with_capacity(state.len());
     let mut seq: u64 = 0;
     let mut now: Nanos = 0;
     let mut span: Nanos = 0;
@@ -204,17 +222,18 @@ pub fn run_host<D: QueuedDevice>(
             let mut progressed = false;
 
             // Retire everything due.
-            while let Some(&Reverse((t, s))) = inflight.peek() {
+            while let Some(&Reverse((t, _, slot))) = inflight.peek() {
                 if t > now {
                     break;
                 }
                 inflight.pop();
-                let done = inflight_info.remove(&s).expect("inflight entry has info");
+                free.push(slot);
+                let done = &slots[slot];
                 let tenant = &mut state[done.tenant];
                 tenant.completed += 1;
                 tenant.initiator.on_complete(done.complete_ns);
                 span = span.max(done.complete_ns);
-                sink(&done);
+                sink(done);
                 progressed = true;
             }
 
@@ -236,6 +255,11 @@ pub fn run_host<D: QueuedDevice>(
                     match t.initiator.next_arrival() {
                         Some(at) if at <= now => {
                             let (arrival_ns, record) = t.initiator.take();
+                            for (ahead, stage) in PREFETCH_AHEAD {
+                                if let Some(next) = t.initiator.peek(ahead) {
+                                    device.prefetch(next, stage);
+                                }
+                            }
                             let entry = SqEntry { arrival_ns, record };
                             if t.queue.try_push(entry) {
                                 progressed = true;
@@ -254,7 +278,8 @@ pub fn run_host<D: QueuedDevice>(
 
             // Admit from the queues while the device has budget.
             while inflight.len() < device_inflight {
-                let ready: Vec<bool> = state.iter().map(|t| !t.queue.is_empty()).collect();
+                ready.clear();
+                ready.extend(state.iter().map(|t| !t.queue.is_empty()));
                 let Some(gi) = arbiter.grant(&ready) else {
                     break;
                 };
@@ -269,8 +294,17 @@ pub fn run_host<D: QueuedDevice>(
                             complete_ns,
                             rejected: false,
                         };
-                        inflight.push(Reverse((complete_ns, seq)));
-                        inflight_info.insert(seq, done);
+                        let slot = match free.pop() {
+                            Some(slot) => {
+                                slots[slot] = done;
+                                slot
+                            }
+                            None => {
+                                slots.push(done);
+                                slots.len() - 1
+                            }
+                        };
+                        inflight.push(Reverse((complete_ns, seq, slot)));
                         seq += 1;
                     }
                     Served::Rejected => {
@@ -301,7 +335,7 @@ pub fn run_host<D: QueuedDevice>(
         // Advance to the next event. Tenants holding a blocked arrival
         // progress only via a completion, so their initiator clock does
         // not contribute an event.
-        let mut next: Option<Nanos> = inflight.peek().map(|&Reverse((t, _))| t);
+        let mut next: Option<Nanos> = inflight.peek().map(|&Reverse((t, ..))| t);
         for t in state.iter() {
             if t.blocked.is_none() {
                 if let Some(at) = t.initiator.next_arrival() {
@@ -520,6 +554,57 @@ mod tests {
         );
         assert_eq!(out.tenants[0].rejected, 5);
         assert_eq!(out.tenants[0].completed, 0);
+    }
+
+    /// Completes command `i` (in submit order) 100, 200 or 300 ns after
+    /// its submit, so several commands finish at one instant and later
+    /// submits often finish first.
+    struct TieDevice {
+        submitted: Vec<u64>,
+    }
+
+    impl QueuedDevice for TieDevice {
+        fn submit(&mut self, now_ns: Nanos, record: &IoRecord) -> Served {
+            let i = self.submitted.len() as u64;
+            self.submitted.push(record.sector);
+            Served::Done {
+                complete_ns: now_ns + 100 * (1 + (i * 7 + i / 3) % 3),
+            }
+        }
+    }
+
+    #[test]
+    fn simultaneous_completions_retire_in_submit_order() {
+        let mut dev = TieDevice {
+            submitted: Vec::new(),
+        };
+        let cfg = HostConfig {
+            arbitration: Arbitration::WeightedRoundRobin,
+            device_inflight: 6,
+            seed: 5,
+        };
+        let issue = IssueModel::Closed { outstanding: 4 };
+        let mut b = tenant("b", 60, issue, 4, 1);
+        for r in &mut b.trace.records {
+            r.sector += 1 << 20; // tell the tenants' records apart
+        }
+        let mut retired = Vec::new();
+        run_host(&mut dev, vec![tenant("a", 60, issue, 4, 2), b], &cfg, |c| {
+            retired.push((c.complete_ns, c.record.sector))
+        });
+        assert_eq!(retired.len(), 120);
+        let submitted = |sector: u64| dev.submitted.iter().position(|&s| s == sector).unwrap();
+        let keys: Vec<(Nanos, usize)> = (retired.iter())
+            .map(|&(t, sector)| (t, submitted(sector)))
+            .collect();
+        assert!(
+            keys.windows(2).any(|w| w[0].0 == w[1].0),
+            "some commands complete at one instant"
+        );
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "retired by (completion time, submit order): {keys:?}"
+        );
     }
 
     #[test]

@@ -211,6 +211,13 @@ impl Initiator {
         }
     }
 
+    /// The record `k` places after the next one [`Initiator::take`]
+    /// returns (`peek(0)` is that one), or `None` past the workload's end.
+    #[inline]
+    pub(crate) fn peek(&self, k: usize) -> Option<&IoRecord> {
+        self.records.get(self.pos + k)
+    }
+
     /// Take the next record, consuming an outstanding slot (closed loop)
     /// or advancing the arrival schedule (open loop). Returns the record
     /// with its arrival time. Panics if exhausted or (closed loop) no slot

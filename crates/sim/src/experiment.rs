@@ -2,7 +2,7 @@
 //! traces over forks of aged devices — and the one device step every run
 //! drives.
 
-use aftl_core::scheme::SchemeKind;
+use aftl_core::scheme::{PrefetchStage, SchemeKind};
 use aftl_flash::{FlashError, Nanos, Result};
 use aftl_trace::{IoRecord, Trace};
 use rayon::prelude::*;
@@ -90,6 +90,22 @@ impl DeviceRun {
         Ok(served)
     }
 
+    /// One stage of request-ahead prefetch for `rec`, served a few
+    /// requests from now (DESIGN.md §9): its first and last logical pages.
+    /// The table slots of any pages between them share a cache line with
+    /// one of theirs, unless the record spans more than nine pages. Taken
+    /// before `Ssd::request` clamps the record into the logical space, as
+    /// prefetch skips a page past it.
+    #[inline]
+    pub(crate) fn prefetch(&self, rec: &IoRecord, stage: PrefetchStage) {
+        // Sectors per page are a power of two (`Geometry::validate`).
+        let shift = self.ssd.spp().trailing_zeros();
+        let last = rec.sector + u64::from(rec.sectors.max(1)) - 1;
+        for lpn in [rec.sector >> shift, last >> shift] {
+            self.ssd.prefetch(lpn, stage);
+        }
+    }
+
     /// End the run: the crash verdict when a cut was armed (the device
     /// keeps it), then close the window.
     pub(crate) fn finish(mut self) -> Result<Self> {
@@ -121,23 +137,11 @@ pub fn run_on_device(ssd: Ssd, trace: &Trace) -> Result<RunReport> {
 pub fn run_on_device_keep(ssd: Ssd, trace: &Trace) -> Result<(RunReport, Ssd)> {
     let started = std::time::Instant::now();
     let mut run = DeviceRun::start(ssd, trace.name.clone())?;
-    // A record's first and last logical pages: the table slots of any
-    // pages between them share a cache line with one of theirs, unless the
-    // record spans more than nine pages. Taken before `Ssd::request` clamps
-    // the record into the logical space, as prefetch skips a page past it.
-    // Sectors per page are a power of two (`Geometry::validate`).
-    let shift = run.ssd.spp().trailing_zeros();
-    let ends = |rec: &IoRecord| {
-        let last = rec.sector + u64::from(rec.sectors.max(1)) - 1;
-        [rec.sector >> shift, last >> shift]
-    };
     let records = &trace.records;
     for (i, rec) in records.iter().enumerate() {
         for (ahead, stage) in PREFETCH_AHEAD {
             if let Some(next) = records.get(i + ahead) {
-                for lpn in ends(next) {
-                    run.ssd.prefetch(lpn, stage);
-                }
+                run.prefetch(next, stage);
             }
         }
         run.step(rec)?;

@@ -55,8 +55,8 @@
 //! assert_eq!(fleet.per_device.iter().map(|d| d.requests).sum::<u64>(), 200);
 //! ```
 
-use aftl_host::{HostConfig, IssueModel};
-use aftl_trace::{sector_ranges, Trace};
+use aftl_host::{HostConfig, IssueModel, TenantConfig};
+use aftl_trace::{sector_ranges, SectorRange, Trace};
 use rayon::prelude::*;
 
 use crate::config::SimConfig;
@@ -121,6 +121,58 @@ impl FleetSpec {
     }
 }
 
+/// Every device's tenants, cut from `trace` in one pass: record `k` of
+/// range `i` (in trace order) goes to tenant `k % spec.tenants_per_device`
+/// of device `i`. Equal to [`Trace::shard_by_ranges`] followed by
+/// [`tenants_from_trace`] on each shard — names, records, issue model,
+/// depth and weights — without the shards: each tenant's records are
+/// copied once, into a vector of exactly their count.
+pub fn fleet_tenants(
+    trace: &Trace,
+    ranges: &[SectorRange],
+    spec: &FleetSpec,
+) -> Vec<Vec<TenantConfig>> {
+    assert!(!ranges.is_empty(), "cannot shard into zero ranges");
+    let per = spec.tenants_per_device;
+    assert!(per >= 1, "need at least one tenant");
+    // The device owning a record's first sector; one past the last range
+    // falls into the last, as in `shard_by_ranges`.
+    let device = |sector: u64| {
+        ranges
+            .partition_point(|range| range.end <= sector)
+            .min(ranges.len() - 1)
+    };
+    let mut counts = vec![0usize; ranges.len()];
+    for r in &trace.records {
+        counts[device(r.sector)] += 1;
+    }
+    let mut tenants: Vec<Vec<TenantConfig>> = (counts.iter().enumerate())
+        .map(|(i, &count)| {
+            (0..per)
+                .map(|k| TenantConfig {
+                    name: format!("tenant{k}"),
+                    trace: Trace {
+                        name: format!("{}.r{i}.s{k}", trace.name),
+                        records: Vec::with_capacity(count / per + usize::from(k < count % per)),
+                    },
+                    issue: spec.issue,
+                    queue_depth: spec.queue_depth,
+                    weight: spec.weights.get(k).copied().unwrap_or(1),
+                })
+                .collect()
+        })
+        .collect();
+    // Records already dealt to each device: the next goes to tenant
+    // `dealt % per`.
+    let mut dealt = vec![0usize; ranges.len()];
+    for r in &trace.records {
+        let i = device(r.sector);
+        tenants[i][dealt[i] % per].trace.records.push(*r);
+        dealt[i] += 1;
+    }
+    tenants
+}
+
 /// Shard `trace` across `spec.devices` simulated devices by sector
 /// range, drive every device's host engine on worker threads, and merge
 /// the per-device results into one [`RunReport`] with a
@@ -179,31 +231,27 @@ pub fn run_fleet_keep(
 
     // A 1-device fleet takes the exact unsharded path: same trace name,
     // same seeds, same everything as `run_hosted`.
-    let shards = if n == 1 {
-        vec![trace.clone()]
+    let tenants = if n == 1 {
+        vec![tenants_from_trace(
+            trace,
+            spec.tenants_per_device,
+            spec.issue,
+            spec.queue_depth,
+            &spec.weights,
+        )]
     } else {
-        trace.shard_by_ranges(&ranges)
+        fleet_tenants(trace, &ranges, spec)
     };
 
     // Device `i` derives its seeds from its shard index, and its tenants
     // are named `d<i>/…` when more than one device contributes QoS rows.
-    // Each device consumes its shard and drops it as soon as its tenants
-    // hold their copies, before the device is built and aged.
-    let shards: Vec<(usize, Trace)> = shards.into_iter().enumerate().collect();
-    let drive = |(i, shard): (usize, Trace)| {
+    let devices: Vec<(usize, Vec<TenantConfig>)> = tenants.into_iter().enumerate().collect();
+    let drive = |(i, mut tenants): (usize, Vec<TenantConfig>)| {
         let mut config = config.clone();
         config.warmup.seed = device_seed(config.warmup.seed, i);
         config.fault.seed = device_seed(config.fault.seed, i);
         let mut host = spec.host;
         host.seed = device_seed(host.seed, i);
-        let mut tenants = tenants_from_trace(
-            &shard,
-            spec.tenants_per_device,
-            spec.issue,
-            spec.queue_depth,
-            &spec.weights,
-        );
-        drop(shard);
         if n > 1 {
             for t in &mut tenants {
                 t.name = format!("d{i}/{}", t.name);
@@ -211,7 +259,7 @@ pub fn run_fleet_keep(
         }
         run_device(config, tenants, &host)
     };
-    let runs: aftl_flash::Result<Vec<_>> = shards.into_par_iter().map(drive).collect();
+    let runs: aftl_flash::Result<Vec<_>> = devices.into_par_iter().map(drive).collect();
     let (runs, rows): (Vec<DeviceRun>, Vec<Vec<TenantQos>>) = runs?.into_iter().unzip();
 
     let fleet = FleetSection {

@@ -13,7 +13,7 @@
 //! *end-to-end* latency (tenant arrival → complete), which additionally
 //! charges queue wait and queue-full stall time to the tenant.
 
-use aftl_flash::{FlashError, Nanos, Result};
+use aftl_flash::{FlashError, Nanos, PrefetchStage, Result};
 use aftl_host::{run_host, HostConfig, QueuedDevice, Served, TenantConfig};
 use aftl_trace::{IoOp, IoRecord};
 
@@ -61,6 +61,10 @@ impl QueuedDevice for DeviceRun {
             Err(e) => self.error = Some(e),
         }
     }
+
+    fn prefetch(&self, record: &IoRecord, stage: PrefetchStage) {
+        DeviceRun::prefetch(self, record, stage);
+    }
 }
 
 /// Build, age (or crash-arm) and drive one device behind the host engine,
@@ -75,10 +79,26 @@ pub(crate) fn run_device(
     assert!(!tenants.is_empty(), "hosted run needs at least one tenant");
     let names: Vec<&str> = tenants.iter().map(|t| t.trace.name.as_str()).collect();
     let mut run = DeviceRun::start(Ssd::new(config)?, format!("hosted:{}", names.join("+")))?;
+    let (span_ns, rows) = serve_tenants(&mut run, tenants, host);
+    if let Some(e) = run.error.take() {
+        return Err(e);
+    }
+    // The engine's span also counts refused requests, which complete at
+    // the instant they were refused.
+    run.window.span_ns = u128::from(span_ns);
+    Ok((run.finish()?, rows))
+}
 
+/// Drive `device` behind the host engine until every tenant is served:
+/// the engine's span and one QoS row per tenant.
+fn serve_tenants(
+    device: &mut impl QueuedDevice,
+    tenants: Vec<TenantConfig>,
+    host: &HostConfig,
+) -> (Nanos, Vec<TenantQos>) {
     // Per tenant, end-to-end read and write latency (arrival → complete).
     let mut latency = vec![[LatencyHistogram::new(), LatencyHistogram::new()]; tenants.len()];
-    let outcome = run_host(&mut run, tenants, host, |c| {
+    let outcome = run_host(device, tenants, host, |c| {
         if !c.rejected {
             let op = match c.record.op {
                 IoOp::Read => 0,
@@ -87,13 +107,6 @@ pub(crate) fn run_device(
             latency[c.tenant][op].record(c.complete_ns.saturating_sub(c.arrival_ns));
         }
     });
-    if let Some(e) = run.error.take() {
-        return Err(e);
-    }
-    // The engine's span also counts refused requests, which complete at
-    // the instant they were refused.
-    run.window.span_ns = u128::from(outcome.span_ns);
-
     let rows = outcome
         .tenants
         .into_iter()
@@ -114,7 +127,7 @@ pub(crate) fn run_device(
             write_latency: write.summary(),
         })
         .collect();
-    Ok((run.finish()?, rows))
+    (outcome.span_ns, rows)
 }
 
 /// The QoS section of a run whose devices all sat behind `host`.
@@ -275,6 +288,61 @@ mod tests {
         let (q1, q2) = (r1.qos.unwrap(), r2.qos.unwrap());
         for (t1, t2) in q1.tenants.iter().zip(q2.tenants.iter()) {
             assert_eq!(t1, t2, "per-tenant QoS is bit-identical");
+        }
+    }
+
+    /// Forwards the engine's commands to a [`DeviceRun`] but keeps the
+    /// default [`QueuedDevice::prefetch`], which does nothing.
+    struct Unprefetched<'a>(&'a mut DeviceRun);
+
+    impl QueuedDevice for Unprefetched<'_> {
+        fn submit(&mut self, now_ns: Nanos, record: &IoRecord) -> Served {
+            self.0.submit(now_ns, record)
+        }
+
+        fn on_idle(&mut self, now_ns: Nanos, until_ns: Nanos) {
+            self.0.on_idle(now_ns, until_ns)
+        }
+    }
+
+    #[test]
+    fn hosted_prefetch_is_inert() {
+        let trace = tiny_trace(300);
+        for kind in SchemeKind::WITH_LEARNED {
+            let mut config = tiny_config(kind);
+            config.warmup.used_fraction = 0.5;
+            config.warmup.valid_fraction = 0.2;
+            config.scheme_cfg.gc.idle_headroom = 0.1;
+            let host = HostConfig {
+                arbitration: Arbitration::WeightedRoundRobin,
+                device_inflight: 6,
+                seed: 3,
+            };
+            let drive = |prefetch: bool| {
+                let issue = IssueModel::Open(ArrivalModel::Poisson { mean_iat_ns: 200 });
+                let tenants = tenants_from_trace(&trace, 3, issue, 4, &[3, 2, 1]);
+                let mut run =
+                    DeviceRun::start(Ssd::new(config.clone()).unwrap(), "p".into()).unwrap();
+                let (span, rows) = if prefetch {
+                    serve_tenants(&mut run, tenants, &host)
+                } else {
+                    serve_tenants(&mut Unprefetched(&mut run), tenants, &host)
+                };
+                assert!(run.error.is_none(), "{} {:?}", kind.name(), run.error);
+                let run = run.finish().unwrap();
+                let window = format!("{:?}", run.window);
+                let snapshot = format!("{:?}", run.ssd.snapshot());
+                (
+                    span,
+                    rows,
+                    window,
+                    snapshot,
+                    run.ssd.scheme().capture_image(),
+                )
+            };
+            let with = drive(true);
+            assert!(with.0 > 0 && with.1.iter().all(|t| t.requests == 100));
+            assert_eq!(with, drive(false), "{}", kind.name());
         }
     }
 

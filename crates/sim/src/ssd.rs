@@ -4,7 +4,7 @@
 use aftl_core::gc::GcReport;
 use aftl_core::recovery::{Checkpoint, RecoveryStats};
 use aftl_core::request::{HostRequest, ReqKind};
-use aftl_core::scheme::{FtlEnv, FtlScheme, PrefetchStage, Scheme, ServedSector};
+use aftl_core::scheme::{FtlEnv, FtlScheme, PrefetchStage, Scheme, ServedSector, ServiceOutcome};
 use aftl_flash::{Allocator, FlashArray, FlashError, Nanos, Result};
 use aftl_trace::{IoOp, IoRecord};
 
@@ -264,18 +264,93 @@ impl Ssd {
 
     /// Clamp a request into the exported logical space (external traces may
     /// exceed the simulated capacity; the paper's replay tooling wraps
-    /// offsets the same way).
+    /// offsets the same way). A request past the end wraps by whole pages,
+    /// so it keeps its offset within its page — an aligned request stays
+    /// aligned and an across-page one stays across — unless no placement
+    /// with that offset fits, when it wraps by sectors.
     pub fn clamp(&self, req: &mut HostRequest) {
         let cap = self.logical_sectors();
         let len = u64::from(req.sectors).min(cap);
         req.sectors = len as u32;
-        if req.sector + len > cap {
-            req.sector %= cap - len + 1;
+        if req.sector.saturating_add(len) > cap {
+            let spp = u64::from(self.spp());
+            let offset = req.sector % spp;
+            req.sector = if offset + len <= cap {
+                // Start pages `p` with `p·spp + offset + len ≤ cap`.
+                let pages = (cap - len - offset) / spp + 1;
+                req.sector / spp % pages * spp + offset
+            } else {
+                req.sector % (cap - len + 1)
+            };
         }
     }
 
-    /// Service one host request at its arrival time.
+    /// Service one host request at its arrival time: the device work
+    /// (`Ssd::serve`, all that aging runs) plus its accounting — the
+    /// request's own flash ops and, while observed, the observer's latency
+    /// and GC-pause records.
     pub fn submit(&mut self, req: &HostRequest) -> Result<Completed> {
+        let spp = self.spp();
+        let before_reads = self.array.stats().reads.total();
+        let before_programs = self.array.stats().programs.total();
+        let (mut flash_reads, mut flash_programs) = (0, 0);
+        let (outcome, gc, dispatch_ns) = self.serve(req, |ssd, outcome| {
+            flash_reads = ssd.array.stats().reads.total() - before_reads;
+            flash_programs = ssd.array.stats().programs.total() - before_programs;
+            if ssd.observing {
+                let phase = match req.kind {
+                    ReqKind::Read => Phase::HostRead,
+                    ReqKind::Write => Phase::HostWrite,
+                };
+                ssd.observer.absorb_ops(&mut ssd.array, phase);
+                ssd.observer
+                    .absorb_scheme_events(ssd.scheme.as_dyn_mut(), req.at_ns);
+                ssd.observer.record_host(
+                    req.kind,
+                    outcome.complete_ns.saturating_sub(req.at_ns),
+                    outcome.complete_ns,
+                );
+            }
+            outcome
+        })?;
+        if self.observing {
+            let gc_end = self.observer.absorb_ops(&mut self.array, Phase::Gc);
+            if gc.triggered {
+                if let Some(end) = gc_end {
+                    // The pause a queued request would see: dispatch → last
+                    // GC op completion of this slice.
+                    self.observer
+                        .record_gc_pause(end.saturating_sub(dispatch_ns), end);
+                }
+            }
+        }
+
+        Ok(Completed {
+            kind: req.kind,
+            across: req.is_across_page(spp),
+            sectors: req.sectors,
+            latency_ns: outcome.complete_ns.saturating_sub(req.at_ns),
+            flash_reads,
+            flash_programs,
+            gc,
+            served: outcome.served,
+        })
+    }
+
+    /// The device work of one host request, without the accounting
+    /// [`Self::submit`] adds: the read-only check, the write throttle, the
+    /// request's OOB write group, the scheme call, the seal, and the GC
+    /// slice after it. `served` takes the scheme's outcome between the
+    /// scheme call and GC, where the request's own flash ops end. Returns
+    /// what `served` made of it, the GC slice's report and the dispatch
+    /// time (the arrival, plus any throttle delay). Aging calls this
+    /// alone, dropping the outcome: it keeps no account.
+    #[inline(always)]
+    pub(crate) fn serve<T>(
+        &mut self,
+        req: &HostRequest,
+        served: impl FnOnce(&mut Self, ServiceOutcome) -> T,
+    ) -> Result<(T, GcReport, Nanos)> {
         debug_assert!(
             req.sector + u64::from(req.sectors) <= self.logical_sectors(),
             "request outside logical space (call clamp first)"
@@ -297,9 +372,6 @@ impl Ssd {
             dispatch_ns = dispatch_ns.saturating_add(tuning.throttle_delay_ns);
             self.throttled_writes += 1;
         }
-        let spp = self.spp();
-        let before_reads = self.array.stats().reads.total();
-        let before_programs = self.array.stats().programs.total();
 
         // With a crash armed, every write is one OOB write group: its pages
         // share a group id and the group commits only when sealed below. A
@@ -335,23 +407,7 @@ impl Ssd {
         if req.kind == ReqKind::Write {
             self.array.oob_seal_group();
         }
-        let flash_reads = self.array.stats().reads.total() - before_reads;
-        let flash_programs = self.array.stats().programs.total() - before_programs;
-
-        if self.observing {
-            let phase = match req.kind {
-                ReqKind::Read => Phase::HostRead,
-                ReqKind::Write => Phase::HostWrite,
-            };
-            self.observer.absorb_ops(&mut self.array, phase);
-            self.observer
-                .absorb_scheme_events(self.scheme.as_dyn_mut(), req.at_ns);
-            self.observer.record_host(
-                req.kind,
-                outcome.complete_ns.saturating_sub(req.at_ns),
-                outcome.complete_ns,
-            );
-        }
+        let served = served(self, outcome);
 
         // GC runs after the request so its ops are not attributed to it.
         // With preemption enabled this is one budgeted slice; the parked
@@ -366,28 +422,7 @@ impl Ssd {
         // surfaces on the next submit.
         let gc = self.scheme.as_dyn_mut().maybe_gc(&mut env);
         let gc = self.settle_gc(gc)?;
-        if self.observing {
-            let gc_end = self.observer.absorb_ops(&mut self.array, Phase::Gc);
-            if gc.triggered {
-                if let Some(end) = gc_end {
-                    // The pause a queued request would see: dispatch → last
-                    // GC op completion of this slice.
-                    self.observer
-                        .record_gc_pause(end.saturating_sub(dispatch_ns), end);
-                }
-            }
-        }
-
-        Ok(Completed {
-            kind: req.kind,
-            across: req.is_across_page(spp),
-            sectors: req.sectors,
-            latency_ns: outcome.complete_ns.saturating_sub(req.at_ns),
-            flash_reads,
-            flash_programs,
-            gc,
-            served: outcome.served,
-        })
+        Ok((served, gc, dispatch_ns))
     }
 
     /// Run idle (background) GC during a host arrival gap
@@ -432,6 +467,7 @@ impl Ssd {
     /// absorbed: a degrading device out of blocks goes read-only, and a
     /// power cut ends the slice (no host request is in flight). Below the
     /// spare-block floor the device goes read-only too.
+    #[inline(always)]
     fn settle_gc(&mut self, gc: Result<GcReport>) -> Result<GcReport> {
         let gc = match gc {
             Ok(gc) => gc,

@@ -79,7 +79,7 @@ pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
         // Pass 1: sequential fill of the footprint (all full-page writes).
         'aging: for lpn in 0..footprint_pages {
             let req = HostRequest::write(0, lpn * spp, spp as u32);
-            match ssd.submit(&req) {
+            match ssd.serve(&req, |_, _| {}) {
                 Ok(_) => writes += 1,
                 // A fault-injected device may degrade mid-aging; stop
                 // aging and let the measured run see the read-only state.
@@ -106,7 +106,7 @@ pub fn age(ssd: &mut Ssd, cfg: &WarmupConfig) -> Result<WarmupStats> {
             }
             i += 1;
             let req = HostRequest::write(0, lpn * spp, spp as u32);
-            match ssd.submit(&req) {
+            match ssd.serve(&req, |_, _| {}) {
                 Ok(_) => writes += 1,
                 Err(FlashError::ReadOnlyMode) => break,
                 Err(e) => return Err(e),

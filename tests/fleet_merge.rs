@@ -2,10 +2,13 @@
 //! standalone hosted run of its shard under its derived seeds, the fleet
 //! run is a pure function of `(config, trace, spec)` for any shard count
 //! and seed, and the range sharding covers the LPN space exactly (no
-//! gaps, no overlap, no record lost or duplicated).
+//! gaps, no overlap, no record lost or duplicated). Cutting every
+//! device's tenants from the trace in one pass equals sharding it by range
+//! and then dealing each shard to its tenants.
 
 use aftl_core::scheme::SchemeKind;
-use aftl_sim::fleet::{device_seed, run_fleet, FleetSpec};
+use aftl_host::{ArrivalModel, IssueModel};
+use aftl_sim::fleet::{device_seed, fleet_tenants, run_fleet, FleetSpec};
 use aftl_sim::{run_hosted, tenants_from_trace, DeviceSummary, RunReport, SimConfig};
 use aftl_trace::{sector_ranges, IoOp, IoRecord, Trace};
 use proptest::prelude::*;
@@ -167,6 +170,55 @@ proptest! {
                 if range.start > 0 {
                     prop_assert!(rec.sector >= range.start);
                 }
+            }
+        }
+    }
+
+    /// `fleet_tenants` cuts what `shard_by_ranges` and then
+    /// `tenants_from_trace` would build, field for field, for 1–5 devices
+    /// and 1–4 tenants — also when the ranges end before the trace does,
+    /// so the last device takes the records past them.
+    #[test]
+    fn fleet_tenants_equal_sharding_then_dealing(
+        (devices, per, trace_seed, len, shrink) in (
+            1usize..=5,
+            1usize..=4,
+            any::<u64>(),
+            0usize..300,
+            1u64..=4,
+        )
+    ) {
+        let trace = synth_trace(trace_seed, len);
+        // `shrink` > 1 leaves records past the span the ranges tile.
+        let span = trace.max_sector_end() / shrink;
+        let ranges = sector_ranges(span, devices);
+        let mut spec = FleetSpec::new(devices);
+        spec.tenants_per_device = per;
+        spec.queue_depth = 5;
+        spec.weights = vec![4, 2, 1];
+        if trace_seed % 2 == 1 {
+            spec.issue = IssueModel::Open(ArrivalModel::Poisson { mean_iat_ns: 900 });
+        }
+        let cut = fleet_tenants(&trace, &ranges, &spec);
+        let shards = trace.shard_by_ranges(&ranges);
+        prop_assert_eq!(cut.len(), shards.len());
+        for (got, shard) in cut.iter().zip(&shards) {
+            let want = tenants_from_trace(
+                shard,
+                per,
+                spec.issue,
+                spec.queue_depth,
+                &spec.weights,
+            );
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(&g.name, &w.name);
+                prop_assert_eq!(&g.trace.name, &w.trace.name);
+                prop_assert_eq!(&g.trace.records, &w.trace.records);
+                prop_assert_eq!(g.trace.records.capacity(), g.trace.records.len());
+                prop_assert_eq!(g.issue, w.issue);
+                prop_assert_eq!(g.queue_depth, w.queue_depth);
+                prop_assert_eq!(g.weight, w.weight);
             }
         }
     }

@@ -1,10 +1,14 @@
 //! Property-based data integrity: arbitrary request sequences (sizes,
 //! offsets, op mix) must always read back the newest data on every scheme.
+//! And clamping a request into the logical space keeps it in range and
+//! keeps its offset within its page whenever a placement with that offset
+//! fits.
 
 use aftl_core::oracle::Oracle;
 use aftl_core::request::HostRequest;
 use aftl_core::scheme::SchemeKind;
 use aftl_integration::small_ssd;
+use aftl_sim::{SimConfig, Ssd};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -67,5 +71,52 @@ proptest! {
         }), 1..400))
     {
         run_ops(SchemeKind::Across, &ops)?;
+    }
+}
+
+/// The tiny test device, whose logical space the clamp properties wrap
+/// into.
+fn tiny() -> Ssd {
+    Ssd::new(SimConfig::test_tiny(SchemeKind::Baseline)).unwrap()
+}
+
+#[test]
+fn an_aligned_page_past_the_end_wraps_aligned() {
+    let ssd = tiny();
+    let (cap, spp) = (ssd.logical_sectors(), ssd.spp());
+    for sector in [cap, cap + u64::from(spp), 7 * cap] {
+        let mut req = HostRequest::write(0, sector, spp);
+        ssd.clamp(&mut req);
+        assert!(req.sector + u64::from(spp) <= cap, "{req:?}");
+        assert!(!req.is_across_page(spp), "{sector} wrapped to {req:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any request: clamped, it lies in the logical space with its length
+    /// capped at the space; one already inside is untouched; one that
+    /// wrapped keeps its offset within its page when some placement with
+    /// that offset fits.
+    #[test]
+    fn clamp_keeps_requests_in_range_and_in_phase(
+        (sector, long, x) in (0u64..1 << 20, any::<bool>(), any::<u64>())
+    ) {
+        let ssd = tiny();
+        let (cap, spp) = (ssd.logical_sectors(), u64::from(ssd.spp()));
+        // Mostly short requests; sometimes one near or past the whole space.
+        let sectors = if long { cap - 8 + x % 24 } else { 1 + x % 48 } as u32;
+        let sector = if long { sector % 64 } else { sector % (4 * cap) };
+        let mut req = HostRequest::write(0, sector, sectors);
+        ssd.clamp(&mut req);
+        let len = u64::from(sectors).min(cap);
+        prop_assert_eq!(u64::from(req.sectors), len);
+        prop_assert!(req.sector + len <= cap, "{:?} past {}", req, cap);
+        if sector + u64::from(sectors) <= cap {
+            prop_assert!(req.sector == sector, "in-range {} moved to {:?}", sector, req);
+        } else if sector % spp + len <= cap {
+            prop_assert!(req.sector % spp == sector % spp, "{} wrapped to {:?}", sector, req);
+        }
     }
 }
