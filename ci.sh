@@ -2,7 +2,7 @@
 # Local CI gate — the same sequence .github/workflows/ci.yml runs.
 #
 # Offline/vendored-registry caveat: this workspace pins every external
-# dependency (serde, serde_json, rand, rayon, proptest, criterion) to the
+# dependency (serde, serde_json, rand, rayon, proptest) to the
 # local shim crates under shims/ via [workspace.dependencies] path entries,
 # so the whole gate runs with no network and no crates.io registry. To build
 # against the real crates instead, replace those path entries with version
@@ -158,13 +158,15 @@ say "bench structure (one figure binary, one tracked bench, no host clock in BEN
 # Every table and figure is an entry of crates/bench/src/figures.rs rendered
 # in-process by repro_all, and every committed BENCH_*.json an entry of
 # crates/bench/src/tracked.rs; a per-figure binary, a spawned one or a
-# per-file bench main creeping back fails here rather than in review.
+# per-file bench main creeping back fails here rather than in review. Host
+# time is benchmark/'s alone (its isolated per-call rows time the map
+# lookups and scheme calls), so the one bench target is the tracked one.
 [ "$(ls crates/bench/src/bin | tr '\n' ' ')" = "repro_all.rs sim_cli.rs " ] \
     || { echo "crates/bench/src/bin holds more than repro_all.rs and sim_cli.rs"; exit 1; }
 [ "$(grep -c 'Command::new' crates/bench/src/bin/repro_all.rs)" -eq 0 ] \
     || { echo "repro_all spawns a subprocess (render through figures::FIGURES)"; exit 1; }
-[ "$(ls crates/bench/benches | tr '\n' ' ')" = "ftl_ops.rs mapping.rs tracked.rs " ] \
-    || { echo "crates/bench/benches holds more than ftl_ops.rs, mapping.rs and tracked.rs"; exit 1; }
+[ "$(ls crates/bench/benches | tr '\n' ' ')" = "tracked.rs " ] \
+    || { echo "crates/bench/benches holds more than tracked.rs (host time is benchmark/'s)"; exit 1; }
 # Committed files hold simulated results only: host time is benchmark/'s.
 if grep -lE '"(ns_per_req|req_per_sec|wall_ns|samples|baseline)"' BENCH_*.json; then
     echo "a committed BENCH file carries a host-clock or baseline field"; exit 1
@@ -179,6 +181,31 @@ awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
     crates/bench/src/replay.rs crates/bench/src/hostbench.rs crates/bench/src/fleetbench.rs \
     crates/bench/src/gctail.rs crates/bench/src/learnedbench.rs crates/bench/src/recoverybench.rs \
     crates/bench/src/tracked.rs crates/bench/benches/tracked.rs
+
+say "dependency use (every dependency a crate declares is named by a file it builds)"
+# A dependency edge no source file uses still costs every build and hides
+# what a crate really needs. Each crates/*/Cargo.toml dependency, hyphens
+# read as underscores, must appear as a path or macro (NAME:: or NAME!) in
+# a .rs file the package builds: its own tree, the targets its manifest
+# names by path (aftl-integration's tests/ and examples/) and the modules
+# those declare (tests/common).
+for manifest in crates/*/Cargo.toml; do
+    dir=${manifest%/Cargo.toml}
+    files=$({ find "$dir" -name '*.rs'
+        sed -nE 's/^path = "(.*\.rs)"$/\1/p' "$manifest" | while read -r target; do
+            echo "$dir/$target"
+            sed -nE 's/^mod ([a-z_0-9]+);$/\1/p' "$dir/$target" | while read -r m; do
+                ls "$dir/${target%/*}/$m.rs" "$dir/${target%/*}/$m/mod.rs" 2>/dev/null || true
+            done
+        done; } | sort -u)
+    deps=$(awk '/^\[(dev-)?dependencies\]/{s=1; next} /^\[/{s=0} s && /^[a-z_-]+ *=/{print $1}' "$manifest" | tr - _)
+    for dep in $deps; do
+        printf '%s\n' "$files" | xargs grep -qE "(^|[^a-z0-9_])$dep(::|!)" \
+            || { echo "$manifest declares $dep, which no file the package builds names"; exit 1; }
+    done
+done
+printf 'dependency edges declared under crates/: '
+awk '/^\[(dev-)?dependencies\]/{s=1; next} /^\[/{s=0} s && /^[a-z_-]+ *=/{n++} END{print n}' crates/*/Cargo.toml
 
 say "sim structure (one device step, one measured window, one report assembler)"
 # Replay, hosted and fleet runs all drive experiment::DeviceRun::step, which

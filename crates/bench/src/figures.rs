@@ -444,22 +444,47 @@ fn fig13(e: &Eval) -> Result<Rendered, String> {
 /// Figure 14 — I/O time and erase count under varying page sizes
 /// (4/8/16 KB), all three schemes.
 fn fig14(e: &Eval) -> Result<Rendered, String> {
-    let mut out = String::new();
-    for page in PAGE_SIZES {
+    let (mut out, mut io_changes) = (String::new(), [0.0; 3]);
+    for (page, io_change) in PAGE_SIZES.into_iter().zip(&mut io_changes) {
         let (grid, kb) = (e.grid(page)?, page / 1024);
         let io_time = format!("Figure 14(a) @ {kb} KB: overall I/O time");
         out += &normalized(&io_time, "ks", grid, |r| r.io_time_s() / 1000.0);
         let erases = format!("Figure 14(b) @ {kb} KB: erase count");
         out += &normalized(&erases, "erases", grid, |r| r.erases() as f64);
-        out += &format!(
-            "@ {kb} KB: Across-FTL I/O time -{:.1}% vs FTL, erases -{:.1}% vs FTL\n\n",
-            reduction_pct(grid, SchemeKind::Baseline, |r| r.io_time_s()),
-            reduction_pct(grid, SchemeKind::Baseline, |r| r.erases() as f64)
-        );
+        *io_change = -reduction_pct(grid, SchemeKind::Baseline, |r| r.io_time_s());
+        let erase_change = -reduction_pct(grid, SchemeKind::Baseline, |r| r.erases() as f64);
+        out += &fig14_change_line(kb, *io_change, erase_change);
     }
-    out += "The improvement does not decrease as the page size grows — Across-FTL\n";
-    out += "scales with the across-page ratio of the workload (paper, §4.3).\n";
+    out += &fig14_trend(io_changes);
     Ok((out, None))
+}
+
+/// One page size's summary line of Figure 14: Across-FTL's signed change
+/// against FTL in percent (a gain is `-`, a loss `+`).
+fn fig14_change_line(kb: u32, io_change: f64, erase_change: f64) -> String {
+    format!(
+        "@ {kb} KB: Across-FTL I/O time {io_change:+.1}% vs FTL, \
+         erases {erase_change:+.1}% vs FTL\n\n"
+    )
+}
+
+/// Figure 14's closing sentence, read off Across-FTL's I/O-time change
+/// against FTL at 4, 8 and 16 KB. The improvement is the negated change:
+/// it decreases when it never grows from one page size to the next and
+/// ends below where it started.
+fn fig14_trend(io_changes: [f64; 3]) -> String {
+    let [c4, c8, c16] = io_changes;
+    let verdict = if c4 <= c8 && c8 <= c16 && c4 < c16 {
+        "decreases"
+    } else if c4 >= c8 && c8 >= c16 {
+        "does not decrease"
+    } else {
+        "changes direction"
+    };
+    format!(
+        "The improvement {verdict} as the page size grows (I/O time {c4:+.1}% → {c8:+.1}% → \
+         {c16:+.1}% vs FTL\nat 4/8/16 KB; the paper reports that it does not decrease, §4.3).\n"
+    )
 }
 
 /// Ablation study: how much of Across-FTL's benefit comes from AMerge?
@@ -716,5 +741,28 @@ mod tests {
         assert!(table1(&eval).is_ok());
         assert!(table2(&eval).is_ok());
         assert_eq!(eval.grids().count(), 0, "a failed grid is not written");
+    }
+
+    #[test]
+    fn fig14_prints_a_loss_with_a_plus_sign() {
+        let loss = fig14_change_line(16, 2.2, -7.9);
+        assert_eq!(
+            loss,
+            "@ 16 KB: Across-FTL I/O time +2.2% vs FTL, erases -7.9% vs FTL\n\n"
+        );
+        assert!(!loss.contains("--") && !loss.contains("+-"));
+    }
+
+    #[test]
+    fn fig14_reads_its_closing_sentence_off_the_io_time_changes() {
+        let trend = |changes| fig14_trend(changes).lines().next().unwrap().to_string();
+        let shrinking = trend([-36.5, -14.2, 2.2]);
+        assert!(
+            shrinking.starts_with("The improvement decreases as"),
+            "{shrinking}"
+        );
+        assert!(shrinking.contains("-36.5% → -14.2% → +2.2%"), "{shrinking}");
+        assert!(trend([-5.0, -5.0, -9.0]).starts_with("The improvement does not decrease"));
+        assert!(trend([-5.0, -9.0, -1.0]).starts_with("The improvement changes direction"));
     }
 }

@@ -1325,7 +1325,9 @@ mod tests {
             plane_idx: 0,
             block: 0,
         };
-        for (ppn, _) in array.valid_pages_of(first) {
+        let mut valid = Vec::new();
+        array.valid_pages_into(first, &mut valid);
+        for (ppn, _) in valid {
             array.invalidate(ppn).unwrap();
         }
     }

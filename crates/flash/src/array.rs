@@ -390,7 +390,7 @@ impl FlashArray {
     }
 
     /// Enable the per-operation log. Callers must drain it regularly via
-    /// [`Self::drain_op_log`] or it grows without bound.
+    /// [`Self::drain_ops`] or it grows without bound.
     pub fn enable_op_log(&mut self) {
         if self.op_log.is_none() {
             self.op_log = Some(Vec::new());
@@ -407,12 +407,6 @@ impl FlashArray {
     /// (aging runs unobserved).
     pub fn disable_op_log(&mut self) {
         self.op_log = None;
-    }
-
-    /// Move all logged operations into `into`, keeping the log's allocation
-    /// for reuse. No-op when the log is disabled.
-    pub fn drain_op_log(&mut self, into: &mut Vec<FlashOpRecord>) {
-        into.extend(self.drain_ops());
     }
 
     /// Drain the logged operations in place, in issue order, keeping the
@@ -666,13 +660,6 @@ impl FlashArray {
             self.free_in_plane[plane] -= 1;
             self.free_blocks -= 1;
         }
-    }
-
-    /// Valid pages of a block with their OOB info (GC migration source).
-    pub fn valid_pages_of(&self, addr: BlockAddr) -> Vec<(Ppn, PageInfo)> {
-        let mut out = Vec::new();
-        self.valid_pages_into(addr, &mut out);
-        out
     }
 
     /// Fill `out` with a block's valid pages and their OOB info, reusing
@@ -1524,6 +1511,7 @@ mod tests {
         let mut a = tiny_array();
         assert!(!a.op_log_enabled());
         a.program(Ppn(0), PageKind::Data, 1, 512, 0, 0).unwrap();
+        assert_eq!(a.drain_ops().count(), 0, "a disabled log drains empty");
         a.enable_op_log();
         a.program(Ppn(1), PageKind::Map, 2, 512, 0, 0).unwrap();
         a.read(Ppn(1), 512, 0, 0).unwrap();
@@ -1531,8 +1519,7 @@ mod tests {
         a.invalidate(Ppn(1)).unwrap();
         a.erase(a.block_addr_of(Ppn(0)), 0).unwrap();
 
-        let mut ops = Vec::new();
-        a.drain_op_log(&mut ops);
+        let ops: Vec<_> = a.drain_ops().collect();
         assert_eq!(ops.len(), 3, "pre-enable ops are not logged");
         assert_eq!(ops[0].op, FlashOp::Program);
         assert_eq!(ops[0].kind, PageKind::Map);
@@ -1540,9 +1527,7 @@ mod tests {
         assert_eq!(ops[2].op, FlashOp::Erase);
         assert!(ops.iter().all(|o| o.latency_ns > 0));
 
-        let mut again = Vec::new();
-        a.drain_op_log(&mut again);
-        assert!(again.is_empty(), "drain empties the log");
+        assert_eq!(a.drain_ops().count(), 0, "drain empties the log");
     }
 
     #[test]
@@ -1610,8 +1595,7 @@ mod tests {
         assert_eq!(a.stats().read_faults, 1);
         assert_eq!(a.stats().reads.total(), 0, "failed reads not in KindCounts");
         assert!(a.page_info(Ppn(0)).unwrap().is_valid(), "data survives");
-        let mut ops = Vec::new();
-        a.drain_op_log(&mut ops);
+        let ops: Vec<_> = a.drain_ops().collect();
         assert_eq!(ops.len(), 1);
         assert!(ops[0].failed);
         assert!(ops[0].latency_ns > 0, "failed read occupies the chip");
@@ -1688,9 +1672,9 @@ mod tests {
         a.program(Ppn(0), PageKind::Data, 11, 512, 0, 0).unwrap();
         a.program(Ppn(1), PageKind::Map, 22, 512, 0, 0).unwrap();
         a.invalidate(Ppn(0)).unwrap();
-        let blk = a.block_addr_of(Ppn(0));
-        let v = a.valid_pages_of(blk);
-        assert_eq!(v.len(), 1);
+        let mut v = vec![(Ppn(0), a.page_info(Ppn(0)).unwrap())];
+        a.valid_pages_into(a.block_addr_of(Ppn(0)), &mut v);
+        assert_eq!(v.len(), 1, "the buffer is cleared first");
         assert_eq!(v[0].0, Ppn(1));
         assert_eq!(v[0].1.kind, PageKind::Map);
         assert_eq!(v[0].1.tag, 22);
@@ -1728,7 +1712,8 @@ mod tests {
         program_block_0(&mut armed);
         assert_eq!(armed.page_info(other).unwrap().seq, 1);
         assert_eq!(stamps(&armed), [2, 3, 4], "program order");
-        let valid = armed.valid_pages_of(armed.block_addr_of(Ppn(0)));
+        let mut valid = Vec::new();
+        armed.valid_pages_into(armed.block_addr_of(Ppn(0)), &mut valid);
         assert_eq!(
             valid.iter().map(|(_, info)| info.seq).collect::<Vec<_>>(),
             [2, 3, 4]
@@ -2240,7 +2225,7 @@ mod tests {
     /// Every observable of the page store and the block bookkeeping,
     /// compared between the array and the block model.
     fn agree(a: &FlashArray, r: &BlockDevice) -> std::result::Result<(), String> {
-        let g = r.g;
+        let (g, mut valid) = (r.g, Vec::new());
         for p in 0..g.total_pages() {
             let (plane, block, page) = r.split(Ppn(p)).unwrap();
             let want = *r.planes[plane].0[block].page(page);
@@ -2258,7 +2243,8 @@ mod tests {
                 if a.block_summary(addr) != r.block_summary(addr) {
                     return Err(format!("summary of {addr:?} differs"));
                 }
-                if a.valid_pages_of(addr) != r.valid_pages_of(addr) {
+                a.valid_pages_into(addr, &mut valid);
+                if valid != r.valid_pages_of(addr) {
                     return Err(format!("valid pages of {addr:?} differ"));
                 }
                 if a.next_free_page(addr) != r.block(addr).next_free_page() {

@@ -134,8 +134,10 @@ pub struct RunReport {
     /// Simulated trace span (last completion − first arrival).
     pub sim_span_ns: u128,
     /// Host wall-clock seconds spent simulating the workload (device aging
-    /// plus the trace loop; excludes report assembly). The bench timing
-    /// loops use this as the replay-throughput sample.
+    /// plus the trace loop; excludes report assembly). Informational only:
+    /// it is written to the manifest, every deterministic comparison zeroes
+    /// it, and no code reads it — host time is measured by `benchmark/`,
+    /// which times its own calls.
     pub wall_seconds: f64,
     /// Events offered to the trace ring (0 unless tracing was enabled).
     pub trace_events: u64,

@@ -26,18 +26,6 @@ pub struct IoRecord {
 }
 
 impl IoRecord {
-    /// Byte offset of the request start.
-    #[inline]
-    pub fn byte_offset(&self, sector_bytes: u32) -> u64 {
-        self.sector * u64::from(sector_bytes)
-    }
-
-    /// Request length in bytes.
-    #[inline]
-    pub fn byte_len(&self, sector_bytes: u32) -> u64 {
-        u64::from(self.sectors) * u64::from(sector_bytes)
-    }
-
     /// First logical page touched, for `sectors_per_page`-sector pages.
     #[inline]
     pub fn first_lpn(&self, sectors_per_page: u32) -> u64 {
@@ -304,13 +292,6 @@ mod tests {
         let r = rec(4, 8, IoOp::Write);
         assert!(r.is_across_page(8)); // 4 KB pages
         assert!(!r.is_across_page(16)); // 8 KB pages
-    }
-
-    #[test]
-    fn byte_helpers() {
-        let r = rec(2056, 12, IoOp::Write);
-        assert_eq!(r.byte_offset(512), 1_052_672); // 1028 KiB
-        assert_eq!(r.byte_len(512), 6144);
     }
 
     #[test]
