@@ -43,6 +43,11 @@ say "core structure (one core under all four schemes, a scheme is a value, the e
 # Non-test code of crates/core/src, one "file:line" per line.
 core_code=$(find crates/core/src -name '*.rs' ! -name reference.rs \
     -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{print FILENAME":"$0}' {} +)
+# The shared page map is LPN -> PPN and nothing else: Across-FTL's AIdx
+# links are its own and live in its AMT (crates/core/src/mapping/amt.rs).
+if printf '%s\n' "$core_code" | grep -E '^crates/core/src/(mapping/pmt|pagemap)\.rs:' | grep -i 'aidx'; then
+    echo "the shared page map names an AIdx (Across-FTL's links live in mapping/amt.rs)"; exit 1
+fi
 # Every read of a mapped page is the core's serve_page.
 [ "$(grep -rnE 'served_(lost|from_page)\(' crates/core/src | grep -vc '^crates/core/src/\(scheme\|pagemap\).rs:')" -eq 0 ] \
     || { echo "a scheme re-implements the serve-a-mapped-page block"; exit 1; }

@@ -7,8 +7,8 @@
 //! -p aftl-bench --bin repro_all -- fig9 fig14 --scale 0.3`; no names =
 //! every figure); `sim_cli` is the general-purpose single run. The
 //! committed `BENCH_*.json` files are entries of [`tracked`], rewritten in
-//! place by `cargo bench -p aftl-bench --bench tracked [-- names…]`;
-//! Criterion micro-benches live next to it under `benches/`.
+//! place by `cargo bench -p aftl-bench --bench tracked [-- names…]`, the
+//! one bench target; host time is measured only by `benchmark/`.
 //!
 //! Common conventions:
 //! * figure names are positional arguments, in any order,

@@ -75,7 +75,7 @@ impl FtlScheme for BaselineFtl {
         for extent in req.extents(env.spp()) {
             let ready = self.core.map_access(env, extent.lpn, false)?;
             outcome.merge_time(ready);
-            let ppn = self.core.pmt.get(extent.lpn).ppn;
+            let ppn = self.core.pmt.get(extent.lpn);
             self.core
                 .serve_extent(env, ppn, &extent, ready, &mut outcome)?;
         }

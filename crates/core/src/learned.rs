@@ -740,7 +740,7 @@ impl FtlScheme for LearnedFtl {
                 .core
                 .program_extent(env, &extent, req.version, ready, None)?;
             outcome.merge_time(done);
-            let new_ppn = self.core.pmt.get(extent.lpn).ppn;
+            let new_ppn = self.core.pmt.get(extent.lpn);
             self.model
                 .note_program(extent.lpn, new_ppn, false, &mut self.stats);
         }
@@ -789,7 +789,7 @@ impl FtlScheme for LearnedFtl {
                         // makes it the same page the fallback would read.
                         debug_assert_eq!(
                             cand,
-                            self.core.pmt.get(extent.lpn).ppn,
+                            self.core.pmt.get(extent.lpn),
                             "verified prediction disagrees with the PMT"
                         );
                         // `would_load` held above, so the fallback would
@@ -822,7 +822,7 @@ impl FtlScheme for LearnedFtl {
             // Fallback: the baseline PMT path through the shared engine.
             let ready = self.core.map_access(env, extent.lpn, false)?;
             outcome.merge_time(ready);
-            let ppn = self.core.pmt.get(extent.lpn).ppn;
+            let ppn = self.core.pmt.get(extent.lpn);
             self.core
                 .serve_extent(env, ppn, &extent, ready, &mut outcome)?;
         }
@@ -1423,6 +1423,72 @@ mod tests {
         );
     }
 
+    /// Drive a seeded mix of sequential fills, short overwrites and reads
+    /// through GC on a pressured, content-tracked device whose models
+    /// probe `max_error` pages either side of a prediction. Exact models
+    /// never miss, so halfway through every installed segment is shifted
+    /// one page off: the approximation a window is for. Returns every
+    /// read's served `(sector, version)`s and the learned counters.
+    fn drive_window(max_error: u32) -> (Vec<Vec<(u64, u64)>>, LearnedStats) {
+        let (mut array, mut alloc, mut ftl) = setup_pressured();
+        ftl.core.cfg.learned.max_error = max_error;
+        let mut oracle = crate::oracle::Oracle::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut served = Vec::new();
+        for i in 0..4000u64 {
+            if i == 2000 {
+                let store = &mut ftl.model.store;
+                for &id in &store.order {
+                    store.slab[id as usize].base_ppn += 1;
+                }
+            }
+            let mut env = FtlEnv {
+                array: &mut array,
+                alloc: &mut alloc,
+                now_ns: 0,
+            };
+            let sector = if i < 300 { i } else { next(300) };
+            let sectors = 1 + next(4) as u32;
+            if i >= 300 && next(2) == 0 {
+                let req = HostRequest::read(i, sector, sectors);
+                let out = ftl.read(&mut env, &req).unwrap();
+                let bad = oracle.check_read(&req, &out.served);
+                assert!(bad.is_empty(), "max_error {max_error}, read {i}: {bad:?}");
+                served.push(out.served.iter().map(|s| (s.sector, s.version)).collect());
+            } else {
+                let mut req = HostRequest::write(i, sector, sectors);
+                oracle.stamp_write(&mut req);
+                ftl.write(&mut env, &req).unwrap();
+                ftl.maybe_gc(&mut env).unwrap();
+            }
+        }
+        assert!(array.stats().erases > 0, "the churn must run GC");
+        (served, ftl.learned_stats())
+    }
+
+    #[test]
+    fn a_widened_window_serves_what_exact_models_serve() {
+        let (exact, exact_stats) = drive_window(0);
+        let (wide, wide_stats) = drive_window(4);
+        assert!(exact_stats.predict_hits > 0, "the models must be consulted");
+        assert_eq!(wide, exact, "a wider window served other versions");
+        assert!(
+            wide_stats.verify_reads >= exact_stats.verify_reads,
+            "{wide_stats:?} against {exact_stats:?}"
+        );
+        assert!(
+            wide_stats.mispredicts < exact_stats.mispredicts,
+            "the window finds what a shifted model misses: \
+             {wide_stats:?} against {exact_stats:?}"
+        );
+    }
+
     #[test]
     fn overwrites_punch_and_reads_stay_correct() {
         let (mut array, mut alloc, mut ftl) = setup();
@@ -1583,7 +1649,7 @@ mod tests {
         for &lpn in &predicted {
             assert_eq!(
                 ftl.model.predict(lpn),
-                Some(ftl.core.pmt.get(lpn).ppn),
+                Some(ftl.core.pmt.get(lpn)),
                 "lpn {lpn}: model disagrees with the PMT"
             );
         }

@@ -1,55 +1,10 @@
-//! The page mapping table (PMT).
-//!
-//! A dense LPN-indexed table. Each entry holds the physical page number and
-//! — for Across-FTL — the `AIdx` link into the across-page mapping table
-//! (Figure 5). The paper stores `AIdx` on the entries of *both* LPNs an
-//! across-page area spans, so reads that touch only the second page still
-//! find the area; we do the same.
+//! The page mapping table (PMT): one word per LPN holding the physical
+//! page number of its normally-mapped data, for every page-mapped scheme.
+//! The per-LPN area links Across-FTL adds to it (Figure 5) are that
+//! scheme's own and live beside its areas in
+//! [`super::amt::AcrossMapTable`].
 
 use aftl_flash::Ppn;
-use serde::{Deserialize, Serialize};
-
-/// Sentinel for "no across-page area".
-pub const NO_AIDX: u32 = u32::MAX;
-
-/// One PMT entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PmtEntry {
-    /// Physical location of the normally-mapped page data, or
-    /// [`Ppn::INVALID`] when the LPN has never been written normally.
-    pub ppn: Ppn,
-    /// Index into the AMT when (part of) this LPN's data lives in an
-    /// across-page area; [`NO_AIDX`] otherwise.
-    pub aidx: u32,
-}
-
-impl PmtEntry {
-    /// An unmapped entry (no PPN, no area).
-    pub const fn empty() -> Self {
-        PmtEntry {
-            ppn: Ppn::INVALID,
-            aidx: NO_AIDX,
-        }
-    }
-
-    /// Whether the LPN has a normal physical page.
-    #[inline]
-    pub fn has_ppn(&self) -> bool {
-        self.ppn.is_valid()
-    }
-
-    /// Whether (part of) the LPN's data lives in an across-page area.
-    #[inline]
-    pub fn has_area(&self) -> bool {
-        self.aidx != NO_AIDX
-    }
-}
-
-impl Default for PmtEntry {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
 
 /// The table stores a PPN in 32 bits, `u32::MAX` standing for
 /// [`Ppn::INVALID`], so a device must have fewer than this many physical
@@ -67,16 +22,6 @@ pub(crate) fn assert_ppns_fit(geometry: &aftl_flash::Geometry) {
         geometry.total_pages()
     );
 }
-
-/// A [`PmtEntry`] as the table stores it: 8 bytes against the value's 16.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// The PPN, or `u32::MAX` for [`Ppn::INVALID`].
-    ppn: u32,
-    aidx: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 
 const NO_PPN: u32 = u32::MAX;
 
@@ -102,76 +47,50 @@ pub(super) fn unpack_ppn(word: u32) -> Ppn {
 /// Dense page mapping table over the device's exported logical space.
 #[derive(Debug, Clone)]
 pub struct PageMapTable {
-    entries: Vec<Slot>,
-    mapped: u64,
+    ppns: Vec<u32>,
 }
 
 impl PageMapTable {
     /// A table with every LPN unmapped.
     pub fn new(logical_pages: u64) -> Self {
         PageMapTable {
-            entries: vec![
-                Slot {
-                    ppn: NO_PPN,
-                    aidx: NO_AIDX,
-                };
-                logical_pages as usize
-            ],
-            mapped: 0,
+            ppns: vec![NO_PPN; logical_pages as usize],
         }
     }
 
     /// Size of the exported logical space in pages.
     #[inline]
     pub fn logical_pages(&self) -> u64 {
-        self.entries.len() as u64
+        self.ppns.len() as u64
     }
 
-    /// LPNs that currently have a normal physical page.
+    /// The page `lpn` maps to, or [`Ppn::INVALID`] when it has never been
+    /// written normally.
     #[inline]
-    pub fn mapped_pages(&self) -> u64 {
-        self.mapped
+    pub fn get(&self, lpn: u64) -> Ppn {
+        unpack_ppn(self.ppns[lpn as usize])
     }
 
-    /// The entry for `lpn`.
-    #[inline]
-    pub fn get(&self, lpn: u64) -> PmtEntry {
-        let slot = self.entries[lpn as usize];
-        PmtEntry {
-            ppn: unpack_ppn(slot.ppn),
-            aidx: slot.aidx,
-        }
-    }
-
-    /// Hint the CPU to fetch `lpn`'s slot ([`aftl_flash::prefetch()`]).
+    /// Hint the CPU to fetch `lpn`'s word ([`aftl_flash::prefetch()`]).
     /// Panics past the table, as [`Self::get`] does.
     #[inline]
     pub fn prefetch(&self, lpn: u64) {
-        aftl_flash::prefetch(&self.entries[lpn as usize]);
+        aftl_flash::prefetch(&self.ppns[lpn as usize]);
     }
 
     /// Set the normal-data PPN, returning the previous one (to invalidate).
+    #[inline]
     pub fn set_ppn(&mut self, lpn: u64, ppn: Ppn) -> Ppn {
-        let slot = &mut self.entries[lpn as usize];
-        let old = unpack_ppn(slot.ppn);
-        if !old.is_valid() && ppn.is_valid() {
-            self.mapped += 1;
-        } else if old.is_valid() && !ppn.is_valid() {
-            self.mapped -= 1;
-        }
-        slot.ppn = pack_ppn(ppn);
-        old
-    }
-
-    /// Set or clear the across-area link.
-    pub fn set_aidx(&mut self, lpn: u64, aidx: u32) {
-        self.entries[lpn as usize].aidx = aidx;
+        unpack_ppn(std::mem::replace(
+            &mut self.ppns[lpn as usize],
+            pack_ppn(ppn),
+        ))
     }
 
     /// Whether `lpn` falls inside the exported logical space.
     #[inline]
     pub fn in_range(&self, lpn: u64) -> bool {
-        (lpn as usize) < self.entries.len()
+        (lpn as usize) < self.ppns.len()
     }
 }
 
@@ -181,51 +100,37 @@ mod tests {
 
     #[test]
     fn empty_entry_flags() {
-        let e = PmtEntry::empty();
-        assert!(!e.has_ppn());
-        assert!(!e.has_area());
+        let t = PageMapTable::new(4);
+        assert!(!t.get(0).is_valid());
+        assert_eq!(t.get(3), Ppn::INVALID);
     }
 
     #[test]
-    fn mapped_count_tracks_set_and_clear() {
+    fn set_returns_the_previous_ppn() {
         let mut t = PageMapTable::new(10);
-        assert_eq!(t.mapped_pages(), 0);
+        assert_eq!(t.get(3), Ppn::INVALID);
         assert_eq!(t.set_ppn(3, Ppn(100)), Ppn::INVALID);
-        assert_eq!(t.mapped_pages(), 1);
-        // Remap: count unchanged, old PPN returned.
+        assert_eq!(t.get(3), Ppn(100));
+        // Remap: old PPN returned.
         assert_eq!(t.set_ppn(3, Ppn(200)), Ppn(100));
-        assert_eq!(t.mapped_pages(), 1);
         // Unmap.
         assert_eq!(t.set_ppn(3, Ppn::INVALID), Ppn(200));
-        assert_eq!(t.mapped_pages(), 0);
-    }
-
-    #[test]
-    fn aidx_roundtrip() {
-        let mut t = PageMapTable::new(4);
-        t.set_aidx(2, 7);
-        assert!(t.get(2).has_area());
-        assert_eq!(t.get(2).aidx, 7);
-        t.set_aidx(2, NO_AIDX);
-        assert!(!t.get(2).has_area());
+        assert_eq!(t.get(3), Ppn::INVALID);
     }
 
     #[test]
     fn packed_ppn_round_trips_at_the_limits() {
         let mut t = PageMapTable::new(4);
-        assert_eq!(t.get(0), PmtEntry::empty());
+        assert_eq!(t.get(0), Ppn::INVALID);
         let top = Ppn(PPN_LIMIT - 1);
         assert_eq!(t.set_ppn(1, top), Ppn::INVALID);
-        assert_eq!(t.get(1).ppn, top);
-        assert_eq!(t.mapped_pages(), 1);
-        // The area link sits in its own word.
-        t.set_aidx(1, 9);
-        assert_eq!(t.get(1), PmtEntry { ppn: top, aidx: 9 });
+        assert_eq!(t.get(1), top);
+        // Neighbours untouched.
+        assert_eq!(t.get(0), Ppn::INVALID);
+        assert_eq!(t.get(2), Ppn::INVALID);
         assert_eq!(t.set_ppn(1, Ppn::INVALID), top);
-        assert_eq!(t.get(1).ppn, Ppn::INVALID);
-        assert!(!t.get(1).has_ppn());
-        assert_eq!(t.get(1).aidx, 9);
-        assert_eq!(t.mapped_pages(), 0);
+        assert_eq!(t.get(1), Ppn::INVALID);
+        assert!(!t.get(1).is_valid());
     }
 
     /// A geometry of one-page blocks, `[channels, chips, dies, planes,

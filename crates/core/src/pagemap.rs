@@ -6,17 +6,18 @@
 //! ([`PageCopier`]) and the one read that serves a mapped page
 //! ([`serve_page`]). Every scheme holds one.
 //!
-//! The paper defines Across-FTL as the page-level FTL plus an overlay (an
-//! `AIdx` field in the PMT and a second-level AMT, §3.2); Learned-FTL is
+//! The paper defines Across-FTL as the page-level FTL plus an overlay (a
+//! per-LPN link and a second-level table of areas, §3.2); Learned-FTL is
 //! the page-level FTL plus a read predictor that bypasses the translation
 //! read. [`PageMapCore`] is that page-level FTL once, on top of the shared
-//! core: the lazily allocated PMT behind the map engine, the
-//! read-modify-write extent program, the GC remap of `Data` pages, and the
-//! `(lpn, ppn)` image a checkpoint captures and recovery reloads. Baseline,
-//! Learned-FTL and Across-FTL hold one and add their policy; its fields are
-//! theirs to reach (`core.pmt` for Across-FTL's `AIdx` links, `core.engine`
-//! for its AMT lookups). MRSM holds the shared core alone, under its own
-//! sub-page tables.
+//! core: the lazily allocated PMT (LPN → PPN and nothing else) behind the
+//! map engine, the read-modify-write extent program, the GC remap of
+//! `Data` pages, and the `(lpn, ppn)` image a checkpoint captures and
+//! recovery reloads. Baseline, Learned-FTL and Across-FTL hold one and add
+//! their policy and tables (Across-FTL's links live in its
+//! [`AcrossMapTable`](crate::mapping::AcrossMapTable)); the core's fields
+//! are theirs to reach (`core.engine` for Across-FTL's AMT lookups). MRSM
+//! holds the shared core alone, under its own sub-page tables.
 
 use std::ops::{Deref, DerefMut};
 
@@ -317,7 +318,7 @@ impl PageMapCore {
     /// order.
     pub(crate) fn image(&self) -> SchemeImage {
         let pages = (0..self.pmt.logical_pages())
-            .map(|lpn| (lpn, self.pmt.get(lpn).ppn))
+            .map(|lpn| (lpn, self.pmt.get(lpn)))
             .filter(|(_, ppn)| ppn.is_valid())
             .collect();
         SchemeImage {
@@ -335,7 +336,7 @@ impl PageMapCore {
         if self.pmt.in_range(lpn) {
             match stage {
                 PrefetchStage::Far => self.pmt.prefetch(lpn),
-                PrefetchStage::Near => array.prefetch_page(self.pmt.get(lpn).ppn),
+                PrefetchStage::Near => array.prefetch_page(self.pmt.get(lpn)),
             }
         }
     }
@@ -372,7 +373,7 @@ impl PageMapCore {
         let spp = array.geometry().sectors_per_page();
         let page_bytes = array.geometry().page_bytes;
         let sector_bytes = array.geometry().sector_bytes;
-        let old = self.pmt.get(extent.lpn).ppn;
+        let old = self.pmt.get(extent.lpn);
 
         let mut ready = at;
         let mut base_stamps = None;

@@ -282,9 +282,10 @@ impl Scheme {
     #[inline]
     pub fn prefetch(&self, array: &FlashArray, lpn: u64, stage: PrefetchStage) {
         match self {
-            Scheme::Baseline(BaselineFtl { core })
-            | Scheme::Across(AcrossFtl { core, .. })
-            | Scheme::Learned(LearnedFtl { core, .. }) => core.prefetch(array, lpn, stage),
+            Scheme::Baseline(BaselineFtl { core }) | Scheme::Learned(LearnedFtl { core, .. }) => {
+                core.prefetch(array, lpn, stage)
+            }
+            Scheme::Across(s) => s.prefetch(array, lpn, stage),
             Scheme::Mrsm(s) => s.prefetch(array, lpn, stage),
         }
     }
@@ -501,7 +502,7 @@ mod tests {
         };
         core.program_extent(&mut env, &full, 1, 0, None).unwrap();
         assert_eq!(core.counters.rmw_reads, 0);
-        let first_ppn = core.pmt.get(1).ppn;
+        let first_ppn = core.pmt.get(1);
         assert!(first_ppn.is_valid());
 
         // Partial update of the same LPN: RMW read + merge.
@@ -512,7 +513,7 @@ mod tests {
         };
         core.program_extent(&mut env, &part, 2, 0, None).unwrap();
         assert_eq!(core.counters.rmw_reads, 1);
-        let new_ppn = core.pmt.get(1).ppn;
+        let new_ppn = core.pmt.get(1);
         assert_ne!(new_ppn, first_ppn);
         // Old page invalidated.
         assert!(env.array.page_info(first_ppn).unwrap().is_invalid());
@@ -529,7 +530,7 @@ mod tests {
         };
         core.program_extent(&mut env, &fresh, 3, 0, None).unwrap();
         assert_eq!(core.counters.rmw_reads, 1, "no RMW for unmapped LPN");
-        let c = env.array.content_of(core.pmt.get(2).ppn).unwrap();
+        let c = env.array.content_of(core.pmt.get(2)).unwrap();
         assert!(c[6].is_none());
     }
 

@@ -631,6 +631,41 @@ mod tests {
     }
 
     #[test]
+    fn throttle_delays_writes_below_the_free_mark_and_never_reads() {
+        let mut aged = tiny(SchemeKind::Baseline);
+        let warmup = WarmupConfig {
+            used_fraction: 0.6,
+            valid_fraction: 0.3,
+            seed: 5,
+        };
+        crate::warmup::age(&mut aged, &warmup).unwrap();
+        let free = aged.alloc.free_fraction();
+        let delay = 1_234_567;
+        let mut throttled = aged.fork();
+        let tuning = &mut throttled.config.scheme_cfg.gc;
+        (tuning.throttle_fraction, tuning.throttle_delay_ns) = (0.9, delay);
+        assert!(free < tuning.throttle_fraction, "free fraction {free}");
+        let mut plain = aged.fork();
+
+        // Issued long after aging's last op, so every chip is idle and the
+        // delay is all that separates the two devices.
+        let at = 1 << 50;
+        let mut w = HostRequest::write(at, 8, 8);
+        w.version = 1;
+        let slow = throttled.submit(&w).unwrap();
+        let fast = plain.submit(&w).unwrap();
+        assert_eq!(slow.latency_ns, fast.latency_ns + delay);
+        assert_eq!(throttled.snapshot().counters.throttled_writes, 1);
+        assert_eq!(plain.snapshot().counters.throttled_writes, 0);
+
+        let r = HostRequest::read(at << 1, 8, 8);
+        let slow = throttled.submit(&r).unwrap();
+        let fast = plain.submit(&r).unwrap();
+        assert_eq!(slow.latency_ns, fast.latency_ns, "a read is not throttled");
+        assert_eq!(throttled.snapshot().counters.throttled_writes, 1);
+    }
+
+    #[test]
     fn submit_roundtrip_all_schemes() {
         for kind in SchemeKind::ALL {
             let mut ssd = tiny(kind);
