@@ -6,10 +6,12 @@
 
 mod common;
 
+use aftl_core::oracle::Oracle;
 use aftl_core::request::{HostRequest, ReqKind};
 use aftl_core::scheme::SchemeKind;
 use aftl_flash::{FaultConfig, FlashError};
-use aftl_integration::small_ssd_with_faults;
+use aftl_integration::{small_ssd_config, small_ssd_with_faults};
+use aftl_sim::Ssd;
 use common::shadowed_workload;
 use proptest::prelude::*;
 
@@ -153,4 +155,58 @@ fn endurance_exhaustion_wears_out_blocks() {
     // Reads still succeed on the worn-out device.
     let read = HostRequest::read(0, 0, spp as u32);
     ssd.submit(&read).expect("reads survive wear-out");
+}
+
+/// A direct write (an across-page write whose two LPNs hold no area) that
+/// runs out of blocks leaves no area behind: the device goes read-only
+/// and both LPNs keep serving their older, normally mapped data. GC is
+/// off (a zero threshold), so the blocks run out inside a write, and the
+/// finite wear budget makes the device degrade instead of failing the
+/// run. Every LPN is written whole first; then each pair of them is
+/// bridged once by an across-page write, so every bridging write is a
+/// direct write, until the blocks run out.
+#[test]
+fn a_failed_direct_write_leaves_older_data_readable() {
+    let fault = FaultConfig {
+        erase_endurance: 1_000,
+        ..FaultConfig::disabled()
+    };
+    let mut config = small_ssd_config(SchemeKind::Across, fault);
+    config.scheme_cfg.gc_threshold = 0.0;
+    let lpns = config.scheme_cfg.logical_pages;
+    let mut ssd = Ssd::new(config).expect("device");
+    let spp = u64::from(ssd.spp());
+    let mut oracle = Oracle::new();
+    let mut write = |ssd: &mut Ssd, sector: u64| {
+        let mut req = HostRequest::write(0, sector, spp as u32);
+        oracle.stamp(&mut req);
+        let done = ssd.submit(&req);
+        if done.is_ok() {
+            oracle.acknowledge(&req);
+        }
+        done.err()
+    };
+    for lpn in 0..lpns {
+        assert_eq!(write(&mut ssd, lpn * spp), None, "page write {lpn}");
+    }
+    let mut bridged = 0;
+    while bridged + 1 < lpns {
+        assert!(!ssd.read_only(), "read-only before a write failed");
+        match write(&mut ssd, bridged * spp + spp / 2) {
+            None => bridged += 2,
+            Some(FlashError::ReadOnlyMode) => break,
+            Some(e) => panic!("unexpected write error: {e}"),
+        }
+    }
+    assert!(ssd.read_only(), "the blocks never ran out");
+    assert!(
+        bridged > 0 && bridged + 1 < lpns,
+        "the blocks ran out outside a direct write"
+    );
+    for lpn in 0..lpns {
+        let req = HostRequest::read(0, lpn * spp, spp as u32);
+        let done = ssd.submit(&req).expect("reads survive read-only mode");
+        let violations = oracle.check_read(&req, &done.served);
+        assert!(violations.is_empty(), "lpn {lpn}: {violations:?}");
+    }
 }
