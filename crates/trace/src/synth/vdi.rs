@@ -611,6 +611,45 @@ mod tests {
         assert!((starts.len() as f64) < 0.82 * t.len() as f64);
     }
 
+    /// FNV-1a over every field of every record, in order.
+    fn trace_fnv(t: &Trace) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in &t.records {
+            let op = u8::from(r.op == IoOp::Write);
+            let bytes = (r.at_ns.to_le_bytes().into_iter())
+                .chain(r.sector.to_le_bytes())
+                .chain(r.sectors.to_le_bytes())
+                .chain([op]);
+            for b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Traces long enough to span several fill chunks are pinned to the
+    /// hashes the one-loop generator produced: lun1 at 0.2 (150 k records)
+    /// and the `gcmix-across` benchmark shape (lun1 over 400 MiB at a
+    /// 100 µs mean inter-arrival) at 0.2.
+    #[test]
+    fn long_traces_are_pinned() {
+        let t = LunPreset::Lun1.generate_scaled(0.2);
+        assert_eq!(
+            (t.len(), trace_fnv(&t)),
+            (149_961, 0x98e8_bbdf_80d2_4174),
+            "lun1 x0.2"
+        );
+        let mut spec = LunPreset::Lun1.spec(0.2);
+        spec.lun_bytes = 400 << 20;
+        spec.mean_iat_ns = 100_000;
+        let t = VdiWorkload::new(spec).generate();
+        assert_eq!(
+            (t.len(), trace_fnv(&t)),
+            (149_961, 0x9432_cede_c440_8e58),
+            "gcmix shape x0.2"
+        );
+    }
+
     #[test]
     fn splitmix_is_stable() {
         assert_eq!(splitmix64(0), splitmix64(0));
