@@ -254,6 +254,15 @@ printf 'crates/sim/src + crates/bench/src non-test lines: '
 find crates/sim/src crates/bench/src -name '*.rs' \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
+say "trace structure (presets carry their fitted fractions; the fit runs in tests)"
+# A preset's misaligned fraction is a constant fitted at development time
+# and checked by synth::vdi's preset_fractions_are_the_fit_* tests; a fit
+# on every LunPreset::spec call costs each set-up 10-18 ms for a number
+# that depends on neither scale nor seed.
+if awk '/^impl LunPreset/,/^}/' crates/trace/src/synth/vdi.rs | grep -F 'calibrated('; then
+    echo "LunPreset fits its fraction on every call (bake the fit into misaligned_fraction)"; exit 1
+fi
+
 say "request-ahead prefetch (one unsafe, in the prefetch hint; replay, aging and hosted dispatch prefetch)"
 # The tree's one unsafe block is aftl_flash::prefetch's _mm_prefetch, a
 # hint with no architectural effect (DESIGN.md §9); a second one in
@@ -345,6 +354,23 @@ ROWS
 # one on the flash side, and every driver's manifest is its golden.
 cargo test --release -q -p aftl-integration --test fig8_parity >/dev/null \
     || { echo "a driver or engine mode diverged from its golden (tests/fig8_parity.rs)"; exit 1; }
+
+say "profiler smoke (tools/prof: samples of a sim_cli run land in first-party frames)"
+# tools/prof/sampler.c is C preloaded into the command, outside crates/, so
+# the one-unsafe guard above does not cover it. Skipped, like fmt and
+# clippy, when the C compiler or addr2line is missing.
+if command -v cc >/dev/null 2>&1 && command -v addr2line >/dev/null 2>&1; then
+    rm -rf target/ci_prof
+    AFTL_RESULTS_DIR=target/ci_prof sh tools/prof/prof.sh target/ci_prof -- \
+        target/release/sim_cli --scheme across --preset lun1 --scale 0.05 </dev/null >/dev/null 2>&1 \
+        || { echo "profiler smoke: prof.sh or sim_cli failed"; exit 1; }
+    awk '/^share by layer/{s=1; next} s && $3 != "unattributed" {n += $1} END {exit !(n > 0)}' \
+        target/ci_prof/report.txt \
+        || { echo "profiler smoke: no sample landed in a first-party frame"; cat target/ci_prof/report.txt; exit 1; }
+    sed -n '/^share by layer/,$p' target/ci_prof/report.txt
+else
+    echo "cc or addr2line not installed; skipping"
+fi
 
 say "tracked freshness (every committed BENCH_*.json == a fresh run)"
 # The five tracked files hold simulated values only, so each is a pure

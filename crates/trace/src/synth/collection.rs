@@ -39,7 +39,7 @@ pub fn collection_spec(idx: usize, scale: f64) -> VdiSpec {
     let write_ratio = 0.35 + 0.3 * (((idx as f64) * 1.618_034).fract());
     let requests = ((100_000.0 * scale).round() as u64).max(1);
 
-    VdiSpec::calibrated(
+    VdiSpec::new(
         format!("systor17-additional-01/{:02}", idx + 1),
         requests,
         write_ratio,
@@ -47,9 +47,9 @@ pub fn collection_spec(idx: usize, scale: f64) -> VdiSpec {
         grain_prob,
         read_grain_prob,
         guest_grid,
-        target,
         0xC011_EC70 + idx as u64,
     )
+    .calibrated(target)
 }
 
 /// Generate the full survey collection.

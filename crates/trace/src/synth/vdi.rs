@@ -22,14 +22,32 @@
 //!
 //! ## Calibration
 //!
-//! The across-page ratio is linear in the fraction of misaligned images, so
-//! [`VdiSpec::calibrated`] measures short sample traces at the two extreme
-//! fractions and solves for the fraction that hits the Table 2 target at
-//! 8 KB pages. The six [`LunPreset`]s reproduce Table 2's request count,
-//! write ratio, mean write size, and across-page ratio.
+//! The across-page ratio is (nearly) linear in the fraction of misaligned
+//! images, so [`VdiSpec::calibrated`] measures 40 k-request sample traces
+//! at the two extreme fractions, then refines with secant steps to the
+//! fraction that hits a target at 8 KB pages. The fit reads neither the
+//! request count nor anything outside the spec, so for the six
+//! [`LunPreset`]s it runs at development time: each preset carries its
+//! fitted fraction as a bit-exact constant beside its Table 2 row, and a
+//! test re-runs the fit and compares bit for bit (printing the new bits
+//! when a change to the model moves them). The presets reproduce Table 2's
+//! request count, write ratio, mean write size, and across-page ratio. The
+//! Figure 2 collection fits each of its specs when it is built.
+//!
+//! ## Generation on every core
+//!
+//! Every record takes exactly six draws from the RNG, so record `i` starts
+//! `6·i` draws into the stream. [`VdiWorkload::generate`] fills contiguous
+//! chunks of at least 64 Ki records, at most one per core, each from the
+//! RNG stepped ahead to its first record; arrival times are counted from
+//! the chunk's start and rebased by the previous chunk's last arrival
+//! afterwards (integer adds, so exact). The trace does not depend on how
+//! many chunks filled it.
+
+use std::num::NonZeroUsize;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::record::{IoOp, IoRecord, Trace};
@@ -79,12 +97,11 @@ pub struct VdiSpec {
 }
 
 impl VdiSpec {
-    /// Construct a spec whose realised across-page ratio at 8 KB pages is
-    /// `target_across`, solving for the misaligned-image fraction from two
-    /// short sample measurements (the ratio is linear in the fraction).
-    /// Unreachable targets are clamped to the nearest extreme.
+    /// A spec of the VDI model's fixed shape — a 4 GiB LUN of 64 images
+    /// with 5 % hot zones, at a 2.2 ms mean inter-arrival — with every
+    /// image aligned; [`VdiSpec::calibrated`] fits the misaligned fraction.
     #[allow(clippy::too_many_arguments)]
-    pub fn calibrated(
+    pub fn new(
         name: impl Into<String>,
         requests: u64,
         write_ratio: f64,
@@ -92,10 +109,9 @@ impl VdiSpec {
         grain_prob: f64,
         read_grain_prob: f64,
         guest_grid_sectors: u64,
-        target_across: f64,
         seed: u64,
     ) -> VdiSpec {
-        let mut spec = VdiSpec {
+        VdiSpec {
             name: name.into(),
             requests,
             write_ratio,
@@ -112,20 +128,29 @@ impl VdiSpec {
             size_weights,
             mean_iat_ns: 2_200_000, // 2.2 ms mean inter-arrival
             seed,
-        };
+        }
+    }
+
+    /// This spec with the misaligned-image fraction whose realised
+    /// across-page ratio at 8 KB pages is `target_across`, solved from
+    /// short sample measurements (the ratio is linear in the fraction).
+    /// Unreachable targets are clamped to the nearest extreme.
+    pub fn calibrated(mut self, target_across: f64) -> VdiSpec {
         // The realised ratio is (nearly) linear in the misaligned fraction:
         // anchor at the extremes, then refine with secant steps against
         // short sample measurements until the residual bias (from hot-zone
         // skew and grain hashing) is calibrated away.
         let measure = |f: f64| {
-            let mut s = spec.clone();
+            let mut s = self.clone();
             s.misaligned_fraction = f;
             measured_across(&s)
         };
         let m0 = measure(0.0);
         let m1 = measure(1.0);
         if (m1 - m0).abs() < 1e-9 {
-            return spec; // fraction has no effect (e.g. all sizes > page)
+            // The fraction has no effect (e.g. all sizes > page).
+            self.misaligned_fraction = 0.0;
+            return self;
         }
         let mut f = ((target_across - m0) / (m1 - m0)).clamp(0.0, 1.0);
         let (mut f_prev, mut m_prev) = (0.0, m0);
@@ -138,8 +163,8 @@ impl VdiSpec {
             (f_prev, m_prev) = (f, m);
             f = (f + (target_across - m) / slope).clamp(0.0, 1.0);
         }
-        spec.misaligned_fraction = f;
-        spec
+        self.misaligned_fraction = f;
+        self
     }
 }
 
@@ -236,12 +261,27 @@ impl LunPreset {
         }
     }
 
-    /// Build the calibrated spec for this preset, scaling the request count
-    /// by `scale` (1.0 = the paper's full trace length).
-    pub fn spec(self, scale: f64) -> VdiSpec {
-        let (requests, write_ratio, wsz, across) = self.table2_targets();
+    /// The misaligned-image fraction [`VdiSpec::calibrated`] fits to the
+    /// row's across-page ratio, as f64 bits. The fit reads neither the
+    /// scale nor the trace length;
+    /// `tests::preset_fractions_are_the_fit_*` re-run it.
+    fn misaligned_fraction(self) -> f64 {
+        f64::from_bits(match self {
+            LunPreset::Lun1 => 0x3fdb_123a_1c67_4bb6,
+            LunPreset::Lun2 => 0x3fa9_0e73_56d5_f969,
+            LunPreset::Lun3 => 0x3fd5_408f_8540_8f85,
+            LunPreset::Lun4 => 0x3fc0_ae7f_85f6_d792,
+            LunPreset::Lun5 => 0x3fd0_1ba8_fc65_ff21,
+            LunPreset::Lun6 => 0x3fdb_a820_47bb_da59,
+        })
+    }
+
+    /// The preset's spec with every image aligned, its request count
+    /// scaled by `scale`.
+    fn aligned_spec(self, scale: f64) -> VdiSpec {
+        let (requests, write_ratio, wsz, _) = self.table2_targets();
         let n = ((requests as f64 * scale).round() as u64).max(1);
-        VdiSpec::calibrated(
+        VdiSpec::new(
             self.name(),
             n,
             write_ratio,
@@ -249,10 +289,18 @@ impl LunPreset {
             0.12, // sector-granular share of (write-side) slots
             0.70, // read-side sub-grid scan share
             8,    // 4 KB guests
-            across,
             // Distinct, stable seeds per lun.
             0xAC05_5000 + self as u64,
         )
+    }
+
+    /// The calibrated spec for this preset, scaling the request count by
+    /// `scale` (1.0 = the paper's full trace length).
+    pub fn spec(self, scale: f64) -> VdiSpec {
+        VdiSpec {
+            misaligned_fraction: self.misaligned_fraction(),
+            ..self.aligned_spec(scale)
+        }
     }
 
     /// Generate the trace at full length.
@@ -280,6 +328,13 @@ struct Region {
     salt: u64,
 }
 
+/// Fewest records a fill chunk takes: a thread for fewer costs more than
+/// it saves.
+const MIN_CHUNK: usize = 64 << 10;
+
+/// Draws every record takes from the RNG (see [`Sampler::fill`]).
+const DRAWS_PER_RECORD: usize = 6;
+
 /// The generator: deterministic given its [`VdiSpec`].
 pub struct VdiWorkload {
     spec: VdiSpec,
@@ -299,12 +354,86 @@ impl VdiWorkload {
         &self.spec
     }
 
-    /// Generate the trace.
+    /// Generate the trace, in chunks of at least [`MIN_CHUNK`] records
+    /// filled on up to every core (one chunk, on the calling thread, for a
+    /// shorter trace).
     pub fn generate(&self) -> Trace {
-        let spec = &self.spec;
-        let grid = spec.guest_grid_sectors;
-        let mut rng = SmallRng::seed_from_u64(spec.seed);
+        let most = self.spec.requests as usize / MIN_CHUNK;
+        let chunks = if most < 2 {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map_or(1, NonZeroUsize::get)
+                .min(most)
+        };
+        self.generate_in(chunks)
+    }
 
+    /// Generate the trace in `chunks` contiguous pieces, the first on the
+    /// calling thread and each other on its own scoped thread. The records
+    /// do not depend on `chunks`.
+    fn generate_in(&self, chunks: usize) -> Trace {
+        let spec = &self.spec;
+        let mut rng = SmallRng::seed_from_u64(spec.seed);
+        let sampler = Sampler::new(spec, &mut rng);
+        let blank = IoRecord {
+            at_ns: 0,
+            sector: 0,
+            sectors: 0,
+            op: IoOp::Read,
+        };
+        let mut records = vec![blank; spec.requests as usize];
+        let chunk = records.len().div_ceil(chunks).max(1);
+        std::thread::scope(|scope| {
+            let mut pieces = records.chunks_mut(chunk).enumerate();
+            let first = pieces.next();
+            for (c, piece) in pieces {
+                let (sampler, mut rng) = (&sampler, rng.clone());
+                scope.spawn(move || {
+                    for _ in 0..DRAWS_PER_RECORD * c * chunk {
+                        rng.next_u64();
+                    }
+                    sampler.fill(piece, rng);
+                });
+            }
+            if let Some((_, piece)) = first {
+                sampler.fill(piece, rng);
+            }
+        });
+        // Each chunk counted its arrivals from 0: rebase it on the last
+        // arrival of the chunk before.
+        let mut pieces = records.chunks_mut(chunk);
+        let mut base = pieces.next().and_then(|p| p.last()).map_or(0, |r| r.at_ns);
+        for piece in pieces {
+            for r in piece.iter_mut() {
+                r.at_ns += base;
+            }
+            base = piece.last().expect("chunks are non-empty").at_ns;
+        }
+        Trace::new(spec.name.clone(), records)
+    }
+}
+
+/// Everything a record's draws are turned into a record with, fixed
+/// before the first record.
+struct Sampler<'a> {
+    spec: &'a VdiSpec,
+    regions: Vec<Region>,
+    region_zipf: Zipf,
+    /// One hot-slot sampler sized for the largest hot zone; per region, a
+    /// sample is taken modulo that region's hot-slot count.
+    hot_zipf: Zipf,
+    sizes: Vec<u32>,
+    size_cdf: Vec<f64>,
+    /// Grain probabilities as u64 thresholds for the per-slot hashes.
+    grain_threshold: u64,
+    read_grain_threshold: u64,
+}
+
+impl<'a> Sampler<'a> {
+    /// Lay the regions out, drawing their shifts and salts from `rng`.
+    fn new(spec: &'a VdiSpec, rng: &mut SmallRng) -> Self {
+        let grid = spec.guest_grid_sectors;
         let region_sectors = (spec.lun_bytes / u64::from(spec.regions)) / 512 / grid * grid;
         let max_size_sectors = spec
             .size_weights
@@ -348,19 +477,33 @@ impl VdiWorkload {
             })
             .collect();
 
-        // One hot-slot sampler sized for the largest hot zone; per-region we
-        // take the sample modulo that region's hot-slot count.
         let max_hot = regions.iter().map(|r| r.hot_slots).max().unwrap_or(1);
-        let hot_zipf = Zipf::new(max_hot as usize, spec.hot_theta);
-
         let (sizes, size_cdf) = build_size_cdf(&spec.size_weights);
-        // grain probabilities as u64 thresholds for the per-slot hashes.
-        let grain_threshold = (spec.grain_prob * u64::MAX as f64) as u64;
-        let read_grain_threshold = (spec.read_grain_prob * u64::MAX as f64) as u64;
+        Sampler {
+            spec,
+            regions,
+            region_zipf,
+            hot_zipf: Zipf::new(max_hot as usize, spec.hot_theta),
+            sizes,
+            size_cdf,
+            grain_threshold: (spec.grain_prob * u64::MAX as f64) as u64,
+            read_grain_threshold: (spec.read_grain_prob * u64::MAX as f64) as u64,
+        }
+    }
 
-        let mut records = Vec::with_capacity(spec.requests as usize);
+    /// Fill `out` with the records that follow `rng`'s state, arrival
+    /// times counted from 0.
+    fn fill(&self, out: &mut [IoRecord], mut rng: SmallRng) {
+        let spec = self.spec;
+        let grid = spec.guest_grid_sectors;
         let mut t_ns = 0u64;
-        for _ in 0..spec.requests {
+        // Every record takes exactly six draws, on every branch:
+        // inter-arrival, op, region, size, hot-or-not, and the hot rank or
+        // the slot (`Zipf::sample` and `random_range` each take one draw
+        // and never reject). `generate_in` steps a chunk's RNG over six
+        // draws per earlier record, so a seventh draw on any branch would
+        // desynchronise every later chunk.
+        for record in out {
             // Exponential inter-arrival.
             let u: f64 = rng.random::<f64>().max(1e-12);
             t_ns += (-(u.ln()) * spec.mean_iat_ns as f64) as u64;
@@ -370,18 +513,18 @@ impl VdiWorkload {
             } else {
                 IoOp::Read
             };
-            let region = &regions[region_zipf.sample(&mut rng)];
+            let region = &self.regions[self.region_zipf.sample(&mut rng)];
             // Draw a size, but mostly reuse the slot's persistent size —
             // the same object tends to be rewritten with the same I/O size,
             // so updates of an across-page range usually re-cover exactly
             // that range (the paper's profitable-AMerge case).
-            let drawn = sample_size(&sizes, &size_cdf, &mut rng);
+            let drawn = pick_size(&self.sizes, &self.size_cdf, rng.random());
             let slot = if rng.random::<f64>() < spec.hot_access_prob {
                 // Hot slots are scattered over the whole image (hash-
                 // permuted ranks): a contiguous hot range would make
                 // neighbouring across-page areas collide on their shared
                 // LPN far more often than real workloads do.
-                let rank = (hot_zipf.sample(&mut rng) as u64) % region.hot_slots;
+                let rank = (self.hot_zipf.sample(&mut rng) as u64) % region.hot_slots;
                 splitmix64(region.salt ^ 0x486F_7453 ^ rank) % region.slots
             } else {
                 rng.random_range(0..region.slots)
@@ -389,14 +532,14 @@ impl VdiWorkload {
             // Sector-granular slots carry a persistent sub-grid offset, so
             // re-accesses hit the same byte range (updates overlap exactly).
             let h = splitmix64(region.salt ^ slot);
-            let grain = if h < grain_threshold {
-                splitmix64(h) % grid
+            let grain = if h < self.grain_threshold {
+                splitmix64(h) & (grid - 1)
             } else {
                 0
             };
             let size = if splitmix64(h ^ 0x512E) % 10 < 8 {
                 let u = (splitmix64(h ^ 0xCDF) % (1 << 20)) as f64 / (1u64 << 20) as f64;
-                pick_size(&sizes, &size_cdf, u)
+                pick_size(&self.sizes, &self.size_cdf, u)
             } else {
                 drawn
             };
@@ -404,21 +547,21 @@ impl VdiWorkload {
             // reads, journal scans): half of them take an extra sub-grid
             // offset. This skews the across-page population toward reads,
             // as the paper's VDI traces exhibit.
-            let read_grain = if op == IoOp::Read && splitmix64(h ^ 0x5CA4) < read_grain_threshold {
-                splitmix64(h ^ 0x0FF5) % grid
-            } else {
-                0
-            };
+            let read_grain =
+                if op == IoOp::Read && splitmix64(h ^ 0x5CA4) < self.read_grain_threshold {
+                    splitmix64(h ^ 0x0FF5) & (grid - 1)
+                } else {
+                    0
+                };
             let sector =
                 region.base_sector + region.shift_sectors + slot * grid + grain + read_grain;
-            records.push(IoRecord {
+            *record = IoRecord {
                 at_ns: t_ns,
                 sector,
                 sectors: size,
                 op,
-            });
+            };
         }
-        Trace::new(spec.name.clone(), records)
     }
 }
 
@@ -445,12 +588,11 @@ fn build_size_cdf(weights: &[SizeWeight]) -> (Vec<u32>, Vec<f64>) {
     (sizes, cdf)
 }
 
-fn sample_size<R: Rng + ?Sized>(sizes: &[u32], cdf: &[f64], rng: &mut R) -> u32 {
-    pick_size(sizes, cdf, rng.random())
-}
-
+/// The size at the first CDF value ≥ `u` (the last size if none is): what
+/// a binary search of the sorted CDF returns, by a scan of its few
+/// entries.
 fn pick_size(sizes: &[u32], cdf: &[f64], u: f64) -> u32 {
-    let i = cdf.partition_point(|&c| c < u).min(sizes.len() - 1);
+    let i = cdf.iter().position(|&c| c >= u).unwrap_or(sizes.len() - 1);
     sizes[i]
 }
 
@@ -648,6 +790,71 @@ mod tests {
             (149_961, 0x9432_cede_c440_8e58),
             "gcmix shape x0.2"
         );
+    }
+
+    /// Any chunk count fills the records one chunk does, at lengths around
+    /// the chunk edges. An extra draw on any branch of the record loop
+    /// breaks this: every chunk after the first would start off its
+    /// records.
+    #[test]
+    fn chunked_fill_equals_one_chunk() {
+        for len in [0, 1, MIN_CHUNK - 1, MIN_CHUNK + 1, 10_007] {
+            let mut spec = LunPreset::Lun1.spec(1.0);
+            spec.requests = len as u64;
+            let gen = VdiWorkload::new(spec);
+            let one = gen.generate_in(1);
+            assert_eq!(one.len(), len);
+            for chunks in 2..=9 {
+                let t = gen.generate_in(chunks);
+                assert!(t.records == one.records, "{len} records in {chunks} chunks");
+            }
+        }
+    }
+
+    /// Each preset's baked fraction is what [`VdiSpec::calibrated`] fits to
+    /// its Table 2 across-page ratio, at full length and at 0.001.
+    fn check_fraction(preset: LunPreset) {
+        let across = preset.table2_targets().3;
+        for scale in [1.0, 0.001] {
+            let fit = preset.aligned_spec(scale).calibrated(across);
+            assert!(
+                fit.misaligned_fraction.to_bits() == preset.misaligned_fraction().to_bits(),
+                "{} at scale {scale}: the fit gives {:#x}; bake it into \
+                 LunPreset::misaligned_fraction",
+                preset.name(),
+                fit.misaligned_fraction.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn preset_fractions_are_the_fit_lun1() {
+        check_fraction(LunPreset::Lun1);
+    }
+
+    #[test]
+    fn preset_fractions_are_the_fit_lun2() {
+        check_fraction(LunPreset::Lun2);
+    }
+
+    #[test]
+    fn preset_fractions_are_the_fit_lun3() {
+        check_fraction(LunPreset::Lun3);
+    }
+
+    #[test]
+    fn preset_fractions_are_the_fit_lun4() {
+        check_fraction(LunPreset::Lun4);
+    }
+
+    #[test]
+    fn preset_fractions_are_the_fit_lun5() {
+        check_fraction(LunPreset::Lun5);
+    }
+
+    #[test]
+    fn preset_fractions_are_the_fit_lun6() {
+        check_fraction(LunPreset::Lun6);
     }
 
     #[test]
