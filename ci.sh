@@ -256,7 +256,7 @@ find crates/sim/src crates/bench/src -name '*.rs' \
 
 say "trace structure (presets carry their fitted fractions; the fit runs in tests)"
 # A preset's misaligned fraction is a constant fitted at development time
-# and checked by synth::vdi's preset_fractions_are_the_fit_* tests; a fit
+# and checked by synth::vdi's table2_calibration_* tests; a fit
 # on every LunPreset::spec call costs each set-up 10-18 ms for a number
 # that depends on neither scale nor seed.
 if awk '/^impl LunPreset/,/^}/' crates/trace/src/synth/vdi.rs | grep -F 'calibrated('; then

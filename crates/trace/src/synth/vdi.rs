@@ -264,7 +264,7 @@ impl LunPreset {
     /// The misaligned-image fraction [`VdiSpec::calibrated`] fits to the
     /// row's across-page ratio, as f64 bits. The fit reads neither the
     /// scale nor the trace length;
-    /// `tests::preset_fractions_are_the_fit_*` re-run it.
+    /// `tests::table2_calibration_*` re-run it.
     fn misaligned_fraction(self) -> f64 {
         f64::from_bits(match self {
             LunPreset::Lun1 => 0x3fdb_123a_1c67_4bb6,
@@ -354,7 +354,7 @@ impl VdiWorkload {
         &self.spec
     }
 
-    /// Generate the trace, in chunks of at least [`MIN_CHUNK`] records
+    /// Generate the trace, in chunks of at least 64 Ki records
     /// filled on up to every core (one chunk, on the calling thread, for a
     /// shorter trace).
     pub fn generate(&self) -> Trace {
@@ -663,10 +663,23 @@ mod tests {
         check_preset(LunPreset::Lun6);
     }
 
-    /// Generated traces must match Table 2 within sampling tolerance:
-    /// ±0.015 absolute on ratios, ±0.6 KiB on the mean write size.
+    /// The preset's baked fraction is what [`VdiSpec::calibrated`] fits to
+    /// its Table 2 across-page ratio, bit for bit, at full length and at
+    /// 0.001; and generated traces match Table 2 within sampling
+    /// tolerance: ±0.015 absolute on ratios, ±0.6 KiB on the mean write
+    /// size.
     fn check_preset(preset: LunPreset) {
         let (_, write_ratio, write_kib, across) = preset.table2_targets();
+        for scale in [1.0, 0.001] {
+            let fit = preset.aligned_spec(scale).calibrated(across);
+            assert!(
+                fit.misaligned_fraction.to_bits() == preset.misaligned_fraction().to_bits(),
+                "{} at scale {scale}: the fit gives {:#x}; bake it into \
+                 LunPreset::misaligned_fraction",
+                preset.name(),
+                fit.misaligned_fraction.to_bits()
+            );
+        }
         let t = preset.generate_scaled(0.1); // ~60–90 k requests
         let s = TraceStats::compute(&t.records, 8192, 512);
         assert!(
@@ -809,52 +822,6 @@ mod tests {
                 assert!(t.records == one.records, "{len} records in {chunks} chunks");
             }
         }
-    }
-
-    /// Each preset's baked fraction is what [`VdiSpec::calibrated`] fits to
-    /// its Table 2 across-page ratio, at full length and at 0.001.
-    fn check_fraction(preset: LunPreset) {
-        let across = preset.table2_targets().3;
-        for scale in [1.0, 0.001] {
-            let fit = preset.aligned_spec(scale).calibrated(across);
-            assert!(
-                fit.misaligned_fraction.to_bits() == preset.misaligned_fraction().to_bits(),
-                "{} at scale {scale}: the fit gives {:#x}; bake it into \
-                 LunPreset::misaligned_fraction",
-                preset.name(),
-                fit.misaligned_fraction.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn preset_fractions_are_the_fit_lun1() {
-        check_fraction(LunPreset::Lun1);
-    }
-
-    #[test]
-    fn preset_fractions_are_the_fit_lun2() {
-        check_fraction(LunPreset::Lun2);
-    }
-
-    #[test]
-    fn preset_fractions_are_the_fit_lun3() {
-        check_fraction(LunPreset::Lun3);
-    }
-
-    #[test]
-    fn preset_fractions_are_the_fit_lun4() {
-        check_fraction(LunPreset::Lun4);
-    }
-
-    #[test]
-    fn preset_fractions_are_the_fit_lun5() {
-        check_fraction(LunPreset::Lun5);
-    }
-
-    #[test]
-    fn preset_fractions_are_the_fit_lun6() {
-        check_fraction(LunPreset::Lun6);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 #   tools/prof/prof.sh OUT -- CMD [ARG...]
 #
 # Builds sampler.c into OUT/, runs CMD with it preloaded (SIGPROF once per
-# PROF_USEC µs of CPU time, default 1000; every process CMD starts writes
+# PROF_USEC µs of CPU time, default 1000, but at most once per kernel tick:
+# CONFIG_HZ, commonly 250 per CPU-second; every process CMD starts writes
 # OUT/raw.<pid> at exit), symbolises the samples with addr2line (the
 # release profile carries line tables, so inlined frames resolve) and
 # prints two tables, also written to OUT/report.txt:
