@@ -42,7 +42,9 @@
 //! RNG stepped ahead to its first record; arrival times are counted from
 //! the chunk's start and rebased by the previous chunk's last arrival
 //! afterwards (integer adds, so exact). The trace does not depend on how
-//! many chunks filled it.
+//! many chunks filled it. The step-ahead is serial, one draw at a time, and
+//! grows with the chunk's position, so the speedup levels off with many
+//! cores (DESIGN.md §9).
 
 use std::num::NonZeroUsize;
 
@@ -328,8 +330,10 @@ struct Region {
     salt: u64,
 }
 
-/// Fewest records a fill chunk takes: a thread for fewer costs more than
-/// it saves.
+/// Fewest records a fill chunk takes. It keeps short traces (the fit's
+/// 40 k-record samples, most test traces) on the calling thread; it is far
+/// above break-even, since a scoped thread costs about 40 µs to start and
+/// join and 64 Ki records take about 7 ms to fill (DESIGN.md §9).
 const MIN_CHUNK: usize = 64 << 10;
 
 /// Draws every record takes from the RNG (see [`Sampler::fill`]).

@@ -2,12 +2,11 @@
 //!
 //! Frequency of rank `k` is proportional to `1/(k+1)^θ`. θ = 0 degenerates
 //! to uniform; θ ≈ 0.99 is the classic YCSB skew. A sample is the first
-//! rank whose CDF value is ≥ a uniform `u`. A guide table of `K + 1`
-//! entries (`K` the power of two at or above `n`) holds, for each `j`, the
-//! first rank whose CDF is ≥ `j/K`; a sample starts at entry `⌊u·K⌋` and
-//! scans up, so it costs O(1) expected steps and O(n) memory. `K` is a
-//! power of two, so `u·K` and `j/K` are exact and the rank is the one a
-//! binary search of the CDF returns, bit for bit.
+//! rank whose CDF value is ≥ a uniform draw, found by binary search: O(n)
+//! memory and O(log n) per sample. Regions and hot-set sizes here are a
+//! few thousand at most, and a guide table that started the search near
+//! the answer measured no clear gain in trace generation, so this is the
+//! simple, exact choice.
 
 use rand::Rng;
 
@@ -15,19 +14,15 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    /// `guide[j]`: the first rank whose CDF is ≥ `j / (guide.len() - 1)`.
-    guide: Vec<u32>,
 }
 
 impl Zipf {
     /// Build a sampler for `n` ranks with skew `theta ≥ 0`.
     ///
     /// # Panics
-    /// Panics if `n == 0`, `n` exceeds `u32::MAX`, or `theta` is
-    /// negative/non-finite.
+    /// Panics if `n == 0` or `theta` is negative/non-finite.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
-        assert!(u32::try_from(n).is_ok(), "Zipf over {n} ranks");
         assert!(theta >= 0.0 && theta.is_finite(), "bad skew {theta}");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -41,19 +36,7 @@ impl Zipf {
         }
         // Guard against FP slop at the top end.
         *cdf.last_mut().expect("n > 0") = 1.0;
-
-        let k = n.next_power_of_two();
-        let mut rank = 0;
-        let guide = (0..=k)
-            .map(|j| {
-                let floor = j as f64 / k as f64;
-                while rank < n - 1 && cdf[rank] < floor {
-                    rank += 1;
-                }
-                rank as u32
-            })
-            .collect();
-        Zipf { cdf, guide }
+        Zipf { cdf }
     }
 
     /// Number of ranks in the distribution.
@@ -70,23 +53,10 @@ impl Zipf {
 
     /// Sample a rank in `0..n`; rank 0 is the most popular. Takes exactly
     /// one draw from `rng`.
-    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.rank_of(rng.random())
-    }
-
-    /// The first rank whose CDF value is ≥ `u` (the last rank if none is),
-    /// for `u` in `[0, 1]`. Every rank below `guide[⌊u·K⌋]` has a CDF
-    /// below `⌊u·K⌋/K ≤ u`, so the scan starts at or before the answer.
-    #[inline]
-    fn rank_of(&self, u: f64) -> usize {
-        let k = (self.guide.len() - 1) as f64;
-        let last = self.cdf.len() - 1;
-        let mut rank = self.guide[(u * k) as usize] as usize;
-        while rank < last && self.cdf[rank] < u {
-            rank += 1;
-        }
-        rank
+        let u: f64 = rng.random();
+        // partition_point returns the first rank whose CDF value is ≥ u.
+        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 
     /// The probability mass of rank `k`.
@@ -138,28 +108,6 @@ mod tests {
                 "rank {k}: empirical {emp} vs pmf {}",
                 z.pmf(k)
             );
-        }
-    }
-
-    /// The guide-table rank equals a binary search of the CDF for random
-    /// draws and at every edge: 0, each CDF value, and the f64 just below
-    /// each.
-    #[test]
-    fn guided_rank_equals_binary_search() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        for theta in [0.0, 0.9, 0.99] {
-            for n in [1, 2, 64, 819, 20_000] {
-                let z = Zipf::new(n, theta);
-                let searched = |u: f64| z.cdf.partition_point(|&c| c < u).min(n - 1);
-                let edges = z
-                    .cdf
-                    .iter()
-                    .flat_map(|&c| [c, f64::from_bits(c.to_bits() - 1)]);
-                let draws = (0..20_000).map(|_| rng.random::<f64>()).collect::<Vec<_>>();
-                for u in [0.0].into_iter().chain(edges).chain(draws) {
-                    assert_eq!(z.rank_of(u), searched(u), "n {n} theta {theta} u {u:e}");
-                }
-            }
         }
     }
 

@@ -4,18 +4,19 @@
 #   tools/prof/prof.sh OUT -- CMD [ARG...]
 #
 # Builds sampler.c into OUT/, runs CMD with it preloaded (SIGPROF once per
-# PROF_USEC µs of CPU time, default 1000, but at most once per kernel tick:
-# CONFIG_HZ, commonly 250 per CPU-second; every process CMD starts writes
-# OUT/raw.<pid> at exit), symbolises the samples with addr2line (the
-# release profile carries line tables, so inlined frames resolve) and
-# prints two tables, also written to OUT/report.txt:
+# ms of CPU time, but at most once per kernel tick: CONFIG_HZ, commonly 250
+# per CPU-second; every process CMD starts writes OUT/raw.<pid> at exit),
+# symbolises the samples with addr2line (the release profile carries line
+# tables, so inlined frames resolve) and prints two tables, also written to
+# OUT/report.txt:
 #   - the innermost source lines with the most samples;
 #   - the share of samples per layer, by the source file of the innermost
 #     frame under crates/ or benchmark/src (the layer map of ROADMAP item
 #     15); samples with no such frame are "unattributed".
-# Exits with CMD's status. Run CMD directly rather than through a shell
-# script that `exec`s it: a process that replaces its image loses its
-# samples (sampler.c).
+# Exits with CMD's status. CMD must be the ELF program to profile, not a
+# program that execs another (env, nice, taskset, sh, a script): the timer
+# stays armed across an exec that sampler.c cannot intercept, so a tick
+# that lands before the new image's own sampler loads kills it (SIGPROF).
 set -eu
 if [ $# -lt 3 ] || [ "$2" != "--" ]; then
     echo "usage: $0 OUT -- CMD [ARG...]" >&2
@@ -26,6 +27,11 @@ shift 2
 here=$(cd "$(dirname "$0")" && pwd)
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
+prog=$(command -v "$1") || { echo "$0: $1: not found" >&2; exit 2; }
+if [ "$(head -c 4 "$prog" | od -An -tx1 | tr -d ' ')" != 7f454c46 ]; then
+    echo "$0: $1 is not an ELF executable; profile the program it runs" >&2
+    exit 2
+fi
 rm -f "$out"/raw.* "$out"/sym.* "$out"/report.txt
 cc -O2 -shared -fPIC -o "$out/sampler.so" "$here/sampler.c" -ldl
 

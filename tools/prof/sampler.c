@@ -1,18 +1,24 @@
 /*
  * SIGPROF leaf-IP sampler, loaded with LD_PRELOAD (see prof.sh).
  *
- * At load it arms ITIMER_PROF, which fires once per PROF_USEC (default
- * 1000) microseconds of the process's CPU time, summed over its threads.
+ * At load it arms ITIMER_PROF, which fires once per millisecond of the
+ * process's CPU time, summed over its threads (at most once per kernel
+ * tick, so a finer period would take no more samples).
  * The handler stores the interrupted instruction pointer into a buffer
  * allocated before the timer starts; samples past its end are counted as
  * dropped. At exit the process writes PROF_OUT.<pid>: its /proc/self/maps,
  * a "--samples--" line, then one hexadecimal IP per line.
  *
  * Interval timers survive execve(2) while signal handlers do not, so the
- * wrapper below disarms the timer before a process replaces its image
- * (a shell's `exec`); otherwise the first tick would kill the new image
- * before its own copy of this file had loaded. That image's samples are
- * lost. A forked child starts with no timer and arms its own.
+ * wrapper below disarms the timer before a process replaces its image;
+ * otherwise a tick could kill the new image before its own copy of this
+ * file had loaded. That image's samples are lost. The wrapper sees only
+ * calls to execve itself: glibc's execv, execvp and execl call it from
+ * inside libc, so a program that execs through them (env, nice, taskset,
+ * Rust's CommandExt::exec) keeps the timer armed, and a tick before the
+ * new image's copy of this file loads kills it. prof.sh therefore asks for
+ * a CMD that does not exec another program. A forked child starts with no
+ * timer and arms its own.
  */
 #define _GNU_SOURCE
 #include <dlfcn.h>
@@ -27,6 +33,7 @@
 #include <unistd.h>
 
 #define MAX_SAMPLES (1u << 21)
+#define PERIOD_USEC 1000
 
 static uintptr_t *samples;
 static unsigned long taken;
@@ -82,9 +89,7 @@ __attribute__((constructor)) static void prof_start(void)
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    const char *usec = getenv("PROF_USEC");
-    long period = usec != NULL ? atol(usec) : 1000;
-    arm(period > 0 ? period : 1000);
+    arm(PERIOD_USEC);
 }
 
 __attribute__((destructor)) static void prof_stop(void)
